@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_y
+from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.eval_pipeline.pipeline import EvalResult, ScViTEvalPipeline
 from repro.runner.cache import array_digest
 from repro.runner.runner import ParallelSweepRunner, SweepTask
@@ -85,7 +86,8 @@ class EvalTask(SweepTask):
         return (
             f"weights:{self._weights_digest};"
             f"splits:{split_digests};"
-            f"calibration:{array_digest(self.calibration_images)};m:{self.m}"
+            f"calibration:{array_digest(self.calibration_images)};m:{self.m};"
+            f"fault_model:{BitFlipFaultModel.VERSION}"
         )
 
     # -------------------------------------------------------------- evaluation

@@ -159,9 +159,8 @@ class PackedBitPlane:
         A thermometer stream with one-count ``c`` has its first ``c`` bits set,
         so each packed word can be computed arithmetically: word ``w`` holds
         ``min(max(c - 64w, 0), 64)`` leading 1s.  This builds the plane without
-        ever materialising the ``value_shape + (length,)`` bit array, which is
-        what makes whole-split fault-injection sweeps affordable — packing is
-        one vectorised op per batch, not per stream.
+        ever materialising the ``value_shape + (length,)`` bit array — packing
+        is one vectorised op per batch, not per stream.
         """
         counts = np.asarray(counts)
         if counts.size and (counts.min() < 0 or counts.max() > length):
@@ -186,8 +185,10 @@ class PackedBitPlane:
     ) -> "PackedBitPlane":
         """Plane whose bits are independent Bernoulli(``p``) draws.
 
-        Used as the XOR fault mask of the bit-flip injection knob: each valid
-        stream bit flips with probability ``p``; tail bits stay zero.  Draws
+        XORed onto a thermometer plane it is the bit-level form of the
+        bit-flip fault law (the test oracle of
+        :class:`~repro.eval_pipeline.faults.BitFlipFaultModel`, which samples
+        net flip counts directly); tail bits stay zero.  Draws
         consume ``prod(value_shape) * length`` uniforms from ``rng`` in C
         order, so the plane is a pure function of the generator state.
         """

@@ -33,6 +33,7 @@ from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.eval_pipeline.pipeline import ScViTEvalPipeline
 from repro.nn.autograd import batch_invariant_matmul, no_grad
 from repro.runner.cache import array_digest, canonical_json
@@ -87,8 +88,9 @@ def pipeline_fingerprint(pipeline: ScViTEvalPipeline) -> str:
     """Version token for cached predictions of ``pipeline``.
 
     Digests the weights, the resolved (post-calibration, post-clamp)
-    softmax config, the GELU routing and the fault settings — everything a
-    prediction depends on besides the image itself and its index.
+    softmax config, the GELU routing, the fault settings and the fault
+    sampler's version — everything a prediction depends on besides the
+    image itself and its index.
     """
     state = pipeline.model.state_dict()
     weights = array_digest(*(state[key] for key in sorted(state)))
@@ -100,6 +102,7 @@ def pipeline_fingerprint(pipeline: ScViTEvalPipeline) -> str:
         "gelu_bsl": pipeline.gelu_block.output_length if pipeline.gelu_block else None,
         "flip_prob": pipeline.flip_prob,
         "fault_seed": pipeline.fault_model.seed if pipeline.fault_model is not None else 0,
+        "fault_model": BitFlipFaultModel.VERSION,
     }
     return array_digest(np.frombuffer(canonical_json(identity).encode(), dtype=np.uint8))
 

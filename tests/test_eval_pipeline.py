@@ -20,6 +20,7 @@ from repro.eval_pipeline import (
     eval_grid,
     run_eval_grid,
 )
+from repro.eval_pipeline.faults import net_flip_pmf
 from repro.nn.autograd import Tensor, batch_invariant_matmul, no_grad
 from repro.runner.cache import ResultCache
 
@@ -202,6 +203,64 @@ class TestBitFlipFaultModel:
         with pytest.raises(ValueError):
             BitFlipFaultModel(1.5)
 
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_rejects_counts_outside_the_stream(self, bad):
+        model = BitFlipFaultModel(0.3, seed=0)
+        model.begin_batch([0])
+        with pytest.raises(ValueError):
+            model.perturb_counts(np.array([[3, bad]]), 8)
+
+    @pytest.mark.parametrize("flip_prob", [0.01, 0.3, 1.0])
+    def test_net_flip_pmf_matches_mask_enumeration(self, flip_prob):
+        """Every table row equals the law of popcount(thermometer ^ mask) over all 2^L masks."""
+        for length in range(1, 11):
+            masks = ((np.arange(2**length)[:, None] >> np.arange(length)) & 1).astype(bool)
+            flips = masks.sum(axis=1)
+            weights = flip_prob**flips * (1.0 - flip_prob) ** (length - flips)
+            pmf = net_flip_pmf(length, flip_prob)
+            for count in range(length + 1):
+                post = (masks ^ (np.arange(length) < count)).sum(axis=1)
+                exact = np.bincount(post, weights=weights, minlength=length + 1)
+                assert np.max(np.abs(pmf[count] - exact)) <= 1e-12, (length, count)
+
+    @pytest.mark.parametrize("length", [16, 256])
+    def test_draws_match_the_bit_mask_oracle(self, length):
+        """Two-sample chi-square of the sampler against XOR-mask draws (the v1 path)."""
+        from scipy.stats import chi2_contingency
+
+        from repro.sc.packed import PackedBitPlane
+
+        samples = 20_000
+
+        def mask_oracle(count, flip_prob, seed):
+            counts = np.full(samples, count)
+            mask = PackedBitPlane.random((samples,), length, flip_prob, np.random.default_rng(seed))
+            return (PackedBitPlane.from_thermometer_counts(counts, length) ^ mask).popcount()
+
+        def sampler(count, flip_prob, seed):
+            model = BitFlipFaultModel(flip_prob, seed=seed)
+            model.begin_batch([0])
+            return model.perturb_counts(np.full((1, samples), count), length)[0]
+
+        def p_value(a, b):
+            table = np.stack([np.bincount(a, minlength=length + 1), np.bincount(b, minlength=length + 1)])
+            pooled, current = [], np.zeros(2, dtype=np.int64)
+            for column in table.T:  # merge sparse tail bins until each holds >= 20 draws
+                current = current + column
+                if current.sum() >= 20:
+                    pooled.append(current)
+                    current = np.zeros(2, dtype=np.int64)
+            pooled[-1] = pooled[-1] + current
+            return chi2_contingency(np.stack(pooled, axis=1))[1]
+
+        for seed, (count, flip_prob) in enumerate(
+            [(0, 0.05), (3, 0.3), (length // 2, 0.01), (length // 2, 0.3), (length, 0.1)]
+        ):
+            oracle = mask_oracle(count, flip_prob, seed)
+            assert p_value(sampler(count, flip_prob, seed), oracle) > 1e-3, (count, flip_prob)
+            # The test has power: a sampler at twice the flip rate is rejected.
+            assert p_value(sampler(count, 2 * flip_prob, seed), oracle) < 1e-6, (count, flip_prob)
+
 
 class TestEvalTask:
     def make_task(self, eval_setup, **overrides):
@@ -294,10 +353,13 @@ class TestEvalTask:
         }
         assert len(keys) == 4
 
-    def test_version_changes_with_weights(self, eval_setup):
+    def test_version_changes_with_weights(self, eval_setup, monkeypatch):
         task = self.make_task(eval_setup)
         retrained = self.make_task(eval_setup, _weights_digest="deadbeef")
         assert task.version() != retrained.version()
+        version = task.version()
+        monkeypatch.setattr(BitFlipFaultModel, "VERSION", BitFlipFaultModel.VERSION - 1)
+        assert task.version() != version  # so does a fault-sampler version bump
 
     def test_unknown_split_raises(self, eval_setup):
         task = self.make_task(eval_setup)

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.blocks.specs import SoftmaxCircuitConfig
-from repro.eval_pipeline import ScViTEvalPipeline
+from repro.eval_pipeline import BitFlipFaultModel, ScViTEvalPipeline
 from repro.evaluation.vectors import collect_softmax_inputs
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
 from repro.runner.cache import ResultCache
@@ -515,16 +515,15 @@ class TestServiceStats:
 
 
 class TestPipelineEngine:
-    def test_fingerprint_tracks_weights_and_fault_settings(self, stack):
+    def test_fingerprint_tracks_weights_and_fault_settings(self, stack, monkeypatch):
         model, _, calibration = stack
         base = pipeline_fingerprint(
             ScViTEvalPipeline(model, SOFTMAX, calibration_logits=calibration)
         )
-        faulty = pipeline_fingerprint(
-            ScViTEvalPipeline(
-                model, SOFTMAX, flip_prob=0.1, fault_seed=2, calibration_logits=calibration
-            )
+        faulty_pipeline = ScViTEvalPipeline(
+            model, SOFTMAX, flip_prob=0.1, fault_seed=2, calibration_logits=calibration
         )
+        faulty = pipeline_fingerprint(faulty_pipeline)
         assert base != faulty
         other_model = CompactVisionTransformer(
             ViTConfig(image_size=8, patch_size=4, num_classes=4, embed_dim=16,
@@ -533,6 +532,9 @@ class TestPipelineEngine:
         assert pipeline_fingerprint(
             ScViTEvalPipeline(other_model, SOFTMAX, calibration_logits=calibration)
         ) != base
+        # A fault-sampler version bump re-keys cached predictions.
+        monkeypatch.setattr(BitFlipFaultModel, "VERSION", BitFlipFaultModel.VERSION - 1)
+        assert pipeline_fingerprint(faulty_pipeline) != faulty
 
     def test_build_engine_exposes_shape_and_flip_prob(self, stack):
         engine = _engine(stack, flip_prob=0.05, workers=2)

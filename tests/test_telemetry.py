@@ -275,6 +275,36 @@ class TestKernelProfiling:
         # table() sorts heaviest-first by wall time.
         assert profiler.table(top=1)[0]["kernel"] == "mux_words"
 
+    def test_sharded_dispatch_merges_a_worker_reply_profile(self):
+        """A shard reply's ``kernel_profile`` rows land in the parent profiler."""
+        from repro.serve.sharded import ShardedProcessEngine, _Shard, pack_frame
+
+        row = {"backend": "numpy", "kernel": "xor_words", "calls": 3, "words": 12, "seconds": 0.5}
+
+        class FakeConn:
+            def send_bytes(self, blob):
+                pass
+
+            def poll(self, timeout):
+                return True
+
+            def recv_bytes(self):
+                return pack_frame(
+                    "result", {"predictions": np.array([2, 0])}, job=1, spans=[], kernel_profile=[row]
+                )
+
+        class LiveProcess:
+            def is_alive(self):
+                return True
+
+        telemetry.enable()
+        engine = ShardedProcessEngine(replica_factory=None, shards=1, version="test")
+        shard = _Shard(0, 0, LiveProcess(), FakeConn())
+        with push_context({"trace_id": "t-1", "span_id": "s-1"}):
+            predictions = engine._dispatch(shard, np.zeros((2, 8, 8, 3)), np.array([4, 5]))
+        assert predictions.tolist() == [2, 0]
+        assert telemetry.get_profiler().table() == [row]
+
     def test_publish_exposes_per_kernel_counters(self):
         profiler = KernelProfiler()
         profiler.record("numpy", "popcount_words", 0.125, 64)
@@ -598,6 +628,7 @@ class TestMetricsEndpoint:
     def test_render_metrics_serves_cache_and_kernel_counters(self):
         from repro.serve import InferenceService, PredictionCache, build_engine, render_metrics
         from repro.core.softmax_circuit import SoftmaxCircuitConfig
+        from repro.sc.packed import PackedBitPlane
         from repro.nn.vit import CompactVisionTransformer, ViTConfig
         from repro.training.datasets import SyntheticImageDataset
 
@@ -612,8 +643,11 @@ class TestMetricsEndpoint:
                                        by=8, alpha_y=0.03, s1=16, s2=4)
 
         async def session() -> str:
-            # flip_prob > 0 routes per-image fault masks through the packed
-            # SC kernels, which is what feeds the kernel profiler.
+            # Serving forwards run no SC kernel (faults are sampled from
+            # tables, not XOR planes), so drive one packed kernel directly
+            # to feed the profiler the scrape must expose.
+            plane = PackedBitPlane.from_thermometer_counts(np.array([3, 9]), 16)
+            (plane ^ plane).popcount()
             engine = build_engine(model, softmax, workers=1, flip_prob=0.05)
             service = InferenceService(
                 engine, max_batch=4, max_wait_ms=2.0, cache=PredictionCache()
@@ -750,10 +784,13 @@ class TestTracedScenarioEndToEnd:
         # And the cache_loss event an instant.
         assert any(e["name"] == "event.cache_loss" and e["ph"] == "i" for e in events)
 
-        # The export embeds the kernel profile and the metrics snapshot.
+        # The export embeds the kernel profile and the metrics snapshot.  The
+        # serving forward runs no SC kernel, so the profile may be empty; the
+        # worker-to-parent merge is covered by
+        # test_sharded_dispatch_merges_a_worker_reply_profile.
         other = document["otherData"]
         assert other["scenario"] == "traced-kill"
-        assert other["kernel_profile"], "no kernel rows reached the parent profiler"
+        assert isinstance(other["kernel_profile"], list), "kernel profile missing from the export"
         summary = summarize_trace(document)
         assert summary["spans"] > 24  # at least one span per request plus phases
         assert len(summary["processes"]) >= 2

@@ -28,6 +28,7 @@ import numpy as np
 from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_y
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.eval_pipeline.pipeline import EvalResult, ScViTEvalPipeline
+from repro.nn.autograd import _matmul_formulation
 from repro.runner.cache import array_digest
 from repro.runner.runner import ParallelSweepRunner, SweepTask
 
@@ -87,7 +88,8 @@ class EvalTask(SweepTask):
             f"weights:{self._weights_digest};"
             f"splits:{split_digests};"
             f"calibration:{array_digest(self.calibration_images)};m:{self.m};"
-            f"fault_model:{BitFlipFaultModel.VERSION}"
+            f"fault_model:{BitFlipFaultModel.VERSION};"
+            f"matmul:{_matmul_formulation()}"
         )
 
     # -------------------------------------------------------------- evaluation

@@ -19,6 +19,7 @@ each handles full numpy broadcasting so the layer code stays natural.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,6 +49,10 @@ def is_grad_enabled() -> bool:
 
 _BATCH_INVARIANT_MATMUL = False
 
+#: Memoised outcome of the stacked-GEMM self-check: ``"stacked"`` or ``"einsum"``.
+_FORMULATION: Optional[str] = None
+_FORMULATION_LOCK = threading.Lock()
+
 
 @contextlib.contextmanager
 def batch_invariant_matmul():
@@ -57,13 +62,19 @@ def batch_invariant_matmul():
     row hits the gemv path, a ``(B, K)`` block hits gemm), and those kernels
     accumulate the ``K`` reduction in different orders — so the *same* logical
     row can round differently depending on how many rows ride along in the
-    batch.  Inside this context, matmuls between stacked operands run through
-    ``np.einsum``, whose per-element reduction order depends only on the
-    contracted axis; splitting a batch into chunks of any size then produces
-    bit-identical results.  The eval pipeline evaluates whole dataset splits
-    under this mode so its cached accuracies never depend on ``batch_size``.
+    batch.  Inside this context every matmul gives each image a GEMM of a
+    fixed, batch-independent shape (see :func:`matmul_data`), so splitting a
+    batch into chunks of any size produces bit-identical results.  The eval
+    pipeline evaluates whole dataset splits under this mode so its cached
+    accuracies never depend on ``batch_size``.
+
+    The first entry runs a memoised self-check of that per-image
+    formulation; should it ever fail (say, a numpy that folds a stack of
+    matmuls into one GEMM), the mode falls back to ``np.einsum`` and logs
+    one ``batch_invariant_matmul_fallback`` warning.
     """
     global _BATCH_INVARIANT_MATMUL
+    _matmul_formulation()
     previous = _BATCH_INVARIANT_MATMUL
     _BATCH_INVARIANT_MATMUL = True
     try:
@@ -72,10 +83,87 @@ def batch_invariant_matmul():
         _BATCH_INVARIANT_MATMUL = previous
 
 
+def _stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked ``@`` with one GEMM per leading-index slice of fixed shape."""
+    if a.ndim == 2 and b.ndim == 2:
+        # A lone (1, K) row takes the gemv path and a (B, K) block gemm, so
+        # every row is lifted to its own (1, K) matrix whatever the batch.
+        return (a[:, None, :] @ b)[:, 0, :]
+    return a @ b
+
+
+def _einsum_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matmul whose per-element reduction order depends only on ``K``."""
+    return np.einsum("...ij,...jk->...ik", a, b)
+
+
+def _stacked_matmul_is_batch_invariant() -> bool:
+    """Whether :func:`_stacked_matmul` gives each image the same bits in any batch.
+
+    Probes the three operand kinds of the ViT forward at their real
+    layouts — ``(B, T, K)`` activations against a transposed ``(N, K)``
+    weight, ``(B, H, T, d)`` heads against a ``swapaxes`` view of a fused
+    qkv tensor (attention scores), and the ``(B, K)`` classifier head — and
+    compares single-image and chunked results against the full batch.
+    """
+    rng = np.random.default_rng(0)
+    batch, tokens, dim, heads = 11, 17, 64, 4
+    weight = rng.standard_normal((48, dim))
+    x = rng.standard_normal((batch, tokens, dim))
+    qkv = rng.standard_normal((batch, tokens, 3, heads, dim // heads)).transpose(2, 0, 3, 1, 4)
+    cases = (
+        (x, weight.swapaxes(-1, -2)),
+        (qkv[0], qkv[1].swapaxes(-1, -2)),
+        (x[:, 0], weight.swapaxes(-1, -2)),
+    )
+    for a, b in cases:
+        full = _stacked_matmul(a, b)
+        for size in (1, 4):
+            parts = [
+                _stacked_matmul(a[i : i + size], b[i : i + size] if b.ndim > 2 else b)
+                for i in range(0, batch, size)
+            ]
+            if not np.array_equal(np.concatenate(parts), full):
+                return False
+    return True
+
+
+def _matmul_formulation() -> str:
+    """The formulation batch-invariant mode uses in this process (memoised).
+
+    ``"stacked"`` when the self-check passes, ``"einsum"`` otherwise.  The
+    two may differ by an ulp, so prediction cache keys fold this in.
+    """
+    global _FORMULATION
+    with _FORMULATION_LOCK:  # serving threads enter the mode concurrently
+        if _FORMULATION is None:
+            if _stacked_matmul_is_batch_invariant():
+                _FORMULATION = "stacked"
+            else:
+                from repro.telemetry.logging import get_logger
+
+                get_logger("nn").warning(
+                    "batch_invariant_matmul_fallback",
+                    formulation="einsum",
+                    reason="stacked matmul is not batch-invariant under this numpy/BLAS",
+                )
+                _FORMULATION = "einsum"
+        return _FORMULATION
+
+
 def matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` with the batch-invariant einsum path when the mode is on."""
+    """``a @ b``, batch-invariant when :func:`batch_invariant_matmul` is on.
+
+    In that mode operands with three or more dims run as stacked ``@``:
+    numpy issues one GEMM per leading-index slice, so each image always
+    sees the same kernel and reduction order.  A 2-D ``(B, K) @ (K, N)``
+    runs as ``B`` stacked ``(1, K)`` rows.  If the startup self-check found
+    this unsafe, ``np.einsum`` is used instead.
+    """
     if _BATCH_INVARIANT_MATMUL and a.ndim >= 2 and b.ndim >= 2:
-        return np.einsum("...ij,...jk->...ik", a, b)
+        if _FORMULATION == "stacked":
+            return _stacked_matmul(a, b)
+        return _einsum_matmul(a, b)
     return a @ b
 
 

@@ -1,9 +1,11 @@
 """Dynamic micro-batching: coalesce queued requests without changing answers.
 
-The whole reason serving can batch at all is PR 3's invariant: under
-``batch_invariant_matmul`` plus per-image fault seeding, a prediction does
-not depend on which other images share its forward pass, so the batcher is
-free to group whatever happens to be waiting.  Batching is then purely a
+The whole reason serving can batch at all is the eval pipeline's
+invariant: ``batch_invariant_matmul`` gives every image its own
+fixed-shape GEMM (stacked ``@``, with an einsum fallback guarded by a
+startup self-check) and fault masks are seeded per image, so a prediction
+does not depend on which other images share its forward pass and the
+batcher is free to group whatever happens to be waiting.  Batching is then purely a
 throughput/latency trade:
 
 * flush at ``max_batch`` — bounds per-request queueing behind a big batch,

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.eval_pipeline.pipeline import ScViTEvalPipeline
-from repro.nn.autograd import batch_invariant_matmul, no_grad
+from repro.nn.autograd import _matmul_formulation, batch_invariant_matmul, no_grad
 from repro.runner.cache import array_digest, canonical_json
 
 __all__ = [
@@ -88,9 +88,11 @@ def pipeline_fingerprint(pipeline: ScViTEvalPipeline) -> str:
     """Version token for cached predictions of ``pipeline``.
 
     Digests the weights, the resolved (post-calibration, post-clamp)
-    softmax config, the GELU routing, the fault settings and the fault
-    sampler's version — everything a prediction depends on besides the
-    image itself and its index.
+    softmax config, the GELU routing, the fault settings, the fault
+    sampler's version and the batch-invariant matmul formulation this
+    process resolved to (stacked and einsum may differ by an ulp) —
+    everything a prediction depends on besides the image itself and its
+    index.
     """
     state = pipeline.model.state_dict()
     weights = array_digest(*(state[key] for key in sorted(state)))
@@ -103,6 +105,7 @@ def pipeline_fingerprint(pipeline: ScViTEvalPipeline) -> str:
         "flip_prob": pipeline.flip_prob,
         "fault_seed": pipeline.fault_model.seed if pipeline.fault_model is not None else 0,
         "fault_model": BitFlipFaultModel.VERSION,
+        "matmul": _matmul_formulation(),
     }
     return array_digest(np.frombuffer(canonical_json(identity).encode(), dtype=np.uint8))
 

@@ -7,6 +7,8 @@ without fault injection.  On top of that: the fault model's determinism
 contract, the ``EvalTask`` cache round-trip/resume behaviour, and the CLI.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from repro.eval_pipeline import (
     run_eval_grid,
 )
 from repro.eval_pipeline.faults import net_flip_pmf
-from repro.nn.autograd import Tensor, batch_invariant_matmul, no_grad
+from repro.nn import autograd
+from repro.nn.autograd import Tensor, batch_invariant_matmul, matmul_data, no_grad
 from repro.runner.cache import ResultCache
 
 
@@ -126,6 +129,23 @@ class TestChunkInvariance:
         assert np.array_equal(before, after)
 
 
+def matmul_operands(kind, batch, seed):
+    """Operands of one matmul kind at the strided layouts the ViT forward uses."""
+    rng = np.random.default_rng(seed)
+    weight = rng.standard_normal((48, 64))  # stored (out, in) like Linear
+    if kind == "linear":  # qkv/proj/fc1/fc2/patch-embed: (B, T, K) @ weight.T
+        return rng.standard_normal((batch, 17, 64)), weight.swapaxes(-1, -2)
+    if kind == "scores":  # (B, H, T, d) query @ key.T, both views of one fused qkv
+        qkv = rng.standard_normal((batch, 17, 3, 4, 16)).transpose(2, 0, 3, 1, 4)
+        return qkv[0], qkv[1].swapaxes(-1, -2)
+    return rng.standard_normal((batch, 64)), weight.swapaxes(-1, -2)  # classifier head
+
+
+def per_image(b, rows):
+    """The slice of ``b`` belonging to ``rows`` (a shared 2-D weight is not batched)."""
+    return b[rows] if b.ndim > 2 else b
+
+
 class TestBatchInvariantMatmul:
     def test_forward_is_chunk_invariant_under_the_context(self, eval_setup):
         model = eval_setup["model"]
@@ -139,9 +159,85 @@ class TestBatchInvariantMatmul:
         assert np.array_equal(full, rows)
         assert np.array_equal(full, chunks)
 
-    def test_mode_is_scoped_to_the_context(self):
-        from repro.nn import autograd
+    @pytest.mark.parametrize("kind", ["linear", "scores", "head"])
+    @given(
+        batch=st.integers(1, 64),
+        cuts=st.lists(st.integers(1, 64), min_size=1, max_size=64),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_rows_are_bit_identical_under_any_chunking(self, kind, batch, cuts, seed):
+        a, b = matmul_operands(kind, batch, seed)
+        bounds = np.cumsum(cuts)
+        chunks = np.split(np.arange(batch), bounds[bounds < batch])
+        with batch_invariant_matmul():
+            full = matmul_data(a, b)
+            chunked = np.concatenate([matmul_data(a[c], per_image(b, c)) for c in chunks])
+            rows = np.concatenate(
+                [matmul_data(a[i : i + 1], per_image(b, slice(i, i + 1))) for i in range(batch)]
+            )
+        assert np.array_equal(full, chunked)
+        assert np.array_equal(full, rows)
 
+    @pytest.mark.parametrize("kind", ["linear", "scores", "head"])
+    def test_stacked_agrees_with_einsum_to_an_ulp_scale(self, kind):
+        """The two formulations differ only by rounding: relative error < 1e-12
+        against the ``|a| @ |b|`` scale of each dot product."""
+        a, b = matmul_operands(kind, 32, seed=1)
+        stacked = autograd._stacked_matmul(a, b)
+        einsum = autograd._einsum_matmul(a, b)
+        scale = autograd._einsum_matmul(np.abs(a), np.abs(b))
+        assert np.max(np.abs(stacked - einsum) / scale) < 1e-12
+
+    def test_failed_self_check_falls_back_to_einsum(self, eval_setup, monkeypatch):
+        from repro.serve.engine import pipeline_fingerprint
+
+        pipeline = ScViTEvalPipeline(
+            eval_setup["model"], make_softmax_config(),
+            calibration_logits=eval_setup["calibration"],
+        )
+        monkeypatch.setattr(autograd, "_FORMULATION", "stacked")
+        stacked_key = pipeline_fingerprint(pipeline)
+
+        monkeypatch.setattr(autograd, "_FORMULATION", None)
+        monkeypatch.setattr(autograd, "_stacked_matmul_is_batch_invariant", lambda: False)
+        einsum_calls = []
+        real_einsum = autograd._einsum_matmul
+
+        def counting_einsum(a, b):
+            einsum_calls.append(a.shape)
+            return real_einsum(a, b)
+
+        monkeypatch.setattr(autograd, "_einsum_matmul", counting_einsum)
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("repro.nn")
+        previous_level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.WARNING)
+        try:
+            model = eval_setup["model"]
+            images = eval_setup["test"].images[:9]
+            with no_grad(), batch_invariant_matmul():
+                full = model(Tensor(images)).data
+            with no_grad(), batch_invariant_matmul():
+                rows = np.concatenate([model(Tensor(images[i : i + 1])).data for i in range(9)])
+                chunks = np.concatenate(
+                    [model(Tensor(images[i : i + 4])).data for i in range(0, 9, 4)]
+                )
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(previous_level)
+        assert autograd._matmul_formulation() == "einsum"
+        assert einsum_calls
+        assert [r.getMessage() for r in records] == ["batch_invariant_matmul_fallback"]
+        assert records[0].repro_fields["formulation"] == "einsum"
+        assert np.array_equal(full, rows)
+        assert np.array_equal(full, chunks)
+        assert pipeline_fingerprint(pipeline) != stacked_key
+
+    def test_mode_is_scoped_to_the_context(self):
         assert autograd._BATCH_INVARIANT_MATMUL is False
         with batch_invariant_matmul():
             assert autograd._BATCH_INVARIANT_MATMUL is True
@@ -360,6 +456,10 @@ class TestEvalTask:
         version = task.version()
         monkeypatch.setattr(BitFlipFaultModel, "VERSION", BitFlipFaultModel.VERSION - 1)
         assert task.version() != version  # so does a fault-sampler version bump
+        monkeypatch.setattr(autograd, "_FORMULATION", "stacked")
+        stacked = task.version()
+        monkeypatch.setattr(autograd, "_FORMULATION", "einsum")
+        assert task.version() != stacked  # and the batch-invariant matmul formulation
 
     def test_unknown_split_raises(self, eval_setup):
         task = self.make_task(eval_setup)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.eval_pipeline import BitFlipFaultModel, ScViTEvalPipeline
 from repro.evaluation.vectors import collect_softmax_inputs
+from repro.nn import autograd
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
 from repro.runner.cache import ResultCache
 from repro.serve import (
@@ -535,6 +536,11 @@ class TestPipelineEngine:
         # A fault-sampler version bump re-keys cached predictions.
         monkeypatch.setattr(BitFlipFaultModel, "VERSION", BitFlipFaultModel.VERSION - 1)
         assert pipeline_fingerprint(faulty_pipeline) != faulty
+        # So does the batch-invariant matmul formulation (stacked vs einsum).
+        monkeypatch.setattr(autograd, "_FORMULATION", "stacked")
+        stacked = pipeline_fingerprint(faulty_pipeline)
+        monkeypatch.setattr(autograd, "_FORMULATION", "einsum")
+        assert pipeline_fingerprint(faulty_pipeline) != stacked
 
     def test_build_engine_exposes_shape_and_flip_prob(self, stack):
         engine = _engine(stack, flip_prob=0.05, workers=2)

@@ -163,7 +163,10 @@ class SoftmaxCircuitConfig(BlockSpec):
     Attributes
     ----------
     m:
-        Length of the softmax row vector (64 for the evaluated ViT).
+        Length of the softmax row vector.  The default 64 is the DSE and
+        Table IV setting; the eval pipeline clamps it to the model's token
+        count (17 for the paper-scale ViT) with
+        :meth:`clamped_to_vector_length`.
     iterations:
         Iteration count ``k`` of Algorithm 1.
     bx, alpha_x:

@@ -20,12 +20,22 @@ grids coarsened by ``s1`` and ``s2``, and the iteration output is re-encoded
 on the ``(By, alpha_y)`` grid.  Those are the only places the circuit loses
 information, so they are the only places the emulation does.
 
+Within one iteration everything an element computes is a function of three
+integers: its x count, its y count and its row's sub-sampled ``sum(z)``.  The
+emulation therefore carries one combined ``(x count, y count)`` state per
+element and steps it through a next-state table indexed by that state and
+the row sum.  Each table covers only the row sums an iteration observed and
+is filled by the elementwise dataflow itself, with the same operations in
+the same order, so it reproduces that dataflow bit for bit.
+
 The structural model (:meth:`IterativeSoftmaxCircuit.build_hardware`)
 instantiates the same pieces through the :mod:`repro.hw` cost model; the
 design space of Table II / Fig. 8 is swept by :mod:`repro.core.dse`.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -38,6 +48,7 @@ from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.nn.functional_math import softmax_exact
 from repro.sc.arithmetic import thermometer_multiplier_hardware
 from repro.sc.bitstream import ThermometerStream
+from repro.sc.encodings import thermometer_decode_counts, thermometer_encode_counts
 from repro.sc.rescaling import RescalingBlock
 from repro.sc.sorting_network import BitonicSortingNetwork
 
@@ -63,6 +74,17 @@ class IterativeSoftmaxCircuit:
                 f"infeasible softmax circuit configuration: {config}"
             )
         self.config = config
+        # Per-element state is one combined count ``x_count * (By+1) +
+        # y_count``; these tables map a state to its z product level and to
+        # its decoded output value.
+        x_levels = np.arange(config.bx + 1) - config.bx // 2
+        y_counts = np.arange(config.by + 1)
+        y_levels = y_counts - config.by // 2
+        self._z_levels = np.outer(x_levels, y_levels).ravel()
+        self._decoded = np.tile(
+            thermometer_decode_counts(y_counts, config.by, config.alpha_y), config.bx + 1
+        )
+        self._tables: Dict[Tuple[int, int], np.ndarray] = {}
 
     # -------------------------------------------------------------- simulate
     def forward(self, x: np.ndarray, stream_hook=None) -> np.ndarray:
@@ -78,65 +100,97 @@ class IterativeSoftmaxCircuit:
         ``i``) — and its return value replaces the stream.  This is how the
         eval pipeline threads bit-flip fault injection through the circuit
         without the emulation ever special-casing faults; ``None`` (the
-        default) keeps the exact historical numerics.
+        default) keeps the exact historical numerics.  A returned stream
+        must keep the shape and length it was given, with counts in
+        ``[0, length]``; anything else raises ``ValueError``.
         """
         cfg = self.config
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != cfg.m:
             raise ValueError(f"expected rows of length {cfg.m}, got {x.shape[-1]}")
 
-        x_stream = ThermometerStream.encode(x, cfg.bx, cfg.alpha_x)
+        x_counts = thermometer_encode_counts(x, cfg.bx, cfg.alpha_x)
         if stream_hook is not None:
-            x_stream = stream_hook("x", x_stream)
-        x_levels = x_stream.signed_levels()  # integers in [-Bx/2, Bx/2]
-        x_q = x_levels * cfg.alpha_x
+            x_counts = _hooked(stream_hook, "x", x_counts, cfg.bx, cfg.alpha_x)
 
         # y^0 = 1/m, initialised as a constant bitstream.  The hardware pins
         # the initial count to the nearest non-zero level: if 1/m rounded to
         # zero the recurrence z = x * y could never leave the all-zero state.
         init_level = max(1, int(round((1.0 / cfg.m) / cfg.alpha_y)))
         init_level = min(init_level, cfg.by // 2)
-        # init_level is clamped to [1, By/2] above, so the range scan of the
-        # constructor would be pure overhead on this per-row hot path.
-        y_stream = ThermometerStream.from_quantized(
-            np.full(x.shape, init_level, dtype=np.int64), cfg.by, cfg.alpha_y, validate=False
-        )
+        y_counts = init_level + cfg.by // 2
         if stream_hook is not None:
-            y_stream = stream_hook("y0", y_stream)
+            y_counts = np.full(x.shape, y_counts, dtype=np.int64)
+            y_counts = _hooked(stream_hook, "y0", y_counts, cfg.by, cfg.alpha_y)
 
-        z_grid = cfg.alpha_x * cfg.alpha_y  # value of one signed level of a z stream
+        states_per_sum = (cfg.bx + 1) * (cfg.by + 1)
+        state = x_counts * (cfg.by + 1) + y_counts
         for iteration in range(cfg.iterations):
-            y_levels = y_stream.signed_levels()
-            y_q = y_levels * cfg.alpha_y
-
-            # MUL (1): exact product on the (alpha_x * alpha_y) grid — a
-            # truth-table multiplier introduces no error of its own.
-            z_levels = x_levels * y_levels
-            z_q = z_levels * z_grid
-
-            # BSN (1) + s1 sub-sampling: the concatenated product streams are
-            # sorted and every s1-th bit is kept.  On signed levels that is a
-            # rounded division by s1 (the grid coarsens by the same factor).
-            sum_levels = z_levels.sum(axis=-1, keepdims=True)
+            # BSN (1) + s1 sub-sampling: the one cross-element quantity.
+            sum_levels = self._z_levels.take(state).sum(axis=-1, keepdims=True)
             sum_sub_levels = np.rint(sum_levels / cfg.s1).astype(np.int64)
-            sum_grid = z_grid * cfg.s1
-
-            # MUL (2) + s2 sub-sampling: y_i * sum(z) quantised on its
-            # product grid, then coarsened by s2.
-            prod_levels = y_levels * sum_sub_levels
-            prod_sub_levels = np.rint(prod_levels / cfg.s2).astype(np.int64)
-            prod_grid = cfg.alpha_y * sum_grid * cfg.s2
-            prod = prod_sub_levels * prod_grid
-
-            # Re-scaling + BSN (2): accumulate y + (z - y*sum(z)) / k and
-            # re-encode onto the (By, alpha_y) output grid for the next
-            # iteration (the division by k is a pure scale change).
-            update = y_q + (z_q - prod) / cfg.iterations
-            y_stream = ThermometerStream.encode(update, cfg.by, cfg.alpha_y)
+            lo, hi = (int(sum_sub_levels.min()), int(sum_sub_levels.max())) if state.size else (0, 0)
+            table = self._next_state_table(lo, hi)
+            state = table.take((sum_sub_levels - lo) * states_per_sum + state)
             if stream_hook is not None:
-                y_stream = stream_hook(f"y{iteration + 1}", y_stream)
+                x_part = state - state % (cfg.by + 1)
+                y_counts = _hooked(
+                    stream_hook, f"y{iteration + 1}", state - x_part, cfg.by, cfg.alpha_y
+                )
+                state = x_part + y_counts
 
-        return y_stream.decode()
+        return self._decoded.take(state)
+
+    def _next_state_table(self, lo: int, hi: int) -> np.ndarray:
+        """Next combined state for every ``(sum_sub, x_count, y_count)``.
+
+        Flat index ``(sum_sub - lo) * (Bx+1)(By+1) + state``, over the row
+        sums ``lo..hi`` one iteration observed.  Memoised per ``(lo, hi)``;
+        both ends lie in the reachable sub-sampled range of ``sum(z)``
+        (about ``±m·Bx·By / (4·s1)``, nine values for the eval config), so
+        the memo stays small.  Two threads that miss on the same key both
+        build it and store equal tables, so no lock is needed.
+        """
+        table = self._tables.get((lo, hi))
+        if table is not None:
+            return table
+        cfg = self.config
+        sum_sub_levels = np.arange(lo, hi + 1, dtype=np.int64)[:, None, None]
+        x_counts = np.arange(cfg.bx + 1)[:, None]
+        x_levels = x_counts - cfg.bx // 2
+        y_levels = np.arange(cfg.by + 1) - cfg.by // 2
+
+        # The Fig. 5 dataflow of one iteration, element by element, with the
+        # same operations in the same order as the circuit: the table holds
+        # exactly the counts the elementwise emulation would produce.
+        y_q = y_levels * cfg.alpha_y
+
+        # MUL (1): exact product on the (alpha_x * alpha_y) grid — a
+        # truth-table multiplier introduces no error of its own.
+        z_grid = cfg.alpha_x * cfg.alpha_y  # value of one signed level of a z stream
+        z_levels = x_levels * y_levels
+        z_q = z_levels * z_grid
+
+        # BSN (1) + s1 sub-sampling (in ``forward``): the concatenated
+        # product streams are sorted and every s1-th bit is kept.  On signed
+        # levels that is a rounded division by s1 (the grid coarsens by s1).
+        sum_grid = z_grid * cfg.s1
+
+        # MUL (2) + s2 sub-sampling: y_i * sum(z) quantised on its
+        # product grid, then coarsened by s2.
+        prod_levels = y_levels * sum_sub_levels
+        prod_sub_levels = np.rint(prod_levels / cfg.s2).astype(np.int64)
+        prod_grid = cfg.alpha_y * sum_grid * cfg.s2
+        prod = prod_sub_levels * prod_grid
+
+        # Re-scaling + BSN (2): accumulate y + (z - y*sum(z)) / k and
+        # re-encode onto the (By, alpha_y) output grid for the next
+        # iteration (the division by k is a pure scale change).
+        update = y_q + (z_q - prod) / cfg.iterations
+        y_next = thermometer_encode_counts(update, cfg.by, cfg.alpha_y)
+        table = (x_counts * (cfg.by + 1) + y_next).ravel()
+        self._tables[(lo, hi)] = table
+        return table
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
@@ -215,3 +269,23 @@ class IterativeSoftmaxCircuit:
                 "s2": cfg.s2,
             },
         )
+
+
+def _hooked(hook, site: str, counts: np.ndarray, length: int, scale: float) -> np.ndarray:
+    """Counts of the stream ``hook`` returns for ``counts`` at ``site``.
+
+    The combined state packs x and y counts into one index, so an
+    out-of-range count would silently alias another entry; it fails here.
+    """
+    stream = hook(site, ThermometerStream(counts, length, scale, validate=False))
+    out = stream.counts
+    if (
+        stream.length != length
+        or out.shape != counts.shape
+        or (out.size and (out.min() < 0 or out.max() > length))
+    ):
+        raise ValueError(
+            f"stream_hook at site {site!r} must return a length-{length} stream "
+            f"of shape {counts.shape} with counts in [0, {length}]"
+        )
+    return out

@@ -168,8 +168,7 @@ class ScViTEvalPipeline:
         out = self.softmax_circuit.forward(scores.data, stream_hook=hook)
         out = np.clip(out, 0.0, None)
         row_sum = out.sum(axis=-1, keepdims=True)
-        uniform = np.full_like(out, 1.0 / out.shape[-1])
-        out = np.where(row_sum > 0, out / np.maximum(row_sum, 1e-9), uniform)
+        out = np.where(row_sum > 0, out / np.maximum(row_sum, 1e-9), 1.0 / out.shape[-1])
         return Tensor(out)
 
     def _batched_gelu(self, x: Tensor) -> Tensor:

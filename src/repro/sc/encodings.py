@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.numeric import round_half_away_from_zero
 from repro.utils.validation import check_positive_int
 
 
@@ -66,13 +65,18 @@ def thermometer_encode_counts(values: np.ndarray, length: int, scale: float) -> 
 
     Returns integer counts in ``[0, length]``; values outside the
     representable range saturate (the hardware clamps the same way).
+
+    Counts round half away from zero, like the hardware quantizer.  On the
+    count axis ``v = x / scale + L / 2`` that is ``floor(v + 0.5)`` for
+    ``v >= 0``, and every ``v < 0`` clips to 0 under either rounding, so
+    the sign/abs form of :func:`repro.utils.numeric.round_half_away_from_zero`
+    is not needed here.
     """
     check_positive_int(length, "length")
     if scale <= 0:
         raise ValueError("scale must be positive")
     arr = np.asarray(values, dtype=float)
-    counts = round_half_away_from_zero(arr / scale + length / 2.0)
-    return np.clip(counts, 0, length).astype(np.int64)
+    return np.clip(np.floor(arr / scale + length / 2.0 + 0.5), 0, length).astype(np.int64)
 
 
 def thermometer_decode_counts(counts: np.ndarray, length: int, scale: float) -> np.ndarray:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.dse import SoftmaxDesignSpace
 from repro.core.softmax_circuit import (
     IterativeSoftmaxCircuit,
     SoftmaxCircuitConfig,
@@ -10,12 +11,69 @@ from repro.core.softmax_circuit import (
     calibrate_alpha_y,
 )
 from repro.hw.synthesis import synthesize
+from repro.sc.bitstream import ThermometerStream
+from repro.utils.numeric import round_half_away_from_zero
 
 
 def make_config(**overrides):
     defaults = dict(m=64, iterations=3, bx=4, alpha_x=2.0, by=8, alpha_y=0.0625, s1=32, s2=8)
     defaults.update(overrides)
     return SoftmaxCircuitConfig(**defaults)
+
+
+def _encode(values, length, scale):
+    """Thermometer encode as the hardware quantizer: round half away, clip."""
+    counts = round_half_away_from_zero(np.asarray(values, dtype=float) / scale + length / 2.0)
+    return ThermometerStream(np.clip(counts, 0, length).astype(np.int64), length, scale)
+
+
+def reference_forward(cfg, x, stream_hook=None):
+    """The circuit dataflow element by element: the oracle of the table.
+
+    Every element carries its own streams through MUL 1, BSN 1 + s1, MUL 2
+    + s2 and the re-scaled BSN 2, with the stream hook at the same sites.
+    """
+    x = np.asarray(x, dtype=float)
+    x_stream = _encode(x, cfg.bx, cfg.alpha_x)
+    if stream_hook is not None:
+        x_stream = stream_hook("x", x_stream)
+    x_levels = x_stream.signed_levels()
+
+    init_level = max(1, int(round((1.0 / cfg.m) / cfg.alpha_y)))
+    init_level = min(init_level, cfg.by // 2)
+    y_stream = ThermometerStream.from_quantized(np.full(x.shape, init_level), cfg.by, cfg.alpha_y)
+    if stream_hook is not None:
+        y_stream = stream_hook("y0", y_stream)
+
+    z_grid = cfg.alpha_x * cfg.alpha_y
+    for iteration in range(cfg.iterations):
+        y_levels = y_stream.signed_levels()
+        y_q = y_levels * cfg.alpha_y
+        z_levels = x_levels * y_levels
+        z_q = z_levels * z_grid
+        sum_levels = z_levels.sum(axis=-1, keepdims=True)
+        sum_sub_levels = np.rint(sum_levels / cfg.s1).astype(np.int64)
+        sum_grid = z_grid * cfg.s1
+        prod_levels = y_levels * sum_sub_levels
+        prod_sub_levels = np.rint(prod_levels / cfg.s2).astype(np.int64)
+        prod_grid = cfg.alpha_y * sum_grid * cfg.s2
+        prod = prod_sub_levels * prod_grid
+        update = y_q + (z_q - prod) / cfg.iterations
+        y_stream = _encode(update, cfg.by, cfg.alpha_y)
+        if stream_hook is not None:
+            y_stream = stream_hook(f"y{iteration + 1}", y_stream)
+    return y_stream.decode()
+
+
+def jitter_hook(seed):
+    """A deterministic perturbing hook: every count moves by -1, 0 or +1."""
+    rng = np.random.default_rng(seed)
+
+    def hook(site, stream):
+        step = rng.integers(-1, 2, size=stream.shape)
+        return stream.with_counts(np.clip(stream.counts + step, 0, stream.length))
+
+    return hook
 
 
 class TestConfig:
@@ -112,6 +170,146 @@ class TestCircuitForward:
         cfg = make_config(bx=bx, by=by, alpha_x=calibrate_alpha_x(rows, bx), alpha_y=calibrate_alpha_y(by, 64))
         out = IterativeSoftmaxCircuit(cfg).forward(rows)
         assert np.all(np.abs(out) <= cfg.alpha_y * by / 2 + 1e-12)
+
+
+class TestTableMatchesElementwiseOracle:
+    """The next-state table reproduces the elementwise dataflow bit for bit."""
+
+    @given(
+        geometry=st.sampled_from([(3, 4), (5, 2), (4, 8), (2, 6), (4, 3)]),
+        m=st.sampled_from([5, 17, 64]),
+        iterations=st.integers(1, 4),
+        s1=st.sampled_from([1, 3, 7, 32, 100]),
+        s2=st.sampled_from([1, 3, 5, 8, 33]),
+        alpha_y_mult=st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+        alpha_x=st.sampled_from([None, 0.1, 0.3, 0.6, 1.5]),
+        logit_scale=st.sampled_from([0.3, 1.0, 3.0, 50.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle(self, geometry, m, iterations, s1, s2, alpha_y_mult, alpha_x, logit_scale, seed):
+        bx, by = geometry
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(0.0, logit_scale, size=(3, 2, m))
+        rows[0, 0, : m // 2] = 1e6  # saturating logits, both signs
+        rows[0, 1, : m // 2] = -1e6
+        cfg = SoftmaxCircuitConfig(
+            m=m,
+            iterations=iterations,
+            bx=bx,
+            alpha_x=alpha_x or calibrate_alpha_x(rng.normal(0.0, 1.0, size=(8, m)), bx),
+            by=by,
+            alpha_y=calibrate_alpha_y(by, m) * alpha_y_mult,
+            s1=s1,
+            s2=s2,
+        )
+        assume(cfg.is_feasible())
+        out = IterativeSoftmaxCircuit(cfg).forward(rows)
+        assert np.array_equal(out, reference_forward(cfg, rows))
+
+    @pytest.mark.parametrize("bx", [2, 4])
+    def test_reduced_dse_grid(self, bx, logit_rows):
+        space = SoftmaxDesignSpace(
+            bx=bx,
+            test_vectors=logit_rows[:16],
+            by_choices=(4, 8, 16, 32),
+            iteration_choices=(2, 3, 4),
+            s1_choices=(2, 8, 32, 512),
+            s2_choices=(1, 4, 64, 256),
+            alpha_y_multipliers=(0.5, 2.0),
+        )
+        feasible = [cfg for cfg in space.enumerate_configs() if cfg.is_feasible()]
+        assert len(feasible) > 100
+        for cfg in feasible:
+            out = IterativeSoftmaxCircuit(cfg).forward(space.test_vectors)
+            assert np.array_equal(out, reference_forward(cfg, space.test_vectors)), cfg
+
+    @pytest.mark.parametrize("alpha_x", [0.1, 0.3, 0.6])
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
+    def test_scrambled_start_matches_oracle(self, alpha_x, iterations):
+        # Random x and y0 counts reach (x, y, sum) states the softmax
+        # dynamics rarely visit; decimal alpha_x puts some of them within an
+        # ulp of a rounding tie, where any reordered float op would show.
+        cfg = make_config(m=17, iterations=iterations, alpha_x=alpha_x, alpha_y=0.0625, s1=1, s2=1)
+        rows = np.zeros((4096, 17))
+
+        def scramble(seed):
+            rng = np.random.default_rng(seed)
+            # A random share of each row saturates high, so the row sums
+            # sweep the whole reachable range, not just its centre.
+            saturated = rng.random(rows.shape) < rng.random((len(rows), 1))
+
+            def hook(site, stream):
+                if site not in ("x", "y0"):
+                    return stream
+                counts = rng.integers(0, stream.length + 1, stream.shape)
+                return stream.with_counts(np.where(saturated, stream.length, counts))
+
+            return hook
+
+        out = IterativeSoftmaxCircuit(cfg).forward(rows, stream_hook=scramble(iterations))
+        assert np.array_equal(out, reference_forward(cfg, rows, stream_hook=scramble(iterations)))
+
+    def test_empty_batch(self):
+        out = IterativeSoftmaxCircuit(make_config()).forward(np.zeros((0, 64)))
+        assert out.shape == (0, 64)
+
+    def test_tables_are_reused(self, logit_rows):
+        circuit = IterativeSoftmaxCircuit(make_config())
+        first = circuit.forward(logit_rows)
+        tables = dict(circuit._tables)
+        assert np.array_equal(circuit.forward(logit_rows), first)
+        assert circuit._tables.keys() == tables.keys()
+        assert all(circuit._tables[key] is table for key, table in tables.items())
+
+
+class TestStreamHook:
+    def test_sites_fire_in_dataflow_order(self, logit_rows):
+        cfg = make_config(iterations=4)
+        sites = []
+
+        def record(site, stream):
+            sites.append((site, stream.length, stream.shape))
+            return stream
+
+        IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], stream_hook=record)
+        assert sites == [("x", cfg.bx, (4, 64))] + [
+            (f"y{i}", cfg.by, (4, 64)) for i in range(cfg.iterations + 1)
+        ]
+
+    def test_identity_hook_changes_nothing(self, logit_rows):
+        circuit = IterativeSoftmaxCircuit(make_config())
+        hooked = circuit.forward(logit_rows, stream_hook=lambda site, stream: stream)
+        assert np.array_equal(hooked, circuit.forward(logit_rows))
+
+    @pytest.mark.parametrize("geometry", [(4, 8), (3, 4), (5, 2)])
+    def test_perturbing_hook_matches_oracle(self, geometry, logit_rows):
+        bx, by = geometry
+        cfg = make_config(bx=bx, by=by, alpha_y=calibrate_alpha_y(by, 64), s1=7, s2=3)
+        out = IterativeSoftmaxCircuit(cfg).forward(logit_rows, stream_hook=jitter_hook(5))
+        expected = reference_forward(cfg, logit_rows, stream_hook=jitter_hook(5))
+        assert np.array_equal(out, expected)
+        assert not np.array_equal(out, reference_forward(cfg, logit_rows))
+
+    @pytest.mark.parametrize("site", ["x", "y0", "y1", "y3"])
+    @pytest.mark.parametrize("bad", ["above", "below", "length", "shape"])
+    def test_malformed_hook_output_raises(self, site, bad, logit_rows):
+        cfg = make_config()
+
+        def hook(at, stream):
+            if at != site:
+                return stream
+            counts, length = stream.counts, stream.length
+            if bad == "length":
+                length *= 2
+            elif bad == "shape":
+                counts = counts[:1]
+            else:
+                counts = counts + (length + 1 if bad == "above" else -length - 1)
+            return ThermometerStream(counts, length, stream.scale, validate=False)
+
+        with pytest.raises(ValueError, match=site):
+            IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], stream_hook=hook)
 
 
 class TestCircuitHardware:

@@ -14,6 +14,13 @@ from repro.sc.encodings import (
     unipolar_decode,
     unipolar_encode,
 )
+from repro.utils.numeric import round_half_away_from_zero
+
+
+def reference_encode_counts(values, length, scale):
+    """Round half away from zero on the count axis, then saturate."""
+    counts = round_half_away_from_zero(np.asarray(values, dtype=float) / scale + length / 2.0)
+    return np.clip(counts, 0, length).astype(np.int64)
 
 
 class TestUnipolarBipolar:
@@ -93,6 +100,58 @@ class TestThermometerCounts:
         else:
             # saturation: decoded value sits at the representable extreme
             assert abs(decoded[0]) == pytest.approx(max_abs)
+
+
+class TestThermometerEncodeMatchesHalfAwayRounding:
+    """``floor(v + 0.5)`` + clip equals round-half-away + clip for every float."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 255, 256])
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.03125, 0.3, 1.7])
+    def test_ties_neighbours_and_extremes(self, length, scale):
+        # Count-axis ties k +- 0.5 across and beyond [0, L], and points a
+        # fraction of an ulp of v away from them (where adding L/2 and 0.5
+        # in one step would round differently), mapped back to values, with
+        # their nextafter neighbours on both sides.
+        ties = np.arange(-3, length + 4) + 0.5
+        ties = np.concatenate([ties, ties - 1.0])
+        offsets = np.concatenate([[0.0], np.ldexp(1.0, -np.arange(50, 57)), -np.ldexp(1.0, -np.arange(50, 57))])
+        values = ((ties - length / 2.0)[:, None] + offsets).ravel() * scale
+        values = np.concatenate(
+            [values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)]
+        )
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324])
+        values = np.concatenate([values, specials])
+        got = thermometer_encode_counts(values, length, scale)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_encode_counts(values, length, scale))
+
+    def test_exact_ties_round_up_on_the_count_axis(self):
+        # v = 0.5, 1.5, 2.5 sit exactly on ties at scale 1, L = 4 (v = x + 2).
+        counts = thermometer_encode_counts(np.array([-1.5, -0.5, 0.5, -2.5]), 4, 1.0)
+        assert counts.tolist() == [1, 2, 3, 0]
+
+    def test_nan_behaves_as_before(self):
+        values = np.array([np.nan, -np.nan, 1.0])
+        with np.errstate(invalid="ignore"):
+            got = thermometer_encode_counts(values, 5, 0.5)
+            expected = reference_encode_counts(values, 5, 0.5)
+        assert np.array_equal(got, expected)
+
+    def test_scalar_input(self):
+        assert thermometer_encode_counts(0.3, 4, 1.0) == reference_encode_counts(0.3, 4, 1.0)
+
+    @given(
+        values=st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=32),
+        length=st.integers(1, 300),
+        scale=st.floats(1e-6, 1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_reference(self, values, length, scale):
+        values = np.array(values)
+        with np.errstate(over="ignore"):  # huge values / small scale -> inf, which saturates
+            got = thermometer_encode_counts(values, length, scale)
+            expected = reference_encode_counts(values, length, scale)
+        assert np.array_equal(got, expected)
 
 
 class TestThermometerBits:

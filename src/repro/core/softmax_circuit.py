@@ -47,7 +47,7 @@ from repro.blocks.specs import (  # noqa: F401  (re-exported: historical home)
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.nn.functional_math import softmax_exact
 from repro.sc.arithmetic import thermometer_multiplier_hardware
-from repro.sc.bitstream import ThermometerStream
+from repro.sc.bitstream import ThermometerStream, counts_in_range
 from repro.sc.encodings import thermometer_decode_counts, thermometer_encode_counts
 from repro.sc.rescaling import RescalingBlock
 from repro.sc.sorting_network import BitonicSortingNetwork
@@ -124,7 +124,8 @@ class IterativeSoftmaxCircuit:
             y_counts = _hooked(stream_hook, "y0", y_counts, cfg.by, cfg.alpha_y)
 
         states_per_sum = (cfg.bx + 1) * (cfg.by + 1)
-        state = x_counts * (cfg.by + 1) + y_counts
+        x_base = x_counts * (cfg.by + 1)  # the x part of the state; iterations keep it
+        state = x_base + y_counts
         for iteration in range(cfg.iterations):
             # BSN (1) + s1 sub-sampling: the one cross-element quantity.
             sum_levels = self._z_levels.take(state).sum(axis=-1, keepdims=True)
@@ -133,11 +134,9 @@ class IterativeSoftmaxCircuit:
             table = self._next_state_table(lo, hi)
             state = table.take((sum_sub_levels - lo) * states_per_sum + state)
             if stream_hook is not None:
-                x_part = state - state % (cfg.by + 1)
-                y_counts = _hooked(
-                    stream_hook, f"y{iteration + 1}", state - x_part, cfg.by, cfg.alpha_y
-                )
-                state = x_part + y_counts
+                state -= x_base
+                y_counts = _hooked(stream_hook, f"y{iteration + 1}", state, cfg.by, cfg.alpha_y)
+                state = x_base + y_counts
 
         return self._decoded.take(state)
 
@@ -282,7 +281,7 @@ def _hooked(hook, site: str, counts: np.ndarray, length: int, scale: float) -> n
     if (
         stream.length != length
         or out.shape != counts.shape
-        or (out.size and (out.min() < 0 or out.max() > length))
+        or not counts_in_range(out, length)
     ):
         raise ValueError(
             f"stream_hook at site {site!r} must return a length-{length} stream "

@@ -9,8 +9,8 @@ makes that claim a first-class, reproducible experiment:
   batch axis (one call per layer per batch), chunk-invariant numerics via
   :func:`repro.nn.autograd.batch_invariant_matmul`, per-chunk streaming.
 * :mod:`repro.eval_pipeline.faults` — :class:`BitFlipFaultModel`,
-  deterministic per-image bit-flip injection applied as packed-bitplane XOR
-  masks on every thermometer-stream interface (SC noise-tolerance knob).
+  deterministic per-image bit-flip injection on every thermometer-stream
+  interface, sampled as net count changes (SC noise-tolerance knob).
 * :mod:`repro.eval_pipeline.tasks` — :class:`EvalTask`, the
   :class:`~repro.runner.runner.SweepTask` registration that gives accuracy
   grids multiprocessing workers, the content-addressed result cache and

@@ -10,8 +10,8 @@ replaces it underneath (the evaluator is now a thin shim):
 * **batched substitution** — the circuit-level softmax runs directly on the
   ``(batch, heads, tokens, m)`` score tensor and the SI GELU on the whole
   ``(batch, tokens, hidden)`` activation tensor: one substitution call per
-  layer per batch, with fault injection applied as one packed-bitplane op
-  per stream interface (:mod:`repro.eval_pipeline.faults`).
+  layer per batch, with fault injection applied as one net-count draw per
+  stream interface (:mod:`repro.eval_pipeline.faults`).
 * **chunk-invariant numerics** — forwards run under
   :func:`repro.nn.autograd.batch_invariant_matmul`, so evaluating a split
   in chunks of 1, 32 or 1024 images yields bit-identical logits; the

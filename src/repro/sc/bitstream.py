@@ -39,6 +39,19 @@ from repro.utils.validation import check_binary_array, check_in_choices, check_p
 _ENCODINGS = ("unipolar", "bipolar")
 
 
+def counts_in_range(counts: np.ndarray, length: int) -> bool:
+    """True when every count lies in ``[0, length]`` (an empty array passes).
+
+    int64 counts take one pass: viewed as uint64 a negative count wraps
+    above every valid length, so ``max() <= length`` is the whole check.
+    """
+    if not counts.size:
+        return True
+    if counts.dtype == np.int64:
+        return bool(counts.view(np.uint64).max() <= length)
+    return not (counts.min() < 0 or counts.max() > length)
+
+
 class StochasticStream:
     """A batch of stochastic bitstreams (unipolar or bipolar encoding).
 
@@ -195,13 +208,15 @@ class ThermometerStream:
             if scale <= 0:
                 raise ValueError("scale must be positive")
         counts = np.asarray(counts)
-        if validate and counts.size:
-            if counts.min() < 0 or counts.max() > length:
+        if validate:
+            if not counts_in_range(counts, length):
                 raise ValueError(f"counts must lie in [0, {length}]")
             if not np.issubdtype(counts.dtype, np.integer):
                 if not np.allclose(counts, np.round(counts)):
                     raise ValueError("counts must be integers")
-        self.counts = counts.astype(np.int64)
+        # Unvalidated counts come from the hot loops, which never write a
+        # stream's counts in place, so int64 ones are shared, not copied.
+        self.counts = counts.astype(np.int64, copy=not validate)
         self.length = int(length)
         self.scale = float(scale)
 

@@ -89,10 +89,10 @@ def pipeline_fingerprint(pipeline: ScViTEvalPipeline) -> str:
 
     Digests the weights, the resolved (post-calibration, post-clamp)
     softmax config, the GELU routing, the fault settings, the fault
-    sampler's version and the batch-invariant matmul formulation this
-    process resolved to (stacked and einsum may differ by an ulp) —
-    everything a prediction depends on besides the image itself and its
-    index.
+    sampler's version (faulted pipelines only: a fault-free forward draws
+    nothing) and the batch-invariant matmul formulation this process
+    resolved to (stacked and einsum may differ by an ulp) — everything a
+    prediction depends on besides the image itself and its index.
     """
     state = pipeline.model.state_dict()
     weights = array_digest(*(state[key] for key in sorted(state)))
@@ -104,9 +104,10 @@ def pipeline_fingerprint(pipeline: ScViTEvalPipeline) -> str:
         "gelu_bsl": pipeline.gelu_block.output_length if pipeline.gelu_block else None,
         "flip_prob": pipeline.flip_prob,
         "fault_seed": pipeline.fault_model.seed if pipeline.fault_model is not None else 0,
-        "fault_model": BitFlipFaultModel.VERSION,
         "matmul": _matmul_formulation(),
     }
+    if pipeline.fault_model is not None:
+        identity["fault_model"] = BitFlipFaultModel.VERSION
     return array_digest(np.frombuffer(canonical_json(identity).encode(), dtype=np.uint8))
 
 

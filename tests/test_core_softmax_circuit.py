@@ -292,7 +292,7 @@ class TestStreamHook:
         assert not np.array_equal(out, reference_forward(cfg, logit_rows))
 
     @pytest.mark.parametrize("site", ["x", "y0", "y1", "y3"])
-    @pytest.mark.parametrize("bad", ["above", "below", "length", "shape"])
+    @pytest.mark.parametrize("bad", ["above", "below", "int64_min", "int32_below", "length", "shape"])
     def test_malformed_hook_output_raises(self, site, bad, logit_rows):
         cfg = make_config()
 
@@ -304,9 +304,16 @@ class TestStreamHook:
                 length *= 2
             elif bad == "shape":
                 counts = counts[:1]
+            elif bad == "int64_min":
+                counts = counts.copy()
+                counts[0, 0] = np.iinfo(np.int64).min
+            elif bad.startswith("int32"):
+                counts = counts.astype(np.int32) - length - 1
             else:
                 counts = counts + (length + 1 if bad == "above" else -length - 1)
-            return ThermometerStream(counts, length, stream.scale, validate=False)
+            out = ThermometerStream(counts, length, stream.scale, validate=False)
+            out.counts = counts  # keep a non-int64 dtype: the range check has a two-pass path for it
+            return out
 
         with pytest.raises(ValueError, match=site):
             IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], stream_hook=hook)

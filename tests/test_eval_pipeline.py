@@ -8,6 +8,7 @@ contract, the ``EvalTask`` cache round-trip/resume behaviour, and the CLI.
 """
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from repro.eval_pipeline import (
     eval_grid,
     run_eval_grid,
 )
-from repro.eval_pipeline.faults import net_flip_pmf
+from repro.eval_pipeline import faults
+from repro.eval_pipeline.faults import net_flip_pmf, sample_net_flips
 from repro.nn import autograd
 from repro.nn.autograd import Tensor, batch_invariant_matmul, matmul_data, no_grad
 from repro.runner.cache import ResultCache
+from repro.sc.bitstream import ThermometerStream
 
 
 def make_softmax_config(by=8, s1=16, s2=4, k=2):
@@ -263,16 +266,19 @@ class TestBitFlipFaultModel:
         assert np.array_equal(outs[0], outs[1])
 
     def test_faults_depend_on_image_index_not_batch_position(self):
-        counts = np.full((3, 4), 6)
-        together = BitFlipFaultModel(0.3, seed=5)
-        together.begin_batch([7, 8, 9])
-        joint = together.perturb_counts(counts, 8)
-        split = []
-        for index in (7, 8, 9):
-            model = BitFlipFaultModel(0.3, seed=5)
-            model.begin_batch([index])
-            split.append(model.perturb_counts(counts[:1], 8))
-        assert np.array_equal(joint, np.concatenate(split))
+        counts = np.full((3, 40), 6)
+        for flip_prob in (0.3, 0.05):  # dense and sparse branch at L = 8
+            together = BitFlipFaultModel(flip_prob, seed=5)
+            together.begin_batch([7, 8, 9])
+            joint = [together.perturb_counts(counts, 8), together.perturb_counts(counts, 8)]
+            split = []
+            for index in (7, 8, 9):
+                model = BitFlipFaultModel(flip_prob, seed=5)
+                model.begin_batch([index])
+                split.append([model.perturb_counts(counts[:1], 8), model.perturb_counts(counts[:1], 8)])
+            for site, out in enumerate(joint):
+                assert np.array_equal(out, np.concatenate([image[site] for image in split]))
+            assert not np.array_equal(joint[0], counts)
 
     def test_sites_draw_independent_masks(self):
         counts = np.full((1, 64), 8)
@@ -283,12 +289,15 @@ class TestBitFlipFaultModel:
         assert not np.array_equal(first, second)
 
     def test_flip_rate_moves_the_popcount(self):
-        model = BitFlipFaultModel(1.0, seed=0)
-        model.begin_batch([0])
-        counts = np.array([[0, 16, 5]])
-        out = model.perturb_counts(counts, 16)
-        # p=1 flips every bit: count c becomes 16 - c.
-        assert np.array_equal(out, 16 - counts)
+        for length in (1, 16):  # sparse (L·p = 1) and dense branch
+            model = BitFlipFaultModel(1.0, seed=0)
+            model.begin_batch([0, 1])
+            counts = np.array([[0, length, length // 2], [length, 0, 0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = model.perturb_counts(counts, length)
+            # p=1 flips every bit: count c becomes L - c.
+            assert np.array_equal(out, length - counts)
 
     def test_requires_begin_batch(self):
         model = BitFlipFaultModel(0.5, seed=0)
@@ -299,12 +308,44 @@ class TestBitFlipFaultModel:
         with pytest.raises(ValueError):
             BitFlipFaultModel(1.5)
 
-    @pytest.mark.parametrize("bad", [-1, 9])
-    def test_rejects_counts_outside_the_stream(self, bad):
-        model = BitFlipFaultModel(0.3, seed=0)
-        model.begin_batch([0])
-        with pytest.raises(ValueError):
-            model.perturb_counts(np.array([[3, bad]]), 8)
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [pytest.param(-1, np.int64, id="-1"), pytest.param(9, np.int64, id="9"),
+         pytest.param(np.iinfo(np.int64).min, np.int64, id="int64-min"),
+         pytest.param(-1, np.int32, id="-1-int32"), pytest.param(9, np.int8, id="9-int8"),
+         pytest.param(-1, np.float64, id="-1-float64"), pytest.param(9, np.float64, id="9-float64")],
+    )
+    def test_rejects_counts_outside_the_stream(self, bad, dtype):
+        counts = np.array([[3, bad]], dtype=dtype)
+        for flip_prob in (0.3, 0.01):  # dense and sparse branch at L = 8
+            model = BitFlipFaultModel(flip_prob, seed=0)
+            model.begin_batch([0])
+            with pytest.raises(ValueError):
+                model.perturb_counts(counts, 8)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_accepts_the_edges_and_empty_sites(self, dtype):
+        for flip_prob in (0.3, 0.01):
+            model = BitFlipFaultModel(flip_prob, seed=0)
+            model.begin_batch([0, 1])
+            out = model.perturb_counts(np.array([[0, 8], [8, 0]], dtype=dtype), 8)
+            assert out.shape == (2, 2) and out.min() >= 0 and out.max() <= 8
+            empty = model.perturb_counts(np.zeros((2, 0, 3), dtype=dtype), 8)
+            assert empty.shape == (2, 0, 3)
+
+    @pytest.mark.parametrize("flip_prob", [0.3, 0.01])  # dense and sparse branch at L = 8
+    def test_never_mutates_its_input(self, flip_prob):
+        model = BitFlipFaultModel(flip_prob, seed=0)
+        model.begin_batch([0, 1])
+        counts = np.arange(2 * 300).reshape(2, 300) % 9
+        before = counts.copy()
+        out = model.perturb_counts(counts, 8)
+        assert np.array_equal(counts, before) and not np.array_equal(out, counts)
+        stream = ThermometerStream(counts, 8, 0.5)
+        stream_counts = stream.counts.copy()
+        faulted = model.perturb_stream(stream)
+        assert np.array_equal(stream.counts, stream_counts) and faulted is not stream
+        assert not np.array_equal(faulted.counts, stream.counts)
 
     @pytest.mark.parametrize("flip_prob", [0.01, 0.3, 1.0])
     def test_net_flip_pmf_matches_mask_enumeration(self, flip_prob):
@@ -319,9 +360,13 @@ class TestBitFlipFaultModel:
                 exact = np.bincount(post, weights=weights, minlength=length + 1)
                 assert np.max(np.abs(pmf[count] - exact)) <= 1e-12, (length, count)
 
-    @pytest.mark.parametrize("length", [16, 256])
+    @pytest.mark.parametrize("length", [4, 8, 16, 256])
     def test_draws_match_the_bit_mask_oracle(self, length):
-        """Two-sample chi-square of the sampler against XOR-mask draws (the v1 path)."""
+        """Two-sample chi-square of the sampler against XOR-mask draws (the v1 path).
+
+        The cases cover both branches: ``L·p <= 1`` walks bit positions, and
+        ``(8, 0.125)`` sits on the boundary.
+        """
         from scipy.stats import chi2_contingency
 
         from repro.sc.packed import PackedBitPlane
@@ -349,13 +394,111 @@ class TestBitFlipFaultModel:
             pooled[-1] = pooled[-1] + current
             return chi2_contingency(np.stack(pooled, axis=1))[1]
 
-        for seed, (count, flip_prob) in enumerate(
-            [(0, 0.05), (3, 0.3), (length // 2, 0.01), (length // 2, 0.3), (length, 0.1)]
-        ):
+        cases = {
+            4: [(0, 0.01), (2, 0.01), (4, 0.01)],
+            8: [(0, 0.01), (3, 0.01), (8, 0.01), (0, 0.125), (5, 0.125), (8, 0.125)],
+        }.get(length, [(0, 0.05), (3, 0.3), (length // 2, 0.01), (length // 2, 0.3), (length, 0.1)])
+        for seed, (count, flip_prob) in enumerate(cases):
             oracle = mask_oracle(count, flip_prob, seed)
             assert p_value(sampler(count, flip_prob, seed), oracle) > 1e-3, (count, flip_prob)
             # The test has power: a sampler at twice the flip rate is rejected.
             assert p_value(sampler(count, 2 * flip_prob, seed), oracle) < 1e-6, (count, flip_prob)
+
+
+    @staticmethod
+    def goodness_of_fit(draws: np.ndarray, pmf: np.ndarray) -> float:
+        """Chi-square p-value of ``draws`` against ``pmf``, tail bins pooled to >= 5 expected."""
+        from scipy.stats import chisquare
+
+        observed = np.bincount(draws, minlength=pmf.size).astype(float)
+        expected = pmf * draws.size
+        pooled_obs, pooled_exp, obs, exp = [], [], 0.0, 0.0
+        for o, e in zip(observed, expected):
+            obs, exp = obs + o, exp + e
+            if exp >= 5:
+                pooled_obs.append(obs)
+                pooled_exp.append(exp)
+                obs = exp = 0.0
+        pooled_obs[-1] += obs
+        pooled_exp[-1] += exp
+        return chisquare(pooled_obs, pooled_exp)[1]
+
+    def test_duplicate_flips_within_an_element_follow_the_law(self):
+        """At (L=2, p=0.3) both bits of an element often flip; each must count."""
+        counts = np.tile(np.arange(3), (1, 20_000))
+        model = BitFlipFaultModel(0.3, seed=11)
+        model.begin_batch([0])
+        out = model.perturb_counts(counts, 2)[0]
+        pmf = net_flip_pmf(2, 0.3)
+        for count in range(3):
+            assert self.goodness_of_fit(out[counts[0] == count], pmf[count]) > 1e-3, count
+
+    def test_window_overflow_keeps_the_law_and_batch_invariance(self, monkeypatch):
+        """A walk that outruns its window continues from the image's own generator."""
+        monkeypatch.setattr(faults, "_WINDOW_SIGMAS", 0.0)
+        monkeypatch.setattr(faults, "_WINDOW_SLACK", 0)
+        walks = []
+        walk = faults._walk
+        monkeypatch.setattr(faults, "_walk", lambda *args: walks.append(args[0].shape) or walk(*args))
+
+        images, length, flip_prob = 2000, 8, 0.1  # 8 expected flips per image, window of 8
+        counts = np.tile(np.arange(length + 1), (images, 2))
+        model = BitFlipFaultModel(flip_prob, seed=4)
+        model.begin_batch(range(images))
+        out = model.perturb_counts(counts, length)
+        assert len(walks) > 100  # about half of the images overflowed
+        pmf = net_flip_pmf(length, flip_prob)
+        for count in range(length + 1):
+            assert self.goodness_of_fit(out[counts == count], pmf[count]) > 1e-3, count
+
+        batch = [3, 17, 40, 41, 99]
+        together = BitFlipFaultModel(flip_prob, seed=4)
+        together.begin_batch(batch)
+        joint = [together.perturb_counts(counts[:5], length) for _ in range(3)]
+        for row, index in enumerate(batch):
+            alone = BitFlipFaultModel(flip_prob, seed=4)
+            alone.begin_batch([index])
+            for site in range(3):
+                assert np.array_equal(alone.perturb_counts(counts[:1], length)[0], joint[site][row])
+
+    @pytest.mark.parametrize("length", [16, 64, 256])
+    def test_dense_branch_equals_the_version_2_inversion(self, length):
+        rng = np.random.default_rng(length)
+        for flip_prob in (0.07, 0.3, 0.5):
+            counts = rng.integers(0, length + 1, size=50_000)
+            uniforms = rng.random(counts.size)
+            # Draws exactly on CDF entries and at 0 test the ``<=`` edges.
+            cdf = np.cumsum(net_flip_pmf(length, flip_prob), axis=1)
+            edge = slice(length + 1, 2 * (length + 1))
+            uniforms[: length + 1] = 0.0
+            uniforms[edge] = np.minimum(cdf[counts[edge], length // 3], 0.999)
+            expected = version_2_inversion(counts, length, flip_prob, uniforms)
+            assert np.array_equal(sample_net_flips(counts, length, flip_prob, uniforms), expected)
+
+
+def version_2_inversion(counts, length, flip_prob, uniforms):
+    """The VERSION 2 sampler, verbatim: CDF + guide table, bisection in every bucket with an edge."""
+    cdf = np.minimum(np.cumsum(net_flip_pmf(length, flip_prob), axis=1), 1.0)
+    cdf[:, -1] = 1.0
+    buckets = 1 << max(10, int(length).bit_length())
+    edges = np.ceil(cdf * buckets).astype(np.intp) + np.arange(length + 1)[:, None] * (buckets + 1)
+    guide = np.bincount(edges.ravel(), minlength=(length + 1) * (buckets + 1))
+    guide = np.cumsum(guide.reshape(length + 1, buckets + 1), axis=1)
+    rows = counts.reshape(-1).astype(np.intp, copy=False)
+    u = uniforms.reshape(-1)
+    start = (u * buckets).astype(np.intp)
+    start += rows * (buckets + 1)
+    lo = guide.take(start)
+    start += 1
+    hi = guide.take(start)
+    todo = np.flatnonzero(lo < hi)
+    while todo.size:
+        mid = (lo[todo] + hi[todo]) >> 1
+        below = cdf.take(rows[todo] * (length + 1) + mid) <= u[todo]
+        lo[todo[below]] = mid[below] + 1
+        hi[todo[~below]] = mid[~below]
+        todo = todo[lo[todo] < hi[todo]]
+    return lo.reshape(counts.shape)
 
 
 class TestEvalTask:

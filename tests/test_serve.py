@@ -533,9 +533,13 @@ class TestPipelineEngine:
         assert pipeline_fingerprint(
             ScViTEvalPipeline(other_model, SOFTMAX, calibration_logits=calibration)
         ) != base
-        # A fault-sampler version bump re-keys cached predictions.
+        # A fault-sampler version bump re-keys faulted cached predictions
+        # only: a fault-free forward draws nothing, so its key stays put.
         monkeypatch.setattr(BitFlipFaultModel, "VERSION", BitFlipFaultModel.VERSION - 1)
         assert pipeline_fingerprint(faulty_pipeline) != faulty
+        assert pipeline_fingerprint(
+            ScViTEvalPipeline(model, SOFTMAX, calibration_logits=calibration)
+        ) == base
         # So does the batch-invariant matmul formulation (stacked vs einsum).
         monkeypatch.setattr(autograd, "_FORMULATION", "stacked")
         stacked = pipeline_fingerprint(faulty_pipeline)

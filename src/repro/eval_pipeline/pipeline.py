@@ -47,6 +47,18 @@ from repro.utils.validation import check_positive_int
 __all__ = ["EvalBatch", "EvalResult", "ScViTEvalPipeline"]
 
 
+def _check_finite(images: np.ndarray, first_index: int = 0) -> None:
+    """Raise ``ValueError`` naming the first image with a NaN or infinite pixel.
+
+    A non-finite pixel has no thermometer count: left in, it would reach a
+    table gather as an out-of-range index and fail the whole batch.
+    """
+    bad = ~np.isfinite(images)
+    if bad.any():
+        position = int(np.argwhere(bad)[0][0])
+        raise ValueError(f"image {first_index + position} has non-finite pixel values")
+
+
 @dataclass
 class EvalBatch:
     """One streamed chunk of an evaluation: predictions against labels."""
@@ -218,7 +230,8 @@ class ScViTEvalPipeline:
 
         Yields an :class:`EvalBatch` per chunk; the union of all yielded
         predictions is bit-identical for every ``batch_size`` (including 1,
-        the serial per-image path).
+        the serial per-image path).  A chunk holding a NaN or infinite pixel
+        raises ``ValueError`` naming the first such image's split index.
         """
         batch_size = self.batch_size if batch_size is None else int(batch_size)
         check_positive_int(batch_size, "batch_size")
@@ -227,6 +240,7 @@ class ScViTEvalPipeline:
         with self._patched_model() as model, no_grad(), batch_invariant_matmul(), use_backend(self.backend):
             for start in range(0, len(images), batch_size):
                 stop = min(start + batch_size, len(images))
+                _check_finite(images[start:stop], first_index=start)
                 indices = np.arange(start, stop)
                 if self.fault_model is not None:
                     self.fault_model.begin_batch(indices)
@@ -247,6 +261,8 @@ class ScViTEvalPipeline:
         into one micro-batch therefore reproduces the per-image results bit
         for bit.  ``image_indices`` defaults to ``0..B-1`` (the offline
         split order); it only matters when fault injection is enabled.
+        A NaN or infinite pixel raises ``ValueError`` naming the first such
+        image's position in ``images``.
         """
         images = np.asarray(images)
         if image_indices is None:
@@ -257,6 +273,7 @@ class ScViTEvalPipeline:
                 raise ValueError(
                     f"image_indices has shape {indices.shape}, expected ({images.shape[0]},)"
                 )
+        _check_finite(images)
         with self._patched_model() as model, no_grad(), batch_invariant_matmul(), use_backend(self.backend):
             if self.fault_model is not None:
                 self.fault_model.begin_batch(indices)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -53,6 +53,12 @@ _BATCH_INVARIANT_MATMUL = False
 _FORMULATION: Optional[str] = None
 _FORMULATION_LOCK = threading.Lock()
 
+#: Images per 2-D GEMM on the flat path; every chunk size up to it is checked.
+_FLAT_IMAGES = 16
+#: Memoised per-``(T, K, N)`` verdict of :func:`_flat_matmul_is_exact`.
+_FLAT_SHAPES: Dict[Tuple[int, int, int], bool] = {}
+_FLAT_LOCK = threading.Lock()
+
 
 @contextlib.contextmanager
 def batch_invariant_matmul():
@@ -63,10 +69,12 @@ def batch_invariant_matmul():
     accumulate the ``K`` reduction in different orders — so the *same* logical
     row can round differently depending on how many rows ride along in the
     batch.  Inside this context every matmul gives each image a GEMM of a
-    fixed, batch-independent shape (see :func:`matmul_data`), so splitting a
-    batch into chunks of any size produces bit-identical results.  The eval
-    pipeline evaluates whole dataset splits under this mode so its cached
-    accuracies never depend on ``batch_size``.
+    fixed, batch-independent shape, or runs a linear's rows as one 2-D GEMM
+    where a per-shape check proved that bit-equal to it (see
+    :func:`matmul_data`), so splitting a batch into chunks of any size
+    produces bit-identical results.  The eval pipeline evaluates whole
+    dataset splits under this mode so its cached accuracies never depend on
+    ``batch_size``.
 
     The first entry runs a memoised self-check of that per-image
     formulation; should it ever fail (say, a numpy that folds a stack of
@@ -151,6 +159,50 @@ def _matmul_formulation() -> str:
         return _FORMULATION
 
 
+def _flat_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(B, T, K) @ (K, N)`` as one 2-D GEMM per chunk of ``_FLAT_IMAGES`` images."""
+    batch, tokens, k = a.shape
+    n = b.shape[1]
+    out = np.empty((batch, tokens, n))
+    for start in range(0, batch, _FLAT_IMAGES):
+        stop = min(start + _FLAT_IMAGES, batch)
+        rows = (stop - start) * tokens
+        np.matmul(a[start:stop].reshape(rows, k), b, out=out[start:stop].reshape(rows, n))
+    return out
+
+
+def _flat_matmul_is_exact(tokens: int, k: int, n: int) -> bool:
+    """Whether :func:`_flat_matmul` gives every image the bits of :func:`_stacked_matmul`.
+
+    Runs each chunk size ``1.._FLAT_IMAGES`` through the flat path at the
+    layout it accepts and compares its rows with the stacked per-image
+    GEMMs, stopping at the first mismatch.  BLAS picks its kernels by
+    shape alone, so random operands suffice.
+    """
+    rng = np.random.default_rng(0)
+    a = rng.random((_FLAT_IMAGES, tokens, k))
+    b = rng.random((n, k)).T
+    stacked = _stacked_matmul(a, b)
+    return all(
+        np.array_equal(_flat_matmul(a[:size], b), stacked[:size])
+        for size in range(1, _FLAT_IMAGES + 1)
+    )
+
+
+def _flat_applies(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a @ b`` is a linear's layout whose shape passed the flat check (memoised)."""
+    if not (a.ndim == 3 and b.ndim == 2 and a.flags.c_contiguous and b.flags.f_contiguous):
+        return False
+    key = (a.shape[1], a.shape[2], b.shape[1])
+    verdict = _FLAT_SHAPES.get(key)
+    if verdict is None:
+        with _FLAT_LOCK:  # serving threads enter the mode concurrently
+            verdict = _FLAT_SHAPES.get(key)
+            if verdict is None:
+                verdict = _FLAT_SHAPES[key] = _flat_matmul_is_exact(*key)
+    return verdict
+
+
 def matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``, batch-invariant when :func:`batch_invariant_matmul` is on.
 
@@ -159,9 +211,18 @@ def matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sees the same kernel and reduction order.  A 2-D ``(B, K) @ (K, N)``
     runs as ``B`` stacked ``(1, K)`` rows.  If the startup self-check found
     this unsafe, ``np.einsum`` is used instead.
+
+    A linear's ``(B, T, K)`` C-contiguous activation times the ``.T`` view
+    of a C-contiguous ``(N, K)`` weight instead runs as one 2-D GEMM per
+    chunk of up to ``_FLAT_IMAGES`` images, but only for a ``(T, K, N)``
+    whose memoised check found every chunk size bit-equal to the stacked
+    GEMMs.  It yields the stacked result, so the formulation stays
+    ``"stacked"`` and cache keys do not change.
     """
     if _BATCH_INVARIANT_MATMUL and a.ndim >= 2 and b.ndim >= 2:
         if _FORMULATION == "stacked":
+            if _flat_applies(a, b):
+                return _flat_matmul(a, b)
             return _stacked_matmul(a, b)
         return _einsum_matmul(a, b)
     return a @ b

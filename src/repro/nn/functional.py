@@ -89,7 +89,9 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` (weight stored as (out, in))."""
     out = x @ weight.swapaxes(-1, -2)
     if bias is not None:
-        out = out + bias
+        if out._needs_graph(bias):
+            return out + bias
+        out.data += bias.data  # the fresh GEMM output; same sum as ``out + bias``
     return out
 
 
@@ -98,7 +100,11 @@ def scaled_dot_product_scores(query: Tensor, key: Tensor, scale: Optional[float]
     d = query.shape[-1]
     if scale is None:
         scale = 1.0 / float(np.sqrt(d))
-    return (query @ key.swapaxes(-1, -2)) * scale
+    scores = query @ key.swapaxes(-1, -2)
+    if scores._needs_graph():
+        return scores * scale
+    scores.data *= scale
+    return scores
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

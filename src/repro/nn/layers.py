@@ -234,6 +234,14 @@ class BatchNorm(Module):
                 self.running_mean += self.momentum * mean.data.reshape(-1)
                 self.running_var *= 1.0 - self.momentum
                 self.running_var += self.momentum * var.data.reshape(-1)
+        elif not x._needs_graph(self.weight, self.bias):
+            # The graph path's operations in the same order, on one buffer
+            # (``x + (-m)`` is ``x - m`` in IEEE arithmetic).
+            out = x.data - self.running_mean
+            out /= np.sqrt(self.running_var + self.eps)
+            out *= self.weight.data
+            out += self.bias.data
+            return Tensor(out)
         else:
             mean = Tensor(self.running_mean)
             var = Tensor(self.running_var)

@@ -150,6 +150,19 @@ class MlpBlock(Module):
         return self._last_gelu_input
 
 
+def _residual_add(x: Tensor, branch: Tensor) -> Tensor:
+    """``x + branch``; without a graph, summed into ``branch``'s buffer.
+
+    The attention and MLP branches end in a linear, so ``branch`` is an
+    array the block has just allocated; IEEE addition commutes, so the sum
+    has the same bits either way.
+    """
+    if x._needs_graph(branch):
+        return x + branch
+    branch.data += x.data
+    return branch
+
+
 class EncoderBlock(Module):
     """One transformer encoder block (Fig. 1): MSA + MLP with residuals."""
 
@@ -176,9 +189,9 @@ class EncoderBlock(Module):
 
     def forward(self, x: Tensor, collect_trace: bool = False) -> Tensor:
         attended = self.attention(self.norm1(x), collect_trace=collect_trace)
-        x = self.residual1(x + attended)
+        x = self.residual1(_residual_add(x, attended))
         mlp_out = self.mlp(self.norm2(x), collect_trace=collect_trace)
-        x = self.residual2(x + mlp_out)
+        x = self.residual2(_residual_add(x, mlp_out))
         return x
 
 

@@ -76,7 +76,14 @@ def thermometer_encode_counts(values: np.ndarray, length: int, scale: float) -> 
     if scale <= 0:
         raise ValueError("scale must be positive")
     arr = np.asarray(values, dtype=float)
-    return np.clip(np.floor(arr / scale + length / 2.0 + 0.5), 0, length).astype(np.int64)
+    # ``clip(floor(arr / scale + L / 2 + 0.5))`` in the same order, in one
+    # buffer; ``[()]`` keeps a 0-d input's result an ``np.int64`` scalar.
+    counts = np.divide(arr, scale, out=np.empty(arr.shape))
+    counts += length / 2.0
+    counts += 0.5
+    np.floor(counts, out=counts)
+    np.clip(counts, 0, length, out=counts)
+    return counts.astype(np.int64)[()]
 
 
 def thermometer_decode_counts(counts: np.ndarray, length: int, scale: float) -> np.ndarray:

@@ -296,6 +296,10 @@ class InferenceService:
         expected = getattr(self.engine, "image_shape", None)
         if expected is not None and tuple(image.shape) != tuple(expected):
             raise ValueError(f"image has shape {tuple(image.shape)}, expected {tuple(expected)}")
+        # A NaN/inf pixel cannot be thermometer-encoded; rejecting it here
+        # fails this request alone instead of its whole micro-batch.
+        if not np.isfinite(image).all():
+            raise ValueError("image has non-finite pixel values")
         return image
 
     # ------------------------------------------------------------ batch loop

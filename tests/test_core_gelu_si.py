@@ -41,10 +41,30 @@ class TestGateAssistedSIBlock:
         assert mae_assisted <= mae_naive
 
     def test_quantized_function_matches_process(self):
+        """The value-table gather has the bits of encode -> process -> decode
+        at every input count, on and beside the +-0.5 ties, and at +-inf."""
+        for out_len in (2, 8, 16):
+            block = self.make_block(out_len)
+            counts = np.arange(block.input_length + 1)
+            on_grid = block.input_scale * (counts - block.input_length / 2.0)
+            ties = on_grid + 0.5 * block.input_scale
+            values = np.concatenate(
+                [on_grid, ties, -ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+                 [np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0]]
+            )
+            for x in (values, values[:-1].reshape(5, -1), values[7], np.array(values[9])):
+                stream = ThermometerStream.encode(x, block.input_length, block.input_scale)
+                expected = block.process(stream).decode()
+                got = block.quantized_function(x)
+                assert type(got) is type(expected)
+                assert np.array_equal(got, expected)
+
+    def test_value_table_is_read_only(self):
         block = self.make_block()
-        x = np.linspace(-2, 2, 11)
-        via_stream = block.process(ThermometerStream.encode(x, block.input_length, block.input_scale)).decode()
-        assert np.allclose(block.quantized_function(x), via_stream)
+        assert not block.value_table.flags.writeable
+        with pytest.raises(ValueError):
+            block.value_table[0] = 1.0
+        assert block.value_table.shape == (block.input_length + 1,)
 
     def test_output_bit_transitions_counts(self):
         block = self.make_block(out_len=2)

@@ -8,11 +8,14 @@ contract, the ``EvalTask`` cache round-trip/resume behaviour, and the CLI.
 """
 
 import logging
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.softmax_circuit import SoftmaxCircuitConfig
@@ -132,9 +135,46 @@ class TestChunkInvariance:
         assert np.array_equal(before, after)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_predict_batch_names_the_first_bad_image(self, eval_setup, bad):
+        pipeline = ScViTEvalPipeline(
+            eval_setup["model"], make_softmax_config(),
+            calibration_logits=eval_setup["calibration"],
+        )
+        images = eval_setup["test"].images[:6].copy()
+        images[4, 1, 2, 0] = bad
+        images[5, 0, 0, 1] = bad
+        with pytest.raises(ValueError, match="image 4 has non-finite"):
+            pipeline.predict_batch(images)
+
+    def test_iter_batches_names_the_split_index(self, eval_setup):
+        from repro.training.datasets import DatasetSplit
+
+        pipeline = ScViTEvalPipeline(
+            eval_setup["model"], make_softmax_config(),
+            calibration_logits=eval_setup["calibration"],
+        )
+        test = eval_setup["test"]
+        images = test.images[:10].copy()
+        images[7, 0, 3, 2] = np.nan
+        split = DatasetSplit(images=images, labels=test.labels[:10])
+        batches = pipeline.iter_batches(split, batch_size=4)
+        assert len(next(batches)) == 4  # images 0-3 are finite
+        with pytest.raises(ValueError, match="image 7 has non-finite"):
+            next(batches)
+
+
+#: ``(K, N)`` of the paper-scale BN-ViT's linears at T = 17 tokens.
+LINEAR_SHAPES = {"qkv": (64, 192), "fc1": (64, 128), "proj": (64, 64), "fc2": (128, 64)}
+
+
 def matmul_operands(kind, batch, seed):
     """Operands of one matmul kind at the strided layouts the ViT forward uses."""
     rng = np.random.default_rng(seed)
+    if kind in LINEAR_SHAPES:  # a real linear: (B, 17, K) @ (N, K) weight.T
+        k, n = LINEAR_SHAPES[kind]
+        return rng.standard_normal((batch, 17, k)), rng.standard_normal((n, k)).T
     weight = rng.standard_normal((48, 64))  # stored (out, in) like Linear
     if kind == "linear":  # qkv/proj/fc1/fc2/patch-embed: (B, T, K) @ weight.T
         return rng.standard_normal((batch, 17, 64)), weight.swapaxes(-1, -2)
@@ -162,12 +202,18 @@ class TestBatchInvariantMatmul:
         assert np.array_equal(full, rows)
         assert np.array_equal(full, chunks)
 
-    @pytest.mark.parametrize("kind", ["linear", "scores", "head"])
+    @pytest.mark.parametrize("kind", ["linear", "scores", "head", *LINEAR_SHAPES])
     @given(
         batch=st.integers(1, 64),
         cuts=st.lists(st.integers(1, 64), min_size=1, max_size=64),
         seed=st.integers(0, 2**16),
     )
+    # Batches of 40 cut so that sub-batches cross the flat path's 16- and
+    # 32-image chunk bounds.
+    @example(batch=40, cuts=[16, 16, 8], seed=7)
+    @example(batch=40, cuts=[17, 15, 8], seed=7)
+    @example(batch=40, cuts=[33, 7], seed=7)
+    @example(batch=40, cuts=[5, 31, 4], seed=7)
     @settings(max_examples=15, deadline=None)
     def test_rows_are_bit_identical_under_any_chunking(self, kind, batch, cuts, seed):
         a, b = matmul_operands(kind, batch, seed)
@@ -181,6 +227,112 @@ class TestBatchInvariantMatmul:
             )
         assert np.array_equal(full, chunked)
         assert np.array_equal(full, rows)
+
+    def test_failed_flat_check_keeps_stacked_outputs_and_keys(self, eval_setup, monkeypatch):
+        from repro.serve.engine import pipeline_fingerprint
+
+        pipeline = ScViTEvalPipeline(
+            eval_setup["model"], make_softmax_config(), gelu_output_bsl=4,
+            calibration_logits=eval_setup["calibration"],
+        )
+        images = eval_setup["test"].images[:9]
+        reference = pipeline.predict_batch(images)
+        key = pipeline_fingerprint(pipeline)
+        with no_grad(), batch_invariant_matmul():
+            logits = eval_setup["model"](Tensor(images)).data
+
+        monkeypatch.setattr(autograd, "_FLAT_SHAPES", {})
+        monkeypatch.setattr(autograd, "_flat_matmul_is_exact", lambda *shape: False)
+        flat_calls = []
+        monkeypatch.setattr(autograd, "_flat_matmul", lambda a, b: flat_calls.append(a.shape))
+        assert np.array_equal(pipeline.predict_batch(images), reference)
+        with no_grad(), batch_invariant_matmul():
+            assert np.array_equal(eval_setup["model"](Tensor(images)).data, logits)
+        assert flat_calls == []
+        assert autograd._FLAT_SHAPES and not any(autograd._FLAT_SHAPES.values())
+        assert pipeline_fingerprint(pipeline) == key
+
+    def test_flat_path_takes_only_the_checked_layout(self, monkeypatch):
+        monkeypatch.setattr(autograd, "_flat_matmul_is_exact", lambda *shape: True)
+        monkeypatch.setattr(autograd, "_FLAT_SHAPES", {})
+        flat_calls = []
+        real_flat = autograd._flat_matmul
+
+        def counting_flat(a, b):
+            flat_calls.append(a.shape)
+            return real_flat(a, b)
+
+        monkeypatch.setattr(autograd, "_flat_matmul", counting_flat)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((5, 17, 128))
+        weight = rng.standard_normal((64, 64))
+        layouts = {
+            "strided activation": (x[:, :, ::2], weight.T),
+            "transposed activation": (x[:, :, :64].transpose(0, 2, 1).copy().transpose(0, 2, 1), weight.T),
+            "C-contiguous (K, N) weight": (np.ascontiguousarray(x[:, :, :64]), weight.T.copy()),
+            "2-D activation": (x[:, 0, :64].copy(), weight.T),
+        }
+        with batch_invariant_matmul():
+            for name, (a, b) in layouts.items():
+                assert np.array_equal(matmul_data(a, b), autograd._stacked_matmul(a, b)), name
+            assert flat_calls == []
+            checked = np.ascontiguousarray(x[:, :, :64])
+            assert np.array_equal(matmul_data(checked, weight.T), real_flat(checked, weight.T))
+        assert flat_calls == [(5, 17, 64)]
+
+    def test_flat_check_covers_every_chunk_size(self, monkeypatch):
+        """A flat kernel that is off by one ulp at any single chunk size fails the check."""
+
+        def exact_except(bad_size):
+            def flat(a, b):
+                out = autograd._stacked_matmul(a, b)
+                if a.shape[0] == bad_size:
+                    out[-1, -1, -1] = np.nextafter(out[-1, -1, -1], np.inf)
+                return out
+
+            return flat
+
+        monkeypatch.setattr(autograd, "_flat_matmul", exact_except(None))
+        assert autograd._flat_matmul_is_exact(3, 4, 5)
+        for bad_size in range(1, autograd._FLAT_IMAGES + 1):
+            monkeypatch.setattr(autograd, "_flat_matmul", exact_except(bad_size))
+            assert not autograd._flat_matmul_is_exact(3, 4, 5), bad_size
+
+    def test_concurrent_first_calls_run_the_flat_check_once(self, monkeypatch):
+        monkeypatch.setattr(autograd, "_FLAT_SHAPES", {})
+        checks = []
+        real_check = autograd._flat_matmul_is_exact
+
+        def slow_check(*shape):
+            checks.append(shape)
+            time.sleep(0.05)  # keep the other threads waiting on the lock
+            return real_check(*shape)
+
+        monkeypatch.setattr(autograd, "_flat_matmul_is_exact", slow_check)
+        a, b = matmul_operands("qkv", 4, seed=2)
+        expected = autograd._stacked_matmul(a, b)
+        barrier = threading.Barrier(6)
+        results = []
+
+        def worker():
+            barrier.wait(timeout=30)
+            results.append(matmul_data(a, b))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with batch_invariant_matmul():
+                threads = [threading.Thread(target=worker) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert checks == [(17, 64, 192)]
+        assert len(results) == 6
+        assert all(np.array_equal(r, expected) for r in results)
 
     @pytest.mark.parametrize("kind", ["linear", "scores", "head"])
     def test_stacked_agrees_with_einsum_to_an_ulp_scale(self, kind):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, no_grad
 from repro.nn.quantization import PrecisionScheme
-from repro.nn.vit import CompactVisionTransformer, ViTConfig, build_bn_vit, build_vanilla_vit
+from repro.nn.functional import numerical_gradient
+from repro.nn.vit import CompactVisionTransformer, EncoderBlock, ViTConfig, build_bn_vit, build_vanilla_vit
 
 
 class TestMultiHeadSelfAttention:
@@ -96,6 +97,32 @@ class TestCompactVisionTransformer:
         assert trace.logits.shape == (3, tiny_vit.config.num_classes)
         tokens = tiny_vit.config.num_tokens
         assert trace.attention_logits[0].shape[-2:] == (tokens, tokens)
+
+    def test_no_grad_forward_matches_the_graph_forward(self, tiny_vit, tiny_dataset):
+        """Without a graph, BatchNorm, the bias adds, the score scale and the
+        residual adds work in place; every block output keeps the bits of
+        the graph-recording forward and the input is left alone."""
+        train, _ = tiny_dataset
+        images = train.images[:4].copy()
+        tiny_vit.eval()
+        graph = [t.data for t in tiny_vit.layer_outputs(Tensor(images))]
+        graph_logits = tiny_vit(Tensor(images))
+        assert graph_logits.requires_grad
+        with no_grad():
+            fast = [t.data for t in tiny_vit.layer_outputs(Tensor(images))]
+            fast_logits = tiny_vit(Tensor(images))
+        assert all(np.array_equal(a, b) for a, b in zip(fast, graph))
+        assert np.array_equal(fast_logits.data, graph_logits.data)
+        assert np.array_equal(images, train.images[:4])
+
+    def test_encoder_block_backprops_through_both_residuals(self, tiny_vit_config):
+        block = EncoderBlock(tiny_vit_config, seed=1).eval()
+        x0 = np.random.default_rng(2).normal(size=(1, tiny_vit_config.num_tokens, tiny_vit_config.embed_dim))
+        probe = np.random.default_rng(3).normal(size=x0.shape)
+        x = Tensor(x0, requires_grad=True)
+        (block(x) * Tensor(probe)).sum().backward()
+        numeric = numerical_gradient(lambda v: float((block(Tensor(v)).data * probe).sum()), x0.copy())
+        assert np.allclose(x.grad, numeric, atol=1e-6)
 
     def test_set_softmax_mode_changes_every_block(self, tiny_vit):
         tiny_vit.set_softmax_mode("iterative", 5)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, no_grad, parameter
 from repro.nn.functional import numerical_gradient
+from repro.nn.layers import BatchNorm
 from repro.nn.functional_math import (
     gelu_exact,
     gelu_tanh_approximation,
@@ -139,3 +140,85 @@ class TestDifferentiableOps:
     def test_one_hot_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             F.one_hot(np.array([3]), 3)
+
+
+def _eval_batch_norm(seed=0, features=5):
+    rng = np.random.default_rng(seed)
+    norm = BatchNorm(features)
+    norm.weight.data[...] = rng.normal(size=features)
+    norm.bias.data[...] = rng.normal(size=features)
+    norm.running_mean[...] = rng.normal(size=features)
+    norm.running_var[...] = rng.uniform(0.5, 2.0, size=features)
+    return norm.eval()
+
+
+class TestNoGradEpilogues:
+    """Without a graph, ``F.linear``'s bias add, eval-mode ``BatchNorm`` and
+    the score scale work in place on fresh arrays.  They must give the bits
+    of the graph-recording forms, leave their inputs alone and still
+    backprop when a graph is recorded."""
+
+    OPS = ("linear", "batch_norm", "scores")
+
+    @staticmethod
+    def _arrays(op, seed=0):
+        rng = np.random.default_rng(seed)
+        if op == "linear":
+            return [rng.normal(size=(3, 4, 6)), rng.normal(size=(5, 6)), rng.normal(size=5)]
+        if op == "batch_norm":
+            return [rng.normal(size=(3, 4, 5))]
+        return [rng.normal(size=(2, 3, 4, 8)), rng.normal(size=(2, 3, 4, 8))]
+
+    @staticmethod
+    def _forward(op, tensors, norm=None):
+        if op == "linear":
+            return F.linear(*tensors)
+        if op == "batch_norm":
+            return norm(tensors[0])
+        return F.scaled_dot_product_scores(*tensors)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_no_grad_matches_the_graph_form_and_mutates_nothing(self, op):
+        arrays = self._arrays(op)
+        norm = _eval_batch_norm()
+        originals = [a.copy() for a in arrays]
+        stats = [norm.running_mean.copy(), norm.running_var.copy(), norm.weight.data.copy()]
+        graph = self._forward(op, [parameter(a) for a in arrays], norm)
+        assert graph.requires_grad
+        with no_grad():
+            fast = self._forward(op, [Tensor(a) for a in arrays], norm)
+        assert not fast.requires_grad
+        assert np.array_equal(fast.data, graph.data)
+        for array, original in zip(arrays, originals):
+            assert np.array_equal(array, original)
+        assert np.array_equal(norm.running_mean, stats[0])
+        assert np.array_equal(norm.running_var, stats[1])
+        assert np.array_equal(norm.weight.data, stats[2])
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_graph_form_still_backprops(self, op):
+        arrays = self._arrays(op, seed=1)
+        norm = _eval_batch_norm(seed=1)
+        probe = np.random.default_rng(2).normal(size=self._forward(op, [Tensor(a) for a in arrays], norm).shape)
+        tensors = [parameter(a) for a in arrays]
+        (self._forward(op, tensors, norm) * Tensor(probe)).sum().backward()
+        for position, tensor in enumerate(tensors):
+            def loss(value, position=position):
+                inputs = [Tensor(value if i == position else a) for i, a in enumerate(arrays)]
+                return float((self._forward(op, inputs, norm).data * probe).sum())
+
+            numeric = numerical_gradient(loss, arrays[position].copy())
+            assert np.allclose(tensor.grad, numeric, atol=1e-6)
+        if op == "batch_norm":
+            affine = [norm.weight, norm.bias]
+            for param in affine:
+                def loss(value, param=param):
+                    saved = param.data.copy()
+                    param.data[...] = value
+                    try:
+                        return float((self._forward(op, [Tensor(arrays[0])], norm).data * probe).sum())
+                    finally:
+                        param.data[...] = saved
+
+                numeric = numerical_gradient(loss, param.data.copy())
+                assert np.allclose(param.grad, numeric, atol=1e-6)

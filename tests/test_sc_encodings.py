@@ -154,6 +154,46 @@ class TestThermometerEncodeMatchesHalfAwayRounding:
         assert np.array_equal(got, expected)
 
 
+def single_expression_encode_counts(values, length, scale):
+    """The encoder's previous single-expression form, kept verbatim as the
+    oracle of the one-buffer implementation."""
+    arr = np.asarray(values, dtype=float)
+    return np.clip(np.floor(arr / scale + length / 2.0 + 0.5), 0, length).astype(np.int64)
+
+
+class TestOneBufferEncoder:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.linspace(-9.0, 9.0, 1001),
+            np.linspace(-9.0, 9.0, 96).reshape(2, 3, 16),
+            np.array([-2.5, -0.5, 0.5, 2.5, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e300]),
+            np.zeros((3, 0)),
+            [0.26, -1.74, 3.0],
+        ],
+    )
+    def test_equals_the_single_expression(self, values):
+        got = thermometer_encode_counts(values, 8, 0.5)
+        expected = single_expression_encode_counts(values, 8, 0.5)
+        assert type(got) is type(expected)
+        assert got.dtype == expected.dtype == np.int64
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("value", [0.3, -0.25, 7, np.float64(1.25), np.array(0.75), np.array(-np.inf)])
+    def test_scalar_and_zero_d_keep_their_return_type(self, value):
+        got = thermometer_encode_counts(value, 4, 0.5)
+        expected = single_expression_encode_counts(value, 4, 0.5)
+        assert type(got) is type(expected) is np.int64
+        assert got == expected
+
+    def test_input_is_not_mutated(self):
+        values = np.linspace(-3.0, 3.0, 13)
+        original = values.copy()
+        thermometer_encode_counts(values, 16, 0.25)
+        assert np.array_equal(values, original)
+
+
 class TestThermometerBits:
     def test_bits_from_count(self):
         assert np.array_equal(thermometer_bits_from_count(3, 6), [1, 1, 1, 0, 0, 0])

@@ -360,6 +360,31 @@ class TestServiceSemantics:
         assert all(isinstance(o, RuntimeError) for o in outcomes)
         assert elapsed < 5.0  # failed fast, nowhere near request_timeout_s
 
+    def test_non_finite_request_fails_alone(self, stack, offline_predictions):
+        """A NaN image is rejected up front; the requests it would have shared
+        a micro-batch with still complete, with their offline predictions."""
+        _, test, _ = stack
+        bad = test.images[0].copy()
+        bad[0, 0, 0] = np.nan
+
+        async def scenario():
+            service = InferenceService(_engine(stack), max_batch=8, max_wait_ms=20.0)
+            async with service:
+                outcomes = await asyncio.gather(
+                    *[service.submit(test.images[i], index=i) for i in range(7)],
+                    service.submit(bad, index=7),
+                    return_exceptions=True,
+                )
+            return outcomes, service.stats
+
+        outcomes, stats = asyncio.run(scenario())
+        assert isinstance(outcomes[-1], ValueError)
+        assert "non-finite" in str(outcomes[-1])
+        served = [outcome.prediction for outcome in outcomes[:-1]]
+        assert served == offline_predictions[0.0][:7].tolist()
+        assert stats.submitted == 7
+        assert stats.completed == 7
+
     def test_shape_rejected_requests_keep_stats_ledger_balanced(self):
         engine = StubEngine(image_shape=(2, 2))
 

@@ -15,11 +15,9 @@ tool rather than a demo:
   on the packed SC engine.  The fabric adds dispatch, not arithmetic, so
   this gates the overhead of executing through the configured grid.
 
-Results merge into ``benchmarks/results/BENCH_fabric.json`` per SC kernel
-backend (schema 2, same shape as ``BENCH_sc_engine.json``): re-running one
-backend never clobbers another's numbers, and the default backend is
-mirrored into the schema-1 top-level keys.  ``python -m repro bench
---suite fabric --check-floor`` gates on the recorded floors.
+Results are written to ``benchmarks/results/BENCH_fabric.json``.
+``python -m repro bench --suite fabric --check-floor`` gates on the
+recorded floors.
 
 Run it directly::
 
@@ -80,18 +78,11 @@ FLOORS = {
 
 def host_metadata() -> dict:
     """CPU/library fingerprint stored with every run (regression triage)."""
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
     }
 
 
@@ -154,12 +145,9 @@ def bench_throughput() -> dict:
 
 
 def run_benchmarks() -> dict:
-    from repro.sc.backends import active_backend
-
     payload = {
         "schema": 2,
         "fabric": FABRIC.to_dict(),
-        "backend": active_backend().name,
         "compile": bench_compile(),
         "throughput": bench_throughput(),
         "host": host_metadata(),
@@ -171,7 +159,7 @@ def run_benchmarks() -> dict:
 def print_report(payload: dict) -> None:
     compile_section = payload["compile"]
     throughput = payload["throughput"]
-    print(f"\n=== fabric harness ({payload['backend']} backend, 4x4 grid) ===")
+    print("\n=== fabric harness (4x4 grid) ===")
     print(format_table(
         ["Stage", "Best (ms)", "Detail"],
         [
@@ -196,38 +184,10 @@ def print_report(payload: dict) -> None:
 
 
 def save_report(payload: dict) -> Path:
-    """Merge one backend's run into the tracked results file.
-
-    Same schema-2 shape as ``BENCH_sc_engine.json``: every backend's latest
-    numbers live side by side under ``backends[<name>]`` and re-running one
-    never clobbers the others; the numpy backend is also mirrored into the
-    schema-1 top-level keys for older consumers.
-    """
+    """Write a run to the tracked results file, replacing the previous one."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     out_path = RESULTS_DIR / "BENCH_fabric.json"
-    merged = {}
-    if out_path.exists():
-        try:
-            existing = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-        if existing.get("schema") == 2:
-            merged = existing
-    backend_name = payload["backend"]
-    backends = dict(merged.get("backends") or {})
-    backends[backend_name] = {
-        "host": payload.get("host", {}),
-        "floors": payload.get("floors", {}),
-        "compile": payload["compile"],
-        "throughput": payload["throughput"],
-    }
-    merged.update({"schema": 2, "fabric": payload["fabric"], "backends": backends})
-    if backend_name == "numpy" or "compile" not in merged:
-        merged["compile"] = payload["compile"]
-        merged["throughput"] = payload["throughput"]
-        merged["floors"] = payload.get("floors", {})
-        merged["host"] = payload.get("host", {})
-    out_path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return out_path
 
 

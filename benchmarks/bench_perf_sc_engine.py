@@ -10,22 +10,18 @@ Times the packed fast paths against faithful re-implementations of the seed
 * FSM nonlinear-unit forward,
 * bitonic sorting-network bit sort.
 
-Each run measures ONE kernel backend (``numpy`` by default — see
-:mod:`repro.sc.backends`) and merges its results into
-``benchmarks/results/BENCH_sc_engine.json`` under ``backends[<name>]``
-without clobbering the other backends' recorded numbers.  The default
-backend is additionally mirrored at the top level in the schema-1 layout so
-older tooling keeps working.  Every benchmark has a per-backend speedup
-floor; ``python -m repro bench --check-floor`` (and the pytest entry) fails
-when a fresh run drops below them.  Host metadata (CPU count, numpy/numba
-versions) rides along so floor regressions are attributable across
-machines.
+Each run measures the numpy kernel engine (:mod:`repro.sc.backends`) and
+writes its results to ``benchmarks/results/BENCH_sc_engine.json``.  Every
+benchmark has a speedup floor; ``python -m repro bench --check-floor`` (and
+the pytest entry) fails when a fresh run drops below them.  Host metadata
+(CPU count, numpy version) rides along so floor regressions are
+attributable across machines.
 
 Run it directly (no pytest needed)::
 
     make bench
     # or
-    PYTHONPATH=src python benchmarks/bench_perf_sc_engine.py [--backend threaded]
+    PYTHONPATH=src python benchmarks/bench_perf_sc_engine.py
 
 or through pytest, which additionally asserts the recorded floors::
 
@@ -53,7 +49,6 @@ from repro.sc.arithmetic import (
     mux_scaled_add,
     unipolar_multiply,
 )
-from repro.sc.backends import active_backend, use_backend
 from repro.sc.bitstream import StochasticStream
 from repro.sc.fsm import FsmGeluUnit
 from repro.sc.sng import LinearFeedbackShiftRegister
@@ -65,19 +60,14 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 VALUE_SHAPE = (64, 64)
 BSL = 256
 
-#: Backends this harness knows floors for (also the CI matrix).
-BACKENDS = ("numpy", "threaded", "numba")
-DEFAULT_BACKEND = "numpy"
-
-#: Per-backend speedup floors recorded into the JSON payload: the CI perf
-#: job (and ``python -m repro bench --check-floor``) fails when a fresh
-#: run's speedup drops below these.  They are deliberately far under the
+#: Speedup floors recorded into the JSON payload: the CI perf job (and
+#: ``python -m repro bench --check-floor``) fails when a fresh run's
+#: speedup drops below these.  They are deliberately far under the
 #: typically measured numbers, so only a real regression (not scheduler
 #: noise on a loaded CI runner) trips them.  The RNG-bound kernels (mux,
 #: encode) share the generator cost with the legacy path, so their floors
-#: are low on every backend; the threaded backend's raw-word select draw
-#: lifts the mux floor even on one core.
-_BASE_FLOORS = {
+#: are low.
+SPEEDUP_FLOORS = {
     "unipolar_multiply_decode": 10.0,
     "bipolar_multiply_decode": 10.0,
     "mux_scaled_add": 1.2,
@@ -87,27 +77,15 @@ _BASE_FLOORS = {
     "fsm_gelu_forward": 8.0,
     "bsn_sort_bits_128": 1.5,
 }
-SPEEDUP_FLOORS = {
-    "numpy": dict(_BASE_FLOORS),
-    "threaded": dict(_BASE_FLOORS, mux_scaled_add=2.5),
-    "numba": dict(_BASE_FLOORS),
-}
 
 
 def host_metadata() -> dict:
     """CPU/library fingerprint stored with every run (regression triage)."""
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": numba_version,
     }
 
 
@@ -187,7 +165,7 @@ def legacy_sort_bits(bsn: BitonicSortingNetwork, bits: np.ndarray) -> np.ndarray
 
 def _time_per_op(fn, min_seconds: float = 0.15, max_rounds: int = 200) -> float:
     """Best-effort seconds/op: warm up once, then average over repeat calls."""
-    fn()  # warmup (fills caches, triggers lazy packing / JIT compilation)
+    fn()  # warmup (fills caches, triggers lazy packing)
     rounds = 0
     elapsed = 0.0
     best = np.inf
@@ -211,26 +189,16 @@ def _entry(name: str, legacy_s: float, packed_s: float, note: str = "") -> dict:
     }
 
 
-def run_benchmarks(value_shape=VALUE_SHAPE, bsl=BSL, backend=None) -> dict:
-    """Measure every kernel on one backend (``None`` = the active one).
-
-    ``backend`` names a registered backend; unavailable ones (numba without
-    numba installed) resolve to the numpy fallback with a warning, and the
-    payload records the backend that actually ran.
-    """
-    with use_backend(backend):
-        resolved = active_backend()
-        payload = {
-            "schema": 2,
-            "value_shape": list(value_shape),
-            "bitstream_length": bsl,
-            "host": host_metadata(),
-            "backend": resolved.name,
-            "backend_info": resolved.describe(),
-            "floors": dict(SPEEDUP_FLOORS.get(resolved.name, _BASE_FLOORS)),
-            "benchmarks": _run_entries(value_shape, bsl),
-        }
-    return payload
+def run_benchmarks(value_shape=VALUE_SHAPE, bsl=BSL) -> dict:
+    """Measure every kernel against its legacy int8 counterpart."""
+    return {
+        "schema": 2,
+        "value_shape": list(value_shape),
+        "bitstream_length": bsl,
+        "host": host_metadata(),
+        "floors": dict(SPEEDUP_FLOORS),
+        "benchmarks": _run_entries(value_shape, bsl),
+    }
 
 
 def _run_entries(value_shape, bsl) -> list:
@@ -314,14 +282,10 @@ def _print_report(payload: dict) -> None:
     host = payload.get("host", {})
     print(
         f"\n=== packed SC engine vs legacy int8 path "
-        f"({payload['value_shape']} values, BSL={payload['bitstream_length']}, "
-        f"backend={payload.get('backend', DEFAULT_BACKEND)}) ==="
+        f"({payload['value_shape']} values, BSL={payload['bitstream_length']}) ==="
     )
     if host:
-        print(
-            f"host: {host.get('cpu_count')} cpus, numpy {host.get('numpy')}, "
-            f"numba {host.get('numba') or 'absent'}"
-        )
+        print(f"host: {host.get('cpu_count')} cpus, numpy {host.get('numpy')}")
     header = f"{'benchmark':<28} {'legacy ops/s':>14} {'packed ops/s':>14} {'speedup':>9}"
     print(header)
     print("-" * len(header))
@@ -333,45 +297,10 @@ def _print_report(payload: dict) -> None:
 
 
 def save_report(payload: dict) -> Path:
-    """Merge one backend's run into the tracked results file.
-
-    The file keeps every backend's latest numbers side by side under
-    ``backends[<name>]``; re-running one backend never clobbers the others.
-    The default backend is also mirrored into the schema-1 top-level keys
-    (``benchmarks``/``floors``/``numpy_version``) for older consumers.
-    """
+    """Write a run to the tracked results file, replacing the previous one."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     out_path = RESULTS_DIR / "BENCH_sc_engine.json"
-    merged = {}
-    if out_path.exists():
-        try:
-            existing = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-        if existing.get("schema") == 2:
-            merged = existing
-    backend_name = payload.get("backend", DEFAULT_BACKEND)
-    backends = dict(merged.get("backends") or {})
-    backends[backend_name] = {
-        "backend_info": payload.get("backend_info", {}),
-        "host": payload.get("host", {}),
-        "floors": payload.get("floors", {}),
-        "benchmarks": payload["benchmarks"],
-    }
-    merged.update(
-        {
-            "schema": 2,
-            "value_shape": payload["value_shape"],
-            "bitstream_length": payload["bitstream_length"],
-            "backends": backends,
-        }
-    )
-    if backend_name == DEFAULT_BACKEND or "benchmarks" not in merged:
-        merged["benchmarks"] = payload["benchmarks"]
-        merged["floors"] = payload.get("floors", {})
-        merged["numpy_version"] = payload.get("host", {}).get("numpy", np.__version__)
-        merged["host"] = payload.get("host", {})
-    out_path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
+    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return out_path
 
 
@@ -385,7 +314,7 @@ def test_perf_sc_engine():
     _print_report(payload)
     save_report(payload)
     by_name = {row["name"]: row for row in payload["benchmarks"]}
-    # Acceptance: every kernel's recorded per-backend floor — the same check
+    # Acceptance: every kernel's recorded floor — the same check
     # the CI perf job applies via `repro bench --check-floor`.
     for name, floor in payload["floors"].items():
         assert by_name[name]["speedup"] >= floor, f"{name} regressed below {floor}x"
@@ -427,17 +356,7 @@ def test_perf_sc_engine():
 
 
 if __name__ == "__main__":
-    import argparse
-
-    parser = argparse.ArgumentParser(description="packed SC engine perf harness")
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help="kernel backend to measure (default: the active one, normally numpy)",
-    )
-    cli_args = parser.parse_args()
-    report = run_benchmarks(backend=cli_args.backend)
+    report = run_benchmarks()
     _print_report(report)
     path = save_report(report)
     print(f"\nsaved {path}")

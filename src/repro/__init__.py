@@ -7,7 +7,8 @@ The package mirrors the structure of the paper (DATE 2024):
   string-keyed block registry (``build("softmax/iterative", ...)``) and the
   declarative ``ExperimentSpec`` files behind ``python -m repro run``,
 * :mod:`repro.sc` — the stochastic-computing substrate (encodings, bitstream
-  arithmetic, sorting networks, baseline nonlinear units),
+  arithmetic, sorting networks, baseline nonlinear units) on one packed
+  numpy kernel engine,
 * :mod:`repro.hw` — the hardware cost model standing in for the paper's
   Synopsys/TSMC 28 nm synthesis flow,
 * :mod:`repro.core` — ASCEND's contribution: the gate-assisted SI GELU, the
@@ -35,7 +36,7 @@ The package mirrors the structure of the paper (DATE 2024):
   reconciliation (``python -m repro fabric``),
 * :mod:`repro.telemetry` — the unified observability plane: span tracing
   with cross-process context propagation (Chrome-trace/Perfetto export),
-  Prometheus-text metrics, per-kernel profiling at the SC backend seam and
+  Prometheus-text metrics, per-kernel profiling at the SC kernel seam and
   structured logging (``python -m repro trace``; off by default and
   provably inert — see ``docs/observability.md``).
 

@@ -36,7 +36,6 @@ from repro.core.baselines import FsmSoftmaxBaseline
 from repro.core.gelu_si import GeluSIBlock, TernaryGeluBlock
 from repro.core.softmax_circuit import IterativeSoftmaxCircuit
 from repro.nn.functional_math import gelu_exact, softmax_exact
-from repro.sc.backends import use_backend
 from repro.sc.bernstein import BernsteinPolynomialUnit
 from repro.sc.fsm import FsmGeluUnit, FsmNonlinearUnit, FsmReluUnit, FsmTanhUnit
 from repro.sc.selective_interconnect import NaiveSelectiveInterconnect
@@ -120,8 +119,7 @@ class FsmSoftmaxBlock(NonlinearBlock):
         return self._spec
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        with use_backend(self._spec.backend):
-            return self.baseline.forward(values)
+        return self.baseline.forward(values)
 
     def reference(self, values: np.ndarray) -> np.ndarray:
         return softmax_exact(np.asarray(values, dtype=float), axis=-1)
@@ -292,17 +290,15 @@ class _FsmUnitBlock(NonlinearBlock):
         return self._spec
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        with use_backend(self._spec.backend):
-            return self.unit.evaluate(
-                values,
-                self._spec.bitstream_length,
-                seed=self._spec.seed,
-                input_scale=self._spec.input_scale,
-            )
+        return self.unit.evaluate(
+            values,
+            self._spec.bitstream_length,
+            seed=self._spec.seed,
+            input_scale=self._spec.input_scale,
+        )
 
     def process(self, stream):
-        with use_backend(self._spec.backend):
-            return self.unit.process(stream)
+        return self.unit.process(stream)
 
     def build_hardware(self):
         return self.unit.build_hardware(self._spec.bitstream_length)
@@ -363,8 +359,7 @@ class BernsteinGeluBlock(NonlinearBlock):
         return self._spec
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        with use_backend(self._spec.backend):
-            return self.unit.evaluate(values, self._spec.bitstream_length, seed=self._spec.seed)
+        return self.unit.evaluate(values, self._spec.bitstream_length, seed=self._spec.seed)
 
     def reference(self, values: np.ndarray) -> np.ndarray:
         return gelu_exact(np.asarray(values, dtype=float))

@@ -125,6 +125,11 @@ def spec_from_dict(payload: Dict[str, Any]) -> BlockSpec:
     if spec_cls is None:
         known = ", ".join(sorted(_SPEC_FAMILIES))
         raise KeyError(f"unknown block family {family!r} (known: {known})")
+    if not isinstance(params, dict):
+        raise ValueError(f"{family} params must be a JSON object, got {type(params).__name__}")
+    unknown = sorted(set(params) - {f.name for f in fields(spec_cls)})
+    if unknown:
+        raise ValueError(f"unknown {family} params: {', '.join(unknown)}")
     return spec_cls(**params)
 
 
@@ -136,18 +141,6 @@ def spec_from_json(text: str) -> BlockSpec:
 def _check_positive_scale(value: Optional[float], name: str) -> None:
     if value is not None and value <= 0:
         raise ValueError(f"{name} must be positive")
-
-
-def _check_backend_name(value: Optional[str]) -> None:
-    """Type-check the optional SC kernel-backend name.
-
-    Only the *type* is validated here: this module must not import
-    :mod:`repro.sc` (the layering contract in the module docstring), so
-    whether the name resolves to a real backend is checked at build time by
-    ``repro.sc.backends.use_backend``.
-    """
-    if value is not None and not isinstance(value, str):
-        raise ValueError("backend must be a backend name (str) or None")
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +278,11 @@ class FsmSoftmaxSpec(BlockSpec):
     num_states: int = 32
     seed: int = 0
     bit_level: bool = False
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.m, "m")
         check_positive_int(self.bitstream_length, "bitstream_length")
         check_positive_int(self.num_states, "num_states")
-        _check_backend_name(self.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +371,6 @@ class _FsmUnitSpec(BlockSpec):
     bitstream_length: int = 256
     seed: int = 0
     input_scale: float = 1.0
-    #: Optional SC kernel-backend name (``"numpy"``/``"threaded"``/``"numba"``)
-    #: the block's stochastic simulation runs under; ``None`` keeps the
-    #: process-wide selection.  Backends are bit-identical, so this field
-    #: changes wall-clock only — never results.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_states, "num_states")
@@ -392,7 +378,6 @@ class _FsmUnitSpec(BlockSpec):
             raise ValueError("an FSM unit needs at least 2 states")
         check_positive_int(self.bitstream_length, "bitstream_length")
         _check_positive_scale(self.input_scale, "input_scale")
-        _check_backend_name(self.backend)
 
 
 @_spec_family("gelu/fsm")
@@ -433,7 +418,6 @@ class BernsteinGeluSpec(BlockSpec):
     input_range: float = 3.0
     bitstream_length: int = 1024
     seed: int = 0
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_terms, "num_terms")
@@ -441,7 +425,6 @@ class BernsteinGeluSpec(BlockSpec):
             raise ValueError("a Bernstein unit needs at least 2 terms")
         check_positive_int(self.bitstream_length, "bitstream_length")
         _check_positive_scale(self.input_range, "input_range")
-        _check_backend_name(self.backend)
 
 
 # ---------------------------------------------------------------------------

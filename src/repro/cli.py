@@ -326,7 +326,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         calibration_images=train.images[: args.calibration_images],
         max_images=args.max_images,
         batch_size=args.batch_size,
-        backend=args.backend,
     )
     configs = eval_grid(
         by_grid=args.by_grid,
@@ -923,7 +922,6 @@ def _serve_spec_from_args(args: argparse.Namespace):
         gelu_bsl=args.gelu_bsl,
         flip_prob=args.flip_prob,
         fault_seed=args.fault_seed,
-        backend=args.backend,
         engine=args.engine,
         workers=args.serve_workers,
         max_shards=args.max_shards,
@@ -972,7 +970,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 workers=spec.workers,
                 max_shards=spec.max_shards,
                 flip_prob=spec.flip_prob,
-                backend=spec.backend or "default",
                 max_batch=spec.max_batch,
                 max_wait_ms=spec.max_wait_ms,
                 queue=spec.max_queue,
@@ -1146,34 +1143,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _engine_floor_groups(payload: dict) -> list:
-    """``(backend, floors, rows_by_name, host)`` groups from any payload shape.
-
-    Handles the three layouts ``--check-floor`` can see: a merged schema-2
-    results file (one group per recorded backend), a fresh single-backend
-    schema-2 run, and a legacy schema-1 file (treated as the numpy backend).
-    """
-    if isinstance(payload.get("backends"), dict):
-        return [
-            (
-                name,
-                entry.get("floors") or {},
-                {row["name"]: row for row in entry.get("benchmarks", [])},
-                entry.get("host") or {},
-            )
-            for name, entry in sorted(payload["backends"].items())
-        ]
-    backend = payload.get("backend", "numpy")
-    return [
-        (
-            backend,
-            payload.get("floors") or {},
-            {row["name"]: row for row in payload.get("benchmarks", [])},
-            payload.get("host") or {},
-        )
-    ]
-
-
 def _bench_engine(args: argparse.Namespace) -> int:
     benchmarks_dir = _find_benchmarks_dir(args.benchmarks_dir)
     harness = _load_bench_module(benchmarks_dir, "bench_perf_sc_engine.py")
@@ -1185,18 +1154,7 @@ def _bench_engine(args: argparse.Namespace) -> int:
         payload = json.loads(results_path.read_text())
         print(f"checking recorded results at {results_path}")
     else:
-        backend = getattr(args, "backend", None)
-        if backend is not None:
-            # Force the selection so the run measures the backend it claims
-            # to, overriding REPRO_SC_BACKEND and any spec-level contexts.
-            from repro.sc.backends import set_backend
-
-            previous = set_backend(backend, force=True)
-        try:
-            payload = harness.run_benchmarks()
-        finally:
-            if backend is not None:
-                set_backend(previous, force=True)
+        payload = harness.run_benchmarks()
         harness._print_report(payload)
         saved = harness.save_report(payload)
         print(f"\nsaved {saved}")
@@ -1204,38 +1162,30 @@ def _bench_engine(args: argparse.Namespace) -> int:
     if not args.check_floor:
         return 0
 
-    groups = _engine_floor_groups(payload)
+    by_name = {row["name"]: row for row in payload.get("benchmarks", [])}
+    host = payload.get("host") or {}
+    host_lines = [f"{host.get('cpu_count')} cpus, numpy {host.get('numpy')}"] if host else []
     failures = []
     summary_rows = []
-    host_lines = []
-    for backend_name, floors, by_name, host in groups:
-        if host:
-            host_lines.append(
-                f"`{backend_name}`: {host.get('cpu_count')} cpus, "
-                f"numpy {host.get('numpy')}, numba {host.get('numba') or 'absent'}"
-            )
-        for name, floor in floors.items():
-            label = f"{backend_name}/{name}" if len(groups) > 1 else name
-            row = by_name.get(name)
-            if row is None:
-                failures.append(f"{label}: no measurement recorded (floor {floor:.1f}x)")
-                summary_rows.append((label, "n/a", f"{floor:.1f}x", "n/a", "FAIL (missing)"))
-                continue
-            measured = float(row["speedup"])
-            delta = measured - floor
-            margin = 100.0 * delta / floor
-            detail = (
-                f"{label}: measured {measured:.1f}x vs floor {floor:.1f}x "
-                f"(delta {delta:+.1f}x, margin {margin:+.0f}%)"
-            )
-            status = "ok" if measured >= floor else "FAIL"
-            summary_rows.append(
-                (label, f"{measured:.1f}x", f"{floor:.1f}x", f"{delta:+.1f}x", status)
-            )
-            if measured < floor:
-                failures.append(detail)
-            else:
-                print(f"floor ok: {detail}")
+    for name, floor in (payload.get("floors") or {}).items():
+        row = by_name.get(name)
+        if row is None:
+            failures.append(f"{name}: no measurement recorded (floor {floor:.1f}x)")
+            summary_rows.append((name, "n/a", f"{floor:.1f}x", "n/a", "FAIL (missing)"))
+            continue
+        measured = float(row["speedup"])
+        delta = measured - floor
+        margin = 100.0 * delta / floor
+        detail = (
+            f"{name}: measured {measured:.1f}x vs floor {floor:.1f}x "
+            f"(delta {delta:+.1f}x, margin {margin:+.0f}%)"
+        )
+        status = "ok" if measured >= floor else "FAIL"
+        summary_rows.append((name, f"{measured:.1f}x", f"{floor:.1f}x", f"{delta:+.1f}x", status))
+        if measured < floor:
+            failures.append(detail)
+        else:
+            print(f"floor ok: {detail}")
     _write_floor_job_summary(summary_rows, failures, host_lines=host_lines)
     if failures:
         # Every regression line carries the measured-vs-floor numbers so a
@@ -1395,7 +1345,7 @@ def _write_floor_job_summary(
 
     ``GITHUB_STEP_SUMMARY`` points at the job-summary file inside Actions and
     is unset elsewhere, so local runs skip this silently.  ``host_lines``
-    (one per measured backend: CPU count, numpy/numba versions) precede the
+    (CPU count, numpy version) precede the
     table so a tripped floor is attributable to the machine that ran it.
     """
     import os
@@ -1895,7 +1845,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--max-images", type=int, default=None, help="cap images per split")
     p_eval.add_argument("--batch-size", type=int, default=32, help="eval chunk size (results are chunk-invariant)")
     p_eval.add_argument("--calibration-images", type=int, default=32, help="images for the alpha_x calibration")
-    p_eval.add_argument("--backend", choices=["numpy", "threaded", "numba"], default=None, help="SC kernel backend for the forwards (bit-identical; throughput only, excluded from cache keys)")
     p_eval.add_argument("--verify-batched", action="store_true", help="re-run the first config per-image and compare bit-for-bit")
     _add_sweep_options(p_eval)
     p_eval.set_defaults(func=cmd_eval)
@@ -1946,7 +1895,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--engine", choices=["thread", "process"], default="thread", help="compute tier: in-process thread pool or sharded worker processes")
     p_serve.add_argument("--serve-workers", type=int, default=1, help="worker threads (thread engine) or worker-process shards (process engine), each owning a model replica")
     p_serve.add_argument("--max-shards", type=int, default=None, help="autoscale ceiling for the process engine (queue-depth scaling between --serve-workers and this)")
-    p_serve.add_argument("--backend", choices=["numpy", "threaded", "numba"], default=None, help="SC kernel backend for replica forwards (bit-identical; throughput only)")
     p_serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help=f"prediction-cache directory (default: {DEFAULT_CACHE_DIR})")
     p_serve.add_argument("--no-cache", action="store_true", help="disable the prediction cache")
     p_serve.set_defaults(func=cmd_serve)
@@ -1968,7 +1916,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="perf regression harnesses (packed engine, serving, fabric)")
     p_bench.add_argument("--suite", choices=["engine", "serve", "fabric", "all"], default="engine", help="which harness: the packed-engine microbenches, the serve load generator, the fabric compile/throughput suite, or all of them")
     p_bench.add_argument("--benchmarks-dir", type=Path, default=None, help="path to benchmarks/")
-    p_bench.add_argument("--backend", choices=["numpy", "threaded", "numba"], default=None, help="SC kernel backend to measure (engine suite); merged per backend into the results JSON")
     p_bench.add_argument("--check-floor", action="store_true", help="fail if measurements fall outside the recorded floors")
     p_bench.add_argument("--no-run", action="store_true", help="check the recorded results instead of re-running")
     p_bench.set_defaults(func=cmd_bench)

@@ -39,7 +39,6 @@ from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.nn.autograd import Tensor, batch_invariant_matmul, no_grad
 from repro.nn.vit import CompactVisionTransformer
-from repro.sc.backends import use_backend
 from repro.sc.bitstream import ThermometerStream
 from repro.training.datasets import DatasetSplit
 from repro.utils.validation import check_positive_int
@@ -112,12 +111,6 @@ class ScViTEvalPipeline:
         throughput/memory knob: results are bit-identical for any value.
     calibration_images / calibration_logits / calibrate:
         ``alpha_x`` calibration inputs, identical to the seed evaluator's.
-    backend:
-        Optional SC kernel backend name (:mod:`repro.sc.backends`); every
-        forward runs under ``use_backend(backend)``.  Backends are
-        bit-identical by contract, so this is a pure throughput knob —
-        it never enters result identity (cache keys, fingerprints) and
-        ``None`` defers to the process-wide selection.
     """
 
     def __init__(
@@ -131,7 +124,6 @@ class ScViTEvalPipeline:
         calibration_images: Optional[np.ndarray] = None,
         calibrate: bool = True,
         calibration_logits: Optional[np.ndarray] = None,
-        backend: Optional[str] = None,
     ) -> None:
         check_positive_int(batch_size, "batch_size")
         self.model = model
@@ -159,9 +151,6 @@ class ScViTEvalPipeline:
         if flip_prob > 0.0:
             self.fault_model = BitFlipFaultModel(flip_prob, seed=fault_seed)
         self.flip_prob = float(flip_prob)
-        if backend is not None and not isinstance(backend, str):
-            raise ValueError(f"backend must be a string or None, got {backend!r}")
-        self.backend = backend
 
     # ------------------------------------------------------------ substitution
     def _stream_hook(self, site: str, stream: ThermometerStream) -> ThermometerStream:
@@ -237,7 +226,7 @@ class ScViTEvalPipeline:
         check_positive_int(batch_size, "batch_size")
         images = split.images if max_images is None else split.images[:max_images]
         labels = split.labels if max_images is None else split.labels[:max_images]
-        with self._patched_model() as model, no_grad(), batch_invariant_matmul(), use_backend(self.backend):
+        with self._patched_model() as model, no_grad(), batch_invariant_matmul():
             for start in range(0, len(images), batch_size):
                 stop = min(start + batch_size, len(images))
                 _check_finite(images[start:stop], first_index=start)
@@ -274,7 +263,7 @@ class ScViTEvalPipeline:
                     f"image_indices has shape {indices.shape}, expected ({images.shape[0]},)"
                 )
         _check_finite(images)
-        with self._patched_model() as model, no_grad(), batch_invariant_matmul(), use_backend(self.backend):
+        with self._patched_model() as model, no_grad(), batch_invariant_matmul():
             if self.fault_model is not None:
                 self.fault_model.begin_batch(indices)
             logits = model(Tensor(images))

@@ -57,10 +57,6 @@ class EvalTask(SweepTask):
     max_images: Optional[int] = None
     batch_size: int = 32
     m: int = 64
-    # Like batch_size, `backend` is deliberately absent from the cache key:
-    # SC kernel backends are bit-identical by contract, so a grid evaluated
-    # under numba shares cache entries with its numpy re-run byte for byte.
-    backend: Optional[str] = None
     _weights_digest: str = field(default="", repr=False)
     _calibration_logits: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -134,7 +130,6 @@ class EvalTask(SweepTask):
             fault_seed=int(config.get("fault_seed", 0)),
             batch_size=self.batch_size,
             calibration_logits=self._calibration(),
-            backend=self.backend,
         )
         images, labels = self.splits[split_name]
         split = DatasetSplit(images=images, labels=labels)

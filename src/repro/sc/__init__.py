@@ -16,9 +16,8 @@ This package provides everything below the ASCEND-specific blocks:
   compares against: FSM-based units, Bernstein-polynomial units and naive
   selective interconnect (:mod:`repro.sc.fsm`, :mod:`repro.sc.bernstein`,
   :mod:`repro.sc.selective_interconnect`),
-* pluggable kernel backends for the packed engine — ``numpy`` (default),
-  ``threaded`` and ``numba`` — selected process-wide or per spec with a
-  strict bit-identity contract (:mod:`repro.sc.backends`).
+* the packed engine's numpy kernels behind one observable seam
+  (:mod:`repro.sc.backends`).
 
 Every functional block also knows how to describe itself structurally for
 the hardware cost model via a ``build_hardware()`` method.

@@ -1,78 +1,31 @@
-"""Pluggable kernel backends for the packed SC engine.
+"""The kernel engine behind the packed SC simulation.
 
 Every hot kernel of the engine (word-wise gate ops, popcount reductions,
 Bernoulli/select plane generation, the FSM transition scan, BSN stages) is
-routed through a process-wide *active backend*.  Three backends ship:
-
-``numpy``
-    The single-threaded reference (default) — byte-identical to the
-    pre-backend engine.
-``threaded``
-    Tiles large planes across a thread pool and batches RNG word
-    generation; bit-identical via runtime self-checks with canonical
-    fallback.
-``numba``
-    JIT-compiled reductions and FSM scans, available only when numba is
-    importable; requesting it without numba warns once and falls back to
-    ``numpy`` (never an error).
-
-Selection precedence (lowest to highest):
-
-1. ``REPRO_SC_BACKEND`` environment variable — deployment-wide default.
-2. :func:`use_backend` context (what block specs' ``backend`` field uses).
-3. :func:`set_backend` with ``force=True`` — the ``repro bench --backend``
-   override; wins over everything until cleared.
-
-Every backend must pass the packed-vs-legacy bit-identity suite unchanged:
-for identical seeds and inputs, all backends produce bit-for-bit identical
-streams and decoded values.
+a method of one process-wide :class:`NumpyBackend` instance, which the
+engine reaches through :func:`active_backend`.  The seam exists for
+observation, not selection: :func:`install_instrumentation` lets
+:mod:`repro.telemetry.profiling` wrap the instance to count kernel calls.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from contextlib import contextmanager
-from typing import Dict, List, Optional
-
 from repro.sc.backends.base import KernelBackend
 from repro.sc.backends.numpy_backend import NumpyBackend
-from repro.sc.backends.threaded_backend import ThreadedBackend
-from repro.sc.backends.numba_backend import HAVE_NUMBA, NumbaBackend
 
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
-    "ThreadedBackend",
-    "NumbaBackend",
-    "HAVE_NUMBA",
-    "BACKEND_ENV_VAR",
-    "available_backends",
-    "get_backend",
     "active_backend",
     "install_instrumentation",
-    "set_backend",
-    "use_backend",
 ]
 
-#: Environment variable naming the default backend for the process.
-BACKEND_ENV_VAR = "REPRO_SC_BACKEND"
-
-_FACTORIES = {
-    "numpy": NumpyBackend,
-    "threaded": ThreadedBackend,
-    "numba": NumbaBackend,
-}
-
-_instances: Dict[str, KernelBackend] = {}
-_context_stack: List[str] = []
-_forced_name: Optional[str] = None
-_warned_unavailable = set()
+_BACKEND = NumpyBackend()
 
 #: Optional instrumentation hook (``repro.telemetry`` kernel profiling):
-#: a callable wrapping the resolved backend instance.  ``None`` — the
-#: default — keeps :func:`active_backend` on the raw instance with a
-#: single ``is None`` check of overhead, which is the telemetry layer's
+#: a callable wrapping the backend instance.  ``None`` — the default —
+#: keeps :func:`active_backend` on the raw instance with a single
+#: ``is None`` check of overhead, which is the telemetry layer's
 #: zero-cost-when-off contract at this seam.
 _instrument = None
 
@@ -80,9 +33,9 @@ _instrument = None
 def install_instrumentation(wrapper) -> None:
     """Install (or with ``None`` remove) the backend instrumentation hook.
 
-    ``wrapper`` receives the resolved :class:`KernelBackend` instance on
-    every :func:`active_backend` call and returns the instance to hand to
-    the engine (typically a cached delegating proxy — see
+    ``wrapper`` receives the :class:`KernelBackend` instance on every
+    :func:`active_backend` call and returns the instance to hand to the
+    engine (typically a cached delegating proxy — see
     :mod:`repro.telemetry.profiling`).  Wrapped backends must stay
     bit-identical: the hook is observational only.
     """
@@ -90,118 +43,13 @@ def install_instrumentation(wrapper) -> None:
     _instrument = wrapper
 
 
-def available_backends() -> List[str]:
-    """Names accepted by :func:`get_backend`, in registry order.
-
-    ``"numba"`` is always listed (it is a valid *request*); whether it
-    resolves to the JIT backend or falls back depends on the environment.
-    """
-    return list(_FACTORIES)
-
-
-def _fallback_warning(name: str, reason: str) -> None:
-    if name in _warned_unavailable:
-        return
-    _warned_unavailable.add(name)
-    warnings.warn(
-        f"SC kernel backend {name!r} is unavailable ({reason}); "
-        "falling back to the 'numpy' reference backend",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def get_backend(name: str) -> KernelBackend:
-    """The (cached) backend instance for ``name``.
-
-    Unknown names raise ``ValueError``.  A known-but-unavailable backend
-    (``"numba"`` without numba installed) warns once per process and
-    returns the numpy reference backend, so seeded experiments still run —
-    just slower — on machines without the optional dependency.
-    """
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown SC kernel backend {name!r}; expected one of {available_backends()}"
-        )
-    if name == "numba" and not HAVE_NUMBA:
-        _fallback_warning(name, "numba is not installed")
-        return get_backend("numpy")
-    instance = _instances.get(name)
-    if instance is None:
-        instance = _FACTORIES[name]()
-        _instances[name] = instance
-    return instance
-
-
-def _resolve_active() -> KernelBackend:
-    if _forced_name is not None:
-        return get_backend(_forced_name)
-    if _context_stack:
-        return get_backend(_context_stack[-1])
-    env_name = os.environ.get(BACKEND_ENV_VAR)
-    if env_name:
-        if env_name in _FACTORIES:
-            return get_backend(env_name)
-        _fallback_warning(env_name, f"unknown name in ${BACKEND_ENV_VAR}")
-    return get_backend("numpy")
-
-
 def active_backend() -> KernelBackend:
-    """The backend the engine's kernels are currently routed through.
-
-    Resolution order: :func:`set_backend`'s forced name, the innermost
-    :func:`use_backend` context, the ``REPRO_SC_BACKEND`` environment
-    variable, then ``"numpy"``.  Unknown names in the environment variable
-    warn (once per name) rather than raise, so a typo in a shell profile
-    cannot brick every seeded run.
+    """The backend the engine's kernels are routed through.
 
     When an instrumentation hook is installed
-    (:func:`install_instrumentation`), the resolved instance passes
-    through it; otherwise it is returned raw.
+    (:func:`install_instrumentation`), the instance passes through it;
+    otherwise it is returned raw.
     """
-    backend = _resolve_active()
     if _instrument is None:
-        return backend
-    return _instrument(backend)
-
-
-def set_backend(name: Optional[str], force: bool = False) -> Optional[str]:
-    """Set (or with ``name=None`` clear) the process-wide forced backend.
-
-    With ``force=True`` the choice overrides contexts and the environment —
-    this is what ``repro bench --backend`` uses so a benchmark measures the
-    backend it claims to.  Without ``force``, the call just validates the
-    name and returns the previous forced name unchanged, which makes the
-    common "validate then maybe force" dance a single call.
-    """
-    global _forced_name
-    previous = _forced_name
-    if name is not None and name not in _FACTORIES:
-        raise ValueError(
-            f"unknown SC kernel backend {name!r}; expected one of {available_backends()}"
-        )
-    if force or name is None:
-        _forced_name = name
-    return previous
-
-
-@contextmanager
-def use_backend(name: Optional[str]):
-    """Scoped backend selection (what block specs' ``backend`` field uses).
-
-    ``None`` is a no-op context so callers can pass an optional spec field
-    straight through.  Contexts nest; the innermost wins (unless a forced
-    backend is set, which wins over all contexts by design).
-    """
-    if name is None:
-        yield active_backend()
-        return
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown SC kernel backend {name!r}; expected one of {available_backends()}"
-        )
-    _context_stack.append(name)
-    try:
-        yield active_backend()
-    finally:
-        _context_stack.pop()
+        return _BACKEND
+    return _instrument(_BACKEND)

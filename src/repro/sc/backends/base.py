@@ -5,15 +5,9 @@ from: word-wise gate ops, popcount reduction, Bernoulli/select plane
 generation, the FSM transition scan and the BSN compare-exchange stage.
 The base class *is* the reference implementation — every method body here
 is the exact algorithm the engine used before the backend seam existed, so
-:class:`~repro.sc.backends.numpy_backend.NumpyBackend` (the default) is a
-trivial subclass and stays byte-identical to the historical code paths.
-
-Subclasses may override any kernel with a faster implementation, but the
-contract is strict: **every backend must produce bit-identical results**
-for identical inputs (including identical RNG consumption, so a seeded
-experiment decodes to the same floats regardless of backend).  The
-packed-vs-legacy property suite runs against every registered backend to
-enforce this.
+:class:`~repro.sc.backends.numpy_backend.NumpyBackend` is a trivial
+subclass and stays byte-identical to the historical code paths (the
+packed-vs-legacy property suite in ``tests/test_sc_packed.py`` pins this).
 """
 
 from __future__ import annotations
@@ -26,20 +20,12 @@ import numpy as np
 class KernelBackend:
     """Kernel provider for the packed SC engine (reference implementations).
 
-    Instances are stateless apart from optional worker pools; one instance
-    per backend name is cached by the registry and shared process-wide.
+    Instances are stateless; one :class:`NumpyBackend` is shared
+    process-wide (:func:`repro.sc.backends.active_backend`).
     """
 
-    #: Registry name; subclasses override.
+    #: Label of profiler rows and ``/metrics`` series; subclasses override.
     name = "base"
-
-    # ------------------------------------------------------------- metadata
-    def describe(self) -> dict:
-        """Backend facts recorded into bench reports (JSON-serialisable)."""
-        return {"name": self.name}
-
-    def close(self) -> None:
-        """Release any worker pools (no-op for poolless backends)."""
 
     # ------------------------------------------------------------- word ops
     def and_words(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,7 +62,7 @@ class KernelBackend:
 
         Delegates to :func:`repro.sc.packed.popcount_words` so the
         ``HAVE_BITWISE_COUNT`` feature switch (and its byte-LUT fallback)
-        stays a single module-level knob shared by every backend.
+        stays a single module-level knob.
         """
         from repro.sc import packed
 
@@ -113,7 +99,7 @@ class KernelBackend:
         This is the canonical encode draw: one uniform per (value, cycle) in
         C order, consumed from ``rng`` exactly as the explicit-bit
         implementation always has, so seeded streams are reproducible across
-        versions *and* backends.  ``probs`` is a scalar or an array of shape
+        versions.  ``probs`` is a scalar or an array of shape
         ``value_shape``.
         """
         from repro.sc.packed import PackedBitPlane

@@ -1,23 +1,17 @@
-"""The default pure-numpy backend: the reference kernels, unmodified.
+"""The numpy kernel engine: the reference kernels, unmodified.
 
 :class:`KernelBackend` base-class bodies *are* the historical engine code
-paths, so this subclass adds nothing — it exists so ``"numpy"`` is a
-first-class registry name and so ``describe()`` reports the numpy version
-the kernels actually ran on.
+paths, so this subclass adds only its name, which labels kernel-profiler
+rows and ``/metrics`` series.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.sc.backends.base import KernelBackend
 
 
 class NumpyBackend(KernelBackend):
-    """Reference backend — single-threaded numpy, byte-identical to the
-    pre-backend engine."""
+    """The engine's kernels — numpy on the calling thread, byte-identical
+    to the pre-backend engine."""
 
     name = "numpy"
-
-    def describe(self) -> dict:
-        return {"name": self.name, "numpy": np.__version__}

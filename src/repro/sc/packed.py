@@ -57,12 +57,11 @@ def _words_for(length: int) -> int:
 
 
 def _kernels():
-    """The active kernel backend (see :mod:`repro.sc.backends`).
+    """The kernel engine (see :mod:`repro.sc.backends`).
 
     Imported lazily per call: the backends package imports this module for
-    :class:`PackedBitPlane`, and per-call resolution is what lets
-    ``use_backend`` / ``set_backend`` switch kernels at any point without
-    invalidating existing planes.
+    :class:`PackedBitPlane`, and per-call resolution is what lets the
+    telemetry profiler wrap the kernels at any point.
     """
     from repro.sc.backends import active_backend
 

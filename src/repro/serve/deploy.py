@@ -97,16 +97,6 @@ def build_replica_factory(spec: ServeSpec) -> ReplicaFactory:
     from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_y
     from repro.evaluation.vectors import collect_softmax_inputs
 
-    if spec.backend is not None:
-        # Fail at build time, not inside a worker process an hour later.
-        from repro.sc.backends import available_backends
-
-        if spec.backend not in available_backends():
-            raise ValueError(
-                f"unknown SC kernel backend {spec.backend!r}; "
-                f"expected one of {available_backends()}"
-            )
-
     model, train, _ = build_model(spec)
     softmax = SoftmaxCircuitConfig(
         m=64,
@@ -128,7 +118,6 @@ def build_replica_factory(spec: ServeSpec) -> ReplicaFactory:
         flip_prob=spec.flip_prob,
         fault_seed=spec.fault_seed,
         calibration_logits=calibration,
-        backend=spec.backend,
     )
 
 
@@ -140,9 +129,7 @@ def build_deployment(spec: ServeSpec, code_version: Optional[str] = None) -> "De
     ``process`` -> :class:`~repro.serve.sharded.ShardedProcessEngine`
     with consistent-hash sharded caching, ``fabric`` ->
     :class:`~repro.fabric.engine.FabricEngine` executing the softmax on a
-    configured tile grid), honors the spec's ``backend``
-    field (threaded through every replica's forwards via
-    :func:`repro.sc.backends.use_backend`), and wires the cache policy.
+    configured tile grid), and wires the cache policy.
     """
     from repro import telemetry
 

@@ -121,11 +121,6 @@ class ReplicaFactory:
     startup.  Every call deep-copies the template model, so replicas never
     share mutable state — the pipeline patches circuit substitutions into
     the model's blocks during a forward, and a shared model would race.
-
-    ``backend`` names the SC kernel backend the replica's forwards run
-    under (:func:`repro.sc.backends.use_backend`); backends are
-    bit-identical by contract, so it is a throughput knob that deliberately
-    does **not** enter :func:`pipeline_fingerprint`.
     """
 
     model: Any
@@ -134,7 +129,6 @@ class ReplicaFactory:
     flip_prob: float = 0.0
     fault_seed: int = 0
     calibration_logits: Optional[np.ndarray] = None
-    backend: Optional[str] = None
 
     def __call__(self) -> ScViTEvalPipeline:
         return ScViTEvalPipeline(
@@ -144,7 +138,6 @@ class ReplicaFactory:
             flip_prob=self.flip_prob,
             fault_seed=self.fault_seed,
             calibration_logits=self.calibration_logits,
-            backend=self.backend,
         )
 
     def image_shape(self) -> tuple:
@@ -262,7 +255,6 @@ def build_engine(
     fault_seed: int = 0,
     calibration_logits: Optional[np.ndarray] = None,
     workers: int = 1,
-    backend: Optional[str] = None,
 ) -> PipelineEngine:
     """Engine over ``model`` with the same substitution protocol as offline eval.
 
@@ -286,7 +278,6 @@ def build_engine(
         flip_prob=flip_prob,
         fault_seed=fault_seed,
         calibration_logits=calibration_logits,
-        backend=backend,
     )
     return PipelineEngine(
         factory, workers=workers, flip_prob=flip_prob, image_shape=factory.image_shape()

@@ -131,7 +131,7 @@ def _shard_main(conn, factory: ReplicaFactory) -> None:
 
                     install()
                     profiler = get_profiler()
-                profiler.clear()  # single-threaded worker: snapshot == delta
+                profiler.clear()  # one-thread worker: snapshot == delta
                 span = tracer.begin(
                     "shard.predict",
                     cat="worker",
@@ -679,7 +679,6 @@ def build_sharded_engine(
     shards: int = 2,
     max_shards: Optional[int] = None,
     scale_up_queue_depth: int = 16,
-    backend: Optional[str] = None,
     **engine_kwargs: Any,
 ) -> ShardedProcessEngine:
     """Sharded engine over ``model``; mirror of :func:`~repro.serve.engine.build_engine`.
@@ -696,7 +695,6 @@ def build_sharded_engine(
         flip_prob=flip_prob,
         fault_seed=fault_seed,
         calibration_logits=calibration_logits,
-        backend=backend,
     )
     return ShardedProcessEngine(
         factory,

@@ -15,10 +15,7 @@ reproducible artifact, mirroring :mod:`repro.blocks.specs`:
   queue depth fails when the spec is *built*, not an hour into serving.
 
 Like ``repro.blocks.specs`` this module is pure data: it imports nothing
-heavy, and the ``backend`` field is checked for type only — name
-resolution happens at build time (:func:`repro.serve.deploy.build_deployment`
-threads it through :func:`repro.sc.backends.use_backend`), which keeps the
-spec layer importable without pulling in the SC engine.
+heavy, so the spec layer stays importable without pulling in the SC engine.
 
 The JSON envelope is ``{"kind": "serve/deployment", "params": {...}}``;
 params omitted from a file take the dataclass defaults, which match the
@@ -63,12 +60,8 @@ class ServeSpec:
       labels).
     * model — the synthetic dataset + ViT geometry + optional checkpoint
       (mirrors ``repro serve``'s model flags).
-    * circuit — softmax BSL/sub-sampling/iterations, GELU routing, fault
-      injection, and the SC kernel ``backend`` name
-      (:mod:`repro.sc.backends`; ``None`` = process default).  Backends
-      are bit-identical by contract, so ``backend`` is a pure
-      throughput knob: it never enters cache keys or the engine
-      fingerprint.
+    * circuit — softmax BSL/sub-sampling/iterations, GELU routing and
+      fault injection.
     * engine — ``"thread"`` (:class:`~repro.serve.engine.PipelineEngine`),
       ``"process"`` (:class:`~repro.serve.sharded.ShardedProcessEngine`),
       or ``"fabric"`` (:class:`~repro.fabric.engine.FabricEngine`: the
@@ -106,7 +99,6 @@ class ServeSpec:
     gelu_bsl: Optional[int] = None
     flip_prob: float = 0.0
     fault_seed: int = 0
-    backend: Optional[str] = None
     # engine
     engine: str = "thread"
     workers: int = 1
@@ -156,11 +148,6 @@ class ServeSpec:
                 raise ValueError(
                     f"max_shards must be >= workers ({self.workers}), got {self.max_shards!r}"
                 )
-        # Type-only check, same layering rationale as BlockSpec.backend:
-        # name resolution belongs to build time (repro.serve.deploy), so the
-        # spec layer stays importable without the SC engine.
-        if self.backend is not None and not isinstance(self.backend, str):
-            raise ValueError(f"backend must be a string or null, got {self.backend!r}")
         if self.checkpoint is not None and not isinstance(self.checkpoint, str):
             raise ValueError(f"checkpoint must be a path string or null, got {self.checkpoint!r}")
         if not 0 <= int(self.port) <= 65535:

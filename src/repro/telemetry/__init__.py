@@ -11,7 +11,7 @@ see inside it.  This package is the instrumentation layer they share:
   with Prometheus text exposition (``GET /metrics`` on the HTTP
   transport) and a JSON snapshot,
 * :mod:`repro.telemetry.profiling` — per-kernel x per-backend call/word/
-  wall-time profiling hooked into the :mod:`repro.sc.backends` registry,
+  wall-time profiling hooked into the :mod:`repro.sc.backends` seam,
 * :mod:`repro.telemetry.logging` — the one structured-logging config site
   behind ``repro --log-level`` / ``--log-json``,
 * :mod:`repro.telemetry.summary` — trace loading/summarising for

@@ -2,7 +2,7 @@
 
 Every hot kernel of the packed SC engine resolves through
 :func:`repro.sc.backends.active_backend` on each call, which makes that
-registry the one seam from which *all* kernel traffic can be observed.
+function the one seam from which *all* kernel traffic can be observed.
 :class:`KernelProfiler` wraps backend instances in a delegating proxy that
 records, per ``(backend, kernel)`` pair: call count, input word volume
 (summed ``ndarray.size`` over array arguments) and wall time.
@@ -63,9 +63,9 @@ def _volume(args: Tuple[Any, ...]) -> int:
 class ProfiledBackend:
     """Delegating proxy over one :class:`KernelBackend` instance.
 
-    Kernel methods are timed and counted; everything else (``name``,
-    ``describe``, ``close``, backend-specific attributes) passes through,
-    so the proxy is a drop-in anywhere a backend instance is expected.
+    Kernel methods are timed and counted; everything else (``name``)
+    passes through, so the proxy is a drop-in anywhere a backend instance
+    is expected.
     """
 
     __slots__ = ("_backend", "_profiler")

@@ -193,6 +193,13 @@ class TestSpecValidation:
     def test_malformed_payload_rejected(self):
         with pytest.raises(ValueError, match="not a block-spec payload"):
             spec_from_dict(["not", "a", "dict"])
+        with pytest.raises(ValueError, match="gelu/fsm params must be a JSON object"):
+            spec_from_dict({"family": "gelu/fsm", "params": [16, 256]})
+
+    @pytest.mark.parametrize("family", ["softmax/fsm", "gelu/fsm", "gelu/bernstein"])
+    def test_unknown_params_rejected(self, family):
+        with pytest.raises(ValueError, match=f"unknown {family} params: backend"):
+            spec_from_dict({"family": family, "params": {"backend": None}})
 
     def test_invalid_parameters_rejected_on_construction(self):
         with pytest.raises(ValueError):

@@ -352,6 +352,17 @@ class TestIntegration:
         assert "fabric/design" in message
         assert "fabric/run" in message
 
+    def test_fabric_cli_names_unknown_schedule_params(self, tmp_path):
+        from repro.cli import main
+
+        payload = json.loads((EXAMPLES_SPECS / "fabric_run_smoke.json").read_text())
+        payload["params"]["schedule"][1]["params"]["backend"] = None
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fabric", str(stale)])
+        assert str(excinfo.value) == "unknown gelu/bernstein params: backend"
+
     @pytest.mark.slow
     def test_dead_tile_scenario_recovers_via_replacement(self):
         from repro.runner.tasks import ScenarioTask

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sc.arithmetic import bipolar_multiply, mux_scaled_add, unipolar_multiply
+from repro.sc.arithmetic import (
+    bipolar_multiply,
+    draw_select_planes,
+    fused_multiply_decode,
+    mux_scaled_add,
+    unipolar_multiply,
+)
+from repro.sc.backends import NumpyBackend
 from repro.sc.bitstream import StochasticStream
 from repro.sc.fsm import FsmGeluUnit, FsmNonlinearUnit, FsmReluUnit, FsmTanhUnit
 from repro.sc.packed import HAVE_BITWISE_COUNT, PackedBitPlane
@@ -374,6 +381,24 @@ class TestPopcountLutFallback:
         expected = unipolar_multiply(a, b).decode()
         monkeypatch.setattr(packed, "HAVE_BITWISE_COUNT", False)
         assert np.allclose(unipolar_multiply(a, b).decode(), expected)
-        from repro.sc.arithmetic import fused_multiply_decode
-
         assert np.allclose(fused_multiply_decode(a, b), expected)
+
+
+def test_draw_select_planes_matches_sequential_draws():
+    planes = draw_select_planes((4, 6), 100, 3, seed=123)
+    kernels = NumpyBackend()
+    rng = np.random.default_rng(123)
+    for plane in planes:
+        expected = kernels.select_plane((4, 6), 100, rng)
+        assert np.array_equal(plane.words, expected.words)
+        assert isinstance(plane, PackedBitPlane)
+
+
+def test_fused_multiply_decode_matches_two_step():
+    rng = np.random.default_rng(5)
+    a = StochasticStream.encode(rng.random((6, 6)), 100, seed=1)
+    b = StochasticStream.encode(rng.random((6, 6)), 100, seed=2)
+    assert np.allclose(fused_multiply_decode(a, b), unipolar_multiply(a, b).decode())
+    a_bi = StochasticStream.encode(rng.random((6, 6)) * 2 - 1, 100, encoding="bipolar", seed=3)
+    b_bi = StochasticStream.encode(rng.random((6, 6)) * 2 - 1, 100, encoding="bipolar", seed=4)
+    assert np.allclose(fused_multiply_decode(a_bi, b_bi), bipolar_multiply(a_bi, b_bi).decode())

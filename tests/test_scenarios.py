@@ -189,6 +189,10 @@ class TestSpecValidation:
             ScenarioSpec.from_dict(
                 {"kind": SCENARIO_KIND, "params": {"workload": {"ratee": 1}}}
             )
+        with pytest.raises(ValueError, match="unknown deployment params: backend"):
+            ScenarioSpec.from_dict(
+                {"kind": SCENARIO_KIND, "params": {"deployment": {"backend": None}}}
+            )
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ frozen, validates at construction, and round-trips through JSON *byte
 identically* — the property that makes a deployment file a reproducible
 artifact rather than documentation.  Around it: ``repro run`` routing,
 ``repro serve --spec``, and :func:`build_deployment` honoring every field
-it is given (engine family, sharding, cache policy, backend).
+it is given (engine family, sharding, cache policy).
 """
 
 import asyncio
@@ -74,7 +74,6 @@ class TestValidation:
             ({"max_shards": 1, "workers": 2}, "max_shards"),
             ({"gelu_bsl": -1}, "gelu_bsl"),
             ({"port": 99999}, "port"),
-            ({"backend": 3}, "backend"),
             ({"timeout_s": 0.0}, "timeout_s"),
         ],
     )
@@ -85,6 +84,8 @@ class TestValidation:
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="unknown serve spec params"):
             ServeSpec.from_dict({"kind": SPEC_KIND, "params": {"worker_count": 2}})
+        with pytest.raises(ValueError, match="unknown serve spec params: backend"):
+            ServeSpec.from_dict({"kind": SPEC_KIND, "params": {"backend": None}})
 
     def test_sniff_distinguishes_spec_kinds(self):
         assert ServeSpec.sniff({"kind": SPEC_KIND, "params": {}})
@@ -133,11 +134,6 @@ class TestBuildDeployment:
         assert isinstance(deployment.cache, ShardedPredictionCache)
         assert deployment.cache.shards == 3
         assert deployment.cache.backing is not None
-
-    def test_unknown_backend_fails_at_build_time(self):
-        spec = ServeSpec(**TINY, backend="tpu")
-        with pytest.raises(ValueError, match="unknown SC kernel backend"):
-            build_deployment(spec)
 
     def test_deployment_serves_end_to_end(self):
         spec = ServeSpec(**TINY, engine="process", workers=2, cache=False)

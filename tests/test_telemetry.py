@@ -234,10 +234,10 @@ class TestMetrics:
 # --------------------------------------------------------------------------
 class TestKernelProfiling:
     def test_profiled_backend_is_bit_transparent_and_records(self):
-        from repro.sc.backends import get_backend
+        from repro.sc.backends import NumpyBackend
 
         profiler = KernelProfiler()
-        backend = get_backend("numpy")
+        backend = NumpyBackend()
         proxy = profiler.wrap(backend)
         assert profiler.wrap(proxy) is proxy  # idempotent
         assert profiler.wrap(backend) is proxy  # cached per instance

@@ -27,6 +27,7 @@ from repro.blocks.specs import (
     NaiveSIGeluSpec,
     SoftmaxCircuitConfig,
     TernaryGeluSpec,
+    spec_families,
     spec_from_dict,
     spec_from_json,
 )
@@ -196,7 +197,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="gelu/fsm params must be a JSON object"):
             spec_from_dict({"family": "gelu/fsm", "params": [16, 256]})
 
-    @pytest.mark.parametrize("family", ["softmax/fsm", "gelu/fsm", "gelu/bernstein"])
+    @pytest.mark.parametrize("family", sorted(spec_families()))
     def test_unknown_params_rejected(self, family):
         with pytest.raises(ValueError, match=f"unknown {family} params: backend"):
             spec_from_dict({"family": family, "params": {"backend": None}})

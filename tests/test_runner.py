@@ -343,6 +343,17 @@ class TestCli:
         assert "PASS parallel == serial" in captured.out
         assert "PASS cache round-trip" in captured.out
 
+    @pytest.mark.parametrize("command", ["eval", "serve", "bench"])
+    def test_retired_backend_flag_rejected(self, command, capsys):
+        """The kernel engine is not selectable: a stale ``--backend`` fails
+        at argument parsing, before any work starts."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_bench_check_floor_on_recorded_results(self, capsys):
         from repro.cli import main
 

@@ -12,12 +12,8 @@ everything else at the Table IV operating point (Bx = 4, By = 8, m = 64):
 
 from conftest import emit
 
-from repro.core.softmax_circuit import (
-    IterativeSoftmaxCircuit,
-    SoftmaxCircuitConfig,
-    calibrate_alpha_x,
-    calibrate_alpha_y,
-)
+from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, calibrate_alpha_y
+from repro.core.softmax_circuit import IterativeSoftmaxCircuit
 from repro.core.softmax_iterative import IterativeSoftmax
 from repro.hw.synthesis import synthesize
 

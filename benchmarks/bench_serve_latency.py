@@ -72,10 +72,11 @@ from repro.evaluation.vectors import collect_softmax_inputs
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
 from repro.serve import (
     InferenceService,
+    PipelineEngine,
     PredictionCache,
+    ReplicaFactory,
     ShardedPredictionCache,
-    build_engine,
-    build_sharded_engine,
+    ShardedProcessEngine,
 )
 from repro.training.datasets import DatasetSplit, SyntheticImageDataset
 
@@ -140,17 +141,15 @@ def _build(flip_prob: float = 0.0, workers: int = 2, cached: bool = False,
     train, _ = dataset.splits(train_size=16, test_size=1)
     softmax = SoftmaxCircuitConfig(**TINY_SOFTMAX)
     calibration = collect_softmax_inputs(model, train.images[:4], max_rows=512)
+    factory = ReplicaFactory(
+        model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
+        fault_seed=FAULT_SEED, calibration_logits=calibration,
+    )
     if engine == "process":
-        engine_obj = build_sharded_engine(
-            model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-            fault_seed=FAULT_SEED, calibration_logits=calibration, shards=shards,
-        )
+        engine_obj = ShardedProcessEngine(factory, shards=shards)
         cache = ShardedPredictionCache(shards=shards) if cached else None
     else:
-        engine_obj = build_engine(
-            model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-            fault_seed=FAULT_SEED, calibration_logits=calibration, workers=workers,
-        )
+        engine_obj = PipelineEngine(factory, workers=workers)
         cache = PredictionCache() if cached else None
     service = InferenceService(
         engine_obj, max_batch=max_batch, max_wait_ms=max_wait_ms, max_queue=max_queue,

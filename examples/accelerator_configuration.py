@@ -23,12 +23,12 @@ import numpy as np
 from repro.core import (
     AcceleratorConfig,
     AscendAccelerator,
-    ScViTEvaluator,
     SoftmaxCircuitConfig,
     ViTArchitecture,
     calibrate_alpha_y,
     recommend_configuration,
 )
+from repro.eval_pipeline import ScViTEvalPipeline
 from repro.nn.serialization import load_model
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
 from repro.training.datasets import synthetic_cifar10
@@ -83,8 +83,8 @@ def main():
         accel_config = AcceleratorConfig(architecture=ViTArchitecture(), softmax=softmax)
         accelerator = AscendAccelerator(accel_config)
         breakdown = accelerator.area_breakdown()
-        evaluator = ScViTEvaluator(model, softmax, calibration_images=test.images[:32])
-        accuracy = evaluator.evaluate(test, max_images=min(args.max_images, len(test))).accuracy
+        pipeline = ScViTEvalPipeline(model, softmax, calibration_images=test.images[:32])
+        accuracy = pipeline.evaluate(test, max_images=min(args.max_images, len(test))).accuracy
 
         accel_configs.append(accel_config)
         accuracies.append(accuracy)

@@ -410,13 +410,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _verify_batched_against_per_image(task, config, batched_result) -> int:
-    """Re-run one grid config through the per-image shim and compare bits."""
+    """Re-run one grid config one image at a time and compare bits."""
     import numpy as np
 
-    from repro.core.sc_vit import ScViTEvaluator
+    from repro.eval_pipeline import ScViTEvalPipeline
     from repro.training.datasets import DatasetSplit
 
-    evaluator = ScViTEvaluator(
+    pipeline = ScViTEvalPipeline(
         task.model,
         task.softmax_config(config),
         gelu_output_bsl=config.get("gelu_bsl"),
@@ -426,7 +426,7 @@ def _verify_batched_against_per_image(task, config, batched_result) -> int:
     )
     images, labels = task.splits[config["split"]]
     split = DatasetSplit(images=images, labels=labels)
-    per_image = evaluator.pipeline.evaluate(split, max_images=task.max_images, batch_size=1)
+    per_image = pipeline.evaluate(split, max_images=task.max_images, batch_size=1)
     if (
         np.array_equal(per_image.predictions, batched_result.predictions)
         and per_image.accuracy == batched_result.accuracy
@@ -782,8 +782,8 @@ def cmd_fabric(args: argparse.Namespace) -> int:
 
     designs = []
     runs = []
-    try:
-        for path in args.spec:
+    for path in args.spec:
+        try:
             payload = json.loads(Path(path).read_text())
             if FabricSpec.sniff(payload):
                 designs.append((path, FabricSpec.from_dict(payload)))
@@ -791,11 +791,9 @@ def cmd_fabric(args: argparse.Namespace) -> int:
                 runs.append((path, FabricRunSpec.from_dict(payload)))
             else:
                 kind = payload.get("kind") if isinstance(payload, dict) else None
-                raise ValueError(
-                    f"{path}: expected a fabric/design or fabric/run spec, got kind {kind!r}"
-                )
-    except (OSError, ValueError, KeyError) as exc:
-        raise SystemExit(str(exc)) from exc
+                raise ValueError(f"expected a fabric/design or fabric/run spec, got kind {kind!r}")
+        except (OSError, ValueError, KeyError) as exc:
+            raise SystemExit(f"{path}: {exc}") from exc
 
     exit_code = 0
     out_payload: dict = {"designs": [], "runs": []}
@@ -892,55 +890,11 @@ def _print_fabric_result(result: dict, cached: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _serve_spec_from_args(args: argparse.Namespace):
-    """A :class:`ServeSpec` equivalent to the legacy flag set.
-
-    The flags are a documented-deprecated shim: every deployment is a spec
-    internally, flags just fill one in.  ``--spec`` wins wholesale — a
-    deployment file is the complete description, so mixing it with model
-    or engine flags would make the running service diverge from the
-    artifact that claims to describe it.
-    """
-    from repro.serve.specs import ServeSpec
-
-    if args.spec is not None:
-        return ServeSpec.from_file(args.spec)
-    return ServeSpec(
-        dataset=args.dataset,
-        train_size=args.train_size,
-        data_seed=args.data_seed,
-        layers=args.layers,
-        embed_dim=args.embed_dim,
-        heads=args.heads,
-        model_seed=args.model_seed,
-        checkpoint=None if args.checkpoint is None else str(args.checkpoint),
-        calibration_images=args.calibration_images,
-        by=args.by,
-        s1=args.s1,
-        s2=args.s2,
-        k=args.k,
-        gelu_bsl=args.gelu_bsl,
-        flip_prob=args.flip_prob,
-        fault_seed=args.fault_seed,
-        engine=args.engine,
-        workers=args.serve_workers,
-        max_shards=args.max_shards,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_queue=args.max_queue,
-        timeout_s=args.timeout_s,
-        cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        transport=args.transport,
-        host=args.host,
-        port=args.port,
-    )
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serve.deploy import build_deployment
+    from repro.serve.specs import ServeSpec
     from repro.serve.transport import serve_http, serve_stdio
     from repro.telemetry.logging import get_logger
 
@@ -950,12 +904,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     log = get_logger("serve")
 
     try:
-        spec = _serve_spec_from_args(args)
+        spec = ServeSpec.from_file(args.spec)
         deployment = build_deployment(spec)
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from exc
-    if args.spec is not None:
-        log.info("deployment_spec", path=str(args.spec))
+    log.info("deployment_spec", path=str(args.spec))
     if spec.checkpoint is not None:
         log.info("checkpoint_loaded", path=spec.checkpoint)
     service = deployment.service
@@ -1513,7 +1466,7 @@ def _tiny_verify_fixture():
     One construction site so both verify sections (and their PASS lines)
     measure the same configuration.
     """
-    from repro.core.softmax_circuit import SoftmaxCircuitConfig
+    from repro.blocks.specs import SoftmaxCircuitConfig
     from repro.nn.vit import CompactVisionTransformer, ViTConfig
     from repro.training.datasets import SyntheticImageDataset
 
@@ -1568,7 +1521,7 @@ def _verify_serve() -> List[str]:
 
     from repro.eval_pipeline import ScViTEvalPipeline
     from repro.evaluation.vectors import collect_softmax_inputs
-    from repro.serve import InferenceService, PredictionCache, build_engine
+    from repro.serve import InferenceService, PipelineEngine, PredictionCache, ReplicaFactory
 
     failures: List[str] = []
     model, train, test, softmax = _tiny_verify_fixture()
@@ -1583,9 +1536,12 @@ def _verify_serve() -> List[str]:
         offline = pipeline.evaluate(test, batch_size=1)
 
         async def session():
-            engine = build_engine(
-                model, softmax, gelu_output_bsl=4, flip_prob=flip_prob, fault_seed=11,
-                calibration_logits=calibration, workers=2,
+            engine = PipelineEngine(
+                ReplicaFactory(
+                    model, softmax, gelu_output_bsl=4, flip_prob=flip_prob, fault_seed=11,
+                    calibration_logits=calibration,
+                ),
+                workers=2,
             )
             service = InferenceService(engine, max_batch=5, max_wait_ms=4.0, cache=PredictionCache())
             async with service:
@@ -1632,8 +1588,12 @@ def _verify_serve_sharded() -> List[str]:
 
     from repro.eval_pipeline import ScViTEvalPipeline
     from repro.evaluation.vectors import collect_softmax_inputs
-    from repro.serve import InferenceService, ShardedPredictionCache
-    from repro.serve.sharded import build_sharded_engine
+    from repro.serve import (
+        InferenceService,
+        ReplicaFactory,
+        ShardedPredictionCache,
+        ShardedProcessEngine,
+    )
 
     failures: List[str] = []
     model, train, test, softmax = _tiny_verify_fixture()
@@ -1648,9 +1608,12 @@ def _verify_serve_sharded() -> List[str]:
         offline = pipeline.evaluate(test, batch_size=1)
 
         async def session():
-            engine = build_sharded_engine(
-                model, softmax, gelu_output_bsl=4, flip_prob=flip_prob, fault_seed=11,
-                calibration_logits=calibration, shards=2,
+            engine = ShardedProcessEngine(
+                ReplicaFactory(
+                    model, softmax, gelu_output_bsl=4, flip_prob=flip_prob, fault_seed=11,
+                    calibration_logits=calibration,
+                ),
+                shards=2,
             )
             service = InferenceService(
                 engine, max_batch=4, max_wait_ms=4.0, cache=ShardedPredictionCache(shards=2)
@@ -1868,35 +1831,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scenario.set_defaults(func=cmd_scenario)
 
     p_serve = sub.add_parser("serve", help="async dynamic-batching inference service")
-    p_serve.add_argument("--spec", type=Path, default=None, help="deployment spec JSON (serve/deployment); overrides every other flag — the file is the complete deployment description")
-    p_serve.add_argument("--transport", choices=["stdio", "http"], default="stdio", help="JSON-lines on stdio or a localhost HTTP server")
-    p_serve.add_argument("--host", default="127.0.0.1", help="HTTP bind host")
-    p_serve.add_argument("--port", type=int, default=8765, help="HTTP bind port (0 = ephemeral)")
-    p_serve.add_argument("--dataset", choices=["cifar10", "cifar100"], default="cifar10", help="synthetic dataset supplying classes + calibration images")
-    p_serve.add_argument("--train-size", type=int, default=160, help="training split size (calibration source)")
-    p_serve.add_argument("--data-seed", type=int, default=0, help="dataset generator seed")
-    p_serve.add_argument("--layers", type=int, default=2, help="ViT depth")
-    p_serve.add_argument("--embed-dim", type=int, default=32, help="ViT embedding dim")
-    p_serve.add_argument("--heads", type=int, default=4, help="attention heads")
-    p_serve.add_argument("--model-seed", type=int, default=0, help="weight-init seed")
-    p_serve.add_argument("--checkpoint", type=Path, default=None, help="trained state-dict (.npz) to load")
-    p_serve.add_argument("--calibration-images", type=int, default=32, help="images for the alpha_x calibration")
-    p_serve.add_argument("--by", type=int, default=8, help="softmax output BSL")
-    p_serve.add_argument("--s1", type=int, default=32, help="softmax s1 sub-sample rate")
-    p_serve.add_argument("--s2", type=int, default=8, help="softmax s2 sub-sample rate")
-    p_serve.add_argument("--k", type=int, default=3, help="softmax iterations")
-    p_serve.add_argument("--gelu-bsl", type=int, default=None, help="route GELU through an SI block of this BSL")
-    p_serve.add_argument("--flip-prob", type=float, default=0.0, help="bit-flip fault rate (per-request seeds via the 'index' field)")
-    p_serve.add_argument("--fault-seed", type=int, default=0, help="fault-injection seed")
-    p_serve.add_argument("--max-batch", type=int, default=8, help="micro-batch flush threshold")
-    p_serve.add_argument("--max-wait-ms", type=float, default=2.0, help="micro-batch flush deadline after the first request")
-    p_serve.add_argument("--max-queue", type=int, default=256, help="bounded queue depth (backpressure)")
-    p_serve.add_argument("--timeout-s", type=float, default=30.0, help="per-request deadline")
-    p_serve.add_argument("--engine", choices=["thread", "process"], default="thread", help="compute tier: in-process thread pool or sharded worker processes")
-    p_serve.add_argument("--serve-workers", type=int, default=1, help="worker threads (thread engine) or worker-process shards (process engine), each owning a model replica")
-    p_serve.add_argument("--max-shards", type=int, default=None, help="autoscale ceiling for the process engine (queue-depth scaling between --serve-workers and this)")
-    p_serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help=f"prediction-cache directory (default: {DEFAULT_CACHE_DIR})")
-    p_serve.add_argument("--no-cache", action="store_true", help="disable the prediction cache")
+    p_serve.add_argument("--spec", type=Path, required=True, help="deployment spec JSON (serve/deployment): the complete description of the service; see examples/specs/serve_*.json")
     p_serve.set_defaults(func=cmd_serve)
 
     p_fabric = sub.add_parser("fabric", help="bitstream-configurable accelerator-fabric simulator")

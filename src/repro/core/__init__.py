@@ -12,8 +12,6 @@
   (Fig. 8),
 * :mod:`repro.core.accelerator` — the end-to-end accelerator area model
   (Table VI),
-* :mod:`repro.core.sc_vit` — the SC-friendly ViT whose nonlinearities are
-  the circuit models above (Section V),
 * :mod:`repro.core.codesign` — the circuit/network co-design driver
   (Fig. 3).
 """
@@ -32,20 +30,12 @@ from repro.core.gelu_si import (
     TernaryGeluBlock,
     calibrate_output_scale,
 )
-from repro.core.softmax_circuit import (
-    IterativeSoftmaxCircuit,
-    SoftmaxCircuitConfig,
-    calibrate_alpha_x,
-    calibrate_alpha_y,
-)
+from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, calibrate_alpha_y
+from repro.core.softmax_circuit import IterativeSoftmaxCircuit
 from repro.core.softmax_iterative import IterativeSoftmax, IterativeSoftmaxResult
-from repro.core.sc_vit import ScViTEvaluator, ScViTEvaluationResult, evaluate_softmax_configurations
 from repro.core.codesign import CodesignDriver, CodesignReport
 
 __all__ = [
-    "ScViTEvaluator",
-    "ScViTEvaluationResult",
-    "evaluate_softmax_configurations",
     "CodesignDriver",
     "CodesignReport",
     "AcceleratorConfig",

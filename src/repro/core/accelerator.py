@@ -28,8 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
+from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.core.gelu_si import GeluSIBlock
-from repro.core.softmax_circuit import IterativeSoftmaxCircuit, SoftmaxCircuitConfig
+from repro.core.softmax_circuit import IterativeSoftmaxCircuit
 from repro.hw.cells import CellLibrary
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.hw.synthesis import SynthesisReport, synthesize

@@ -22,11 +22,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.core.accelerator import AcceleratorConfig, AscendAccelerator, ViTArchitecture
 from repro.core.dse import DesignPoint, SoftmaxDesignSpace
 from repro.core.gelu_si import GeluSIBlock
-from repro.core.sc_vit import ScViTEvaluator
-from repro.core.softmax_circuit import SoftmaxCircuitConfig
+from repro.eval_pipeline.pipeline import ScViTEvalPipeline
 from repro.evaluation.vectors import collect_gelu_inputs, collect_softmax_inputs
 from repro.nn.vit import CompactVisionTransformer
 from repro.training.datasets import DatasetSplit
@@ -142,8 +142,8 @@ class CodesignDriver:
                 AcceleratorConfig(architecture=arch, gelu_output_bsl=self.gelu_output_bsl, softmax=selected)
             )
             accelerator_area = accelerator.area_breakdown()
-            evaluator = ScViTEvaluator(model, selected, calibration_images=calib_images)
-            circuit_accuracy = evaluator.evaluate(
+            pipeline = ScViTEvalPipeline(model, selected, calibration_images=calib_images)
+            circuit_accuracy = pipeline.evaluate(
                 self.test_split, max_images=min(evaluation_images, len(self.test_split))
             ).accuracy
 

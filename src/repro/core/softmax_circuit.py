@@ -35,15 +35,10 @@ design space of Table II / Fig. 8 is swept by :mod:`repro.core.dse`.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
-from repro.blocks.specs import (  # noqa: F401  (re-exported: historical home)
-    SoftmaxCircuitConfig,
-    calibrate_alpha_x,
-    calibrate_alpha_y,
-)
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.nn.functional_math import softmax_exact
 from repro.sc.arithmetic import thermometer_multiplier_hardware
@@ -52,17 +47,10 @@ from repro.sc.encodings import thermometer_decode_counts, thermometer_encode_cou
 from repro.sc.rescaling import RescalingBlock
 from repro.sc.sorting_network import BitonicSortingNetwork
 
-__all__ = [
-    "SoftmaxCircuitConfig",
-    "IterativeSoftmaxCircuit",
-    "calibrate_alpha_x",
-    "calibrate_alpha_y",
-]
+if TYPE_CHECKING:
+    from repro.blocks.specs import SoftmaxCircuitConfig
 
-# ``SoftmaxCircuitConfig`` (and the two ``calibrate_alpha_*`` helpers) moved
-# to :mod:`repro.blocks.specs` as the spec of the ``softmax/iterative``
-# registry family; the imports above keep this module as a compatible home
-# for historical callers.
+__all__ = ["IterativeSoftmaxCircuit"]
 
 
 class IterativeSoftmaxCircuit:

@@ -16,9 +16,8 @@ makes that claim a first-class, reproducible experiment:
   grids multiprocessing workers, the content-addressed result cache and
   crash-resume, plus the canonical :func:`eval_grid` builder.
 
-Entry points: ``python -m repro eval`` (CLI),
-``benchmarks/bench_eval_accuracy.py`` (the ACC_sc_vit.json trajectory) and
-the :class:`repro.core.sc_vit.ScViTEvaluator` shim for the historical API.
+Entry points: ``python -m repro eval`` (CLI) and
+``benchmarks/bench_eval_accuracy.py`` (the ACC_sc_vit.json trajectory).
 See ``docs/evaluation.md``.
 """
 

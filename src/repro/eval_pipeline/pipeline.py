@@ -1,11 +1,12 @@
 """Streaming, batched end-to-end evaluation of the SC-patched ViT.
 
-The seed evaluator (:class:`repro.core.sc_vit.ScViTEvaluator`) proved the
-paper's accuracy claim but was built image-batch-at-a-time around a scalar
-calling convention: attention rows were flattened per call, results never
-left the process, and nothing guaranteed that two different chunkings of the
-same split produced the same numbers.  This module is the subsystem that
-replaces it underneath (the evaluator is now a thin shim):
+:class:`ScViTEvalPipeline` evaluates a trained
+:class:`~repro.nn.vit.CompactVisionTransformer` with every attention softmax
+routed through the bit-accurate iterative SC softmax circuit and, optionally,
+every GELU through the gate-assisted SI block: the accuracy column of
+Table VI for each softmax configuration ``[By, s1, s2, k]``.  It is the one
+evaluator; offline grids, the Table VI task, the co-design driver and every
+served prediction run through it:
 
 * **batched substitution** — the circuit-level softmax runs directly on the
   ``(batch, heads, tokens, m)`` score tensor and the SI GELU on the whole
@@ -138,7 +139,7 @@ class ScViTEvalPipeline:
             config = config.with_updates(alpha_x=calibrate_alpha_x(calibration_logits, config.bx))
         # Circuit implementations come through the block registry — this
         # module never imports repro.core, which is what keeps the layering
-        # acyclic (repro.core.sc_vit imports this module at module level).
+        # acyclic (repro.core.codesign imports this module at module level).
         # The handles kept here are the registry adapters themselves; every
         # attribute used below (forward/config, evaluate/process and the
         # declared stream formats) is part of their public surface.

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import copy
 import threading
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.fabric.place_route import FabricError, place_and_route
 from repro.fabric.simulator import Fabric
 from repro.fabric.specs import FabricSpec
-from repro.serve.engine import PipelineEngine
+from repro.serve.engine import PipelineEngine, ReplicaFactory
 
 __all__ = ["FabricEngine", "FabricSoftmaxAdapter"]
 
@@ -66,20 +66,12 @@ class FabricEngine(PipelineEngine):
 
     def __init__(
         self,
-        pipeline_factory: Callable[[], Any],
+        pipeline_factory: ReplicaFactory,
         fabric_spec: Optional[FabricSpec] = None,
         workers: int = 1,
         version: Optional[str] = None,
-        flip_prob: float = 0.0,
-        image_shape: Optional[tuple] = None,
     ) -> None:
-        super().__init__(
-            pipeline_factory,
-            workers=workers,
-            version=version,
-            flip_prob=flip_prob,
-            image_shape=image_shape,
-        )
+        super().__init__(pipeline_factory, workers=workers, version=version)
         self.fabric_spec = fabric_spec or FabricSpec()
         # The fabric must host the *resolved* config (post-calibration,
         # post-clamp) or the bit-identity cross-check would be vacuous.

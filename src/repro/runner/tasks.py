@@ -352,7 +352,7 @@ class Table6Task(SweepTask):
 
     def evaluate(self, config: Dict[str, Any], seed: int) -> Dict[str, float]:
         from repro.core.accelerator import AcceleratorConfig, AscendAccelerator, ViTArchitecture
-        from repro.core.sc_vit import ScViTEvaluator
+        from repro.eval_pipeline.pipeline import ScViTEvalPipeline
         from repro.training.datasets import DatasetSplit
 
         softmax = self.softmax_config(config)
@@ -361,11 +361,9 @@ class Table6Task(SweepTask):
         breakdown = accelerator.area_breakdown()
         block_area = accelerator.softmax_block_report().area_um2
 
-        evaluator = ScViTEvaluator(
-            self.model, softmax, calibration_images=self.calibration_images, calibrate=True
-        )
+        pipeline = ScViTEvalPipeline(self.model, softmax, calibration_images=self.calibration_images)
         split = DatasetSplit(images=self.images, labels=self.labels)
-        accuracy = evaluator.evaluate(split, max_images=self.max_images).accuracy
+        accuracy = pipeline.evaluate(split, max_images=self.max_images).accuracy
         return {
             "block_area": float(block_area),
             "total": float(breakdown["total"]),

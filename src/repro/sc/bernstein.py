@@ -177,13 +177,13 @@ class BernsteinPolynomialUnit:
            realisations differ from earlier versions (the distribution of
            the outputs is unchanged — only the per-seed sample moves).
 
-        .. deprecated::
-           The per-call ``bitstream_length``/``seed`` arguments are the
-           historical signature drift between block families.  New code
-           should build the unit through the block registry —
-           ``repro.blocks.build("gelu/bernstein", num_terms=t,
-           bitstream_length=L, seed=s)`` — where those parameters live in
-           the spec and ``evaluate(values)`` is uniform across families.
+        The per-call ``bitstream_length``/``seed`` arguments are the
+        implementation-level signature: the ``gelu/bernstein`` registry
+        adapter calls it with its spec's values.  Code outside
+        :mod:`repro.blocks` should build the unit through the registry —
+        ``repro.blocks.build("gelu/bernstein", num_terms=t,
+        bitstream_length=L, seed=s)`` — where ``evaluate(values)`` is
+        uniform across families.
         """
         check_positive_int(bitstream_length, "bitstream_length")
         rng = as_generator(seed)

@@ -212,13 +212,14 @@ class FsmNonlinearUnit:
         stream represents ``value / input_scale`` and the decoded output is
         multiplied back, mirroring how scaling factors bracket an SC unit.
 
-        .. deprecated::
-           The per-call ``bitstream_length``/``seed``/``input_scale``
-           arguments are the historical signature drift between block
-           families.  New code should build the unit through the block
-           registry — ``repro.blocks.build("gelu/fsm", bitstream_length=L,
-           seed=s, input_scale=a)`` — where those parameters live in the
-           spec and ``evaluate(values)`` is uniform across families.
+        The per-call ``bitstream_length``/``seed``/``input_scale``
+        arguments are the implementation-level signature: the
+        ``gelu/fsm``, ``tanh/fsm`` and ``relu/fsm`` registry adapters call
+        it with their spec's values.  Code outside :mod:`repro.blocks`
+        should build the unit through the registry —
+        ``repro.blocks.build("gelu/fsm", bitstream_length=L, seed=s,
+        input_scale=a)`` — where ``evaluate(values)`` is uniform across
+        families.
         """
         check_positive_int(bitstream_length, "bitstream_length")
         values = np.asarray(values, dtype=float)

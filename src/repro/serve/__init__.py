@@ -37,7 +37,7 @@ tier) dispatched to any worker *process* with the same guarantee.
 * :mod:`repro.serve.transport` — stdio/TCP JSON-lines and localhost-HTTP
   front ends over one shared protocol handler.
 
-Entry points: ``python -m repro serve [--spec deployment.json]`` (CLI),
+Entry points: ``python -m repro serve --spec deployment.json`` (CLI),
 ``benchmarks/bench_serve_latency.py`` (closed-/open-loop + sharded
 scaling load generator -> ``BENCH_serve.json``) and the ``serve``
 sections of ``python -m repro verify``.  See ``docs/serving.md``.
@@ -55,7 +55,6 @@ from repro.serve.engine import (
     EngineProtocol,
     PipelineEngine,
     ReplicaFactory,
-    build_engine,
     pipeline_fingerprint,
 )
 from repro.serve.service import (
@@ -65,7 +64,7 @@ from repro.serve.service import (
     ServiceClosed,
     ServiceOverloaded,
 )
-from repro.serve.sharded import ShardedProcessEngine, build_sharded_engine
+from repro.serve.sharded import ShardedProcessEngine
 from repro.serve.specs import ServeSpec
 from repro.serve.stats import ServiceStats
 from repro.serve.transport import handle_message, render_metrics, serve_http, serve_stdio
@@ -89,8 +88,6 @@ __all__ = [
     "ShardedProcessEngine",
     "build_deployment",
     "build_replica_factory",
-    "build_engine",
-    "build_sharded_engine",
     "handle_message",
     "pipeline_fingerprint",
     "render_metrics",

@@ -1,16 +1,10 @@
 """Build a running deployment from a declarative :class:`ServeSpec`.
 
-The single construction site for the serving tier: the CLI's flags, a
-``--spec deployment.json`` file and ``repro run`` on a serve spec all
-funnel into :func:`build_deployment`, so there is exactly one code path
-from "description of a deployment" to "running service" — what the spec
-says is what serves.
-
-.. note::
-   The keyword builders (:func:`repro.serve.build_engine`,
-   :func:`repro.serve.sharded.build_sharded_engine`) remain as documented
-   shims for existing callers and tests; this module is the supported
-   entry point for new deployments.
+The single construction site for the serving tier: ``repro serve --spec
+deployment.json`` and ``repro run`` on a serve spec both funnel into
+:func:`build_deployment`, so there is exactly one code path from
+"description of a deployment" to "running service" — what the spec says
+is what serves.
 """
 
 from __future__ import annotations
@@ -42,10 +36,6 @@ class Deployment:
     def to_spec(self) -> ServeSpec:
         return self._spec
 
-    @classmethod
-    def from_spec(cls, spec: ServeSpec) -> "Deployment":
-        return build_deployment(spec)
-
     async def __aenter__(self) -> "Deployment":
         await self.service.start()
         return self
@@ -57,9 +47,8 @@ class Deployment:
 def build_model(spec: ServeSpec) -> Tuple[Any, Any, int]:
     """The spec's model + its training split + class count.
 
-    Mirrors the ``repro serve``/``repro eval`` model construction exactly
-    (16x16 synthetic images, BN norm) so a spec with the CLI's default
-    fields serves the same fingerprinted engine the flags did.
+    Mirrors the ``repro eval`` model construction exactly (16x16
+    synthetic images, BN norm).
     """
     from repro.nn.vit import CompactVisionTransformer, ViTConfig
     from repro.training.datasets import synthetic_cifar10, synthetic_cifar100
@@ -152,25 +141,13 @@ def build_deployment(spec: ServeSpec, code_version: Optional[str] = None) -> "De
             shards=spec.workers,
             max_shards=spec.max_shards,
             scale_up_queue_depth=spec.scale_up_queue_depth,
-            flip_prob=spec.flip_prob,
-            image_shape=factory.image_shape(),
         )
     elif spec.engine == "fabric":
         from repro.fabric.engine import FabricEngine
 
-        engine = FabricEngine(
-            factory,
-            workers=spec.workers,
-            flip_prob=spec.flip_prob,
-            image_shape=factory.image_shape(),
-        )
+        engine = FabricEngine(factory, workers=spec.workers)
     else:
-        engine = PipelineEngine(
-            factory,
-            workers=spec.workers,
-            flip_prob=spec.flip_prob,
-            image_shape=factory.image_shape(),
-        )
+        engine = PipelineEngine(factory, workers=spec.workers)
 
     cache = None
     if spec.cache:

@@ -29,7 +29,7 @@ import copy
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "EngineProtocol",
     "PipelineEngine",
     "ReplicaFactory",
-    "build_engine",
     "pipeline_fingerprint",
 ]
 
@@ -151,38 +150,32 @@ class PipelineEngine:
     Parameters
     ----------
     pipeline_factory:
-        Zero-argument callable building one pipeline; called once per
-        worker thread.  Every pipeline it returns must be bit-identical
-        (:func:`build_engine` constructs such a factory from a template).
+        A :class:`ReplicaFactory` (or anything with its surface): called
+        once per worker thread to build a replica, every one bit-identical.
+        The engine also reads the replicas' fault rate (``flip_prob``: the
+        service keys cached predictions on the image index exactly when
+        faults are on) and per-image shape (``image_shape()``: the service
+        rejects a malformed image before it can fail a whole micro-batch)
+        from it, so they can never disagree with what the replicas run.
     workers:
         Worker-thread count.  1 (the default) serialises batches; more
         overlap BLAS work across batches.
     version:
         Cache-version token; computed from a probe pipeline when omitted.
-    flip_prob:
-        The pipelines' fault-injection rate.  The service uses it to decide
-        whether per-request image indices are part of a request's cache
-        identity (they are exactly when faults are on).
-    image_shape:
-        Expected per-image shape; the service validates requests against it
-        before batching when set (a malformed image must fail its own
-        request, not the whole micro-batch it rides in).
     """
 
     def __init__(
         self,
-        pipeline_factory: Callable[[], ScViTEvalPipeline],
+        pipeline_factory: ReplicaFactory,
         workers: int = 1,
         version: Optional[str] = None,
-        flip_prob: float = 0.0,
-        image_shape: Optional[tuple] = None,
     ) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
         self._factory = pipeline_factory
         self.workers = int(workers)
-        self.flip_prob = float(flip_prob)
-        self.image_shape = None if image_shape is None else tuple(image_shape)
+        self.flip_prob = float(pipeline_factory.flip_prob)
+        self.image_shape = tuple(pipeline_factory.image_shape())
         self._local = threading.local()
         self.executor: Optional[ThreadPoolExecutor] = None
         self._modes: Optional[contextlib.ExitStack] = None
@@ -246,39 +239,3 @@ class PipelineEngine:
         """Predict one micro-batch (called on a worker thread)."""
         return self._pipeline().predict_batch(images, indices)
 
-
-def build_engine(
-    model: Any,
-    softmax_config: Any,
-    gelu_output_bsl: Optional[int] = None,
-    flip_prob: float = 0.0,
-    fault_seed: int = 0,
-    calibration_logits: Optional[np.ndarray] = None,
-    workers: int = 1,
-) -> PipelineEngine:
-    """Engine over ``model`` with the same substitution protocol as offline eval.
-
-    ``calibration_logits`` must be the logits offline evaluation calibrated
-    ``alpha_x`` on for served predictions to be bit-identical to
-    :meth:`ScViTEvalPipeline.evaluate` (collect them once with
-    :func:`repro.evaluation.vectors.collect_softmax_inputs`).
-
-    .. deprecated::
-        Keyword-argument construction is kept as a shim for existing
-        callers; new deployments should describe themselves with a
-        :class:`repro.serve.specs.ServeSpec` and go through
-        :func:`repro.serve.deploy.build_deployment`, which routes through
-        this builder (or the sharded one) from a single declarative
-        artifact.
-    """
-    factory = ReplicaFactory(
-        model=model,
-        softmax_config=softmax_config,
-        gelu_output_bsl=gelu_output_bsl,
-        flip_prob=flip_prob,
-        fault_seed=fault_seed,
-        calibration_logits=calibration_logits,
-    )
-    return PipelineEngine(
-        factory, workers=workers, flip_prob=flip_prob, image_shape=factory.image_shape()
-    )

@@ -58,7 +58,6 @@ from repro.telemetry.tracer import Tracer, current_context
 
 __all__ = [
     "ShardedProcessEngine",
-    "build_sharded_engine",
     "pack_frame",
     "unpack_frame",
 ]
@@ -210,7 +209,9 @@ class ShardedProcessEngine:
     ----------
     replica_factory:
         Picklable :class:`~repro.serve.engine.ReplicaFactory`; each worker
-        process calls it once at startup to build its replica.
+        process calls it once at startup to build its replica.  Its
+        ``flip_prob`` and ``image_shape()`` become the engine's, as in
+        :class:`~repro.serve.engine.PipelineEngine`.
     shards:
         Baseline shard count (the autoscaler never goes below it).
     max_shards:
@@ -227,9 +228,9 @@ class ShardedProcessEngine:
     dispatch_timeout_s:
         Per-micro-batch deadline after which a silent worker is treated as
         wedged: killed, respawned, and the batch re-dispatched.
-    version / flip_prob / image_shape:
-        As :class:`~repro.serve.engine.PipelineEngine`; ``version`` is
-        computed from a probe replica (built in-parent) when omitted.
+    version:
+        Cache-version token; computed from a probe replica (built
+        in-parent) when omitted.
     mp_context:
         Start-method name; defaults to ``fork`` where available (same
         policy as :mod:`repro.runner`) since replicas ship pickled either
@@ -248,8 +249,6 @@ class ShardedProcessEngine:
         respawn: bool = True,
         dispatch_timeout_s: float = 120.0,
         version: Optional[str] = None,
-        flip_prob: float = 0.0,
-        image_shape: Optional[tuple] = None,
         mp_context: Optional[str] = None,
         start_timeout_s: float = 120.0,
     ) -> None:
@@ -267,8 +266,8 @@ class ShardedProcessEngine:
         self.respawn = bool(respawn)
         self.dispatch_timeout_s = float(dispatch_timeout_s)
         self.start_timeout_s = float(start_timeout_s)
-        self.flip_prob = float(flip_prob)
-        self.image_shape = None if image_shape is None else tuple(image_shape)
+        self.flip_prob = float(replica_factory.flip_prob)
+        self.image_shape = tuple(replica_factory.image_shape())
         self._mp_name = mp_context or ("fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._ctx = None
         self.executor: Optional[ThreadPoolExecutor] = None
@@ -668,40 +667,3 @@ class ShardedProcessEngine:
             },
         }
 
-
-def build_sharded_engine(
-    model: Any,
-    softmax_config: Any,
-    gelu_output_bsl: Optional[int] = None,
-    flip_prob: float = 0.0,
-    fault_seed: int = 0,
-    calibration_logits: Optional[np.ndarray] = None,
-    shards: int = 2,
-    max_shards: Optional[int] = None,
-    scale_up_queue_depth: int = 16,
-    **engine_kwargs: Any,
-) -> ShardedProcessEngine:
-    """Sharded engine over ``model``; mirror of :func:`~repro.serve.engine.build_engine`.
-
-    .. deprecated::
-        Like ``build_engine``, kept as a keyword shim — prefer a
-        :class:`~repro.serve.specs.ServeSpec` with ``engine="process"``
-        through :func:`repro.serve.deploy.build_deployment`.
-    """
-    factory = ReplicaFactory(
-        model=model,
-        softmax_config=softmax_config,
-        gelu_output_bsl=gelu_output_bsl,
-        flip_prob=flip_prob,
-        fault_seed=fault_seed,
-        calibration_logits=calibration_logits,
-    )
-    return ShardedProcessEngine(
-        factory,
-        shards=shards,
-        max_shards=max_shards,
-        scale_up_queue_depth=scale_up_queue_depth,
-        flip_prob=flip_prob,
-        image_shape=factory.image_shape(),
-        **engine_kwargs,
-    )

@@ -18,9 +18,8 @@ Like ``repro.blocks.specs`` this module is pure data: it imports nothing
 heavy, so the spec layer stays importable without pulling in the SC engine.
 
 The JSON envelope is ``{"kind": "serve/deployment", "params": {...}}``;
-params omitted from a file take the dataclass defaults, which match the
-``repro serve`` CLI defaults exactly (the flags are now a thin shim that
-builds one of these).
+params omitted from a file take the dataclass defaults.  A spec file is
+the only input ``repro serve`` takes (``repro serve --spec FILE``).
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ class ServeSpec:
     * identity — ``name`` / ``description`` (free-form, excluded from no
       fingerprints: the *engine version* hashes weights and circuits, not
       labels).
-    * model — the synthetic dataset + ViT geometry + optional checkpoint
-      (mirrors ``repro serve``'s model flags).
+    * model — the synthetic dataset + ViT geometry + optional checkpoint.
     * circuit — softmax BSL/sub-sampling/iterations, GELU routing and
       fault injection.
     * engine — ``"thread"`` (:class:`~repro.serve.engine.PipelineEngine`),

@@ -12,9 +12,10 @@ import pytest
 
 import repro.blocks as blocks
 from repro.blocks.registry import ScDesignCapability
+from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.core.baselines import FsmSoftmaxBaseline, capability_matrix
 from repro.core.gelu_si import GeluSIBlock, TernaryGeluBlock
-from repro.core.softmax_circuit import IterativeSoftmaxCircuit, SoftmaxCircuitConfig
+from repro.core.softmax_circuit import IterativeSoftmaxCircuit
 from repro.evaluation.vectors import attention_logit_vectors, gelu_input_vectors
 from repro.nn.functional_math import gelu_exact
 from repro.sc.bernstein import BernsteinPolynomialUnit

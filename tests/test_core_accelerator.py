@@ -1,12 +1,12 @@
 import pytest
 
+from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.core.accelerator import (
     AcceleratorConfig,
     AscendAccelerator,
     ViTArchitecture,
     recommend_configuration,
 )
-from repro.core.softmax_circuit import SoftmaxCircuitConfig
 
 
 def softmax_cfg(by, s1, s2, k):

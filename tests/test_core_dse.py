@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.core.dse import (
     DEFAULT_ALPHA_Y_MULTIPLIERS,
     DEFAULT_BY_CHOICES,
@@ -10,7 +11,6 @@ from repro.core.dse import (
     DesignPoint,
     SoftmaxDesignSpace,
 )
-from repro.core.softmax_circuit import SoftmaxCircuitConfig
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import numpy as np
 
-from repro.core.sc_vit import ScViTEvaluator, evaluate_softmax_configurations
-from repro.core.softmax_circuit import SoftmaxCircuitConfig
+from repro.blocks.specs import SoftmaxCircuitConfig
+from repro.eval_pipeline import ScViTEvalPipeline
 from repro.nn.autograd import Tensor
 from repro.training.trainer import evaluate_accuracy
 
@@ -10,30 +10,30 @@ def make_softmax_config(by=16, s1=8, s2=4, k=3):
     return SoftmaxCircuitConfig(m=64, iterations=k, bx=4, alpha_x=1.0, by=by, alpha_y=0.02, s1=s1, s2=s2)
 
 
-class TestScViTEvaluator:
+class TestScViTEvalPipeline:
     def test_m_is_overridden_to_token_count(self, tiny_vit, tiny_dataset):
         train, _ = tiny_dataset
-        evaluator = ScViTEvaluator(tiny_vit, make_softmax_config(), calibration_images=train.images[:4])
-        assert evaluator.softmax_circuit.config.m == tiny_vit.config.num_tokens
+        pipeline = ScViTEvalPipeline(tiny_vit, make_softmax_config(), calibration_images=train.images[:4])
+        assert pipeline.softmax_circuit.config.m == tiny_vit.config.num_tokens
 
     def test_evaluation_returns_valid_accuracy(self, tiny_vit, tiny_dataset):
         _, test = tiny_dataset
-        evaluator = ScViTEvaluator(tiny_vit, make_softmax_config(), calibration_images=test.images[:4])
-        result = evaluator.evaluate(test, max_images=16)
+        pipeline = ScViTEvalPipeline(tiny_vit, make_softmax_config(), calibration_images=test.images[:4])
+        result = pipeline.evaluate(test, max_images=16)
         assert 0.0 <= result.accuracy <= 100.0
         assert result.num_images == 16
 
     def test_model_is_restored_after_evaluation(self, tiny_vit, tiny_dataset):
         _, test = tiny_dataset
         before = tiny_vit(Tensor(test.images[:2])).data
-        evaluator = ScViTEvaluator(tiny_vit, make_softmax_config(), calibration_images=test.images[:4])
-        evaluator.evaluate(test, max_images=8)
+        pipeline = ScViTEvalPipeline(tiny_vit, make_softmax_config(), calibration_images=test.images[:4])
+        pipeline.evaluate(test, max_images=8)
         after = tiny_vit(Tensor(test.images[:2])).data
         assert np.allclose(before, after)
 
     def test_gelu_block_optional(self, tiny_vit, tiny_dataset):
         _, test = tiny_dataset
-        with_gelu = ScViTEvaluator(
+        with_gelu = ScViTEvalPipeline(
             tiny_vit, make_softmax_config(), gelu_output_bsl=8, calibration_images=test.images[:4]
         )
         assert with_gelu.gelu_block is not None
@@ -45,18 +45,5 @@ class TestScViTEvaluator:
         _, test = tiny_dataset
         exact_acc = evaluate_accuracy(tiny_vit, test)
         fine = make_softmax_config(by=64, s1=2, s2=2, k=8)
-        result = ScViTEvaluator(tiny_vit, fine, calibration_images=test.images[:8]).evaluate(test)
+        result = ScViTEvalPipeline(tiny_vit, fine, calibration_images=test.images[:8]).evaluate(test)
         assert abs(result.accuracy - exact_acc) <= 25.0  # untrained model: both near chance
-
-
-class TestEvaluateConfigurations:
-    def test_multiple_configs(self, tiny_vit, tiny_dataset):
-        _, test = tiny_dataset
-        configs = {
-            "[4, 128, 2, 2]": make_softmax_config(by=4, s1=128, s2=2, k=2),
-            "[8, 32, 8, 3]": make_softmax_config(by=8, s1=32, s2=8, k=3),
-        }
-        results = evaluate_softmax_configurations(tiny_vit, test, configs, max_images=8)
-        assert set(results) == set(configs)
-        for result in results.values():
-            assert 0.0 <= result.accuracy <= 100.0

@@ -3,13 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, calibrate_alpha_y
 from repro.core.dse import SoftmaxDesignSpace
-from repro.core.softmax_circuit import (
-    IterativeSoftmaxCircuit,
-    SoftmaxCircuitConfig,
-    calibrate_alpha_x,
-    calibrate_alpha_y,
-)
+from repro.core.softmax_circuit import IterativeSoftmaxCircuit
 from repro.hw.synthesis import synthesize
 from repro.sc.bitstream import ThermometerStream
 from repro.utils.numeric import round_half_away_from_zero
@@ -106,6 +102,16 @@ class TestConfig:
     def test_with_updates(self):
         cfg = make_config().with_updates(by=16)
         assert cfg.by == 16 and cfg.m == 64
+
+    @pytest.mark.parametrize("name", ["SoftmaxCircuitConfig", "calibrate_alpha_x", "calibrate_alpha_y"])
+    def test_config_has_one_home(self, name):
+        """The spec layer owns the config; the circuit module does not re-export it."""
+        import repro.blocks.specs as specs
+        import repro.core
+        import repro.core.softmax_circuit as circuit
+
+        assert getattr(repro.core, name) is getattr(specs, name)
+        assert not hasattr(circuit, name)
 
 
 class TestCalibration:

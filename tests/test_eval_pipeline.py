@@ -1,9 +1,8 @@
 """Tests for the batched end-to-end evaluation subsystem (repro.eval_pipeline).
 
 The load-bearing property is *chunk invariance*: evaluating a split in
-batches of any size — including 1, the serial per-image path the seed
-``ScViTEvaluator`` walked — must produce bit-identical predictions, with and
-without fault injection.  On top of that: the fault model's determinism
+batches of any size — including 1, the serial per-image path — must
+produce bit-identical predictions, with and without fault injection.  On top of that: the fault model's determinism
 contract, the ``EvalTask`` cache round-trip/resume behaviour, and the CLI.
 """
 
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.softmax_circuit import SoftmaxCircuitConfig
+from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.eval_pipeline import (
     BitFlipFaultModel,
     EvalTask,
@@ -74,24 +73,6 @@ class TestChunkInvariance:
         assert np.array_equal(batched.predictions, per_image.predictions)
         assert batched.accuracy == per_image.accuracy
         assert batched.correct == per_image.correct
-
-    def test_batched_equals_seed_evaluator_shim(self, eval_setup):
-        """The historical ScViTEvaluator API walks the same pipeline."""
-        from repro.core.sc_vit import ScViTEvaluator
-
-        evaluator = ScViTEvaluator(
-            eval_setup["model"], make_softmax_config(),
-            calibration_logits=eval_setup["calibration"],
-        )
-        shim = evaluator.evaluate(eval_setup["test"], batch_size=1, max_images=10)
-        pipeline = ScViTEvalPipeline(
-            eval_setup["model"], make_softmax_config(),
-            calibration_logits=eval_setup["calibration"],
-        )
-        batched = pipeline.evaluate(eval_setup["test"], max_images=10, batch_size=10)
-        assert shim.accuracy == batched.accuracy
-        assert shim.num_images == batched.num_images
-        assert shim.softmax_config == batched.softmax_config
 
     @given(
         batch_size=st.integers(1, 7),

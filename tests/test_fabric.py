@@ -355,13 +355,15 @@ class TestIntegration:
     def test_fabric_cli_names_unknown_schedule_params(self, tmp_path):
         from repro.cli import main
 
-        payload = json.loads((EXAMPLES_SPECS / "fabric_run_smoke.json").read_text())
+        good = EXAMPLES_SPECS / "fabric_run_smoke.json"
+        payload = json.loads(good.read_text())
         payload["params"]["schedule"][1]["params"]["backend"] = None
         stale = tmp_path / "stale.json"
         stale.write_text(json.dumps(payload))
         with pytest.raises(SystemExit) as excinfo:
-            main(["fabric", str(stale)])
-        assert str(excinfo.value) == "unknown gelu/bernstein params: backend"
+            main(["fabric", str(good), str(stale)])
+        # With several files the message must name the one that failed.
+        assert str(excinfo.value) == f"{stale}: unknown gelu/bernstein params: backend"
 
     @pytest.mark.slow
     def test_dead_tile_scenario_recovers_via_replacement(self):

@@ -9,11 +9,12 @@ softmax block.
 import numpy as np
 import pytest
 
+from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, calibrate_alpha_y
 from repro.core.accelerator import AcceleratorConfig, AscendAccelerator, ViTArchitecture
 from repro.core.codesign import CodesignDriver
 from repro.core.dse import SoftmaxDesignSpace
 from repro.core.gelu_si import GeluSIBlock
-from repro.core.softmax_circuit import IterativeSoftmaxCircuit, SoftmaxCircuitConfig, calibrate_alpha_x, calibrate_alpha_y
+from repro.core.softmax_circuit import IterativeSoftmaxCircuit
 from repro.evaluation.vectors import collect_gelu_inputs, collect_softmax_inputs
 from repro.hw.synthesis import synthesize
 from repro.nn.functional_math import gelu_exact, softmax_exact

@@ -349,8 +349,10 @@ class TestCli:
         at argument parsing, before any work starts."""
         from repro.cli import main
 
+        # `serve` must get past its required spec file to reach the flag.
+        required = ["--spec", "deployment.json"] if command == "serve" else []
         with pytest.raises(SystemExit) as excinfo:
-            main([command, "--backend", "numpy"])
+            main([command, *required, "--backend", "numpy"])
         assert excinfo.value.code == 2
         assert "--backend" in capsys.readouterr().err
 

@@ -544,8 +544,14 @@ class TestThreadEngineChaosHook:
         builds = []
 
         class _Replica:
+            flip_prob = 0.0
+
             def __init__(self):
                 builds.append(1)
+
+            @staticmethod
+            def image_shape():
+                return (4, 4, 3)
 
             def predict_batch(self, images, indices):
                 return np.zeros(len(images), dtype=np.int64)

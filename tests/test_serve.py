@@ -28,12 +28,15 @@ from repro.runner.cache import ResultCache
 from repro.serve import (
     DynamicBatcher,
     InferenceService,
+    PipelineEngine,
     PredictionCache,
+    ReplicaFactory,
     RequestTimeout,
+    ServeSpec,
     ServiceClosed,
     ServiceOverloaded,
     ServiceStats,
-    build_engine,
+    ShardedProcessEngine,
     pipeline_fingerprint,
     request_fingerprint,
 )
@@ -75,12 +78,16 @@ def offline_predictions(stack):
     return predictions
 
 
-def _engine(stack, flip_prob=0.0, workers=1):
+def _factory(stack, flip_prob=0.0):
     model, _, calibration = stack
-    return build_engine(
+    return ReplicaFactory(
         model, SOFTMAX, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-        fault_seed=FAULT_SEED, calibration_logits=calibration, workers=workers,
+        fault_seed=FAULT_SEED, calibration_logits=calibration,
     )
+
+
+def _engine(stack, flip_prob=0.0, workers=1):
+    return PipelineEngine(_factory(stack, flip_prob), workers=workers)
 
 
 class StubEngine:
@@ -571,12 +578,32 @@ class TestPipelineEngine:
         monkeypatch.setattr(autograd, "_FORMULATION", "einsum")
         assert pipeline_fingerprint(faulty_pipeline) != stacked
 
-    def test_build_engine_exposes_shape_and_flip_prob(self, stack):
-        engine = _engine(stack, flip_prob=0.05, workers=2)
-        assert engine.image_shape == (8, 8, 3)
-        assert engine.flip_prob == 0.05
-        assert engine.workers == 2
+    @pytest.mark.parametrize("family", ["thread", "process", "fabric"])
+    def test_engine_takes_fault_rate_and_shape_from_its_factory(self, stack, family):
+        """Every engine family serves with the fault rate and image shape its
+        replicas were built with, so a faulted request is cached per index."""
+        from repro.fabric.engine import FabricEngine
+
+        _, test, _ = stack
+        factory = _factory(stack, flip_prob=0.05)
+        engine = {
+            "thread": lambda: PipelineEngine(factory, workers=2),
+            "process": lambda: ShardedProcessEngine(factory, shards=1),
+            "fabric": lambda: FabricEngine(factory),
+        }[family]()
+        assert engine.flip_prob == factory.flip_prob == 0.05
+        assert engine.image_shape == factory.image_shape() == (8, 8, 3)
         assert engine.version
+
+        cache = PredictionCache()
+
+        async def scenario():
+            async with InferenceService(engine, max_wait_ms=0.0, cache=cache, code_version="") as service:
+                await service.submit(test.images[0], index=3)
+
+        asyncio.run(scenario())
+        assert request_fingerprint(test.images[0], engine.version, image_index=3) in cache
+        assert request_fingerprint(test.images[0], engine.version) not in cache
 
     def test_workers_produce_identical_replicas(self, stack, offline_predictions):
         """Every worker thread's replica computes the same predictions."""
@@ -735,12 +762,26 @@ class TestServeCli:
         assert repro.__version__ in capsys.readouterr().out
 
     def test_serve_parser_defaults(self):
+        from pathlib import Path
+
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["serve", "--no-cache", "--max-batch", "4"])
-        assert args.transport == "stdio"
-        assert args.max_batch == 4
+        args = build_parser().parse_args(["serve", "--spec", "deployment.json"])
+        assert args.spec == Path("deployment.json")
         assert args.func.__name__ == "cmd_serve"
+        # The spec file is the whole deployment: no flag can be mixed in.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--spec", "deployment.json", "--max-batch", "4"])
+        assert excinfo.value.code == 2
+
+    def test_serve_help_lists_only_spec(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--help"])
+        assert excinfo.value.code == 0
+        options = {word.rstrip(",") for word in capsys.readouterr().out.split() if word.startswith("-")}
+        assert options == {"-h", "--help", "--spec"}
 
     def test_serve_stdio_transport_in_process(self, monkeypatch, capsys):
         """serve_stdio: JSONL on (patched) stdin/stdout until EOF."""
@@ -786,11 +827,14 @@ class TestServeCli:
             + "\n"
         )
         monkeypatch.setattr(_sys, "stdin", io.StringIO(requests))
-        exit_code = main([
-            "serve", "--embed-dim", "16", "--heads", "2", "--train-size", "8",
-            "--calibration-images", "4", "--max-wait-ms", "1",
-            "--cache-dir", str(tmp_path / "cache"),
-        ])
+        spec_path = tmp_path / "deployment.json"
+        spec_path.write_text(
+            ServeSpec(
+                embed_dim=16, heads=2, train_size=8, calibration_images=4, max_wait_ms=1.0,
+                cache_dir=str(tmp_path / "cache"),
+            ).to_json()
+        )
+        exit_code = main(["serve", "--spec", str(spec_path)])
         assert exit_code == 0
         responses = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         by_id = {r["id"]: r for r in responses}
@@ -830,10 +874,15 @@ class TestServeCli:
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        spec_path = tmp_path / "deployment.json"
+        spec_path.write_text(
+            ServeSpec(
+                embed_dim=16, heads=2, train_size=8, calibration_images=4,
+                cache_dir=str(tmp_path / "cache"),
+            ).to_json()
+        )
         completed = subprocess.run(
-            [_sys.executable, "-m", "repro", "serve", "--embed-dim", "16", "--heads", "2",
-             "--train-size", "8", "--calibration-images", "4",
-             "--cache-dir", str(tmp_path / "cache")],
+            [_sys.executable, "-m", "repro", "serve", "--spec", str(spec_path)],
             input=requests, capture_output=True, text=True, timeout=120, env=env,
         )
         assert completed.returncode == 0, completed.stderr

@@ -25,11 +25,10 @@ from repro.serve import (
     HashRing,
     InferenceService,
     PipelineEngine,
+    ReplicaFactory,
     ServiceStats,
     ShardedPredictionCache,
     ShardedProcessEngine,
-    build_engine,
-    build_sharded_engine,
 )
 from repro.serve.sharded import pack_frame, unpack_frame
 from repro.training.datasets import SyntheticImageDataset
@@ -67,13 +66,16 @@ def offline_predictions(stack):
     return predictions
 
 
-def _sharded_engine(stack, flip_prob=0.0, shards=2, **kwargs):
+def _factory(stack, flip_prob=0.0):
     model, _, calibration = stack
-    return build_sharded_engine(
+    return ReplicaFactory(
         model, SOFTMAX, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-        fault_seed=FAULT_SEED, calibration_logits=calibration, shards=shards,
-        **kwargs,
+        fault_seed=FAULT_SEED, calibration_logits=calibration,
     )
+
+
+def _sharded_engine(stack, flip_prob=0.0, shards=2, **kwargs):
+    return ShardedProcessEngine(_factory(stack, flip_prob), shards=shards, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +91,13 @@ class _StubPipeline:
 class _StubFactory:
     """Picklable factory of a model-free pipeline; prediction = index % 7."""
 
+    flip_prob = 0.0
+
     def __call__(self):
         return _StubPipeline()
+
+    def image_shape(self):
+        return (2, 2)
 
 
 class _ExplodingPipeline:
@@ -98,7 +105,7 @@ class _ExplodingPipeline:
         raise ValueError("deterministic boom")
 
 
-class _ExplodingFactory:
+class _ExplodingFactory(_StubFactory):
     def __call__(self):
         return _ExplodingPipeline()
 
@@ -247,11 +254,7 @@ class TestServiceStatsMerge:
 
 class TestEngineProtocol:
     def test_both_engine_families_satisfy_the_protocol(self, stack):
-        model, _, calibration = stack
-        thread = build_engine(
-            model, SOFTMAX, gelu_output_bsl=GELU_BSL,
-            calibration_logits=calibration, workers=1,
-        )
+        thread = PipelineEngine(_factory(stack), workers=1)
         process = _stub_engine(shards=1)
         assert isinstance(thread, EngineProtocol)
         assert isinstance(process, EngineProtocol)

@@ -189,29 +189,3 @@ class TestCliIntegration:
         monkeypatch.setattr(_sys, "stdin", io.StringIO(""))  # EOF ends the session
         assert main(["run", str(spec_path)]) == 0
         assert "tiny" in capsys.readouterr().err or True  # label printed to stderr/stdout
-
-    def test_spec_wins_over_flags(self, tmp_path):
-        """--spec describes the whole deployment; flags are not mixed in."""
-        from repro.cli import _serve_spec_from_args, build_parser
-
-        spec = ServeSpec(**TINY, workers=3)
-        spec_path = tmp_path / "deployment.json"
-        spec_path.write_text(spec.to_json(indent=2) + "\n")
-        args = build_parser().parse_args(
-            ["serve", "--spec", str(spec_path), "--serve-workers", "9"]
-        )
-        assert _serve_spec_from_args(args) == spec
-
-    def test_flags_build_equivalent_spec(self):
-        from repro.cli import _serve_spec_from_args, build_parser
-
-        args = build_parser().parse_args(
-            ["serve", "--engine", "process", "--serve-workers", "2",
-             "--max-shards", "4", "--flip-prob", "0.05", "--no-cache"]
-        )
-        spec = _serve_spec_from_args(args)
-        assert spec.engine == "process"
-        assert spec.workers == 2
-        assert spec.max_shards == 4
-        assert spec.flip_prob == 0.05
-        assert spec.cache is False

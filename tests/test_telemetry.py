@@ -297,8 +297,14 @@ class TestKernelProfiling:
             def is_alive(self):
                 return True
 
+        class NeverCalledFactory:
+            flip_prob = 0.0
+
+            def image_shape(self):
+                return (8, 8, 3)
+
         telemetry.enable()
-        engine = ShardedProcessEngine(replica_factory=None, shards=1, version="test")
+        engine = ShardedProcessEngine(NeverCalledFactory(), shards=1, version="test")
         shard = _Shard(0, 0, LiveProcess(), FakeConn())
         with push_context({"trace_id": "t-1", "span_id": "s-1"}):
             predictions = engine._dispatch(shard, np.zeros((2, 8, 8, 3)), np.array([4, 5]))
@@ -493,9 +499,9 @@ class TestInertness:
         assert cache.counters() == {"hits": 1, "misses": 1, "stores": 1}
 
     def test_predictions_bit_identical_with_telemetry_on_vs_off(self):
-        from repro.serve import InferenceService, build_engine
-        from repro.core.softmax_circuit import SoftmaxCircuitConfig
+        from repro.blocks.specs import SoftmaxCircuitConfig
         from repro.nn.vit import CompactVisionTransformer, ViTConfig
+        from repro.serve import InferenceService, PipelineEngine, ReplicaFactory
         from repro.training.datasets import SyntheticImageDataset
 
         model = CompactVisionTransformer(
@@ -509,7 +515,7 @@ class TestInertness:
 
         def serve_all() -> list:
             async def session():
-                engine = build_engine(model, softmax, workers=1)
+                engine = PipelineEngine(ReplicaFactory(model, softmax), workers=1)
                 service = InferenceService(engine, max_batch=3, max_wait_ms=2.0, cache=None)
                 async with service:
                     results = await asyncio.gather(
@@ -626,10 +632,16 @@ def _parse_prometheus(text: str) -> dict:
 
 class TestMetricsEndpoint:
     def test_render_metrics_serves_cache_and_kernel_counters(self):
-        from repro.serve import InferenceService, PredictionCache, build_engine, render_metrics
-        from repro.core.softmax_circuit import SoftmaxCircuitConfig
-        from repro.sc.packed import PackedBitPlane
+        from repro.blocks.specs import SoftmaxCircuitConfig
         from repro.nn.vit import CompactVisionTransformer, ViTConfig
+        from repro.sc.packed import PackedBitPlane
+        from repro.serve import (
+            InferenceService,
+            PipelineEngine,
+            PredictionCache,
+            ReplicaFactory,
+            render_metrics,
+        )
         from repro.training.datasets import SyntheticImageDataset
 
         telemetry.enable()
@@ -648,7 +660,7 @@ class TestMetricsEndpoint:
             # to feed the profiler the scrape must expose.
             plane = PackedBitPlane.from_thermometer_counts(np.array([3, 9]), 16)
             (plane ^ plane).popcount()
-            engine = build_engine(model, softmax, workers=1, flip_prob=0.05)
+            engine = PipelineEngine(ReplicaFactory(model, softmax, flip_prob=0.05), workers=1)
             service = InferenceService(
                 engine, max_batch=4, max_wait_ms=2.0, cache=PredictionCache()
             )
@@ -671,10 +683,10 @@ class TestMetricsEndpoint:
     def test_http_transport_routes_get_metrics(self):
         import urllib.request
 
-        from repro.serve import InferenceService, build_engine
-        from repro.serve.transport import serve_http
-        from repro.core.softmax_circuit import SoftmaxCircuitConfig
+        from repro.blocks.specs import SoftmaxCircuitConfig
         from repro.nn.vit import CompactVisionTransformer, ViTConfig
+        from repro.serve import InferenceService, PipelineEngine, ReplicaFactory
+        from repro.serve.transport import serve_http
 
         model = CompactVisionTransformer(
             ViTConfig(image_size=8, patch_size=4, num_classes=4, embed_dim=16,
@@ -684,7 +696,7 @@ class TestMetricsEndpoint:
                                        by=8, alpha_y=0.03, s1=16, s2=4)
 
         async def session():
-            engine = build_engine(model, softmax, workers=1)
+            engine = PipelineEngine(ReplicaFactory(model, softmax), workers=1)
             service = InferenceService(engine, max_batch=2, max_wait_ms=1.0, cache=None)
             async with service:
                 server = await serve_http(service, "127.0.0.1", 0)

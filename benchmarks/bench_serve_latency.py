@@ -14,8 +14,8 @@ in the two canonical load shapes:
   tail latency under open load is the honest serving metric.
 * **sharded scaling** — the same multi-client closed loop against the
   :class:`~repro.serve.ShardedProcessEngine` at 1 and 2 shards, recording
-  per-shard :class:`~repro.serve.ServiceStats` (merged across shards) and
-  the ``scaling_2x`` throughput ratio.
+  per-shard image/batch/error counters and the ``scaling_2x`` throughput
+  ratio.
 * **trace replay** (``--replay``) — paced replay of a scenario workload
   through :func:`repro.scenarios.generate_workload`: any synthetic arrival
   process (``--arrival poisson|pareto|flashcrowd|diurnal``) expanded
@@ -75,7 +75,6 @@ from repro.serve import (
     PipelineEngine,
     PredictionCache,
     ReplicaFactory,
-    ShardedPredictionCache,
     ShardedProcessEngine,
 )
 from repro.training.datasets import DatasetSplit, SyntheticImageDataset
@@ -101,7 +100,7 @@ OPEN_RATE = 200.0  # req/s offered
 OPEN_IMAGES = 128
 SMOKE_IMAGES = 64
 #: The sharded closed loop is smaller: every request crosses a process
-#: boundary (NPZ frame each way), so per-image cost is dominated by the
+#: boundary (one pickled frame each way), so per-image cost is dominated by the
 #: forward only once batches form.
 SHARDED_CLIENTS = 8
 SHARDED_IMAGES = 96
@@ -132,8 +131,8 @@ def _build(flip_prob: float = 0.0, workers: int = 2, cached: bool = False,
 
     ``engine="thread"`` builds the in-process :class:`PipelineEngine` with
     ``workers`` threads; ``engine="process"`` builds a
-    :class:`ShardedProcessEngine` with ``shards`` worker processes and a
-    consistent-hash :class:`ShardedPredictionCache` when caching is on.
+    :class:`ShardedProcessEngine` with ``shards`` worker processes.  Either
+    way the service holds one :class:`PredictionCache` when caching is on.
     """
     model = CompactVisionTransformer(ViTConfig(**TINY_VIT))
     dataset = SyntheticImageDataset(num_classes=TINY_VIT["num_classes"],
@@ -147,13 +146,11 @@ def _build(flip_prob: float = 0.0, workers: int = 2, cached: bool = False,
     )
     if engine == "process":
         engine_obj = ShardedProcessEngine(factory, shards=shards)
-        cache = ShardedPredictionCache(shards=shards) if cached else None
     else:
         engine_obj = PipelineEngine(factory, workers=workers)
-        cache = PredictionCache() if cached else None
     service = InferenceService(
         engine_obj, max_batch=max_batch, max_wait_ms=max_wait_ms, max_queue=max_queue,
-        cache=cache,
+        cache=PredictionCache() if cached else None,
     )
     return model, softmax, calibration, service
 
@@ -238,8 +235,7 @@ async def sharded_scaling() -> dict:
     """Multi-client closed loop at 1 and 2 process shards.
 
     Each shard count gets a fresh engine and disjoint-shard clients; the
-    section records the per-shard :class:`~repro.serve.ServiceStats`
-    snapshots (and their merge) straight from
+    section records the per-shard image/batch/error counters straight from
     :meth:`ShardedProcessEngine.stats_snapshot`, plus the ``scaling_2x``
     throughput ratio the floor gates on.
     """
@@ -251,7 +247,6 @@ async def sharded_scaling() -> dict:
             run = await closed_loop(service, images, SHARDED_CLIENTS)
             engine_snapshot = service.engine.stats_snapshot()
         run["per_shard"] = engine_snapshot["per_shard"]
-        run["merged"] = engine_snapshot["merged"]
         run["lifecycle"] = engine_snapshot["lifecycle"]
         section[f"shards_{shards}"] = run
     section["scaling_2x"] = (
@@ -442,7 +437,7 @@ def run_smoke(engine: str = "thread") -> int:
 
     ``engine="process"`` runs the same gate through a 2-shard
     :class:`ShardedProcessEngine` — the serve invariant must survive the
-    process boundary and consistent-hash cache routing unchanged.
+    process boundary unchanged.
     """
     images = _images(SMOKE_IMAGES)
     labels = np.zeros(SMOKE_IMAGES, dtype=np.int64)  # accuracy is irrelevant here

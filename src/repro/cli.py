@@ -739,33 +739,14 @@ def _write_scenario_job_summary(results: Sequence[dict]) -> None:
                 )
             )
             handle.write("\n\n")
-            per_shard = result.get("final_stats", {}).get("engine", {})
-            if isinstance(per_shard, dict) and "per_shard" in per_shard:
+            engine_stats = result.get("final_stats", {}).get("engine", {})
+            if isinstance(engine_stats, dict) and "per_shard" in engine_stats:
                 shard_rows = [
-                    (
-                        shard,
-                        snap["requests"]["completed"],
-                        snap["batching"]["batches"],
-                        "-" if snap["latency"]["p99_ms"] is None
-                        else f"{snap['latency']['p99_ms']:.1f}",
-                    )
-                    for shard, snap in sorted(per_shard["per_shard"].items())
+                    (shard, snap["batching"]["batched_images"], snap["batching"]["batches"], snap["errors"])
+                    for shard, snap in sorted(engine_stats["per_shard"].items())
                 ]
-                merged = per_shard.get("merged")
-                if merged:
-                    shard_rows.append(
-                        (
-                            "merged",
-                            merged["requests"]["completed"],
-                            merged["batching"]["batches"],
-                            "-" if merged["latency"]["p99_ms"] is None
-                            else f"{merged['latency']['p99_ms']:.1f}",
-                        )
-                    )
                 handle.write(
-                    format_markdown_table(
-                        ["shard", "completed", "batches", "p99 (ms)"], shard_rows
-                    )
+                    format_markdown_table(["shard", "images", "batches", "errors"], shard_rows)
                 )
                 handle.write("\n\n")
 
@@ -1089,10 +1070,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     exit_code = 0
     if args.suite in ("engine", "all"):
         exit_code |= _bench_engine(args)
-    if args.suite in ("serve", "all"):
-        exit_code |= _bench_serve(args)
-    if args.suite in ("fabric", "all"):
-        exit_code |= _bench_fabric(args)
+    for suite in _BOUNDED_SUITES:
+        if args.suite in (suite, "all"):
+            exit_code |= _bench_bounded(args, suite)
     return exit_code
 
 
@@ -1160,22 +1140,31 @@ def _lookup_metric(payload: dict, dotted: str) -> Optional[float]:
     return float(node) if isinstance(node, (int, float)) else None
 
 
-def _bench_serve(args: argparse.Namespace) -> int:
-    """Serve-latency harness: run (or check) the load generator + its floors.
+#: The ``{"min", "max"}``-bounded suites: harness, recorded results, summary title.
+_BOUNDED_SUITES = {
+    "serve": ("bench_serve_latency.py", "BENCH_serve.json", "Serve latency/throughput floors"),
+    "fabric": ("bench_fabric.py", "BENCH_fabric.json", "Fabric compile/throughput floors"),
+}
+
+
+def _bench_bounded(args: argparse.Namespace, suite: str) -> int:
+    """Run (or check) one bounded suite's harness and its floors.
 
     Floor entries are ``{"min": x}`` and/or ``{"max": y}`` per dotted metric
-    path — throughput gates from below, tail latency from above.
+    path — throughput gates from below, tail latency and compile time from
+    above.
     """
-    benchmarks_dir = _find_benchmarks_dir(args.benchmarks_dir, required="bench_serve_latency.py")
-    results_path = benchmarks_dir / "results" / "BENCH_serve.json"
+    harness_file, results_file, title = _BOUNDED_SUITES[suite]
+    benchmarks_dir = _find_benchmarks_dir(args.benchmarks_dir, required=harness_file)
+    results_path = benchmarks_dir / "results" / results_file
 
     if args.no_run:
         if not results_path.exists():
             raise SystemExit(f"--no-run: no recorded results at {results_path}")
         payload = json.loads(results_path.read_text())
-        print(f"checking recorded serve results at {results_path}")
+        print(f"checking recorded {suite} results at {results_path}")
     else:
-        harness = _load_bench_module(benchmarks_dir, "bench_serve_latency.py")
+        harness = _load_bench_module(benchmarks_dir, harness_file)
         payload = harness.run_benchmarks()
         harness.print_report(payload)
         saved = harness.save_report(payload)
@@ -1189,80 +1178,20 @@ def _bench_serve(args: argparse.Namespace) -> int:
     host_cpus = payload.get("host", {}).get("cpu_count")
     for metric, bounds in sorted(payload.get("floors", {}).items()):
         bounds = dict(bounds)
+        measured = _lookup_metric(payload, metric)
         # A floor can declare the parallelism it needs to be meaningful:
         # the 2-shard scaling floor cannot physically hold on a 1-CPU host,
         # so it gates only where the host can exhibit scaling.  The
         # measurement is still recorded either way.
         requires_cpus = bounds.pop("requires_cpus", None)
         if requires_cpus is not None and host_cpus is not None and host_cpus < requires_cpus:
-            measured = _lookup_metric(payload, metric)
             shown = "n/a" if measured is None else f"{measured:.2f}"
             print(
                 f"floor skipped: {metric} (measured {shown}) needs >= {requires_cpus} CPUs; "
                 f"host has {host_cpus}"
             )
-            summary_rows.append((metric, shown, str(bounds), f"skipped (<{requires_cpus} cpus)"))
+            summary_rows.append((metric, shown, str(bounds), "", f"skipped (<{requires_cpus} cpus)"))
             continue
-        measured = _lookup_metric(payload, metric)
-        if measured is None:
-            failures.append(f"{metric}: no measurement recorded (bounds {bounds})")
-            summary_rows.append((metric, "n/a", str(bounds), "FAIL (missing)"))
-            continue
-        bound_text = ", ".join(f"{op} {value:g}" for op, value in sorted(bounds.items()))
-        ok = True
-        if "min" in bounds and measured < float(bounds["min"]):
-            ok = False
-        if "max" in bounds and measured > float(bounds["max"]):
-            ok = False
-        detail = f"{metric}: measured {measured:.2f} vs bounds ({bound_text})"
-        summary_rows.append((metric, f"{measured:.2f}", bound_text, "ok" if ok else "FAIL"))
-        if ok:
-            print(f"floor ok: {detail}")
-        else:
-            failures.append(detail)
-    _write_floor_job_summary(
-        [(name, measured, bounds, "", status) for name, measured, bounds, status in summary_rows],
-        failures,
-        title="Serve latency/throughput floors",
-    )
-    if failures:
-        for failure in failures:
-            print(f"SERVE PERF REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print("serve floors: all pass")
-    return 0
-
-
-def _bench_fabric(args: argparse.Namespace) -> int:
-    """Fabric harness: compile-time + executed-throughput floors.
-
-    Same floor grammar as the serve suite: ``{"min": x}`` / ``{"max": y}``
-    bounds per dotted metric path, so place-and-route + compile latency
-    gates from above and compiled softmax throughput from below.
-    """
-    benchmarks_dir = _find_benchmarks_dir(args.benchmarks_dir, required="bench_fabric.py")
-    results_path = benchmarks_dir / "results" / "BENCH_fabric.json"
-
-    if args.no_run:
-        if not results_path.exists():
-            raise SystemExit(f"--no-run: no recorded results at {results_path}")
-        payload = json.loads(results_path.read_text())
-        print(f"checking recorded fabric results at {results_path}")
-    else:
-        harness = _load_bench_module(benchmarks_dir, "bench_fabric.py")
-        payload = harness.run_benchmarks()
-        harness.print_report(payload)
-        saved = harness.save_report(payload)
-        print(f"\nsaved {saved}")
-
-    if not args.check_floor:
-        return 0
-
-    failures = []
-    summary_rows = []
-    for metric, bounds in sorted(payload.get("floors", {}).items()):
-        bounds = dict(bounds)
-        measured = _lookup_metric(payload, metric)
         if measured is None:
             failures.append(f"{metric}: no measurement recorded (bounds {bounds})")
             summary_rows.append((metric, "n/a", str(bounds), "", "FAIL (missing)"))
@@ -1279,12 +1208,12 @@ def _bench_fabric(args: argparse.Namespace) -> int:
             print(f"floor ok: {detail}")
         else:
             failures.append(detail)
-    _write_floor_job_summary(summary_rows, failures, title="Fabric compile/throughput floors")
+    _write_floor_job_summary(summary_rows, failures, title=title)
     if failures:
         for failure in failures:
-            print(f"FABRIC PERF REGRESSION: {failure}", file=sys.stderr)
+            print(f"{suite.upper()} PERF REGRESSION: {failure}", file=sys.stderr)
         return 1
-    print("fabric floors: all pass")
+    print(f"{suite} floors: all pass")
     return 0
 
 
@@ -1590,8 +1519,8 @@ def _verify_serve_sharded() -> List[str]:
     from repro.evaluation.vectors import collect_softmax_inputs
     from repro.serve import (
         InferenceService,
+        PredictionCache,
         ReplicaFactory,
-        ShardedPredictionCache,
         ShardedProcessEngine,
     )
 
@@ -1616,7 +1545,7 @@ def _verify_serve_sharded() -> List[str]:
                 shards=2,
             )
             service = InferenceService(
-                engine, max_batch=4, max_wait_ms=4.0, cache=ShardedPredictionCache(shards=2)
+                engine, max_batch=4, max_wait_ms=4.0, cache=PredictionCache()
             )
             async with service:
                 async def one(i: int):

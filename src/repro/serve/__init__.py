@@ -25,15 +25,15 @@ tier) dispatched to any worker *process* with the same guarantee.
   running :class:`~repro.eval_pipeline.ScViTEvalPipeline` forwards on
   per-worker model replicas (circuits built via :mod:`repro.blocks`).
 * :mod:`repro.serve.sharded` — :class:`ShardedProcessEngine`: N worker
-  processes with per-process replicas, NPZ-frame pipe handoff,
-  worker-death re-dispatch and queue-depth replica scaling.
-* :mod:`repro.serve.cache` — :class:`PredictionCache` and its
-  consistent-hash sharded sibling :class:`ShardedPredictionCache`:
-  idempotent per-request result reuse, content-addressed with the sweep
-  cache's fingerprint scheme (:func:`repro.runner.cache.cache_key`).
+  processes with per-process replicas, one pickled frame per pipe
+  message, worker-death re-dispatch and queue-depth replica scaling.
+* :mod:`repro.serve.cache` — :class:`PredictionCache`: idempotent
+  per-request result reuse in the service (one cache whatever the
+  engine), content-addressed with the sweep cache's fingerprint scheme
+  (:func:`repro.runner.cache.cache_key`).
 * :mod:`repro.serve.stats` — :class:`ServiceStats`: throughput,
-  p50/p95/p99 latency, batch-size histogram, cache hit rate; per-shard
-  instances aggregate with :meth:`ServiceStats.merge`.
+  p50/p95/p99 latency, batch-size histogram, cache hit rate, kept once
+  per service.
 * :mod:`repro.serve.transport` — stdio/TCP JSON-lines and localhost-HTTP
   front ends over one shared protocol handler.
 
@@ -44,12 +44,7 @@ sections of ``python -m repro verify``.  See ``docs/serving.md``.
 """
 
 from repro.serve.batcher import DynamicBatcher
-from repro.serve.cache import (
-    HashRing,
-    PredictionCache,
-    ShardedPredictionCache,
-    request_fingerprint,
-)
+from repro.serve.cache import PredictionCache, request_fingerprint
 from repro.serve.deploy import Deployment, build_deployment, build_replica_factory
 from repro.serve.engine import (
     EngineProtocol,
@@ -73,7 +68,6 @@ __all__ = [
     "Deployment",
     "DynamicBatcher",
     "EngineProtocol",
-    "HashRing",
     "InferenceService",
     "PipelineEngine",
     "PredictionCache",
@@ -84,7 +78,6 @@ __all__ = [
     "ServiceClosed",
     "ServiceOverloaded",
     "ServiceStats",
-    "ShardedPredictionCache",
     "ShardedProcessEngine",
     "build_deployment",
     "build_replica_factory",

@@ -22,16 +22,14 @@ starts warm and CLI/benchmark runs can share entries across processes.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.runner.cache import ResultCache, array_digest, cache_key
 
-__all__ = ["HashRing", "PredictionCache", "ShardedPredictionCache", "request_fingerprint"]
+__all__ = ["PredictionCache", "request_fingerprint"]
 
 #: Task label mixed into every request key (namespaces serve entries apart
 #: from sweep entries that may share a ResultCache directory).
@@ -133,163 +131,3 @@ class PredictionCache:
     # request_fingerprint address both layers without translation.
     def __contains__(self, key: Any) -> bool:
         return key in self._memory or (self.backing is not None and key in self.backing)
-
-
-class HashRing:
-    """Consistent hashing of string keys onto a small set of nodes.
-
-    Each node owns ``replicas`` virtual points on a SHA-256 ring; a key
-    routes to the first point clockwise from its own hash.  Adding or
-    removing one node therefore remaps only ~``1/n`` of the keyspace —
-    exactly the property the sharded prediction cache needs so an engine
-    that scales its shard count does not cold-start every partition.
-
-    Deterministic across processes and runs: the placement depends only on
-    the node names and ``replicas``, never on insertion order or hash
-    randomisation (``PYTHONHASHSEED`` does not apply to SHA-256).
-    """
-
-    def __init__(self, nodes: Iterable[Any] = (), replicas: int = 64) -> None:
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
-        self.replicas = int(replicas)
-        self._points: List[Tuple[int, Any]] = []
-        self._hashes: List[int] = []
-        self._nodes: set = set()
-        for node in nodes:
-            self.add_node(node)
-
-    @staticmethod
-    def _hash(text: str) -> int:
-        return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-    def _rebuild(self) -> None:
-        self._points.sort()
-        self._hashes = [point for point, _ in self._points]
-
-    def add_node(self, node: Any) -> None:
-        if node in self._nodes:
-            return
-        self._nodes.add(node)
-        self._points.extend(
-            (self._hash(f"{node}#{i}"), node) for i in range(self.replicas)
-        )
-        self._rebuild()
-
-    def remove_node(self, node: Any) -> None:
-        if node not in self._nodes:
-            return
-        self._nodes.discard(node)
-        self._points = [(point, n) for point, n in self._points if n != node]
-        self._rebuild()
-
-    @property
-    def nodes(self) -> set:
-        return set(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def node_for(self, key: str) -> Any:
-        """The node owning ``key`` (clockwise successor on the ring)."""
-        if not self._points:
-            raise ValueError("hash ring has no nodes")
-        position = bisect.bisect_right(self._hashes, self._hash(key))
-        if position == len(self._points):
-            position = 0
-        return self._points[position][1]
-
-
-class ShardedPredictionCache:
-    """Per-shard cache partitions behind the :class:`PredictionCache` API.
-
-    Keys route to a fixed partition by consistent hashing
-    (:class:`HashRing`), so each shard's working set stays disjoint — no
-    partition holds another shard's entries, and the memory bound is
-    per-partition rather than one global LRU whose hot shard can evict a
-    cold shard's entries.  The interface is a drop-in for
-    :class:`PredictionCache` (``get``/``put``/``__len__``/``__contains__``),
-    so :class:`~repro.serve.InferenceService` is agnostic to which it holds.
-
-    ``add_shard`` grows the partition set in step with engine autoscaling;
-    consistent hashing keeps ~``(n-1)/n`` of previously cached keys routed
-    (and therefore warm) after the change.  A shared ``backing`` directory
-    is safe across partitions: entries are content-addressed, so a key that
-    remaps to a new partition is re-promoted from disk on its next miss.
-
-    Parameters
-    ----------
-    shards:
-        Initial partition count (>= 1).
-    max_entries:
-        In-memory LRU capacity **per partition**.
-    backing:
-        Optional shared :class:`ResultCache` written through by every
-        partition.
-    replicas:
-        Virtual nodes per partition on the ring.
-    """
-
-    def __init__(
-        self,
-        shards: int = 2,
-        max_entries: int = 65536,
-        backing: Optional[ResultCache] = None,
-        replicas: int = 64,
-    ) -> None:
-        if shards <= 0:
-            raise ValueError("shards must be positive")
-        self.backing = backing
-        self.max_entries = int(max_entries)
-        self._partitions: Dict[int, PredictionCache] = {}
-        self._ring = HashRing(replicas=replicas)
-        for _ in range(int(shards)):
-            self.add_shard()
-
-    def add_shard(self) -> int:
-        """Add one partition; returns its shard id."""
-        shard_id = len(self._partitions)
-        self._partitions[shard_id] = PredictionCache(
-            backing=self.backing, max_entries=self.max_entries
-        )
-        self._ring.add_node(shard_id)
-        return shard_id
-
-    @property
-    def shards(self) -> int:
-        return len(self._partitions)
-
-    def shard_for(self, key: str) -> int:
-        """The partition id ``key`` routes to (stable across processes)."""
-        return int(self._ring.node_for(key))
-
-    def get(self, key: str) -> Optional[int]:
-        return self._partitions[self.shard_for(key)].get(key)
-
-    def put(self, key: str, prediction: int) -> None:
-        self._partitions[self.shard_for(key)].put(key, prediction)
-
-    def clear(self, drop_backing: bool = False) -> None:
-        """Clear every partition (see :meth:`PredictionCache.clear`)."""
-        for cache in self._partitions.values():
-            cache.clear(drop_backing=drop_backing)
-        if drop_backing:
-            self.backing = None
-
-    def partition_sizes(self) -> Dict[int, int]:
-        """Entries held per partition (the balance a /stats reader checks)."""
-        return {shard: len(cache) for shard, cache in sorted(self._partitions.items())}
-
-    def counters(self) -> Dict[str, int]:
-        """Hit/miss/store totals summed over every partition."""
-        totals = {"hits": 0, "misses": 0, "stores": 0}
-        for cache in self._partitions.values():
-            for name, value in cache.counters().items():
-                totals[name] += value
-        return totals
-
-    def __len__(self) -> int:
-        return sum(len(cache) for cache in self._partitions.values())
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._partitions[self.shard_for(key)]

@@ -115,10 +115,12 @@ def build_deployment(spec: ServeSpec, code_version: Optional[str] = None) -> "De
 
     Builds the replica recipe (:func:`build_replica_factory`), resolves
     the engine family (``thread`` -> :class:`~repro.serve.engine.PipelineEngine`,
-    ``process`` -> :class:`~repro.serve.sharded.ShardedProcessEngine`
-    with consistent-hash sharded caching, ``fabric`` ->
-    :class:`~repro.fabric.engine.FabricEngine` executing the softmax on a
-    configured tile grid), and wires the cache policy.
+    ``process`` -> :class:`~repro.serve.sharded.ShardedProcessEngine`,
+    ``fabric`` -> :class:`~repro.fabric.engine.FabricEngine` executing the
+    softmax on a configured tile grid), and wires the cache policy: one
+    :class:`~repro.serve.cache.PredictionCache` in the service, whatever
+    the engine (the process engine routes batches by load, not by key, so
+    no cache entry belongs to a shard).
     """
     from repro import telemetry
 
@@ -152,17 +154,9 @@ def build_deployment(spec: ServeSpec, code_version: Optional[str] = None) -> "De
     cache = None
     if spec.cache:
         from repro.runner.cache import ResultCache
-        from repro.serve.cache import PredictionCache, ShardedPredictionCache
+        from repro.serve.cache import PredictionCache
 
-        backing = ResultCache(spec.cache_dir) if spec.cache_dir else None
-        if spec.engine == "process":
-            # Partition count tracks the autoscale ceiling so every shard
-            # the engine can ever grow to has a home partition.
-            cache = ShardedPredictionCache(
-                shards=spec.max_shards or spec.workers, backing=backing
-            )
-        else:
-            cache = PredictionCache(backing=backing)
+        cache = PredictionCache(backing=ResultCache(spec.cache_dir) if spec.cache_dir else None)
 
     service = InferenceService(
         engine,

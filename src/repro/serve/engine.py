@@ -67,7 +67,7 @@ class EngineProtocol(Protocol):
 
     Optional extensions the service uses when present: ``observe_load``
     (queue-depth autoscaling hook) and ``stats_snapshot`` (per-shard
-    accounting merged into the ``/stats`` payload).
+    counters reported under ``engine`` in the ``/stats`` payload).
     """
 
     workers: int

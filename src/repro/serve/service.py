@@ -432,6 +432,6 @@ class InferenceService:
             snapshot["cache"].update(misses=counters["misses"], stores=counters["stores"])
         engine_snapshot = getattr(self.engine, "stats_snapshot", None)
         if callable(engine_snapshot):
-            # Sharded engines report per-shard + merged compute accounting.
+            # Sharded engines report per-shard counters and shard lifecycle.
             snapshot["engine"] = engine_snapshot()
         return snapshot

@@ -7,8 +7,8 @@ release it, so one process caps throughput regardless of core count.
 :class:`~repro.serve.engine.EngineProtocol` seam: N worker *processes*,
 each owning a full pipeline replica built from a pickled
 :class:`~repro.serve.engine.ReplicaFactory`, fed over
-``multiprocessing.Pipe`` with pre-pickled NPZ frames (one ``send_bytes``
-per micro-batch — arrays never pass through the pickler object graph).
+``multiprocessing.Pipe`` with one pickled frame per message (one
+``send_bytes`` per micro-batch, one per reply).
 
 Design points:
 
@@ -27,10 +27,15 @@ Design points:
   shards up to ``max_shards``, an idle queue retires them back to the
   baseline.  The service re-syncs its worker slots against
   ``engine.workers`` every batch, so new shards take traffic immediately.
-* **per-shard stats** — every shard keeps a
-  :class:`~repro.serve.stats.ServiceStats` of the micro-batches it served;
-  :meth:`stats_snapshot` reports them per shard plus the
-  :meth:`~repro.serve.stats.ServiceStats.merge`-d aggregate.
+* **per-shard counters** — every shard counts the micro-batches and
+  images it served and its errors; :meth:`stats_snapshot` reports them
+  per live shard.  Request-level accounting (latency, cache hits) lives
+  once, in the service's :class:`~repro.serve.stats.ServiceStats`, and
+  per-shard dispatch latency in the ``shard.dispatch`` spans.
+* **orphan-proof workers** — a worker waits on its parent's death as
+  well as its pipe, so a SIGKILLed serving process takes its shards with
+  it (a forked sibling holding the pipe's parent end keeps EOF from
+  arriving on the pipe alone).
 
 Worker errors are deliberately *not* retried: a raising
 ``predict_batch`` is deterministic (same batch would raise on every
@@ -40,20 +45,19 @@ cycling through — only process death and wedging re-dispatch.
 
 from __future__ import annotations
 
-import io
-import json
 import multiprocessing as mp
 import os
+import pickle
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro import telemetry
 from repro.serve.engine import ReplicaFactory, pipeline_fingerprint
-from repro.serve.stats import ServiceStats
 from repro.telemetry.tracer import Tracer, current_context
 
 __all__ = [
@@ -64,33 +68,27 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# NPZ frames: the request/response wire format
+# Frames: the request/response wire format
 # --------------------------------------------------------------------------
 
 
 def pack_frame(op: str, arrays: Optional[Dict[str, np.ndarray]] = None, **meta: Any) -> bytes:
-    """One IPC frame: ``op`` + JSON metadata + named numpy arrays.
+    """One IPC frame: ``op`` + named numpy arrays + metadata, pickled.
 
-    Serialised with ``np.savez`` into a single ``bytes`` blob sent via
-    ``Connection.send_bytes`` — the arrays are written as raw NPY payloads
-    (no pickle traversal), and the receiver gets them back C-contiguous
-    and typed without any per-element work.
+    Frames only cross the anonymous pipe between the engine and the worker
+    processes it started itself, and ``multiprocessing`` already pickles
+    the :class:`~repro.serve.engine.ReplicaFactory` into those same
+    children, so unpickling a frame trusts no process the engine does not
+    already trust.  Arrays ride pickle protocol 5 as raw buffers, with
+    dtype and shape intact.
     """
-    header = json.dumps({"op": op, "meta": meta}).encode()
-    payload = {"__header__": np.frombuffer(header, dtype=np.uint8)}
-    for name, array in (arrays or {}).items():
-        payload[name] = np.ascontiguousarray(array)
-    buffer = io.BytesIO()
-    np.savez(buffer, **payload)
-    return buffer.getvalue()
+    return pickle.dumps((op, dict(arrays or {}), meta), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def unpack_frame(blob: bytes):
     """Inverse of :func:`pack_frame` -> ``(op, arrays, meta)``."""
-    with np.load(io.BytesIO(blob), allow_pickle=False) as bundle:
-        header = json.loads(bundle["__header__"].tobytes().decode())
-        arrays = {name: bundle[name] for name in bundle.files if name != "__header__"}
-    return header["op"], arrays, header["meta"]
+    op, arrays, meta = pickle.loads(blob)
+    return op, arrays, meta
 
 
 # --------------------------------------------------------------------------
@@ -104,15 +102,21 @@ def _shard_main(conn, factory: ReplicaFactory) -> None:
     Runs in the child.  The replica is built *here* (not inherited), so
     every shard's pipeline state is provably independent; bit-identity
     across shards follows from :class:`ReplicaFactory` determinism.
+
+    The loop waits on the parent's death as well as on the pipe: forked
+    siblings inherit the pipe's parent end, so a parent killed without a
+    ``stop`` frame never shows up as EOF here, and the shard would
+    outlive it.
     """
     tracer: Optional[Tracer] = None
-    profiler = None
     try:
         pipeline = factory()
         conn.send_bytes(pack_frame("ready", pid=os.getpid()))
+        watched = [conn, mp.parent_process().sentinel]
         while True:
-            blob = conn.recv_bytes()
-            op, arrays, meta = unpack_frame(blob)
+            if conn not in wait(watched):
+                break  # the parent died without sending stop
+            op, arrays, meta = unpack_frame(conn.recv_bytes())
             if op == "stop":
                 break
             if op != "predict":  # protocol error: surface, keep serving
@@ -126,11 +130,6 @@ def _shard_main(conn, factory: ReplicaFactory) -> None:
             if ctx is not None:
                 if tracer is None:
                     tracer = Tracer()
-                    from repro.telemetry.profiling import get_profiler, install
-
-                    install()
-                    profiler = get_profiler()
-                profiler.clear()  # one-thread worker: snapshot == delta
                 span = tracer.begin(
                     "shard.predict",
                     cat="worker",
@@ -142,7 +141,7 @@ def _shard_main(conn, factory: ReplicaFactory) -> None:
                 extra = {}
                 if span is not None:
                     tracer.end(span)
-                    extra = {"spans": tracer.events(), "kernel_profile": profiler.snapshot()}
+                    extra = {"spans": tracer.events()}
                     tracer.clear()
                 conn.send_bytes(
                     pack_frame(
@@ -175,7 +174,10 @@ class _ShardDied(RuntimeError):
 class _Shard:
     """Parent-side handle of one worker process."""
 
-    __slots__ = ("slot", "generation", "process", "conn", "lock", "stats", "in_flight", "dead", "ready", "retired")
+    __slots__ = (
+        "slot", "generation", "process", "conn", "lock", "batches", "images", "errors",
+        "in_flight", "dead", "ready", "retired",
+    )
 
     def __init__(self, slot: int, generation: int, process, conn) -> None:
         self.slot = slot
@@ -183,7 +185,9 @@ class _Shard:
         self.process = process
         self.conn = conn
         self.lock = threading.Lock()  # serialises use of `conn`
-        self.stats = ServiceStats()
+        self.batches = 0  # micro-batches answered
+        self.images = 0  # images in those micro-batches
+        self.errors = 0  # worker errors plus this shard's own death
         self.in_flight = 0
         self.dead = False
         self.ready = False
@@ -272,7 +276,7 @@ class ShardedProcessEngine:
         self._ctx = None
         self.executor: Optional[ThreadPoolExecutor] = None
         self._shards: Dict[int, _Shard] = {}
-        self._graveyard: List[_Shard] = []  # dead/retired handles, kept for stats
+        self._graveyard: List[_Shard] = []  # dead/retired handles, joined at close()
         self._routing_lock = threading.Lock()
         self._job_counter = 0
         self._next_slot = 0
@@ -326,7 +330,6 @@ class ShardedProcessEngine:
         process.start()
         child_conn.close()
         shard = _Shard(slot, generation, process, parent_conn)
-        shard.stats.start()
         self._shards[slot] = shard
         self.spawned += 1
         return shard
@@ -407,7 +410,7 @@ class ShardedProcessEngine:
                 continue
             if not shard.process.is_alive():
                 shard.dead = True
-                shard.stats.record_error()
+                shard.errors += 1
                 self.deaths += 1
                 del self._shards[slot]
                 self._graveyard.append(shard)
@@ -453,7 +456,7 @@ class ShardedProcessEngine:
             if self._shards.get(shard.slot) is not shard:
                 return  # already handled by a concurrent dispatcher
             shard.dead = True
-            shard.stats.record_error()
+            shard.errors += 1
             self.deaths += 1
             del self._shards[shard.slot]
             self._graveyard.append(shard)
@@ -491,8 +494,7 @@ class ShardedProcessEngine:
         with self._routing_lock:
             self._job_counter += 1
             job = self._job_counter
-        started = time.monotonic()
-        deadline = started + self.dispatch_timeout_s
+        deadline = time.monotonic() + self.dispatch_timeout_s
         # Trace context is installed thread-locally by the service's traced
         # engine.run closure; absent (tracing off / direct engine use) the
         # dispatch carries no telemetry at all.
@@ -511,13 +513,12 @@ class ShardedProcessEngine:
         outcome = "shard_died"
         try:
             with shard.lock:
-                shard.stats.record_submitted()
                 try:
                     shard.conn.send_bytes(
                         pack_frame(
                             "predict",
                             {
-                                "images": np.asarray(images, dtype=float),
+                                "images": np.ascontiguousarray(images, dtype=float),
                                 "indices": np.asarray(indices, dtype=np.int64),
                             },
                             **meta,
@@ -537,28 +538,32 @@ class ShardedProcessEngine:
                     raise _ShardDied(f"shard {shard.label} pipe failed: {exc}") from None
                 try:
                     op, arrays, reply = unpack_frame(blob)
-                except Exception as exc:  # truncated frame from a dying worker
+                except Exception as exc:  # garbled or truncated frame from a dying worker
                     raise _ShardDied(f"shard {shard.label} sent a corrupt frame: {exc}") from None
                 if reply.get("job") != job:
                     raise _ShardDied(f"shard {shard.label} desynced (job {reply.get('job')} != {job})")
                 if op == "error":
-                    shard.stats.record_error()
+                    shard.errors += 1
                     outcome = "worker_error"
                     raise RuntimeError(f"shard {shard.label}: {reply.get('error')}")
-                latency_ms = (time.monotonic() - started) * 1000.0
-                shard.stats.record_batch(int(len(indices)))
-                shard.stats.record_completed(latency_ms)
+                predictions = arrays.get("predictions")
+                if not (
+                    op == "result"
+                    and isinstance(predictions, np.ndarray)
+                    and predictions.ndim == 1
+                    and predictions.dtype.kind in "iu"
+                    and len(predictions) == len(indices)
+                ):
+                    raise _ShardDied(f"shard {shard.label} sent a malformed {op!r} reply")
+                shard.batches += 1
+                shard.images += len(indices)
                 if dispatch_span is not None:
-                    # Adopt the worker's finished spans and fold its per-batch
-                    # kernel-profile delta into the parent-side profiler.
+                    # Adopt the worker's finished spans into the parent trace.
                     worker_spans = reply.get("spans")
                     if worker_spans:
                         tracer.ingest(worker_spans)
-                    worker_profile = reply.get("kernel_profile")
-                    if worker_profile:
-                        telemetry.get_profiler().merge(worker_profile)
                 outcome = "ok"
-                return arrays["predictions"].astype(np.int64)
+                return predictions.astype(np.int64, copy=False)
         finally:
             if dispatch_span is not None:
                 tracer.end(dispatch_span, outcome=outcome)
@@ -644,18 +649,23 @@ class ShardedProcessEngine:
 
     # ------------------------------------------------------------------ stats
     def stats_snapshot(self) -> Dict:
-        """Per-shard and merged accounting (folded into ``/stats``)."""
+        """Per-shard counters and shard lifecycle (folded into ``/stats``).
+
+        ``per_shard`` lists the live shards only; a buried shard's work
+        stays in the service's own ``batching`` totals.
+        """
         with self._routing_lock:
             current = sorted(self._shards.values(), key=lambda s: s.slot)
-            buried = list(self._graveyard)
-        everything = current + buried
-        merged = ServiceStats.merge([s.stats for s in everything]) if everything else ServiceStats()
         return {
             "engine": "process",
             "per_shard": {
-                s.label: s.stats.snapshot(in_flight=s.in_flight) for s in current
+                s.label: {
+                    "batching": {"batches": s.batches, "batched_images": s.images},
+                    "errors": s.errors,
+                    "in_flight": s.in_flight,
+                }
+                for s in current
             },
-            "merged": merged.snapshot(),
             "lifecycle": {
                 "live": len(current),
                 "min_shards": self.min_shards,
@@ -666,4 +676,3 @@ class ShardedProcessEngine:
                 "retired": self.retired_count,
             },
         }
-

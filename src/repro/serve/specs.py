@@ -70,9 +70,9 @@ class ServeSpec:
       autoscaling of the process engine above its baseline shard count.
     * service — micro-batcher and backpressure knobs
       (:class:`~repro.serve.service.InferenceService`).
-    * cache — prediction-cache policy; the process engine partitions the
-      cache per shard by consistent hashing
-      (:class:`~repro.serve.cache.ShardedPredictionCache`).
+    * cache — prediction-cache policy: one
+      :class:`~repro.serve.cache.PredictionCache` in the service, optionally
+      written through to ``cache_dir``, for every engine family.
     * transport — stdio JSON-lines or localhost HTTP.
     """
 

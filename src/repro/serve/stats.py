@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -85,43 +85,6 @@ class ServiceStats:
         self.batches += 1
         self.batched_images += int(size)
         self._batch_sizes[int(size)] += 1
-
-    # --------------------------------------------------------------- merging
-    @classmethod
-    def merge(cls, parts: Iterable["ServiceStats"], max_samples: int = 16384) -> "ServiceStats":
-        """One aggregate view over per-shard (or per-engine) instances.
-
-        Counters and batch-size histograms add; latency reservoirs
-        concatenate, so the merged percentiles are computed over the union
-        of the shards' samples — *not* averaged per shard, which would
-        understate the tail of the slowest shard.  The merged start time is
-        the earliest of the parts' (all instances share the monotonic
-        clock), so throughput is total completions over the span the first
-        shard has been up.
-
-        The parts are left untouched; the returned instance is an
-        independent accumulator (recording into it later is allowed but
-        usually pointless — re-merge instead).
-        """
-        merged = cls(max_samples=max_samples)
-        starts = []
-        for part in parts:
-            merged.submitted += part.submitted
-            merged.completed += part.completed
-            merged.cache_hits += part.cache_hits
-            merged.coalesced += part.coalesced
-            merged.rejected += part.rejected
-            merged.timeouts += part.timeouts
-            merged.errors += part.errors
-            merged.batches += part.batches
-            merged.batched_images += part.batched_images
-            merged._batch_sizes.update(part._batch_sizes)
-            merged._latencies_ms.extend(part._latencies_ms)
-            if part._started_at is not None:
-                starts.append(part._started_at)
-        if starts:
-            merged._started_at = min(starts)
-        return merged
 
     # -------------------------------------------------------------- snapshot
     @property

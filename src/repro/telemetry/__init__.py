@@ -5,9 +5,9 @@ see inside it.  This package is the instrumentation layer they share:
 
 * :mod:`repro.telemetry.tracer` — spans with an injected monotonic clock
   and explicit context propagation (service -> batcher -> engine -> shard
-  worker over the NPZ frame header; scenario phases and chaos events),
+  worker in the pipe frame's metadata; scenario phases and chaos events),
   exported as Chrome-trace JSON (Perfetto-loadable) and JSONL,
-* :mod:`repro.telemetry.metrics` — labelled counters/gauges/histograms
+* :mod:`repro.telemetry.metrics` — labelled counters and gauges
   with Prometheus text exposition (``GET /metrics`` on the HTTP
   transport) and a JSON snapshot,
 * :mod:`repro.telemetry.profiling` — per-kernel x per-backend call/word/
@@ -38,7 +38,6 @@ from repro.telemetry.logging import StructuredLogger, configure_logging, get_log
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
     publish_snapshot,
@@ -53,7 +52,6 @@ __all__ = [
     "TELEMETRY_ENV_VAR",
     "Counter",
     "Gauge",
-    "Histogram",
     "KernelProfiler",
     "MetricsRegistry",
     "Span",
@@ -115,7 +113,7 @@ def disable() -> None:
 def activate() -> bool:
     """Install the kernel hook iff :func:`enabled`; returns that state.
 
-    The entry points (deploy, scenario runner, shard workers) call this
+    The entry points (deploy, scenario runner) call this
     so an env-var-enabled run profiles kernels without anyone having
     called :func:`enable` explicitly.
     """

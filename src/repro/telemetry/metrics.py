@@ -1,4 +1,4 @@
-"""Labelled counters/gauges/histograms with Prometheus text exposition.
+"""Labelled counters and gauges with Prometheus text exposition.
 
 One :class:`MetricsRegistry` holds every metric the instrumentation plane
 publishes: service request counters, cache hit/miss/store counts, engine
@@ -23,19 +23,15 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "get_registry",
     "publish_snapshot",
 ]
-
-#: Default histogram bucket upper bounds (generic latency-in-ms layout).
-DEFAULT_BUCKETS = (1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0)
 
 _LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -55,13 +51,10 @@ def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _render_labels(key: _LabelKey, extra: Optional[Dict[str, str]] = None) -> str:
-    pairs = list(key)
-    if extra:
-        pairs = sorted(pairs + [(k, str(v)) for k, v in extra.items()])
-    if not pairs:
+def _render_labels(key: _LabelKey) -> str:
+    if not key:
         return ""
-    body = ",".join(f'{name}="{_escape_label(value)}"' for name, value in pairs)
+    body = ",".join(f'{name}="{_escape_label(value)}"' for name, value in key)
     return "{" + body + "}"
 
 
@@ -70,11 +63,11 @@ class _Metric:
 
     kind = "untyped"
 
-    def __init__(self, name: str, help_text: str = "", lock: Optional[threading.Lock] = None) -> None:
+    def __init__(self, name: str, help_text: str = "") -> None:
         self.name = name
         self.help_text = help_text
         self._series: Dict[_LabelKey, Any] = {}
-        self._lock = lock if lock is not None else threading.Lock()
+        self._lock = threading.Lock()
 
     def labelsets(self) -> List[Dict[str, str]]:
         with self._lock:
@@ -144,77 +137,6 @@ class Gauge(_Metric):
     _snapshot = Counter._snapshot
 
 
-class Histogram(_Metric):
-    """Cumulative-bucket histogram (Prometheus semantics).
-
-    Each label set owns ``len(buckets) + 1`` cumulative counts (the last is
-    the implicit ``+Inf`` bucket) plus a running sum; an observation lands
-    in every bucket whose upper bound is >= the value (``le`` semantics,
-    boundary inclusive).
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-        lock: Optional[threading.Lock] = None,
-    ) -> None:
-        super().__init__(name, help_text, lock=lock)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("a histogram needs at least one bucket bound")
-        self.buckets = bounds
-
-    def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        value = float(value)
-        with self._lock:
-            state = self._series.get(key)
-            if state is None:
-                state = {"counts": [0] * (len(self.buckets) + 1), "sum": 0.0, "count": 0}
-                self._series[key] = state
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    state["counts"][i] += 1
-            state["counts"][-1] += 1  # +Inf
-            state["sum"] += value
-            state["count"] += 1
-
-    def bucket_counts(self, **labels: Any) -> List[int]:
-        """Cumulative counts per bound (``+Inf`` last); empty series -> zeros."""
-        with self._lock:
-            state = self._series.get(_label_key(labels))
-            return list(state["counts"]) if state else [0] * (len(self.buckets) + 1)
-
-    def _render(self) -> List[str]:
-        lines = []
-        with self._lock:
-            for key in sorted(self._series):
-                state = self._series[key]
-                for bound, count in zip(self.buckets, state["counts"]):
-                    le = _render_labels(key, {"le": _format_value(bound)})
-                    lines.append(f"{self.name}_bucket{le} {count}")
-                lines.append(f"{self.name}_bucket{_render_labels(key, {'le': '+Inf'})} {state['counts'][-1]}")
-                lines.append(f"{self.name}_sum{_render_labels(key)} {_format_value(state['sum'])}")
-                lines.append(f"{self.name}_count{_render_labels(key)} {state['count']}")
-        return lines
-
-    def _snapshot(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [
-                {
-                    "labels": dict(key),
-                    "buckets": list(zip([*self.buckets, float("inf")], state["counts"])),
-                    "sum": state["sum"],
-                    "count": state["count"],
-                }
-                for key, state in sorted(self._series.items())
-            ]
-
-
 class MetricsRegistry:
     """Get-or-create store of named metrics with one render/snapshot view."""
 
@@ -222,11 +144,11 @@ class MetricsRegistry:
         self._metrics: Dict[str, _Metric] = {}
         self._lock = threading.Lock()
 
-    def _get(self, cls, name: str, help_text: str, **kwargs: Any) -> Any:
+    def _get(self, cls, name: str, help_text: str) -> Any:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
-                metric = cls(name, help_text, **kwargs)
+                metric = cls(name, help_text)
                 self._metrics[name] = metric
             elif not isinstance(metric, cls):
                 raise ValueError(
@@ -239,11 +161,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help_text: str = "") -> Gauge:
         return self._get(Gauge, name, help_text)
-
-    def histogram(
-        self, name: str, help_text: str = "", buckets: Tuple[float, ...] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._get(Histogram, name, help_text, buckets=buckets)
 
     def render_prometheus(self) -> str:
         """The ``/metrics`` body: HELP/TYPE headers plus every sample line."""

@@ -17,16 +17,16 @@ Cost policy (the observability contract):
   update.  Results are bit-identical either way: the proxy forwards
   arguments untouched and never re-orders RNG consumption.
 
-The profile merges across processes: the sharded engine's workers profile
-locally per micro-batch and ship the delta back in the reply frame header
-for :meth:`KernelProfiler.merge`.
+The profile is per process.  The sharded engine's workers run no SC kernel
+(the served forward works on thermometer counts), so they install no
+profiler and ship no profile back.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,22 +124,6 @@ class KernelProfiler:
                 proxy = ProfiledBackend(backend, self)
                 self._proxies[key] = proxy
             return proxy
-
-    def merge(self, records: Iterable[Dict[str, Any]]) -> None:
-        """Fold in exported rows (e.g. a worker's per-batch delta)."""
-        for row in records:
-            try:
-                key = (str(row["backend"]), str(row["kernel"]))
-                calls = float(row["calls"])
-                words = float(row["words"])
-                seconds = float(row["seconds"])
-            except (KeyError, TypeError, ValueError):
-                continue  # malformed row: drop, never fail the caller
-            with self._lock:
-                entry = self._records.setdefault(key, [0.0, 0.0, 0.0])
-                entry[0] += calls
-                entry[1] += words
-                entry[2] += seconds
 
     # --------------------------------------------------------------- readout
     def table(self, top: Optional[int] = None) -> List[Dict[str, Any]]:

@@ -17,7 +17,7 @@ Context propagation is explicit and transport-agnostic: a span's
 :meth:`~Tracer.context_of` is a two-key JSON dict
 (``{"trace_id", "span_id"}``) that travels in function arguments, a
 thread-local (:func:`push_context`, for executor hops the caller wraps)
-or the sharded engine's NPZ frame header; :meth:`Tracer.begin` accepts a
+or the sharded engine's pipe frame metadata; :meth:`Tracer.begin` accepts a
 span *or* such a dict as ``parent``.  Worker processes run their own
 :class:`Tracer` and ship finished event records back in the reply frame
 for :meth:`Tracer.ingest`.
@@ -251,7 +251,7 @@ class Tracer:
 
     def ingest(self, records: Iterable[Dict[str, Any]]) -> int:
         """Adopt finished event records (e.g. shipped back from a worker
-        process in an NPZ frame header); returns how many were taken."""
+        process in its reply frame); returns how many were taken."""
         taken = 0
         if not self.enabled:
             return taken

@@ -854,6 +854,41 @@ class TestServeCli:
         assert "serve floors: all pass" in output
         assert "closed_loop.throughput_img_per_s" in output
 
+    @pytest.mark.parametrize(
+        "suite, harness, results",
+        [("serve", "bench_serve_latency.py", "BENCH_serve.json"),
+         ("fabric", "bench_fabric.py", "BENCH_fabric.json")],
+        ids=["serve", "fabric"],
+    )
+    def test_bounded_suites_share_one_checker(self, tmp_path, capsys, suite, harness, results):
+        """Both `{"min", "max"}` suites skip a floor the host lacks CPUs for
+        and fail a violated bound, with the suite named in the verdict."""
+        from repro.cli import main
+
+        (tmp_path / harness).write_text("")
+        (tmp_path / "results").mkdir()
+        payload = {
+            "host": {"cpu_count": 1},
+            "run": {"scaling": 0.5, "p99_ms": 3.0},
+            "floors": {
+                "run.scaling": {"min": 1.5, "requires_cpus": 2},
+                "run.p99_ms": {"max": 5.0},
+            },
+        }
+        path = tmp_path / "results" / results
+        path.write_text(json.dumps(payload))
+        argv = ["bench", "--suite", suite, "--benchmarks-dir", str(tmp_path), "--check-floor", "--no-run"]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert "floor skipped: run.scaling (measured 0.50) needs >= 2 CPUs; host has 1" in output
+        assert "floor ok: run.p99_ms: measured 3.00 vs bounds (max 5)" in output
+        assert f"{suite} floors: all pass" in output
+
+        payload["run"]["p99_ms"] = 7.0
+        path.write_text(json.dumps(payload))
+        assert main(argv) == 1
+        assert f"{suite.upper()} PERF REGRESSION: run.p99_ms" in capsys.readouterr().err
+
     @pytest.mark.slow
     def test_stdio_serve_subprocess_round_trip(self, tmp_path):
         """`python -m repro serve` end to end over real pipes."""

@@ -3,13 +3,21 @@
 The load-bearing property extends PR 5's batching invariant across the
 process boundary: for *any* arrival pattern — and any interleaving of
 worker deaths — predictions served by a :class:`ShardedProcessEngine` are
-bit-identical to offline per-image evaluation.  Around it: the NPZ frame
-wire format, consistent-hash routing (ring + sharded cache), cross-shard
-stats merging, the :class:`EngineProtocol` seam, queue-depth autoscaling
-and the no-retry contract for deterministic worker errors.
+bit-identical to offline per-image evaluation.  Around it: the pickled
+frame wire format, malformed replies treated as shard deaths, per-shard
+image/batch counters, the :class:`EngineProtocol` seam, queue-depth
+autoscaling, the no-retry contract for deterministic worker errors, and
+shards that never outlive their parent.
 """
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,15 +30,13 @@ from repro.evaluation.vectors import collect_softmax_inputs
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
 from repro.serve import (
     EngineProtocol,
-    HashRing,
     InferenceService,
     PipelineEngine,
+    PredictionCache,
     ReplicaFactory,
-    ServiceStats,
-    ShardedPredictionCache,
     ShardedProcessEngine,
 )
-from repro.serve.sharded import pack_frame, unpack_frame
+from repro.serve.sharded import _Shard, _ShardDied, pack_frame, unpack_frame
 from repro.training.datasets import SyntheticImageDataset
 
 SOFTMAX = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0, by=8, alpha_y=0.03, s1=16, s2=4)
@@ -116,7 +122,7 @@ def _stub_engine(**kwargs):
 
 
 # ---------------------------------------------------------------------------
-# NPZ frames
+# Frames
 # ---------------------------------------------------------------------------
 
 
@@ -146,105 +152,82 @@ class TestFrames:
 
 
 # ---------------------------------------------------------------------------
-# Consistent hashing
+# Replies the parent refuses
 # ---------------------------------------------------------------------------
 
 
-class TestHashRing:
-    def test_deterministic_across_instances_and_insertion_order(self):
-        keys = [f"key-{i}" for i in range(200)]
-        a = HashRing(nodes=[0, 1, 2])
-        b = HashRing(nodes=[2, 0, 1])
-        assert [a.node_for(k) for k in keys] == [b.node_for(k) for k in keys]
+class _FakeProcess:
+    def is_alive(self):
+        return True
 
-    def test_adding_a_node_remaps_a_minority_of_keys(self):
-        keys = [f"key-{i}" for i in range(1000)]
-        ring = HashRing(nodes=[0, 1, 2, 3])
-        before = {k: ring.node_for(k) for k in keys}
-        ring.add_node(4)
-        moved = sum(1 for k in keys if ring.node_for(k) != before[k])
-        # Ideal remap fraction is 1/5; anything under half shows the ring
-        # is consistent rather than mod-N (which would move ~4/5).
-        assert 0 < moved < len(keys) // 2
-        # Every moved key lands on the new node, never reshuffles old ones.
-        assert all(ring.node_for(k) == 4 for k in keys if ring.node_for(k) != before[k])
-
-    def test_remove_restores_previous_placement(self):
-        keys = [f"key-{i}" for i in range(300)]
-        ring = HashRing(nodes=[0, 1])
-        before = {k: ring.node_for(k) for k in keys}
-        ring.add_node(2)
-        ring.remove_node(2)
-        assert {k: ring.node_for(k) for k in keys} == before
-
-    def test_empty_ring_raises(self):
-        with pytest.raises(ValueError, match="no nodes"):
-            HashRing().node_for("anything")
+    def terminate(self):
+        pass
 
 
-class TestShardedPredictionCache:
-    def test_routing_is_stable_and_roundtrips(self):
-        cache = ShardedPredictionCache(shards=3)
-        keys = [f"request-{i}" for i in range(50)]
-        for i, key in enumerate(keys):
-            cache.put(key, i)
-        assert len(cache) == len(keys)
-        for i, key in enumerate(keys):
-            assert key in cache
-            assert cache.get(key) == i
-            assert cache.shard_for(key) == cache.shard_for(key)
-        assert sum(cache.partition_sizes().values()) == len(keys)
+class _FakeConn:
+    """A shard pipe answering each predict frame with ``reply(job, indices)``."""
 
-    def test_add_shard_keeps_majority_of_keys_routed(self):
-        cache = ShardedPredictionCache(shards=2)
-        keys = [f"request-{i}" for i in range(200)]
-        for i, key in enumerate(keys):
-            cache.put(key, i)
-        cache.add_shard()
-        hits = sum(1 for i, key in enumerate(keys) if cache.get(key) == i)
-        assert hits > len(keys) // 2  # ~(n-1)/n stay on their old partition
+    def __init__(self, reply):
+        self.reply = reply
+        self.request = None
 
-    def test_shared_backing_repromotes_remapped_keys(self, tmp_path):
-        from repro.runner.cache import ResultCache
+    def send_bytes(self, blob):
+        self.request = unpack_frame(blob)
 
-        backing = ResultCache(tmp_path / "cache")
-        cache = ShardedPredictionCache(shards=2, backing=backing)
-        keys = [f"request-{i}" for i in range(100)]
-        for i, key in enumerate(keys):
-            cache.put(key, i)
-        cache.add_shard()
-        # Remapped keys miss in memory but re-promote from the shared disk
-        # backing, so the cache never forgets a content-addressed answer.
-        assert all(cache.get(key) == i for i, key in enumerate(keys))
+    def poll(self, timeout):
+        return True
+
+    def recv_bytes(self):
+        _, arrays, meta = self.request
+        return self.reply(meta["job"], arrays["indices"])
 
 
-# ---------------------------------------------------------------------------
-# Cross-shard stats
-# ---------------------------------------------------------------------------
+def _good_reply(job, indices):
+    return pack_frame("result", {"predictions": indices % 7}, job=job)
 
 
-class TestServiceStatsMerge:
-    def test_counters_sum_and_percentiles_cover_the_union(self):
-        a, b = ServiceStats(), ServiceStats()
-        for stats, latencies in ((a, [1.0, 2.0, 3.0]), (b, [100.0, 200.0])):
-            for latency in latencies:
-                stats.record_submitted()
-                stats.record_completed(latency)
-        a.record_batch(3)
-        b.record_batch(2)
-        b.record_error()
-        merged = ServiceStats.merge([a, b]).snapshot()
-        assert merged["requests"]["submitted"] == 5
-        assert merged["requests"]["completed"] == 5
-        assert merged["requests"]["errors"] == 1
-        assert merged["batching"]["batches"] == 2
-        assert merged["batching"]["histogram"] == {"2": 1, "3": 1}
-        # p99 over the union must see b's slow tail, not a's fast average.
-        assert merged["latency"]["p99_ms"] > 50.0
+BAD_REPLIES = {
+    "garbage": lambda job, indices: b"\x00 not a frame",
+    "truncated": lambda job, indices: _good_reply(job, indices)[:-5],
+    "wrong_length": lambda job, indices: pack_frame(
+        "result", {"predictions": indices[:-1] % 7}, job=job
+    ),
+    "float_dtype": lambda job, indices: pack_frame(
+        "result", {"predictions": (indices % 7).astype(float)}, job=job
+    ),
+    "two_dimensional": lambda job, indices: pack_frame(
+        "result", {"predictions": (indices % 7)[:, None]}, job=job
+    ),
+}
 
-    def test_merge_of_nothing_is_empty(self):
-        snapshot = ServiceStats.merge([]).snapshot()
-        assert snapshot["requests"]["submitted"] == 0
+
+def _fake_shard(slot, reply):
+    shard = _Shard(slot, 0, _FakeProcess(), _FakeConn(reply))
+    shard.ready = True
+    return shard
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize("kind", sorted(BAD_REPLIES))
+    def test_dispatch_treats_a_malformed_reply_as_a_death(self, kind):
+        engine = _stub_engine(shards=1)
+        shard = _fake_shard(0, BAD_REPLIES[kind])
+        with pytest.raises(_ShardDied):
+            engine._dispatch(shard, np.zeros((3, 2, 2)), np.array([4, 5, 6]))
+        assert shard.batches == 0
+
+    @pytest.mark.parametrize("kind", sorted(BAD_REPLIES))
+    def test_run_redispatches_the_batch_and_completes(self, kind):
+        engine = _stub_engine(shards=2, respawn=False)
+        bad, good = _fake_shard(0, BAD_REPLIES[kind]), _fake_shard(1, _good_reply)
+        engine._shards = {0: bad, 1: good}
+        predictions = engine.run(np.zeros((3, 2, 2)), np.array([4, 5, 6]))
+        assert predictions.tolist() == [4, 5, 6]
+        lifecycle = engine.stats_snapshot()["lifecycle"]
+        assert lifecycle["deaths"] == 1
+        assert lifecycle["redispatches"] == 1
+        assert bad.errors == 1
+        assert (good.batches, good.images) == (1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +274,7 @@ class TestShardedBitIdentity:
         engine = _sharded_engine(stack, flip_prob=flip_prob, shards=2)
         service = InferenceService(
             engine, max_batch=4, max_wait_ms=2.0,
-            cache=ShardedPredictionCache(shards=2),
+            cache=PredictionCache(),
         )
 
         async def session():
@@ -448,3 +431,106 @@ class TestAutoscaling:
         predictions, snapshot = asyncio.run(session())
         assert predictions == [i % 7 for i in range(12)]
         assert snapshot["engine"]["lifecycle"]["spawned"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# Per-shard counters
+# ---------------------------------------------------------------------------
+
+
+class TestShardCounters:
+    def test_shard_counters_sum_to_the_service_batching_totals(self):
+        engine = _stub_engine(shards=2)
+        service = InferenceService(engine, max_batch=3, max_wait_ms=1.0, cache=None)
+
+        async def session():
+            async with service:
+                images = np.zeros((20, 2, 2))
+                await asyncio.gather(*[service.submit(images[i], index=i) for i in range(20)])
+                return service.stats_snapshot()
+
+        snapshot = asyncio.run(session())
+        assert snapshot["engine"]["lifecycle"]["deaths"] == 0
+        shards = snapshot["engine"]["per_shard"]
+        assert len(shards) == 2
+        for entry in shards.values():
+            assert set(entry) == {"batching", "errors", "in_flight"}
+            assert "requests" not in entry
+            assert entry["errors"] == 0
+        batching = snapshot["batching"]
+        assert sum(e["batching"]["batched_images"] for e in shards.values()) == batching["batched_images"]
+        assert sum(e["batching"]["batches"] for e in shards.values()) == batching["batches"]
+        assert batching["batched_images"] == 20
+
+
+# ---------------------------------------------------------------------------
+# No orphans
+# ---------------------------------------------------------------------------
+
+_ORPHAN_PARENT = textwrap.dedent(
+    """
+    import time
+
+    import numpy as np
+
+    from repro.serve import ShardedProcessEngine
+
+
+    class Stub:
+        flip_prob = 0.0
+
+        def __call__(self):
+            return self
+
+        def image_shape(self):
+            return (2, 2)
+
+        def predict_batch(self, images, indices):
+            return np.asarray(indices) % 7
+
+
+    engine = ShardedProcessEngine(Stub(), shards=2, version="orphan-v1")
+    engine.start()
+    engine.run(np.zeros((2, 2, 2)), np.array([0, 1]))
+    print(*(shard.process.pid for shard in engine._shards.values()), flush=True)
+    time.sleep(120)
+    """
+)
+
+
+def _running(pid):
+    """Is ``pid`` a live (non-zombie) process?"""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_shards_exit_when_their_parent_is_sigkilled(tmp_path):
+    script = tmp_path / "parent.py"
+    script.write_text(_ORPHAN_PARENT)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    parent = subprocess.Popen(
+        [sys.executable, str(script)], stdout=subprocess.PIPE, text=True, env=env
+    )
+    pids = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        assert all(_running(pid) for pid in pids)
+        parent.kill()
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)], "shards outlived their parent"
+    finally:
+        parent.kill()
+        parent.wait(timeout=10)
+        parent.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -122,7 +122,7 @@ class TestBuildDeployment:
         assert deployment.to_spec() is spec  # byte-exact round trip for free
 
     def test_process_spec_builds_sharded_engine_and_cache(self, tmp_path):
-        from repro.serve.cache import ShardedPredictionCache
+        from repro.serve.cache import PredictionCache
 
         spec = ServeSpec(**TINY, engine="process", workers=2, max_shards=3,
                          cache_dir=str(tmp_path / "cache"))
@@ -130,9 +130,8 @@ class TestBuildDeployment:
         assert isinstance(deployment.engine, ShardedProcessEngine)
         assert deployment.engine.min_shards == 2
         assert deployment.engine.max_shards == 3
-        # Cache partitions track the autoscale ceiling.
-        assert isinstance(deployment.cache, ShardedPredictionCache)
-        assert deployment.cache.shards == 3
+        # One service-side cache, as for every engine family.
+        assert type(deployment.cache) is PredictionCache
         assert deployment.cache.backing is not None
 
     def test_deployment_serves_end_to_end(self):

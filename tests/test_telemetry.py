@@ -3,9 +3,9 @@
 Three layers of contract:
 
 * **Unit** — tracer (ids, parentage, ingest, exports), metrics
-  (monotone counters, le-inclusive histogram buckets, Prometheus
-  rendering, snapshot publishing), kernel profiling (proxy transparency,
-  cross-process merge), structured logging and trace summarising.
+  (monotone counters, Prometheus rendering, snapshot publishing), kernel
+  profiling (proxy transparency, heaviest-first table), structured logging
+  and trace summarising.
 * **Inertness** — the load-bearing promise: telemetry off leaves the
   backend seam untouched (``active_backend`` returns the raw instance),
   the ``telemetry`` spec field never enters the scenario cache identity,
@@ -29,7 +29,6 @@ from repro import telemetry
 from repro.telemetry import (
     Counter,
     Gauge,
-    Histogram,
     KernelProfiler,
     MetricsRegistry,
     Tracer,
@@ -89,7 +88,7 @@ class TestTracer:
         tracer = Tracer(clock=FakeClock(), pid=1)
         root = tracer.begin("root")
         child = tracer.begin("child", parent=root)
-        # Context dicts are what crosses the NPZ frame header.
+        # Context dicts are what crosses the pipe in a frame's metadata.
         ctx = tracer.context_of(child)
         assert set(ctx) == {"trace_id", "span_id"}
         grandchild = tracer.begin("grandchild", parent=ctx)
@@ -171,19 +170,10 @@ class TestMetrics:
         with pytest.raises(ValueError, match="cannot decrease"):
             counter.set(9, route="predict")
 
-    def test_histogram_buckets_are_le_inclusive(self):
-        hist = Histogram("repro_latency_ms", buckets=(1.0, 10.0, 100.0))
-        hist.observe(10.0)  # exactly on a bound: lands in that bucket
-        hist.observe(10.5)
-        hist.observe(2000.0)  # beyond every bound: only +Inf
-        assert hist.bucket_counts() == [0, 1, 2, 3]
-        assert hist.bucket_counts(shard="unseen") == [0, 0, 0, 0]
-
     def test_registry_rejects_kind_mismatch_and_renders_prometheus(self):
         registry = MetricsRegistry()
         registry.counter("repro_cache_hits_total", "Cache hits").inc(3, cache="prediction")
         registry.gauge("repro_queue_depth").set(2.5)
-        registry.histogram("repro_batch_size", buckets=(1.0, 4.0)).observe(4.0)
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("repro_cache_hits_total")
 
@@ -193,10 +183,6 @@ class TestMetrics:
         assert "# TYPE repro_cache_hits_total counter" in text
         assert 'repro_cache_hits_total{cache="prediction"} 3' in text
         assert "repro_queue_depth 2.5" in text
-        assert 'repro_batch_size_bucket{le="4"} 1' in text
-        assert 'repro_batch_size_bucket{le="+Inf"} 1' in text
-        assert "repro_batch_size_sum 4" in text
-        assert "repro_batch_size_count 1" in text
         # The snapshot mirror is JSON-able as-is.
         json.dumps(registry.snapshot())
 
@@ -256,41 +242,23 @@ class TestKernelProfiling:
         # Non-kernel attributes pass through untouched.
         assert proxy.name == backend.name
 
-    def test_merge_folds_worker_deltas_and_drops_malformed_rows(self):
-        profiler = KernelProfiler()
-        profiler.record("numpy", "xor_words", 0.5, 10)
-        profiler.merge(
-            [
-                {"backend": "numpy", "kernel": "xor_words", "calls": 2, "words": 6, "seconds": 0.25},
-                {"backend": "numpy", "kernel": "mux_words", "calls": 1, "words": 3, "seconds": 1.5},
-                {"backend": "numpy", "kernel": "broken", "calls": "NaN-ish", "words": {}, "seconds": None},
-                {"missing": "keys"},
-            ]
-        )
-        rows = {(r["backend"], r["kernel"]): r for r in profiler.table()}
-        assert len(rows) == 2
-        assert rows[("numpy", "xor_words")]["calls"] == 3
-        assert rows[("numpy", "xor_words")]["words"] == 16
-        assert rows[("numpy", "xor_words")]["seconds"] == pytest.approx(0.75)
-        # table() sorts heaviest-first by wall time.
-        assert profiler.table(top=1)[0]["kernel"] == "mux_words"
+    def test_traced_dispatch_adopts_worker_spans_and_no_profile(self):
+        """A shard reply carries spans only; the parent profiler stays empty."""
+        from repro.serve.sharded import ShardedProcessEngine, _Shard, pack_frame, unpack_frame
 
-    def test_sharded_dispatch_merges_a_worker_reply_profile(self):
-        """A shard reply's ``kernel_profile`` rows land in the parent profiler."""
-        from repro.serve.sharded import ShardedProcessEngine, _Shard, pack_frame
-
-        row = {"backend": "numpy", "kernel": "xor_words", "calls": 3, "words": 12, "seconds": 0.5}
+        worker_span = {"name": "shard.predict", "ph": "X", "ts": 1, "dur": 2, "pid": 99, "args": {}}
 
         class FakeConn:
             def send_bytes(self, blob):
-                pass
+                self.meta = unpack_frame(blob)[2]
 
             def poll(self, timeout):
                 return True
 
             def recv_bytes(self):
+                assert "trace" in self.meta  # the context rides the request frame
                 return pack_frame(
-                    "result", {"predictions": np.array([2, 0])}, job=1, spans=[], kernel_profile=[row]
+                    "result", {"predictions": np.array([2, 0])}, job=self.meta["job"], spans=[worker_span]
                 )
 
         class LiveProcess:
@@ -309,11 +277,16 @@ class TestKernelProfiling:
         with push_context({"trace_id": "t-1", "span_id": "s-1"}):
             predictions = engine._dispatch(shard, np.zeros((2, 8, 8, 3)), np.array([4, 5]))
         assert predictions.tolist() == [2, 0]
-        assert telemetry.get_profiler().table() == [row]
+        names = [event["name"] for event in telemetry.get_tracer().events()]
+        assert names.count("shard.predict") == 1 and names.count("shard.dispatch") == 1
+        assert telemetry.get_profiler().table() == []
 
     def test_publish_exposes_per_kernel_counters(self):
         profiler = KernelProfiler()
         profiler.record("numpy", "popcount_words", 0.125, 64)
+        profiler.record("numpy", "xor_words", 0.5, 10)
+        # table() sorts heaviest-first by wall time.
+        assert profiler.table(top=1)[0]["kernel"] == "xor_words"
         registry = MetricsRegistry()
         profiler.publish(registry)
         text = registry.render_prometheus()
@@ -553,46 +526,6 @@ class TestServiceStatsEdgeCases:
         assert snap["latency"]["p95_ms"] == pytest.approx(12.5)
         assert snap["latency"]["p99_ms"] == pytest.approx(12.5)
 
-    def test_merge_with_no_parts_and_with_empty_shards(self):
-        from repro.serve.stats import ServiceStats
-
-        empty = ServiceStats.merge([])
-        assert empty.completed == 0
-        assert empty.uptime_seconds == 0.0
-        assert empty.snapshot()["throughput_per_s"] == 0.0
-
-        clock = FakeClock()
-        busy = self._make(clock)
-        busy.start()
-        busy.record_submitted()
-        busy.record_completed(5.0, cached=True)
-        busy.record_batch(2)
-        idle = self._make(clock)  # a freshly spawned shard: no samples at all
-        merged = ServiceStats.merge([busy, idle])
-        snap = merged.snapshot()
-        assert snap["requests"]["completed"] == 1
-        assert snap["cache"]["hits"] == 1
-        assert snap["cache"]["hit_rate"] == 1.0
-        assert snap["latency"]["p99_ms"] == pytest.approx(5.0)
-        # The merge is non-destructive.
-        assert idle.completed == 0 and busy.completed == 1
-
-    def test_merge_takes_earliest_start_for_throughput(self):
-        from repro.serve.stats import ServiceStats
-
-        clock = FakeClock()
-        early = self._make(clock)
-        early.start()
-        clock.advance(10.0)
-        late = self._make(clock)
-        late.start()
-        for _ in range(30):
-            late.record_completed(1.0)
-        merged = ServiceStats.merge([early, late])
-        merged._clock = clock  # merge() can't know the parts' injected clock
-        # 30 completions over the *earliest* start (10s ago), not the late one.
-        assert merged.snapshot()["throughput_per_s"] == pytest.approx(3.0)
-
     def test_batch_histogram_boundaries_and_mean(self):
         stats = self._make()
         for size in (1, 1, 4, 8):
@@ -797,9 +730,7 @@ class TestTracedScenarioEndToEnd:
         assert any(e["name"] == "event.cache_loss" and e["ph"] == "i" for e in events)
 
         # The export embeds the kernel profile and the metrics snapshot.  The
-        # serving forward runs no SC kernel, so the profile may be empty; the
-        # worker-to-parent merge is covered by
-        # test_sharded_dispatch_merges_a_worker_reply_profile.
+        # serving forward runs no SC kernel, so the profile may be empty.
         other = document["otherData"]
         assert other["scenario"] == "traced-kill"
         assert isinstance(other["kernel_profile"], list), "kernel profile missing from the export"

@@ -185,8 +185,8 @@ class SIGeluBlock(_ThermometerFormats, NonlinearBlock):
     def to_spec(self) -> GeluSISpec:
         return self._spec
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        return self.block.evaluate(values)
+    def evaluate(self, values: np.ndarray, faults=None) -> np.ndarray:
+        return self.block.evaluate(values, faults=faults)
 
     def reference(self, values: np.ndarray) -> np.ndarray:
         return gelu_exact(np.asarray(values, dtype=float))

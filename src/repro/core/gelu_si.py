@@ -117,9 +117,18 @@ class GateAssistedSIBlock:
             counts=counts, length=self.output_length, scale=self.output_scale, validate=False
         )
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        """End-to-end: encode real values, run the block, decode the outputs."""
-        return self.quantized_function(np.asarray(values, dtype=float))
+    def evaluate(self, values: np.ndarray, faults=None) -> np.ndarray:
+        """End-to-end: encode real values, run the block, decode the outputs.
+
+        ``faults``, an armed :class:`~repro.eval_pipeline.faults.BitFlipFaultModel`,
+        flips bits of the input and output streams, sampled as one composed site.
+        """
+        if faults is None:
+            return self.quantized_function(np.asarray(values, dtype=float))
+        counts = thermometer_encode_counts(values, self.input_length, self.input_scale)
+        counts = faults.perturb_counts(counts, self.input_length, through=(self.table, self.output_length))
+        levels = np.arange(self.output_length + 1)
+        return thermometer_decode_counts(levels, self.output_length, self.output_scale).take(counts)
 
     # ------------------------------------------------------------ complexity
     def output_bit_transitions(self) -> np.ndarray:

@@ -12,7 +12,8 @@ served prediction run through it:
   ``(batch, heads, tokens, m)`` score tensor and the SI GELU on the whole
   ``(batch, tokens, hidden)`` activation tensor: one substitution call per
   layer per batch, with fault injection applied as one net-count draw per
-  stream interface (:mod:`repro.eval_pipeline.faults`).
+  softmax stream interface and one composed draw per GELU
+  (:mod:`repro.eval_pipeline.faults`).
 * **chunk-invariant numerics** — forwards run under
   :func:`repro.nn.autograd.batch_invariant_matmul`, so evaluating a split
   in chunks of 1, 32 or 1024 images yields bit-identical logits; the
@@ -40,7 +41,6 @@ from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.nn.autograd import Tensor, batch_invariant_matmul, no_grad
 from repro.nn.vit import CompactVisionTransformer
-from repro.sc.bitstream import ThermometerStream
 from repro.training.datasets import DatasetSplit
 from repro.utils.validation import check_positive_int
 
@@ -154,10 +154,6 @@ class ScViTEvalPipeline:
         self.flip_prob = float(flip_prob)
 
     # ------------------------------------------------------------ substitution
-    def _stream_hook(self, site: str, stream: ThermometerStream) -> ThermometerStream:
-        assert self.fault_model is not None
-        return self.fault_model.perturb_stream(stream)
-
     def _batched_softmax(self, scores: Tensor) -> Tensor:
         """Circuit softmax over the last axis of the whole score tensor.
 
@@ -166,26 +162,16 @@ class ScViTEvalPipeline:
         clamp-and-rescale, exactly as the seed evaluator did per flattened
         row (the operations are rowwise, so the numbers are identical).
         """
-        hook = self._stream_hook if self.fault_model is not None else None
-        out = self.softmax_circuit.forward(scores.data, stream_hook=hook)
+        out = self.softmax_circuit.forward(scores.data, stream_hook=self.fault_model)
         out = np.clip(out, 0.0, None)
         row_sum = out.sum(axis=-1, keepdims=True)
         out = np.where(row_sum > 0, out / np.maximum(row_sum, 1e-9), 1.0 / out.shape[-1])
         return Tensor(out)
 
     def _batched_gelu(self, x: Tensor) -> Tensor:
-        """SI-block GELU over the whole activation tensor, with fault sites."""
-        block = self.gelu_block
-        assert block is not None
-        if self.fault_model is None:
-            return Tensor(block.evaluate(x.data))
-        stream = ThermometerStream.encode(
-            np.asarray(x.data, dtype=float), block.input_length, block.input_scale
-        )
-        stream = self.fault_model.perturb_stream(stream)
-        out = block.process(stream)
-        out = self.fault_model.perturb_stream(out)
-        return Tensor(out.decode())
+        """SI-block GELU over the whole activation tensor, faulted as one composed site."""
+        assert self.gelu_block is not None
+        return Tensor(self.gelu_block.evaluate(x.data, faults=self.fault_model))
 
     # ---------------------------------------------------------------- patching
     @contextlib.contextmanager
@@ -247,7 +233,7 @@ class ScViTEvalPipeline:
         function of ``(weights, image, config, fault seed, image index)`` —
         never of which other images share the batch — because forwards run
         under :func:`~repro.nn.autograd.batch_invariant_matmul` and fault
-        masks are seeded per image index.  Coalescing any subset of requests
+        draws are keyed by image index.  Coalescing any subset of requests
         into one micro-batch therefore reproduces the per-image results bit
         for bit.  ``image_indices`` defaults to ``0..B-1`` (the offline
         split order); it only matters when fault injection is enabled.

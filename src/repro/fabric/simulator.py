@@ -382,18 +382,12 @@ def _test_vectors(function: str, block_spec: Any, rows: int, seed: int) -> np.nd
 
 
 def _fault_hook(flip_prob: float, fault_seed: int, n_rows: int):
-    """A fresh, armed fault model as a ``stream_hook`` (or ``None``)."""
-    if flip_prob <= 0.0:
-        return None
+    """A fresh fault model armed for ``n_rows`` rows, itself a ``stream_hook``."""
     from repro.eval_pipeline.faults import BitFlipFaultModel
 
     model = BitFlipFaultModel(flip_prob, seed=fault_seed)
-    model.begin_batch(list(range(n_rows)))
-
-    def hook(site, stream):
-        return model.perturb_stream(stream)
-
-    return hook
+    model.begin_batch(np.arange(n_rows))
+    return model
 
 
 def _evaluate_block(block: Any, values: np.ndarray, flip_prob: float, fault_seed: int) -> np.ndarray:

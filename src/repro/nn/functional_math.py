@@ -24,14 +24,6 @@ def gelu_tanh_approximation(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
 
 
-def gelu_derivative(x: np.ndarray) -> np.ndarray:
-    """Analytic derivative of the exact GELU."""
-    x = np.asarray(x, dtype=float)
-    phi = np.exp(-0.5 * x**2) / np.sqrt(2.0 * np.pi)
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    return cdf + x * phi
-
-
 def softmax_exact(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
     x = np.asarray(x, dtype=float)

@@ -164,9 +164,6 @@ class LsqQuantizer(Module):
         s = float(self.step.data)
         return np.clip(np.round(np.asarray(values, dtype=float) / s), self.qn, self.qp).astype(np.int64)
 
-    def extra_repr(self) -> str:  # pragma: no cover - debugging aid
-        return f"bsl={self.bsl}, step={float(self.step.data):.4g}"
-
 
 class QuantizedLinear(Module):
     """A linear layer with optional LSQ quantisers on weights and inputs.

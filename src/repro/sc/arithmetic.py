@@ -267,13 +267,3 @@ def stochastic_multiplier_hardware(encoding: str = "unipolar") -> HardwareModule
         cycles=1,
         metadata={"encoding": encoding},
     )
-
-
-def mux_adder_hardware() -> HardwareModule:
-    """Single-MUX scaled adder for stochastic encodings."""
-    return HardwareModule(
-        name="sc_mux_add",
-        inventory=ComponentInventory({"MUX2": 1, "LFSR_BIT": 4}),
-        critical_path=("MUX2",),
-        cycles=1,
-    )

@@ -8,28 +8,32 @@ what the CI scenario matrix gates on and what lands in the result JSON.
 
 The catalog (suffix tells the comparison direction):
 
-========================  ====================================================
-``bit_identity``          every completed prediction equals the offline
-                          per-image evaluation of the same ``(image, fault
-                          index)`` pair — the paper's robustness claim; also
-                          requires at least one completion (an all-failed run
-                          must not vacuously pass)
-``p50_ms_max``            median served latency ceiling (ms)
-``p99_ms_max``            tail latency ceiling (ms)
-``timeout_rate_max``      timeouts / offered ceiling
-``reject_rate_max``       backpressure rejections / offered ceiling
-``error_rate_max``        request errors / offered ceiling
-``completed_min``         completed-request floor
-``recovery_ms_max``       worst shard-kill recovery deadline (ms); passes
-                          vacuously when the scenario kills nothing, fails if
-                          any kill never recovered
-``deaths_min``            engine-observed worker deaths floor (proves the
-                          degradation schedule actually bit)
-``scale_actions_max``     autoscale up/retire action ceiling (flapping bound;
-                          kill-driven respawns are excluded)
-``replacements_min``      fabric re-place-and-route floor (proves dead-tile
-                          recovery actually re-placed the schedule)
-========================  ====================================================
+============================  ====================================================
+``bit_identity``              every completed prediction equals the offline
+                              per-image evaluation of the same ``(image, fault
+                              index)`` pair — the paper's robustness claim; also
+                              requires at least one completion (an all-failed run
+                              must not vacuously pass)
+``p50_ms_max``                median served latency ceiling (ms)
+``p99_ms_max``                tail latency ceiling (ms)
+``timeout_rate_max``          timeouts / offered ceiling
+``reject_rate_max``           backpressure rejections / offered ceiling
+``error_rate_max``            request errors / offered ceiling
+``completed_min``             completed-request floor
+``recovery_ms_max``           worst shard-kill recovery deadline (ms); passes
+                              vacuously when the scenario kills nothing, fails if
+                              any kill never recovered
+``deaths_min``                engine-observed worker deaths floor (proves the
+                              degradation schedule actually bit)
+``uncached_after_kill_min``   floor on completed requests submitted at or
+                              after the first shard kill that the engine, not
+                              the prediction cache, answered (proves the kill
+                              met live traffic; all-hit traffic reads 0)
+``scale_actions_max``         autoscale up/retire action ceiling (flapping bound;
+                              kill-driven respawns are excluded)
+``replacements_min``          fabric re-place-and-route floor (proves dead-tile
+                              recovery actually re-placed the schedule)
+============================  ====================================================
 
 This module is pure data + numpy; it imports nothing from the serving
 stack so the spec layer can import it without cycles.
@@ -66,6 +70,8 @@ class ScenarioOutcome:
     scale_actions: int = 0
     #: Fabric re-place-and-route cycles (dead-tile recoveries).
     replacements: int = 0
+    #: Completed, engine-answered requests submitted at or after the first kill.
+    uncached_after_kill: int = 0
 
     def rate(self, count: int) -> float:
         return count / self.offered if self.offered else 0.0
@@ -152,6 +158,11 @@ def _recovery(outcome: ScenarioOutcome, value: Optional[float]):
 @_register("deaths_min")
 def _deaths_min(outcome: ScenarioOutcome, value: Optional[float]):
     return float(outcome.deaths), outcome.deaths >= float(value)
+
+
+@_register("uncached_after_kill_min")
+def _uncached_after_kill_min(outcome: ScenarioOutcome, value: Optional[float]):
+    return float(outcome.uncached_after_kill), outcome.uncached_after_kill >= float(value)
 
 
 @_register("scale_actions_max")

@@ -224,8 +224,8 @@ class ScenarioRunner:
         loop = asyncio.get_running_loop()
         inflight = asyncio.Semaphore(self.max_inflight)
 
-        async def one(pool_idx: int, fault_idx: int, bucket: List[Dict[str, Any]]) -> None:
-            record: Dict[str, Any] = {"pool": pool_idx, "index": fault_idx}
+        async def one(ordinal: int, pool_idx: int, fault_idx: int, bucket: List[Dict[str, Any]]) -> None:
+            record: Dict[str, Any] = {"ordinal": ordinal, "pool": pool_idx, "index": fault_idx}
             try:
                 result = await deployment.service.submit(images[pool_idx], index=fault_idx)
                 record.update(
@@ -383,7 +383,7 @@ class ScenarioRunner:
                     pool_idx = extra % len(images)
                     await inflight.acquire()
                     tasks.append(
-                        asyncio.create_task(one(pool_idx, pool_idx + offset, burst_records))
+                        asyncio.create_task(one(ordinal, pool_idx, pool_idx + offset, burst_records))
                     )
                 entry["count"] = event.count
             if event_span is not None:
@@ -413,7 +413,7 @@ class ScenarioRunner:
                 pool_idx = int(workload.image_indices[i])
                 await inflight.acquire()
                 tasks.append(
-                    asyncio.create_task(one(pool_idx, pool_idx + self._storm_offset(i, n), records))
+                    asyncio.create_task(one(i, pool_idx, pool_idx + self._storm_offset(i, n), records))
                 )
             for ordinal, event in pending_events:
                 await fire_event(event, ordinal, started)
@@ -499,6 +499,11 @@ class ScenarioRunner:
         def count(outcome: str) -> int:
             return sum(1 for r in all_records if r.get("outcome") == outcome)
 
+        kills = [e["at_request"] for e in run["events"] if e["action"] == "kill_shard"]
+        uncached_after_kill = (
+            sum(1 for r in completed if not r.get("cached") and r["ordinal"] >= min(kills)) if kills else 0
+        )
+
         outcome = ScenarioOutcome(
             offered=len(all_records),
             completed=len(completed),
@@ -511,6 +516,7 @@ class ScenarioRunner:
             deaths=run["deaths"],
             scale_actions=run["scale_actions"],
             replacements=run.get("replacements", 0),
+            uncached_after_kill=uncached_after_kill,
         )
         verdicts = evaluate_assertions(self.spec.assertions, outcome)
         latency = {
@@ -537,6 +543,7 @@ class ScenarioRunner:
                 "timeouts": outcome.timeouts,
                 "errors": outcome.errors,
                 "cached": sum(1 for r in completed if r.get("cached")),
+                "uncached_after_kill": uncached_after_kill,
                 "bit_mismatches": mismatches,
             },
             "latency": latency,

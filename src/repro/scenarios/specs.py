@@ -205,7 +205,7 @@ class AssertionSpec:
     ``check`` names an entry of the catalog in
     :mod:`repro.scenarios.assertions` (``bit_identity``, ``p99_ms_max``,
     ``timeout_rate_max``, ``recovery_ms_max``, ``deaths_min``,
-    ``scale_actions_max``, ...).  ``value`` is the threshold for bounded
+    ``uncached_after_kill_min``, ``scale_actions_max``, ...).  ``value`` is the threshold for bounded
     checks and must be null for value-less ones (``bit_identity``).
     """
 

@@ -220,7 +220,8 @@ def render_metrics(service: InferenceService) -> str:
     """The ``GET /metrics`` body: fold current state into the registry, render.
 
     Pull-published: the service/engine/cache layers keep plain counters and
-    this scrape site flattens their snapshots into gauges, adds cache and
+    this scrape site flattens their snapshots into gauges (per-shard
+    counters under a ``shard`` label), adds cache and
     engine-lifecycle counters, folds in the kernel profiler, and renders
     the Prometheus text format.  Metrics are observational only — nothing
     here feeds back into serving.
@@ -229,7 +230,14 @@ def render_metrics(service: InferenceService) -> str:
     from repro.telemetry.metrics import publish_snapshot
 
     registry = telemetry.get_registry()
-    publish_snapshot(registry, service.stats_snapshot(), prefix="repro_service")
+    snapshot = service.stats_snapshot()
+    engine = snapshot.get("engine")
+    shards = engine.pop("per_shard", {}) if isinstance(engine, dict) else {}
+    publish_snapshot(registry, snapshot, prefix="repro_service")
+    for label, counters in shards.items():
+        # One gauge per counter, one series per shard: a respawned shard adds
+        # a series under the same names.
+        publish_snapshot(registry, counters, prefix="repro_service_shard", shard=label)
     cache = getattr(service, "cache", None)
     counters = getattr(cache, "counters", None)
     if callable(counters):

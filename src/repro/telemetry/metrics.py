@@ -69,10 +69,6 @@ class _Metric:
         self._series: Dict[_LabelKey, Any] = {}
         self._lock = threading.Lock()
 
-    def labelsets(self) -> List[Dict[str, str]]:
-        with self._lock:
-            return [dict(key) for key in self._series]
-
 
 class Counter(_Metric):
     """Monotonically increasing sample (``inc`` only)."""
@@ -196,14 +192,17 @@ def get_registry() -> MetricsRegistry:
     return _default_registry
 
 
-def publish_snapshot(registry: MetricsRegistry, snapshot: Dict[str, Any], prefix: str = "repro") -> None:
+def publish_snapshot(
+    registry: MetricsRegistry, snapshot: Dict[str, Any], prefix: str = "repro", **labels: Any
+) -> None:
     """Fold a nested numeric snapshot dict into gauges, one per scalar leaf.
 
     Keys join with ``_`` (``{"requests": {"completed": 3}}`` becomes gauge
     ``repro_requests_completed``); non-numeric and ``None`` leaves are
-    skipped.  This is how :meth:`ServiceStats.snapshot` (and engine
-    lifecycle sub-dicts) become scrapeable without the stats layer knowing
-    about the registry.
+    skipped.  ``labels`` label every sample, so snapshots of like parts
+    (one per shard) share gauge names.  This is how
+    :meth:`ServiceStats.snapshot` (and engine lifecycle sub-dicts) become
+    scrapeable without the stats layer knowing about the registry.
     """
 
     def walk(prefix_parts: List[str], node: Any) -> None:
@@ -215,6 +214,6 @@ def publish_snapshot(registry: MetricsRegistry, snapshot: Dict[str, Any], prefix
         if isinstance(node, bool) or node is None:
             return
         if isinstance(node, (int, float)) and math.isfinite(float(node)):
-            registry.gauge("_".join(prefix_parts)).set(float(node))
+            registry.gauge("_".join(prefix_parts)).set(float(node), **labels)
 
     walk([prefix], snapshot)

@@ -26,7 +26,7 @@ from repro.eval_pipeline import (
     run_eval_grid,
 )
 from repro.eval_pipeline import faults
-from repro.eval_pipeline.faults import net_flip_pmf, sample_net_flips
+from repro.eval_pipeline.faults import net_flip_pmf, sample_rows
 from repro.nn import autograd
 from repro.nn.autograd import Tensor, batch_invariant_matmul, matmul_data, no_grad
 from repro.runner.cache import ResultCache
@@ -90,6 +90,20 @@ class TestChunkInvariance:
         chunked = pipeline.evaluate(eval_setup["test"], max_images=8, batch_size=batch_size)
         assert np.array_equal(reference.predictions, chunked.predictions)
         assert reference.accuracy == chunked.accuracy
+
+    def test_faulted_si_gelu_batches_of_1_7_32_agree(self, eval_setup):
+        from repro.training.datasets import DatasetSplit
+
+        train, test = eval_setup["train"], eval_setup["test"]
+        split = DatasetSplit(np.concatenate([train.images, test.images]), np.concatenate([train.labels, test.labels]))
+        pipeline = ScViTEvalPipeline(
+            eval_setup["model"], make_softmax_config(),
+            gelu_output_bsl=8, flip_prob=0.02, fault_seed=21,
+            calibration_logits=eval_setup["calibration"],
+        )
+        per_image = pipeline.evaluate(split, batch_size=1).predictions
+        for batch_size in (7, 32):
+            assert np.array_equal(pipeline.evaluate(split, batch_size=batch_size).predictions, per_image)
 
     def test_streaming_batches_cover_the_split_in_order(self, eval_setup):
         pipeline = ScViTEvalPipeline(
@@ -387,7 +401,9 @@ class TestBitFlipFaultModel:
         counts = np.array([[3, 5], [1, 7]])
         out = model.perturb_counts(counts, 8)
         assert out is counts
-        assert model._site == 1
+        table = np.arange(9)[::-1] // 2
+        assert np.array_equal(model.perturb_counts(counts, 8, through=(table, 4)), table[counts])
+        assert model._site == 2
 
     def test_same_seed_same_faults(self):
         counts = np.arange(12).reshape(2, 6) % 9
@@ -476,7 +492,7 @@ class TestBitFlipFaultModel:
         assert np.array_equal(counts, before) and not np.array_equal(out, counts)
         stream = ThermometerStream(counts, 8, 0.5)
         stream_counts = stream.counts.copy()
-        faulted = model.perturb_stream(stream)
+        faulted = model("x", stream)
         assert np.array_equal(stream.counts, stream_counts) and faulted is not stream
         assert not np.array_equal(faulted.counts, stream.counts)
 
@@ -567,19 +583,22 @@ class TestBitFlipFaultModel:
             assert self.goodness_of_fit(out[counts[0] == count], pmf[count]) > 1e-3, count
 
     def test_window_overflow_keeps_the_law_and_batch_invariance(self, monkeypatch):
-        """A walk that outruns its window continues from the image's own generator."""
-        monkeypatch.setattr(faults, "_WINDOW_SIGMAS", 0.0)
-        monkeypatch.setattr(faults, "_WINDOW_SLACK", 0)
-        walks = []
-        walk = faults._walk
-        monkeypatch.setattr(faults, "_walk", lambda *args: walks.append(args[0].shape) or walk(*args))
-
-        images, length, flip_prob = 2000, 8, 0.1  # 8 expected flips per image, window of 8
+        """A walk that outruns its window reads the next counters: the window sizes work, not draws."""
+        images, length, flip_prob = 2000, 8, 0.1  # 14.4 expected flips per image
         counts = np.tile(np.arange(length + 1), (images, 2))
         model = BitFlipFaultModel(flip_prob, seed=4)
         model.begin_batch(range(images))
+        default = model.perturb_counts(counts, length)
+
+        monkeypatch.setattr(faults, "_WINDOW_SIGMAS", -3.0)
+        monkeypatch.setattr(faults, "_WINDOW_SLACK", 0)  # a window of 4: walks take ~4 windows
+        walks = []
+        walk = faults._walk
+        monkeypatch.setattr(faults, "_walk", lambda *args: walks.append(args[0].shape) or walk(*args))
+        model.begin_batch(range(images))
         out = model.perturb_counts(counts, length)
-        assert len(walks) > 100  # about half of the images overflowed
+        assert walks[0] == (images, 4) and len(walks) > 5 and walks[3][0] > images // 2
+        assert np.array_equal(out, default)
         pmf = net_flip_pmf(length, flip_prob)
         for count in range(length + 1):
             assert self.goodness_of_fit(out[counts == count], pmf[count]) > 1e-3, count
@@ -596,17 +615,134 @@ class TestBitFlipFaultModel:
 
     @pytest.mark.parametrize("length", [16, 64, 256])
     def test_dense_branch_equals_the_version_2_inversion(self, length):
+        """The dense branch inverts each word's uniform ``(w >> 11) · 2^-53`` exactly as version 2 did."""
+
+        def uniforms(words):
+            return (words >> 11).astype(np.float64) * 2.0**-53
+
         rng = np.random.default_rng(length)
         for flip_prob in (0.07, 0.3, 0.5):
             counts = rng.integers(0, length + 1, size=50_000)
-            uniforms = rng.random(counts.size)
-            # Draws exactly on CDF entries and at 0 test the ``<=`` edges.
+            words = rng.integers(0, 2**64, size=counts.size, dtype=np.uint64)
+            # Draws at 0 and on (or just past) CDF entries test the ``<=`` edges.
             cdf = np.cumsum(net_flip_pmf(length, flip_prob), axis=1)
-            edge = slice(length + 1, 2 * (length + 1))
-            uniforms[: length + 1] = 0.0
-            uniforms[edge] = np.minimum(cdf[counts[edge], length // 3], 0.999)
-            expected = version_2_inversion(counts, length, flip_prob, uniforms)
-            assert np.array_equal(sample_net_flips(counts, length, flip_prob, uniforms), expected)
+            words[: length + 1] = 0
+            for start, rounding in ((length + 1, np.floor), (2 * (length + 1), np.ceil)):
+                edge = slice(start, start + length + 1)
+                level = rounding(np.minimum(cdf[counts[edge], length // 3], 0.999) * 2.0**53)
+                words[edge] = level.astype(np.uint64) << np.uint64(11)
+            expected = version_2_inversion(counts, length, flip_prob, uniforms(words))
+            assert np.array_equal(sample_rows(faults._tables(length, flip_prob), counts, words), expected)
+
+            model = BitFlipFaultModel(flip_prob, seed=length)
+            model.begin_batch([5, 2])
+            site = counts[:2000].reshape(2, 1000)
+            keys = faults.counter_words(model._keys, 1, 2)[:, 0]  # site 1
+            expected = version_2_inversion(site, length, flip_prob, uniforms(faults.counter_words(keys, 0, 1000)))
+            assert np.array_equal(model.perturb_counts(site, length), expected)
+
+    def test_counter_words_are_uniform_per_output_bit(self):
+        """Every bit of the mixed words, over images, sites and positions, is a fair coin."""
+        model = BitFlipFaultModel(0.5, seed=9)
+        model.begin_batch(np.arange(64))
+        words = np.concatenate(
+            [faults.counter_words(faults.counter_words(model._keys, site, site + 1)[:, 0], 0, 256) for site in (1, 2)]
+        )
+        draws = words.size
+        bits = (words.reshape(-1, 1) >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        ones = bits.sum(axis=0)
+        assert np.all(np.abs(ones - draws / 2) < 5 * np.sqrt(draws) / 2), ones  # 5 sigma per bit
+        # Neighbouring counters, images and sites are unrelated: their XOR is fair too.
+        for a, b in ((words[:, 1:], words[:, :-1]), (words[1:64], words[:63]), (words[:64], words[64:])):
+            xor_ones = ((np.bitwise_xor(a, b).reshape(-1, 1) >> np.arange(64, dtype=np.uint64)) & np.uint64(1)).sum(0)
+            assert np.all(np.abs(xor_ones - a.size / 2) < 5 * np.sqrt(a.size) / 2)
+        uniforms = (faults.counter_words(model._keys, 0, 256) >> 11) * 2.0**-53
+        assert uniforms.min() >= 0.0 and uniforms.max() < 1.0
+        assert self.goodness_of_fit(np.floor(uniforms * 32).astype(int).ravel(), np.full(32, 1 / 32)) > 1e-3
+
+    def test_mixer_avalanches(self):
+        """Flipping any one input bit flips each output bit of the mixer with probability 1/2."""
+        inputs = faults.counter_words(np.arange(4, dtype=np.uint64), 0, 1024).ravel()
+        shifts = np.arange(64, dtype=np.uint64)
+        mixed = faults._mix(inputs.copy())
+        for bit in shifts:
+            flips = mixed ^ faults._mix(inputs ^ (np.uint64(1) << bit))
+            rates = ((flips[:, None] >> shifts) & np.uint64(1)).mean(axis=0)
+            assert np.abs(rates - 0.5).max() < 0.06, bit  # 0.5 ± 7.7 sigma at 4096 draws
+
+    @pytest.mark.parametrize("flip_prob", [0.01, 0.3, 1.0])
+    def test_composed_kernel_matches_mask_enumeration(self, flip_prob):
+        """K equals fault -> table -> fault enumerated over every input and output mask."""
+        length, out_length = 4, 2
+
+        def mask_law(bits):
+            masks = ((np.arange(2**bits)[:, None] >> np.arange(bits)) & 1).astype(bool)
+            flips = masks.sum(axis=1)
+            return masks, flip_prob**flips * (1.0 - flip_prob) ** (bits - flips)
+
+        in_masks, in_weights = mask_law(length)
+        out_masks, out_weights = mask_law(out_length)
+        for table in (np.array([0, 0, 1, 2, 2]), np.array([2, 0, 1, 1, 0])):  # monotone and not
+            kernel = faults.composed_kernel(table, length, out_length, flip_prob)
+            for count in range(length + 1):
+                exact = np.zeros(out_length + 1)
+                for mask, weight in zip(in_masks, in_weights):
+                    mapped = table[(mask ^ (np.arange(length) < count)).sum()]
+                    post = (out_masks ^ (np.arange(out_length) < mapped)).sum(axis=1)
+                    exact += weight * np.bincount(post, weights=out_weights, minlength=out_length + 1)
+                assert np.max(np.abs(kernel[count] - exact)) <= 1e-12, (table, count)
+
+    def test_composed_draws_match_the_two_stage_sampler(self):
+        """Two-sample chi-square: one composed draw against fault -> SI table -> fault drawn apart."""
+        from scipy.stats import chi2_contingency
+
+        from repro.blocks import build
+
+        block = build("gelu/si", output_length=8).block
+        table, length, out_length = block.table, block.input_length, block.output_length
+        samples = 20_000
+
+        def composed(count, flip_prob, seed):
+            model = BitFlipFaultModel(flip_prob, seed=seed)
+            model.begin_batch([0])
+            return model.perturb_counts(np.full((1, samples), count), length, through=(table, out_length))[0]
+
+        def two_stage(count, flip_prob, seed):
+            model = BitFlipFaultModel(flip_prob, seed=seed)
+            model.begin_batch([0])
+            mapped = table[model.perturb_counts(np.full((1, samples), count), length)]
+            return model.perturb_counts(mapped, out_length)[0]
+
+        def p_value(a, b):
+            table_ = np.stack([np.bincount(a, minlength=out_length + 1), np.bincount(b, minlength=out_length + 1)])
+            return chi2_contingency(table_[:, table_.sum(axis=0) > 0])[1]
+
+        for seed, (count, flip_prob) in enumerate([(0, 0.01), (100, 0.01), (128, 0.01), (140, 0.05), (256, 0.1)]):
+            reference = two_stage(count, flip_prob, 100 + seed)
+            assert p_value(composed(count, flip_prob, seed), reference) > 1e-3, (count, flip_prob)
+            # The test has power: composed draws at twice the flip rate are rejected.
+            assert p_value(composed(count, 2 * flip_prob, seed), reference) < 1e-6, (count, flip_prob)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 32])
+    def test_composed_gelu_batched_equals_per_image(self, batch_size):
+        """The faulted SI GELU's draws depend on the image index only, never on the batch."""
+        from repro.blocks import build
+
+        block = build("gelu/si", output_length=8)
+        values = np.random.default_rng(0).normal(size=(32, 5, 12))
+        indices = np.arange(100, 132)
+
+        def run(size):
+            model = BitFlipFaultModel(0.02, seed=3)
+            rows = []
+            for start in range(0, 32, size):
+                model.begin_batch(indices[start : start + size])
+                rows.append(block.evaluate(values[start : start + size], faults=model))
+            return np.concatenate(rows)
+
+        reference = run(5)  # a chunking none of the parametrised sizes share
+        assert not np.array_equal(reference, block.evaluate(values))
+        assert np.array_equal(run(batch_size), reference)
 
 
 def version_2_inversion(counts, length, flip_prob, uniforms):

@@ -330,7 +330,7 @@ class TestAssertionCatalog:
             "bit_identity", "p50_ms_max", "p99_ms_max", "timeout_rate_max",
             "reject_rate_max", "error_rate_max", "completed_min",
             "recovery_ms_max", "deaths_min", "scale_actions_max",
-            "replacements_min",
+            "replacements_min", "uncached_after_kill_min",
         }
 
 
@@ -381,14 +381,15 @@ class _StubCache:
 class _StubService:
     """Answers every submit instantly with the shared deterministic oracle."""
 
-    def __init__(self, mispredict=False):
+    def __init__(self, mispredict=False, cached=False):
         self.mispredict = mispredict
+        self.cached = cached
         self.seen_indices = []
 
     async def submit(self, image, index=0):
         self.seen_indices.append(int(index))
         prediction = _stub_predict(image, index) + (1 if self.mispredict else 0)
-        return SimpleNamespace(prediction=prediction, cached=False, latency_ms=0.01)
+        return SimpleNamespace(prediction=prediction, cached=self.cached, latency_ms=0.01)
 
     def stats_snapshot(self):
         n = len(self.seen_indices)
@@ -403,10 +404,10 @@ class _StubService:
 
 
 class _StubDeployment:
-    def __init__(self, engine=None, cache=None, mispredict=False):
+    def __init__(self, engine=None, cache=None, mispredict=False, cached=False):
         self.engine = engine if engine is not None else _StubEngine()
         self.cache = cache
-        self.service = _StubService(mispredict=mispredict)
+        self.service = _StubService(mispredict=mispredict, cached=cached)
 
     async def __aenter__(self):
         return self
@@ -470,6 +471,25 @@ class TestScenarioRunnerStubbed:
         kill_events = [e for e in result["events"] if e["action"] == "kill_shard"]
         assert kill_events[0]["at_request"] == 10
         assert any(t["label"] == "event:kill_shard" for t in result["timeline"])
+
+    def test_a_kill_met_only_by_cache_hits_fails_its_gate(self):
+        spec = _stub_scenario(
+            events=(EventSpec(action="kill_shard", at_frac=0.5),),
+            assertions=(
+                AssertionSpec(check="bit_identity"),
+                AssertionSpec(check="deaths_min", value=1),
+                AssertionSpec(check="uncached_after_kill_min", value=1),
+            ),
+        )
+        warm = _run_stub(spec, _StubDeployment(cached=True))
+        verdicts = {v["check"]: v for v in warm["assertions"]}
+        assert verdicts["bit_identity"]["passed"] and verdicts["deaths_min"]["passed"]
+        assert verdicts["uncached_after_kill_min"]["measured"] == 0.0
+        assert not verdicts["uncached_after_kill_min"]["passed"] and not warm["ok"]
+        cold = _run_stub(spec, _StubDeployment())
+        assert cold["ok"] and cold["requests"]["uncached_after_kill"] == 10  # requests 10..19
+        # Without a kill there is nothing to measure: the floor fails.
+        assert not _run_stub(_stub_scenario(assertions=spec.assertions[2:]), _StubDeployment())["ok"]
 
     def test_kill_shard_without_hook_is_a_scenario_error(self):
         spec = _stub_scenario(events=(EventSpec(action="kill_shard", at_frac=0.0),))

@@ -463,6 +463,38 @@ class TestShardCounters:
         assert batching["batched_images"] == 20
 
 
+    def test_a_respawned_shard_adds_no_metric_name(self):
+        from repro import telemetry
+        from repro.serve import render_metrics
+
+        engine = _stub_engine(shards=2)
+        service = InferenceService(engine, max_batch=3, max_wait_ms=1.0, cache=None)
+        images = np.zeros((6, 2, 2))
+
+        def names(text):
+            return {line.split()[2] for line in text.splitlines() if line.startswith("# TYPE")}
+
+        async def session():
+            async with service:
+                await asyncio.gather(*[service.submit(images[i], index=i) for i in range(6)])
+                before = render_metrics(service)
+                engine.kill_shard(0)
+                await asyncio.gather(*[service.submit(images[i], index=10 + i) for i in range(6)])
+                engine.ensure_capacity()
+                return before, render_metrics(service), engine.stats_snapshot()
+
+        telemetry.get_registry().clear()
+        try:
+            before, after, snapshot = asyncio.run(session())
+        finally:
+            telemetry.get_registry().clear()
+        assert snapshot["lifecycle"]["deaths"] == 1 and "0/gen0" not in snapshot["per_shard"]
+        assert names(after) == names(before)
+        assert not any("gen" in name for name in names(after))
+        for label in snapshot["per_shard"]:
+            assert f'repro_service_shard_batching_batches{{shard="{label}"}}' in after
+
+
 # ---------------------------------------------------------------------------
 # No orphans
 # ---------------------------------------------------------------------------

@@ -55,10 +55,6 @@ __all__ = ["BitFlipFaultModel"]
 _WINDOW_SIGMAS = 6.0
 _WINDOW_SLACK = 8
 
-# Site keys mixed per batch up front (a dozen small numpy calls each, at every
-# site otherwise); a forward with more sites mixes more.
-_SITES = 64
-
 # SplitMix64: the golden gamma that spaces counters, and the output function's multipliers.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -219,7 +215,6 @@ class BitFlipFaultModel:
         self.seed = int(seed)
         self._seed_key = _mix(np.array([self.seed % 2**64], dtype=np.uint64))
         self._keys: Optional[np.ndarray] = None  # one per armed image
-        self._site_keys: Optional[np.ndarray] = None
         self._site = 0  # sites perturbed in the current forward
 
     @property
@@ -230,7 +225,6 @@ class BitFlipFaultModel:
         """Arm the model for one forward pass over the given global indices."""
         indices = np.asarray(image_indices, dtype=np.int64).reshape(-1).astype(np.uint64)
         self._keys = _mix(self._seed_key + indices * _GAMMA)
-        self._site_keys = counter_words(self._keys, 1, 1 + _SITES)  # column s - 1: site s's keys
         self._site = 0
 
     def perturb_counts(
@@ -254,9 +248,7 @@ class BitFlipFaultModel:
             raise ValueError(f"counts must lie in [0, {length}]")
         if not counts.size:
             return counts.astype(np.int64)
-        if self._site > self._site_keys.shape[1]:
-            self._site_keys = counter_words(self._keys, 1, 1 + 2 * self._site)
-        keys = self._site_keys[:, self._site - 1]
+        keys = counter_words(self._keys, self._site, self._site + 1)[:, 0]
         rows = counts.reshape(len(keys), -1)
         if through is not None:
             table, out_length = through

@@ -234,9 +234,11 @@ def render_metrics(service: InferenceService) -> str:
     engine = snapshot.get("engine")
     shards = engine.pop("per_shard", {}) if isinstance(engine, dict) else {}
     publish_snapshot(registry, snapshot, prefix="repro_service")
+    # One gauge per counter, one series per live shard: a buried shard's
+    # series go (its work already sits in the service totals), and its
+    # replacement adds a series under the same names.
+    registry.clear(prefix="repro_service_shard_")
     for label, counters in shards.items():
-        # One gauge per counter, one series per shard: a respawned shard adds
-        # a series under the same names.
         publish_snapshot(registry, counters, prefix="repro_service_shard", shard=label)
     cache = getattr(service, "cache", None)
     counters = getattr(cache, "counters", None)

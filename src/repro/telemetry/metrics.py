@@ -179,9 +179,11 @@ class MetricsRegistry:
             for name, m in sorted(metrics.items())
         }
 
-    def clear(self) -> None:
+    def clear(self, prefix: str = "") -> None:
+        """Drop every metric whose name starts with ``prefix`` (all of them by default)."""
         with self._lock:
-            self._metrics.clear()
+            for name in [name for name in self._metrics if name.startswith(prefix)]:
+                del self._metrics[name]
 
 
 #: Process-wide default registry (what the HTTP ``/metrics`` route serves).

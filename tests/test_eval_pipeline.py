@@ -437,6 +437,22 @@ class TestBitFlipFaultModel:
         second = model.perturb_counts(counts, 16)
         assert not np.array_equal(first, second)
 
+    def test_a_forward_of_100_sites_keeps_sites_independent_and_batch_invariant(self):
+        counts = np.full((2, 64), 8)
+        for flip_prob in (0.5, 0.05):  # dense and sparse branch at L = 16
+            together = BitFlipFaultModel(flip_prob, seed=3)
+            together.begin_batch([4, 9])
+            alone = [BitFlipFaultModel(flip_prob, seed=3) for _ in range(2)]
+            for model, index in zip(alone, (4, 9)):
+                model.begin_batch([index])
+            seen = set()
+            for _ in range(100):
+                out = together.perturb_counts(counts, 16)
+                split = [model.perturb_counts(counts[:1], 16) for model in alone]
+                assert np.array_equal(out, np.concatenate(split))
+                seen.add(out.tobytes())
+            assert len(seen) == 100
+
     def test_flip_rate_moves_the_popcount(self):
         for length in (1, 16):  # sparse (L·p = 1) and dense branch
             model = BitFlipFaultModel(1.0, seed=0)

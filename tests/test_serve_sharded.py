@@ -491,6 +491,7 @@ class TestShardCounters:
         assert snapshot["lifecycle"]["deaths"] == 1 and "0/gen0" not in snapshot["per_shard"]
         assert names(after) == names(before)
         assert not any("gen" in name for name in names(after))
+        assert 'shard="0/gen0"' in before and 'shard="0/gen0"' not in after
         for label in snapshot["per_shard"]:
             assert f'repro_service_shard_batching_batches{{shard="{label}"}}' in after
 

@@ -45,8 +45,9 @@ scenario-smoke:
 	$(REPRO) scenario examples/specs/scenario_poisson_slo.json examples/specs/scenario_flashcrowd_kill.json examples/specs/scenario_burst_cacheloss.json --engine process --cache-dir .repro-cache
 
 ## Fabric gate: place-and-route + execute the example fabric specs with
-## every slot bit-identical to the golden blocks path, plus the verify
-## section (partial-reconfig write counts, Table VI reconciliation).
+## every slot bit-identical to the golden blocks path, then the dead-tile
+## scenario.  Partial-reconfig write counts and the Table VI
+## reconciliation are tier-1 tests (tests/test_fabric.py).
 fabric-smoke:
 	$(REPRO) fabric examples/specs/fabric_design_4x4.json examples/specs/fabric_run_smoke.json --cache-dir .repro-cache
 	$(REPRO) fabric examples/specs/fabric_run_smoke.json --cache-dir .repro-cache
@@ -71,7 +72,7 @@ api-check:
 api-snapshot:
 	PYTHONPATH=src python tools/check_api_surface.py --update
 
-## Orchestrator smoke: a reduced parallel DSE sweep + self-checks (CI).
+## Orchestrator smoke: `repro verify` self-checks + a reduced parallel DSE sweep (CI).
 smoke:
 	$(REPRO) verify
 	$(REPRO) dse --max-designs 32 --workers 2 --rows 16 --cache-dir .repro-cache

@@ -63,16 +63,16 @@ THROUGHPUT_ROWS = 64
 THROUGHPUT_REPEATS = 3
 
 #: Regression bounds recorded into the payload; ``repro bench --suite
-#: fabric --check-floor`` fails when a measurement leaves them.  The
-#: compile ceiling is ~50x the typical cold cycle (a few ms) so only a
-#: real regression — not CI scheduler noise — trips it; the throughput
-#: floor is far under the few-thousand rows/s the packed engine sustains
-#: on the CI-sized softmax.  ``reuse_frac`` gates the partial-reconfig
-#: contract itself: swapping one slot must leave most live words alone.
+#: fabric --check-floor`` fails when a measurement leaves them.  The two
+#: timing bounds sit 3x beyond the slowest of seven fresh runs on a 2-CPU
+#: host (cold cycle 2.4-4.3 ms, 454k-980k rows/s), so a 3x regression
+#: trips them while scheduler noise does not.  ``reuse_frac`` (0.652,
+#: deterministic) gates the partial-reconfig contract itself: swapping one
+#: slot must leave most live words alone.
 FLOORS = {
-    "compile.cold_ms": {"max": 250.0},
-    "compile.reuse_frac": {"min": 0.5},
-    "throughput.softmax_rows_per_s": {"min": 50.0},
+    "compile.cold_ms": {"max": 13.0},
+    "compile.reuse_frac": {"min": 0.6},
+    "throughput.softmax_rows_per_s": {"min": 150000.0},
 }
 
 

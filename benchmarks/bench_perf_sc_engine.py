@@ -60,7 +60,8 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 VALUE_SHAPE = (64, 64)
 BSL = 256
 
-#: Speedup floors recorded into the JSON payload: the CI perf job (and
+#: Speedup floors, recorded into the JSON payload as
+#: ``benchmarks.<name>.speedup: {"min": x}`` bounds: the CI perf job (and
 #: ``python -m repro bench --check-floor``) fails when a fresh run's
 #: speedup drops below these.  They are deliberately far under the
 #: typically measured numbers, so only a real regression (not scheduler
@@ -179,9 +180,8 @@ def _time_per_op(fn, min_seconds: float = 0.15, max_rounds: int = 200) -> float:
     return best
 
 
-def _entry(name: str, legacy_s: float, packed_s: float, note: str = "") -> dict:
+def _entry(legacy_s: float, packed_s: float, note: str = "") -> dict:
     return {
-        "name": name,
         "legacy_ops_per_s": 1.0 / legacy_s,
         "packed_ops_per_s": 1.0 / packed_s,
         "speedup": legacy_s / packed_s,
@@ -192,16 +192,18 @@ def _entry(name: str, legacy_s: float, packed_s: float, note: str = "") -> dict:
 def run_benchmarks(value_shape=VALUE_SHAPE, bsl=BSL) -> dict:
     """Measure every kernel against its legacy int8 counterpart."""
     return {
-        "schema": 2,
+        "schema": 3,
         "value_shape": list(value_shape),
         "bitstream_length": bsl,
         "host": host_metadata(),
-        "floors": dict(SPEEDUP_FLOORS),
+        "floors": {
+            f"benchmarks.{name}.speedup": {"min": floor} for name, floor in SPEEDUP_FLOORS.items()
+        },
         "benchmarks": _run_entries(value_shape, bsl),
     }
 
 
-def _run_entries(value_shape, bsl) -> list:
+def _run_entries(value_shape, bsl) -> dict:
     rng = np.random.default_rng(2024)
     uni_values = rng.random(value_shape)
     bi_values = rng.random(value_shape) * 2.0 - 1.0
@@ -216,39 +218,35 @@ def _run_entries(value_shape, bsl) -> list:
     a_bits, b_bits = a_uni.bits, b_uni.bits
     ab_bits, bb_bits = a_bi.bits, b_bi.bits
 
-    entries = []
+    entries = {}
 
     # --- multiply + decode (the acceptance metric) ---------------------------
     legacy = _time_per_op(lambda: legacy_unipolar_multiply_decode(a_bits, b_bits))
     packed = _time_per_op(lambda: fused_multiply_decode(a_uni, b_uni))
-    entries.append(
-        _entry("unipolar_multiply_decode", legacy, packed, "fused AND+popcount decode")
-    )
+    entries["unipolar_multiply_decode"] = _entry(legacy, packed, "fused AND+popcount decode")
 
     legacy = _time_per_op(lambda: legacy_bipolar_multiply_decode(ab_bits, bb_bits))
     packed = _time_per_op(lambda: fused_multiply_decode(a_bi, b_bi))
-    entries.append(
-        _entry("bipolar_multiply_decode", legacy, packed, "fused XNOR+popcount decode")
-    )
+    entries["bipolar_multiply_decode"] = _entry(legacy, packed, "fused XNOR+popcount decode")
 
     # --- MUX scaled add ------------------------------------------------------
     rng_legacy = np.random.default_rng(7)
     rng_packed = np.random.default_rng(7)
     legacy = _time_per_op(lambda: legacy_mux_add(a_bits, b_bits, rng_legacy))
     packed = _time_per_op(lambda: mux_scaled_add(a_uni, b_uni, seed=rng_packed))
-    entries.append(_entry("mux_scaled_add", legacy, packed, "select draw dominates both paths"))
+    entries["mux_scaled_add"] = _entry(legacy, packed, "select draw dominates both paths")
 
     # --- encode --------------------------------------------------------------
     rng_legacy = np.random.default_rng(11)
     rng_packed = np.random.default_rng(11)
     legacy = _time_per_op(lambda: legacy_encode(uni_values, bsl, rng_legacy))
     packed = _time_per_op(lambda: StochasticStream.encode(uni_values, bsl, seed=rng_packed))
-    entries.append(_entry("encode", legacy, packed, "Bernoulli draws dominate both paths"))
+    entries["encode"] = _entry(legacy, packed, "Bernoulli draws dominate both paths")
 
     # --- decode only ---------------------------------------------------------
     legacy = _time_per_op(lambda: a_bits.mean(axis=-1))
     packed = _time_per_op(lambda: a_uni.packed.popcount())
-    entries.append(_entry("decode", legacy, packed, "int8 mean vs word popcount"))
+    entries["decode"] = _entry(legacy, packed, "int8 mean vs word popcount")
 
     # --- LFSR sequence -------------------------------------------------------
     width, seq_len = 16, 4096
@@ -256,7 +254,7 @@ def _run_entries(value_shape, bsl) -> list:
     lfsr.sequence(1)  # prime the cycle cache
     legacy = _time_per_op(lambda: legacy_lfsr_sequence(width, seq_len))
     packed = _time_per_op(lambda: lfsr.sequence(seq_len))
-    entries.append(_entry("lfsr_sequence_4096", legacy, packed, "cached m-sequence gather"))
+    entries["lfsr_sequence_4096"] = _entry(legacy, packed, "cached m-sequence gather")
 
     # --- FSM forward ---------------------------------------------------------
     unit = FsmGeluUnit()
@@ -264,21 +262,19 @@ def _run_entries(value_shape, bsl) -> list:
     fsm_stream.packed, fsm_stream.bits
     legacy = _time_per_op(lambda: legacy_fsm_forward(unit, fsm_stream))
     packed = _time_per_op(lambda: unit.process(fsm_stream))
-    entries.append(
-        _entry("fsm_gelu_forward", legacy, packed, "byte-table scan + fused output bytes")
-    )
+    entries["fsm_gelu_forward"] = _entry(legacy, packed, "byte-table scan + fused output bytes")
 
     # --- sorting network -----------------------------------------------------
     bsn = BitonicSortingNetwork(128)
     sort_bits = (rng.random((256, 128)) < 0.5).astype(np.int8)
     legacy = _time_per_op(lambda: legacy_sort_bits(bsn, sort_bits))
     packed = _time_per_op(lambda: bsn.sort_bits(sort_bits))
-    entries.append(_entry("bsn_sort_bits_128", legacy, packed, "per-stage gather/scatter"))
+    entries["bsn_sort_bits_128"] = _entry(legacy, packed, "per-stage gather/scatter")
 
     return entries
 
 
-def _print_report(payload: dict) -> None:
+def print_report(payload: dict) -> None:
     host = payload.get("host", {})
     print(
         f"\n=== packed SC engine vs legacy int8 path "
@@ -289,9 +285,9 @@ def _print_report(payload: dict) -> None:
     header = f"{'benchmark':<28} {'legacy ops/s':>14} {'packed ops/s':>14} {'speedup':>9}"
     print(header)
     print("-" * len(header))
-    for row in payload["benchmarks"]:
+    for name, row in payload["benchmarks"].items():
         print(
-            f"{row['name']:<28} {row['legacy_ops_per_s']:>14.1f} "
+            f"{name:<28} {row['legacy_ops_per_s']:>14.1f} "
             f"{row['packed_ops_per_s']:>14.1f} {row['speedup']:>8.1f}x"
         )
 
@@ -311,13 +307,12 @@ def save_report(payload: dict) -> Path:
 
 def test_perf_sc_engine():
     payload = run_benchmarks()
-    _print_report(payload)
+    print_report(payload)
     save_report(payload)
-    by_name = {row["name"]: row for row in payload["benchmarks"]}
     # Acceptance: every kernel's recorded floor — the same check
     # the CI perf job applies via `repro bench --check-floor`.
-    for name, floor in payload["floors"].items():
-        assert by_name[name]["speedup"] >= floor, f"{name} regressed below {floor}x"
+    for name, floor in SPEEDUP_FLOORS.items():
+        assert payload["benchmarks"][name]["speedup"] >= floor, f"{name} regressed below {floor}x"
     # The packed path must be bit-identical to the legacy ops, not just fast.
     a = StochasticStream.encode(np.random.default_rng(0).random(VALUE_SHAPE), BSL, seed=1)
     b = StochasticStream.encode(np.random.default_rng(1).random(VALUE_SHAPE), BSL, seed=2)
@@ -357,6 +352,6 @@ def test_perf_sc_engine():
 
 if __name__ == "__main__":
     report = run_benchmarks()
-    _print_report(report)
+    print_report(report)
     path = save_report(report)
     print(f"\nsaved {path}")

@@ -81,10 +81,8 @@ from repro.training.datasets import DatasetSplit, SyntheticImageDataset
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-#: The tiny CI model every serve measurement runs on.  Deliberately the
-#: same values as ``repro.cli._tiny_verify_fixture`` (the `repro verify`
-#: self-checks) so numbers stay comparable across PRs — if you change one,
-#: change both.
+#: The tiny CI model every serve measurement runs on, fixed so the
+#: recorded numbers stay comparable from run to run.
 TINY_VIT = dict(
     image_size=8, patch_size=4, num_classes=4, embed_dim=16,
     num_layers=2, num_heads=2, norm="bn", seed=3,

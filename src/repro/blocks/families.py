@@ -85,9 +85,9 @@ class IterativeSoftmaxBlock(NonlinearBlock):
     def to_spec(self) -> SoftmaxCircuitConfig:
         return self.circuit.config
 
-    def forward(self, x: np.ndarray, stream_hook=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, faults=None) -> np.ndarray:
         """The circuit dataflow; see :meth:`IterativeSoftmaxCircuit.forward`."""
-        return self.circuit.forward(x, stream_hook=stream_hook)
+        return self.circuit.forward(x, faults=faults)
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
         return self.circuit.forward(values)

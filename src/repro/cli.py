@@ -33,14 +33,17 @@ against the serial path (``--workers 1``):
   (:mod:`repro.blocks`), their encodings, parameter schemas, hardware
   cost and fabric mappability, or regenerate the Table I capability
   matrix,
-* ``bench``      — the packed-engine perf regression harness (+ floor check),
+* ``bench``      — the perf regression harnesses (packed engine, serving,
+  fabric) and their floor check,
 * ``trace``      — summarize an exported telemetry trace
-  (:mod:`repro.telemetry`): span stats by name and by process, instant
-  events and the top-N kernel-profile rows from a Chrome-trace/Perfetto
-  JSON or JSONL export,
-* ``verify``     — self-checks: parallel == serial, cache round-trip,
-  batched eval == per-image eval, served == offline (the batcher
-  invariant).
+  (:mod:`repro.telemetry`): span stats by name and by process and instant
+  events from a Chrome-trace/Perfetto JSON or JSONL export,
+* ``verify``     — self-checks, each verdict taken from a path the repo
+  already gates on: DSE parallel == serial and cache round-trip, eval
+  batched == per-image (the ``eval --verify-batched`` path), served ==
+  offline through a flash-crowd shard-kill scenario on the thread and
+  process engines, and fabric == golden blocks path, each fault-free and
+  under bit flips.
 
 Global ``--log-level``/``--log-json`` configure the structured ``repro``
 logger (:mod:`repro.telemetry.logging`) — all diagnostic chatter goes to
@@ -155,18 +158,23 @@ def _print_cache_counters(cache: Optional[Any]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_dse(args: argparse.Namespace) -> int:
-    from repro.core.dse import SoftmaxDesignSpace
+def _bench_logits(rows: int, m: int, seed: int):
+    """``rows`` logit vectors sliced from the benches' 200-row set.
+
+    ``attention_logit_vectors`` is not prefix-stable across sizes, and the
+    Fig. 8 / Table IV benches evaluate on ``vectors(200)[:rows]``: slicing
+    the same way is what makes CLI and bench runs share cache entries.
+    """
     from repro.evaluation.vectors import attention_logit_vectors
 
+    return attention_logit_vectors(max(rows, 200), m, seed=seed)[:rows]
+
+
+def cmd_dse(args: argparse.Namespace) -> int:
+    from repro.core.dse import SoftmaxDesignSpace
+
     cache = _make_cache(args)
-    # Generate the bench's full 200-row vector set and slice it, rather than
-    # generating ``rows`` vectors directly: attention_logit_vectors is not
-    # prefix-stable across sizes, and the Fig. 8 bench evaluates on
-    # ``vectors(200)[:100]`` — slicing the same way is what makes CLI and
-    # bench runs share cache entries.
-    base_rows = max(args.rows, 200)
-    logits = attention_logit_vectors(base_rows, args.m, seed=args.vectors_seed)[: args.rows]
+    logits = _bench_logits(args.rows, args.m, args.vectors_seed)
     grid_kwargs = DSE_GRIDS[args.grid]
 
     payload: dict = {"grid": args.grid, "rows": args.rows, "spaces": {}}
@@ -256,15 +264,11 @@ def cmd_gelu_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    from repro.evaluation.vectors import attention_logit_vectors
     from repro.runner.tasks import table4_rows
 
     if args.table != "table4":  # future-proofing; argparse already restricts
         raise SystemExit(f"unknown table {args.table!r}")
-    # Slice from the bench's 200-row set (see cmd_dse) so reduced-row runs
-    # still evaluate on a prefix of the exact vectors the bench uses.
-    base_rows = max(args.rows, 200)
-    logits = attention_logit_vectors(base_rows, 64, seed=args.vectors_seed)[: args.rows]
+    logits = _bench_logits(args.rows, 64, args.vectors_seed)
     cache = _make_cache(args)
     rows = table4_rows(
         logits,
@@ -286,30 +290,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_eval_model(args: argparse.Namespace, num_classes: int):
+def _eval_task(args: argparse.Namespace):
+    """The ``repro eval`` task and config grid an argv describes."""
+    from repro.eval_pipeline import EvalTask, eval_grid
     from repro.nn.vit import CompactVisionTransformer, ViTConfig
-
-    vit = ViTConfig(
-        image_size=16,
-        patch_size=4,
-        embed_dim=args.embed_dim,
-        num_layers=args.layers,
-        num_heads=args.heads,
-        num_classes=num_classes,
-        norm="bn",
-        seed=args.model_seed,
-    )
-    model = CompactVisionTransformer(vit)
-    if args.checkpoint is not None:
-        from repro.nn.serialization import load_model
-
-        load_model(args.checkpoint, model)
-        print(f"loaded checkpoint {args.checkpoint}")
-    return model
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    from repro.eval_pipeline import EvalTask, eval_grid, run_eval_grid
     from repro.training.datasets import synthetic_cifar10, synthetic_cifar100
 
     dataset_fn = {"cifar10": synthetic_cifar10, "cifar100": synthetic_cifar100}[args.dataset]
@@ -318,7 +302,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
         train_size=args.train_size, test_size=args.test_size, seed=args.data_seed
     )
     available = {"train": (train.images, train.labels), "test": (test.images, test.labels)}
-    model = _build_eval_model(args, num_classes)
+    model = CompactVisionTransformer(
+        ViTConfig(
+            image_size=16,
+            patch_size=4,
+            embed_dim=args.embed_dim,
+            num_layers=args.layers,
+            num_heads=args.heads,
+            num_classes=num_classes,
+            norm="bn",
+            seed=args.model_seed,
+        )
+    )
+    if args.checkpoint is not None:
+        from repro.nn.serialization import load_model
+
+        load_model(args.checkpoint, model)
+        print(f"loaded checkpoint {args.checkpoint}")
 
     task = EvalTask(
         model=model,
@@ -337,30 +337,30 @@ def cmd_eval(args: argparse.Namespace) -> int:
         splits=args.splits,
         fault_seed=args.fault_seed,
     )
+    return task, configs
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    from repro.eval_pipeline import run_eval_grid
+
+    task, configs = _eval_task(args)
     reporter = _make_reporter(args, "eval")
     cache = _make_cache(args)
-    results = run_eval_grid(
-        task,
-        configs,
-        workers=args.workers,
-        cache=cache,
-        reporter=reporter,
-    )
+    results = run_eval_grid(task, configs, workers=args.workers, cache=cache, reporter=reporter)
     stats = run_eval_grid.last_run_stats
 
     headers = ["Split", "[By, s1, s2, k]", "GELU BSL", "Flip prob", "Accuracy (%)", "Images"]
-    rows = []
-    for config, result in zip(configs, results):
-        rows.append(
-            (
-                result.split,
-                result.softmax_config.describe(),
-                "exact" if result.gelu_output_bsl is None else result.gelu_output_bsl,
-                config["flip_prob"],
-                round(result.accuracy, 2),
-                result.num_images,
-            )
+    rows = [
+        (
+            result.split,
+            result.softmax_config.describe(),
+            "exact" if result.gelu_output_bsl is None else result.gelu_output_bsl,
+            config["flip_prob"],
+            round(result.accuracy, 2),
+            result.num_images,
         )
+        for config, result in zip(configs, results)
+    ]
     _print_table("eval accuracy grid", headers, rows)
     print(f"[{stats.summary()}]")
     print(f"re-evaluations: {stats.evaluated} ({stats.cache_hits} served from cache)")
@@ -376,17 +376,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"({total_images} images across {stats.total} configs in {elapsed:.2f}s wall-clock)"
     )
 
-    exit_code = 0
-    if args.verify_batched:
-        # Cover every distinct fault rate, not just the (fault-free) first
-        # grid entry: the fault path is exactly where batched/per-image
-        # divergence risk lives (per-image mask seeding, site sequencing).
-        seen_flips = set()
-        for config, result in zip(configs, results):
-            if config["flip_prob"] in seen_flips:
-                continue
-            seen_flips.add(config["flip_prob"])
-            exit_code |= _verify_batched_against_per_image(task, config, result)
+    failures = _verify_batched(task, configs, results) if args.verify_batched else []
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
 
     _write_json(
         args.out,
@@ -406,39 +398,49 @@ def cmd_eval(args: argparse.Namespace) -> int:
             },
         },
     )
-    return exit_code
+    return 1 if failures else 0
 
 
-def _verify_batched_against_per_image(task, config, batched_result) -> int:
-    """Re-run one grid config one image at a time and compare bits."""
+def _verify_batched(task, configs, results) -> List[str]:
+    """Re-run one config per fault rate one image at a time and compare bits.
+
+    Every distinct fault rate is covered, not just the (fault-free) first
+    grid entry: the fault path is exactly where batched/per-image
+    divergence risk lives (per-image fault seeding, site sequencing).
+    Prints a PASS line per matching config; returns the failures.
+    """
     import numpy as np
 
     from repro.eval_pipeline import ScViTEvalPipeline
     from repro.training.datasets import DatasetSplit
 
-    pipeline = ScViTEvalPipeline(
-        task.model,
-        task.softmax_config(config),
-        gelu_output_bsl=config.get("gelu_bsl"),
-        calibration_logits=task._calibration(),
-        flip_prob=float(config.get("flip_prob", 0.0)),
-        fault_seed=int(config.get("fault_seed", 0)),
-    )
-    images, labels = task.splits[config["split"]]
-    split = DatasetSplit(images=images, labels=labels)
-    per_image = pipeline.evaluate(split, max_images=task.max_images, batch_size=1)
-    if (
-        np.array_equal(per_image.predictions, batched_result.predictions)
-        and per_image.accuracy == batched_result.accuracy
-    ):
-        print(
-            f"PASS batched == per-image ({per_image.num_images} images, "
-            f"config {config['split']}/{task.softmax_config(config).describe()}, "
-            f"flip_prob={config.get('flip_prob', 0.0)})"
+    failures = []
+    checked = set()
+    for config, batched in zip(configs, results):
+        if config["flip_prob"] in checked:
+            continue
+        checked.add(config["flip_prob"])
+        softmax = task.softmax_config(config)
+        pipeline = ScViTEvalPipeline(
+            task.model,
+            softmax,
+            gelu_output_bsl=config["gelu_bsl"],
+            calibration_logits=task._calibration(),
+            flip_prob=config["flip_prob"],
+            fault_seed=config["fault_seed"],
         )
-        return 0
-    print("FAIL batched evaluation differs from the serial per-image path", file=sys.stderr)
-    return 1
+        images, labels = task.splits[config["split"]]
+        split = DatasetSplit(images=images, labels=labels)
+        per_image = pipeline.evaluate(split, max_images=task.max_images, batch_size=1)
+        label = f"config {config['split']}/{softmax.describe()}, flip_prob={config['flip_prob']}"
+        if (
+            np.array_equal(per_image.predictions, batched.predictions)
+            and per_image.accuracy == batched.accuracy
+        ):
+            print(f"PASS batched == per-image ({per_image.num_images} images, {label})")
+        else:
+            failures.append(f"batched evaluation differs from the serial per-image path ({label})")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -446,67 +448,34 @@ def _verify_batched_against_per_image(task, config, batched_result) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_serve_run_spec(path: Path, payload: dict) -> Any:
-    from repro.serve.specs import ServeSpec
-
-    return ServeSpec.from_dict(payload)
-
-
-def _serve_run_argv(path: Path, spec: Any, overrides: dict) -> List[str]:
-    return ["serve", "--spec", str(path)]
-
-
-def _load_scenario_run_spec(path: Path, payload: dict) -> Any:
-    from repro.scenarios import ScenarioSpec
-
-    return ScenarioSpec.from_dict(payload)
-
-
-def _scenario_run_argv(path: Path, spec: Any, overrides: dict) -> List[str]:
-    argv = ["scenario", str(path)]
-    if overrides.get("cache_dir") is not None:
-        argv += ["--cache-dir", str(overrides["cache_dir"])]
-    if overrides.get("out") is not None:
-        argv += ["--out", str(overrides["out"])]
-    if overrides.get("quiet"):
-        argv.append("--quiet")
-    return argv
-
-
-def _load_fabric_design_run_spec(path: Path, payload: dict) -> Any:
-    from repro.fabric import FabricSpec
-
-    return FabricSpec.from_dict(payload)
-
-
-def _load_fabric_run_spec(path: Path, payload: dict) -> Any:
-    from repro.fabric import FabricRunSpec
-
-    return FabricRunSpec.from_dict(payload)
-
-
-def _fabric_run_argv(path: Path, spec: Any, overrides: dict) -> List[str]:
-    argv = ["fabric", str(path)]
-    if overrides.get("cache_dir") is not None:
-        argv += ["--cache-dir", str(overrides["cache_dir"])]
-    if overrides.get("out") is not None:
-        argv += ["--out", str(overrides["out"])]
-    if overrides.get("quiet"):
-        argv.append("--quiet")
-    return argv
-
-
-#: The ``repro run`` sniff table: JSON ``kind`` tag -> (loader, argv builder).
-#: Adding another kind is one entry here, not another if/elif chain — and
-#: the unknown-kind error enumerates this table, so new kinds appear in it
-#: automatically; files without a ``kind`` tag are classic
-#: :class:`ExperimentSpec` documents.
+#: The ``repro run`` sniff table: JSON ``kind`` tag -> (spec class as
+#: ``module:Class``, subcommand).  Classes resolve on use so the CLI starts
+#: without importing the serving and fabric stacks.  Adding another kind
+#: is one entry here, and the unknown-kind error enumerates this table;
+#: files without a ``kind`` tag are classic :class:`ExperimentSpec`
+#: documents.
 RUN_SPEC_KINDS = {
-    "serve/deployment": (_load_serve_run_spec, _serve_run_argv),
-    "serve/scenario": (_load_scenario_run_spec, _scenario_run_argv),
-    "fabric/design": (_load_fabric_design_run_spec, _fabric_run_argv),
-    "fabric/run": (_load_fabric_run_spec, _fabric_run_argv),
+    "serve/deployment": ("repro.serve.specs:ServeSpec", "serve"),
+    "serve/scenario": ("repro.scenarios.specs:ScenarioSpec", "scenario"),
+    "fabric/design": ("repro.fabric.specs:FabricSpec", "fabric"),
+    "fabric/run": ("repro.fabric.specs:FabricRunSpec", "fabric"),
 }
+
+
+def _load_run_spec(kind: str, payload: dict) -> Any:
+    module, name = RUN_SPEC_KINDS[kind][0].split(":")
+    return getattr(importlib.import_module(module), name).from_dict(payload)
+
+
+def _run_argv(subcommand: str, path: Path, overrides: dict) -> List[str]:
+    """The ``repro`` argv that runs one tagged spec file."""
+    if subcommand == "serve":  # a deployment spec describes the whole service
+        return ["serve", "--spec", str(path)]
+    argv = [subcommand, str(path)]
+    for key in ("cache_dir", "out"):
+        if overrides.get(key) is not None:
+            argv += ["--" + key.replace("_", "-"), str(overrides[key])]
+    return argv + (["--quiet"] if overrides.get("quiet") else [])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -534,14 +503,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     # kind tag routes through RUN_SPEC_KINDS; untagged files are
     # ExperimentSpec documents, and an unknown tag is an explicit error
     # (silently treating it as an experiment would bury the typo).
-    entries: List[Any] = []  # (spec, argv_builder or None)
+    entries: List[Any] = []  # (spec, subcommand or None)
     try:
         for path in args.spec:
             payload = json.loads(Path(path).read_text())
             kind = payload.get("kind") if isinstance(payload, dict) else None
             if kind in RUN_SPEC_KINDS:
-                loader, argv_builder = RUN_SPEC_KINDS[kind]
-                entries.append((loader(path, payload), argv_builder))
+                entries.append((_load_run_spec(kind, payload), RUN_SPEC_KINDS[kind][1]))
             elif kind is not None:
                 known = ", ".join(sorted(RUN_SPEC_KINDS))
                 raise ValueError(
@@ -549,21 +517,19 @@ def cmd_run(args: argparse.Namespace) -> int:
                     f"{known}, or an experiment spec without a kind tag"
                 )
             else:
-                entries.append((ExperimentSpec.from_file(path), None))
+                spec = ExperimentSpec.from_file(path)
+                try:
+                    spec.validate_options(parser)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from exc
+                entries.append((spec, None))
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from exc
-    for path, (spec, argv_builder) in zip(args.spec, entries):
-        if argv_builder is not None:
-            continue
-        try:
-            spec.validate_options(parser)
-        except ValueError as exc:
-            raise SystemExit(f"{path}: {exc}") from exc
 
     exit_code = 0
-    for path, (spec, argv_builder) in zip(args.spec, entries):
-        if argv_builder is not None:
-            argv = argv_builder(path, spec, overrides)
+    for path, (spec, subcommand) in zip(args.spec, entries):
+        if subcommand is not None:
+            argv = _run_argv(subcommand, path, overrides)
         else:
             argv = spec.to_argv(overrides)
         print(f"== {spec.name or getattr(spec, 'task', 'serve')} ({path}) ==")
@@ -580,8 +546,25 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
+def _run_cached_spec(task: Any, kind: str, path: Path, spec: Any, cache: Any, args: argparse.Namespace):
+    """One spec through a serial sweep runner; returns ``(result, stats)``.
+
+    A scenario drives a whole (often multi-process) service and a fabric
+    run a full place-and-route + compile + execute cycle, so each runs
+    serially; the runner still provides the shared content-addressed cache
+    and its hit accounting.
+    """
     from repro.runner.runner import ParallelSweepRunner
+
+    label = spec.name or Path(path).stem
+    print(f"== {kind} {label} ({path}) ==")
+    if spec.description:
+        print(spec.description)
+    runner = ParallelSweepRunner(task, workers=1, cache=cache, reporter=_make_reporter(args, f"{kind} {label}"))
+    return runner.run([spec.to_dict()])[0], runner.stats
+
+
+def cmd_scenario(args: argparse.Namespace) -> int:
     from repro.runner.tasks import ScenarioTask
     from repro.scenarios import ScenarioSpec
 
@@ -606,24 +589,12 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     evaluated = cache_hits = 0
     exit_code = 0
     for path, spec in zip(args.spec, specs):
-        label = spec.name or Path(path).stem
-        print(f"== scenario {label} ({path}) ==")
-        if spec.description:
-            print(spec.description)
-        # Scenarios drive a whole service (often multi-process) each, so
-        # the sweep runs serially; the runner still provides the shared
-        # content-addressed cache and its hit accounting.
-        runner = ParallelSweepRunner(
-            ScenarioTask(base_dir=str(Path(path).parent), trace_dir=trace_dir),
-            workers=1,
-            cache=cache,
-            reporter=_make_reporter(args, f"scenario {label}"),
-        )
-        result = runner.run([spec.to_dict()])[0]
-        evaluated += runner.stats.evaluated
-        cache_hits += runner.stats.cache_hits
+        task = ScenarioTask(base_dir=str(Path(path).parent), trace_dir=trace_dir)
+        result, stats = _run_cached_spec(task, "scenario", path, spec, cache, args)
+        evaluated += stats.evaluated
+        cache_hits += stats.cache_hits
         results.append(result)
-        _print_scenario_result(result, cached=runner.stats.cache_hits > 0)
+        _print_scenario_result(result, cached=stats.cache_hits > 0)
         if trace_dir is not None:
             # The exported trace is a side artifact (never part of the
             # cached payload); a cached result produces no new trace.
@@ -645,6 +616,23 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return exit_code
 
 
+#: Columns of a scenario's assertion table (stdout and the job summary).
+ASSERTION_HEADERS = ["check", "bound", "measured", "status"]
+
+
+def _assertion_rows(result: dict, fail: str = "FAIL") -> List[tuple]:
+    """One ``(check, bound, measured, status)`` row per judged assertion."""
+    return [
+        (
+            v["check"],
+            "-" if v["value"] is None else f"{v['value']:g}",
+            "-" if v["measured"] is None else f"{v['measured']:.2f}",
+            "pass" if v["passed"] else fail,
+        )
+        for v in result["assertions"]
+    ]
+
+
 def _print_scenario_result(result: dict, cached: bool = False) -> None:
     requests = result["requests"]
     latency = result["latency"]
@@ -660,16 +648,7 @@ def _print_scenario_result(result: dict, cached: bool = False) -> None:
             f"latency p50/p95/p99: {latency['p50_ms']:.2f}/"
             f"{latency['p95_ms']:.2f}/{latency['p99_ms']:.2f} ms"
         )
-    rows = [
-        (
-            v["check"],
-            "-" if v["value"] is None else f"{v['value']:g}",
-            "-" if v["measured"] is None else f"{v['measured']:.2f}",
-            "pass" if v["passed"] else "FAIL",
-        )
-        for v in result["assertions"]
-    ]
-    _print_table("assertions", ["check", "bound", "measured", "status"], rows)
+    _print_table("assertions", ASSERTION_HEADERS, _assertion_rows(result))
     verdict = "PASS" if result["ok"] else "FAIL"
     print(f"scenario {result['name'] or '<unnamed>'}: {verdict}")
 
@@ -703,19 +682,8 @@ def _write_scenario_job_summary(results: Sequence[dict]) -> None:
                     f"autoscale actions: {result['scale_actions']}\n"
                 )
             handle.write("\n")
-            assertion_rows = [
-                (
-                    v["check"],
-                    "-" if v["value"] is None else f"{v['value']:g}",
-                    "-" if v["measured"] is None else f"{v['measured']:.2f}",
-                    "pass" if v["passed"] else "**FAIL**",
-                )
-                for v in result["assertions"]
-            ]
             handle.write(
-                format_markdown_table(
-                    ["check", "bound", "measured", "status"], assertion_rows
-                )
+                format_markdown_table(ASSERTION_HEADERS, _assertion_rows(result, fail="**FAIL**"))
             )
             handle.write("\n\n")
             timeline_rows = [
@@ -758,7 +726,6 @@ def _write_scenario_job_summary(results: Sequence[dict]) -> None:
 
 def cmd_fabric(args: argparse.Namespace) -> int:
     from repro.fabric import FabricRunSpec, FabricSpec, mappable_families
-    from repro.runner.runner import ParallelSweepRunner
     from repro.runner.tasks import FabricTask
 
     designs = []
@@ -802,23 +769,10 @@ def cmd_fabric(args: argparse.Namespace) -> int:
     cache = _make_cache(args) if runs else None
     evaluated = cache_hits = 0
     for path, spec in runs:
-        label = spec.name or Path(path).stem
-        print(f"== fabric run {label} ({path}) ==")
-        if spec.description:
-            print(spec.description)
-        # Each run drives a full place-and-route + configure + compile +
-        # execute cycle, so the sweep runs serially; the runner still
-        # provides the shared content-addressed cache and hit accounting.
-        runner = ParallelSweepRunner(
-            FabricTask(),
-            workers=1,
-            cache=cache,
-            reporter=_make_reporter(args, f"fabric {label}"),
-        )
-        result = runner.run([spec.to_dict()])[0]
-        evaluated += runner.stats.evaluated
-        cache_hits += runner.stats.cache_hits
-        _print_fabric_result(result, cached=runner.stats.cache_hits > 0)
+        result, stats = _run_cached_spec(FabricTask(), "fabric run", path, spec, cache, args)
+        evaluated += stats.evaluated
+        cache_hits += stats.cache_hits
+        _print_fabric_result(result, cached=stats.cache_hits > 0)
         out_payload["runs"].append(result)
         if not result["bit_identical"]:
             exit_code = 1
@@ -1039,11 +993,11 @@ def cmd_blocks(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench — packed-engine perf regression harness
+# bench — perf regression harnesses and their floors
 # ---------------------------------------------------------------------------
 
 
-def _find_benchmarks_dir(explicit: Optional[Path], required: str = "bench_perf_sc_engine.py") -> Path:
+def _find_benchmarks_dir(explicit: Optional[Path], required: str) -> Path:
     candidates = []
     if explicit is not None:
         candidates.append(explicit)
@@ -1068,67 +1022,10 @@ def _load_bench_module(benchmarks_dir: Path, filename: str):
 
 def cmd_bench(args: argparse.Namespace) -> int:
     exit_code = 0
-    if args.suite in ("engine", "all"):
-        exit_code |= _bench_engine(args)
     for suite in _BOUNDED_SUITES:
         if args.suite in (suite, "all"):
             exit_code |= _bench_bounded(args, suite)
     return exit_code
-
-
-def _bench_engine(args: argparse.Namespace) -> int:
-    benchmarks_dir = _find_benchmarks_dir(args.benchmarks_dir)
-    harness = _load_bench_module(benchmarks_dir, "bench_perf_sc_engine.py")
-    results_path = benchmarks_dir / "results" / "BENCH_sc_engine.json"
-
-    if args.no_run:
-        if not results_path.exists():
-            raise SystemExit(f"--no-run: no recorded results at {results_path}")
-        payload = json.loads(results_path.read_text())
-        print(f"checking recorded results at {results_path}")
-    else:
-        payload = harness.run_benchmarks()
-        harness._print_report(payload)
-        saved = harness.save_report(payload)
-        print(f"\nsaved {saved}")
-
-    if not args.check_floor:
-        return 0
-
-    by_name = {row["name"]: row for row in payload.get("benchmarks", [])}
-    host = payload.get("host") or {}
-    host_lines = [f"{host.get('cpu_count')} cpus, numpy {host.get('numpy')}"] if host else []
-    failures = []
-    summary_rows = []
-    for name, floor in (payload.get("floors") or {}).items():
-        row = by_name.get(name)
-        if row is None:
-            failures.append(f"{name}: no measurement recorded (floor {floor:.1f}x)")
-            summary_rows.append((name, "n/a", f"{floor:.1f}x", "n/a", "FAIL (missing)"))
-            continue
-        measured = float(row["speedup"])
-        delta = measured - floor
-        margin = 100.0 * delta / floor
-        detail = (
-            f"{name}: measured {measured:.1f}x vs floor {floor:.1f}x "
-            f"(delta {delta:+.1f}x, margin {margin:+.0f}%)"
-        )
-        status = "ok" if measured >= floor else "FAIL"
-        summary_rows.append((name, f"{measured:.1f}x", f"{floor:.1f}x", f"{delta:+.1f}x", status))
-        if measured < floor:
-            failures.append(detail)
-        else:
-            print(f"floor ok: {detail}")
-    _write_floor_job_summary(summary_rows, failures, host_lines=host_lines)
-    if failures:
-        # Every regression line carries the measured-vs-floor numbers so a
-        # red CI job shows the magnitude of the regression, not just that
-        # one happened.
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    print("perf floors: all pass")
-    return 0
 
 
 def _lookup_metric(payload: dict, dotted: str) -> Optional[float]:
@@ -1142,6 +1039,7 @@ def _lookup_metric(payload: dict, dotted: str) -> Optional[float]:
 
 #: The ``{"min", "max"}``-bounded suites: harness, recorded results, summary title.
 _BOUNDED_SUITES = {
+    "engine": ("bench_perf_sc_engine.py", "BENCH_sc_engine.json", "Packed-engine speedup floors"),
     "serve": ("bench_serve_latency.py", "BENCH_serve.json", "Serve latency/throughput floors"),
     "fabric": ("bench_fabric.py", "BENCH_fabric.json", "Fabric compile/throughput floors"),
 }
@@ -1151,8 +1049,8 @@ def _bench_bounded(args: argparse.Namespace, suite: str) -> int:
     """Run (or check) one bounded suite's harness and its floors.
 
     Floor entries are ``{"min": x}`` and/or ``{"max": y}`` per dotted metric
-    path — throughput gates from below, tail latency and compile time from
-    above.
+    path — speedups and throughput gate from below, tail latency and
+    compile time from above.
     """
     harness_file, results_file, title = _BOUNDED_SUITES[suite]
     benchmarks_dir = _find_benchmarks_dir(args.benchmarks_dir, required=harness_file)
@@ -1175,7 +1073,8 @@ def _bench_bounded(args: argparse.Namespace, suite: str) -> int:
 
     failures = []
     summary_rows = []
-    host_cpus = payload.get("host", {}).get("cpu_count")
+    host = payload.get("host") or {}
+    host_cpus = host.get("cpu_count")
     for metric, bounds in sorted(payload.get("floors", {}).items()):
         bounds = dict(bounds)
         measured = _lookup_metric(payload, metric)
@@ -1190,11 +1089,11 @@ def _bench_bounded(args: argparse.Namespace, suite: str) -> int:
                 f"floor skipped: {metric} (measured {shown}) needs >= {requires_cpus} CPUs; "
                 f"host has {host_cpus}"
             )
-            summary_rows.append((metric, shown, str(bounds), "", f"skipped (<{requires_cpus} cpus)"))
+            summary_rows.append((metric, shown, str(bounds), f"skipped (<{requires_cpus} cpus)"))
             continue
         if measured is None:
             failures.append(f"{metric}: no measurement recorded (bounds {bounds})")
-            summary_rows.append((metric, "n/a", str(bounds), "", "FAIL (missing)"))
+            summary_rows.append((metric, "n/a", str(bounds), "FAIL (missing)"))
             continue
         bound_text = ", ".join(f"{op} {value:g}" for op, value in sorted(bounds.items()))
         ok = True
@@ -1203,13 +1102,16 @@ def _bench_bounded(args: argparse.Namespace, suite: str) -> int:
         if "max" in bounds and measured > float(bounds["max"]):
             ok = False
         detail = f"{metric}: measured {measured:.2f} vs bounds ({bound_text})"
-        summary_rows.append((metric, f"{measured:.2f}", bound_text, "", "ok" if ok else "FAIL"))
+        summary_rows.append((metric, f"{measured:.2f}", bound_text, "ok" if ok else "FAIL"))
         if ok:
             print(f"floor ok: {detail}")
         else:
             failures.append(detail)
-    _write_floor_job_summary(summary_rows, failures, title=title)
+    _write_floor_job_summary(title, host, summary_rows, failures)
     if failures:
+        # Every regression line carries the measured-vs-bounds numbers so a
+        # red CI job shows the magnitude of the regression, not just that
+        # one happened.
         for failure in failures:
             print(f"{suite.upper()} PERF REGRESSION: {failure}", file=sys.stderr)
         return 1
@@ -1218,17 +1120,14 @@ def _bench_bounded(args: argparse.Namespace, suite: str) -> int:
 
 
 def _write_floor_job_summary(
-    rows: Sequence[Sequence[str]],
-    failures: Sequence[str],
-    title: str = "Packed-engine perf floors",
-    host_lines: Sequence[str] = (),
+    title: str, host: dict, rows: Sequence[Sequence[str]], failures: Sequence[str]
 ) -> None:
     """Append a measured-vs-floor table to the GitHub Actions job summary.
 
     ``GITHUB_STEP_SUMMARY`` points at the job-summary file inside Actions and
-    is unset elsewhere, so local runs skip this silently.  ``host_lines``
-    (CPU count, numpy version) precede the
-    table so a tripped floor is attributable to the machine that ran it.
+    is unset elsewhere, so local runs skip this silently.  The host's CPU
+    count and numpy version precede the table so a tripped floor is
+    attributable to the machine that ran it.
     """
     import os
 
@@ -1238,15 +1137,11 @@ def _write_floor_job_summary(
     from repro.evaluation.reporting import format_markdown_table
 
     verdict = "all floors pass" if not failures else f"{len(failures)} floor(s) violated"
-    table = format_markdown_table(
-        ["benchmark", "measured", "floor", "delta", "status"], rows
-    )
+    table = format_markdown_table(["benchmark", "measured", "bounds", "status"], rows)
     with open(summary_path, "a") as handle:
         handle.write(f"### {title} — {verdict}\n\n")
-        for line in host_lines:
-            handle.write(f"- {line}\n")
-        if host_lines:
-            handle.write("\n")
+        if host:
+            handle.write(f"- {host.get('cpu_count')} cpus, numpy {host.get('numpy')}\n\n")
         handle.write(f"{table}\n\n")
 
 
@@ -1265,7 +1160,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             document = load_trace(path)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise SystemExit(str(exc)) from exc
-        summary = summarize_trace(document, top=args.top)
+        summary = summarize_trace(document)
         payload["traces"][str(path)] = summary
         other = document.get("otherData", {})
         scenario = other.get("scenario") if isinstance(other, dict) else None
@@ -1276,52 +1171,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"{summary['traces']} request traces across "
             f"{len(summary['processes'])} process(es) =="
         )
-        _print_table(
-            "spans by name",
-            ["span", "count", "total (ms)", "mean (ms)", "max (ms)"],
-            [
-                (
-                    row["key"],
-                    row["count"],
-                    f"{row['total_ms']:.2f}",
-                    f"{row['mean_ms']:.3f}",
-                    f"{row['max_ms']:.3f}",
-                )
-                for row in summary["by_name"][: args.top]
-            ],
-        )
+        columns = ["count", "total (ms)", "mean (ms)", "max (ms)"]
+        _print_table("spans by name", ["span", *columns], _span_rows(summary["by_name"][: args.top]))
         if len(summary["processes"]) > 1:
             _print_table(
-                "spans by process (shard workers)",
-                ["pid", "count", "total (ms)", "mean (ms)", "max (ms)"],
-                [
-                    (
-                        row["key"],
-                        row["count"],
-                        f"{row['total_ms']:.2f}",
-                        f"{row['mean_ms']:.3f}",
-                        f"{row['max_ms']:.3f}",
-                    )
-                    for row in summary["by_process"]
-                ],
+                "spans by process (shard workers)", ["pid", *columns], _span_rows(summary["by_process"])
             )
         if summary["instant_names"]:
             print(f"instant events: {', '.join(summary['instant_names'])}")
-        if summary["kernel_top"]:
-            _print_table(
-                f"kernel profile (top {args.top} of {summary['kernels_total']} by time)",
-                ["backend", "kernel", "calls", "words", "seconds"],
-                [
-                    (
-                        row.get("backend", "?"),
-                        row.get("kernel", "?"),
-                        row.get("calls", 0),
-                        row.get("words", 0),
-                        f"{float(row.get('seconds', 0.0)):.4f}",
-                    )
-                    for row in summary["kernel_top"]
-                ],
-            )
         if summary["events"] == 0:
             print("trace is empty (was telemetry enabled for the run?)", file=sys.stderr)
             exit_code = 1
@@ -1329,12 +1186,37 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return exit_code
 
 
+def _span_rows(rows: Sequence[dict]) -> List[tuple]:
+    return [
+        (row["key"], row["count"], f"{row['total_ms']:.2f}", f"{row['mean_ms']:.3f}", f"{row['max_ms']:.3f}")
+        for row in rows
+    ]
+
+
 # ---------------------------------------------------------------------------
-# verify — orchestrator self-checks
+# verify — self-checks over the repo's own gates
 # ---------------------------------------------------------------------------
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Run every self-check; PASS lines on stdout, one FAIL line per failure.
+
+    Each verdict comes from a path the repo already gates on elsewhere, so
+    verify adds no checking logic of its own.
+    """
+    failures = (
+        _verify_dse(args.workers)
+        + _verify_eval(args.workers)
+        + _verify_scenarios()
+        + _verify_fabric()
+    )
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _verify_dse(workers: int) -> List[str]:
+    """A tiny DSE grid: parallel == serial, and a warm re-run is all cache hits."""
     import math
     import tempfile
 
@@ -1354,19 +1236,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     logits = attention_logit_vectors(16, 64, seed=11)
     space = SoftmaxDesignSpace(bx=4, test_vectors=logits, **DSE_GRIDS["tiny"])
     failures = []
-
     serial = space.explore()
-    parallel = space.explore(workers=args.workers)
+    parallel = space.explore(workers=workers)
     if all(points_equal(a, b) for a, b in zip(serial, parallel)) and len(serial) == len(parallel):
-        print(f"PASS parallel == serial ({len(serial)} designs, {args.workers} workers)")
+        print(f"PASS parallel == serial ({len(serial)} designs, {workers} workers)")
     else:
         failures.append("parallel != serial")
-
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
-        space.explore(workers=args.workers, cache=cache)
+        space.explore(workers=workers, cache=cache)
         first = space.last_run_stats
-        cached = space.explore(workers=args.workers, cache=cache)
+        cached = space.explore(workers=workers, cache=cache)
         second = space.last_run_stats
         if second.evaluated == 0 and second.cache_hits == first.total:
             print(f"PASS cache round-trip ({second.cache_hits} hits, 0 re-evaluations)")
@@ -1378,283 +1258,93 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("PASS cached results identical to serial")
         else:
             failures.append("cached results differ from serial")
-
-    failures.extend(_verify_eval_pipeline())
-    failures.extend(_verify_serve())
-    failures.extend(_verify_serve_sharded())
-    failures.extend(_verify_fabric())
-
-    for failure in failures:
-        print(f"FAIL {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _tiny_verify_fixture():
-    """The tiny model/dataset/softmax shared by the eval + serve self-checks.
-
-    One construction site so both verify sections (and their PASS lines)
-    measure the same configuration.
-    """
-    from repro.blocks.specs import SoftmaxCircuitConfig
-    from repro.nn.vit import CompactVisionTransformer, ViTConfig
-    from repro.training.datasets import SyntheticImageDataset
-
-    config = ViTConfig(
-        image_size=8, patch_size=4, num_classes=4, embed_dim=16, num_layers=2,
-        num_heads=2, norm="bn", seed=3,
-    )
-    model = CompactVisionTransformer(config)
-    dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
-    train, test = dataset.splits(train_size=16, test_size=12)
-    softmax = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0, by=8, alpha_y=0.03, s1=16, s2=4)
-    return model, train, test, softmax
-
-
-def _verify_eval_pipeline() -> List[str]:
-    """Self-checks of the batched eval pipeline on a tiny model/dataset."""
-    import numpy as np
-
-    from repro.eval_pipeline import ScViTEvalPipeline
-
-    failures: List[str] = []
-    model, train, test, softmax = _tiny_verify_fixture()
-
-    for flip_prob in (0.0, 0.05):
-        pipeline = ScViTEvalPipeline(
-            model, softmax, gelu_output_bsl=4, flip_prob=flip_prob, fault_seed=11,
-            calibration_images=train.images[:4],
-        )
-        batched = pipeline.evaluate(test, batch_size=12)
-        per_image = pipeline.evaluate(test, batch_size=1)
-        if np.array_equal(batched.predictions, per_image.predictions):
-            print(
-                f"PASS eval batched == per-image (flip_prob={flip_prob}, "
-                f"{batched.num_images} images)"
-            )
-        else:
-            failures.append(f"eval batched != per-image at flip_prob={flip_prob}")
     return failures
 
 
-def _verify_serve() -> List[str]:
-    """Self-checks of the serving subsystem: the batching invariant online.
+def _verify_eval(workers: int) -> List[str]:
+    """``repro eval --verify-batched`` on a tiny grid, fault-free and faulted."""
+    from repro.eval_pipeline import run_eval_grid
 
-    Staggered concurrent submissions (so the dynamic batcher forms mixed
-    batch sizes) must reproduce offline per-image evaluation bit for bit,
-    fault-free and under fault injection; a second identical pass must be
-    served entirely from the prediction cache.
-    """
-    import asyncio
-
-    import numpy as np
-
-    from repro.eval_pipeline import ScViTEvalPipeline
-    from repro.evaluation.vectors import collect_softmax_inputs
-    from repro.serve import InferenceService, PipelineEngine, PredictionCache, ReplicaFactory
-
-    failures: List[str] = []
-    model, train, test, softmax = _tiny_verify_fixture()
-    calibration = collect_softmax_inputs(model, train.images[:4], max_rows=512)
-    num_images = int(test.images.shape[0])
-
-    for flip_prob in (0.0, 0.05):
-        pipeline = ScViTEvalPipeline(
-            model, softmax, gelu_output_bsl=4, flip_prob=flip_prob, fault_seed=11,
-            calibration_logits=calibration,
-        )
-        offline = pipeline.evaluate(test, batch_size=1)
-
-        async def session():
-            engine = PipelineEngine(
-                ReplicaFactory(
-                    model, softmax, gelu_output_bsl=4, flip_prob=flip_prob, fault_seed=11,
-                    calibration_logits=calibration,
-                ),
-                workers=2,
-            )
-            service = InferenceService(engine, max_batch=5, max_wait_ms=4.0, cache=PredictionCache())
-            async with service:
-                async def one(i: int):
-                    await asyncio.sleep(0.001 * (i % 4))  # ragged arrivals
-                    return await service.submit(test.images[i], index=i)
-
-                cold = await asyncio.gather(*[one(i) for i in range(num_images)])
-                warm = await asyncio.gather(
-                    *[service.submit(test.images[i], index=i) for i in range(num_images)]
-                )
-                return cold, warm, service.stats_snapshot()
-
-        cold, warm, snapshot = asyncio.run(session())
-        served = np.array([r.prediction for r in cold], dtype=np.int64)
-        if np.array_equal(served, offline.predictions):
-            print(
-                f"PASS serve == offline per-image (flip_prob={flip_prob}, "
-                f"{num_images} requests, mean batch "
-                f"{snapshot['batching']['mean_batch_size']:.1f})"
-            )
-        else:
-            failures.append(f"served predictions differ from offline at flip_prob={flip_prob}")
-        if all(r.cached for r in warm):
-            print(f"PASS serve warm pass 100% cache hits (flip_prob={flip_prob})")
-        else:
-            misses = sum(1 for r in warm if not r.cached)
-            failures.append(f"serve warm pass had {misses} cache misses at flip_prob={flip_prob}")
-    return failures
-
-
-def _verify_serve_sharded() -> List[str]:
-    """The batching invariant across worker *processes*, with fault injection.
-
-    Ragged concurrent arrivals over a 2-shard :class:`ShardedProcessEngine`
-    must reproduce offline per-image evaluation bit for bit — fault-free
-    and with ``flip_prob`` faults — and must keep doing so when one shard
-    is SIGKILLed mid-stream (in-flight micro-batches re-dispatch to a
-    surviving shard, the slot respawns).
-    """
-    import asyncio
-
-    import numpy as np
-
-    from repro.eval_pipeline import ScViTEvalPipeline
-    from repro.evaluation.vectors import collect_softmax_inputs
-    from repro.serve import (
-        InferenceService,
-        PredictionCache,
-        ReplicaFactory,
-        ShardedProcessEngine,
+    args = build_parser().parse_args(
+        ["eval", "--train-size", "16", "--test-size", "12", "--calibration-images", "4",
+         "--by-grid", "8", "--s1", "16", "--s2", "4", "--k", "2", "--gelu-bsl", "4",
+         "--flip-probs", "0", "0.05", "--fault-seed", "11"]
     )
+    task, configs = _eval_task(args)
+    return _verify_batched(task, configs, run_eval_grid(task, configs, workers=workers))
 
-    failures: List[str] = []
-    model, train, test, softmax = _tiny_verify_fixture()
-    calibration = collect_softmax_inputs(model, train.images[:4], max_rows=512)
-    num_images = int(test.images.shape[0])
 
-    for flip_prob, kill in ((0.0, True), (0.05, False)):
-        pipeline = ScViTEvalPipeline(
-            model, softmax, gelu_output_bsl=4, flip_prob=flip_prob, fault_seed=11,
-            calibration_logits=calibration,
+def _verify_scenarios() -> List[str]:
+    """Served == offline under a mid-trace shard kill, on both engine families.
+
+    The flash-crowd kill scenario of ``examples/specs/scenario_flashcrowd_kill.json``
+    on its tiny deployment: the thread engine fault-free and the 2-shard
+    process engine at ``flip_prob`` 0.05, each built by ``build_deployment``
+    and judged by the scenario assertions.  At least 16 requests must reach
+    the engine after the kill, so it lands on live traffic.
+    """
+    from repro.scenarios import AssertionSpec, EventSpec, ScenarioRunner, ScenarioSpec, WorkloadSpec
+    from repro.serve.specs import ServeSpec
+
+    deployment = ServeSpec(
+        train_size=8, layers=1, embed_dim=8, heads=2, calibration_images=2,
+        by=4, s1=8, s2=4, k=2, workers=2, max_batch=4, cache_dir=None,
+    )
+    requests = 128
+    base = ScenarioSpec(
+        workload=WorkloadSpec(arrival="flashcrowd", requests=requests, rate=400.0, image_pool=128),
+        events=(EventSpec(action="kill_shard", at_frac=0.5),),
+        assertions=(
+            AssertionSpec("bit_identity"),
+            AssertionSpec("deaths_min", 1),
+            AssertionSpec("uncached_after_kill_min", 16),
+            AssertionSpec("completed_min", requests),
+        ),
+    )
+    failures = []
+    for engine, flip_prob in (("thread", 0.0), ("process", 0.05)):
+        spec = base.with_updates(
+            name=f"verify-kill-{engine}",
+            deployment=deployment.with_updates(engine=engine, flip_prob=flip_prob),
         )
-        offline = pipeline.evaluate(test, batch_size=1)
-
-        async def session():
-            engine = ShardedProcessEngine(
-                ReplicaFactory(
-                    model, softmax, gelu_output_bsl=4, flip_prob=flip_prob, fault_seed=11,
-                    calibration_logits=calibration,
-                ),
-                shards=2,
-            )
-            service = InferenceService(
-                engine, max_batch=4, max_wait_ms=4.0, cache=PredictionCache()
-            )
-            async with service:
-                async def one(i: int):
-                    await asyncio.sleep(0.001 * (i % 4))  # ragged arrivals
-                    return await service.submit(test.images[i], index=i)
-
-                tasks = [asyncio.ensure_future(one(i)) for i in range(num_images)]
-                if kill:
-                    await asyncio.sleep(0.002)
-                    engine.kill_shard()
-                cold = await asyncio.gather(*tasks)
-                return cold, engine.stats_snapshot()
-
-        cold, engine_stats = asyncio.run(session())
-        served = np.array([r.prediction for r in cold], dtype=np.int64)
-        lifecycle = engine_stats["lifecycle"]
-        label = f"flip_prob={flip_prob}" + (", 1 shard killed mid-stream" if kill else "")
-        if np.array_equal(served, offline.predictions):
-            print(
-                f"PASS sharded serve == offline per-image ({label}, "
-                f"{num_images} requests, 2 shards, deaths={lifecycle['deaths']}, "
-                f"redispatches={lifecycle['redispatches']})"
-            )
-        else:
-            failures.append(f"sharded served predictions differ from offline ({label})")
-        if kill and lifecycle["deaths"] < 1:
-            failures.append("sharded kill test recorded no worker death (kill_shard no-op?)")
+        result = ScenarioRunner(spec).run()
+        failed = [
+            f"{check} (bound {bound}, measured {measured})"
+            for check, bound, measured, status in _assertion_rows(result)
+            if status != "pass"
+        ]
+        if failed:
+            failures.append(f"served != offline: scenario {spec.name}: {', '.join(failed)}")
+            continue
+        served = result["requests"]
+        print(
+            f"PASS served == offline under a shard kill (scenario {spec.name}, "
+            f"flip_prob={flip_prob}, {served['completed']} requests, "
+            f"deaths={result['deaths']}, {served['uncached_after_kill']} uncached after the kill)"
+        )
     return failures
 
 
 def _verify_fabric() -> List[str]:
-    """Self-checks of the accelerator-fabric simulator.
-
-    Bit-identity of fabric execution against the golden ``blocks.build``
-    path for the iterative softmax and a GELU family, write-count reuse
-    across a partial reconfiguration, and the Table VI area
-    reconciliation — the same contracts ``tests/test_fabric.py`` gates on,
-    sized to run in seconds.
-    """
-    from repro.fabric import (
-        FabricRunSpec,
-        FabricSpec,
-        reconcile_table6,
-        run_fabric,
-    )
+    """Fabric execution == golden ``blocks.build`` path, fault-free and faulted."""
     import repro.blocks as blocks
+    from repro.fabric import FabricRunSpec, FabricSpec, run_fabric
 
-    failures: List[str] = []
-    fabric = FabricSpec(name="verify")
     softmax = blocks.default_spec("softmax/iterative").with_updates(m=16, s1=4, s2=2)
-    gelu = blocks.default_spec("gelu/bernstein")
-
     spec = FabricRunSpec(
-        name="verify", fabric=fabric, schedule=(softmax, gelu), rows=8, seed=7
+        name="verify", fabric=FabricSpec(name="verify"),
+        schedule=(softmax, blocks.default_spec("gelu/bernstein")), rows=8, seed=7,
     )
-    result = run_fabric(spec)
-    if result["bit_identical"]:
+    failures = []
+    for flip_prob in (0.0, 0.05):
+        result = run_fabric(spec.with_updates(flip_prob=flip_prob))
+        bad = [slot["family"] for slot in result["slots"] if not slot["bit_identical"]]
+        if bad:
+            failures.append(f"fabric != golden blocks path at flip_prob={flip_prob}: {', '.join(bad)}")
+            continue
         print(
-            f"PASS fabric == golden blocks path ({len(result['slots'])} slots, "
-            f"{result['bitstream']['writes']} config writes)"
-        )
-    else:
-        bad = [s["family"] for s in result["slots"] if not s["bit_identical"]]
-        failures.append(f"fabric output differs from golden blocks path: {', '.join(bad)}")
-
-    faulted = run_fabric(spec.with_updates(flip_prob=0.05))
-    if faulted["bit_identical"]:
-        print("PASS fabric == golden blocks path under flip_prob=0.05")
-    else:
-        failures.append("fabric output differs from golden blocks path under fault injection")
-
-    # Partial reconfiguration: swapping only the second slot must rewrite
-    # only that tile's config words, and the re-loaded identical bitstream
-    # must write nothing.
-    from repro.fabric import Fabric, place_and_route
-
-    live = Fabric(fabric)
-    first = live.reconfigure(place_and_route(fabric, [softmax, gelu], seed=0).bitstream())
-    swap_bitstream = place_and_route(
-        fabric, [softmax, blocks.default_spec("gelu/fsm")], seed=0
-    ).bitstream()
-    swapped = live.reconfigure(swap_bitstream)
-    again = live.reconfigure(swap_bitstream)
-    if swapped["skipped"] > 0 and swapped["written"] < first["written"]:
-        print(
-            f"PASS partial reconfiguration reuses unchanged tiles "
-            f"(cold {first['written']} writes, swap {swapped['written']} writes, "
-            f"{swapped['skipped']} skipped)"
-        )
-    else:
-        failures.append(
-            f"partial reconfiguration rewrote everything: cold {first['written']}, "
-            f"swap {swapped['written']} written / {swapped['skipped']} skipped"
-        )
-    if again["written"] > 0:
-        failures.append(
-            f"re-loading a previously live schedule wrote {again['written']} words"
-        )
-
-    reconcile = reconcile_table6(fabric=fabric)
-    if reconcile["reconciles"]:
-        print(
-            f"PASS fabric tile area reconciles with Table VI "
-            f"(ratio {reconcile['ratio']:.3f} <= {reconcile['tolerance']:g})"
-        )
-    else:
-        failures.append(
-            f"fabric tile area does not reconcile with Table VI: ratio "
-            f"{reconcile['ratio']:.3f} outside [1, {reconcile['tolerance']:g}]"
+            f"PASS fabric == golden blocks path (flip_prob={flip_prob}, "
+            f"{len(result['slots'])} slots, {result['bitstream']['writes']} config writes)"
         )
     return failures
 
@@ -1737,7 +1427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--max-images", type=int, default=None, help="cap images per split")
     p_eval.add_argument("--batch-size", type=int, default=32, help="eval chunk size (results are chunk-invariant)")
     p_eval.add_argument("--calibration-images", type=int, default=32, help="images for the alpha_x calibration")
-    p_eval.add_argument("--verify-batched", action="store_true", help="re-run the first config per-image and compare bit-for-bit")
+    p_eval.add_argument("--verify-batched", action="store_true", help="re-run one config per fault rate image by image and compare bit-for-bit")
     _add_sweep_options(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -1786,12 +1476,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="summarize exported telemetry traces")
     p_trace.add_argument("trace", nargs="+", type=Path, help="trace file(s): Chrome-trace JSON (*.trace.json) or JSONL event stream (*.trace.jsonl)")
-    p_trace.add_argument("--top", type=int, default=10, help="rows per table (span names, kernel profile)")
+    p_trace.add_argument("--top", type=int, default=10, help="rows of the spans-by-name table")
     p_trace.add_argument("--out", type=Path, default=None, help="write the summaries as JSON to this path")
     p_trace.set_defaults(func=cmd_trace)
 
-    p_verify = sub.add_parser("verify", help="orchestrator self-checks")
-    p_verify.add_argument("--workers", type=int, default=2)
+    p_verify = sub.add_parser("verify", help="self-checks: DSE, eval, served-under-kill and fabric bit-identity")
+    p_verify.add_argument("--workers", type=int, default=2, help="worker processes for the DSE and eval checks")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

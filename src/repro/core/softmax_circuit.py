@@ -42,7 +42,7 @@ import numpy as np
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.nn.functional_math import softmax_exact
 from repro.sc.arithmetic import thermometer_multiplier_hardware
-from repro.sc.bitstream import ThermometerStream, counts_in_range
+from repro.sc.bitstream import counts_in_range
 from repro.sc.encodings import thermometer_decode_counts, thermometer_encode_counts
 from repro.sc.rescaling import RescalingBlock
 from repro.sc.sorting_network import BitonicSortingNetwork
@@ -75,22 +75,20 @@ class IterativeSoftmaxCircuit:
         self._tables: Dict[Tuple[int, int], np.ndarray] = {}
 
     # -------------------------------------------------------------- simulate
-    def forward(self, x: np.ndarray, stream_hook=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, faults=None) -> np.ndarray:
         """Run the circuit on a batch of logit rows.
 
         ``x`` has shape ``(..., m)``; the returned array has the same shape
         and contains the decoded circuit outputs.
 
-        ``stream_hook``, when given, is called at every thermometer-stream
-        interface of the dataflow — ``hook(site, stream) -> stream`` with
-        ``site`` one of ``"x"`` (the encoded input), ``"y0"`` (the constant
-        initial estimate) or ``"y<i>"`` (the re-encoded output of iteration
-        ``i``) — and its return value replaces the stream.  This is how the
-        eval pipeline threads bit-flip fault injection through the circuit
-        without the emulation ever special-casing faults; ``None`` (the
-        default) keeps the exact historical numerics.  A returned stream
-        must keep the shape and length it was given, with counts in
-        ``[0, length]``; anything else raises ``ValueError``.
+        ``faults``, an armed :class:`~repro.eval_pipeline.faults.BitFlipFaultModel`
+        (or anything with its ``perturb_counts(counts, length)``), flips bits
+        at every thermometer-stream interface of the dataflow, in order:
+        ``"x"`` (the encoded input), ``"y0"`` (the constant initial
+        estimate) and ``"y<i>"`` (the re-encoded output of iteration ``i``).
+        ``None`` (the default) keeps the exact fault-free numerics.  Returned
+        counts must keep their shape and lie in ``[0, length]``; anything
+        else raises ``ValueError`` naming the site.
         """
         cfg = self.config
         x = np.asarray(x, dtype=float)
@@ -98,8 +96,8 @@ class IterativeSoftmaxCircuit:
             raise ValueError(f"expected rows of length {cfg.m}, got {x.shape[-1]}")
 
         x_counts = thermometer_encode_counts(x, cfg.bx, cfg.alpha_x)
-        if stream_hook is not None:
-            x_counts = _hooked(stream_hook, "x", x_counts, cfg.bx, cfg.alpha_x)
+        if faults is not None:
+            x_counts = _perturbed(faults, "x", x_counts, cfg.bx)
 
         # y^0 = 1/m, initialised as a constant bitstream.  The hardware pins
         # the initial count to the nearest non-zero level: if 1/m rounded to
@@ -107,9 +105,8 @@ class IterativeSoftmaxCircuit:
         init_level = max(1, int(round((1.0 / cfg.m) / cfg.alpha_y)))
         init_level = min(init_level, cfg.by // 2)
         y_counts = init_level + cfg.by // 2
-        if stream_hook is not None:
-            y_counts = np.full(x.shape, y_counts, dtype=np.int64)
-            y_counts = _hooked(stream_hook, "y0", y_counts, cfg.by, cfg.alpha_y)
+        if faults is not None:
+            y_counts = _perturbed(faults, "y0", np.full(x.shape, y_counts, dtype=np.int64), cfg.by)
 
         states_per_sum = (cfg.bx + 1) * (cfg.by + 1)
         x_base = x_counts * (cfg.by + 1)  # the x part of the state; iterations keep it
@@ -121,10 +118,9 @@ class IterativeSoftmaxCircuit:
             lo, hi = (int(sum_sub_levels.min()), int(sum_sub_levels.max())) if state.size else (0, 0)
             table = self._next_state_table(lo, hi)
             state = table.take((sum_sub_levels - lo) * states_per_sum + state)
-            if stream_hook is not None:
+            if faults is not None:
                 state -= x_base
-                y_counts = _hooked(stream_hook, f"y{iteration + 1}", state, cfg.by, cfg.alpha_y)
-                state = x_base + y_counts
+                state = x_base + _perturbed(faults, f"y{iteration + 1}", state, cfg.by)
 
         return self._decoded.take(state)
 
@@ -258,21 +254,15 @@ class IterativeSoftmaxCircuit:
         )
 
 
-def _hooked(hook, site: str, counts: np.ndarray, length: int, scale: float) -> np.ndarray:
-    """Counts of the stream ``hook`` returns for ``counts`` at ``site``.
+def _perturbed(faults, site: str, counts: np.ndarray, length: int) -> np.ndarray:
+    """``faults.perturb_counts`` at ``site``, checked before it enters the state.
 
     The combined state packs x and y counts into one index, so an
     out-of-range count would silently alias another entry; it fails here.
     """
-    stream = hook(site, ThermometerStream(counts, length, scale, validate=False))
-    out = stream.counts
-    if (
-        stream.length != length
-        or out.shape != counts.shape
-        or not counts_in_range(out, length)
-    ):
+    out = np.asarray(faults.perturb_counts(counts, length))
+    if out.shape != counts.shape or not counts_in_range(out, length):
         raise ValueError(
-            f"stream_hook at site {site!r} must return a length-{length} stream "
-            f"of shape {counts.shape} with counts in [0, {length}]"
+            f"faults at site {site!r} must return counts of shape {counts.shape} in [0, {length}]"
         )
     return out

@@ -46,7 +46,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sc.bitstream import ThermometerStream, counts_in_range
+from repro.sc.bitstream import counts_in_range
 
 __all__ = ["BitFlipFaultModel"]
 
@@ -258,10 +258,3 @@ class BitFlipFaultModel:
         else:
             tables = _tables(length, self.flip_prob)
         return sample_rows(tables, counts, counter_words(keys, 0, rows.shape[1]))
-
-    def __call__(self, site: str, stream: ThermometerStream) -> ThermometerStream:
-        """The model as a circuit ``stream_hook``: ``stream`` faulted at the next site."""
-        counts = self.perturb_counts(stream.counts, stream.length)
-        if counts is stream.counts:
-            return stream
-        return ThermometerStream(counts, stream.length, stream.scale, validate=False)

@@ -162,7 +162,7 @@ class ScViTEvalPipeline:
         clamp-and-rescale, exactly as the seed evaluator did per flattened
         row (the operations are rowwise, so the numbers are identical).
         """
-        out = self.softmax_circuit.forward(scores.data, stream_hook=self.fault_model)
+        out = self.softmax_circuit.forward(scores.data, faults=self.fault_model)
         out = np.clip(out, 0.0, None)
         row_sum = out.sum(axis=-1, keepdims=True)
         out = np.where(row_sum > 0, out / np.maximum(row_sum, 1e-9), 1.0 / out.shape[-1])

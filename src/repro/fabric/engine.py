@@ -40,7 +40,7 @@ class FabricSoftmaxAdapter:
     """A pipeline's ``softmax_circuit`` seam, backed by a fabric block.
 
     Exposes exactly what :class:`~repro.eval_pipeline.ScViTEvalPipeline`
-    uses — ``forward(x, stream_hook=...)`` and ``config`` — and delegates
+    uses — ``forward(x, faults=...)`` and ``config`` — and delegates
     anything else to the compiled block, so the swap is invisible to the
     pipeline while every softmax actually executes on the configured tile.
     """
@@ -52,8 +52,8 @@ class FabricSoftmaxAdapter:
     def config(self):
         return self._block.config
 
-    def forward(self, x, stream_hook=None):
-        return self._block.forward(x, stream_hook=stream_hook)
+    def forward(self, x, faults=None):
+        return self._block.forward(x, faults=faults)
 
     def __getattr__(self, name: str):
         if name == "_block":  # unpickle/copy probes must not recurse

@@ -381,31 +381,24 @@ def _test_vectors(function: str, block_spec: Any, rows: int, seed: int) -> np.nd
     return rng.uniform(-1.0, 1.0, size=rows)
 
 
-def _fault_hook(flip_prob: float, fault_seed: int, n_rows: int):
-    """A fresh fault model armed for ``n_rows`` rows, itself a ``stream_hook``."""
-    from repro.eval_pipeline.faults import BitFlipFaultModel
-
-    model = BitFlipFaultModel(flip_prob, seed=fault_seed)
-    model.begin_batch(np.arange(n_rows))
-    return model
-
-
 def _evaluate_block(block: Any, values: np.ndarray, flip_prob: float, fault_seed: int) -> np.ndarray:
     """Evaluate through the fault seam when the block exposes one.
 
-    Only families with a thermometer-stream ``forward(..., stream_hook=)``
-    (the iterative softmax) take injected flips; the hook is re-armed
-    identically on the fabric and golden sides, so bit-identity holds
-    under faults too.
+    Only the iterative softmax has a ``forward(x, faults=)`` seam, so only
+    it takes injected flips; the fault model is armed identically on the
+    fabric and golden sides, so bit-identity holds under faults too.  The
+    seam is selected by capability, so an error raised inside a faulted
+    forward propagates rather than passing as a fault-free re-run.
     """
+    from repro.eval_pipeline.faults import BitFlipFaultModel
+
+    values = np.asarray(values)
     forward = getattr(block, "forward", None)
     if flip_prob > 0.0 and callable(forward):
-        try:
-            hook = _fault_hook(flip_prob, fault_seed, int(np.asarray(values).shape[0]))
-            return forward(np.asarray(values), stream_hook=hook)
-        except TypeError:
-            pass  # family's forward has no stream_hook seam; fall through
-    return block.evaluate(np.asarray(values))
+        faults = BitFlipFaultModel(flip_prob, seed=fault_seed)
+        faults.begin_batch(np.arange(values.shape[0]))
+        return forward(values, faults=faults)
+    return block.evaluate(values)
 
 
 def run_fabric(spec: FabricRunSpec) -> Dict[str, Any]:

@@ -139,7 +139,6 @@ class ScenarioRunner:
         stem = (self.spec.name or "scenario").replace("/", "_")
         other_data = {
             "scenario": self.spec.name,
-            "kernel_profile": telemetry.get_profiler().snapshot(),
             "metrics": telemetry.get_registry().snapshot(),
         }
         self.last_trace_path = tracer.export(self.trace_dir / f"{stem}.trace.json", other_data=other_data)

@@ -222,8 +222,7 @@ def render_metrics(service: InferenceService) -> str:
     Pull-published: the service/engine/cache layers keep plain counters and
     this scrape site flattens their snapshots into gauges (per-shard
     counters under a ``shard`` label), adds cache and
-    engine-lifecycle counters, folds in the kernel profiler, and renders
-    the Prometheus text format.  Metrics are observational only — nothing
+    engine-lifecycle counters, and renders the Prometheus text format.  Metrics are observational only — nothing
     here feeds back into serving.
     """
     from repro import telemetry
@@ -250,7 +249,6 @@ def render_metrics(service: InferenceService) -> str:
         hits.set(stats.get("hits", 0), cache="prediction")
         misses.set(stats.get("misses", 0), cache="prediction")
         stores.set(stats.get("stores", 0), cache="prediction")
-    telemetry.get_profiler().publish(registry)
     return registry.render_prometheus()
 
 

@@ -3,8 +3,7 @@
 One :class:`MetricsRegistry` holds every metric the instrumentation plane
 publishes: service request counters, cache hit/miss/store counts, engine
 lifecycle counters (spawns, deaths, redispatches, autoscale actions,
-fabric replacements) and the kernel profiler's per-kernel timings.  Two
-read-outs of the same state:
+fabric replacements).  Two read-outs of the same state:
 
 * :meth:`MetricsRegistry.render_prometheus` — the standard text exposition
   format, served by the HTTP transport's ``GET /metrics`` route so any

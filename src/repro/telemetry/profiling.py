@@ -146,17 +146,6 @@ class KernelProfiler:
         """JSON-able full table (alias of :meth:`table` without a limit)."""
         return self.table()
 
-    def publish(self, registry: Any) -> None:
-        """Fold the profile into a metrics registry as labelled counters."""
-        calls = registry.counter("repro_kernel_calls_total", "Kernel calls per backend")
-        words = registry.counter("repro_kernel_words_total", "Input word volume per kernel")
-        seconds = registry.counter("repro_kernel_seconds_total", "Kernel wall time per backend")
-        for row in self.table():
-            labels = {"backend": row["backend"], "kernel": row["kernel"]}
-            calls.set(row["calls"], **labels)
-            words.set(row["words"], **labels)
-            seconds.set(row["seconds"], **labels)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._records)

@@ -63,13 +63,11 @@ def _span_stats(events: List[Dict[str, Any]], key_fn) -> List[Dict[str, Any]]:
     return rows
 
 
-def summarize_trace(document: Dict[str, Any], top: int = 10) -> Dict[str, Any]:
+def summarize_trace(document: Dict[str, Any]) -> Dict[str, Any]:
     """One JSON-able digest of a trace document.
 
     Sections: event totals, per-span-name stats, per-process (shard
-    worker) span stats, instant events, and the top-``top`` rows of the
-    embedded kernel profile (when the export carried one in
-    ``otherData``).
+    worker) span stats and instant events.
     """
     events = [e for e in document.get("traceEvents", []) if isinstance(e, dict)]
     spans = [e for e in events if e.get("ph") == "X"]
@@ -80,13 +78,6 @@ def summarize_trace(document: Dict[str, Any], top: int = 10) -> Dict[str, Any]:
         for e in spans
         if e.get("args", {}).get("trace_id") is not None
     }
-    kernel_profile = document.get("otherData", {}).get("kernel_profile", [])
-    if not isinstance(kernel_profile, list):
-        kernel_profile = []
-    kernel_rows = sorted(
-        (dict(row) for row in kernel_profile if isinstance(row, dict)),
-        key=lambda r: -float(r.get("seconds", 0.0)),
-    )
     return {
         "events": len(events),
         "spans": len(spans),
@@ -96,6 +87,4 @@ def summarize_trace(document: Dict[str, Any], top: int = 10) -> Dict[str, Any]:
         "by_name": _span_stats(spans, lambda e: e.get("name")),
         "by_process": _span_stats(spans, lambda e: e.get("pid")),
         "instant_names": sorted({str(e.get("name")) for e in instants}),
-        "kernel_top": kernel_rows[:top],
-        "kernels_total": len(kernel_rows),
     }

@@ -156,6 +156,49 @@ class TestRunSubcommand:
             main(["run", str(a), str(b), "--out", str(tmp_path / "clobbered.json")])
 
 
+class TestRunKindTable:
+    def test_each_kind_routes_to_its_subcommand(self, tmp_path, monkeypatch, capsys):
+        import repro.blocks as blocks
+        import repro.cli as cli
+        from repro.fabric import FabricRunSpec, FabricSpec
+        from repro.scenarios import ScenarioSpec
+        from repro.serve import ServeSpec
+
+        tagged = {
+            "serve/deployment": (ServeSpec(), ["serve", "--spec", "{path}"]),
+            "serve/scenario": (ScenarioSpec(), ["scenario", "{path}", "--cache-dir", "c", "--quiet"]),
+            "fabric/design": (FabricSpec(), ["fabric", "{path}", "--cache-dir", "c", "--quiet"]),
+            "fabric/run": (
+                FabricRunSpec(schedule=(blocks.default_spec("gelu/bernstein"),)),
+                ["fabric", "{path}", "--cache-dir", "c", "--quiet"],
+            ),
+        }
+        assert sorted(cli.RUN_SPEC_KINDS) == sorted(tagged)
+        routed = []
+        for name in ("serve", "scenario", "fabric"):
+            monkeypatch.setattr(cli, f"cmd_{name}", lambda args, name=name: routed.append(name) or 0)
+        for kind, (spec, argv) in tagged.items():
+            path = tmp_path / f"{kind.replace('/', '_')}.json"
+            path.write_text(spec.to_json())
+            assert main(["run", str(path), "--cache-dir", "c", "--quiet"]) == 0
+            assert routed.pop() == argv[0]
+            expected = " ".join(part.format(path=path) for part in argv)
+            assert f"-> repro {expected}\n" in capsys.readouterr().out
+
+    def test_unknown_kind_lists_every_kind(self, tmp_path):
+        from repro.cli import RUN_SPEC_KINDS
+
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps({"kind": "not/a-kind", "params": {}}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(bogus)])
+        message = str(excinfo.value)
+        assert "'not/a-kind'" in message
+        assert len(RUN_SPEC_KINDS) == 4
+        for kind in RUN_SPEC_KINDS:
+            assert kind in message
+
+
 class TestBlocksSubcommand:
     def test_table1_matches_registry(self, tmp_path, capsys):
         out = tmp_path / "table1.json"

@@ -23,23 +23,44 @@ def _encode(values, length, scale):
     return ThermometerStream(np.clip(counts, 0, length).astype(np.int64), length, scale)
 
 
-def reference_forward(cfg, x, stream_hook=None):
+class SiteFaults:
+    """A fake fault model: ``perturb_counts`` hands ``fn`` the dataflow site.
+
+    The circuit calls ``perturb_counts(counts, length)`` at ``x``, ``y0``,
+    ``y1``, ... in that order; ``fn(site, counts, length)`` returns the
+    counts that replace them.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def perturb_counts(self, counts, length):
+        site = "x" if self.calls == 0 else f"y{self.calls - 1}"
+        self.calls += 1
+        return self.fn(site, counts, length)
+
+
+def _perturbed(faults, stream):
+    if faults is None:
+        return stream
+    return stream.with_counts(faults.perturb_counts(stream.counts, stream.length))
+
+
+def reference_forward(cfg, x, faults=None):
     """The circuit dataflow element by element: the oracle of the table.
 
     Every element carries its own streams through MUL 1, BSN 1 + s1, MUL 2
-    + s2 and the re-scaled BSN 2, with the stream hook at the same sites.
+    + s2 and the re-scaled BSN 2, with the fault seam at the same sites.
     """
     x = np.asarray(x, dtype=float)
-    x_stream = _encode(x, cfg.bx, cfg.alpha_x)
-    if stream_hook is not None:
-        x_stream = stream_hook("x", x_stream)
+    x_stream = _perturbed(faults, _encode(x, cfg.bx, cfg.alpha_x))
     x_levels = x_stream.signed_levels()
 
     init_level = max(1, int(round((1.0 / cfg.m) / cfg.alpha_y)))
     init_level = min(init_level, cfg.by // 2)
     y_stream = ThermometerStream.from_quantized(np.full(x.shape, init_level), cfg.by, cfg.alpha_y)
-    if stream_hook is not None:
-        y_stream = stream_hook("y0", y_stream)
+    y_stream = _perturbed(faults, y_stream)
 
     z_grid = cfg.alpha_x * cfg.alpha_y
     for iteration in range(cfg.iterations):
@@ -55,21 +76,18 @@ def reference_forward(cfg, x, stream_hook=None):
         prod_grid = cfg.alpha_y * sum_grid * cfg.s2
         prod = prod_sub_levels * prod_grid
         update = y_q + (z_q - prod) / cfg.iterations
-        y_stream = _encode(update, cfg.by, cfg.alpha_y)
-        if stream_hook is not None:
-            y_stream = stream_hook(f"y{iteration + 1}", y_stream)
+        y_stream = _perturbed(faults, _encode(update, cfg.by, cfg.alpha_y))
     return y_stream.decode()
 
 
-def jitter_hook(seed):
-    """A deterministic perturbing hook: every count moves by -1, 0 or +1."""
+def jitter_faults(seed):
+    """Deterministic fake faults: every count moves by -1, 0 or +1."""
     rng = np.random.default_rng(seed)
 
-    def hook(site, stream):
-        step = rng.integers(-1, 2, size=stream.shape)
-        return stream.with_counts(np.clip(stream.counts + step, 0, stream.length))
+    def jitter(site, counts, length):
+        return np.clip(counts + rng.integers(-1, 2, size=counts.shape), 0, length)
 
-    return hook
+    return SiteFaults(jitter)
 
 
 class TestConfig:
@@ -245,16 +263,15 @@ class TestTableMatchesElementwiseOracle:
             # sweep the whole reachable range, not just its centre.
             saturated = rng.random(rows.shape) < rng.random((len(rows), 1))
 
-            def hook(site, stream):
+            def scrambled(site, counts, length):
                 if site not in ("x", "y0"):
-                    return stream
-                counts = rng.integers(0, stream.length + 1, stream.shape)
-                return stream.with_counts(np.where(saturated, stream.length, counts))
+                    return counts
+                return np.where(saturated, length, rng.integers(0, length + 1, counts.shape))
 
-            return hook
+            return SiteFaults(scrambled)
 
-        out = IterativeSoftmaxCircuit(cfg).forward(rows, stream_hook=scramble(iterations))
-        assert np.array_equal(out, reference_forward(cfg, rows, stream_hook=scramble(iterations)))
+        out = IterativeSoftmaxCircuit(cfg).forward(rows, faults=scramble(iterations))
+        assert np.array_equal(out, reference_forward(cfg, rows, faults=scramble(iterations)))
 
     def test_empty_batch(self):
         out = IterativeSoftmaxCircuit(make_config()).forward(np.zeros((0, 64)))
@@ -269,60 +286,55 @@ class TestTableMatchesElementwiseOracle:
         assert all(circuit._tables[key] is table for key, table in tables.items())
 
 
-class TestStreamHook:
+class TestFaultSeam:
     def test_sites_fire_in_dataflow_order(self, logit_rows):
         cfg = make_config(iterations=4)
         sites = []
 
-        def record(site, stream):
-            sites.append((site, stream.length, stream.shape))
-            return stream
+        def record(site, counts, length):
+            sites.append((site, length, counts.shape))
+            return counts
 
-        IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], stream_hook=record)
+        IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], faults=SiteFaults(record))
         assert sites == [("x", cfg.bx, (4, 64))] + [
             (f"y{i}", cfg.by, (4, 64)) for i in range(cfg.iterations + 1)
         ]
 
-    def test_identity_hook_changes_nothing(self, logit_rows):
+    def test_identity_faults_change_nothing(self, logit_rows):
         circuit = IterativeSoftmaxCircuit(make_config())
-        hooked = circuit.forward(logit_rows, stream_hook=lambda site, stream: stream)
-        assert np.array_equal(hooked, circuit.forward(logit_rows))
+        faulted = circuit.forward(logit_rows, faults=SiteFaults(lambda site, counts, length: counts))
+        assert np.array_equal(faulted, circuit.forward(logit_rows))
 
     @pytest.mark.parametrize("geometry", [(4, 8), (3, 4), (5, 2)])
-    def test_perturbing_hook_matches_oracle(self, geometry, logit_rows):
+    def test_perturbing_faults_match_oracle(self, geometry, logit_rows):
         bx, by = geometry
         cfg = make_config(bx=bx, by=by, alpha_y=calibrate_alpha_y(by, 64), s1=7, s2=3)
-        out = IterativeSoftmaxCircuit(cfg).forward(logit_rows, stream_hook=jitter_hook(5))
-        expected = reference_forward(cfg, logit_rows, stream_hook=jitter_hook(5))
+        out = IterativeSoftmaxCircuit(cfg).forward(logit_rows, faults=jitter_faults(5))
+        expected = reference_forward(cfg, logit_rows, faults=jitter_faults(5))
         assert np.array_equal(out, expected)
         assert not np.array_equal(out, reference_forward(cfg, logit_rows))
 
     @pytest.mark.parametrize("site", ["x", "y0", "y1", "y3"])
-    @pytest.mark.parametrize("bad", ["above", "below", "int64_min", "int32_below", "length", "shape"])
-    def test_malformed_hook_output_raises(self, site, bad, logit_rows):
+    @pytest.mark.parametrize("bad", ["above", "below", "int64_min", "int32_below", "shape"])
+    def test_malformed_counts_raise(self, site, bad, logit_rows):
         cfg = make_config()
 
-        def hook(at, stream):
+        def corrupt(at, counts, length):
             if at != site:
-                return stream
-            counts, length = stream.counts, stream.length
-            if bad == "length":
-                length *= 2
-            elif bad == "shape":
-                counts = counts[:1]
-            elif bad == "int64_min":
+                return counts
+            if bad == "shape":
+                return counts[:1]
+            if bad == "int64_min":
                 counts = counts.copy()
                 counts[0, 0] = np.iinfo(np.int64).min
-            elif bad.startswith("int32"):
-                counts = counts.astype(np.int32) - length - 1
-            else:
-                counts = counts + (length + 1 if bad == "above" else -length - 1)
-            out = ThermometerStream(counts, length, stream.scale, validate=False)
-            out.counts = counts  # keep a non-int64 dtype: the range check has a two-pass path for it
-            return out
+                return counts
+            if bad.startswith("int32"):
+                # A non-int64 dtype: the range check has a two-pass path for it.
+                return counts.astype(np.int32) - length - 1
+            return counts + (length + 1 if bad == "above" else -length - 1)
 
         with pytest.raises(ValueError, match=site):
-            IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], stream_hook=hook)
+            IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], faults=SiteFaults(corrupt))
 
 
 class TestCircuitHardware:

@@ -30,7 +30,6 @@ from repro.eval_pipeline.faults import net_flip_pmf, sample_rows
 from repro.nn import autograd
 from repro.nn.autograd import Tensor, batch_invariant_matmul, matmul_data, no_grad
 from repro.runner.cache import ResultCache
-from repro.sc.bitstream import ThermometerStream
 
 
 def make_softmax_config(by=8, s1=16, s2=4, k=2):
@@ -506,11 +505,6 @@ class TestBitFlipFaultModel:
         before = counts.copy()
         out = model.perturb_counts(counts, 8)
         assert np.array_equal(counts, before) and not np.array_equal(out, counts)
-        stream = ThermometerStream(counts, 8, 0.5)
-        stream_counts = stream.counts.copy()
-        faulted = model("x", stream)
-        assert np.array_equal(stream.counts, stream_counts) and faulted is not stream
-        assert not np.array_equal(faulted.counts, stream.counts)
 
     @pytest.mark.parametrize("flip_prob", [0.01, 0.3, 1.0])
     def test_net_flip_pmf_matches_mask_enumeration(self, flip_prob):

@@ -196,6 +196,22 @@ class TestGoldenBitIdentity:
         result = run_fabric(spec)
         assert result["bit_identical"], result["slots"]
 
+    def test_error_inside_a_faulted_forward_propagates(self, monkeypatch):
+        """A fault seam that raises must fail the run, not silently re-run
+        both sides fault-free and report them bit-identical."""
+        from repro.eval_pipeline.faults import BitFlipFaultModel
+
+        def broken(self, counts, length, through=None):
+            raise TypeError("broken fault seam")
+
+        monkeypatch.setattr(BitFlipFaultModel, "perturb_counts", broken)
+        spec = FabricRunSpec(
+            fabric=FabricSpec(), schedule=(_small_softmax(),), rows=8,
+            seed=11, flip_prob=0.05, fault_seed=3,
+        )
+        with pytest.raises(TypeError, match="broken fault seam"):
+            run_fabric(spec)
+
     def test_run_payload_is_json_serialisable(self):
         result = run_fabric(
             FabricRunSpec(fabric=FabricSpec(), schedule=tuple(_small_schedule()), rows=4)

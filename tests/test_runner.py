@@ -342,6 +342,31 @@ class TestCli:
         captured = capsys.readouterr()
         assert "PASS parallel == serial" in captured.out
         assert "PASS cache round-trip" in captured.out
+        for flip_prob in ("0.0", "0.05"):
+            assert f"PASS batched == per-image (12 images, config test/[8, 16, 4, 2], flip_prob={flip_prob})" in captured.out
+            assert f"PASS fabric == golden blocks path (flip_prob={flip_prob}, " in captured.out
+        assert "PASS served == offline under a shard kill (scenario verify-kill-thread, flip_prob=0.0, " in captured.out
+        assert "PASS served == offline under a shard kill (scenario verify-kill-process, flip_prob=0.05, " in captured.out
+        assert "FAIL" not in captured.err
+
+    def test_verify_names_the_failing_check(self, monkeypatch, capsys):
+        """Corrupted served predictions fail the thread-engine scenario: verify
+        exits 1 and its FAIL line names the scenario and the assertion."""
+        from repro.cli import main
+        from repro.serve.engine import PipelineEngine
+
+        run = PipelineEngine.run
+
+        def corrupted(self, images, indices):
+            return (run(self, images, indices) + 1) % 10
+
+        monkeypatch.setattr(PipelineEngine, "run", corrupted)
+        assert main(["verify", "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        failures = [line for line in captured.err.splitlines() if line.startswith("FAIL ")]
+        assert len(failures) == 1, captured.err
+        assert failures[0].startswith("FAIL served != offline: scenario verify-kill-thread: bit_identity")
+        assert "verify-kill-process" in captured.out  # the other checks still ran and passed
 
     @pytest.mark.parametrize("command", ["eval", "serve", "bench"])
     def test_retired_backend_flag_rejected(self, command, capsys):
@@ -362,4 +387,4 @@ class TestCli:
         rc = main(["bench", "--check-floor", "--no-run"])
         captured = capsys.readouterr()
         assert rc == 0, captured.err
-        assert "perf floors: all pass" in captured.out
+        assert "engine floors: all pass" in captured.out

@@ -856,13 +856,14 @@ class TestServeCli:
 
     @pytest.mark.parametrize(
         "suite, harness, results",
-        [("serve", "bench_serve_latency.py", "BENCH_serve.json"),
+        [("engine", "bench_perf_sc_engine.py", "BENCH_sc_engine.json"),
+         ("serve", "bench_serve_latency.py", "BENCH_serve.json"),
          ("fabric", "bench_fabric.py", "BENCH_fabric.json")],
-        ids=["serve", "fabric"],
+        ids=["engine", "serve", "fabric"],
     )
     def test_bounded_suites_share_one_checker(self, tmp_path, capsys, suite, harness, results):
-        """Both `{"min", "max"}` suites skip a floor the host lacks CPUs for
-        and fail a violated bound, with the suite named in the verdict."""
+        """Every `{"min", "max"}` suite skips a floor the host lacks CPUs for
+        and fails a violated bound, with the suite named in the verdict."""
         from repro.cli import main
 
         (tmp_path / harness).write_text("")

@@ -281,18 +281,14 @@ class TestKernelProfiling:
         assert names.count("shard.predict") == 1 and names.count("shard.dispatch") == 1
         assert telemetry.get_profiler().table() == []
 
-    def test_publish_exposes_per_kernel_counters(self):
+    def test_table_sorts_heaviest_first(self):
         profiler = KernelProfiler()
         profiler.record("numpy", "popcount_words", 0.125, 64)
         profiler.record("numpy", "xor_words", 0.5, 10)
-        # table() sorts heaviest-first by wall time.
         assert profiler.table(top=1)[0]["kernel"] == "xor_words"
-        registry = MetricsRegistry()
-        profiler.publish(registry)
-        text = registry.render_prometheus()
-        assert 'repro_kernel_calls_total{backend="numpy",kernel="popcount_words"} 1' in text
-        assert 'repro_kernel_words_total{backend="numpy",kernel="popcount_words"} 64' in text
-        assert "repro_kernel_seconds_total" in text
+        assert profiler.table()[1] == {
+            "backend": "numpy", "kernel": "popcount_words", "calls": 1, "words": 64, "seconds": 0.125,
+        }
 
     def test_backend_seam_is_untouched_when_off_and_wrapped_when_on(self):
         from repro.sc import backends
@@ -387,16 +383,11 @@ class TestTraceSummary:
                  "tid": 2, "args": {"trace_id": "t-1"}},
                 {"name": "event.cache_loss", "ph": "i", "ts": 30, "pid": 1, "tid": 1},
             ],
-            "otherData": {
-                "kernel_profile": [
-                    {"backend": "numpy", "kernel": "and_words", "calls": 5, "words": 10, "seconds": 0.1},
-                    {"backend": "numpy", "kernel": "mux_words", "calls": 1, "words": 2, "seconds": 0.9},
-                ]
-            },
+            "otherData": {},
         }
 
-    def test_summarize_trace_aggregates_spans_processes_and_kernels(self):
-        summary = summarize_trace(self._document(), top=1)
+    def test_summarize_trace_aggregates_spans_and_processes(self):
+        summary = summarize_trace(self._document())
         assert summary["events"] == 4
         assert summary["spans"] == 3
         assert summary["instants"] == 1
@@ -408,9 +399,6 @@ class TestTraceSummary:
         assert by_name["service.request"]["mean_ms"] == pytest.approx(3.0)
         assert by_name["service.request"]["max_ms"] == pytest.approx(4.0)
         assert summary["instant_names"] == ["event.cache_loss"]
-        # top=1 keeps only the heaviest kernel but reports the true total.
-        assert [r["kernel"] for r in summary["kernel_top"]] == ["mux_words"]
-        assert summary["kernels_total"] == 2
 
     def test_cli_trace_subcommand_renders_and_exits_clean(self, tmp_path, capsys):
         from repro.cli import main
@@ -421,7 +409,6 @@ class TestTraceSummary:
         assert main(["trace", str(path), "--top", "3", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "service.request" in printed
-        assert "mux_words" in printed
         payload = json.loads(out.read_text())
         assert payload["traces"][str(path)]["spans"] == 3
 
@@ -564,10 +551,9 @@ def _parse_prometheus(text: str) -> dict:
 
 
 class TestMetricsEndpoint:
-    def test_render_metrics_serves_cache_and_kernel_counters(self):
+    def test_render_metrics_serves_cache_counters(self):
         from repro.blocks.specs import SoftmaxCircuitConfig
         from repro.nn.vit import CompactVisionTransformer, ViTConfig
-        from repro.sc.packed import PackedBitPlane
         from repro.serve import (
             InferenceService,
             PipelineEngine,
@@ -588,11 +574,6 @@ class TestMetricsEndpoint:
                                        by=8, alpha_y=0.03, s1=16, s2=4)
 
         async def session() -> str:
-            # Serving forwards run no SC kernel (faults are sampled from
-            # tables, not XOR planes), so drive one packed kernel directly
-            # to feed the profiler the scrape must expose.
-            plane = PackedBitPlane.from_thermometer_counts(np.array([3, 9]), 16)
-            (plane ^ plane).popcount()
             engine = PipelineEngine(ReplicaFactory(model, softmax, flip_prob=0.05), workers=1)
             service = InferenceService(
                 engine, max_batch=4, max_wait_ms=2.0, cache=PredictionCache()
@@ -609,8 +590,6 @@ class TestMetricsEndpoint:
         assert samples['repro_cache_misses_total{cache="prediction"}'] >= 4.0
         assert samples['repro_cache_stores_total{cache="prediction"}'] == 4.0
         assert samples["repro_service_requests_completed"] == 5.0
-        kernel_samples = [k for k in samples if k.startswith("repro_kernel_calls_total")]
-        assert kernel_samples, "kernel profiling produced no counters"
         assert "# TYPE repro_service_requests_completed gauge" in text
 
     def test_http_transport_routes_get_metrics(self):
@@ -729,11 +708,10 @@ class TestTracedScenarioEndToEnd:
         # And the cache_loss event an instant.
         assert any(e["name"] == "event.cache_loss" and e["ph"] == "i" for e in events)
 
-        # The export embeds the kernel profile and the metrics snapshot.  The
-        # serving forward runs no SC kernel, so the profile may be empty.
+        # The export embeds the metrics snapshot.
         other = document["otherData"]
         assert other["scenario"] == "traced-kill"
-        assert isinstance(other["kernel_profile"], list), "kernel profile missing from the export"
+        assert isinstance(other["metrics"], dict), "metrics snapshot missing from the export"
         summary = summarize_trace(document)
         assert summary["spans"] > 24  # at least one span per request plus phases
         assert len(summary["processes"]) >= 2

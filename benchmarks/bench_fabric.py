@@ -86,18 +86,26 @@ def host_metadata() -> dict:
     }
 
 
+def _cold_cycle(schedule) -> tuple:
+    """One cold place-and-route + load + compile: ``(compiled, ms)``."""
+    fabric = Fabric(FABRIC)
+    start = time.perf_counter()
+    fabric.load_bitstream(place_and_route(FABRIC, schedule, seed=0).bitstream())
+    compiled = fabric.compile()
+    return compiled, 1000.0 * (time.perf_counter() - start)
+
+
 def bench_compile() -> dict:
-    """Best-of-N cold compile cycle + the partial-reconfiguration diff."""
+    """Best-of-N cold compile cycle + the partial-reconfiguration diff.
+
+    One untimed cycle runs first: it pays the one-time imports and lazy
+    block-family loads, which are not part of a cold compile.
+    """
     schedule = _schedule()
-    cold_ms = []
-    for _ in range(COMPILE_REPEATS):
-        fabric = Fabric(FABRIC)
-        start = time.perf_counter()
-        placement = place_and_route(FABRIC, schedule, seed=0)
-        fabric.load_bitstream(placement.bitstream())
-        compiled = fabric.compile()
-        cold_ms.append(1000.0 * (time.perf_counter() - start))
-    resources = compiled.resource_counts()
+    _cold_cycle(schedule)
+    cycles = [_cold_cycle(schedule) for _ in range(COMPILE_REPEATS)]
+    cold_ms = [ms for _, ms in cycles]
+    resources = cycles[-1][0].resource_counts()
 
     # Partial reconfiguration: swap only the GELU family and diff-load.
     fabric = Fabric(FABRIC)

@@ -36,10 +36,10 @@ dump.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Set
+
+from repro.utils.specs import Spec
 
 __all__ = ["ExperimentSpec", "RUNNABLE_TASKS"]
 
@@ -47,11 +47,9 @@ __all__ = ["ExperimentSpec", "RUNNABLE_TASKS"]
 #: and ``verify`` take no experiment-identity parameters).
 RUNNABLE_TASKS = ("dse", "gelu-sweep", "tables", "eval")
 
-_TOP_LEVEL_KEYS = {"name", "description", "task", "params", "runner"}
-
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Spec):
     """One declarative experiment: a task, its grid, and runner options."""
 
     task: str
@@ -60,7 +58,9 @@ class ExperimentSpec:
     params: Dict[str, Any] = field(default_factory=dict)
     runner: Dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
+    label = "experiment"
+
+    def validate(self) -> None:
         if self.task not in RUNNABLE_TASKS:
             raise ValueError(
                 f"unknown experiment task {self.task!r} (runnable: {', '.join(RUNNABLE_TASKS)})"
@@ -68,45 +68,6 @@ class ExperimentSpec:
         overlap = set(self.params) & set(self.runner)
         if overlap:
             raise ValueError(f"keys appear in both params and runner: {sorted(overlap)}")
-
-    # -------------------------------------------------------------- round-trip
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ExperimentSpec":
-        if not isinstance(payload, dict):
-            raise ValueError(f"experiment spec must be a JSON object, got {type(payload).__name__}")
-        unknown = set(payload) - _TOP_LEVEL_KEYS
-        if unknown:
-            raise ValueError(
-                f"unknown experiment keys {sorted(unknown)} (expected {sorted(_TOP_LEVEL_KEYS)})"
-            )
-        if "task" not in payload:
-            raise ValueError("experiment spec needs a 'task' entry")
-        return cls(
-            task=str(payload["task"]),
-            name=str(payload.get("name", "")),
-            description=str(payload.get("description", "")),
-            params=dict(payload.get("params", {})),
-            runner=dict(payload.get("runner", {})),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "ExperimentSpec":
-        path = Path(path)
-        try:
-            spec = cls.from_json(path.read_text())
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        return spec
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     # ------------------------------------------------------------- execution
     def to_argv(self, overrides: Optional[Dict[str, Any]] = None) -> List[str]:
@@ -138,23 +99,10 @@ class ExperimentSpec:
     def validate_options(self, parser: Any) -> None:
         """Check every params/runner key against the task's CLI options.
 
-        ``parser`` is the root ``argparse`` parser of the repro CLI (the
-        caller passes it in; this module never imports the CLI, which keeps
-        ``repro.blocks`` importable from anywhere).
+        ``parser`` is the root ``argparse`` parser of the repro CLI (see
+        :func:`subcommand_options`).
         """
-        import argparse
-
-        subparser = None
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                subparser = action.choices.get(self.task)
-        if subparser is None:  # pragma: no cover - RUNNABLE_TASKS guards this
-            raise ValueError(f"CLI has no {self.task!r} subcommand")
-        known = {
-            option[2:].replace("-", "_")
-            for option in subparser._option_string_actions
-            if option.startswith("--")
-        }
+        known = subcommand_options(parser, self.task)
         unknown = [key for key in (*self.params, *self.runner) if str(key) not in known]
         if unknown:
             raise ValueError(
@@ -165,3 +113,22 @@ class ExperimentSpec:
     def describe(self) -> str:
         label = self.name or self.task
         return f"{label}: repro {' '.join(self.to_argv())}"
+
+
+def subcommand_options(parser: Any, subcommand: str) -> Set[str]:
+    """The ``--long`` options of one ``repro`` subcommand, as ``snake_case`` keys.
+
+    ``parser`` is the root ``argparse`` parser of the repro CLI (the caller
+    passes it in; this module never imports the CLI, which keeps
+    ``repro.blocks`` importable from anywhere).
+    """
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction) and subcommand in action.choices:
+            return {
+                option[2:].replace("-", "_")
+                for option in action.choices[subcommand]._option_string_actions
+                if option.startswith("--")
+            }
+    raise ValueError(f"CLI has no {subcommand!r} subcommand")

@@ -1,8 +1,9 @@
 """Frozen, JSON-round-trippable specs for every circuit-block family.
 
 A *spec* is the serialisable identity of one nonlinear circuit block: a
-frozen dataclass whose fields are plain JSON types, validated on
-construction.  Specs are the bottom layer of the block API — this module
+frozen dataclass whose fields are plain JSON types, type- and
+range-checked on construction; the file format is the codec every spec
+shares (:mod:`repro.utils.specs`).  Specs are the bottom layer of the block API — this module
 imports nothing from :mod:`repro.core`, :mod:`repro.sc` or
 :mod:`repro.eval_pipeline`, which is what lets every other layer (the
 evaluation pipeline, the sweep tasks, the CLI) exchange block identities
@@ -26,12 +27,12 @@ its ``alpha_x`` / ``alpha_y`` calibration helpers.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, Optional
 
 import numpy as np
 
+from repro.utils.specs import Spec
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -62,7 +63,7 @@ def _spec_family(name: str):
     """Class decorator registering a spec dataclass under its family name."""
 
     def register(cls):
-        cls.family = name
+        cls.family = cls.label = name
         _SPEC_FAMILIES[name] = cls
         return cls
 
@@ -74,68 +75,48 @@ def spec_families() -> Dict[str, type]:
     return dict(_SPEC_FAMILIES)
 
 
-class BlockSpec:
-    """Mixin giving a frozen spec dataclass its serialisation lifecycle.
+class BlockSpec(Spec):
+    """Base of every circuit-block spec: the ``{"family", "params"}`` envelope.
 
-    Subclasses are frozen dataclasses; the mixin adds the family tag and the
-    exact JSON round-trip (``to_dict``/``to_json`` paired with the
-    module-level :func:`spec_from_dict` / :func:`spec_from_json`).
+    Subclasses are frozen dataclasses registered by ``_spec_family``; the
+    shared spec codec (:mod:`repro.utils.specs`) gives them the exact JSON
+    round-trip.  Decoding through this base (:func:`spec_from_dict`)
+    picks the class from the family tag.
     """
 
     #: Registry family this spec builds (set by the ``_spec_family`` decorator).
     family: ClassVar[str] = ""
-
-    # ------------------------------------------------------------ round-trip
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form: ``{"family": ..., "params": {field: value}}``."""
-        return {"family": self.family, "params": asdict(self)}
+    envelope = "family"
+    label = "block-spec"
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        """Exact JSON serialisation (floats round-trip via ``repr``)."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def with_updates(self, **kwargs) -> "BlockSpec":
-        """Return a copy with selected fields replaced."""
-        return replace(self, **kwargs)
+        """Exact JSON serialisation (compact by default; floats round-trip via ``repr``)."""
+        return super().to_json(indent)
 
     @classmethod
-    def field_defaults(cls) -> Dict[str, Any]:
-        """Parameter schema: field name -> default (``...`` when required)."""
-        import dataclasses
-
-        out: Dict[str, Any] = {}
-        for f in fields(cls):
-            if f.default is not dataclasses.MISSING:
-                out[f.name] = f.default
-            elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-                out[f.name] = f.default_factory()  # type: ignore[misc]
-            else:
-                out[f.name] = ...
-        return out
+    def tagged_class(cls, payload: Any) -> type:
+        """The registered spec class of a payload's family tag."""
+        try:
+            family = payload["family"]
+        except (TypeError, KeyError) as exc:
+            raise ValueError(f"not a block-spec payload: {payload!r}") from exc
+        spec_cls = _SPEC_FAMILIES.get(family) if isinstance(family, str) else None
+        if spec_cls is None:
+            known = ", ".join(sorted(_SPEC_FAMILIES))
+            raise KeyError(f"unknown block family {family!r} (known: {known})")
+        if not issubclass(spec_cls, cls):
+            raise ValueError(f"expected a {cls.__name__} family, got {family!r}")
+        return spec_cls
 
 
 def spec_from_dict(payload: Dict[str, Any]) -> BlockSpec:
     """Inverse of :meth:`BlockSpec.to_dict`."""
-    try:
-        family = payload["family"]
-        params = payload.get("params", {})
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"not a block-spec payload: {payload!r}") from exc
-    spec_cls = _SPEC_FAMILIES.get(family)
-    if spec_cls is None:
-        known = ", ".join(sorted(_SPEC_FAMILIES))
-        raise KeyError(f"unknown block family {family!r} (known: {known})")
-    if not isinstance(params, dict):
-        raise ValueError(f"{family} params must be a JSON object, got {type(params).__name__}")
-    unknown = sorted(set(params) - {f.name for f in fields(spec_cls)})
-    if unknown:
-        raise ValueError(f"unknown {family} params: {', '.join(unknown)}")
-    return spec_cls(**params)
+    return BlockSpec.from_dict(payload)
 
 
 def spec_from_json(text: str) -> BlockSpec:
     """Inverse of :meth:`BlockSpec.to_json`."""
-    return spec_from_dict(json.loads(text))
+    return BlockSpec.from_json(text)
 
 
 def _check_positive_scale(value: Optional[float], name: str) -> None:
@@ -181,7 +162,7 @@ class SoftmaxCircuitConfig(BlockSpec):
     s1: int = 32
     s2: int = 8
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         check_positive_int(self.m, "m")
         check_positive_int(self.iterations, "iterations")
         check_positive_int(self.bx, "bx")
@@ -279,7 +260,7 @@ class FsmSoftmaxSpec(BlockSpec):
     seed: int = 0
     bit_level: bool = False
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         check_positive_int(self.m, "m")
         check_positive_int(self.bitstream_length, "bitstream_length")
         check_positive_int(self.num_states, "num_states")
@@ -307,7 +288,7 @@ class GeluSISpec(BlockSpec):
     output_scale: Optional[float] = None
     input_range: float = 4.0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         check_positive_int(self.output_length, "output_length")
         if self.input_length is not None:
             check_positive_int(self.input_length, "input_length")
@@ -324,7 +305,7 @@ class TernaryGeluSpec(BlockSpec):
     input_scale: float = 0.75
     output_scale: float = 0.2
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         _check_positive_scale(self.input_scale, "input_scale")
         _check_positive_scale(self.output_scale, "output_scale")
 
@@ -344,7 +325,7 @@ class NaiveSIGeluSpec(BlockSpec):
     input_scale: Optional[float] = None
     output_scale: Optional[float] = None
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         check_positive_int(self.output_length, "output_length")
         if self.input_length is not None:
             check_positive_int(self.input_length, "input_length")
@@ -372,7 +353,7 @@ class _FsmUnitSpec(BlockSpec):
     seed: int = 0
     input_scale: float = 1.0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         check_positive_int(self.num_states, "num_states")
         if self.num_states < 2:
             raise ValueError("an FSM unit needs at least 2 states")
@@ -419,7 +400,7 @@ class BernsteinGeluSpec(BlockSpec):
     bitstream_length: int = 1024
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         check_positive_int(self.num_terms, "num_terms")
         if self.num_terms < 2:
             raise ValueError("a Bernstein unit needs at least 2 terms")

@@ -462,32 +462,50 @@ RUN_SPEC_KINDS = {
 }
 
 
-def _load_run_spec(kind: str, payload: dict) -> Any:
-    module, name = RUN_SPEC_KINDS[kind][0].split(":")
-    return getattr(importlib.import_module(module), name).from_dict(payload)
+def _run_entry(payload: Any, parser: argparse.ArgumentParser, overrides: dict, path: Path) -> tuple:
+    """``(spec, argv)`` for one decoded spec file.
 
+    The kind tag routes through :data:`RUN_SPEC_KINDS`; untagged files are
+    :class:`ExperimentSpec` documents, and an unknown tag is an explicit
+    error (silently treating it as an experiment would bury the typo).  A
+    runner override the tagged subcommand has no option for is an error
+    too, rather than a flag dropped without a word.
+    """
+    from repro.blocks.experiment import ExperimentSpec, subcommand_options
 
-def _run_argv(subcommand: str, path: Path, overrides: dict) -> List[str]:
-    """The ``repro`` argv that runs one tagged spec file."""
-    if subcommand == "serve":  # a deployment spec describes the whole service
-        return ["serve", "--spec", str(path)]
-    argv = [subcommand, str(path)]
-    for key in ("cache_dir", "out"):
-        if overrides.get(key) is not None:
-            argv += ["--" + key.replace("_", "-"), str(overrides[key])]
-    return argv + (["--quiet"] if overrides.get("quiet") else [])
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind is None:
+        spec = ExperimentSpec.from_dict(payload)
+        spec.validate_options(parser)
+        return spec, spec.to_argv(overrides)
+    if kind not in RUN_SPEC_KINDS:
+        raise ValueError(
+            f"unknown spec kind {kind!r}; expected one of {', '.join(sorted(RUN_SPEC_KINDS))}, "
+            "or an experiment spec without a kind tag"
+        )
+    class_path, subcommand = RUN_SPEC_KINDS[kind]
+    module, name = class_path.split(":")
+    spec = getattr(importlib.import_module(module), name).from_dict(payload)
+    known = subcommand_options(parser, subcommand)
+    ignored = ["--" + key.replace("_", "-") for key in overrides if key not in known]
+    if ignored:
+        raise ValueError(
+            f"repro {subcommand} takes no {', '.join(ignored)}, so it cannot override a {kind} spec"
+        )
+    argv = ["serve", "--spec", str(path)] if subcommand == "serve" else [subcommand, str(path)]
+    for key, value in overrides.items():
+        argv += ["--" + key.replace("_", "-")] + ([] if value is True else [str(value)])
+    return spec, argv
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.blocks.experiment import ExperimentSpec
+    from repro.utils.specs import load_file
 
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.cache_dir is not None:
-        overrides["cache_dir"] = args.cache_dir
-    if args.out is not None:
-        overrides["out"] = args.out
+    overrides = {
+        key: value
+        for key, value in (("workers", args.workers), ("cache_dir", args.cache_dir), ("out", args.out))
+        if value is not None
+    }
     if args.quiet:
         overrides["quiet"] = True
 
@@ -499,39 +517,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     parser = build_parser()
     # Load and validate every spec before running any: a typo in the third
-    # file should not surface after an hour of sweeping the first two.  The
-    # kind tag routes through RUN_SPEC_KINDS; untagged files are
-    # ExperimentSpec documents, and an unknown tag is an explicit error
-    # (silently treating it as an experiment would bury the typo).
-    entries: List[Any] = []  # (spec, subcommand or None)
+    # file should not surface after an hour of sweeping the first two.
     try:
-        for path in args.spec:
-            payload = json.loads(Path(path).read_text())
-            kind = payload.get("kind") if isinstance(payload, dict) else None
-            if kind in RUN_SPEC_KINDS:
-                entries.append((_load_run_spec(kind, payload), RUN_SPEC_KINDS[kind][1]))
-            elif kind is not None:
-                known = ", ".join(sorted(RUN_SPEC_KINDS))
-                raise ValueError(
-                    f"{path}: unknown spec kind {kind!r}; expected one of "
-                    f"{known}, or an experiment spec without a kind tag"
-                )
-            else:
-                spec = ExperimentSpec.from_file(path)
-                try:
-                    spec.validate_options(parser)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: {exc}") from exc
-                entries.append((spec, None))
+        entries = [
+            load_file(path, lambda payload, path=path: _run_entry(payload, parser, overrides, path))
+            for path in args.spec
+        ]
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from exc
 
     exit_code = 0
-    for path, (spec, subcommand) in zip(args.spec, entries):
-        if subcommand is not None:
-            argv = _run_argv(subcommand, path, overrides)
-        else:
-            argv = spec.to_argv(overrides)
+    for path, (spec, argv) in zip(args.spec, entries):
         print(f"== {spec.name or getattr(spec, 'task', 'serve')} ({path}) ==")
         if spec.description:
             print(spec.description)
@@ -727,21 +723,23 @@ def _write_scenario_job_summary(results: Sequence[dict]) -> None:
 def cmd_fabric(args: argparse.Namespace) -> int:
     from repro.fabric import FabricRunSpec, FabricSpec, mappable_families
     from repro.runner.tasks import FabricTask
+    from repro.utils.specs import load_file
+
+    def decode(payload: Any) -> Any:
+        for spec_cls in (FabricSpec, FabricRunSpec):
+            if spec_cls.sniff(payload):
+                return spec_cls.from_dict(payload)
+        kind = payload.get("kind") if isinstance(payload, dict) else None
+        raise ValueError(f"expected a fabric/design or fabric/run spec, got kind {kind!r}")
 
     designs = []
     runs = []
     for path in args.spec:
         try:
-            payload = json.loads(Path(path).read_text())
-            if FabricSpec.sniff(payload):
-                designs.append((path, FabricSpec.from_dict(payload)))
-            elif FabricRunSpec.sniff(payload):
-                runs.append((path, FabricRunSpec.from_dict(payload)))
-            else:
-                kind = payload.get("kind") if isinstance(payload, dict) else None
-                raise ValueError(f"expected a fabric/design or fabric/run spec, got kind {kind!r}")
-        except (OSError, ValueError, KeyError) as exc:
-            raise SystemExit(f"{path}: {exc}") from exc
+            spec = load_file(path, decode)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(str(exc)) from exc
+        (designs if isinstance(spec, FabricSpec) else runs).append((path, spec))
 
     exit_code = 0
     out_payload: dict = {"designs": [], "runs": []}
@@ -1492,7 +1490,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.telemetry.logging import configure_logging
 
     configure_logging(level=args.log_level, json_lines=args.log_json)
-    return args.func(args)
+    try:
+        exit_code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (``repro ... | head``).  Point stdout at
+        # /dev/null so the interpreter's exit-time flush cannot fail again.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -98,8 +98,8 @@ class ScViTEvalPipeline:
         A trained :class:`~repro.nn.vit.CompactVisionTransformer`.
     softmax_config:
         Softmax circuit configuration; ``m`` is clamped to the model's token
-        count and ``alpha_x`` calibrated on attention logits unless
-        ``calibrate`` is disabled (same protocol as the seed evaluator).
+        count and ``alpha_x`` calibrated on attention logits whenever
+        calibration inputs are given (same protocol as the seed evaluator).
     gelu_output_bsl:
         Optional output BSL routing every GELU through a gate-assisted SI
         block; ``None`` keeps the exact GELU (the Table VI setting).
@@ -110,8 +110,9 @@ class ScViTEvalPipeline:
     batch_size:
         Default chunk size of :meth:`iter_batches`/:meth:`evaluate`.  Pure
         throughput/memory knob: results are bit-identical for any value.
-    calibration_images / calibration_logits / calibrate:
-        ``alpha_x`` calibration inputs, identical to the seed evaluator's.
+    calibration_images / calibration_logits:
+        ``alpha_x`` calibration inputs, identical to the seed evaluator's;
+        with neither, ``softmax_config``'s ``alpha_x`` is used as given.
     """
 
     def __init__(
@@ -123,7 +124,6 @@ class ScViTEvalPipeline:
         fault_seed: int = 0,
         batch_size: int = 32,
         calibration_images: Optional[np.ndarray] = None,
-        calibrate: bool = True,
         calibration_logits: Optional[np.ndarray] = None,
     ) -> None:
         check_positive_int(batch_size, "batch_size")
@@ -131,11 +131,11 @@ class ScViTEvalPipeline:
         self.batch_size = int(batch_size)
         tokens = model.config.num_tokens
         config = softmax_config.clamped_to_vector_length(tokens)
-        if calibrate and calibration_logits is None and calibration_images is not None:
+        if calibration_logits is None and calibration_images is not None:
             from repro.evaluation.vectors import collect_softmax_inputs
 
             calibration_logits = collect_softmax_inputs(model, calibration_images, max_rows=512)
-        if calibrate and calibration_logits is not None:
+        if calibration_logits is not None:
             config = config.with_updates(alpha_x=calibrate_alpha_x(calibration_logits, config.bx))
         # Circuit implementations come through the block registry — this
         # module never imports repro.core, which is what keeps the layering

@@ -26,7 +26,7 @@ the scenario layer's ``dead_tile`` event.
 """
 
 from repro.fabric.bitstream import Bitstream, ConfigWrite
-from repro.fabric.engine import FabricEngine, FabricSoftmaxAdapter
+from repro.fabric.engine import FabricEngine
 from repro.fabric.place_route import FabricError, Placement, place_and_route
 from repro.fabric.simulator import (
     TABLE6_AREA_TOLERANCE,
@@ -51,7 +51,6 @@ __all__ = [
     "FabricEngine",
     "FabricError",
     "FabricRunSpec",
-    "FabricSoftmaxAdapter",
     "FabricSpec",
     "PlacedBlock",
     "Placement",

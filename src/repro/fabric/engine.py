@@ -7,8 +7,8 @@ replica discipline) that additionally owns a **live**
 :class:`~repro.fabric.simulator.Fabric`: at construction it
 place-and-routes the deployment's calibrated softmax config onto the tile
 grid, loads the bitstream and compiles; every worker replica's
-``softmax_circuit`` is then swapped for a :class:`FabricSoftmaxAdapter`
-that executes the *compiled fabric's* block.  Because the block revives
+``softmax_circuit`` is then replaced by (a per-thread copy of) the
+*compiled fabric's* block.  Because the block revives
 from the config-space payload (JSON round-trip, checksummed), serving
 through the fabric is a genuine configure -> read -> decode -> execute
 path — and the scenario layer's bit-identity assertion (online fabric vs
@@ -26,39 +26,14 @@ from __future__ import annotations
 
 import copy
 import threading
-from typing import Any, Optional
+from typing import Optional
 
 from repro.fabric.place_route import FabricError, place_and_route
 from repro.fabric.simulator import Fabric
 from repro.fabric.specs import FabricSpec
 from repro.serve.engine import PipelineEngine, ReplicaFactory
 
-__all__ = ["FabricEngine", "FabricSoftmaxAdapter"]
-
-
-class FabricSoftmaxAdapter:
-    """A pipeline's ``softmax_circuit`` seam, backed by a fabric block.
-
-    Exposes exactly what :class:`~repro.eval_pipeline.ScViTEvalPipeline`
-    uses — ``forward(x, faults=...)`` and ``config`` — and delegates
-    anything else to the compiled block, so the swap is invisible to the
-    pipeline while every softmax actually executes on the configured tile.
-    """
-
-    def __init__(self, block: Any) -> None:
-        self._block = block
-
-    @property
-    def config(self):
-        return self._block.config
-
-    def forward(self, x, faults=None):
-        return self._block.forward(x, faults=faults)
-
-    def __getattr__(self, name: str):
-        if name == "_block":  # unpickle/copy probes must not recurse
-            raise AttributeError(name)
-        return getattr(self._block, name)
+__all__ = ["FabricEngine"]
 
 
 class FabricEngine(PipelineEngine):
@@ -145,6 +120,6 @@ class FabricEngine(PipelineEngine):
                 block = self._compiled.block_for_slot(0)
             # Per-thread copy: circuits may keep scratch state during a
             # forward, and two workers must never share one.
-            pipeline.softmax_circuit = FabricSoftmaxAdapter(copy.deepcopy(block))
+            pipeline.softmax_circuit = copy.deepcopy(block)
             self._local.fabric_generation = self._generation
         return pipeline

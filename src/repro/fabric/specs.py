@@ -1,7 +1,6 @@
 """Frozen, JSON-round-trippable specs for the accelerator-fabric simulator.
 
-Two kinds, mirroring the serve/scenario spec idiom
-(:mod:`repro.serve.specs`, :mod:`repro.scenarios.specs`):
+Two kinds, in the file format every spec shares (:mod:`repro.utils.specs`):
 
 * :class:`FabricSpec` (``{"kind": "fabric/design"}``) describes the
   *physical* fabric: a ``rows x cols`` grid of tiles, the leftmost
@@ -18,8 +17,8 @@ Both are frozen dataclasses with exact JSON round-trips: ``from_json(
 spec.to_json())`` reconstructs the spec field for field and re-serialising
 produces the same bytes (the golden-file property the examples smoke test
 gates on for every shipped ``examples/specs/fabric_*.json``).  Validation
-runs at construction, so a zero-width grid or an unknown schedule family
-fails when the spec is *built*, not mid-compile.
+runs at construction, so a zero-width grid, a fractional ``rows`` or an
+unknown schedule family fails when the spec is *built*, not mid-compile.
 
 ``repro run`` sniffs both ``kind`` tags and routes the files through the
 ``repro fabric`` subcommand, which shares the content-addressed sweep
@@ -28,13 +27,11 @@ cache — a fabric run is a cacheable artifact exactly like a DSE row.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Type, Union
+from typing import Tuple
 
-from repro.blocks.specs import BlockSpec, spec_from_dict
+from repro.blocks.specs import BlockSpec
+from repro.utils.specs import Spec
 
 __all__ = [
     "FABRIC_DESIGN_KIND",
@@ -53,19 +50,8 @@ FABRIC_RUN_KIND = "fabric/run"
 _WORD_BITS = (8, 16, 32)
 
 
-def _check_params(cls: Type, params: Dict[str, Any], label: str) -> Dict[str, Any]:
-    """Reject unknown keys before constructing a nested spec section."""
-    if not isinstance(params, dict):
-        raise ValueError(f"{label} must be a JSON object, got {type(params).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise ValueError(f"unknown {label} params: {', '.join(unknown)}")
-    return params
-
-
 @dataclass(frozen=True)
-class FabricSpec:
+class FabricSpec(Spec):
     """The physical fabric: tile grid geometry + config-space word layout.
 
     ``rows x cols`` grid cells, row-major tile ids ``r * cols + c``.  Cells
@@ -90,19 +76,20 @@ class FabricSpec:
     word_bits: int = 32
     payload_words: int = 96
 
-    def __post_init__(self) -> None:
+    kind = FABRIC_DESIGN_KIND
+    envelope = "kind"
+    label = "fabric design"
+
+    def validate(self) -> None:
         for attr in ("rows", "cols", "mem_cols", "payload_words"):
-            value = getattr(self, attr)
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise ValueError(f"{attr} must be a positive int, got {value!r}")
+            if getattr(self, attr) <= 0:
+                raise ValueError(f"{attr} must be a positive int, got {getattr(self, attr)!r}")
         if self.mem_cols >= self.cols:
             raise ValueError(
                 f"mem_cols must leave at least one PE column (mem_cols={self.mem_cols}, cols={self.cols})"
             )
         if self.word_bits not in _WORD_BITS:
             raise ValueError(f"word_bits must be one of {_WORD_BITS}, got {self.word_bits!r}")
-        if not isinstance(self.name, str) or not isinstance(self.description, str):
-            raise ValueError("name and description must be strings")
 
     # ------------------------------------------------------------- geometry
     @property
@@ -133,48 +120,9 @@ class FabricSpec:
             raise ValueError(f"tile {tile} outside the {self.rows}x{self.cols} grid")
         return divmod(tile, self.cols)
 
-    # -------------------------------------------------------- serialisation
-    def to_dict(self) -> Dict[str, Any]:
-        """``{"kind": "fabric/design", "params": {...}}``, fully expanded."""
-        return {"kind": FABRIC_DESIGN_KIND, "params": dataclasses.asdict(self)}
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Canonical JSON — the byte-exact inverse of :meth:`from_json`."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FabricSpec":
-        if not isinstance(payload, dict):
-            raise ValueError(f"fabric design must be a JSON object, got {type(payload).__name__}")
-        kind = payload.get("kind")
-        if kind != FABRIC_DESIGN_KIND:
-            raise ValueError(f"expected kind {FABRIC_DESIGN_KIND!r}, got {kind!r}")
-        return cls(**_check_params(cls, payload.get("params", {}), "fabric design"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FabricSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "FabricSpec":
-        path = Path(path)
-        try:
-            return cls.from_json(path.read_text())
-        except (ValueError, OSError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
-
-    def with_updates(self, **updates: Any) -> "FabricSpec":
-        """A new spec with ``updates`` applied (validation re-runs)."""
-        return dataclasses.replace(self, **updates)
-
-    @staticmethod
-    def sniff(payload: Any) -> bool:
-        """True when a decoded JSON payload looks like a fabric design."""
-        return isinstance(payload, dict) and payload.get("kind") == FABRIC_DESIGN_KIND
-
 
 @dataclass(frozen=True)
-class FabricRunSpec:
+class FabricRunSpec(Spec):
     """One executable fabric workload: design + schedule + vectors + faults.
 
     ``schedule`` is the ordered list of block specs to place-and-route
@@ -197,97 +145,16 @@ class FabricRunSpec:
     flip_prob: float = 0.0
     fault_seed: int = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.fabric, FabricSpec):
-            raise ValueError(f"fabric must be a FabricSpec, got {type(self.fabric).__name__}")
+    kind = FABRIC_RUN_KIND
+    envelope = "kind"
+    label = "fabric run"
+
+    def validate(self) -> None:
         if not self.schedule:
             raise ValueError("schedule must name at least one block spec")
-        object.__setattr__(self, "schedule", tuple(self.schedule))
-        for entry in self.schedule:
-            if not hasattr(entry, "to_dict"):
-                raise ValueError(f"schedule entries must be BlockSpecs, got {type(entry).__name__}")
-        if not isinstance(self.rows, int) or isinstance(self.rows, bool) or self.rows <= 0:
+        if self.rows <= 0:
             raise ValueError(f"rows must be a positive int, got {self.rows!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
-        if not 0.0 <= float(self.flip_prob) <= 1.0:
+        if not 0.0 <= self.flip_prob <= 1.0:
             raise ValueError(f"flip_prob must lie in [0, 1], got {self.flip_prob!r}")
-        if not isinstance(self.fault_seed, int) or isinstance(self.fault_seed, bool):
-            raise ValueError(f"fault_seed must be an int, got {self.fault_seed!r}")
-
-    # -------------------------------------------------------- serialisation
-    def to_dict(self) -> Dict[str, Any]:
-        """``{"kind": "fabric/run", "params": {...}}``, fully expanded.
-
-        Every section serialises with all fields present in declaration
-        order, so the output is canonical: it is also the content-addressed
-        identity ``repro fabric`` caches run results under.
-        """
-        return {
-            "kind": FABRIC_RUN_KIND,
-            "params": {
-                "name": self.name,
-                "description": self.description,
-                "fabric": dataclasses.asdict(self.fabric),
-                "schedule": [entry.to_dict() for entry in self.schedule],
-                "rows": self.rows,
-                "seed": self.seed,
-                "flip_prob": self.flip_prob,
-                "fault_seed": self.fault_seed,
-            },
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Canonical JSON — the byte-exact inverse of :meth:`from_json`."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FabricRunSpec":
-        if not isinstance(payload, dict):
-            raise ValueError(f"fabric run must be a JSON object, got {type(payload).__name__}")
-        kind = payload.get("kind")
-        if kind != FABRIC_RUN_KIND:
-            raise ValueError(f"expected kind {FABRIC_RUN_KIND!r}, got {kind!r}")
-        params = payload.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError("params must be a JSON object")
-        known = {"name", "description", "fabric", "schedule", "rows", "seed", "flip_prob", "fault_seed"}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ValueError(f"unknown fabric run params: {', '.join(unknown)}")
-        fabric = FabricSpec(**_check_params(FabricSpec, params.get("fabric", {}), "fabric"))
-        raw_schedule = params.get("schedule", [])
-        if not isinstance(raw_schedule, list):
-            raise ValueError("schedule must be a JSON array of block specs")
-        schedule = tuple(spec_from_dict(entry) for entry in raw_schedule)
-        return cls(
-            name=str(params.get("name", "")),
-            description=str(params.get("description", "")),
-            fabric=fabric,
-            schedule=schedule,
-            rows=int(params.get("rows", 16)),
-            seed=int(params.get("seed", 0)),
-            flip_prob=float(params.get("flip_prob", 0.0)),
-            fault_seed=int(params.get("fault_seed", 0)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FabricRunSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "FabricRunSpec":
-        path = Path(path)
-        try:
-            return cls.from_json(path.read_text())
-        except (ValueError, OSError, KeyError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
-
-    def with_updates(self, **updates: Any) -> "FabricRunSpec":
-        """A new spec with ``updates`` applied (validation re-runs)."""
-        return dataclasses.replace(self, **updates)
-
-    @staticmethod
-    def sniff(payload: Any) -> bool:
-        """True when a decoded JSON payload looks like a fabric run."""
-        return isinstance(payload, dict) and payload.get("kind") == FABRIC_RUN_KIND

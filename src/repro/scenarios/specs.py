@@ -4,7 +4,7 @@ A *scenario* makes the paper's resilience claim executable: "SC inference
 stays bit-identical under noise and component failure" is only a claim
 until a file can state the traffic, the failures and the assertions — and
 a runner can replay it deterministically.  :class:`ScenarioSpec` is that
-file, mirroring :class:`repro.serve.specs.ServeSpec`:
+file, in the format every spec shares (:mod:`repro.utils.specs`):
 
 * **frozen dataclass** — immutable; derive variants with
   :meth:`ScenarioSpec.with_updates`.
@@ -13,9 +13,9 @@ file, mirroring :class:`repro.serve.specs.ServeSpec`:
   same bytes (the golden-file property ``tests/test_scenarios.py`` gates
   on for every shipped ``examples/specs/scenario_*.json``).
 * **validation at construction** — a typo'd arrival process, an event
-  window that ends before it starts, or a ``flip_storm`` against a
-  fault-free deployment all fail when the spec is *built*, not an hour
-  into a soak run.
+  window that ends before it starts, a ``"0.5"`` string for ``at_frac``
+  or a ``flip_storm`` against a fault-free deployment all fail when the
+  spec is *built* (or its file loaded), not an hour into a soak run.
 
 The JSON envelope is ``{"kind": "serve/scenario", "params": {...}}`` with
 four nested sections:
@@ -41,14 +41,12 @@ scenario result is a cacheable artifact exactly like a DSE row.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Type, Union
+from typing import Optional, Tuple
 
 from repro.scenarios.assertions import ASSERTION_CHECKS
 from repro.serve.specs import ServeSpec
+from repro.utils.specs import Spec
 
 __all__ = [
     "SCENARIO_KIND",
@@ -70,19 +68,8 @@ ARRIVALS = ("poisson", "pareto", "flashcrowd", "diurnal", "trace")
 EVENT_ACTIONS = ("kill_shard", "cache_loss", "flip_storm", "queue_burst", "dead_tile")
 
 
-def _check_params(cls: Type, params: Dict[str, Any], label: str) -> Dict[str, Any]:
-    """Reject unknown keys before constructing a nested spec section."""
-    if not isinstance(params, dict):
-        raise ValueError(f"{label} must be a JSON object, got {type(params).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise ValueError(f"unknown {label} params: {', '.join(unknown)}")
-    return params
-
-
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Spec):
     """One deterministic request stream: arrival process + image pool.
 
     ``requests`` arrivals are generated from ``seed`` alone
@@ -113,31 +100,28 @@ class WorkloadSpec:
     diurnal_low: float = 0.25
     trace_path: Optional[str] = None
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if self.arrival not in ARRIVALS:
             raise ValueError(f"arrival must be one of {ARRIVALS}, got {self.arrival!r}")
         for name in ("requests", "image_pool", "flash_bursts"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise ValueError(f"{name} must be a positive int, got {value!r}")
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be a positive int, got {getattr(self, name)!r}")
         for name in ("rate", "flash_factor", "diurnal_period_s"):
-            if float(getattr(self, name)) <= 0.0:
+            if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if float(self.pareto_shape) <= 1.0:
+        if self.pareto_shape <= 1.0:
             # The mean inter-arrival gap is only finite above 1.
             raise ValueError(f"pareto_shape must be > 1, got {self.pareto_shape!r}")
-        if not 0.0 < float(self.flash_frac) < 1.0:
+        if not 0.0 < self.flash_frac < 1.0:
             raise ValueError(f"flash_frac must be in (0, 1), got {self.flash_frac!r}")
-        if not 0.0 < float(self.diurnal_low) <= 1.0:
+        if not 0.0 < self.diurnal_low <= 1.0:
             raise ValueError(f"diurnal_low must be in (0, 1], got {self.diurnal_low!r}")
         if self.arrival == "trace" and not self.trace_path:
             raise ValueError("arrival 'trace' requires trace_path")
-        if self.trace_path is not None and not isinstance(self.trace_path, str):
-            raise ValueError(f"trace_path must be a path string or null, got {self.trace_path!r}")
 
 
 @dataclass(frozen=True)
-class EventSpec:
+class EventSpec(Spec):
     """One timed degradation, positioned by request-ordinal fraction.
 
     ``at_frac`` in ``[0, 1]`` fires the event just before that fraction of
@@ -174,32 +158,32 @@ class EventSpec:
     index_offset: int = 1000000
     slot: Optional[int] = None
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if self.action not in EVENT_ACTIONS:
             raise ValueError(f"action must be one of {EVENT_ACTIONS}, got {self.action!r}")
-        if not 0.0 <= float(self.at_frac) <= 1.0:
+        if not 0.0 <= self.at_frac <= 1.0:
             raise ValueError(f"at_frac must be in [0, 1], got {self.at_frac!r}")
         if self.action == "flip_storm":
             if self.until_frac is None:
                 raise ValueError("flip_storm requires until_frac (the storm window end)")
-            if not float(self.at_frac) < float(self.until_frac) <= 1.0:
+            if not self.at_frac < self.until_frac <= 1.0:
                 raise ValueError(
                     f"until_frac must be in (at_frac, 1], got {self.until_frac!r}"
                 )
         elif self.until_frac is not None:
             raise ValueError(f"until_frac only applies to flip_storm, not {self.action!r}")
-        if self.every_frac is not None and not 0.0 < float(self.every_frac) <= 1.0:
+        if self.every_frac is not None and not 0.0 < self.every_frac <= 1.0:
             raise ValueError(f"every_frac must be in (0, 1], got {self.every_frac!r}")
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count <= 0:
+        if self.count <= 0:
             raise ValueError(f"count must be a positive int, got {self.count!r}")
-        if not isinstance(self.index_offset, int) or self.index_offset <= 0:
+        if self.index_offset <= 0:
             raise ValueError(f"index_offset must be a positive int, got {self.index_offset!r}")
-        if self.slot is not None and (not isinstance(self.slot, int) or self.slot < 0):
+        if self.slot is not None and self.slot < 0:
             raise ValueError(f"slot must be a non-negative int or null, got {self.slot!r}")
 
 
 @dataclass(frozen=True)
-class AssertionSpec:
+class AssertionSpec(Spec):
     """One declarative pass/fail check over a scenario's outcome.
 
     ``check`` names an entry of the catalog in
@@ -212,7 +196,7 @@ class AssertionSpec:
     check: str = "bit_identity"
     value: Optional[float] = None
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         entry = ASSERTION_CHECKS.get(self.check)
         if entry is None:
             raise ValueError(
@@ -223,12 +207,10 @@ class AssertionSpec:
             raise ValueError(f"assertion {self.check!r} requires a value (its threshold)")
         if not entry.needs_value and self.value is not None:
             raise ValueError(f"assertion {self.check!r} takes no value")
-        if self.value is not None and not isinstance(self.value, (int, float)):
-            raise ValueError(f"assertion value must be a number, got {self.value!r}")
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec):
     """One complete, reproducible resilience scenario.
 
     Composes a deployment under test, a deterministic workload, a timed
@@ -244,108 +226,17 @@ class ScenarioSpec:
     events: Tuple[EventSpec, ...] = ()
     assertions: Tuple[AssertionSpec, ...] = (AssertionSpec(),)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.deployment, ServeSpec):
-            raise ValueError("deployment must be a ServeSpec")
-        if not isinstance(self.workload, WorkloadSpec):
-            raise ValueError("workload must be a WorkloadSpec")
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "assertions", tuple(self.assertions))
-        for event in self.events:
-            if not isinstance(event, EventSpec):
-                raise ValueError("events must be EventSpec instances")
-        for assertion in self.assertions:
-            if not isinstance(assertion, AssertionSpec):
-                raise ValueError("assertions must be AssertionSpec instances")
+    kind = SCENARIO_KIND
+    envelope = "kind"
+    label = "scenario spec"
+
+    def validate(self) -> None:
         if not self.assertions:
             raise ValueError("a scenario needs at least one assertion (it is a gate)")
         storms = [e for e in self.events if e.action == "flip_storm"]
-        if storms and float(self.deployment.flip_prob) <= 0.0:
+        if storms and self.deployment.flip_prob <= 0.0:
             raise ValueError(
                 "flip_storm events require a deployment with flip_prob > 0 "
                 "(the storm offsets per-request fault indices; with faults off "
                 "there is nothing to storm)"
             )
-
-    # ------------------------------------------------------------- round trip
-    def to_dict(self) -> Dict[str, Any]:
-        """``{"kind": "serve/scenario", "params": {...}}``, fully expanded.
-
-        Every nested section serialises with all fields present in
-        declaration order, so the output is canonical: it is also the
-        content-addressed identity ``repro scenario`` caches results under.
-        """
-        return {
-            "kind": SCENARIO_KIND,
-            "params": {
-                "name": self.name,
-                "description": self.description,
-                "deployment": dataclasses.asdict(self.deployment),
-                "workload": dataclasses.asdict(self.workload),
-                "events": [dataclasses.asdict(event) for event in self.events],
-                "assertions": [dataclasses.asdict(a) for a in self.assertions],
-            },
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Canonical JSON — the byte-exact inverse of :meth:`from_json`."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ScenarioSpec":
-        if not isinstance(payload, dict):
-            raise ValueError(f"scenario spec must be a JSON object, got {type(payload).__name__}")
-        kind = payload.get("kind")
-        if kind != SCENARIO_KIND:
-            raise ValueError(f"expected kind {SCENARIO_KIND!r}, got {kind!r}")
-        params = payload.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError("params must be a JSON object")
-        known = {"name", "description", "deployment", "workload", "events", "assertions"}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ValueError(f"unknown scenario spec params: {', '.join(unknown)}")
-        deployment = ServeSpec(**_check_params(ServeSpec, params.get("deployment", {}), "deployment"))
-        workload = WorkloadSpec(**_check_params(WorkloadSpec, params.get("workload", {}), "workload"))
-        events = tuple(
-            EventSpec(**_check_params(EventSpec, entry, "event"))
-            for entry in params.get("events", [])
-        )
-        raw_assertions = params.get("assertions")
-        if raw_assertions is None:
-            assertions: Tuple[AssertionSpec, ...] = (AssertionSpec(),)
-        else:
-            assertions = tuple(
-                AssertionSpec(**_check_params(AssertionSpec, entry, "assertion"))
-                for entry in raw_assertions
-            )
-        return cls(
-            name=str(params.get("name", "")),
-            description=str(params.get("description", "")),
-            deployment=deployment,
-            workload=workload,
-            events=events,
-            assertions=assertions,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "ScenarioSpec":
-        path = Path(path)
-        try:
-            return cls.from_json(path.read_text())
-        except (ValueError, OSError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
-
-    # ------------------------------------------------------------ derivation
-    def with_updates(self, **updates: Any) -> "ScenarioSpec":
-        """A new spec with ``updates`` applied (validation re-runs)."""
-        return dataclasses.replace(self, **updates)
-
-    @staticmethod
-    def sniff(payload: Any) -> bool:
-        """True when a decoded JSON payload looks like a scenario spec."""
-        return isinstance(payload, dict) and payload.get("kind") == SCENARIO_KIND

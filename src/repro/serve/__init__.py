@@ -34,7 +34,7 @@ tier) dispatched to any worker *process* with the same guarantee.
 * :mod:`repro.serve.stats` — :class:`ServiceStats`: throughput,
   p50/p95/p99 latency, batch-size histogram, cache hit rate, kept once
   per service.
-* :mod:`repro.serve.transport` — stdio/TCP JSON-lines and localhost-HTTP
+* :mod:`repro.serve.transport` — stdio JSON-lines and localhost-HTTP
   front ends over one shared protocol handler.
 
 Entry points: ``python -m repro serve --spec deployment.json`` (CLI),

@@ -17,7 +17,7 @@ Design points:
   dispatch picks the least-loaded live shard, so the service's batch loop
   is unchanged and micro-batches from one burst spread across shards.
 * **worker-death recovery** — dispatchers poll the worker while waiting,
-  so a SIGKILLed (or wedged past ``dispatch_timeout_s``) shard is detected
+  so a SIGKILLed (or wedged past ``DISPATCH_TIMEOUT_S``) shard is detected
   mid-request; the shard is respawned and the in-flight micro-batch
   re-dispatched to a surviving shard.  Predictions are a pure function of
   ``(images, indices)``, so a re-dispatch is bit-identical by
@@ -205,6 +205,14 @@ class _Shard:
 # The engine
 # --------------------------------------------------------------------------
 
+#: Worker start method: ``fork`` where available (the :mod:`repro.runner`
+#: policy), since replicas ship pickled either way.
+START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+#: Seconds the workers get to answer the ready handshake.
+START_TIMEOUT_S = 120.0
+#: Seconds a worker may stay silent on one micro-batch before it is wedged.
+DISPATCH_TIMEOUT_S = 120.0
+
 
 class ShardedProcessEngine:
     """N worker processes with per-process replicas, one engine surface.
@@ -229,18 +237,14 @@ class ShardedProcessEngine:
     respawn:
         Replace dead shards automatically (disable only in tests that
         assert on death handling itself).
-    dispatch_timeout_s:
-        Per-micro-batch deadline after which a silent worker is treated as
-        wedged: killed, respawned, and the batch re-dispatched.
     version:
         Cache-version token; computed from a probe replica (built
         in-parent) when omitted.
-    mp_context:
-        Start-method name; defaults to ``fork`` where available (same
-        policy as :mod:`repro.runner`) since replicas ship pickled either
-        way.
-    start_timeout_s:
-        Deadline for workers' ready handshake in :meth:`start`.
+
+    Workers start with ``fork`` where available (:data:`START_METHOD`) and
+    must answer the ready handshake within :data:`START_TIMEOUT_S`; a
+    worker silent on one micro-batch for :data:`DISPATCH_TIMEOUT_S` is
+    treated as wedged: killed, respawned, and the batch re-dispatched.
     """
 
     def __init__(
@@ -251,10 +255,7 @@ class ShardedProcessEngine:
         scale_up_queue_depth: int = 16,
         scale_cooldown_s: float = 2.0,
         respawn: bool = True,
-        dispatch_timeout_s: float = 120.0,
         version: Optional[str] = None,
-        mp_context: Optional[str] = None,
-        start_timeout_s: float = 120.0,
     ) -> None:
         if shards <= 0:
             raise ValueError("shards must be positive")
@@ -268,11 +269,8 @@ class ShardedProcessEngine:
         self.scale_up_queue_depth = int(scale_up_queue_depth)
         self.scale_cooldown_s = float(scale_cooldown_s)
         self.respawn = bool(respawn)
-        self.dispatch_timeout_s = float(dispatch_timeout_s)
-        self.start_timeout_s = float(start_timeout_s)
         self.flip_prob = float(replica_factory.flip_prob)
         self.image_shape = tuple(replica_factory.image_shape())
-        self._mp_name = mp_context or ("fork" if "fork" in mp.get_all_start_methods() else "spawn")
         self._ctx = None
         self.executor: Optional[ThreadPoolExecutor] = None
         self._shards: Dict[int, _Shard] = {}
@@ -304,14 +302,14 @@ class ShardedProcessEngine:
         if self.executor is not None:
             return
         self._closed = False
-        self._ctx = mp.get_context(self._mp_name)
+        self._ctx = mp.get_context(START_METHOD)
         self.executor = ThreadPoolExecutor(
             max_workers=self.max_shards, thread_name_prefix="repro-shard-dispatch"
         )
         with self._routing_lock:
             for _ in range(self.min_shards):
                 self._spawn_locked()
-        deadline = time.monotonic() + self.start_timeout_s
+        deadline = time.monotonic() + START_TIMEOUT_S
         for shard in list(self._shards.values()):
             self._await_ready(shard, deadline)
 
@@ -434,7 +432,7 @@ class ShardedProcessEngine:
 
     def _pick(self) -> _Shard:
         """A live shard to dispatch to; respawns through total loss."""
-        deadline = time.monotonic() + self.start_timeout_s
+        deadline = time.monotonic() + START_TIMEOUT_S
         while True:
             shard = self._try_pick()
             if shard is not None:
@@ -494,7 +492,7 @@ class ShardedProcessEngine:
         with self._routing_lock:
             self._job_counter += 1
             job = self._job_counter
-        deadline = time.monotonic() + self.dispatch_timeout_s
+        deadline = time.monotonic() + DISPATCH_TIMEOUT_S
         # Trace context is installed thread-locally by the service's traced
         # engine.run closure; absent (tracing off / direct engine use) the
         # dispatch carries no telemetry at all.
@@ -531,7 +529,7 @@ class ShardedProcessEngine:
                             raise _ShardDied(f"shard {shard.label} died mid-batch")
                         if time.monotonic() > deadline:
                             raise _ShardDied(
-                                f"shard {shard.label} silent for {self.dispatch_timeout_s:g}s; presumed wedged"
+                                f"shard {shard.label} silent for {DISPATCH_TIMEOUT_S:g}s; presumed wedged"
                             )
                     blob = shard.conn.recv_bytes()
                 except (BrokenPipeError, EOFError, OSError) as exc:

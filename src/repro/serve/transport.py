@@ -1,4 +1,4 @@
-"""Service transports: JSON-lines (stdio / TCP) and a localhost HTTP server.
+"""Service transports: JSON-lines on stdio and a localhost HTTP server.
 
 Both transports are thin adapters over one transport-agnostic entry point,
 :func:`handle_message`, so the protocol semantics (and their tests) live in
@@ -40,7 +40,7 @@ from repro.serve.service import (
     ServiceOverloaded,
 )
 
-__all__ = ["handle_message", "handle_jsonl_connection", "render_metrics", "serve_http", "serve_stdio"]
+__all__ = ["handle_message", "render_metrics", "serve_http", "serve_stdio"]
 
 #: error code -> HTTP status used by the HTTP adapter.
 ERROR_STATUS = {
@@ -98,53 +98,6 @@ async def handle_message(service: InferenceService, message: Any) -> Dict:
 # ---------------------------------------------------------------------------
 # JSON-lines
 # ---------------------------------------------------------------------------
-
-
-async def handle_jsonl_connection(
-    service: InferenceService,
-    reader: "asyncio.StreamReader",
-    writer: "asyncio.StreamWriter",
-) -> None:
-    """One JSON-lines session: a request per line, a response line each.
-
-    Lines are dispatched concurrently (each in its own task) so a burst on
-    one connection coalesces into micro-batches; the write lock keeps
-    response lines whole.
-    """
-    write_lock = asyncio.Lock()
-    tasks: set = set()
-
-    async def respond(payload: Dict) -> None:
-        data = (json.dumps(payload) + "\n").encode()
-        async with write_lock:
-            writer.write(data)
-            await writer.drain()
-
-    async def process(line: bytes) -> None:
-        try:
-            message = json.loads(line)
-        except ValueError:
-            await respond({"ok": False, "error": "invalid JSON line", "code": "bad_request"})
-            return
-        await respond(await handle_message(service, message))
-
-    try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            if not line.strip():
-                continue
-            task = asyncio.create_task(process(line))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-        if tasks:
-            await asyncio.gather(*list(tasks), return_exceptions=True)
-    finally:
-        try:
-            writer.close()
-        except Exception:  # noqa: BLE001 - stdio writers may not support close
-            pass
 
 
 async def serve_stdio(service: InferenceService) -> None:

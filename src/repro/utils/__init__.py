@@ -1,7 +1,8 @@
 """Small shared utilities used across the ASCEND reproduction.
 
 The package intentionally stays small: deterministic random-number handling,
-argument validation helpers and a couple of generic numeric helpers that do
+argument validation helpers, the JSON codec every spec file shares
+(:mod:`repro.utils.specs`) and a couple of generic numeric helpers that do
 not belong to any specific subsystem.
 """
 
@@ -14,9 +15,11 @@ from repro.utils.validation import (
     check_unit_interval_array,
 )
 from repro.utils.numeric import clamp, is_power_of_two, round_half_away_from_zero
+from repro.utils.specs import Spec, load_file
 
 __all__ = [
     "RngMixin",
+    "Spec",
     "as_generator",
     "spawn_generator",
     "check_in_choices",
@@ -26,5 +29,6 @@ __all__ = [
     "check_unit_interval_array",
     "clamp",
     "is_power_of_two",
+    "load_file",
     "round_half_away_from_zero",
 ]

@@ -1,11 +1,14 @@
 """Declarative experiment files and the ``repro run`` / ``repro blocks`` CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.blocks.experiment import ExperimentSpec
 from repro.cli import build_parser, main
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
 
 class TestExperimentSpec:
@@ -164,12 +167,21 @@ class TestRunKindTable:
         from repro.scenarios import ScenarioSpec
         from repro.serve import ServeSpec
 
+        # (spec, runner overrides, expected argv): a deployment spec is the
+        # whole service, so `repro serve` takes no runner overrides at all.
         tagged = {
-            "serve/deployment": (ServeSpec(), ["serve", "--spec", "{path}"]),
-            "serve/scenario": (ScenarioSpec(), ["scenario", "{path}", "--cache-dir", "c", "--quiet"]),
-            "fabric/design": (FabricSpec(), ["fabric", "{path}", "--cache-dir", "c", "--quiet"]),
+            "serve/deployment": (ServeSpec(), [], ["serve", "--spec", "{path}"]),
+            "serve/scenario": (
+                ScenarioSpec(), ["--cache-dir", "c", "--quiet"],
+                ["scenario", "{path}", "--cache-dir", "c", "--quiet"],
+            ),
+            "fabric/design": (
+                FabricSpec(), ["--cache-dir", "c", "--quiet"],
+                ["fabric", "{path}", "--cache-dir", "c", "--quiet"],
+            ),
             "fabric/run": (
                 FabricRunSpec(schedule=(blocks.default_spec("gelu/bernstein"),)),
+                ["--cache-dir", "c", "--quiet"],
                 ["fabric", "{path}", "--cache-dir", "c", "--quiet"],
             ),
         }
@@ -177,13 +189,39 @@ class TestRunKindTable:
         routed = []
         for name in ("serve", "scenario", "fabric"):
             monkeypatch.setattr(cli, f"cmd_{name}", lambda args, name=name: routed.append(name) or 0)
-        for kind, (spec, argv) in tagged.items():
+        for kind, (spec, overrides, argv) in tagged.items():
             path = tmp_path / f"{kind.replace('/', '_')}.json"
             path.write_text(spec.to_json())
-            assert main(["run", str(path), "--cache-dir", "c", "--quiet"]) == 0
+            assert main(["run", str(path), *overrides]) == 0
             assert routed.pop() == argv[0]
             expected = " ".join(part.format(path=path) for part in argv)
             assert f"-> repro {expected}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "example, flags, rejected",
+        [
+            ("fabric_run_smoke.json", ["--workers", "3"], "--workers"),
+            ("fabric_design_4x4.json", ["--workers", "3"], "--workers"),
+            ("scenario_poisson_slo.json", ["--workers", "3", "--quiet"], "--workers"),
+            ("serve_thread_dev.json", ["--cache-dir", "c"], "--cache-dir"),
+            ("serve_thread_dev.json", ["--workers", "2", "--out", "o.json"], "--workers, --out"),
+        ],
+    )
+    def test_tagged_spec_rejects_overrides_its_subcommand_ignores(
+        self, example, flags, rejected, monkeypatch
+    ):
+        import repro.cli as cli
+
+        ran = []
+        for name in ("serve", "scenario", "fabric"):
+            monkeypatch.setattr(cli, f"cmd_{name}", lambda args: ran.append(args) or 0)
+        path = EXAMPLES / example
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *flags, str(path)])
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: ")
+        assert f"takes no {rejected}" in message
+        assert not ran
 
     def test_unknown_kind_lists_every_kind(self, tmp_path):
         from repro.cli import RUN_SPEC_KINDS
@@ -200,6 +238,26 @@ class TestRunKindTable:
 
 
 class TestBlocksSubcommand:
+    def test_closed_stdout_ends_without_a_traceback(self):
+        """`repro blocks | head` with the reader gone: exit 1, no traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ)
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "blocks", "--no-hardware"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader closes before the first write
+        stderr = proc.stderr.read().decode()
+        assert proc.wait() == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
     def test_table1_matches_registry(self, tmp_path, capsys):
         out = tmp_path / "table1.json"
         assert main(["blocks", "--table1", "--out", str(out)]) == 0

@@ -41,7 +41,7 @@ from repro.serve import (
     request_fingerprint,
 )
 from repro.serve.batcher import SHUTDOWN
-from repro.serve.transport import handle_jsonl_connection, handle_message, serve_http
+from repro.serve.transport import handle_message, serve_http
 from repro.training.datasets import SyntheticImageDataset
 
 SOFTMAX = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0, by=8, alpha_y=0.03, s1=16, s2=4)
@@ -650,37 +650,6 @@ class TestTransports:
         assert not missing["ok"] and missing["code"] == "bad_request"
         assert not unknown["ok"] and unknown["code"] == "bad_request"
         assert not not_object["ok"] and not_object["code"] == "bad_request"
-
-    def test_jsonl_connection_round_trip(self):
-        engine = StubEngine()
-
-        async def scenario():
-            async with InferenceService(engine, max_wait_ms=1.0) as service:
-                server = await asyncio.start_server(
-                    lambda r, w: handle_jsonl_connection(service, r, w),
-                    "127.0.0.1", 0,
-                )
-                port = server.sockets[0].getsockname()[1]
-                reader, writer = await asyncio.open_connection("127.0.0.1", port)
-                for i in range(3):
-                    request = {"op": "predict", "id": f"r{i}",
-                               "image": [[0.0, 0.0], [0.0, 0.0]], "index": i}
-                    writer.write((json.dumps(request) + "\n").encode())
-                writer.write(b"this is not json\n")
-                await writer.drain()
-                responses = [json.loads(await reader.readline()) for _ in range(4)]
-                writer.close()
-                server.close()
-                await server.wait_closed()
-            return responses
-
-        responses = asyncio.run(scenario())
-        by_id = {r.get("id"): r for r in responses if "id" in r}
-        assert {f"r{i}" for i in range(3)} <= set(by_id)
-        for i in range(3):
-            assert by_id[f"r{i}"]["prediction"] == i % 7
-        bad = [r for r in responses if "id" not in r]
-        assert len(bad) == 1 and bad[0]["code"] == "bad_request"
 
     def test_http_endpoints(self):
         engine = StubEngine()

@@ -28,6 +28,13 @@ the row sum.  Each table covers only the row sums an iteration observed and
 is filled by the elementwise dataflow itself, with the same operations in
 the same order, so it reproduces that dataflow bit for bit.
 
+Without faults, a row's outputs depend only on each element's x count and
+the row's x-count histogram: elements with equal x counts start from the
+same y count and see the same row sums, so they share every state.  The
+fault-free forward therefore steps one state per (row, x level) and
+gathers the outputs back to elements; the faulted forward draws per
+element and per site, so it steps every element.
+
 The structural model (:meth:`IterativeSoftmaxCircuit.build_hardware`)
 instantiates the same pieces through the :mod:`repro.hw` cost model; the
 design space of Table II / Fig. 8 is swept by :mod:`repro.core.dse`.
@@ -72,6 +79,12 @@ class IterativeSoftmaxCircuit:
         self._decoded = np.tile(
             thermometer_decode_counts(y_counts, config.by, config.alpha_y), config.bx + 1
         )
+        self._states_per_sum = (config.bx + 1) * (config.by + 1)
+        # y^0 = 1/m, a constant bitstream.  The hardware pins its count to
+        # the nearest non-zero level: if 1/m rounded to zero the recurrence
+        # z = x * y could never leave the all-zero state.
+        init_level = max(1, int(round((1.0 / config.m) / config.alpha_y)))
+        self._y0_count = min(init_level, config.by // 2) + config.by // 2
         self._tables: Dict[Tuple[int, int], np.ndarray] = {}
 
     # -------------------------------------------------------------- simulate
@@ -96,33 +109,47 @@ class IterativeSoftmaxCircuit:
             raise ValueError(f"expected rows of length {cfg.m}, got {x.shape[-1]}")
 
         x_counts = thermometer_encode_counts(x, cfg.bx, cfg.alpha_x)
-        if faults is not None:
-            x_counts = _perturbed(faults, "x", x_counts, cfg.bx)
+        if faults is None:
+            return self._forward_levels(x_counts)
+        return self._forward_elements(_perturbed(faults, "x", x_counts, cfg.bx), faults)
 
-        # y^0 = 1/m, initialised as a constant bitstream.  The hardware pins
-        # the initial count to the nearest non-zero level: if 1/m rounded to
-        # zero the recurrence z = x * y could never leave the all-zero state.
-        init_level = max(1, int(round((1.0 / cfg.m) / cfg.alpha_y)))
-        init_level = min(init_level, cfg.by // 2)
-        y_counts = init_level + cfg.by // 2
-        if faults is not None:
-            y_counts = _perturbed(faults, "y0", np.full(x.shape, y_counts, dtype=np.int64), cfg.by)
+    def _forward_levels(self, x_counts: np.ndarray) -> np.ndarray:
+        """Fault-free Algorithm 1, run once per (row, x level) group.
 
-        states_per_sum = (cfg.bx + 1) * (cfg.by + 1)
+        Elements of a row with equal x counts share every state, and the
+        row sum is the integer sum of ``hist · z_level`` over the levels, so
+        stepping one state per group is exact.  ``x_count * rows + row``
+        indexes both the ``(Bx+1, rows)`` histogram and the final gather.
+        """
+        cfg = self.config
+        rows = x_counts.size // cfg.m
+        groups = x_counts.reshape(rows, cfg.m) * rows + np.arange(rows)[:, None]
+        hist = np.bincount(groups.ravel(), minlength=(cfg.bx + 1) * rows).reshape(cfg.bx + 1, rows)
+        state = np.arange(cfg.bx + 1)[:, None] * (cfg.by + 1) + self._y0_count  # broadcasts over rows
+        for _ in range(cfg.iterations):
+            # BSN (1): the one cross-element quantity, summed per level.
+            state = self._step(state, (hist * self._z_levels.take(state)).sum(axis=0))
+        return self._decoded.take(state).take(groups).reshape(x_counts.shape)
+
+    def _forward_elements(self, x_counts: np.ndarray, faults) -> np.ndarray:
+        """Algorithm 1 element by element, with the fault sites between steps."""
+        cfg = self.config
+        y_counts = np.full(x_counts.shape, self._y0_count, dtype=np.int64)
         x_base = x_counts * (cfg.by + 1)  # the x part of the state; iterations keep it
-        state = x_base + y_counts
+        state = x_base + _perturbed(faults, "y0", y_counts, cfg.by)
         for iteration in range(cfg.iterations):
-            # BSN (1) + s1 sub-sampling: the one cross-element quantity.
-            sum_levels = self._z_levels.take(state).sum(axis=-1, keepdims=True)
-            sum_sub_levels = np.rint(sum_levels / cfg.s1).astype(np.int64)
-            lo, hi = (int(sum_sub_levels.min()), int(sum_sub_levels.max())) if state.size else (0, 0)
-            table = self._next_state_table(lo, hi)
-            state = table.take((sum_sub_levels - lo) * states_per_sum + state)
-            if faults is not None:
-                state -= x_base
-                state = x_base + _perturbed(faults, f"y{iteration + 1}", state, cfg.by)
-
+            state = self._step(state, self._z_levels.take(state).sum(axis=-1, keepdims=True))
+            state -= x_base
+            state = x_base + _perturbed(faults, f"y{iteration + 1}", state, cfg.by)
         return self._decoded.take(state)
+
+    def _step(self, state: np.ndarray, sum_levels: np.ndarray) -> np.ndarray:
+        """One iteration from the rows' z-level sums: s1 sub-sampling, then the table."""
+        cfg = self.config
+        sum_sub_levels = np.rint(sum_levels / cfg.s1).astype(np.int64)
+        lo, hi = (int(sum_sub_levels.min()), int(sum_sub_levels.max())) if sum_sub_levels.size else (0, 0)
+        table = self._next_state_table(lo, hi)
+        return table.take((sum_sub_levels - lo) * self._states_per_sum + state)
 
     def _next_state_table(self, lo: int, hi: int) -> np.ndarray:
         """Next combined state for every ``(sum_sub, x_count, y_count)``.
@@ -154,7 +181,7 @@ class IterativeSoftmaxCircuit:
         z_levels = x_levels * y_levels
         z_q = z_levels * z_grid
 
-        # BSN (1) + s1 sub-sampling (in ``forward``): the concatenated
+        # BSN (1) + s1 sub-sampling (in ``_step``): the concatenated
         # product streams are sorted and every s1-th bit is kept.  On signed
         # levels that is a rounded division by s1 (the grid coarsens by s1).
         sum_grid = z_grid * cfg.s1

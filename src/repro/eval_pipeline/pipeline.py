@@ -59,6 +59,19 @@ def _check_finite(images: np.ndarray, first_index: int = 0) -> None:
         raise ValueError(f"image {first_index + position} has non-finite pixel values")
 
 
+def _clamp_and_rescale(out: np.ndarray) -> np.ndarray:
+    """The accelerator's output stage, in place: clamp at 0, rows sum to 1.
+
+    An all-zero row becomes uniform.  Same IEEE operations as
+    ``where(sum > 0, out / maximum(sum, 1e-9), 1/m)``, so the same bits.
+    """
+    np.clip(out, 0.0, None, out=out)
+    row_sum = out.sum(axis=-1, keepdims=True)
+    out /= np.maximum(row_sum, 1e-9)
+    out[~(row_sum[..., 0] > 0)] = 1.0 / out.shape[-1]
+    return out
+
+
 @dataclass
 class EvalBatch:
     """One streamed chunk of an evaluation: predictions against labels."""
@@ -163,10 +176,7 @@ class ScViTEvalPipeline:
         row (the operations are rowwise, so the numbers are identical).
         """
         out = self.softmax_circuit.forward(scores.data, faults=self.fault_model)
-        out = np.clip(out, 0.0, None)
-        row_sum = out.sum(axis=-1, keepdims=True)
-        out = np.where(row_sum > 0, out / np.maximum(row_sum, 1e-9), 1.0 / out.shape[-1])
-        return Tensor(out)
+        return Tensor(_clamp_and_rescale(out))
 
     def _batched_gelu(self, x: Tensor) -> Tensor:
         """SI-block GELU over the whole activation tensor, faulted as one composed site."""
@@ -179,7 +189,8 @@ class ScViTEvalPipeline:
         """Swap the circuit substitutions into every block, restore on exit."""
         model = self.model
         was_training = model.training
-        model.eval()
+        if was_training:
+            model.eval()
         originals = []
         for block in model.blocks:
             originals.append((block.attention._apply_softmax, block.mlp.activation.forward))

@@ -286,6 +286,72 @@ class TestTableMatchesElementwiseOracle:
         assert all(circuit._tables[key] is table for key, table in tables.items())
 
 
+def identity_faults():
+    return SiteFaults(lambda site, counts, length: counts)
+
+
+class TestPerLevelMatchesElementLoop:
+    """The fault-free per-(row, x level) path equals the per-element loop.
+
+    ``forward(x, faults=<identity>)`` runs the per-element loop with every
+    fault site returning its input, so it is the oracle of ``forward(x)``.
+    """
+
+    @staticmethod
+    def assert_paths_agree(cfg, x):
+        levels, elements = IterativeSoftmaxCircuit(cfg), IterativeSoftmaxCircuit(cfg)
+        out = levels.forward(x)
+        assert out.shape == np.shape(x)
+        assert np.array_equal(out, elements.forward(x, faults=identity_faults()))
+        assert levels._tables.keys() == elements._tables.keys()
+
+    @given(
+        bx=st.sampled_from([2, 4, 8]),
+        by=st.sampled_from([2, 4, 8, 16]),
+        m=st.sampled_from([1, 2, 3, 5, 8, 17]),
+        iterations=st.integers(1, 4),
+        s1=st.sampled_from([1, 3, 8, 32]),
+        s2=st.sampled_from([1, 2, 5, 8]),
+        logit_scale=st.sampled_from([0.3, 1.0, 3.0, 50.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_property_over_feasible_configs(self, bx, by, m, iterations, s1, s2, logit_scale, seed):
+        rng = np.random.default_rng(seed)
+        cfg = SoftmaxCircuitConfig(
+            m=m, iterations=iterations, bx=bx, alpha_x=calibrate_alpha_x(rng.normal(0.0, 1.0, size=(8, m)), bx),
+            by=by, alpha_y=calibrate_alpha_y(by, m), s1=s1, s2=s2,
+        )
+        assume(cfg.is_feasible())
+        self.assert_paths_agree(cfg, rng.normal(0.0, logit_scale, size=(5, 3, m)))
+
+    @pytest.mark.parametrize("shape", [(0, 17), (2, 0, 17), (17,), (2, 3, 4, 17)])
+    def test_shapes(self, shape):
+        rows = np.random.default_rng(0).normal(0.0, 2.0, size=shape)
+        self.assert_paths_agree(make_config(m=17), rows)
+
+    def test_rows_holding_a_single_level(self):
+        # Constant rows, saturated both ways, and rows whose logits all
+        # quantise to one count: every row has one non-empty level.
+        rows = np.stack([np.full(17, v) for v in (-1e6, -3.0, 0.0, 0.4, 2.0, 1e6)])
+        rows[3] += np.linspace(-0.1, 0.1, 17)
+        self.assert_paths_agree(make_config(m=17), rows)
+
+    def test_vectors_shorter_than_the_level_count(self, logit_rows):
+        cfg = make_config(m=3, bx=8, alpha_y=calibrate_alpha_y(8, 3), s1=1, s2=1)
+        self.assert_paths_agree(cfg, logit_rows[:, :3])
+
+    def test_fault_free_forward_never_runs_the_element_loop(self, logit_rows, monkeypatch):
+        circuit = IterativeSoftmaxCircuit(make_config())
+        expected = circuit.forward(logit_rows, faults=identity_faults())
+        calls = []
+        monkeypatch.setattr(circuit, "_forward_elements", lambda *args: calls.append(args))
+        assert np.array_equal(circuit.forward(logit_rows), expected)
+        assert calls == []
+        circuit.forward(logit_rows, faults=identity_faults())
+        assert len(calls) == 1
+
+
 class TestFaultSeam:
     def test_sites_fire_in_dataflow_order(self, logit_rows):
         cfg = make_config(iterations=4)
@@ -302,7 +368,7 @@ class TestFaultSeam:
 
     def test_identity_faults_change_nothing(self, logit_rows):
         circuit = IterativeSoftmaxCircuit(make_config())
-        faulted = circuit.forward(logit_rows, faults=SiteFaults(lambda site, counts, length: counts))
+        faulted = circuit.forward(logit_rows, faults=identity_faults())
         assert np.array_equal(faulted, circuit.forward(logit_rows))
 
     @pytest.mark.parametrize("geometry", [(4, 8), (3, 4), (5, 2)])

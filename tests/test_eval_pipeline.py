@@ -129,6 +129,52 @@ class TestChunkInvariance:
         assert np.array_equal(before, after)
 
 
+    def test_eval_mode_model_is_not_walked(self, eval_setup, monkeypatch):
+        from repro.nn.layers import Module
+
+        calls = []
+        original = Module.train
+        monkeypatch.setattr(Module, "train", lambda self, mode=True: calls.append(mode) or original(self, mode))
+        pipeline = ScViTEvalPipeline(
+            eval_setup["model"], make_softmax_config(),
+            calibration_logits=eval_setup["calibration"],
+        )
+        pipeline.predict_batch(eval_setup["test"].images[:2])
+        assert calls == []
+
+    def test_training_mode_model_comes_back_training(self, eval_setup):
+        model = eval_setup["model"]
+        pipeline = ScViTEvalPipeline(
+            model, make_softmax_config(), calibration_logits=eval_setup["calibration"],
+        )
+        images = eval_setup["test"].images[:3]
+        expected = pipeline.predict_batch(images)
+        model.train()
+        try:
+            assert np.array_equal(pipeline.predict_batch(images), expected)
+            assert all(module.training for module in model.modules())
+        finally:
+            model.eval()
+
+
+class TestClampAndRescale:
+    @pytest.mark.parametrize("shape", [(0, 5), (5,), (3, 7), (2, 3, 4, 5)])
+    def test_in_place_form_matches_the_where_formula(self, shape):
+        from repro.eval_pipeline.pipeline import _clamp_and_rescale
+
+        rng = np.random.default_rng(len(shape))
+        out = rng.normal(0.0, 0.1, size=shape)
+        if out.ndim > 1 and out.shape[0]:
+            out[0] = 0.0  # an all-zero row
+            out[-1] = -np.abs(out[-1])  # all negative: zero after the clamp
+        clamped = np.clip(out, 0.0, None)
+        row_sum = clamped.sum(axis=-1, keepdims=True)
+        expected = np.where(row_sum > 0, clamped / np.maximum(row_sum, 1e-9), 1.0 / out.shape[-1])
+        result = _clamp_and_rescale(out)
+        assert result is out
+        assert np.array_equal(result, expected)
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_predict_batch_names_the_first_bad_image(self, eval_setup, bad):

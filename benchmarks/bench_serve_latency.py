@@ -28,9 +28,11 @@ Results go to ``benchmarks/results/BENCH_serve.json`` together with the
 regression bounds: a sustained-throughput floor (the acceptance criterion:
 >= 50 img/s on the tiny CI model), p99 tail-latency ceilings, and the
 2-shard throughput-scaling floor (>= 1.5x over one shard; qualified with
-``requires_cpus: 2`` because a single-CPU host cannot physically exhibit
-process-level scaling — the measurement is recorded there but the floor
-only gates where it can hold).  Per-engine copies of the payload land in
+``requires_cpus: 3`` because the measurement keeps three processes busy —
+the serving parent, which drives the closed-loop clients, the batcher and
+the frame codec, plus two shards — so a smaller host cannot physically
+exhibit the scaling; the measurement is recorded there but the floor only
+gates where it can hold).  Per-engine copies of the payload land in
 ``BENCH_serve_thread.json`` / ``BENCH_serve_sharded.json`` for CI
 artifact upload.  ``python -m repro bench --suite serve --check-floor``
 gates on the floors.
@@ -111,14 +113,14 @@ SHARDED_IMAGES = 96
 #: The p99 ceilings bound the tail the batcher + queue are allowed to add.
 #: The sharded floors: the 2-shard closed loop must scale throughput by
 #: >= 1.5x over one shard wherever the host has the cores to show it
-#: (``requires_cpus`` — on a 1-CPU runner the ratio is recorded but the
-#: floor is skipped), and its tail stays bounded even with IPC in the path.
+#: (``requires_cpus`` — the parent and two shards need three CPUs; on a
+#: smaller runner the ratio is recorded but the floor is skipped), and its tail stays bounded even with IPC in the path.
 FLOORS = {
     "closed_loop.throughput_img_per_s": {"min": 50.0},
     "closed_loop.p99_ms": {"max": 1000.0},
     "open_loop.p99_ms": {"max": 1000.0},
     "sharded.shards_2.p99_ms": {"max": 5000.0},
-    "sharded.scaling_2x": {"min": 1.5, "requires_cpus": 2},
+    "sharded.scaling_2x": {"min": 1.5, "requires_cpus": 3},
 }
 
 

@@ -22,22 +22,9 @@ from conftest import bench_cache, bench_workers, emit
 
 from repro.runner.tasks import table4_rows
 
-M = 64
-BX = 4
-S1, S2, ITERATIONS = 32, 8, 3
-
 
 def _table4_rows(logits):
-    return table4_rows(
-        logits,
-        workers=bench_workers(),
-        cache=bench_cache(),
-        m=M,
-        bx=BX,
-        s1=S1,
-        s2=S2,
-        iterations=ITERATIONS,
-    )
+    return table4_rows(logits, workers=bench_workers(), cache=bench_cache())
 
 
 def test_table4_softmax_blocks(benchmark, softmax_test_vectors):

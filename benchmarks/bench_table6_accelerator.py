@@ -21,9 +21,9 @@ exactly why the intermediate configuration is the recommended one.
 import numpy as np
 from conftest import bench_cache, bench_scale, bench_workers, emit
 
-from repro.core.accelerator import AcceleratorConfig, ViTArchitecture, recommend_configuration
-from repro.runner.runner import ParallelSweepRunner
-from repro.runner.tasks import Table6Task
+from repro.blocks import sc_vit_softmax
+from repro.core.accelerator import AcceleratorConfig, AscendAccelerator, ViTArchitecture, recommend_configuration
+from repro.eval_pipeline import EvalTask, run_eval_grid
 
 #: The four Table VI configurations: [By, s1, s2, k].
 CONFIGURATIONS = ((4, 128, 2, 2), (8, 32, 8, 3), (16, 128, 16, 4), (32, 128, 16, 4))
@@ -36,38 +36,37 @@ def test_table6_accelerator(benchmark, trained_pipeline_result):
     max_images = {"small": 64, "default": 256, "full": len(test)}[bench_scale()]
 
     def run():
-        # The per-configuration evaluation (hardware model + bit-accurate
-        # SC-ViT inference) runs through the sweep runner; the cache keys
-        # digest the trained weights, so results survive across bench runs
-        # but never alias across retrainings.
-        task = Table6Task(
+        # Accuracy is a bit-accurate SC-ViT evaluation per configuration
+        # through the sweep runner; the cache keys digest the trained
+        # weights, so results survive across bench runs but never alias
+        # across retrainings.  The area columns come from the hardware
+        # model, a few milliseconds per configuration.
+        task = EvalTask(
             model=model,
-            images=test.images,
-            labels=test.labels,
+            splits={"test": (test.images, test.labels)},
             calibration_images=test.images[:32],
             max_images=max_images,
         )
-        runner = ParallelSweepRunner(task, workers=bench_workers(), cache=bench_cache())
-        configs = [{"by": by, "s1": s1, "s2": s2, "k": k} for by, s1, s2, k in CONFIGURATIONS]
-        outcomes = runner.run(configs)
+        configs = [{"split": "test", "by": by, "s1": s1, "s2": s2, "k": k} for by, s1, s2, k in CONFIGURATIONS]
+        outcomes = run_eval_grid(task, configs, workers=bench_workers(), cache=bench_cache())
 
         rows = []
-        accuracies = []
         accel_configs = []
-        for (by, s1, s2, k), config, outcome in zip(CONFIGURATIONS, configs, outcomes):
-            accel_configs.append(
-                AcceleratorConfig(architecture=ViTArchitecture(), softmax=task.softmax_config(config))
-            )
-            accuracies.append(outcome["accuracy"])
+        for (by, s1, s2, k), outcome in zip(CONFIGURATIONS, outcomes):
+            accel_config = AcceleratorConfig(architecture=ViTArchitecture(), softmax=sc_vit_softmax(by, s1, s2, k))
+            accelerator = AscendAccelerator(accel_config)
+            breakdown = accelerator.area_breakdown()
+            accel_configs.append(accel_config)
             rows.append(
                 (
                     f"[{by}, {s1}, {s2}, {k}]",
-                    outcome["block_area"],
-                    outcome["total"],
-                    round(100 * outcome["softmax_fraction"], 2),
-                    round(outcome["accuracy"], 2),
+                    float(accelerator.softmax_block_report().area_um2),
+                    float(breakdown["total"]),
+                    round(100 * float(breakdown["softmax_fraction"]), 2),
+                    round(outcome.accuracy, 2),
                 )
             )
+        accuracies = [outcome.accuracy for outcome in outcomes]
         recommended = recommend_configuration(accel_configs, accuracies, accuracy_floor=np.median(accuracies))
         return rows, recommended
 

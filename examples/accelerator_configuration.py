@@ -23,10 +23,9 @@ import numpy as np
 from repro.core import (
     AcceleratorConfig,
     AscendAccelerator,
-    SoftmaxCircuitConfig,
     ViTArchitecture,
-    calibrate_alpha_y,
     recommend_configuration,
+    sc_vit_softmax,
 )
 from repro.eval_pipeline import ScViTEvalPipeline
 from repro.nn.serialization import load_model
@@ -77,9 +76,7 @@ def main():
     accel_configs = []
     accuracies = []
     for by, s1, s2, k in CONFIGURATIONS:
-        softmax = SoftmaxCircuitConfig(
-            m=64, iterations=k, bx=4, alpha_x=2.0, by=by, alpha_y=calibrate_alpha_y(by, 64), s1=s1, s2=s2
-        )
+        softmax = sc_vit_softmax(by, s1, s2, k)
         accel_config = AcceleratorConfig(architecture=ViTArchitecture(), softmax=softmax)
         accelerator = AscendAccelerator(accel_config)
         breakdown = accelerator.area_breakdown()

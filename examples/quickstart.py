@@ -17,10 +17,9 @@ from repro.core import (
     GeluSIBlock,
     IterativeSoftmax,
     IterativeSoftmaxCircuit,
-    SoftmaxCircuitConfig,
     TernaryGeluBlock,
     calibrate_alpha_x,
-    calibrate_alpha_y,
+    sc_vit_softmax,
 )
 from repro.evaluation import attention_logit_vectors, gelu_input_vectors
 from repro.hw import synthesize
@@ -71,16 +70,8 @@ def demo_softmax():
     algorithm = IterativeSoftmax(iterations=3)
     print("float recurrence MAE vs exact softmax (k=3):", round(algorithm.error_vs_exact(logits), 5))
 
-    config = SoftmaxCircuitConfig(
-        m=64,
-        iterations=3,
-        bx=4,
-        alpha_x=calibrate_alpha_x(logits, 4),
-        by=8,
-        alpha_y=calibrate_alpha_y(8, 64),
-        s1=32,
-        s2=8,
-    )
+    # [By, s1, s2, k] = [8, 32, 8, 3] with m = 64, Bx = 4 and alpha_x fitted to the logits.
+    config = sc_vit_softmax(8, 32, 8, 3, alpha_x=calibrate_alpha_x(logits, 4))
     circuit = IterativeSoftmaxCircuit(config)
     report = synthesize(circuit.build_hardware())
     print(f"circuit {config.describe()}: area={report.area_um2:.3g} um^2, delay={report.delay_ns:.1f} ns, "

@@ -52,6 +52,7 @@ from repro.blocks.specs import (
     TernaryGeluSpec,
     calibrate_alpha_x,
     calibrate_alpha_y,
+    sc_vit_softmax,
     spec_families,
     spec_from_dict,
     spec_from_json,
@@ -87,4 +88,5 @@ __all__ = [
     "BernsteinGeluSpec",
     "calibrate_alpha_x",
     "calibrate_alpha_y",
+    "sc_vit_softmax",
 ]

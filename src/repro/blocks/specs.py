@@ -52,6 +52,7 @@ __all__ = [
     "spec_families",
     "calibrate_alpha_x",
     "calibrate_alpha_y",
+    "sc_vit_softmax",
 ]
 
 
@@ -447,3 +448,23 @@ def calibrate_alpha_y(by: int, m: int, headroom: float = 2.0) -> float:
     base_range = min(0.5, headroom * 8.0 / m)
     target_max = base_range * (by / 8.0) ** 0.25
     return 2.0 * target_max / by
+
+
+def sc_vit_softmax(by: int, s1: int, s2: int, k: int, alpha_x: float = 2.0) -> SoftmaxCircuitConfig:
+    """The ``[By, s1, s2, k]`` softmax circuit of the paper's SC-ViT tables.
+
+    Table IV's "ours" rows, Table VI and every SC-ViT evaluation and
+    deployment build their circuit here: ``m = 64``, ``Bx = 4`` and
+    ``alpha_y`` from :func:`calibrate_alpha_y`.  ``alpha_x`` defaults to
+    the 2.0 the eval pipeline recalibrates on attention logits.
+    """
+    return SoftmaxCircuitConfig(
+        m=64,
+        iterations=k,
+        bx=4,
+        alpha_x=alpha_x,
+        by=by,
+        alpha_y=calibrate_alpha_y(by, 64),
+        s1=s1,
+        s2=s2,
+    )

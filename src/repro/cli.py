@@ -292,33 +292,12 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 def _eval_task(args: argparse.Namespace):
     """The ``repro eval`` task and config grid an argv describes."""
-    from repro.eval_pipeline import EvalTask, eval_grid
-    from repro.nn.vit import CompactVisionTransformer, ViTConfig
-    from repro.training.datasets import synthetic_cifar10, synthetic_cifar100
+    from repro.eval_pipeline import EvalTask, build_sc_vit, eval_grid
 
-    dataset_fn = {"cifar10": synthetic_cifar10, "cifar100": synthetic_cifar100}[args.dataset]
-    num_classes = {"cifar10": 10, "cifar100": 100}[args.dataset]
-    train, test = dataset_fn(
-        train_size=args.train_size, test_size=args.test_size, seed=args.data_seed
-    )
-    available = {"train": (train.images, train.labels), "test": (test.images, test.labels)}
-    model = CompactVisionTransformer(
-        ViTConfig(
-            image_size=16,
-            patch_size=4,
-            embed_dim=args.embed_dim,
-            num_layers=args.layers,
-            num_heads=args.heads,
-            num_classes=num_classes,
-            norm="bn",
-            seed=args.model_seed,
-        )
-    )
+    model, train, test = build_sc_vit(args, test_size=args.test_size)
     if args.checkpoint is not None:
-        from repro.nn.serialization import load_model
-
-        load_model(args.checkpoint, model)
         print(f"loaded checkpoint {args.checkpoint}")
+    available = {"train": (train.images, train.labels), "test": (test.images, test.labels)}
 
     task = EvalTask(
         model=model,
@@ -411,7 +390,6 @@ def _verify_batched(task, configs, results) -> List[str]:
     """
     import numpy as np
 
-    from repro.eval_pipeline import ScViTEvalPipeline
     from repro.training.datasets import DatasetSplit
 
     failures = []
@@ -420,19 +398,10 @@ def _verify_batched(task, configs, results) -> List[str]:
         if config["flip_prob"] in checked:
             continue
         checked.add(config["flip_prob"])
-        softmax = task.softmax_config(config)
-        pipeline = ScViTEvalPipeline(
-            task.model,
-            softmax,
-            gelu_output_bsl=config["gelu_bsl"],
-            calibration_logits=task._calibration(),
-            flip_prob=config["flip_prob"],
-            fault_seed=config["fault_seed"],
-        )
         images, labels = task.splits[config["split"]]
         split = DatasetSplit(images=images, labels=labels)
-        per_image = pipeline.evaluate(split, max_images=task.max_images, batch_size=1)
-        label = f"config {config['split']}/{softmax.describe()}, flip_prob={config['flip_prob']}"
+        per_image = task.pipeline(config).evaluate(split, max_images=task.max_images, batch_size=1)
+        label = f"config {config['split']}/{per_image.softmax_config.describe()}, flip_prob={config['flip_prob']}"
         if (
             np.array_equal(per_image.predictions, batched.predictions)
             and per_image.accuracy == batched.accuracy

@@ -30,7 +30,7 @@ from repro.core.gelu_si import (
     TernaryGeluBlock,
     calibrate_output_scale,
 )
-from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, calibrate_alpha_y
+from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, calibrate_alpha_y, sc_vit_softmax
 from repro.core.softmax_circuit import IterativeSoftmaxCircuit
 from repro.core.softmax_iterative import IterativeSoftmax, IterativeSoftmaxResult
 from repro.core.codesign import CodesignDriver, CodesignReport
@@ -55,6 +55,7 @@ __all__ = [
     "SoftmaxCircuitConfig",
     "calibrate_alpha_x",
     "calibrate_alpha_y",
+    "sc_vit_softmax",
     "IterativeSoftmax",
     "IterativeSoftmaxResult",
 ]

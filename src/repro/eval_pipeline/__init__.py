@@ -11,7 +11,8 @@ makes that claim a first-class, reproducible experiment:
 * :mod:`repro.eval_pipeline.faults` — :class:`BitFlipFaultModel`,
   deterministic per-image bit-flip injection on every thermometer-stream
   interface, sampled as net count changes (SC noise-tolerance knob).
-* :mod:`repro.eval_pipeline.tasks` — :class:`EvalTask`, the
+* :mod:`repro.eval_pipeline.tasks` — :func:`build_sc_vit`, the one SC-ViT
+  model recipe, and :class:`EvalTask`, the
   :class:`~repro.runner.runner.SweepTask` registration that gives accuracy
   grids multiprocessing workers, the content-addressed result cache and
   crash-resume, plus the canonical :func:`eval_grid` builder.
@@ -23,7 +24,7 @@ See ``docs/evaluation.md``.
 
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.eval_pipeline.pipeline import EvalBatch, EvalResult, ScViTEvalPipeline
-from repro.eval_pipeline.tasks import DEFAULT_BY_GRID, EvalTask, eval_grid, run_eval_grid
+from repro.eval_pipeline.tasks import DEFAULT_BY_GRID, EvalTask, build_sc_vit, eval_grid, run_eval_grid
 
 __all__ = [
     "BitFlipFaultModel",
@@ -31,6 +32,7 @@ __all__ = [
     "EvalResult",
     "ScViTEvalPipeline",
     "EvalTask",
+    "build_sc_vit",
     "eval_grid",
     "run_eval_grid",
     "DEFAULT_BY_GRID",

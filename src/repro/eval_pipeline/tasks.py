@@ -1,4 +1,9 @@
-"""Sweep-task registration of the eval pipeline (`EvalTask`).
+"""The SC-ViT recipe and its sweep-task registration (`EvalTask`).
+
+:func:`build_sc_vit` builds the model every SC-ViT evaluation and
+deployment runs, and :func:`~repro.blocks.specs.sc_vit_softmax` its
+``[By, s1, s2, k]`` softmax circuit; ``repro eval``, Table VI and the
+serving tier's replica factory all go through the two.
 
 Dataset-level accuracy grids — accuracy vs output BSL, accuracy vs softmax
 design, accuracy vs bit-flip rate, per split — are sweeps like any other, so
@@ -25,18 +30,50 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_y
+from repro.blocks.specs import SoftmaxCircuitConfig, sc_vit_softmax
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.eval_pipeline.pipeline import EvalResult, ScViTEvalPipeline
 from repro.nn.autograd import _matmul_formulation
-from repro.runner.cache import array_digest
+from repro.runner.cache import array_digest, weights_digest
 from repro.runner.runner import ParallelSweepRunner, SweepTask
 
-__all__ = ["EvalTask", "eval_grid", "run_eval_grid"]
+__all__ = ["EvalTask", "build_sc_vit", "eval_grid", "run_eval_grid"]
 
 #: Default accuracy-vs-BSL grid: the softmax output BSLs swept by the CLI
 #: and the accuracy bench (the Fig. 8 / Table VI ``By`` axis).
 DEFAULT_BY_GRID: Tuple[int, ...] = (4, 8, 16)
+
+
+def build_sc_vit(source: Any, test_size: int) -> Tuple[Any, Any, Any]:
+    """The SC-ViT model with its synthetic splits: ``(model, train, test)``.
+
+    16x16 synthetic CIFAR-10/100 images and a BN ``CompactVisionTransformer``,
+    optionally loaded from a checkpoint.  ``source`` carries the fields a
+    :class:`~repro.serve.ServeSpec` and a ``repro eval`` argv share by name:
+    ``dataset``, ``train_size``, ``data_seed``, ``layers``, ``embed_dim``,
+    ``heads``, ``model_seed`` and ``checkpoint``.
+    """
+    from repro.nn.vit import CompactVisionTransformer, ViTConfig
+    from repro.training.datasets import synthetic_cifar10, synthetic_cifar100
+
+    dataset_fn = {"cifar10": synthetic_cifar10, "cifar100": synthetic_cifar100}[source.dataset]
+    train, test = dataset_fn(train_size=source.train_size, test_size=test_size, seed=source.data_seed)
+    config = ViTConfig(
+        image_size=16,
+        patch_size=4,
+        embed_dim=source.embed_dim,
+        num_layers=source.layers,
+        num_heads=source.heads,
+        num_classes={"cifar10": 10, "cifar100": 100}[source.dataset],
+        norm="bn",
+        seed=source.model_seed,
+    )
+    model = CompactVisionTransformer(config)
+    if source.checkpoint is not None:
+        from repro.nn.serialization import load_model
+
+        load_model(source.checkpoint, model)
+    return model, train, test
 
 
 @dataclass
@@ -56,7 +93,6 @@ class EvalTask(SweepTask):
     calibration_images: np.ndarray
     max_images: Optional[int] = None
     batch_size: int = 32
-    m: int = 64
     _weights_digest: str = field(default="", repr=False)
     _calibration_logits: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -66,8 +102,7 @@ class EvalTask(SweepTask):
         if not self.splits:
             raise ValueError("EvalTask needs at least one dataset split")
         if not self._weights_digest:
-            state = self.model.state_dict()
-            self._weights_digest = array_digest(*(state[k] for k in sorted(state)))
+            self._weights_digest = weights_digest(self.model)
 
     # ------------------------------------------------------------- cache keys
     def config_key(self, config: Dict[str, Any]) -> Dict[str, Any]:
@@ -80,28 +115,16 @@ class EvalTask(SweepTask):
             f"{name}:{array_digest(images, labels)}"
             for name, (images, labels) in sorted(self.splits.items())
         )
+        # ``m:64`` is sc_vit_softmax's row length, kept so stored keys still match.
         return (
             f"weights:{self._weights_digest};"
             f"splits:{split_digests};"
-            f"calibration:{array_digest(self.calibration_images)};m:{self.m};"
+            f"calibration:{array_digest(self.calibration_images)};m:64;"
             f"fault_model:{BitFlipFaultModel.VERSION};"
             f"matmul:{_matmul_formulation()}"
         )
 
     # -------------------------------------------------------------- evaluation
-    def softmax_config(self, config: Dict[str, Any]) -> SoftmaxCircuitConfig:
-        by = int(config["by"])
-        return SoftmaxCircuitConfig(
-            m=self.m,
-            iterations=int(config["k"]),
-            bx=4,
-            alpha_x=2.0,
-            by=by,
-            alpha_y=calibrate_alpha_y(by, self.m),
-            s1=int(config["s1"]),
-            s2=int(config["s2"]),
-        )
-
     def _calibration(self) -> np.ndarray:
         """Attention logits for ``alpha_x``, collected once per task/worker."""
         if self._calibration_logits is None:
@@ -112,6 +135,20 @@ class EvalTask(SweepTask):
             )
         return self._calibration_logits
 
+    def pipeline(self, config: Dict[str, Any]) -> ScViTEvalPipeline:
+        """The pipeline ``config`` evaluates: its ``[By, s1, s2, k]`` circuit, GELU and faults."""
+        by, s1, s2, k = (int(config[key]) for key in ("by", "s1", "s2", "k"))
+        gelu_bsl = config.get("gelu_bsl")
+        return ScViTEvalPipeline(
+            self.model,
+            sc_vit_softmax(by, s1, s2, k),
+            gelu_output_bsl=None if gelu_bsl is None else int(gelu_bsl),
+            flip_prob=float(config.get("flip_prob", 0.0)),
+            fault_seed=int(config.get("fault_seed", 0)),
+            batch_size=self.batch_size,
+            calibration_logits=self._calibration(),
+        )
+
     def evaluate(self, config: Dict[str, Any], seed: int) -> EvalResult:
         # Deterministic by design: the fault seed comes from the config (so
         # cache entries never alias across grid orders); the runner's
@@ -121,19 +158,9 @@ class EvalTask(SweepTask):
             raise KeyError(f"unknown split {split_name!r}; task has {sorted(self.splits)}")
         from repro.training.datasets import DatasetSplit
 
-        gelu_bsl = config.get("gelu_bsl")
-        pipeline = ScViTEvalPipeline(
-            self.model,
-            self.softmax_config(config),
-            gelu_output_bsl=None if gelu_bsl is None else int(gelu_bsl),
-            flip_prob=float(config.get("flip_prob", 0.0)),
-            fault_seed=int(config.get("fault_seed", 0)),
-            batch_size=self.batch_size,
-            calibration_logits=self._calibration(),
-        )
         images, labels = self.splits[split_name]
         split = DatasetSplit(images=images, labels=labels)
-        return pipeline.evaluate(split, max_images=self.max_images, split_name=split_name)
+        return self.pipeline(config).evaluate(split, max_images=self.max_images, split_name=split_name)
 
     # ------------------------------------------------------------- round-trip
     def encode(self, result: EvalResult) -> Dict[str, Any]:

@@ -43,6 +43,7 @@ __all__ = [
     "canonical_json",
     "code_fingerprint",
     "default_code_version",
+    "weights_digest",
 ]
 
 
@@ -82,6 +83,12 @@ def array_digest(*arrays: np.ndarray) -> str:
         h.update(str(array.shape).encode())
         h.update(array.tobytes())
     return h.hexdigest()[:16]
+
+
+def weights_digest(model: Any) -> str:
+    """:func:`array_digest` of a model's ``state_dict``, in sorted key order."""
+    state = model.state_dict()
+    return array_digest(*(state[key] for key in sorted(state)))
 
 
 def _module_files(module: ModuleType) -> Iterator[Path]:

@@ -15,16 +15,12 @@ results computed against different inputs never alias.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blocks.specs import (
-    SoftmaxCircuitConfig,
-    calibrate_alpha_x,
-    calibrate_alpha_y,
-)
+from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, sc_vit_softmax
 from repro.core.dse import DesignPoint, evaluate_design
 from repro.runner.cache import array_digest
 from repro.runner.runner import ParallelSweepRunner, SweepTask
@@ -35,7 +31,6 @@ __all__ = [
     "SoftmaxDesignTask",
     "GeluSweepTask",
     "Table4Task",
-    "Table6Task",
     "FIG7_BERNSTEIN_TERMS",
     "FIG7_BERNSTEIN_BSLS",
     "FIG7_SI_BSLS",
@@ -201,23 +196,22 @@ def fig7_gelu_rows(
 
 TABLE4_FSM_BSLS: Tuple[int, ...] = (128, 256, 1024)
 TABLE4_BY_CHOICES: Tuple[int, ...] = (4, 8, 16)
+#: The "ours" rows' circuit besides ``By``: ``(s1, s2, k)``.
+TABLE4_CIRCUIT: Tuple[int, int, int] = (32, 8, 3)
 
 
 @dataclass
 class Table4Task(SweepTask):
     """Evaluate one Table IV row (FSM baseline or iterative circuit).
 
-    Configs: ``{"kind": "fsm", "bsl": b}`` or ``{"kind": "ours", "by": by}``.
-    ``alpha_x`` is pre-calibrated by the caller so every row shares the
-    exact calibration the table's methodology prescribes.
+    Configs: ``{"kind": "fsm", "bsl": b}`` or ``{"kind": "ours", "by": by}``;
+    the "ours" rows are :func:`~repro.blocks.specs.sc_vit_softmax` circuits
+    at :data:`TABLE4_CIRCUIT`.  ``alpha_x`` is pre-calibrated by the caller
+    so every row shares the exact calibration the table's methodology
+    prescribes.
     """
 
     logits: np.ndarray
-    m: int = 64
-    bx: int = 4
-    s1: int = 32
-    s2: int = 8
-    iterations: int = 3
     alpha_x: float = 2.0
 
     name = "table4-softmax"
@@ -225,8 +219,12 @@ class Table4Task(SweepTask):
     def config_key(self, config: Dict[str, Any]) -> Dict[str, Any]:
         return dict(config)
 
+    def circuit(self, by: int) -> SoftmaxCircuitConfig:
+        return sc_vit_softmax(by, *TABLE4_CIRCUIT, alpha_x=self.alpha_x)
+
     def version(self) -> str:
-        params = (self.m, self.bx, self.s1, self.s2, self.iterations, self.alpha_x)
+        c = self.circuit(TABLE4_BY_CHOICES[0])
+        params = (c.m, c.bx, c.s1, c.s2, c.iterations, self.alpha_x)
         return f"logits:{array_digest(self.logits)};params:{params}"
 
     def evaluate(self, config: Dict[str, Any], seed: int) -> Tuple[str, float, float, float, float]:
@@ -234,23 +232,13 @@ class Table4Task(SweepTask):
 
         if config["kind"] == "fsm":
             bsl = int(config["bsl"])
-            block = build("softmax/fsm", m=self.m, bitstream_length=bsl, seed=bsl)
+            block = build("softmax/fsm", m=self.logits.shape[-1], bitstream_length=bsl, seed=bsl)
             cost = block.hardware_summary()
             mae = block.mean_absolute_error(self.logits)
             return (f"FSM [17] {bsl}b BSL", cost["area_um2"], cost["delay_ns"], cost["adp"], mae)
         if config["kind"] == "ours":
             by = int(config["by"])
-            circuit_config = SoftmaxCircuitConfig(
-                m=self.m,
-                iterations=self.iterations,
-                bx=self.bx,
-                alpha_x=self.alpha_x,
-                by=by,
-                alpha_y=calibrate_alpha_y(by, self.m),
-                s1=self.s1,
-                s2=self.s2,
-            )
-            block = build("softmax/iterative", spec=circuit_config)
+            block = build("softmax/iterative", spec=self.circuit(by))
             cost = block.hardware_summary()
             mae = block.mean_absolute_error(self.logits)
             return (f"Ours By={by}", cost["area_um2"], cost["delay_ns"], cost["adp"], mae)
@@ -273,106 +261,14 @@ def table4_rows(
     workers: int = 1,
     cache: Optional[Any] = None,
     reporter: Optional[Any] = None,
-    m: int = 64,
-    bx: int = 4,
-    s1: int = 32,
-    s2: int = 8,
-    iterations: int = 3,
 ) -> List[Tuple[str, float, float, float, float]]:
-    """Regenerate the Table IV rows through the sweep runner."""
+    """Regenerate the Table IV rows (``m = 64`` logit rows) through the sweep runner."""
     logits = np.asarray(logits, dtype=float)
-    task = Table4Task(
-        logits=logits,
-        m=m,
-        bx=bx,
-        s1=s1,
-        s2=s2,
-        iterations=iterations,
-        alpha_x=calibrate_alpha_x(logits, bx),
-    )
+    task = Table4Task(logits=logits, alpha_x=calibrate_alpha_x(logits, bx=4))  # sc_vit_softmax's Bx
     runner = ParallelSweepRunner(task, workers=workers, cache=cache, reporter=reporter)
     rows = runner.run(table4_configs())
     table4_rows.last_run_stats = runner.stats
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Table VI — accelerator-level area and accuracy per softmax configuration.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Table6Task(SweepTask):
-    """Evaluate one Table VI configuration ``[By, s1, s2, k]``.
-
-    The task carries the trained model and the evaluation split; its cache
-    version digests the model weights, so re-training invalidates cached
-    accuracies automatically.  Configs are ``{"by", "s1", "s2", "k"}`` dicts.
-    """
-
-    model: Any
-    images: np.ndarray
-    labels: np.ndarray
-    calibration_images: np.ndarray
-    max_images: Optional[int] = None
-    m: int = 64
-    _weights_digest: str = field(default="", repr=False)
-
-    name = "table6-accelerator"
-
-    def __post_init__(self) -> None:
-        if not self._weights_digest:
-            state = self.model.state_dict()
-            self._weights_digest = array_digest(*(state[k] for k in sorted(state)))
-
-    def config_key(self, config: Dict[str, Any]) -> Dict[str, Any]:
-        key = dict(config)
-        key["max_images"] = self.max_images
-        return key
-
-    def version(self) -> str:
-        return (
-            f"weights:{self._weights_digest};"
-            f"images:{array_digest(self.images)};"
-            f"calibration:{array_digest(self.calibration_images)};m:{self.m}"
-        )
-
-    def softmax_config(self, config: Dict[str, Any]) -> SoftmaxCircuitConfig:
-        by = int(config["by"])
-        return SoftmaxCircuitConfig(
-            m=self.m,
-            iterations=int(config["k"]),
-            bx=4,
-            alpha_x=2.0,
-            by=by,
-            alpha_y=calibrate_alpha_y(by, self.m),
-            s1=int(config["s1"]),
-            s2=int(config["s2"]),
-        )
-
-    def evaluate(self, config: Dict[str, Any], seed: int) -> Dict[str, float]:
-        from repro.core.accelerator import AcceleratorConfig, AscendAccelerator, ViTArchitecture
-        from repro.eval_pipeline.pipeline import ScViTEvalPipeline
-        from repro.training.datasets import DatasetSplit
-
-        softmax = self.softmax_config(config)
-        accel_config = AcceleratorConfig(architecture=ViTArchitecture(), softmax=softmax)
-        accelerator = AscendAccelerator(accel_config)
-        breakdown = accelerator.area_breakdown()
-        block_area = accelerator.softmax_block_report().area_um2
-
-        pipeline = ScViTEvalPipeline(self.model, softmax, calibration_images=self.calibration_images)
-        split = DatasetSplit(images=self.images, labels=self.labels)
-        accuracy = pipeline.evaluate(split, max_images=self.max_images).accuracy
-        return {
-            "block_area": float(block_area),
-            "total": float(breakdown["total"]),
-            "softmax_fraction": float(breakdown["softmax_fraction"]),
-            "accuracy": float(accuracy),
-        }
-
-    def decode(self, payload: Dict[str, Any], arrays: Optional[dict] = None) -> Dict[str, float]:
-        return {k: float(v) for k, v in payload.items()}
 
 
 # ---------------------------------------------------------------------------

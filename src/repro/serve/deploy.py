@@ -9,13 +9,13 @@ is what serves.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro.serve.engine import PipelineEngine, ReplicaFactory
 from repro.serve.service import InferenceService
 from repro.serve.specs import ServeSpec
 
-__all__ = ["Deployment", "build_deployment", "build_model", "build_replica_factory"]
+__all__ = ["Deployment", "build_deployment", "build_replica_factory"]
 
 
 class Deployment:
@@ -44,65 +44,30 @@ class Deployment:
         await self.service.stop()
 
 
-def build_model(spec: ServeSpec) -> Tuple[Any, Any, int]:
-    """The spec's model + its training split + class count.
-
-    Mirrors the ``repro eval`` model construction exactly (16x16
-    synthetic images, BN norm).
-    """
-    from repro.nn.vit import CompactVisionTransformer, ViTConfig
-    from repro.training.datasets import synthetic_cifar10, synthetic_cifar100
-
-    dataset_fn = {"cifar10": synthetic_cifar10, "cifar100": synthetic_cifar100}[spec.dataset]
-    num_classes = {"cifar10": 10, "cifar100": 100}[spec.dataset]
-    train, _ = dataset_fn(train_size=spec.train_size, test_size=1, seed=spec.data_seed)
-    config = ViTConfig(
-        image_size=16,
-        patch_size=4,
-        embed_dim=spec.embed_dim,
-        num_layers=spec.layers,
-        num_heads=spec.heads,
-        num_classes=num_classes,
-        norm="bn",
-        seed=spec.model_seed,
-    )
-    model = CompactVisionTransformer(config)
-    if spec.checkpoint is not None:
-        from repro.nn.serialization import load_model
-
-        load_model(spec.checkpoint, model)
-    return model, train, num_classes
-
-
 def build_replica_factory(spec: ServeSpec) -> ReplicaFactory:
     """The spec's :class:`~repro.serve.engine.ReplicaFactory`, fully resolved.
 
-    Builds the model and calibration logits and packages them as the
-    picklable replica recipe both engine families construct workers from.
+    Builds the model and softmax circuit from the SC-ViT recipe that
+    ``repro eval`` uses (:func:`~repro.eval_pipeline.build_sc_vit`,
+    :func:`~repro.blocks.specs.sc_vit_softmax`) plus the calibration
+    logits, and packages them as the picklable replica recipe both engine
+    families construct workers from.
     Exposed separately from :func:`build_deployment` because the scenario
     layer's ``bit_identity`` assertion needs the *same* recipe to build an
     offline reference pipeline after the service under test has closed.
     """
-    from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_y
+    from repro.blocks.specs import sc_vit_softmax
+    from repro.eval_pipeline.tasks import build_sc_vit
     from repro.evaluation.vectors import collect_softmax_inputs
 
-    model, train, _ = build_model(spec)
-    softmax = SoftmaxCircuitConfig(
-        m=64,
-        iterations=spec.k,
-        bx=4,
-        alpha_x=2.0,
-        by=spec.by,
-        alpha_y=calibrate_alpha_y(spec.by, 64),
-        s1=spec.s1,
-        s2=spec.s2,
-    )
+    # A one-image test split: serving draws only on the training images.
+    model, train, _ = build_sc_vit(spec, test_size=1)
     calibration = collect_softmax_inputs(
         model, train.images[: spec.calibration_images], max_rows=512
     )
     return ReplicaFactory(
         model=model,
-        softmax_config=softmax,
+        softmax_config=sc_vit_softmax(spec.by, spec.s1, spec.s2, spec.k),
         gelu_output_bsl=spec.gelu_bsl,
         flip_prob=spec.flip_prob,
         fault_seed=spec.fault_seed,

@@ -36,7 +36,7 @@ import numpy as np
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.eval_pipeline.pipeline import ScViTEvalPipeline
 from repro.nn.autograd import _matmul_formulation, batch_invariant_matmul, no_grad
-from repro.runner.cache import array_digest, canonical_json
+from repro.runner.cache import array_digest, canonical_json, weights_digest
 
 __all__ = [
     "EngineProtocol",
@@ -93,12 +93,10 @@ def pipeline_fingerprint(pipeline: ScViTEvalPipeline) -> str:
     resolved to (stacked and einsum may differ by an ulp) — everything a
     prediction depends on besides the image itself and its index.
     """
-    state = pipeline.model.state_dict()
-    weights = array_digest(*(state[key] for key in sorted(state)))
     from dataclasses import asdict
 
     identity = {
-        "weights": weights,
+        "weights": weights_digest(pipeline.model),
         "softmax": asdict(pipeline.softmax_circuit.config),
         "gelu_bsl": pipeline.gelu_block.output_length if pipeline.gelu_block else None,
         "flip_prob": pipeline.flip_prob,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.blocks.specs import SoftmaxCircuitConfig
+from repro.blocks.specs import SoftmaxCircuitConfig, sc_vit_softmax
 from repro.eval_pipeline import (
     BitFlipFaultModel,
     EvalTask,
@@ -872,7 +872,7 @@ class TestEvalTask:
         [result] = run_eval_grid(task, [config], workers=1)
         pipeline = ScViTEvalPipeline(
             eval_setup["model"],
-            task.softmax_config(config),
+            sc_vit_softmax(config["by"], config["s1"], config["s2"], config["k"]),
             calibration_logits=eval_setup["calibration"],
         )
         direct = pipeline.evaluate(eval_setup["test"], max_images=8, batch_size=1)

@@ -1,0 +1,79 @@
+"""One SC-ViT recipe: ``repro eval``, Table IV and serving build the same model and circuit.
+
+The softmax recipe is checked against configs written out field by field;
+an eval argv and a deployment spec with equal model and circuit fields must
+build pipelines with equal fingerprints and identical predictions.
+"""
+
+import numpy as np
+import pytest
+
+from repro.blocks.specs import SoftmaxCircuitConfig, sc_vit_softmax
+from repro.cli import _eval_task, build_parser
+from repro.eval_pipeline import run_eval_grid
+from repro.runner.cache import weights_digest
+from repro.runner.tasks import Table4Task
+from repro.serve import ServeSpec, build_replica_factory
+from repro.serve.engine import pipeline_fingerprint
+
+
+@pytest.mark.parametrize(
+    "circuit, expected",
+    [
+        (
+            (4, 128, 2, 2),
+            SoftmaxCircuitConfig(
+                m=64, iterations=2, bx=4, alpha_x=2.0, by=4, alpha_y=0.10511205190671431, s1=128, s2=2
+            ),
+        ),
+        (
+            (8, 32, 8, 3),
+            SoftmaxCircuitConfig(m=64, iterations=3, bx=4, alpha_x=2.0, by=8, alpha_y=0.0625, s1=32, s2=8),
+        ),
+    ],
+)
+def test_softmax_recipe_matches_written_out_config(circuit, expected):
+    assert sc_vit_softmax(*circuit) == expected
+    assert sc_vit_softmax(*circuit, alpha_x=0.75) == expected.with_updates(alpha_x=0.75)
+
+
+def test_table4_version_reads_the_recipe_parameters():
+    logits = np.zeros((2, 64))
+    assert Table4Task(logits=logits, alpha_x=1.5).version().endswith(";params:(64, 4, 32, 8, 3, 1.5)")
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A saved state dict both entry points load, so the load path is shared too."""
+    from repro.nn.serialization import save_model
+
+    args = build_parser().parse_args(["eval", "--train-size", "8", "--layers", "1", "--embed-dim", "8",
+                                      "--heads", "2", "--model-seed", "5"])
+    task, _ = _eval_task(args)
+    path = tmp_path_factory.mktemp("recipe") / "vit.npz"
+    save_model(path, task.model)
+    return path
+
+
+def test_eval_argv_and_serve_spec_build_the_same_pipeline(checkpoint):
+    model = dict(train_size=16, data_seed=3, layers=1, embed_dim=8, heads=2, model_seed=1, calibration_images=4)
+    circuit = dict(by=8, s1=16, s2=4, k=2, gelu_bsl=4, flip_prob=0.05, fault_seed=11)
+    argv = [
+        "eval", "--train-size", "16", "--data-seed", "3", "--layers", "1", "--embed-dim", "8",
+        "--heads", "2", "--model-seed", "1", "--calibration-images", "4", "--checkpoint", str(checkpoint),
+        "--test-size", "6", "--by-grid", "8", "--s1", "16", "--s2", "4", "--k", "2", "--gelu-bsl", "4",
+        "--flip-probs", "0.05", "--fault-seed", "11",
+    ]
+    task, [config] = _eval_task(build_parser().parse_args(argv))
+    offline = task.pipeline(config)
+    served = build_replica_factory(ServeSpec(checkpoint=str(checkpoint), cache_dir=None, **model, **circuit))()
+
+    assert weights_digest(served.model) == weights_digest(offline.model)
+    assert served.softmax_circuit.config == offline.softmax_circuit.config
+    assert pipeline_fingerprint(served) == pipeline_fingerprint(offline)
+    images = task.splits["test"][0]
+    indices = np.arange(len(images))
+    assert np.array_equal(served.predict_batch(images, indices), offline.predict_batch(images, indices))
+    # The grid's own evaluation runs the same pipeline.
+    [result] = run_eval_grid(task, [config])
+    assert np.array_equal(result.predictions, offline.predict_batch(images, indices))

@@ -63,7 +63,8 @@ class DynamicBatcher:
     async def next_batch(self) -> Optional[List[Any]]:
         """The next micro-batch, or ``None`` after shutdown.
 
-        Blocks until at least one request is available, then collects more
+        Blocks until at least one request is available, then takes what is
+        already queued and waits (only while the queue is empty) for more,
         until ``max_batch`` or ``max_wait_ms``.  A shutdown sentinel seen
         mid-collection flushes the partial batch first; the following call
         returns ``None``.
@@ -77,15 +78,14 @@ class DynamicBatcher:
         batch = [first]
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.max_wait_ms / 1000.0
-        while len(batch) < self.max_batch and not self._closed:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                # Deadline passed: take only what is already queued.
-                try:
-                    item = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
+        while len(batch) < self.max_batch:
+            try:
+                # Ready requests cost no task, waiter or timer each.
+                item = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
+                remaining = deadline - loop.time()
+                if remaining <= 0:
                     break
-            else:
                 try:
                     item = await asyncio.wait_for(self._queue.get(), remaining)
                 except asyncio.TimeoutError:

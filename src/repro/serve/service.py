@@ -5,8 +5,8 @@ the compute engine.  One request's life:
 
 1. :meth:`submit` fingerprints the image (same content-addressing scheme as
    the sweep cache) and returns instantly on a cache hit; an identical
-   request already *in flight* coalesces onto its future instead of being
-   computed twice.
+   request already *in flight* coalesces onto its queue entry instead of
+   being computed twice.
 2. Otherwise the request enters the bounded queue.  A full queue rejects
    immediately (:class:`ServiceOverloaded`) — backpressure is explicit, not
    an unbounded latency cliff.
@@ -17,9 +17,11 @@ the compute engine.  One request's life:
    batches grow while all workers are busy — load adaptively increases
    batch size instead of queue depth.
 4. Results fan back out to per-request futures, land in the cache, and the
-   submitter returns with latency accounting.  A request that outlives
-   ``request_timeout_s`` raises :class:`RequestTimeout`; its computation
-   still completes and warms the cache.
+   submitter returns with latency accounting.  Each request owns its future
+   and one ``call_later`` timer: a request that outlives
+   ``request_timeout_s`` raises :class:`RequestTimeout` alone, while its
+   computation still completes, answers coalesced waiters and warms the
+   cache.
 
 Served predictions are bit-identical to offline per-image evaluation for
 *any* arrival pattern — the batching invariant inherited from
@@ -75,9 +77,13 @@ class PredictionResult:
 
 
 class _Pending:
-    """Internal queue entry: one request awaiting a micro-batch."""
+    """Internal queue entry: one image awaiting a micro-batch.
 
-    __slots__ = ("image", "index", "key", "future", "arrived_at", "ctx")
+    ``waiters`` holds the future of the request that enqueued it plus one
+    per coalesced duplicate; each request owns (and may time out) its own.
+    """
+
+    __slots__ = ("image", "index", "key", "waiters", "ctx")
 
     def __init__(
         self,
@@ -90,8 +96,7 @@ class _Pending:
         self.image = image
         self.index = index
         self.key = key
-        self.future = future
-        self.arrived_at = time.monotonic()
+        self.waiters = [future]
         self.ctx = ctx  # trace context of the submitting request (or None)
 
 
@@ -144,7 +149,7 @@ class InferenceService:
         self._batcher: Optional[DynamicBatcher] = None
         self._batch_loop_task: Optional[asyncio.Task] = None
         self._worker_slots: Optional[asyncio.Semaphore] = None
-        self._inflight: Dict[str, "asyncio.Future"] = {}
+        self._inflight: Dict[str, _Pending] = {}
         self._batch_tasks: set = set()
         self._started = False
         self._closed = False
@@ -224,8 +229,7 @@ class InferenceService:
         )
 
         key: Optional[str] = None
-        coalesced = False
-        future: Optional[asyncio.Future] = None
+        pending: Optional[_Pending] = None
         if self.cache is not None:
             faults_on = float(getattr(self.engine, "flip_prob", 0.0)) > 0.0
             key = request_fingerprint(
@@ -243,15 +247,18 @@ class InferenceService:
                 return PredictionResult(
                     prediction=hit, cached=True, latency_ms=latency_ms, request_id=request_id
                 )
-            future = self._inflight.get(key)
-            coalesced = future is not None
+            pending = self._inflight.get(key)
 
-        if future is None:
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        coalesced = pending is not None
+        if coalesced:
+            pending.waiters.append(future)
+        else:
             ctx = self._tracer.context_of(span) if span is not None else None
-            future = asyncio.get_running_loop().create_future()
             pending = _Pending(image, index, key, future, ctx=ctx)
             if key is not None:
-                self._inflight[key] = future
+                self._inflight[key] = pending
             try:
                 self._queue.put_nowait(pending)
             except asyncio.QueueFull:
@@ -263,22 +270,22 @@ class InferenceService:
                     f"request queue full ({self.max_queue} pending); retry later"
                 ) from None
 
-        # shield: one waiter's timeout must not cancel the shared computation
-        # (coalesced waiters and the cache still want the result).
+        # The timer fails this request's future only; the computation, its
+        # coalesced waiters and the cache fill go on without it.
+        timer = loop.call_later(self.request_timeout_s, self._expire, future)
         try:
-            prediction = await asyncio.wait_for(asyncio.shield(future), self.request_timeout_s)
-        except asyncio.TimeoutError:
+            prediction = await future
+        except RequestTimeout:
             self.stats.record_timeout()
             if span is not None:
                 self._tracer.end(span, outcome="timeout")
-            raise RequestTimeout(
-                f"no result within {self.request_timeout_s:g}s "
-                f"(queue depth {self._queue.qsize()})"
-            ) from None
+            raise
         except Exception:
             if span is not None:
                 self._tracer.end(span, outcome="error")
             raise
+        finally:
+            timer.cancel()
         latency_ms = (time.monotonic() - arrived) * 1000.0
         self.stats.record_completed(latency_ms, coalesced=coalesced)
         if span is not None:
@@ -290,6 +297,15 @@ class InferenceService:
             latency_ms=latency_ms,
             request_id=request_id,
         )
+
+    def _expire(self, future: "asyncio.Future") -> None:
+        if not future.done():
+            future.set_exception(
+                RequestTimeout(
+                    f"no result within {self.request_timeout_s:g}s "
+                    f"(queue depth {self._queue.qsize()})"
+                )
+            )
 
     def _check_image(self, image: Any) -> np.ndarray:
         image = np.asarray(image, dtype=float)
@@ -390,11 +406,10 @@ class InferenceService:
             for pending in batch:
                 if pending.key is not None:
                     self._inflight.pop(pending.key, None)
-                self.stats.record_error()
-                if not pending.future.done():
-                    pending.future.set_exception(
-                        RuntimeError(f"inference batch failed: {exc!r}")
-                    )
+                for future in pending.waiters:
+                    if not future.done():
+                        self.stats.record_error()
+                        future.set_exception(RuntimeError(f"inference batch failed: {exc!r}"))
             if batch_span is not None:
                 self._tracer.end(batch_span, outcome="error")
             return
@@ -407,8 +422,9 @@ class InferenceService:
                 self._inflight.pop(pending.key, None)
                 if self.cache is not None:
                     self.cache.put(pending.key, prediction)
-            if not pending.future.done():
-                pending.future.set_result(prediction)
+            for future in pending.waiters:
+                if not future.done():
+                    future.set_result(prediction)
 
     # ------------------------------------------------------------------ stats
     def stats_snapshot(self) -> Dict:

@@ -57,3 +57,13 @@ class TestSoftmaxDesignSpaceExample:
         assert "Table IV" in out
         assert "Pareto optima" in out
         assert "chosen design" in out or "most accurate" in out
+
+
+class TestAcceleratorConfigurationExample:
+    def test_quick_run_prints_table6_and_recommendation(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["accelerator_configuration.py", "--quick", "--max-images", "32"])
+        runpy.run_path(str(EXAMPLES_DIR / "accelerator_configuration.py"), run_name="__main__")
+        out = capsys.readouterr().out
+        assert "Table VI" in out
+        assert "[8, 32, 8, 3]" in out
+        assert "recommended configuration" in out

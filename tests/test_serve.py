@@ -234,6 +234,45 @@ class TestDynamicBatcher:
         assert final is None
         assert closed
 
+    def test_fills_from_full_queue_without_waiting(self):
+        async def scenario():
+            queue = asyncio.Queue()
+            for item in range(8):
+                queue.put_nowait(item)
+            batcher = DynamicBatcher(queue, max_batch=4, max_wait_ms=10_000.0)
+            loop = asyncio.get_running_loop()
+            yielded = []
+            loop.call_soon(yielded.append, True)
+            start = loop.time()
+            first = await batcher.next_batch()
+            # Ready requests are taken without handing control to the loop.
+            drained_without_yield = not yielded
+            second = await batcher.next_batch()
+            return first, second, loop.time() - start, drained_without_yield
+
+        first, second, elapsed, drained_without_yield = asyncio.run(scenario())
+        assert first == [0, 1, 2, 3]
+        assert second == [4, 5, 6, 7]
+        assert elapsed < 0.5  # nowhere near max_wait_ms
+        assert drained_without_yield
+
+    def test_shutdown_mid_drain_flushes_then_closes(self):
+        async def scenario():
+            queue = asyncio.Queue()
+            for item in (0, 1, SHUTDOWN, 3):
+                queue.put_nowait(item)
+            batcher = DynamicBatcher(queue, max_batch=8, max_wait_ms=10_000.0)
+            start = asyncio.get_running_loop().time()
+            partial = await batcher.next_batch()
+            final = await batcher.next_batch()
+            return partial, final, asyncio.get_running_loop().time() - start, batcher.closed
+
+        partial, final, elapsed, closed = asyncio.run(scenario())
+        assert partial == [0, 1]
+        assert final is None
+        assert closed
+        assert elapsed < 0.5
+
     def test_rejects_bad_parameters(self):
         queue = asyncio.Queue()
         with pytest.raises(ValueError):
@@ -285,6 +324,34 @@ class TestServiceSemantics:
 
         stats = asyncio.run(scenario())
         assert stats.timeouts == 1
+
+    def test_one_waiters_timeout_does_not_fail_its_duplicate(self):
+        """A times out; its duplicate B, coalesced onto the same computation,
+        still gets the prediction, and the result still warms the cache."""
+        engine = StubEngine(delay=0.6)
+
+        async def scenario():
+            service = InferenceService(
+                engine, max_batch=1, max_wait_ms=0.0, request_timeout_s=0.5,
+                cache=PredictionCache(),
+            )
+            async with service:
+                image = np.ones((2, 2))
+                first = asyncio.ensure_future(service.submit(image, index=3))
+                await asyncio.sleep(0.3)
+                second = await service.submit(image, index=3)
+                with pytest.raises(RequestTimeout):
+                    await first
+                third = await service.submit(image, index=3)
+            return second, third, service.stats
+
+        second, third, stats = asyncio.run(scenario())
+        assert second.prediction == 3
+        assert second.coalesced and not second.cached
+        assert third.prediction == 3 and third.cached  # the cache holds the result
+        assert sum(engine.batch_sizes) == 1
+        assert stats.timeouts == 1
+        assert stats.submitted == stats.completed + stats.timeouts == 3
 
     def test_submit_after_stop_raises(self):
         engine = StubEngine()
@@ -421,6 +488,25 @@ class TestServiceSemantics:
 
         stats = asyncio.run(scenario())
         assert stats.errors == 1
+
+    def test_failed_batch_counts_one_error_per_waiter(self):
+        class FailingEngine(StubEngine):
+            def run(self, images, indices):
+                time.sleep(0.1)
+                raise RuntimeError("worker blew up")
+
+        async def scenario():
+            service = InferenceService(FailingEngine(), max_wait_ms=0.0, cache=PredictionCache())
+            async with service:
+                image = np.ones((2, 2))
+                outcomes = await asyncio.gather(
+                    *[service.submit(image, index=0) for _ in range(3)], return_exceptions=True
+                )
+            return outcomes, service.stats
+
+        outcomes, stats = asyncio.run(scenario())
+        assert all(isinstance(o, RuntimeError) for o in outcomes)
+        assert stats.errors == stats.submitted == 3  # the coalesced duplicates count too
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,8 @@ if str(_SRC) not in sys.path:  # allow `python benchmarks/bench_serve_latency.py
     sys.path.insert(0, str(_SRC))
 
 from repro.blocks.specs import SoftmaxCircuitConfig
-from repro.eval_pipeline import ScViTEvalPipeline
+from repro.eval_pipeline import ScViTEvalPipeline, sc_vit_alpha_x
 from repro.evaluation.reporting import format_table
-from repro.evaluation.vectors import collect_softmax_inputs
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
 from repro.serve import (
     InferenceService,
@@ -138,11 +137,9 @@ def _build(flip_prob: float = 0.0, workers: int = 2, cached: bool = False,
     dataset = SyntheticImageDataset(num_classes=TINY_VIT["num_classes"],
                                     image_size=TINY_VIT["image_size"], seed=5)
     train, _ = dataset.splits(train_size=16, test_size=1)
-    softmax = SoftmaxCircuitConfig(**TINY_SOFTMAX)
-    calibration = collect_softmax_inputs(model, train.images[:4], max_rows=512)
+    softmax = SoftmaxCircuitConfig(**TINY_SOFTMAX).with_updates(alpha_x=sc_vit_alpha_x(model, train.images[:4]))
     factory = ReplicaFactory(
-        model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-        fault_seed=FAULT_SEED, calibration_logits=calibration,
+        model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
     )
     if engine == "process":
         engine_obj = ShardedProcessEngine(factory, shards=shards)
@@ -152,7 +149,7 @@ def _build(flip_prob: float = 0.0, workers: int = 2, cached: bool = False,
         engine_obj, max_batch=max_batch, max_wait_ms=max_wait_ms, max_queue=max_queue,
         cache=PredictionCache() if cached else None,
     )
-    return model, softmax, calibration, service
+    return model, softmax, service
 
 
 def _images(count: int) -> np.ndarray:
@@ -242,7 +239,7 @@ async def sharded_scaling() -> dict:
     section: dict = {}
     images = _images(SHARDED_IMAGES)
     for shards in (1, 2):
-        _, _, _, service = _build(cached=False, engine="process", shards=shards)
+        _, _, service = _build(cached=False, engine="process", shards=shards)
         async with service:
             run = await closed_loop(service, images, SHARDED_CLIENTS)
             engine_snapshot = service.engine.stats_snapshot()
@@ -305,7 +302,7 @@ def run_replay(args) -> int:
         print(f"recorded trace {saved} ({len(workload)} requests)")
 
     async def measure() -> dict:
-        _, _, _, service = _build(cached=False)
+        _, _, service = _build(cached=False)
         async with service:
             return await replay_loop(service, _images(REPLAY_POOL), workload)
 
@@ -347,10 +344,10 @@ def run_benchmarks() -> dict:
     """All load shapes on the tiny model, cache off; returns the payload."""
 
     async def measure() -> dict:
-        _, _, _, service = _build(cached=False)
+        _, _, service = _build(cached=False)
         async with service:
             closed = await closed_loop(service, _images(CLOSED_IMAGES), CLOSED_CLIENTS)
-        _, _, _, service = _build(cached=False)
+        _, _, service = _build(cached=False)
         async with service:
             opened = await open_loop(service, _images(OPEN_IMAGES), OPEN_RATE)
         sharded = await sharded_scaling()
@@ -445,13 +442,13 @@ def run_smoke(engine: str = "thread") -> int:
     failures = 0
 
     for flip_prob in (0.0, 0.05):
-        model, softmax, calibration, service = _build(
+        model, softmax, service = _build(
             flip_prob=flip_prob, cached=True, max_batch=8, max_wait_ms=4.0,
             engine=engine, shards=2,
         )
         offline = ScViTEvalPipeline(
             model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-            fault_seed=FAULT_SEED, calibration_logits=calibration,
+            fault_seed=FAULT_SEED,
         ).evaluate(split, batch_size=1)
 
         async def session():

@@ -27,7 +27,7 @@ from repro.core import (
     recommend_configuration,
     sc_vit_softmax,
 )
-from repro.eval_pipeline import ScViTEvalPipeline
+from repro.eval_pipeline import ScViTEvalPipeline, sc_vit_alpha_x
 from repro.nn.serialization import load_model
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
 from repro.training.datasets import synthetic_cifar10
@@ -80,7 +80,8 @@ def main():
         accel_config = AcceleratorConfig(architecture=ViTArchitecture(), softmax=softmax)
         accelerator = AscendAccelerator(accel_config)
         breakdown = accelerator.area_breakdown()
-        pipeline = ScViTEvalPipeline(model, softmax, calibration_images=test.images[:32])
+        calibrated = softmax.with_updates(alpha_x=sc_vit_alpha_x(model, test.images[:32]))
+        pipeline = ScViTEvalPipeline(model, calibrated)
         accuracy = pipeline.evaluate(test, max_images=min(args.max_images, len(test))).accuracy
 
         accel_configs.append(accel_config)

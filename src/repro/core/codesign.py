@@ -27,6 +27,7 @@ from repro.core.accelerator import AcceleratorConfig, AscendAccelerator, ViTArch
 from repro.core.dse import DesignPoint, SoftmaxDesignSpace
 from repro.core.gelu_si import GeluSIBlock
 from repro.eval_pipeline.pipeline import ScViTEvalPipeline
+from repro.eval_pipeline.tasks import sc_vit_alpha_x
 from repro.evaluation.vectors import collect_gelu_inputs, collect_softmax_inputs
 from repro.nn.vit import CompactVisionTransformer
 from repro.training.datasets import DatasetSplit
@@ -142,7 +143,8 @@ class CodesignDriver:
                 AcceleratorConfig(architecture=arch, gelu_output_bsl=self.gelu_output_bsl, softmax=selected)
             )
             accelerator_area = accelerator.area_breakdown()
-            pipeline = ScViTEvalPipeline(model, selected, calibration_images=calib_images)
+            alpha_x = sc_vit_alpha_x(model, calib_images, bx=selected.bx)
+            pipeline = ScViTEvalPipeline(model, selected.with_updates(alpha_x=alpha_x))
             circuit_accuracy = pipeline.evaluate(
                 self.test_split, max_images=min(evaluation_images, len(self.test_split))
             ).accuracy

@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.blocks import build as build_block
-from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x
+from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.nn.autograd import Tensor, batch_invariant_matmul, no_grad
 from repro.nn.vit import CompactVisionTransformer
@@ -110,9 +110,9 @@ class ScViTEvalPipeline:
     model:
         A trained :class:`~repro.nn.vit.CompactVisionTransformer`.
     softmax_config:
-        Softmax circuit configuration; ``m`` is clamped to the model's token
-        count and ``alpha_x`` calibrated on attention logits whenever
-        calibration inputs are given (same protocol as the seed evaluator).
+        Softmax circuit configuration, ``alpha_x`` already calibrated (see
+        :func:`~repro.eval_pipeline.tasks.sc_vit_alpha_x`); ``m`` is clamped
+        to the model's token count.
     gelu_output_bsl:
         Optional output BSL routing every GELU through a gate-assisted SI
         block; ``None`` keeps the exact GELU (the Table VI setting).
@@ -123,9 +123,6 @@ class ScViTEvalPipeline:
     batch_size:
         Default chunk size of :meth:`iter_batches`/:meth:`evaluate`.  Pure
         throughput/memory knob: results are bit-identical for any value.
-    calibration_images / calibration_logits:
-        ``alpha_x`` calibration inputs, identical to the seed evaluator's;
-        with neither, ``softmax_config``'s ``alpha_x`` is used as given.
     """
 
     def __init__(
@@ -136,20 +133,11 @@ class ScViTEvalPipeline:
         flip_prob: float = 0.0,
         fault_seed: int = 0,
         batch_size: int = 32,
-        calibration_images: Optional[np.ndarray] = None,
-        calibration_logits: Optional[np.ndarray] = None,
     ) -> None:
         check_positive_int(batch_size, "batch_size")
         self.model = model
         self.batch_size = int(batch_size)
-        tokens = model.config.num_tokens
-        config = softmax_config.clamped_to_vector_length(tokens)
-        if calibration_logits is None and calibration_images is not None:
-            from repro.evaluation.vectors import collect_softmax_inputs
-
-            calibration_logits = collect_softmax_inputs(model, calibration_images, max_rows=512)
-        if calibration_logits is not None:
-            config = config.with_updates(alpha_x=calibrate_alpha_x(calibration_logits, config.bx))
+        config = softmax_config.clamped_to_vector_length(model.config.num_tokens)
         # Circuit implementations come through the block registry — this
         # module never imports repro.core, which is what keeps the layering
         # acyclic (repro.core.codesign imports this module at module level).

@@ -1,9 +1,10 @@
 """The SC-ViT recipe and its sweep-task registration (`EvalTask`).
 
 :func:`build_sc_vit` builds the model every SC-ViT evaluation and
-deployment runs, and :func:`~repro.blocks.specs.sc_vit_softmax` its
+deployment runs, :func:`sc_vit_alpha_x` calibrates its softmax input
+scale once, and :func:`~repro.blocks.specs.sc_vit_softmax` builds its
 ``[By, s1, s2, k]`` softmax circuit; ``repro eval``, Table VI and the
-serving tier's replica factory all go through the two.
+serving tier's replica factory all go through the three.
 
 Dataset-level accuracy grids — accuracy vs output BSL, accuracy vs softmax
 design, accuracy vs bit-flip rate, per split — are sweeps like any other, so
@@ -30,14 +31,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blocks.specs import SoftmaxCircuitConfig, sc_vit_softmax
+from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, sc_vit_softmax
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.eval_pipeline.pipeline import EvalResult, ScViTEvalPipeline
 from repro.nn.autograd import _matmul_formulation
 from repro.runner.cache import array_digest, weights_digest
 from repro.runner.runner import ParallelSweepRunner, SweepTask
 
-__all__ = ["EvalTask", "build_sc_vit", "eval_grid", "run_eval_grid"]
+__all__ = ["EvalTask", "build_sc_vit", "eval_grid", "run_eval_grid", "sc_vit_alpha_x"]
 
 #: Default accuracy-vs-BSL grid: the softmax output BSLs swept by the CLI
 #: and the accuracy bench (the Fig. 8 / Table VI ``By`` axis).
@@ -76,6 +77,19 @@ def build_sc_vit(source: Any, test_size: int) -> Tuple[Any, Any, Any]:
     return model, train, test
 
 
+def sc_vit_alpha_x(model: Any, images: np.ndarray, bx: int = 4) -> float:
+    """The softmax input scale ``alpha_x`` calibrated on ``model``'s attention logits.
+
+    Pools up to 512 pre-softmax logit rows of ``images`` and fits ``alpha_x``
+    for a ``bx``-bit input stream (the recipe's circuit has ``Bx = 4``).
+    Every SC-ViT evaluation and deployment calibrates here, once, and passes
+    the result to :func:`~repro.blocks.specs.sc_vit_softmax`.
+    """
+    from repro.evaluation.vectors import collect_softmax_inputs
+
+    return calibrate_alpha_x(collect_softmax_inputs(model, images, max_rows=512), bx=bx)
+
+
 @dataclass
 class EvalTask(SweepTask):
     """Evaluate one end-to-end configuration on one dataset split.
@@ -94,7 +108,7 @@ class EvalTask(SweepTask):
     max_images: Optional[int] = None
     batch_size: int = 32
     _weights_digest: str = field(default="", repr=False)
-    _calibration_logits: Optional[np.ndarray] = field(default=None, repr=False)
+    _alpha_x: Optional[float] = field(default=None, repr=False)
 
     name = "eval-pipeline"
 
@@ -125,28 +139,19 @@ class EvalTask(SweepTask):
         )
 
     # -------------------------------------------------------------- evaluation
-    def _calibration(self) -> np.ndarray:
-        """Attention logits for ``alpha_x``, collected once per task/worker."""
-        if self._calibration_logits is None:
-            from repro.evaluation.vectors import collect_softmax_inputs
-
-            self._calibration_logits = collect_softmax_inputs(
-                self.model, self.calibration_images, max_rows=512
-            )
-        return self._calibration_logits
-
     def pipeline(self, config: Dict[str, Any]) -> ScViTEvalPipeline:
         """The pipeline ``config`` evaluates: its ``[By, s1, s2, k]`` circuit, GELU and faults."""
+        if self._alpha_x is None:  # calibrated once per task/worker
+            self._alpha_x = sc_vit_alpha_x(self.model, self.calibration_images)
         by, s1, s2, k = (int(config[key]) for key in ("by", "s1", "s2", "k"))
         gelu_bsl = config.get("gelu_bsl")
         return ScViTEvalPipeline(
             self.model,
-            sc_vit_softmax(by, s1, s2, k),
+            sc_vit_softmax(by, s1, s2, k, alpha_x=self._alpha_x),
             gelu_output_bsl=None if gelu_bsl is None else int(gelu_bsl),
             flip_prob=float(config.get("flip_prob", 0.0)),
             fault_seed=int(config.get("fault_seed", 0)),
             batch_size=self.batch_size,
-            calibration_logits=self._calibration(),
         )
 
     def evaluate(self, config: Dict[str, Any], seed: int) -> EvalResult:

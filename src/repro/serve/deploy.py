@@ -47,31 +47,27 @@ class Deployment:
 def build_replica_factory(spec: ServeSpec) -> ReplicaFactory:
     """The spec's :class:`~repro.serve.engine.ReplicaFactory`, fully resolved.
 
-    Builds the model and softmax circuit from the SC-ViT recipe that
-    ``repro eval`` uses (:func:`~repro.eval_pipeline.build_sc_vit`,
-    :func:`~repro.blocks.specs.sc_vit_softmax`) plus the calibration
-    logits, and packages them as the picklable replica recipe both engine
-    families construct workers from.
+    Builds the model and its calibrated softmax circuit from the SC-ViT
+    recipe that ``repro eval`` uses (:func:`~repro.eval_pipeline.build_sc_vit`,
+    :func:`~repro.eval_pipeline.sc_vit_alpha_x`,
+    :func:`~repro.blocks.specs.sc_vit_softmax`), and packages them as the
+    picklable replica recipe both engine families construct workers from.
     Exposed separately from :func:`build_deployment` because the scenario
     layer's ``bit_identity`` assertion needs the *same* recipe to build an
     offline reference pipeline after the service under test has closed.
     """
     from repro.blocks.specs import sc_vit_softmax
-    from repro.eval_pipeline.tasks import build_sc_vit
-    from repro.evaluation.vectors import collect_softmax_inputs
+    from repro.eval_pipeline.tasks import build_sc_vit, sc_vit_alpha_x
 
     # A one-image test split: serving draws only on the training images.
     model, train, _ = build_sc_vit(spec, test_size=1)
-    calibration = collect_softmax_inputs(
-        model, train.images[: spec.calibration_images], max_rows=512
-    )
+    alpha_x = sc_vit_alpha_x(model, train.images[: spec.calibration_images])
     return ReplicaFactory(
         model=model,
-        softmax_config=sc_vit_softmax(spec.by, spec.s1, spec.s2, spec.k),
+        softmax_config=sc_vit_softmax(spec.by, spec.s1, spec.s2, spec.k, alpha_x=alpha_x),
         gelu_output_bsl=spec.gelu_bsl,
         flip_prob=spec.flip_prob,
         fault_seed=spec.fault_seed,
-        calibration_logits=calibration,
     )
 
 

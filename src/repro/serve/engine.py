@@ -7,7 +7,7 @@ deep copy of the template model), because the pipeline patches circuit
 substitutions into the model's blocks for the duration of a forward — a
 shared model would race.  Weights are copied once per worker, not per
 batch, and all workers are bit-identical by construction: same weights,
-same circuit specs, same calibration logits.
+same calibrated circuit specs.
 
 Numpy-autograd inference modes (``no_grad`` and ``batch_invariant_matmul``)
 are process-wide flags, so the engine holds both enabled from
@@ -118,6 +118,8 @@ class ReplicaFactory:
     startup.  Every call deep-copies the template model, so replicas never
     share mutable state — the pipeline patches circuit substitutions into
     the model's blocks during a forward, and a shared model would race.
+    ``softmax_config`` arrives calibrated (its ``alpha_x`` fitted once, by
+    whoever built the factory), so replicas never calibrate.
     """
 
     model: Any
@@ -125,7 +127,6 @@ class ReplicaFactory:
     gelu_output_bsl: Optional[int] = None
     flip_prob: float = 0.0
     fault_seed: int = 0
-    calibration_logits: Optional[np.ndarray] = None
 
     def __call__(self) -> ScViTEvalPipeline:
         return ScViTEvalPipeline(
@@ -134,7 +135,6 @@ class ReplicaFactory:
             gelu_output_bsl=self.gelu_output_bsl,
             flip_prob=self.flip_prob,
             fault_seed=self.fault_seed,
-            calibration_logits=self.calibration_logits,
         )
 
     def image_shape(self) -> tuple:

@@ -7,6 +7,8 @@ the full-size experiments live in ``benchmarks/``.
 import numpy as np
 import pytest
 
+from repro.blocks.specs import SoftmaxCircuitConfig
+from repro.eval_pipeline import sc_vit_alpha_x
 from repro.evaluation.vectors import attention_logit_vectors, gelu_input_vectors
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
 from repro.training.datasets import SyntheticImageDataset
@@ -58,3 +60,22 @@ def tiny_dataset():
 def tiny_images(tiny_dataset):
     train, _ = tiny_dataset
     return train.images[:8]
+
+
+@pytest.fixture(scope="module")
+def stack():
+    """Tiny model, a 10-image test split and its calibrated softmax circuit.
+
+    The serving tests' shared stack: every engine, service and offline
+    reference in a module runs this one model under this one circuit.
+    """
+    config = ViTConfig(
+        image_size=8, patch_size=4, num_classes=4, embed_dim=16,
+        num_layers=2, num_heads=2, norm="bn", seed=3,
+    )
+    model = CompactVisionTransformer(config)
+    dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
+    train, test = dataset.splits(train_size=16, test_size=10)
+    softmax = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=sc_vit_alpha_x(model, train.images[:4]),
+                                   by=8, alpha_y=0.03, s1=16, s2=4)
+    return model, test, softmax

@@ -24,6 +24,7 @@ from repro.eval_pipeline import (
     ScViTEvalPipeline,
     eval_grid,
     run_eval_grid,
+    sc_vit_alpha_x,
 )
 from repro.eval_pipeline import faults
 from repro.eval_pipeline.faults import net_flip_pmf, sample_rows
@@ -40,12 +41,11 @@ def make_softmax_config(by=8, s1=16, s2=4, k=2):
 def eval_setup():
     """One model + splits + shared calibration, reused across this module.
 
-    The calibration logits are collected once up front: a calibration
-    forward updates the model's BatchNorm running statistics (the seed
-    evaluator's protocol), so sharing the collected logits keeps every test
-    in this module evaluating the exact same model state.
+    The calibration runs once up front: a calibration forward updates the
+    model's BatchNorm running statistics (the seed evaluator's protocol), so
+    sharing the calibrated ``alpha_x`` keeps every test in this module
+    evaluating the exact same model state.
     """
-    from repro.evaluation.vectors import collect_softmax_inputs
     from repro.nn.vit import CompactVisionTransformer, ViTConfig
     from repro.training.datasets import SyntheticImageDataset
 
@@ -56,16 +56,18 @@ def eval_setup():
     model = CompactVisionTransformer(config)
     dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
     train, test = dataset.splits(train_size=24, test_size=16)
-    calibration_logits = collect_softmax_inputs(model, train.images[:4], max_rows=512)
+    alpha_x = sc_vit_alpha_x(model, train.images[:4])
     model.eval()
-    return {"model": model, "train": train, "test": test, "calibration": calibration_logits}
+    return {
+        "model": model, "train": train, "test": test, "alpha_x": alpha_x,
+        "softmax": make_softmax_config().with_updates(alpha_x=alpha_x),
+    }
 
 
 class TestChunkInvariance:
     def test_batched_equals_per_image_clean(self, eval_setup):
         pipeline = ScViTEvalPipeline(
-            eval_setup["model"], make_softmax_config(),
-            calibration_logits=eval_setup["calibration"],
+            eval_setup["model"], eval_setup["softmax"],
         )
         batched = pipeline.evaluate(eval_setup["test"], max_images=10, batch_size=10)
         per_image = pipeline.evaluate(eval_setup["test"], max_images=10, batch_size=1)
@@ -81,9 +83,8 @@ class TestChunkInvariance:
     @settings(max_examples=8, deadline=None)
     def test_any_chunking_is_bit_identical(self, eval_setup, batch_size, flip_prob, gelu_bsl):
         pipeline = ScViTEvalPipeline(
-            eval_setup["model"], make_softmax_config(),
+            eval_setup["model"], eval_setup["softmax"],
             gelu_output_bsl=gelu_bsl, flip_prob=flip_prob, fault_seed=13,
-            calibration_logits=eval_setup["calibration"],
         )
         reference = pipeline.evaluate(eval_setup["test"], max_images=8, batch_size=1)
         chunked = pipeline.evaluate(eval_setup["test"], max_images=8, batch_size=batch_size)
@@ -96,9 +97,8 @@ class TestChunkInvariance:
         train, test = eval_setup["train"], eval_setup["test"]
         split = DatasetSplit(np.concatenate([train.images, test.images]), np.concatenate([train.labels, test.labels]))
         pipeline = ScViTEvalPipeline(
-            eval_setup["model"], make_softmax_config(),
+            eval_setup["model"], eval_setup["softmax"],
             gelu_output_bsl=8, flip_prob=0.02, fault_seed=21,
-            calibration_logits=eval_setup["calibration"],
         )
         per_image = pipeline.evaluate(split, batch_size=1).predictions
         for batch_size in (7, 32):
@@ -106,8 +106,7 @@ class TestChunkInvariance:
 
     def test_streaming_batches_cover_the_split_in_order(self, eval_setup):
         pipeline = ScViTEvalPipeline(
-            eval_setup["model"], make_softmax_config(),
-            calibration_logits=eval_setup["calibration"],
+            eval_setup["model"], eval_setup["softmax"],
         )
         batches = list(pipeline.iter_batches(eval_setup["test"], max_images=10, batch_size=4))
         assert [len(b) for b in batches] == [4, 4, 2]
@@ -120,8 +119,7 @@ class TestChunkInvariance:
         with no_grad(), batch_invariant_matmul():
             before = model(Tensor(images)).data
         pipeline = ScViTEvalPipeline(
-            model, make_softmax_config(), gelu_output_bsl=4,
-            calibration_logits=eval_setup["calibration"],
+            model, eval_setup["softmax"], gelu_output_bsl=4,
         )
         pipeline.evaluate(eval_setup["test"], max_images=6)
         with no_grad(), batch_invariant_matmul():
@@ -136,8 +134,7 @@ class TestChunkInvariance:
         original = Module.train
         monkeypatch.setattr(Module, "train", lambda self, mode=True: calls.append(mode) or original(self, mode))
         pipeline = ScViTEvalPipeline(
-            eval_setup["model"], make_softmax_config(),
-            calibration_logits=eval_setup["calibration"],
+            eval_setup["model"], eval_setup["softmax"],
         )
         pipeline.predict_batch(eval_setup["test"].images[:2])
         assert calls == []
@@ -145,7 +142,7 @@ class TestChunkInvariance:
     def test_training_mode_model_comes_back_training(self, eval_setup):
         model = eval_setup["model"]
         pipeline = ScViTEvalPipeline(
-            model, make_softmax_config(), calibration_logits=eval_setup["calibration"],
+            model, eval_setup["softmax"],
         )
         images = eval_setup["test"].images[:3]
         expected = pipeline.predict_batch(images)
@@ -179,8 +176,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_predict_batch_names_the_first_bad_image(self, eval_setup, bad):
         pipeline = ScViTEvalPipeline(
-            eval_setup["model"], make_softmax_config(),
-            calibration_logits=eval_setup["calibration"],
+            eval_setup["model"], eval_setup["softmax"],
         )
         images = eval_setup["test"].images[:6].copy()
         images[4, 1, 2, 0] = bad
@@ -192,8 +188,7 @@ class TestNonFiniteInputs:
         from repro.training.datasets import DatasetSplit
 
         pipeline = ScViTEvalPipeline(
-            eval_setup["model"], make_softmax_config(),
-            calibration_logits=eval_setup["calibration"],
+            eval_setup["model"], eval_setup["softmax"],
         )
         test = eval_setup["test"]
         images = test.images[:10].copy()
@@ -272,8 +267,7 @@ class TestBatchInvariantMatmul:
         from repro.serve.engine import pipeline_fingerprint
 
         pipeline = ScViTEvalPipeline(
-            eval_setup["model"], make_softmax_config(), gelu_output_bsl=4,
-            calibration_logits=eval_setup["calibration"],
+            eval_setup["model"], eval_setup["softmax"], gelu_output_bsl=4,
         )
         images = eval_setup["test"].images[:9]
         reference = pipeline.predict_batch(images)
@@ -388,8 +382,7 @@ class TestBatchInvariantMatmul:
         from repro.serve.engine import pipeline_fingerprint
 
         pipeline = ScViTEvalPipeline(
-            eval_setup["model"], make_softmax_config(),
-            calibration_logits=eval_setup["calibration"],
+            eval_setup["model"], eval_setup["softmax"],
         )
         monkeypatch.setattr(autograd, "_FORMULATION", "stacked")
         stacked_key = pipeline_fingerprint(pipeline)
@@ -843,7 +836,7 @@ class TestEvalTask:
         task = EvalTask(**kwargs)
         # Pin the shared module calibration so task evaluations see the same
         # model state as the direct-pipeline tests.
-        task._calibration_logits = eval_setup["calibration"]
+        task._alpha_x = eval_setup["alpha_x"]
         return task
 
     def test_grid_runs_and_round_trips(self, eval_setup):
@@ -872,8 +865,7 @@ class TestEvalTask:
         [result] = run_eval_grid(task, [config], workers=1)
         pipeline = ScViTEvalPipeline(
             eval_setup["model"],
-            sc_vit_softmax(config["by"], config["s1"], config["s2"], config["k"]),
-            calibration_logits=eval_setup["calibration"],
+            sc_vit_softmax(config["by"], config["s1"], config["s2"], config["k"], alpha_x=eval_setup["alpha_x"]),
         )
         direct = pipeline.evaluate(eval_setup["test"], max_images=8, batch_size=1)
         assert np.array_equal(result.predictions, direct.predictions)

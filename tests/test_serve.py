@@ -19,9 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.eval_pipeline import BitFlipFaultModel, ScViTEvalPipeline
-from repro.evaluation.vectors import collect_softmax_inputs
 from repro.nn import autograd
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
 from repro.runner.cache import ResultCache
@@ -44,45 +42,28 @@ from repro.serve.batcher import SHUTDOWN
 from repro.serve.transport import handle_message, serve_http
 from repro.training.datasets import SyntheticImageDataset
 
-SOFTMAX = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0, by=8, alpha_y=0.03, s1=16, s2=4)
 GELU_BSL = 4
 FAULT_SEED = 11
-NUM_IMAGES = 10
-
-
-@pytest.fixture(scope="module")
-def stack():
-    """Tiny model + images + calibration logits shared by every serve test."""
-    config = ViTConfig(
-        image_size=8, patch_size=4, num_classes=4, embed_dim=16,
-        num_layers=2, num_heads=2, norm="bn", seed=3,
-    )
-    model = CompactVisionTransformer(config)
-    dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
-    train, test = dataset.splits(train_size=16, test_size=NUM_IMAGES)
-    calibration = collect_softmax_inputs(model, train.images[:4], max_rows=512)
-    return model, test, calibration
+NUM_IMAGES = 10  # the test split of the ``stack`` fixture (tests/conftest.py)
 
 
 @pytest.fixture(scope="module")
 def offline_predictions(stack):
     """Per-image (batch_size=1) offline predictions per fault rate."""
-    model, test, calibration = stack
+    model, test, softmax = stack
     predictions = {}
     for flip_prob in (0.0, 0.05):
         pipeline = ScViTEvalPipeline(
-            model, SOFTMAX, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-            fault_seed=FAULT_SEED, calibration_logits=calibration,
+            model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
         )
         predictions[flip_prob] = pipeline.evaluate(test, batch_size=1).predictions
     return predictions
 
 
 def _factory(stack, flip_prob=0.0):
-    model, _, calibration = stack
+    model, _, softmax = stack
     return ReplicaFactory(
-        model, SOFTMAX, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-        fault_seed=FAULT_SEED, calibration_logits=calibration,
+        model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
     )
 
 
@@ -635,12 +616,12 @@ class TestServiceStats:
 
 class TestPipelineEngine:
     def test_fingerprint_tracks_weights_and_fault_settings(self, stack, monkeypatch):
-        model, _, calibration = stack
+        model, _, softmax = stack
         base = pipeline_fingerprint(
-            ScViTEvalPipeline(model, SOFTMAX, calibration_logits=calibration)
+            ScViTEvalPipeline(model, softmax)
         )
         faulty_pipeline = ScViTEvalPipeline(
-            model, SOFTMAX, flip_prob=0.1, fault_seed=2, calibration_logits=calibration
+            model, softmax, flip_prob=0.1, fault_seed=2
         )
         faulty = pipeline_fingerprint(faulty_pipeline)
         assert base != faulty
@@ -649,14 +630,14 @@ class TestPipelineEngine:
                       num_layers=2, num_heads=2, norm="bn", seed=99)
         )
         assert pipeline_fingerprint(
-            ScViTEvalPipeline(other_model, SOFTMAX, calibration_logits=calibration)
+            ScViTEvalPipeline(other_model, softmax)
         ) != base
         # A fault-sampler version bump re-keys faulted cached predictions
         # only: a fault-free forward draws nothing, so its key stays put.
         monkeypatch.setattr(BitFlipFaultModel, "VERSION", BitFlipFaultModel.VERSION - 1)
         assert pipeline_fingerprint(faulty_pipeline) != faulty
         assert pipeline_fingerprint(
-            ScViTEvalPipeline(model, SOFTMAX, calibration_logits=calibration)
+            ScViTEvalPipeline(model, softmax)
         ) == base
         # So does the batch-invariant matmul formulation (stacked vs einsum).
         monkeypatch.setattr(autograd, "_FORMULATION", "stacked")

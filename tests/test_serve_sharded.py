@@ -24,10 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.eval_pipeline import ScViTEvalPipeline
-from repro.evaluation.vectors import collect_softmax_inputs
-from repro.nn.vit import CompactVisionTransformer, ViTConfig
 from repro.serve import (
     EngineProtocol,
     InferenceService,
@@ -37,46 +34,28 @@ from repro.serve import (
     ShardedProcessEngine,
 )
 from repro.serve.sharded import _Shard, _ShardDied, pack_frame, unpack_frame
-from repro.training.datasets import SyntheticImageDataset
 
-SOFTMAX = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0, by=8, alpha_y=0.03, s1=16, s2=4)
 GELU_BSL = 4
 FAULT_SEED = 11
-NUM_IMAGES = 10
-
-
-@pytest.fixture(scope="module")
-def stack():
-    """Tiny model + images + calibration logits (same fixture as test_serve)."""
-    config = ViTConfig(
-        image_size=8, patch_size=4, num_classes=4, embed_dim=16,
-        num_layers=2, num_heads=2, norm="bn", seed=3,
-    )
-    model = CompactVisionTransformer(config)
-    dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
-    train, test = dataset.splits(train_size=16, test_size=NUM_IMAGES)
-    calibration = collect_softmax_inputs(model, train.images[:4], max_rows=512)
-    return model, test, calibration
+NUM_IMAGES = 10  # the test split of the ``stack`` fixture (tests/conftest.py)
 
 
 @pytest.fixture(scope="module")
 def offline_predictions(stack):
-    model, test, calibration = stack
+    model, test, softmax = stack
     predictions = {}
     for flip_prob in (0.0, 0.05):
         pipeline = ScViTEvalPipeline(
-            model, SOFTMAX, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-            fault_seed=FAULT_SEED, calibration_logits=calibration,
+            model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
         )
         predictions[flip_prob] = pipeline.evaluate(test, batch_size=1).predictions
     return predictions
 
 
 def _factory(stack, flip_prob=0.0):
-    model, _, calibration = stack
+    model, _, softmax = stack
     return ReplicaFactory(
-        model, SOFTMAX, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob,
-        fault_seed=FAULT_SEED, calibration_logits=calibration,
+        model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
     )
 
 

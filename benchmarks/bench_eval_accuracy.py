@@ -90,3 +90,7 @@ def test_eval_accuracy_trajectory(benchmark, trained_pipeline_result):
         # Heavy bit-flip noise cannot *help* on average — SC degrades
         # gracefully, but it does degrade.
         assert float(np.mean(noisy)) <= float(np.mean(clean)) + 5.0
+    if scale != "small":  # the small-scale model sits near chance
+        # The paper's claim: at By = 16 the SC softmax keeps the trained
+        # model's accuracy.
+        assert abs(by_key[("test", 16, 0.0)] - exact_accuracy) <= 2.0

@@ -133,7 +133,7 @@ def _build(flip_prob: float = 0.0, workers: int = 2, cached: bool = False,
     :class:`ShardedProcessEngine` with ``shards`` worker processes.  Either
     way the service holds one :class:`PredictionCache` when caching is on.
     """
-    model = CompactVisionTransformer(ViTConfig(**TINY_VIT))
+    model = CompactVisionTransformer(ViTConfig(**TINY_VIT)).eval()
     dataset = SyntheticImageDataset(num_classes=TINY_VIT["num_classes"],
                                     image_size=TINY_VIT["image_size"], seed=5)
     train, _ = dataset.splits(train_size=16, test_size=1)

@@ -50,7 +50,7 @@ def obtain_model(quick: bool):
         try:
             load_model(CHECKPOINT, model, strict=False)
             print(f"loaded checkpoint {CHECKPOINT}")
-            return model, test
+            return model.eval(), test
         except Exception as error:  # pragma: no cover - depends on local files
             print(f"could not load checkpoint ({error}); training instead")
     config = PipelineConfig(
@@ -71,17 +71,17 @@ def main():
     args = parser.parse_args()
 
     model, test = obtain_model(args.quick)
+    alpha_x = sc_vit_alpha_x(model, test.images[:32])
 
     rows = []
     accel_configs = []
     accuracies = []
     for by, s1, s2, k in CONFIGURATIONS:
-        softmax = sc_vit_softmax(by, s1, s2, k)
+        softmax = sc_vit_softmax(by, s1, s2, k, alpha_x=alpha_x)
         accel_config = AcceleratorConfig(architecture=ViTArchitecture(), softmax=softmax)
         accelerator = AscendAccelerator(accel_config)
         breakdown = accelerator.area_breakdown()
-        calibrated = softmax.with_updates(alpha_x=sc_vit_alpha_x(model, test.images[:32]))
-        pipeline = ScViTEvalPipeline(model, calibrated)
+        pipeline = ScViTEvalPipeline(model, softmax)
         accuracy = pipeline.evaluate(test, max_images=min(args.max_images, len(test))).accuracy
 
         accel_configs.append(accel_config)

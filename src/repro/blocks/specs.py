@@ -455,8 +455,8 @@ def sc_vit_softmax(by: int, s1: int, s2: int, k: int, alpha_x: float = 2.0) -> S
 
     Table IV's "ours" rows, Table VI and every SC-ViT evaluation and
     deployment build their circuit here: ``m = 64``, ``Bx = 4`` and
-    ``alpha_y`` from :func:`calibrate_alpha_y`.  ``alpha_x`` defaults to
-    the 2.0 the eval pipeline recalibrates on attention logits.
+    ``alpha_y`` from :func:`calibrate_alpha_y`.  ``alpha_x`` comes from
+    :func:`repro.eval_pipeline.sc_vit_alpha_x`; area-only uses keep the 2.0.
     """
     return SoftmaxCircuitConfig(
         m=64,

@@ -24,14 +24,7 @@ See ``docs/evaluation.md``.
 
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.eval_pipeline.pipeline import EvalBatch, EvalResult, ScViTEvalPipeline
-from repro.eval_pipeline.tasks import (
-    DEFAULT_BY_GRID,
-    EvalTask,
-    build_sc_vit,
-    eval_grid,
-    run_eval_grid,
-    sc_vit_alpha_x,
-)
+from repro.eval_pipeline.tasks import DEFAULT_BY_GRID, EvalTask, build_sc_vit, eval_grid, run_eval_grid, sc_vit_alpha_x
 
 __all__ = [
     "BitFlipFaultModel",

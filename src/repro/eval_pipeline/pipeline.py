@@ -42,7 +42,7 @@ from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.nn.autograd import Tensor, batch_invariant_matmul, no_grad
 from repro.nn.vit import CompactVisionTransformer
 from repro.training.datasets import DatasetSplit
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_eval_mode, check_positive_int
 
 __all__ = ["EvalBatch", "EvalResult", "ScViTEvalPipeline"]
 
@@ -108,7 +108,7 @@ class ScViTEvalPipeline:
     Parameters
     ----------
     model:
-        A trained :class:`~repro.nn.vit.CompactVisionTransformer`.
+        A trained :class:`~repro.nn.vit.CompactVisionTransformer` in eval mode.
     softmax_config:
         Softmax circuit configuration, ``alpha_x`` already calibrated (see
         :func:`~repro.eval_pipeline.tasks.sc_vit_alpha_x`); ``m`` is clamped
@@ -135,6 +135,7 @@ class ScViTEvalPipeline:
         batch_size: int = 32,
     ) -> None:
         check_positive_int(batch_size, "batch_size")
+        check_eval_mode(model, "ScViTEvalPipeline")
         self.model = model
         self.batch_size = int(batch_size)
         config = softmax_config.clamped_to_vector_length(model.config.num_tokens)
@@ -176,9 +177,7 @@ class ScViTEvalPipeline:
     def _patched_model(self):
         """Swap the circuit substitutions into every block, restore on exit."""
         model = self.model
-        was_training = model.training
-        if was_training:
-            model.eval()
+        check_eval_mode(model, "ScViTEvalPipeline")
         originals = []
         for block in model.blocks:
             originals.append((block.attention._apply_softmax, block.mlp.activation.forward))
@@ -191,8 +190,6 @@ class ScViTEvalPipeline:
             for block, (softmax_fn, gelu_fn) in zip(model.blocks, originals):
                 block.attention._apply_softmax = softmax_fn
                 block.mlp.activation.forward = gelu_fn
-            if was_training:
-                model.train()
 
     # --------------------------------------------------------------- streaming
     def iter_batches(

@@ -1,10 +1,9 @@
 """The SC-ViT recipe and its sweep-task registration (`EvalTask`).
 
-:func:`build_sc_vit` builds the model every SC-ViT evaluation and
-deployment runs, :func:`sc_vit_alpha_x` calibrates its softmax input
-scale once, and :func:`~repro.blocks.specs.sc_vit_softmax` builds its
-``[By, s1, s2, k]`` softmax circuit; ``repro eval``, Table VI and the
-serving tier's replica factory all go through the three.
+:func:`build_sc_vit` builds the frozen model every SC-ViT evaluation and
+deployment runs, :func:`sc_vit_alpha_x` calibrates it, and
+:func:`~repro.blocks.specs.sc_vit_softmax` builds its ``[By, s1, s2, k]``
+softmax circuit; ``repro eval``, Table VI and serving all use the three.
 
 Dataset-level accuracy grids — accuracy vs output BSL, accuracy vs softmax
 design, accuracy vs bit-flip rate, per split — are sweeps like any other, so
@@ -52,7 +51,7 @@ def build_sc_vit(source: Any, test_size: int) -> Tuple[Any, Any, Any]:
     optionally loaded from a checkpoint.  ``source`` carries the fields a
     :class:`~repro.serve.ServeSpec` and a ``repro eval`` argv share by name:
     ``dataset``, ``train_size``, ``data_seed``, ``layers``, ``embed_dim``,
-    ``heads``, ``model_seed`` and ``checkpoint``.
+    ``heads``, ``model_seed`` and ``checkpoint``.  The model is in eval mode.
     """
     from repro.nn.vit import CompactVisionTransformer, ViTConfig
     from repro.training.datasets import synthetic_cifar10, synthetic_cifar100
@@ -74,16 +73,13 @@ def build_sc_vit(source: Any, test_size: int) -> Tuple[Any, Any, Any]:
         from repro.nn.serialization import load_model
 
         load_model(source.checkpoint, model)
-    return model, train, test
+    return model.eval(), train, test
 
 
 def sc_vit_alpha_x(model: Any, images: np.ndarray, bx: int = 4) -> float:
-    """The softmax input scale ``alpha_x`` calibrated on ``model``'s attention logits.
+    """``alpha_x`` for a ``bx``-bit input, fitted on up to 512 attention-logit rows of ``images``.
 
-    Pools up to 512 pre-softmax logit rows of ``images`` and fits ``alpha_x``
-    for a ``bx``-bit input stream (the recipe's circuit has ``Bx = 4``).
-    Every SC-ViT evaluation and deployment calibrates here, once, and passes
-    the result to :func:`~repro.blocks.specs.sc_vit_softmax`.
+    The one calibration of every SC-ViT evaluation and deployment (``model`` in eval mode).
     """
     from repro.evaluation.vectors import collect_softmax_inputs
 
@@ -129,11 +125,12 @@ class EvalTask(SweepTask):
             f"{name}:{array_digest(images, labels)}"
             for name, (images, labels) in sorted(self.splits.items())
         )
-        # ``m:64`` is sc_vit_softmax's row length, kept so stored keys still match.
+        # ``m:64`` is sc_vit_softmax's row length, kept so stored keys still match;
+        # ``calib:eval`` retires results scored after a training-mode calibration.
         return (
             f"weights:{self._weights_digest};"
             f"splits:{split_digests};"
-            f"calibration:{array_digest(self.calibration_images)};m:64;"
+            f"calibration:{array_digest(self.calibration_images)};m:64;calib:eval;"
             f"fault_model:{BitFlipFaultModel.VERSION};"
             f"matmul:{_matmul_formulation()}"
         )

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_eval_mode, check_positive_int
 
 
 def attention_logit_vectors(
@@ -84,10 +84,11 @@ def collect_softmax_inputs(
     ``model`` is a :class:`repro.nn.vit.CompactVisionTransformer`; the rows
     of every attention head in every layer are pooled, shuffled and (when
     ``max_rows`` is given) sub-sampled — the "sampled from the overall
-    distribution" step of the paper's methodology.
+    distribution" step of the paper's methodology.  ``model`` must be in eval mode.
     """
     from repro.nn.autograd import Tensor
 
+    check_eval_mode(model, "collect_softmax_inputs")
     trace = model.forward_with_trace(Tensor(np.asarray(images, dtype=float)))
     rows = [np.asarray(logits).reshape(-1, np.asarray(logits).shape[-1]) for logits in trace.attention_logits]
     if not rows:
@@ -108,9 +109,10 @@ def collect_gelu_inputs(
     max_samples: Optional[int] = None,
     seed: SeedLike = 0,
 ) -> np.ndarray:
-    """Harvest pre-GELU activation samples from a ViT forward pass."""
+    """Harvest pre-GELU activation samples from an eval-mode ViT forward pass."""
     from repro.nn.autograd import Tensor
 
+    check_eval_mode(model, "collect_gelu_inputs")
     trace = model.forward_with_trace(Tensor(np.asarray(images, dtype=float)))
     samples = [np.asarray(act).reshape(-1) for act in trace.gelu_inputs]
     if not samples:

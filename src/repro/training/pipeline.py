@@ -203,7 +203,7 @@ class AscendTrainingPipeline:
 
     # ------------------------------------------------------------------- run
     def run(self, include_ln_reference: bool = True) -> PipelineResult:
-        """Execute the whole pipeline and return every recorded stage."""
+        """Execute the whole pipeline; ``final_model`` comes back in eval mode."""
         result = PipelineResult()
         teacher = None
         if include_ln_reference:
@@ -217,7 +217,7 @@ class AscendTrainingPipeline:
         progressive = self.progressive_quantization(model)
         result.stages.extend(progressive)
         result.stages.extend(self.approximate_softmax_finetune(model))
-        result.final_model = model
+        result.final_model = model.eval()
         return result
 
 

@@ -21,6 +21,12 @@ def check_positive_int(value: int, name: str) -> int:
     return int(value)
 
 
+def check_eval_mode(model, name: str) -> None:
+    """Raise ``ValueError`` on a training-mode model (its forward rewrites BatchNorm statistics)."""
+    if model.training:
+        raise ValueError(f"{name} needs a model in eval mode; call model.eval() first")
+
+
 def check_power_of_two(value: int, name: str) -> int:
     """Return ``value`` if it is a positive power of two, else raise."""
     value = check_positive_int(value, name)

@@ -50,6 +50,12 @@ def tiny_vit(tiny_vit_config):
     return CompactVisionTransformer(tiny_vit_config)
 
 
+@pytest.fixture
+def frozen_vit(tiny_vit):
+    """The tiny ViT in eval mode, as calibration and evaluation require."""
+    return tiny_vit.eval()
+
+
 @pytest.fixture(scope="session")
 def tiny_dataset():
     dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
@@ -64,7 +70,7 @@ def tiny_images(tiny_dataset):
 
 @pytest.fixture(scope="module")
 def stack():
-    """Tiny model, a 10-image test split and its calibrated softmax circuit.
+    """Tiny frozen model, a 10-image test split and its calibrated softmax circuit.
 
     The serving tests' shared stack: every engine, service and offline
     reference in a module runs this one model under this one circuit.
@@ -73,7 +79,7 @@ def stack():
         image_size=8, patch_size=4, num_classes=4, embed_dim=16,
         num_layers=2, num_heads=2, norm="bn", seed=3,
     )
-    model = CompactVisionTransformer(config)
+    model = CompactVisionTransformer(config).eval()
     dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
     train, test = dataset.splits(train_size=16, test_size=10)
     softmax = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=sc_vit_alpha_x(model, train.images[:4]),

@@ -39,13 +39,7 @@ def make_softmax_config(by=8, s1=16, s2=4, k=2):
 
 @pytest.fixture(scope="module")
 def eval_setup():
-    """One model + splits + shared calibration, reused across this module.
-
-    The calibration runs once up front: a calibration forward updates the
-    model's BatchNorm running statistics (the seed evaluator's protocol), so
-    sharing the calibrated ``alpha_x`` keeps every test in this module
-    evaluating the exact same model state.
-    """
+    """One frozen model + splits + its calibrated circuit, reused across this module."""
     from repro.nn.vit import CompactVisionTransformer, ViTConfig
     from repro.training.datasets import SyntheticImageDataset
 
@@ -53,11 +47,10 @@ def eval_setup():
         image_size=8, patch_size=4, in_channels=3, num_classes=4,
         embed_dim=16, num_layers=2, num_heads=2, norm="bn", seed=3,
     )
-    model = CompactVisionTransformer(config)
+    model = CompactVisionTransformer(config).eval()
     dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
     train, test = dataset.splits(train_size=24, test_size=16)
     alpha_x = sc_vit_alpha_x(model, train.images[:4])
-    model.eval()
     return {
         "model": model, "train": train, "test": test, "alpha_x": alpha_x,
         "softmax": make_softmax_config().with_updates(alpha_x=alpha_x),
@@ -139,16 +132,16 @@ class TestChunkInvariance:
         pipeline.predict_batch(eval_setup["test"].images[:2])
         assert calls == []
 
-    def test_training_mode_model_comes_back_training(self, eval_setup):
+    def test_model_switched_to_training_is_refused(self, eval_setup):
         model = eval_setup["model"]
-        pipeline = ScViTEvalPipeline(
-            model, eval_setup["softmax"],
-        )
+        pipeline = ScViTEvalPipeline(model, eval_setup["softmax"])
         images = eval_setup["test"].images[:3]
-        expected = pipeline.predict_batch(images)
         model.train()
         try:
-            assert np.array_equal(pipeline.predict_batch(images), expected)
+            with pytest.raises(ValueError, match="eval mode"):
+                pipeline.predict_batch(images)
+            with pytest.raises(ValueError, match="eval mode"):
+                pipeline.evaluate(eval_setup["test"], max_images=3)
             assert all(module.training for module in model.modules())
         finally:
             model.eval()
@@ -833,11 +826,7 @@ class TestEvalTask:
             batch_size=4,
         )
         kwargs.update(overrides)
-        task = EvalTask(**kwargs)
-        # Pin the shared module calibration so task evaluations see the same
-        # model state as the direct-pipeline tests.
-        task._alpha_x = eval_setup["alpha_x"]
-        return task
+        return EvalTask(**kwargs)
 
     def test_grid_runs_and_round_trips(self, eval_setup):
         task = self.make_task(eval_setup)

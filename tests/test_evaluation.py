@@ -34,12 +34,12 @@ class TestVectors:
         assert -1.0 < samples.mean() < 0.5
         assert 0.3 < samples.std() < 1.5
 
-    def test_collect_softmax_inputs_from_model(self, tiny_vit, tiny_images):
-        rows = collect_softmax_inputs(tiny_vit, tiny_images, max_rows=32)
-        assert rows.shape == (32, tiny_vit.config.num_tokens)
+    def test_collect_softmax_inputs_from_model(self, frozen_vit, tiny_images):
+        rows = collect_softmax_inputs(frozen_vit, tiny_images, max_rows=32)
+        assert rows.shape == (32, frozen_vit.config.num_tokens)
 
-    def test_collect_gelu_inputs_from_model(self, tiny_vit, tiny_images):
-        samples = collect_gelu_inputs(tiny_vit, tiny_images, max_samples=100)
+    def test_collect_gelu_inputs_from_model(self, frozen_vit, tiny_images):
+        samples = collect_gelu_inputs(frozen_vit, tiny_images, max_samples=100)
         assert samples.shape == (100,)
 
 

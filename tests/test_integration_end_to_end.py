@@ -25,15 +25,15 @@ pytestmark = pytest.mark.slow
 
 
 class TestCircuitsOnRealModelVectors:
-    def test_gelu_block_calibrated_on_model_activations(self, tiny_vit, tiny_images):
-        samples = collect_gelu_inputs(tiny_vit, tiny_images, max_samples=2000)
+    def test_gelu_block_calibrated_on_model_activations(self, frozen_vit, tiny_images):
+        samples = collect_gelu_inputs(frozen_vit, tiny_images, max_samples=2000)
         block = GeluSIBlock(output_length=8, calibration_samples=samples)
         mae = np.mean(np.abs(block.evaluate(samples) - gelu_exact(samples)))
         spread = np.std(gelu_exact(samples))
         assert mae < spread  # the block clearly tracks the function on real data
 
-    def test_softmax_circuit_on_model_logits(self, tiny_vit, tiny_images):
-        rows = collect_softmax_inputs(tiny_vit, tiny_images, max_rows=32)
+    def test_softmax_circuit_on_model_logits(self, frozen_vit, tiny_images):
+        rows = collect_softmax_inputs(frozen_vit, tiny_images, max_rows=32)
         m = rows.shape[-1]
         config = SoftmaxCircuitConfig(
             m=m,
@@ -50,8 +50,8 @@ class TestCircuitsOnRealModelVectors:
         baseline = np.mean(np.abs(softmax_exact(rows, axis=-1)))
         assert mae < 2 * baseline
 
-    def test_dse_on_model_logits(self, tiny_vit, tiny_images):
-        rows = collect_softmax_inputs(tiny_vit, tiny_images, max_rows=16)
+    def test_dse_on_model_logits(self, frozen_vit, tiny_images):
+        rows = collect_softmax_inputs(frozen_vit, tiny_images, max_rows=16)
         space = SoftmaxDesignSpace(
             bx=2,
             test_vectors=rows,

@@ -77,3 +77,92 @@ def test_eval_argv_and_serve_spec_build_the_same_pipeline(checkpoint):
     # The grid's own evaluation runs the same pipeline.
     [result] = run_eval_grid(task, [config])
     assert np.array_equal(result.predictions, offline.predict_batch(images, indices))
+
+
+# ---------------------------------------------------------------------------
+# The frozen-model contract: calibration and evaluation never change a model
+# ---------------------------------------------------------------------------
+
+FROZEN_SPEC = ServeSpec(train_size=16, layers=1, embed_dim=8, heads=2, calibration_images=4,
+                        by=8, s1=16, s2=4, k=2, cache_dir=None)
+TABLE6_STYLE = [{"split": "test", "by": by, "s1": s1, "s2": s2, "k": k}
+                for by, s1, s2, k in ((4, 128, 2, 2), (8, 32, 8, 3), (16, 128, 16, 4))]
+
+
+@pytest.fixture
+def frozen():
+    """A recipe model (eval mode) with its calibration images and test split."""
+    from repro.eval_pipeline import build_sc_vit
+
+    model, train, test = build_sc_vit(FROZEN_SPEC, test_size=12)
+    return model, train.images[:4], test
+
+
+def _state(model, test):
+    from repro.training.trainer import evaluate_accuracy
+
+    return weights_digest(model), evaluate_accuracy(model, test)
+
+
+def _task(model, calibration, test):
+    from repro.eval_pipeline import EvalTask
+
+    return EvalTask(model=model, splits={"test": (test.images, test.labels)}, calibration_images=calibration)
+
+
+def test_recipe_models_are_frozen(frozen):
+    model, _, _ = frozen
+    assert not any(module.training for module in model.modules())
+
+
+def test_building_a_replica_factory_leaves_its_model_unchanged(frozen):
+    model, _, test = frozen
+    factory = build_replica_factory(FROZEN_SPEC)
+    assert _state(factory.model, test) == _state(model, test)
+
+
+def test_an_eval_grid_leaves_the_model_unchanged(frozen):
+    model, calibration, test = frozen
+    before = _state(model, test)
+    run_eval_grid(_task(model, calibration, test), TABLE6_STYLE[:2])
+    assert _state(model, test) == before
+
+
+def test_calibration_leaves_the_model_unchanged(frozen):
+    from repro.eval_pipeline import sc_vit_alpha_x
+    from repro.evaluation.vectors import collect_gelu_inputs
+
+    model, calibration, test = frozen
+    before = _state(model, test)
+    alpha_x = sc_vit_alpha_x(model, calibration)
+    assert _state(model, test) == before
+    assert sc_vit_alpha_x(model, calibration) == alpha_x
+    collect_gelu_inputs(model, calibration)
+    assert _state(model, test) == before
+
+
+def test_table6_grid_accuracy_does_not_depend_on_config_order(frozen):
+    model, calibration, test = frozen
+    forward = run_eval_grid(_task(model, calibration, test), TABLE6_STYLE)
+    reverse = run_eval_grid(_task(model, calibration, test), TABLE6_STYLE[::-1])[::-1]
+    for ahead, behind in zip(forward, reverse):
+        assert ahead.accuracy == behind.accuracy
+        assert np.array_equal(ahead.predictions, behind.predictions)
+
+
+@pytest.mark.parametrize("entry", ["collect_softmax_inputs", "collect_gelu_inputs", "ScViTEvalPipeline"])
+def test_a_training_mode_model_is_refused(frozen, entry):
+    from repro.eval_pipeline import ScViTEvalPipeline
+    from repro.evaluation import vectors
+
+    model, calibration, _ = frozen
+    model.train()
+    before = weights_digest(model)
+    call = {
+        "collect_softmax_inputs": lambda: vectors.collect_softmax_inputs(model, calibration),
+        "collect_gelu_inputs": lambda: vectors.collect_gelu_inputs(model, calibration),
+        "ScViTEvalPipeline": lambda: ScViTEvalPipeline(model, sc_vit_softmax(8, 16, 4, 2)),
+    }[entry]
+    with pytest.raises(ValueError, match="eval mode"):
+        call()
+    assert weights_digest(model) == before

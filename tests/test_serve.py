@@ -628,7 +628,7 @@ class TestPipelineEngine:
         other_model = CompactVisionTransformer(
             ViTConfig(image_size=8, patch_size=4, num_classes=4, embed_dim=16,
                       num_layers=2, num_heads=2, norm="bn", seed=99)
-        )
+        ).eval()
         assert pipeline_fingerprint(
             ScViTEvalPipeline(other_model, softmax)
         ) != base

@@ -467,7 +467,7 @@ class TestInertness:
         model = CompactVisionTransformer(
             ViTConfig(image_size=8, patch_size=4, num_classes=4, embed_dim=16,
                       num_layers=1, num_heads=2, norm="bn", seed=3)
-        )
+        ).eval()
         dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
         _, test = dataset.splits(train_size=4, test_size=6)
         softmax = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0,
@@ -567,7 +567,7 @@ class TestMetricsEndpoint:
         model = CompactVisionTransformer(
             ViTConfig(image_size=8, patch_size=4, num_classes=4, embed_dim=16,
                       num_layers=1, num_heads=2, norm="bn", seed=3)
-        )
+        ).eval()
         dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
         _, test = dataset.splits(train_size=4, test_size=4)
         softmax = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0,
@@ -603,7 +603,7 @@ class TestMetricsEndpoint:
         model = CompactVisionTransformer(
             ViTConfig(image_size=8, patch_size=4, num_classes=4, embed_dim=16,
                       num_layers=1, num_heads=2, norm="bn", seed=3)
-        )
+        ).eval()
         softmax = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0,
                                        by=8, alpha_y=0.03, s1=16, s2=4)
 

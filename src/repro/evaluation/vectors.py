@@ -73,6 +73,15 @@ def gelu_input_vectors(
     return np.where(tail_mask, tail, base)
 
 
+def _eval_trace(model, images: np.ndarray, caller: str):
+    """``model.forward_with_trace(images)`` on an eval-mode model, recording no autograd graph."""
+    from repro.nn.autograd import Tensor, no_grad
+
+    check_eval_mode(model, caller)
+    with no_grad():
+        return model.forward_with_trace(Tensor(np.asarray(images, dtype=float)))
+
+
 def collect_softmax_inputs(
     model,
     images: np.ndarray,
@@ -86,10 +95,7 @@ def collect_softmax_inputs(
     ``max_rows`` is given) sub-sampled — the "sampled from the overall
     distribution" step of the paper's methodology.  ``model`` must be in eval mode.
     """
-    from repro.nn.autograd import Tensor
-
-    check_eval_mode(model, "collect_softmax_inputs")
-    trace = model.forward_with_trace(Tensor(np.asarray(images, dtype=float)))
+    trace = _eval_trace(model, images, "collect_softmax_inputs")
     rows = [np.asarray(logits).reshape(-1, np.asarray(logits).shape[-1]) for logits in trace.attention_logits]
     if not rows:
         raise ValueError("the model trace contains no attention logits")
@@ -110,10 +116,7 @@ def collect_gelu_inputs(
     seed: SeedLike = 0,
 ) -> np.ndarray:
     """Harvest pre-GELU activation samples from an eval-mode ViT forward pass."""
-    from repro.nn.autograd import Tensor
-
-    check_eval_mode(model, "collect_gelu_inputs")
-    trace = model.forward_with_trace(Tensor(np.asarray(images, dtype=float)))
+    trace = _eval_trace(model, images, "collect_gelu_inputs")
     samples = [np.asarray(act).reshape(-1) for act in trace.gelu_inputs]
     if not samples:
         raise ValueError("the model trace contains no GELU inputs")

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.hw.cells import CellLibrary, default_library
 from repro.utils.validation import check_positive_int
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class ComponentInventory:
@@ -197,6 +198,8 @@ class HardwareModule:
         edges point from parent to child.  Used by reporting and by tests
         that check the hierarchy is acyclic (a module cannot contain itself).
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
 
         def visit(module: "HardwareModule") -> None:

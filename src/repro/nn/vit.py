@@ -96,7 +96,6 @@ class ModelTrace:
     logits: np.ndarray
     attention_logits: List[np.ndarray] = field(default_factory=list)
     gelu_inputs: List[np.ndarray] = field(default_factory=list)
-    residuals: List[np.ndarray] = field(default_factory=list)
 
 
 def _make_norm(kind: str, dim: int) -> Module:
@@ -246,7 +245,6 @@ class CompactVisionTransformer(Module):
                 trace.attention_logits.append(block.attention.last_trace.logits)
             if block.mlp.last_gelu_input is not None:
                 trace.gelu_inputs.append(block.mlp.last_gelu_input)
-            trace.residuals.append(tokens.data.copy())
         tokens = self.final_norm(tokens)
         logits = self.head(tokens[:, 0, :])
         trace.logits = logits.data.copy()

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import lsq_linear
 from scipy.special import comb
 
 from repro.hw.netlist import ComponentInventory, HardwareModule
@@ -58,6 +57,8 @@ def fit_bernstein_coefficients(
     the fit distribution-aware, the same courtesy the SI blocks get from
     their scale calibration.
     """
+    from scipy.optimize import lsq_linear
+
     check_positive_int(degree, "degree")
     if sample_points is None:
         u = np.linspace(0.0, 1.0, num_samples)

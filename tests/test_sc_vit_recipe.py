@@ -2,7 +2,9 @@
 
 The softmax recipe is checked against configs written out field by field;
 an eval argv and a deployment spec with equal model and circuit fields must
-build pipelines with equal fingerprints and identical predictions.
+build pipelines with equal fingerprints and identical predictions.  The
+recipe's calibration records no autograd graph, and importing the eval and
+serve entry points loads neither ``scipy.optimize`` nor ``networkx``.
 """
 
 import numpy as np
@@ -166,3 +168,84 @@ def test_a_training_mode_model_is_refused(frozen, entry):
     with pytest.raises(ValueError, match="eval mode"):
         call()
     assert weights_digest(model) == before
+
+
+# --------------------------------------------------------- lean inference processes
+PAPER_SPEC = ServeSpec(layers=7, embed_dim=64, heads=4)
+
+
+@pytest.fixture(scope="module")
+def paper_scale():
+    """The paper-scale recipe model (eval mode) and its 32 calibration images."""
+    from repro.eval_pipeline import build_sc_vit
+
+    model, train, _ = build_sc_vit(PAPER_SPEC, test_size=1)
+    return model, train.images[: PAPER_SPEC.calibration_images]
+
+
+def _graph_recorded_vectors(model, images):
+    """Pooled, shuffled softmax rows and GELU samples of a forward that records the autograd graph."""
+    from repro.nn.autograd import Tensor, is_grad_enabled
+
+    assert is_grad_enabled()
+    trace = model.forward_with_trace(Tensor(np.asarray(images, dtype=float)))
+    rows = np.concatenate([logits.reshape(-1, logits.shape[-1]) for logits in trace.attention_logits])
+    samples = np.concatenate([act.reshape(-1) for act in trace.gelu_inputs])
+    return (rows[np.random.default_rng(0).permutation(len(rows))],
+            samples[np.random.default_rng(0).permutation(len(samples))])
+
+
+@pytest.mark.parametrize("source", ["stack", "frozen_vit", "paper_scale"])
+def test_graph_free_calibration_vectors_equal_a_graph_recording_forward(source, request, tiny_images):
+    from repro.evaluation.vectors import collect_gelu_inputs, collect_softmax_inputs
+    from repro.nn.autograd import is_grad_enabled
+
+    value = request.getfixturevalue(source)
+    model = value if source == "frozen_vit" else value[0]
+    images = value[1] if source == "paper_scale" else tiny_images
+    rows, samples = _graph_recorded_vectors(model, images)
+    assert np.array_equal(collect_softmax_inputs(model, images), rows)
+    assert is_grad_enabled()
+    assert np.array_equal(collect_gelu_inputs(model, images), samples)
+    assert is_grad_enabled()
+
+
+def test_calibration_records_no_autograd_graph(paper_scale):
+    """Without the graph the paper-scale calibration peaks at ~12 MB; a graph-recording forward needs ~93 MB."""
+    import tracemalloc
+
+    from repro.eval_pipeline import sc_vit_alpha_x
+
+    model, images = paper_scale
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        sc_vit_alpha_x(model, images)
+        peak_mb = (tracemalloc.get_traced_memory()[1] - baseline) / 1e6
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak_mb < 40.0
+
+
+def test_eval_and_serve_imports_leave_scipy_optimize_and_networkx_unloaded():
+    """Loading them costs every process ~35 MB of RSS; only the Bernstein fit and the hierarchy graph use them."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1]) + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import sys; import repro.serve, repro.eval_pipeline, repro.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'networkx') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

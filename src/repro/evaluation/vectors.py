@@ -73,13 +73,26 @@ def gelu_input_vectors(
     return np.where(tail_mask, tail, base)
 
 
-def _eval_trace(model, images: np.ndarray, caller: str):
-    """``model.forward_with_trace(images)`` on an eval-mode model, recording no autograd graph."""
-    from repro.nn.autograd import Tensor, no_grad
+def _pooled_trace_values(
+    model, images: np.ndarray, values_of, limit: Optional[int], limit_name: str, seed: SeedLike, caller: str
+) -> np.ndarray:
+    """One traced forward's per-layer arrays, pooled, shuffled and cut to ``limit`` rows.
 
+    ``values_of(trace)`` picks and flattens the arrays.  ``limit`` and the
+    model's eval mode are checked before the forward runs, which records no
+    autograd graph.
+    """
+    from repro.nn.autograd import Tensor, no_grad
+    from repro.nn.vit import ModelTrace
+
+    if limit is not None:
+        check_positive_int(limit, limit_name)
     check_eval_mode(model, caller)
+    trace = ModelTrace()
     with no_grad():
-        return model.forward_with_trace(Tensor(np.asarray(images, dtype=float)))
+        model(Tensor(np.asarray(images, dtype=float)), trace=trace)
+    pooled = np.concatenate(values_of(trace), axis=0)
+    return pooled[as_generator(seed).permutation(pooled.shape[0])[:limit]]
 
 
 def collect_softmax_inputs(
@@ -95,18 +108,15 @@ def collect_softmax_inputs(
     ``max_rows`` is given) sub-sampled — the "sampled from the overall
     distribution" step of the paper's methodology.  ``model`` must be in eval mode.
     """
-    trace = _eval_trace(model, images, "collect_softmax_inputs")
-    rows = [np.asarray(logits).reshape(-1, np.asarray(logits).shape[-1]) for logits in trace.attention_logits]
-    if not rows:
-        raise ValueError("the model trace contains no attention logits")
-    pooled = np.concatenate(rows, axis=0)
-    rng = as_generator(seed)
-    order = rng.permutation(pooled.shape[0])
-    pooled = pooled[order]
-    if max_rows is not None:
-        check_positive_int(max_rows, "max_rows")
-        pooled = pooled[:max_rows]
-    return pooled
+    return _pooled_trace_values(
+        model,
+        images,
+        lambda trace: [logits.reshape(-1, logits.shape[-1]) for logits in trace.attention_logits],
+        limit=max_rows,
+        limit_name="max_rows",
+        seed=seed,
+        caller="collect_softmax_inputs",
+    )
 
 
 def collect_gelu_inputs(
@@ -116,15 +126,12 @@ def collect_gelu_inputs(
     seed: SeedLike = 0,
 ) -> np.ndarray:
     """Harvest pre-GELU activation samples from an eval-mode ViT forward pass."""
-    trace = _eval_trace(model, images, "collect_gelu_inputs")
-    samples = [np.asarray(act).reshape(-1) for act in trace.gelu_inputs]
-    if not samples:
-        raise ValueError("the model trace contains no GELU inputs")
-    pooled = np.concatenate(samples, axis=0)
-    rng = as_generator(seed)
-    order = rng.permutation(pooled.shape[0])
-    pooled = pooled[order]
-    if max_samples is not None:
-        check_positive_int(max_samples, "max_samples")
-        pooled = pooled[:max_samples]
-    return pooled
+    return _pooled_trace_values(
+        model,
+        images,
+        lambda trace: [hidden.reshape(-1) for hidden in trace.gelu_inputs],
+        limit=max_samples,
+        limit_name="max_samples",
+        seed=seed,
+        caller="collect_gelu_inputs",
+    )

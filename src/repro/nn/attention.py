@@ -12,10 +12,7 @@ The attention block is where ASCEND's two network-level changes meet:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.nn import functional as F
 from repro.nn.autograd import Tensor
@@ -23,13 +20,8 @@ from repro.nn.layers import Dropout, Linear, Module
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_choices, check_positive_int
 
-
-@dataclass
-class AttentionTrace:
-    """Intermediate values captured during one attention forward pass."""
-
-    logits: np.ndarray  # pre-softmax scores, shape (batch, heads, tokens, tokens)
-    weights: np.ndarray  # post-softmax attention weights
+if TYPE_CHECKING:
+    from repro.nn.vit import ModelTrace
 
 
 class MultiHeadSelfAttention(Module):
@@ -61,7 +53,6 @@ class MultiHeadSelfAttention(Module):
         self.proj = Linear(embed_dim, embed_dim, seed=rng)
         self.attn_dropout = Dropout(dropout, seed=rng)
         self.proj_dropout = Dropout(dropout, seed=rng)
-        self._last_trace: Optional[AttentionTrace] = None
 
     # -------------------------------------------------------------- softmax
     def set_softmax_mode(self, mode: str, iterations: Optional[int] = None) -> None:
@@ -78,7 +69,9 @@ class MultiHeadSelfAttention(Module):
         return F.iterative_softmax(scores, iterations=self.softmax_iterations, axis=-1)
 
     # -------------------------------------------------------------- forward
-    def forward(self, x: Tensor, collect_trace: bool = False) -> Tensor:
+    def forward(self, x: Tensor, trace: Optional["ModelTrace"] = None) -> Tensor:
+        """Attention output; a given ``trace`` gets a copy of the pre-softmax scores
+        (shape ``(batch, heads, tokens, tokens)``) appended to its ``attention_logits``."""
         batch, tokens, dim = x.shape
         if dim != self.embed_dim:
             raise ValueError(f"expected embedding dim {self.embed_dim}, got {dim}")
@@ -88,20 +81,11 @@ class MultiHeadSelfAttention(Module):
         query, key, value = qkv[0], qkv[1], qkv[2]
 
         scores = F.scaled_dot_product_scores(query, key)
+        if trace is not None:
+            trace.attention_logits.append(scores.data.copy())
         weights = self._apply_softmax(scores)
         weights = self.attn_dropout(weights)
-        if collect_trace:
-            self._last_trace = AttentionTrace(
-                logits=scores.data.copy(), weights=weights.data.copy()
-            )
-        else:
-            self._last_trace = None
 
         context = weights @ value  # (batch, heads, tokens, head_dim)
         context = context.transpose(0, 2, 1, 3).reshape(batch, tokens, dim)
         return self.proj_dropout(self.proj(context))
-
-    @property
-    def last_trace(self) -> Optional[AttentionTrace]:
-        """Trace of the most recent forward pass run with ``collect_trace=True``."""
-        return self._last_trace

@@ -13,9 +13,11 @@ autograd substrate with the knobs ASCEND's co-design needs:
   residual addition passes through a :class:`ResidualQuantizer`, so the
   W/A/R precision schemes of the progressive-quantisation pipeline can be
   applied to the same weights at any point,
-* **tracing** — ``forward_with_trace`` captures pre-softmax attention logits
-  and pre-GELU activations, the test vectors of the paper's circuit-error
-  methodology.
+* **tracing** — ``forward(images, trace=ModelTrace())`` fills the caller's
+  trace with every layer's pre-softmax attention logits and pre-GELU
+  activations (the test vectors of the paper's circuit-error methodology)
+  and every block's output (the KD feature targets); no module keeps any
+  of it.
 """
 
 from __future__ import annotations
@@ -91,11 +93,17 @@ class ViTConfig:
 
 @dataclass
 class ModelTrace:
-    """Intermediate values captured by ``forward_with_trace``."""
+    """Per-layer values a traced forward appends, one entry per encoder block.
 
-    logits: np.ndarray
+    ``attention_logits`` and ``gelu_inputs`` are copies of the pre-softmax
+    scores and pre-GELU activations.  ``block_outputs`` are the blocks'
+    output Tensors themselves, so a loss on them backpropagates into the
+    model (the KD feature term).
+    """
+
     attention_logits: List[np.ndarray] = field(default_factory=list)
     gelu_inputs: List[np.ndarray] = field(default_factory=list)
+    block_outputs: List[Tensor] = field(default_factory=list)
 
 
 def _make_norm(kind: str, dim: int) -> Module:
@@ -126,7 +134,11 @@ class PatchEmbedding(Module):
 
 
 class MlpBlock(Module):
-    """The transformer MLP: Linear -> GELU -> Linear, with pre-GELU tracing."""
+    """The transformer MLP: Linear -> GELU -> Linear.
+
+    Given a ``trace``, ``forward`` appends a copy of the pre-GELU
+    activations to ``trace.gelu_inputs``.
+    """
 
     def __init__(self, embed_dim: int, hidden_dim: int, dropout: float = 0.0, seed: SeedLike = None) -> None:
         super().__init__()
@@ -135,18 +147,14 @@ class MlpBlock(Module):
         self.fc2 = QuantizedLinear(hidden_dim, embed_dim, seed=rng)
         self.activation = GELU()
         self.drop = Dropout(dropout, seed=rng)
-        self._last_gelu_input: Optional[np.ndarray] = None
 
-    def forward(self, x: Tensor, collect_trace: bool = False) -> Tensor:
+    def forward(self, x: Tensor, trace: Optional[ModelTrace] = None) -> Tensor:
         hidden = self.fc1(x)
-        self._last_gelu_input = hidden.data.copy() if collect_trace else None
+        if trace is not None:
+            trace.gelu_inputs.append(hidden.data.copy())
         hidden = self.activation(hidden)
         hidden = self.drop(hidden)
         return self.drop(self.fc2(hidden))
-
-    @property
-    def last_gelu_input(self) -> Optional[np.ndarray]:
-        return self._last_gelu_input
 
 
 def _residual_add(x: Tensor, branch: Tensor) -> Tensor:
@@ -186,10 +194,10 @@ class EncoderBlock(Module):
         self.attention.qkv = QuantizedLinear(config.embed_dim, 3 * config.embed_dim, seed=rng)
         self.attention.proj = QuantizedLinear(config.embed_dim, config.embed_dim, seed=rng)
 
-    def forward(self, x: Tensor, collect_trace: bool = False) -> Tensor:
-        attended = self.attention(self.norm1(x), collect_trace=collect_trace)
+    def forward(self, x: Tensor, trace: Optional[ModelTrace] = None) -> Tensor:
+        attended = self.attention(self.norm1(x), trace=trace)
         x = self.residual1(_residual_add(x, attended))
-        mlp_out = self.mlp(self.norm2(x), collect_trace=collect_trace)
+        mlp_out = self.mlp(self.norm2(x), trace=trace)
         x = self.residual2(_residual_add(x, mlp_out))
         return x
 
@@ -219,36 +227,18 @@ class CompactVisionTransformer(Module):
         self.head = QuantizedLinear(config.embed_dim, config.num_classes, seed=rng)
 
     # --------------------------------------------------------------- forward
-    def _embed(self, images: Tensor) -> Tensor:
+    def forward(self, images: Tensor, trace: Optional[ModelTrace] = None) -> Tensor:
+        """Class logits; a given ``trace`` is filled with every block's values."""
         tokens = self.patch_embedding(images)
-        batch = tokens.shape[0]
-        cls = Tensor(np.ones((batch, 1, 1))) * self.class_token
+        cls = Tensor(np.ones((tokens.shape[0], 1, 1))) * self.class_token
         tokens = Tensor.concatenate([cls, tokens], axis=1)
-        tokens = tokens + self.positional_embedding
-        return self.dropout(tokens)
-
-    def forward(self, images: Tensor) -> Tensor:
-        tokens = self._embed(images)
+        tokens = self.dropout(tokens + self.positional_embedding)
         for block in self.blocks:
-            tokens = block(tokens)
+            tokens = block(tokens, trace=trace)
+            if trace is not None:
+                trace.block_outputs.append(tokens)
         tokens = self.final_norm(tokens)
-        class_embedding = tokens[:, 0, :]
-        return self.head(class_embedding)
-
-    def forward_with_trace(self, images: Tensor) -> ModelTrace:
-        """Forward pass harvesting the circuit-evaluation test vectors."""
-        tokens = self._embed(images)
-        trace = ModelTrace(logits=np.empty(0))
-        for block in self.blocks:
-            tokens = block(tokens, collect_trace=True)
-            if block.attention.last_trace is not None:
-                trace.attention_logits.append(block.attention.last_trace.logits)
-            if block.mlp.last_gelu_input is not None:
-                trace.gelu_inputs.append(block.mlp.last_gelu_input)
-        tokens = self.final_norm(tokens)
-        logits = self.head(tokens[:, 0, :])
-        trace.logits = logits.data.copy()
-        return trace
+        return self.head(tokens[:, 0, :])
 
     # ------------------------------------------------------------ co-design
     def set_softmax_mode(self, mode: str, iterations: Optional[int] = None) -> None:
@@ -259,31 +249,6 @@ class CompactVisionTransformer(Module):
     def apply_precision(self, scheme: PrecisionScheme) -> None:
         """Configure every quantised layer of the model for ``scheme``."""
         apply_precision_scheme(self, scheme)
-
-    def layer_outputs(self, images: Tensor) -> List[Tensor]:
-        """Per-block residual-stream outputs (used by the KD feature loss)."""
-        tokens = self._embed(images)
-        outputs: List[Tensor] = []
-        for block in self.blocks:
-            tokens = block(tokens)
-            outputs.append(tokens)
-        return outputs
-
-    def predict(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Class predictions for a numpy batch (inference mode, no grad)."""
-        from repro.nn.autograd import no_grad
-
-        was_training = self.training
-        self.eval()
-        predictions = []
-        with no_grad():
-            for start in range(0, len(images), batch_size):
-                chunk = Tensor(np.asarray(images[start : start + batch_size], dtype=float))
-                logits = self.forward(chunk)
-                predictions.append(np.argmax(logits.data, axis=-1))
-        if was_training:
-            self.train()
-        return np.concatenate(predictions) if predictions else np.empty(0, dtype=int)
 
 
 def build_vanilla_vit(config: Optional[ViTConfig] = None) -> CompactVisionTransformer:

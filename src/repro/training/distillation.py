@@ -23,7 +23,7 @@ import numpy as np
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.layers import Module
 from repro.nn.losses import cross_entropy, kl_divergence_with_logits, mse_loss
-from repro.nn.vit import CompactVisionTransformer
+from repro.nn.vit import CompactVisionTransformer, ModelTrace
 
 
 @dataclass(frozen=True)
@@ -56,23 +56,19 @@ class KnowledgeDistiller:
         self.teacher.eval()
 
     def _teacher_outputs(self, images: Tensor):
+        trace = ModelTrace()
         with no_grad():
-            teacher_layers = self.teacher.layer_outputs(images)
-            teacher_logits = self.teacher.head(
-                self.teacher.final_norm(teacher_layers[-1])[:, 0, :]
-            )
-        return (
-            teacher_logits.data.copy(),
-            [layer.data.copy() for layer in teacher_layers],
-        )
+            teacher_logits = self.teacher(images, trace=trace)
+        return teacher_logits.data, [layer.data for layer in trace.block_outputs]
 
     def loss(self, student: CompactVisionTransformer, images: Tensor, labels: np.ndarray):
         """KD loss + student logits (the Trainer's ``loss_fn`` contract)."""
         cfg = self.config
         teacher_logits, teacher_layers = self._teacher_outputs(images)
 
-        student_layers = student.layer_outputs(images)
-        student_logits = student.head(student.final_norm(student_layers[-1])[:, 0, :])
+        trace = ModelTrace()
+        student_logits = student(images, trace=trace)
+        student_layers = trace.block_outputs
 
         loss = kl_divergence_with_logits(student_logits, teacher_logits, temperature=cfg.temperature)
         if self.match_features and teacher_layers and len(teacher_layers) == len(student_layers):

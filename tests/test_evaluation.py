@@ -34,13 +34,24 @@ class TestVectors:
         assert -1.0 < samples.mean() < 0.5
         assert 0.3 < samples.std() < 1.5
 
-    def test_collect_softmax_inputs_from_model(self, frozen_vit, tiny_images):
+    def test_collect_softmax_inputs_from_model(self, frozen_vit, tiny_images, monkeypatch):
         rows = collect_softmax_inputs(frozen_vit, tiny_images, max_rows=32)
         assert rows.shape == (32, frozen_vit.config.num_tokens)
+        # A bad limit fails before the calibration forward runs.
+        calls = []
+        monkeypatch.setattr(frozen_vit.patch_embedding, "forward", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="max_rows"):
+            collect_softmax_inputs(frozen_vit, tiny_images, max_rows=0)
+        assert not calls
 
-    def test_collect_gelu_inputs_from_model(self, frozen_vit, tiny_images):
+    def test_collect_gelu_inputs_from_model(self, frozen_vit, tiny_images, monkeypatch):
         samples = collect_gelu_inputs(frozen_vit, tiny_images, max_samples=100)
         assert samples.shape == (100,)
+        calls = []
+        monkeypatch.setattr(frozen_vit.patch_embedding, "forward", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="max_samples"):
+            collect_gelu_inputs(frozen_vit, tiny_images, max_samples=0)
+        assert not calls
 
 
 class TestErrorReport:

@@ -5,7 +5,7 @@ from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.quantization import PrecisionScheme
 from repro.nn.functional import numerical_gradient
-from repro.nn.vit import CompactVisionTransformer, EncoderBlock, ViTConfig, build_bn_vit, build_vanilla_vit
+from repro.nn.vit import CompactVisionTransformer, EncoderBlock, ModelTrace, ViTConfig, build_bn_vit, build_vanilla_vit
 
 
 class TestMultiHeadSelfAttention:
@@ -19,20 +19,15 @@ class TestMultiHeadSelfAttention:
             MultiHeadSelfAttention(embed_dim=10, num_heads=3)
 
     def test_trace_collection(self):
+        """The caller's trace gets the scores; the module keeps nothing and computes the same output."""
         attn = MultiHeadSelfAttention(embed_dim=8, num_heads=2, seed=0)
         x = Tensor(np.random.default_rng(1).normal(size=(1, 4, 8)))
-        attn(x, collect_trace=True)
-        trace = attn.last_trace
-        assert trace is not None
-        assert trace.logits.shape == (1, 2, 4, 4)
-        assert np.allclose(trace.weights.sum(axis=-1), 1.0, atol=1e-6)
-
-    def test_trace_cleared_without_flag(self):
-        attn = MultiHeadSelfAttention(embed_dim=8, num_heads=2, seed=0)
-        x = Tensor(np.zeros((1, 4, 8)))
-        attn(x, collect_trace=True)
-        attn(x)
-        assert attn.last_trace is None
+        attributes = dict(vars(attn))
+        trace = ModelTrace()
+        traced = attn(x, trace=trace)
+        assert [logits.shape for logits in trace.attention_logits] == [(1, 2, 4, 4)]
+        assert vars(attn) == attributes
+        assert np.array_equal(traced.data, attn(x).data)
 
     def test_exact_vs_iterative_softmax_modes(self):
         x = Tensor(np.random.default_rng(2).normal(size=(1, 6, 8)))
@@ -89,12 +84,13 @@ class TestCompactVisionTransformer:
         assert not without, f"parameters with no gradient: {without}"
         assert len(with_grad) == len(list(tiny_vit.named_parameters()))
 
-    def test_forward_with_trace_collects_vectors(self, tiny_vit, tiny_dataset):
+    def test_traced_forward_collects_vectors(self, tiny_vit, tiny_dataset):
         train, _ = tiny_dataset
-        trace = tiny_vit.forward_with_trace(Tensor(train.images[:3]))
+        trace = ModelTrace()
+        logits = tiny_vit(Tensor(train.images[:3]), trace=trace)
         assert len(trace.attention_logits) == tiny_vit.config.num_layers
         assert len(trace.gelu_inputs) == tiny_vit.config.num_layers
-        assert trace.logits.shape == (3, tiny_vit.config.num_classes)
+        assert np.array_equal(logits.data, tiny_vit(Tensor(train.images[:3])).data)
         tokens = tiny_vit.config.num_tokens
         assert trace.attention_logits[0].shape[-2:] == (tokens, tokens)
 
@@ -105,13 +101,12 @@ class TestCompactVisionTransformer:
         train, _ = tiny_dataset
         images = train.images[:4].copy()
         tiny_vit.eval()
-        graph = [t.data for t in tiny_vit.layer_outputs(Tensor(images))]
-        graph_logits = tiny_vit(Tensor(images))
+        graph, fast = ModelTrace(), ModelTrace()
+        graph_logits = tiny_vit(Tensor(images), trace=graph)
         assert graph_logits.requires_grad
         with no_grad():
-            fast = [t.data for t in tiny_vit.layer_outputs(Tensor(images))]
-            fast_logits = tiny_vit(Tensor(images))
-        assert all(np.array_equal(a, b) for a, b in zip(fast, graph))
+            fast_logits = tiny_vit(Tensor(images), trace=fast)
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(fast.block_outputs, graph.block_outputs))
         assert np.array_equal(fast_logits.data, graph_logits.data)
         assert np.array_equal(images, train.images[:4])
 
@@ -143,16 +138,15 @@ class TestCompactVisionTransformer:
         quantized = tiny_vit(x).data
         assert not np.allclose(fp, quantized)
 
-    def test_layer_outputs_one_per_block(self, tiny_vit, tiny_dataset):
+    def test_block_outputs_one_per_block_carry_the_graph(self, tiny_vit, tiny_dataset):
+        """The KD feature loss backpropagates through the traced block outputs."""
         train, _ = tiny_dataset
-        outputs = tiny_vit.layer_outputs(Tensor(train.images[:2]))
-        assert len(outputs) == tiny_vit.config.num_layers
-
-    def test_predict_returns_classes(self, tiny_vit, tiny_dataset):
-        _, test = tiny_dataset
-        preds = tiny_vit.predict(test.images[:10])
-        assert preds.shape == (10,)
-        assert preds.min() >= 0 and preds.max() < tiny_vit.config.num_classes
+        trace = ModelTrace()
+        tiny_vit(Tensor(train.images[:2]), trace=trace)
+        assert len(trace.block_outputs) == tiny_vit.config.num_layers
+        trace.block_outputs[0].sum().backward()
+        assert tiny_vit.patch_embedding.projection.weight.grad is not None
+        assert tiny_vit.head.weight.grad is None
 
     def test_deterministic_given_seed(self, tiny_vit_config, tiny_dataset):
         train, _ = tiny_dataset

@@ -5,7 +5,7 @@ from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.quantization import PrecisionScheme
 from repro.nn.functional import numerical_gradient
-from repro.nn.vit import CompactVisionTransformer, EncoderBlock, ModelTrace, ViTConfig, build_bn_vit, build_vanilla_vit
+from repro.nn.vit import CompactVisionTransformer, EncoderBlock, MlpBlock, ModelTrace, ViTConfig, build_bn_vit, build_vanilla_vit
 
 
 class TestMultiHeadSelfAttention:
@@ -28,6 +28,18 @@ class TestMultiHeadSelfAttention:
         assert [logits.shape for logits in trace.attention_logits] == [(1, 2, 4, 4)]
         assert vars(attn) == attributes
         assert np.array_equal(traced.data, attn(x).data)
+
+    def test_mlp_trace_gets_a_copy_of_the_pre_gelu_activations(self):
+        """The MLP appends fc1's output to the caller's trace and computes the same output."""
+        mlp = MlpBlock(embed_dim=8, hidden_dim=16, seed=0)
+        x = Tensor(np.random.default_rng(3).normal(size=(1, 4, 8)))
+        attributes = dict(vars(mlp))
+        trace = ModelTrace()
+        traced = mlp(x, trace=trace)
+        [hidden] = trace.gelu_inputs
+        assert np.array_equal(hidden, mlp.fc1(x).data)
+        assert vars(mlp) == attributes
+        assert np.array_equal(traced.data, mlp(x).data)
 
     def test_exact_vs_iterative_softmax_modes(self):
         x = Tensor(np.random.default_rng(2).normal(size=(1, 6, 8)))
@@ -147,6 +159,19 @@ class TestCompactVisionTransformer:
         trace.block_outputs[0].sum().backward()
         assert tiny_vit.patch_embedding.projection.weight.grad is not None
         assert tiny_vit.head.weight.grad is None
+
+    def test_traced_forward_writes_no_module_attribute(self, frozen_vit, tiny_dataset):
+        """Every module keeps the same attributes, bound to the same objects, through a traced forward."""
+        train, _ = tiny_dataset
+
+        def attributes():
+            return [{name: id(value) for name, value in vars(module).items()} for module in frozen_vit.modules()]
+
+        before = attributes()
+        trace = ModelTrace()
+        frozen_vit(Tensor(train.images[:2]), trace=trace)
+        assert len(trace.gelu_inputs) == frozen_vit.config.num_layers
+        assert attributes() == before
 
     def test_deterministic_given_seed(self, tiny_vit_config, tiny_dataset):
         train, _ = tiny_dataset

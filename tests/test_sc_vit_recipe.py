@@ -123,6 +123,17 @@ def test_building_a_replica_factory_leaves_its_model_unchanged(frozen):
     assert _state(factory.model, test) == _state(model, test)
 
 
+def test_a_replica_factory_and_its_replicas_hold_no_calibration_arrays(frozen):
+    """Building the factory calibrates alpha_x on its model; neither it nor a replica keeps the trace."""
+    import pickle
+
+    model, _, _ = frozen
+    factory = build_replica_factory(FROZEN_SPEC)
+    size = len(pickle.dumps(model))
+    assert len(pickle.dumps(factory.model)) == size
+    assert len(pickle.dumps(factory().model)) == size
+
+
 def test_an_eval_grid_leaves_the_model_unchanged(frozen):
     model, calibration, test = frozen
     before = _state(model, test)

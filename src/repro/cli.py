@@ -1245,10 +1245,11 @@ def _verify_scenarios() -> List[str]:
     """Served == offline under a mid-trace shard kill, on both engine families.
 
     The flash-crowd kill scenario of ``examples/specs/scenario_flashcrowd_kill.json``
-    on its tiny deployment: the thread engine fault-free and the 2-shard
-    process engine at ``flip_prob`` 0.05, each built by ``build_deployment``
-    and judged by the scenario assertions.  At least 16 requests must reach
-    the engine after the kill, so it lands on live traffic.
+    on its tiny deployment at ``flip_prob`` 0.05: the thread engine (two
+    threads on one pipeline, each forward's faults armed apart) and the
+    2-shard process engine, each built by ``build_deployment`` and judged
+    by the scenario assertions.  At least 16 requests must reach the
+    engine after the kill, so it lands on live traffic.
     """
     from repro.scenarios import AssertionSpec, EventSpec, ScenarioRunner, ScenarioSpec, WorkloadSpec
     from repro.serve.specs import ServeSpec
@@ -1269,7 +1270,8 @@ def _verify_scenarios() -> List[str]:
         ),
     )
     failures = []
-    for engine, flip_prob in (("thread", 0.0), ("process", 0.05)):
+    flip_prob = 0.05
+    for engine in ("thread", "process"):
         spec = base.with_updates(
             name=f"verify-kill-{engine}",
             deployment=deployment.with_updates(engine=engine, flip_prob=flip_prob),

@@ -40,6 +40,7 @@ other draws); it enters the cache identity of every faulted prediction.
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
@@ -215,17 +216,19 @@ class BitFlipFaultModel:
         self.seed = int(seed)
         self._seed_key = _mix(np.array([self.seed % 2**64], dtype=np.uint64))
         self._keys: Optional[np.ndarray] = None  # one per armed image
-        self._site = 0  # sites perturbed in the current forward
+        self._site = 0  # sites perturbed in the armed forward
 
     @property
     def enabled(self) -> bool:
         return self.flip_prob > 0.0
 
-    def begin_batch(self, image_indices: Sequence[int]) -> None:
-        """Arm the model for one forward pass over the given global indices."""
+    def armed(self, image_indices: Sequence[int]) -> "BitFlipFaultModel":
+        """A copy armed for one forward over the given global indices; ``self`` is unchanged."""
         indices = np.asarray(image_indices, dtype=np.int64).reshape(-1).astype(np.uint64)
-        self._keys = _mix(self._seed_key + indices * _GAMMA)
-        self._site = 0
+        armed = copy.copy(self)
+        armed._keys = _mix(self._seed_key + indices * _GAMMA)
+        armed._site = 0
+        return armed
 
     def perturb_counts(
         self, counts: np.ndarray, length: int, through: Optional[Tuple[np.ndarray, int]] = None
@@ -240,7 +243,7 @@ class BitFlipFaultModel:
         if not self.enabled:
             return counts if through is None else np.asarray(through[0]).take(counts)
         if self._keys is None:
-            raise RuntimeError("begin_batch must be called before perturbing streams")
+            raise RuntimeError("perturb streams through armed(image_indices), not the unarmed model")
         counts = np.asarray(counts)
         if counts.shape[0] != len(self._keys):
             raise ValueError(f"site {self._site}: axis 0 is {counts.shape[0]}, not the armed {len(self._keys)} images")

@@ -1,4 +1,4 @@
-"""Streaming, batched end-to-end evaluation of the SC-patched ViT.
+"""Streaming, batched end-to-end evaluation of the ViT on SC circuits.
 
 :class:`ScViTEvalPipeline` evaluates a trained
 :class:`~repro.nn.vit.CompactVisionTransformer` with every attention softmax
@@ -14,6 +14,11 @@ served prediction run through it:
   layer per batch, with fault injection applied as one net-count draw per
   softmax stream interface and one composed draw per GELU
   (:mod:`repro.eval_pipeline.faults`).
+* **circuits as call arguments** — the substitutions reach the model as the
+  ``softmax=``/``gelu=`` arguments of one forward, and the fault model is
+  armed for that forward only; no forward writes to the model, the
+  circuits or the pipeline, so one pipeline over one frozen model serves
+  any number of threads at once.
 * **chunk-invariant numerics** — forwards run under
   :func:`repro.nn.autograd.batch_invariant_matmul`, so evaluating a split
   in chunks of 1, 32 or 1024 images yields bit-identical logits; the
@@ -30,7 +35,6 @@ the result cache and crash-resume.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -155,41 +159,32 @@ class ScViTEvalPipeline:
             self.fault_model = BitFlipFaultModel(flip_prob, seed=fault_seed)
         self.flip_prob = float(flip_prob)
 
-    # ------------------------------------------------------------ substitution
-    def _batched_softmax(self, scores: Tensor) -> Tensor:
-        """Circuit softmax over the last axis of the whole score tensor.
+    # ----------------------------------------------------------------- forward
+    def _predict(self, images: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Predicted classes of one forward, the circuits passed as call arguments.
 
-        Runs the emulation on ``(batch, heads, tokens, m)`` directly — one
-        call per layer per batch — then applies the accelerator's output
-        clamp-and-rescale, exactly as the seed evaluator did per flattened
-        row (the operations are rowwise, so the numbers are identical).
+        The circuits are read once, so a forward runs on one softmax block
+        even if its owner swaps ``softmax_circuit`` meanwhile, and the fault
+        model is armed for ``indices`` in a copy this forward alone sees.
+        The softmax emulation runs on ``(batch, heads, tokens, m)`` directly
+        — one call per layer per batch — then the accelerator's output
+        clamp-and-rescale (rowwise, so the numbers equal a per-row
+        evaluation); the SI GELU takes the whole activation tensor, faulted
+        as one composed site.
         """
-        out = self.softmax_circuit.forward(scores.data, faults=self.fault_model)
-        return Tensor(_clamp_and_rescale(out))
+        check_eval_mode(self.model, "ScViTEvalPipeline")
+        softmax_circuit, gelu_block = self.softmax_circuit, self.gelu_block
+        faults = None if self.fault_model is None else self.fault_model.armed(indices)
 
-    def _batched_gelu(self, x: Tensor) -> Tensor:
-        """SI-block GELU over the whole activation tensor, faulted as one composed site."""
-        assert self.gelu_block is not None
-        return Tensor(self.gelu_block.evaluate(x.data, faults=self.fault_model))
+        def softmax(scores: Tensor) -> Tensor:
+            return Tensor(_clamp_and_rescale(softmax_circuit.forward(scores.data, faults=faults)))
 
-    # ---------------------------------------------------------------- patching
-    @contextlib.contextmanager
-    def _patched_model(self):
-        """Swap the circuit substitutions into every block, restore on exit."""
-        model = self.model
-        check_eval_mode(model, "ScViTEvalPipeline")
-        originals = []
-        for block in model.blocks:
-            originals.append((block.attention._apply_softmax, block.mlp.activation.forward))
-            block.attention._apply_softmax = self._batched_softmax
-            if self.gelu_block is not None:
-                block.mlp.activation.forward = self._batched_gelu
-        try:
-            yield model
-        finally:
-            for block, (softmax_fn, gelu_fn) in zip(model.blocks, originals):
-                block.attention._apply_softmax = softmax_fn
-                block.mlp.activation.forward = gelu_fn
+        def gelu(x: Tensor) -> Tensor:
+            return Tensor(gelu_block.evaluate(x.data, faults=faults))
+
+        with no_grad(), batch_invariant_matmul():
+            logits = self.model(Tensor(images), softmax=softmax, gelu=None if gelu_block is None else gelu)
+        return np.argmax(logits.data, axis=-1)
 
     # --------------------------------------------------------------- streaming
     def iter_batches(
@@ -198,7 +193,7 @@ class ScViTEvalPipeline:
         max_images: Optional[int] = None,
         batch_size: Optional[int] = None,
     ) -> Iterator[EvalBatch]:
-        """Stream the split through the SC-patched model, chunk by chunk.
+        """Stream the split through the model on SC circuits, chunk by chunk.
 
         Yields an :class:`EvalBatch` per chunk; the union of all yielded
         predictions is bit-identical for every ``batch_size`` (including 1,
@@ -209,16 +204,12 @@ class ScViTEvalPipeline:
         check_positive_int(batch_size, "batch_size")
         images = split.images if max_images is None else split.images[:max_images]
         labels = split.labels if max_images is None else split.labels[:max_images]
-        with self._patched_model() as model, no_grad(), batch_invariant_matmul():
-            for start in range(0, len(images), batch_size):
-                stop = min(start + batch_size, len(images))
-                _check_finite(images[start:stop], first_index=start)
-                indices = np.arange(start, stop)
-                if self.fault_model is not None:
-                    self.fault_model.begin_batch(indices)
-                logits = model(Tensor(images[start:stop]))
-                predictions = np.argmax(logits.data, axis=-1)
-                yield EvalBatch(indices=indices, predictions=predictions, labels=labels[start:stop])
+        for start in range(0, len(images), batch_size):
+            stop = min(start + batch_size, len(images))
+            _check_finite(images[start:stop], first_index=start)
+            indices = np.arange(start, stop)
+            predictions = self._predict(images[start:stop], indices)
+            yield EvalBatch(indices=indices, predictions=predictions, labels=labels[start:stop])
 
     def predict_batch(
         self, images: np.ndarray, image_indices: Optional[np.ndarray] = None
@@ -246,11 +237,7 @@ class ScViTEvalPipeline:
                     f"image_indices has shape {indices.shape}, expected ({images.shape[0]},)"
                 )
         _check_finite(images)
-        with self._patched_model() as model, no_grad(), batch_invariant_matmul():
-            if self.fault_model is not None:
-                self.fault_model.begin_batch(indices)
-            logits = model(Tensor(images))
-            return np.argmax(logits.data, axis=-1).astype(np.int64)
+        return self._predict(images, indices).astype(np.int64)
 
     def evaluate(
         self,

@@ -2,13 +2,14 @@
 
 :class:`FabricEngine` is the ``"fabric"`` engine family of
 :func:`repro.serve.deploy.build_deployment`.  It is a
-:class:`~repro.serve.engine.PipelineEngine` (same worker threads, same
-replica discipline) that additionally owns a **live**
+:class:`~repro.serve.engine.PipelineEngine` (same worker threads sharing
+one pipeline) that additionally owns a **live**
 :class:`~repro.fabric.simulator.Fabric`: at construction it
 place-and-routes the deployment's calibrated softmax config onto the tile
-grid, loads the bitstream and compiles; every worker replica's
-``softmax_circuit`` is then replaced by (a per-thread copy of) the
-*compiled fabric's* block.  Because the block revives
+grid, loads the bitstream and compiles; the pipeline's
+``softmax_circuit`` is then the *compiled fabric's* block, shared by
+every worker thread (a forward writes nothing to it; the pipeline reads
+it once per forward, so a swap never splits one).  Because the block revives
 from the config-space payload (JSON round-trip, checksummed), serving
 through the fabric is a genuine configure -> read -> decode -> execute
 path — and the scenario layer's bit-identity assertion (online fabric vs
@@ -16,7 +17,8 @@ offline golden pipeline) becomes the end-to-end cross-check.
 
 Chaos seam: :meth:`FabricEngine.kill_tile` is the ``dead_tile`` scenario
 event.  It marks the hosting tile dead, re-place-and-routes around the
-dead set, *partially reconfigures* (diff writes only) and recompiles;
+dead set, *partially reconfigures* (diff writes only), recompiles and
+swaps the new block into the pipeline under ``_fabric_lock``;
 ``replacements`` counts the re-place cycles and ``last_reconfigure``
 exposes the write/skip accounting the graceful-degradation assertions
 check.
@@ -24,11 +26,10 @@ check.
 
 from __future__ import annotations
 
-import copy
 import threading
 from typing import Optional
 
-from repro.fabric.place_route import FabricError, place_and_route
+from repro.fabric.place_route import place_and_route
 from repro.fabric.simulator import Fabric
 from repro.fabric.specs import FabricSpec
 from repro.serve.engine import PipelineEngine, ReplicaFactory
@@ -50,9 +51,7 @@ class FabricEngine(PipelineEngine):
         self.fabric_spec = fabric_spec or FabricSpec()
         # The fabric must host the *resolved* config (post-calibration,
         # post-clamp) or the bit-identity cross-check would be vacuous.
-        probe = pipeline_factory()
-        self._softmax_config = probe.softmax_circuit.config
-        del probe
+        self._softmax_config = self._pipeline.softmax_circuit.config
         self.fabric = Fabric(self.fabric_spec)
         self.replacements = 0
         self.last_reconfigure: dict = {}
@@ -61,7 +60,7 @@ class FabricEngine(PipelineEngine):
 
     # ------------------------------------------------------------- placement
     def _install(self) -> None:
-        """(Re-)place, partially reconfigure and recompile the fabric."""
+        """(Re-)place, partially reconfigure and recompile the fabric; swap its block in."""
         placement = place_and_route(
             self.fabric_spec,
             [self._softmax_config],
@@ -71,27 +70,23 @@ class FabricEngine(PipelineEngine):
         self.last_reconfigure = self.fabric.reconfigure(placement.bitstream())
         self.placement = placement
         self._compiled = self.fabric.compile()
+        self._pipeline.softmax_circuit = self._compiled.block_for_slot(0)
 
     # ----------------------------------------------------------------- chaos
     def kill_tile(self, slot: Optional[int] = None) -> int:
         """Kill the tile hosting ``slot`` and recover by re-place-and-route.
 
-        Returns the dead tile's id.  Worker replicas rebuild on their next
-        batch (generation bump) and pick up the re-placed block; ``deaths``
-        and ``replacements`` record the event for the scenario assertions.
+        Returns the dead tile's id.  Forwards that start after the swap run
+        on the re-placed block; ``deaths`` and ``replacements`` record the
+        event for the scenario assertions.
         """
         with self._fabric_lock:
             target = 0 if slot is None else int(slot) % len(self.placement.assignments)
             tile = self.placement.assignments[target]
             self.fabric.kill_tile(tile)
-            try:
-                self._install()
-            except FabricError:
-                # Fabric exhausted: no live tile can host the schedule.
-                # Leave the dead mark in place and re-raise — the scenario
-                # runner surfaces this as a failed recovery.
-                raise
-            self._generation += 1
+            # An exhausted fabric raises FabricError with the dead mark left in
+            # place; the scenario runner surfaces it as a failed recovery.
+            self._install()
             self.deaths += 1
             self.replacements += 1
             return tile
@@ -112,14 +107,16 @@ class FabricEngine(PipelineEngine):
             "reconfigure": reconfigure,
         }
 
-    # ------------------------------------------------------------- execution
-    def _pipeline(self):
-        pipeline = super()._pipeline()
-        if getattr(self._local, "fabric_generation", None) != self._generation:
-            with self._fabric_lock:
-                block = self._compiled.block_for_slot(0)
-            # Per-thread copy: circuits may keep scratch state during a
-            # forward, and two workers must never share one.
-            pipeline.softmax_circuit = copy.deepcopy(block)
-            self._local.fabric_generation = self._generation
-        return pipeline
+    def kill_shard(self, slot: Optional[int] = None) -> int:
+        """:meth:`PipelineEngine.kill_shard`, the new pipeline's softmax on the fabric.
+
+        The block goes in before the pipeline is published, under the lock,
+        so no batch runs off the fabric and a concurrent :meth:`kill_tile`
+        cannot swap the discarded pipeline's block instead.
+        """
+        with self._fabric_lock:
+            pipeline = self._factory()
+            pipeline.softmax_circuit = self._compiled.block_for_slot(0)
+            self._pipeline = pipeline
+            self.deaths += 1
+        return 0

@@ -395,8 +395,7 @@ def _evaluate_block(block: Any, values: np.ndarray, flip_prob: float, fault_seed
     values = np.asarray(values)
     forward = getattr(block, "forward", None)
     if flip_prob > 0.0 and callable(forward):
-        faults = BitFlipFaultModel(flip_prob, seed=fault_seed)
-        faults.begin_batch(np.arange(values.shape[0]))
+        faults = BitFlipFaultModel(flip_prob, seed=fault_seed).armed(np.arange(values.shape[0]))
         return forward(values, faults=faults)
     return block.evaluate(values)
 

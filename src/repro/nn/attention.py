@@ -4,7 +4,8 @@ The attention block is where ASCEND's two network-level changes meet:
 
 * the softmax over attention scores can be the exact one or the iterative
   approximation of Algorithm 1 (selected per-model, so the same weights can
-  be evaluated/fine-tuned under either),
+  be evaluated/fine-tuned under either), or any function the caller passes
+  to one forward (the evaluator's SC softmax circuit),
 * the Q/K/V and output projections are plain :class:`~repro.nn.layers.Linear`
   layers here and are swapped for LSQ-quantised versions by the precision
   scheme machinery in :mod:`repro.nn.quantization`.
@@ -12,7 +13,7 @@ The attention block is where ASCEND's two network-level changes meet:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.nn import functional as F
 from repro.nn.autograd import Tensor
@@ -63,15 +64,11 @@ class MultiHeadSelfAttention(Module):
             check_positive_int(iterations, "iterations")
             self.softmax_iterations = iterations
 
-    def _apply_softmax(self, scores: Tensor) -> Tensor:
-        if self.softmax_mode == "exact":
-            return F.softmax(scores, axis=-1)
-        return F.iterative_softmax(scores, iterations=self.softmax_iterations, axis=-1)
-
     # -------------------------------------------------------------- forward
-    def forward(self, x: Tensor, trace: Optional["ModelTrace"] = None) -> Tensor:
+    def forward(self, x: Tensor, trace: Optional["ModelTrace"] = None, softmax: Optional[Callable] = None) -> Tensor:
         """Attention output; a given ``trace`` gets a copy of the pre-softmax scores
-        (shape ``(batch, heads, tokens, tokens)``) appended to its ``attention_logits``."""
+        (shape ``(batch, heads, tokens, tokens)``) appended to its ``attention_logits``.
+        A given ``softmax`` replaces ``softmax_mode``'s for this call."""
         batch, tokens, dim = x.shape
         if dim != self.embed_dim:
             raise ValueError(f"expected embedding dim {self.embed_dim}, got {dim}")
@@ -81,9 +78,14 @@ class MultiHeadSelfAttention(Module):
         query, key, value = qkv[0], qkv[1], qkv[2]
 
         scores = F.scaled_dot_product_scores(query, key)
-        if trace is not None:
+        if trace is not None and trace.attention_logits is not None:
             trace.attention_logits.append(scores.data.copy())
-        weights = self._apply_softmax(scores)
+        if softmax is not None:
+            weights = softmax(scores)
+        elif self.softmax_mode == "exact":
+            weights = F.softmax(scores, axis=-1)
+        else:
+            weights = F.iterative_softmax(scores, iterations=self.softmax_iterations, axis=-1)
         weights = self.attn_dropout(weights)
 
         context = weights @ value  # (batch, heads, tokens, head_dim)

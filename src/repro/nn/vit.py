@@ -17,13 +17,16 @@ autograd substrate with the knobs ASCEND's co-design needs:
   trace with every layer's pre-softmax attention logits and pre-GELU
   activations (the test vectors of the paper's circuit-error methodology)
   and every block's output (the KD feature targets); no module keeps any
-  of it.
+  of it,
+* **circuits** — ``forward(images, softmax=f, gelu=g)`` runs every block's
+  softmax and GELU through ``f`` and ``g`` for that call only (the
+  evaluator's SC circuits), so one frozen model serves concurrent forwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -98,12 +101,14 @@ class ModelTrace:
     ``attention_logits`` and ``gelu_inputs`` are copies of the pre-softmax
     scores and pre-GELU activations.  ``block_outputs`` are the blocks'
     output Tensors themselves, so a loss on them backpropagates into the
-    model (the KD feature term).
+    model (the KD feature term).  A field set to ``None`` is not filled.
     """
 
-    attention_logits: List[np.ndarray] = field(default_factory=list)
-    gelu_inputs: List[np.ndarray] = field(default_factory=list)
-    block_outputs: List[Tensor] = field(default_factory=list)
+    attention_logits: Optional[List[np.ndarray]] = field(default_factory=list)
+    gelu_inputs: Optional[List[np.ndarray]] = field(default_factory=list)
+    block_outputs: Optional[List[Tensor]] = field(default_factory=list)
+
+Substitution = Optional[Callable[[Tensor], Tensor]]  # replaces a softmax or GELU on the whole tensor
 
 
 def _make_norm(kind: str, dim: int) -> Module:
@@ -137,7 +142,8 @@ class MlpBlock(Module):
     """The transformer MLP: Linear -> GELU -> Linear.
 
     Given a ``trace``, ``forward`` appends a copy of the pre-GELU
-    activations to ``trace.gelu_inputs``.
+    activations to ``trace.gelu_inputs``; a given ``gelu`` replaces the
+    exact GELU for that call.
     """
 
     def __init__(self, embed_dim: int, hidden_dim: int, dropout: float = 0.0, seed: SeedLike = None) -> None:
@@ -148,11 +154,11 @@ class MlpBlock(Module):
         self.activation = GELU()
         self.drop = Dropout(dropout, seed=rng)
 
-    def forward(self, x: Tensor, trace: Optional[ModelTrace] = None) -> Tensor:
+    def forward(self, x: Tensor, trace: Optional[ModelTrace] = None, gelu: Substitution = None) -> Tensor:
         hidden = self.fc1(x)
-        if trace is not None:
+        if trace is not None and trace.gelu_inputs is not None:
             trace.gelu_inputs.append(hidden.data.copy())
-        hidden = self.activation(hidden)
+        hidden = self.activation(hidden) if gelu is None else gelu(hidden)
         hidden = self.drop(hidden)
         return self.drop(self.fc2(hidden))
 
@@ -194,10 +200,12 @@ class EncoderBlock(Module):
         self.attention.qkv = QuantizedLinear(config.embed_dim, 3 * config.embed_dim, seed=rng)
         self.attention.proj = QuantizedLinear(config.embed_dim, config.embed_dim, seed=rng)
 
-    def forward(self, x: Tensor, trace: Optional[ModelTrace] = None) -> Tensor:
-        attended = self.attention(self.norm1(x), trace=trace)
+    def forward(
+        self, x: Tensor, trace: Optional[ModelTrace] = None, softmax: Substitution = None, gelu: Substitution = None
+    ) -> Tensor:
+        attended = self.attention(self.norm1(x), trace=trace, softmax=softmax)
         x = self.residual1(_residual_add(x, attended))
-        mlp_out = self.mlp(self.norm2(x), trace=trace)
+        mlp_out = self.mlp(self.norm2(x), trace=trace, gelu=gelu)
         x = self.residual2(_residual_add(x, mlp_out))
         return x
 
@@ -227,15 +235,18 @@ class CompactVisionTransformer(Module):
         self.head = QuantizedLinear(config.embed_dim, config.num_classes, seed=rng)
 
     # --------------------------------------------------------------- forward
-    def forward(self, images: Tensor, trace: Optional[ModelTrace] = None) -> Tensor:
-        """Class logits; a given ``trace`` is filled with every block's values."""
+    def forward(
+        self, images: Tensor, trace: Optional[ModelTrace] = None, softmax: Substitution = None, gelu: Substitution = None
+    ) -> Tensor:
+        """Class logits; a given ``trace`` is filled with every block's values, and a
+        given ``softmax``/``gelu`` replaces every block's own for this call."""
         tokens = self.patch_embedding(images)
         cls = Tensor(np.ones((tokens.shape[0], 1, 1))) * self.class_token
         tokens = Tensor.concatenate([cls, tokens], axis=1)
         tokens = self.dropout(tokens + self.positional_embedding)
         for block in self.blocks:
-            tokens = block(tokens, trace=trace)
-            if trace is not None:
+            tokens = block(tokens, trace=trace, softmax=softmax, gelu=gelu)
+            if trace is not None and trace.block_outputs is not None:
                 trace.block_outputs.append(tokens)
         tokens = self.final_norm(tokens)
         return self.head(tokens[:, 0, :])

@@ -64,7 +64,7 @@ class ScenarioOutcome:
     mismatches: int = 0
     #: Per-kill recovery times (ms); ``None`` entries never recovered.
     recovery_ms: Tuple[Optional[float], ...] = ()
-    #: Engine-observed worker deaths (thread: replica discards).
+    #: Engine-observed worker deaths (thread: pipeline rebuilds).
     deaths: int = 0
     #: Autoscale actions (scale-ups beyond kill respawns + retires).
     scale_actions: int = 0

@@ -356,8 +356,8 @@ class ScenarioRunner:
                 baseline = int(engine.workers)
                 deaths_before = int(getattr(engine, "deaths", 0))
                 # Recovery is the re-place-and-route: deaths bumps once the
-                # tile is replaced, workers never drop (replicas rebuild on
-                # their next batch), so the same watcher applies.
+                # tile is replaced, workers never drop (the new block is
+                # swapped into the shared pipeline), so the same watcher applies.
                 entry["tile"] = kill(event.slot)
                 recovery_tasks.append(
                     asyncio.create_task(

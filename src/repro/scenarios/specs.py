@@ -129,7 +129,7 @@ class EventSpec(Spec):
     the same schedule composes with any workload size or rate).  Actions:
 
     * ``kill_shard`` — SIGKILL a worker shard (process engine) or discard
-      every worker replica (thread engine); ``slot`` targets a specific
+      and rebuild the shared pipeline (thread engine); ``slot`` targets a specific
       shard, null kills the busiest.  ``every_frac`` repeats the kill
       periodically (soak scenarios).
     * ``cache_loss`` — simulated cache-disk loss: the prediction cache

@@ -23,7 +23,7 @@ tier) dispatched to any worker *process* with the same guarantee.
 * :mod:`repro.serve.engine` — the :class:`EngineProtocol` seam,
   :class:`ReplicaFactory`, and :class:`PipelineEngine`: thread worker pool
   running :class:`~repro.eval_pipeline.ScViTEvalPipeline` forwards on
-  per-worker model replicas (circuits built via :mod:`repro.blocks`).
+  one pipeline all worker threads share (circuits built via :mod:`repro.blocks`).
 * :mod:`repro.serve.sharded` — :class:`ShardedProcessEngine`: N worker
   processes with per-process replicas, one pickled frame per pipe
   message, worker-death re-dispatch and queue-depth replica scaling.

@@ -1,13 +1,12 @@
-"""Worker-pool inference engine: per-thread pipelines over shared weights.
+"""Worker-pool inference engine: one pipeline shared by every worker thread.
 
 The service's compute layer.  Micro-batches are executed on a
-:class:`concurrent.futures.ThreadPoolExecutor`; every worker thread lazily
-builds its **own** :class:`~repro.eval_pipeline.ScViTEvalPipeline` (over a
-deep copy of the template model), because the pipeline patches circuit
-substitutions into the model's blocks for the duration of a forward — a
-shared model would race.  Weights are copied once per worker, not per
-batch, and all workers are bit-identical by construction: same weights,
-same calibrated circuit specs.
+:class:`concurrent.futures.ThreadPoolExecutor`, and every worker thread
+runs them on the same :class:`~repro.eval_pipeline.ScViTEvalPipeline` over
+the same frozen model.  That is safe because a forward writes nothing
+shared: the pipeline passes its circuits to the model as call arguments
+and arms its fault model in a copy per call, so concurrent forwards never
+see each other's state.  The weights exist once per process.
 
 Numpy-autograd inference modes (``no_grad`` and ``batch_invariant_matmul``)
 are process-wide flags, so the engine holds both enabled from
@@ -25,8 +24,6 @@ the fault settings, in the same spirit as
 from __future__ import annotations
 
 import contextlib
-import copy
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional, Protocol, runtime_checkable
@@ -113,13 +110,13 @@ class ReplicaFactory:
     """Picklable recipe for one bit-identical pipeline replica.
 
     Both engines build their replicas from one of these: the thread engine
-    calls it once per worker thread, the sharded engine ships it (pickled
-    by ``multiprocessing``) to each worker process, which calls it once at
-    startup.  Every call deep-copies the template model, so replicas never
-    share mutable state — the pipeline patches circuit substitutions into
-    the model's blocks during a forward, and a shared model would race.
-    ``softmax_config`` arrives calibrated (its ``alpha_x`` fitted once, by
-    whoever built the factory), so replicas never calibrate.
+    calls it once (and again after a chaos kill), the sharded engine ships
+    it (pickled by ``multiprocessing``) to each worker process, which calls
+    it once at startup.  Replicas share the factory's frozen ``model``
+    rather than copy it: a forward never writes to the model, so a shared
+    one cannot race.  ``softmax_config`` arrives calibrated (its
+    ``alpha_x`` fitted once, by whoever built the factory), so replicas
+    never calibrate.
     """
 
     model: Any
@@ -130,7 +127,7 @@ class ReplicaFactory:
 
     def __call__(self) -> ScViTEvalPipeline:
         return ScViTEvalPipeline(
-            copy.deepcopy(self.model),
+            self.model,
             self.softmax_config,
             gelu_output_bsl=self.gelu_output_bsl,
             flip_prob=self.flip_prob,
@@ -143,23 +140,24 @@ class ReplicaFactory:
 
 
 class PipelineEngine:
-    """Thread pool executing micro-batches on per-worker pipeline replicas.
+    """Thread pool executing micro-batches on one shared pipeline.
 
     Parameters
     ----------
     pipeline_factory:
         A :class:`ReplicaFactory` (or anything with its surface): called
-        once per worker thread to build a replica, every one bit-identical.
-        The engine also reads the replicas' fault rate (``flip_prob``: the
+        once to build the pipeline every worker thread runs, and again
+        after each :meth:`kill_shard`.
+        The engine also reads the pipeline's fault rate (``flip_prob``: the
         service keys cached predictions on the image index exactly when
         faults are on) and per-image shape (``image_shape()``: the service
         rejects a malformed image before it can fail a whole micro-batch)
-        from it, so they can never disagree with what the replicas run.
+        from it, so they can never disagree with what the pipeline runs.
     workers:
         Worker-thread count.  1 (the default) serialises batches; more
         overlap BLAS work across batches.
     version:
-        Cache-version token; computed from a probe pipeline when omitted.
+        Cache-version token; the fingerprint of the pipeline when omitted.
     """
 
     def __init__(
@@ -174,20 +172,11 @@ class PipelineEngine:
         self.workers = int(workers)
         self.flip_prob = float(pipeline_factory.flip_prob)
         self.image_shape = tuple(pipeline_factory.image_shape())
-        self._local = threading.local()
         self.executor: Optional[ThreadPoolExecutor] = None
         self._modes: Optional[contextlib.ExitStack] = None
-        # Chaos seam: kill_shard() bumps the generation; worker threads
-        # rebuild their replica on the next batch they run.
-        self._generation = 0
+        self._pipeline = pipeline_factory()
         self.deaths = 0
-        if version is None:
-            probe = pipeline_factory()
-            version = pipeline_fingerprint(probe)
-            # The probe doubles as worker 0's replica if built on that thread
-            # later; cheaper to just drop it — workers build their own.
-            del probe
-        self.version = version
+        self.version = pipeline_fingerprint(self._pipeline) if version is None else version
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -210,30 +199,22 @@ class PipelineEngine:
 
     # ----------------------------------------------------------------- chaos
     def kill_shard(self, slot: Optional[int] = None) -> int:
-        """Discard every worker's replica (thread-engine replica loss).
+        """Discard the pipeline and build a new one (thread-engine replica loss).
 
         The degradation analogue of the sharded engine's ``kill_shard``:
         there is no process to SIGKILL, so the failure mode is losing the
-        built pipelines — each worker thread deep-copies a fresh replica
-        on its next batch.  Replicas are bit-identical by construction, so
-        this perturbs latency, never predictions.  ``slot`` is accepted
-        for interface parity and ignored (thread replicas are anonymous).
-        Returns 0 (the nominal killed slot).
+        built pipeline.  Batches already running finish on the old one;
+        later batches run on the new one.  Replicas are bit-identical by
+        construction, so this perturbs latency, never predictions.
+        ``slot`` is accepted for interface parity and ignored.  Returns 0
+        (the nominal killed slot).
         """
-        self._generation += 1
+        self._pipeline = self._factory()
         self.deaths += 1
         return 0
 
     # ------------------------------------------------------------- execution
-    def _pipeline(self) -> ScViTEvalPipeline:
-        pipeline = getattr(self._local, "pipeline", None)
-        if pipeline is None or getattr(self._local, "generation", -1) != self._generation:
-            pipeline = self._factory()
-            self._local.pipeline = pipeline
-            self._local.generation = self._generation
-        return pipeline
-
     def run(self, images: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Predict one micro-batch (called on a worker thread)."""
-        return self._pipeline().predict_batch(images, indices)
+        return self._pipeline.predict_batch(images, indices)
 

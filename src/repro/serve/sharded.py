@@ -1,7 +1,7 @@
 """Multi-process sharded inference: per-process replicas behind one service.
 
 :class:`~repro.serve.engine.PipelineEngine` is a thread pool inside one
-Python process — replicas contend on the GIL everywhere numpy does not
+Python process — its worker threads contend on the GIL everywhere numpy does not
 release it, so one process caps throughput regardless of core count.
 :class:`ShardedProcessEngine` is the scale-out tier behind the same
 :class:`~repro.serve.engine.EngineProtocol` seam: N worker *processes*,
@@ -99,9 +99,11 @@ def unpack_frame(blob: bytes):
 def _shard_main(conn, factory: ReplicaFactory) -> None:
     """Worker-process loop: build one replica, serve predict frames until stop.
 
-    Runs in the child.  The replica is built *here* (not inherited), so
-    every shard's pipeline state is provably independent; bit-identity
-    across shards follows from :class:`ReplicaFactory` determinism.
+    Runs in the child, which builds its replica from the factory it was
+    handed and serves every frame from that one pipeline: a forward writes
+    no shared state, and a process shares no memory with its siblings.
+    Bit-identity across shards follows from :class:`ReplicaFactory`
+    determinism.
 
     The loop waits on the parent's death as well as on the pipe: forked
     siblings inherit the pipe's parent end, so a parent killed without a
@@ -238,8 +240,8 @@ class ShardedProcessEngine:
         Replace dead shards automatically (disable only in tests that
         assert on death handling itself).
     version:
-        Cache-version token; computed from a probe replica (built
-        in-parent) when omitted.
+        Cache-version token; the fingerprint of a replica built in the
+        parent when omitted.
 
     Workers start with ``fork`` where available (:data:`START_METHOD`) and
     must answer the ready handshake within :data:`START_TIMEOUT_S`; a
@@ -284,11 +286,7 @@ class ShardedProcessEngine:
         self.redispatches = 0
         self.spawned = 0
         self.retired_count = 0
-        if version is None:
-            probe = replica_factory()
-            version = pipeline_fingerprint(probe)
-            del probe
-        self.version = version
+        self.version = pipeline_fingerprint(replica_factory()) if version is None else version
 
     # ------------------------------------------------------------- lifecycle
     @property

@@ -56,7 +56,7 @@ class KnowledgeDistiller:
         self.teacher.eval()
 
     def _teacher_outputs(self, images: Tensor):
-        trace = ModelTrace()
+        trace = ModelTrace(attention_logits=None, gelu_inputs=None)  # the block outputs only
         with no_grad():
             teacher_logits = self.teacher(images, trace=trace)
         return teacher_logits.data, [layer.data for layer in trace.block_outputs]
@@ -66,7 +66,7 @@ class KnowledgeDistiller:
         cfg = self.config
         teacher_logits, teacher_layers = self._teacher_outputs(images)
 
-        trace = ModelTrace()
+        trace = ModelTrace(attention_logits=None, gelu_inputs=None)
         student_logits = student(images, trace=trace)
         student_layers = trace.block_outputs
 

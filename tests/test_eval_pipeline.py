@@ -428,7 +428,7 @@ class TestBatchInvariantMatmul:
 class TestBitFlipFaultModel:
     def test_zero_probability_is_identity_but_advances_sites(self):
         model = BitFlipFaultModel(0.0, seed=1)
-        model.begin_batch([0, 1])
+        model = model.armed([0, 1])
         counts = np.array([[3, 5], [1, 7]])
         out = model.perturb_counts(counts, 8)
         assert out is counts
@@ -441,7 +441,7 @@ class TestBitFlipFaultModel:
         outs = []
         for _ in range(2):
             model = BitFlipFaultModel(0.3, seed=5)
-            model.begin_batch([10, 11])
+            model = model.armed([10, 11])
             outs.append(model.perturb_counts(counts, 8))
         assert np.array_equal(outs[0], outs[1])
 
@@ -449,12 +449,12 @@ class TestBitFlipFaultModel:
         counts = np.full((3, 40), 6)
         for flip_prob in (0.3, 0.05):  # dense and sparse branch at L = 8
             together = BitFlipFaultModel(flip_prob, seed=5)
-            together.begin_batch([7, 8, 9])
+            together = together.armed([7, 8, 9])
             joint = [together.perturb_counts(counts, 8), together.perturb_counts(counts, 8)]
             split = []
             for index in (7, 8, 9):
                 model = BitFlipFaultModel(flip_prob, seed=5)
-                model.begin_batch([index])
+                model = model.armed([index])
                 split.append([model.perturb_counts(counts[:1], 8), model.perturb_counts(counts[:1], 8)])
             for site, out in enumerate(joint):
                 assert np.array_equal(out, np.concatenate([image[site] for image in split]))
@@ -463,7 +463,7 @@ class TestBitFlipFaultModel:
     def test_sites_draw_independent_masks(self):
         counts = np.full((1, 64), 8)
         model = BitFlipFaultModel(0.5, seed=3)
-        model.begin_batch([0])
+        model = model.armed([0])
         first = model.perturb_counts(counts, 16)
         second = model.perturb_counts(counts, 16)
         assert not np.array_equal(first, second)
@@ -472,10 +472,8 @@ class TestBitFlipFaultModel:
         counts = np.full((2, 64), 8)
         for flip_prob in (0.5, 0.05):  # dense and sparse branch at L = 16
             together = BitFlipFaultModel(flip_prob, seed=3)
-            together.begin_batch([4, 9])
-            alone = [BitFlipFaultModel(flip_prob, seed=3) for _ in range(2)]
-            for model, index in zip(alone, (4, 9)):
-                model.begin_batch([index])
+            together = together.armed([4, 9])
+            alone = [BitFlipFaultModel(flip_prob, seed=3).armed([index]) for index in (4, 9)]
             seen = set()
             for _ in range(100):
                 out = together.perturb_counts(counts, 16)
@@ -487,7 +485,7 @@ class TestBitFlipFaultModel:
     def test_flip_rate_moves_the_popcount(self):
         for length in (1, 16):  # sparse (L·p = 1) and dense branch
             model = BitFlipFaultModel(1.0, seed=0)
-            model.begin_batch([0, 1])
+            model = model.armed([0, 1])
             counts = np.array([[0, length, length // 2], [length, 0, 0]])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -495,8 +493,11 @@ class TestBitFlipFaultModel:
             # p=1 flips every bit: count c becomes L - c.
             assert np.array_equal(out, length - counts)
 
-    def test_requires_begin_batch(self):
+    def test_requires_arming(self):
+        """Only an armed copy perturbs; arming leaves the shared model unarmed."""
         model = BitFlipFaultModel(0.5, seed=0)
+        armed = model.armed([0])
+        assert armed.perturb_counts(np.array([[1]]), 4).shape == (1, 1)
         with pytest.raises(RuntimeError):
             model.perturb_counts(np.array([[1]]), 4)
 
@@ -515,7 +516,7 @@ class TestBitFlipFaultModel:
         counts = np.array([[3, bad]], dtype=dtype)
         for flip_prob in (0.3, 0.01):  # dense and sparse branch at L = 8
             model = BitFlipFaultModel(flip_prob, seed=0)
-            model.begin_batch([0])
+            model = model.armed([0])
             with pytest.raises(ValueError):
                 model.perturb_counts(counts, 8)
 
@@ -523,7 +524,7 @@ class TestBitFlipFaultModel:
     def test_accepts_the_edges_and_empty_sites(self, dtype):
         for flip_prob in (0.3, 0.01):
             model = BitFlipFaultModel(flip_prob, seed=0)
-            model.begin_batch([0, 1])
+            model = model.armed([0, 1])
             out = model.perturb_counts(np.array([[0, 8], [8, 0]], dtype=dtype), 8)
             assert out.shape == (2, 2) and out.min() >= 0 and out.max() <= 8
             empty = model.perturb_counts(np.zeros((2, 0, 3), dtype=dtype), 8)
@@ -532,7 +533,7 @@ class TestBitFlipFaultModel:
     @pytest.mark.parametrize("flip_prob", [0.3, 0.01])  # dense and sparse branch at L = 8
     def test_never_mutates_its_input(self, flip_prob):
         model = BitFlipFaultModel(flip_prob, seed=0)
-        model.begin_batch([0, 1])
+        model = model.armed([0, 1])
         counts = np.arange(2 * 300).reshape(2, 300) % 9
         before = counts.copy()
         out = model.perturb_counts(counts, 8)
@@ -571,7 +572,7 @@ class TestBitFlipFaultModel:
 
         def sampler(count, flip_prob, seed):
             model = BitFlipFaultModel(flip_prob, seed=seed)
-            model.begin_batch([0])
+            model = model.armed([0])
             return model.perturb_counts(np.full((1, samples), count), length)[0]
 
         def p_value(a, b):
@@ -618,7 +619,7 @@ class TestBitFlipFaultModel:
         """At (L=2, p=0.3) both bits of an element often flip; each must count."""
         counts = np.tile(np.arange(3), (1, 20_000))
         model = BitFlipFaultModel(0.3, seed=11)
-        model.begin_batch([0])
+        model = model.armed([0])
         out = model.perturb_counts(counts, 2)[0]
         pmf = net_flip_pmf(2, 0.3)
         for count in range(3):
@@ -629,7 +630,7 @@ class TestBitFlipFaultModel:
         images, length, flip_prob = 2000, 8, 0.1  # 14.4 expected flips per image
         counts = np.tile(np.arange(length + 1), (images, 2))
         model = BitFlipFaultModel(flip_prob, seed=4)
-        model.begin_batch(range(images))
+        model = model.armed(range(images))
         default = model.perturb_counts(counts, length)
 
         monkeypatch.setattr(faults, "_WINDOW_SIGMAS", -3.0)
@@ -637,7 +638,7 @@ class TestBitFlipFaultModel:
         walks = []
         walk = faults._walk
         monkeypatch.setattr(faults, "_walk", lambda *args: walks.append(args[0].shape) or walk(*args))
-        model.begin_batch(range(images))
+        model = model.armed(range(images))
         out = model.perturb_counts(counts, length)
         assert walks[0] == (images, 4) and len(walks) > 5 and walks[3][0] > images // 2
         assert np.array_equal(out, default)
@@ -647,11 +648,11 @@ class TestBitFlipFaultModel:
 
         batch = [3, 17, 40, 41, 99]
         together = BitFlipFaultModel(flip_prob, seed=4)
-        together.begin_batch(batch)
+        together = together.armed(batch)
         joint = [together.perturb_counts(counts[:5], length) for _ in range(3)]
         for row, index in enumerate(batch):
             alone = BitFlipFaultModel(flip_prob, seed=4)
-            alone.begin_batch([index])
+            alone = alone.armed([index])
             for site in range(3):
                 assert np.array_equal(alone.perturb_counts(counts[:1], length)[0], joint[site][row])
 
@@ -677,7 +678,7 @@ class TestBitFlipFaultModel:
             assert np.array_equal(sample_rows(faults._tables(length, flip_prob), counts, words), expected)
 
             model = BitFlipFaultModel(flip_prob, seed=length)
-            model.begin_batch([5, 2])
+            model = model.armed([5, 2])
             site = counts[:2000].reshape(2, 1000)
             keys = faults.counter_words(model._keys, 1, 2)[:, 0]  # site 1
             expected = version_2_inversion(site, length, flip_prob, uniforms(faults.counter_words(keys, 0, 1000)))
@@ -686,7 +687,7 @@ class TestBitFlipFaultModel:
     def test_counter_words_are_uniform_per_output_bit(self):
         """Every bit of the mixed words, over images, sites and positions, is a fair coin."""
         model = BitFlipFaultModel(0.5, seed=9)
-        model.begin_batch(np.arange(64))
+        model = model.armed(np.arange(64))
         words = np.concatenate(
             [faults.counter_words(faults.counter_words(model._keys, site, site + 1)[:, 0], 0, 256) for site in (1, 2)]
         )
@@ -746,12 +747,12 @@ class TestBitFlipFaultModel:
 
         def composed(count, flip_prob, seed):
             model = BitFlipFaultModel(flip_prob, seed=seed)
-            model.begin_batch([0])
+            model = model.armed([0])
             return model.perturb_counts(np.full((1, samples), count), length, through=(table, out_length))[0]
 
         def two_stage(count, flip_prob, seed):
             model = BitFlipFaultModel(flip_prob, seed=seed)
-            model.begin_batch([0])
+            model = model.armed([0])
             mapped = table[model.perturb_counts(np.full((1, samples), count), length)]
             return model.perturb_counts(mapped, out_length)[0]
 
@@ -778,7 +779,7 @@ class TestBitFlipFaultModel:
             model = BitFlipFaultModel(0.02, seed=3)
             rows = []
             for start in range(0, 32, size):
-                model.begin_batch(indices[start : start + size])
+                model = model.armed(indices[start : start + size])
                 rows.append(block.evaluate(values[start : start + size], faults=model))
             return np.concatenate(rows)
 

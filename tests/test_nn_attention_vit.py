@@ -161,17 +161,37 @@ class TestCompactVisionTransformer:
         assert tiny_vit.head.weight.grad is None
 
     def test_traced_forward_writes_no_module_attribute(self, frozen_vit, tiny_dataset):
-        """Every module keeps the same attributes, bound to the same objects, through a traced forward."""
+        """Every module keeps the same attributes, bound to the same objects, through a traced
+        forward and through pipeline forwards on the circuits (SI GELU on, faults off and on).
+
+        The pipeline, its circuits and its fault model keep theirs too: nothing one forward
+        writes can reach another forward on the same pipeline.
+        """
+        from repro.blocks.specs import SoftmaxCircuitConfig
+        from repro.eval_pipeline import ScViTEvalPipeline
+
         train, _ = tiny_dataset
 
-        def attributes():
-            return [{name: id(value) for name, value in vars(module).items()} for module in frozen_vit.modules()]
+        def attributes(*shared):
+            objects = [*frozen_vit.modules(), *shared]
+            return [{name: id(value) for name, value in vars(obj).items()} for obj in objects]
 
         before = attributes()
         trace = ModelTrace()
         frozen_vit(Tensor(train.images[:2]), trace=trace)
         assert len(trace.gelu_inputs) == frozen_vit.config.num_layers
         assert attributes() == before
+
+        config = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0, by=8, alpha_y=0.03, s1=16, s2=4)
+        for flip_prob in (0.0, 0.05):
+            pipeline = ScViTEvalPipeline(frozen_vit, config, gelu_output_bsl=8, flip_prob=flip_prob, fault_seed=1)
+            shared = [pipeline, pipeline.softmax_circuit, pipeline.gelu_block]
+            shared += [pipeline.fault_model] if flip_prob else []
+            before = attributes(*shared)
+            pipeline.predict_batch(train.images[:3], np.arange(5, 8))
+            assert attributes(*shared) == before, ("predict_batch", flip_prob)
+            assert sum(len(batch) for batch in pipeline.iter_batches(train, max_images=3, batch_size=2)) == 3
+            assert attributes(*shared) == before, ("iter_batches", flip_prob)
 
     def test_deterministic_given_seed(self, tiny_vit_config, tiny_dataset):
         train, _ = tiny_dataset

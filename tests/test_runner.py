@@ -345,8 +345,8 @@ class TestCli:
         for flip_prob in ("0.0", "0.05"):
             assert f"PASS batched == per-image (12 images, config test/[8, 16, 4, 2], flip_prob={flip_prob})" in captured.out
             assert f"PASS fabric == golden blocks path (flip_prob={flip_prob}, " in captured.out
-        assert "PASS served == offline under a shard kill (scenario verify-kill-thread, flip_prob=0.0, " in captured.out
-        assert "PASS served == offline under a shard kill (scenario verify-kill-process, flip_prob=0.05, " in captured.out
+        for engine in ("thread", "process"):
+            assert f"PASS served == offline under a shard kill (scenario verify-kill-{engine}, flip_prob=0.05, " in captured.out
         assert "FAIL" not in captured.err
 
     def test_verify_names_the_failing_check(self, monkeypatch, capsys):

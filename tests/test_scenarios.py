@@ -559,6 +559,7 @@ class TestScenarioRunnerStubbed:
 # --------------------------------------------------------------------------
 class TestThreadEngineChaosHook:
     def test_kill_shard_discards_replicas_and_counts_deaths(self):
+        """The engine's one pipeline serves every batch until a kill rebuilds it."""
         from repro.serve.engine import PipelineEngine
 
         builds = []
@@ -568,24 +569,24 @@ class TestThreadEngineChaosHook:
 
             def __init__(self):
                 builds.append(1)
+                self.build = len(builds)
 
             @staticmethod
             def image_shape():
                 return (4, 4, 3)
 
             def predict_batch(self, images, indices):
-                return np.zeros(len(images), dtype=np.int64)
+                return np.full(len(images), self.build, dtype=np.int64)
 
         engine = PipelineEngine(_Replica, workers=1, version="test")
         images = np.zeros((2, 4, 4, 3))
         indices = np.arange(2)
-        engine.run(images, indices)
-        engine.run(images, indices)
-        assert sum(builds) == 1  # replica reused across batches
+        assert engine.run(images, indices).tolist() == engine.run(images, indices).tolist() == [1, 1]
+        assert sum(builds) == 1  # one pipeline, reused across batches
         assert engine.kill_shard() == 0
         assert engine.deaths == 1
-        engine.run(images, indices)
-        assert sum(builds) == 2  # generation bump forced a rebuild
+        assert engine.run(images, indices).tolist() == [2, 2]
+        assert sum(builds) == 2  # the kill rebuilt the one pipeline, and later batches run on it
 
 
 # --------------------------------------------------------------------------

@@ -688,6 +688,24 @@ class TestPipelineEngine:
         for output in outputs:
             assert np.array_equal(output, offline_predictions[0.0])
 
+    def test_worker_threads_share_one_faulted_pipeline(self, stack, offline_predictions):
+        """Four threads run many faulted batches on one pipeline over the factory's own model;
+        every image's prediction equals its offline per-image one, whichever batch ran it."""
+        _, test, _ = stack
+        factory = _factory(stack, flip_prob=0.05)
+        assert factory().model is factory.model
+        rng = np.random.default_rng(0)
+        batches = [rng.permutation(NUM_IMAGES)[: rng.integers(1, NUM_IMAGES + 1)] for _ in range(64)]
+        engine = PipelineEngine(factory, workers=4)
+        engine.start()
+        try:
+            futures = [engine.executor.submit(engine.run, test.images[batch], batch) for batch in batches]
+            outputs = [future.result() for future in futures]
+        finally:
+            engine.close()
+        for batch, output in zip(batches, outputs):
+            assert np.array_equal(output, offline_predictions[0.05][batch])
+
 
 # ---------------------------------------------------------------------------
 # Transports

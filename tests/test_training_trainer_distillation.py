@@ -118,6 +118,25 @@ class TestKnowledgeDistiller:
         assert any(p.grad is not None for p in student.parameters())
         assert all(p.grad is None for p in teacher.parameters())
 
+    def test_loss_copies_no_scores_or_gelu_inputs(self, tiny_vit_config, tiny_dataset, monkeypatch):
+        """Teacher and student forwards fill only the block outputs the loss reads."""
+        train, _ = tiny_dataset
+        traces = []
+        forward = CompactVisionTransformer.forward
+
+        def spy(self, images, trace=None, **kwargs):
+            traces.append(trace)
+            return forward(self, images, trace=trace, **kwargs)
+
+        monkeypatch.setattr(CompactVisionTransformer, "forward", spy)
+        teacher = CompactVisionTransformer(tiny_vit_config)
+        student = CompactVisionTransformer(tiny_vit_config.with_updates(seed=9))
+        KnowledgeDistiller(teacher).loss(student, Tensor(train.images[:8]), train.labels[:8])
+        assert len(traces) == 2  # teacher, then student
+        for trace in traces:
+            assert not trace.attention_logits and not trace.gelu_inputs
+            assert len(trace.block_outputs) == tiny_vit_config.num_layers
+
     def test_loss_fn_adapter_rejects_non_vit(self, tiny_vit_config):
         from repro.nn.layers import Linear
 

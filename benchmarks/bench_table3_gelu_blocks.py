@@ -19,7 +19,7 @@ from conftest import emit
 from repro.core.gelu_si import GeluSIBlock
 from repro.hw.synthesis import synthesize
 from repro.nn.functional_math import gelu_exact
-from repro.sc.bernstein import BernsteinPolynomialUnit
+from repro.sc.bernstein import BernsteinGeluUnit
 
 BERNSTEIN_BSL = 1024
 BERNSTEIN_INPUT_RANGE = 3.0
@@ -29,9 +29,9 @@ def _table3_rows(samples):
     reference = gelu_exact(samples)
     rows = []
     for terms in (4, 5, 6):
-        unit = BernsteinPolynomialUnit(gelu_exact, num_terms=terms, input_range=BERNSTEIN_INPUT_RANGE)
-        report = synthesize(unit.build_hardware(BERNSTEIN_BSL))
-        out = unit.evaluate(samples[:2000], BERNSTEIN_BSL, seed=0)
+        unit = BernsteinGeluUnit(num_terms=terms, input_range=BERNSTEIN_INPUT_RANGE, bitstream_length=BERNSTEIN_BSL)
+        report = synthesize(unit.build_hardware())
+        out = unit.evaluate(samples[:2000])
         mae = float(np.mean(np.abs(out - reference[:2000])))
         rows.append((f"Bernstein {terms}-term poly [18]", report.area_um2, report.delay_ns, report.adp, mae))
     for bsl in (2, 4, 8):

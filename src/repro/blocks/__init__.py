@@ -2,8 +2,9 @@
 
 The paper's core comparison is between *families* of SC nonlinear designs —
 the iterative softmax circuit, the FSM softmax baseline, gate-assisted SI
-GELU, the FSM/Bernstein/naive-SI units.  This package gives every family
-one composable abstraction:
+GELU, the FSM/Bernstein/naive-SI units.  Each family is one class in
+:mod:`repro.core` or :mod:`repro.sc` implementing one composable
+abstraction:
 
 * :mod:`repro.blocks.protocol` — :class:`NonlinearBlock`, the uniform
   lifecycle (``from_spec``/``to_spec``, ``evaluate``, ``reference``,
@@ -46,7 +47,6 @@ from repro.blocks.specs import (
     FsmSoftmaxSpec,
     FsmTanhSpec,
     GeluSISpec,
-    IterativeSoftmaxSpec,
     NaiveSIGeluSpec,
     SoftmaxCircuitConfig,
     TernaryGeluSpec,
@@ -77,7 +77,6 @@ __all__ = [
     "spec_from_dict",
     "spec_from_json",
     "SoftmaxCircuitConfig",
-    "IterativeSoftmaxSpec",
     "FsmSoftmaxSpec",
     "GeluSISpec",
     "TernaryGeluSpec",

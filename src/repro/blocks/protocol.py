@@ -1,15 +1,14 @@
 """The uniform circuit-block protocol: :class:`NonlinearBlock`.
 
 Every nonlinear SC design family the paper compares (Tables I/III/IV) is
-exposed through one lifecycle, whatever its internal calling convention:
+one class implementing one lifecycle:
 
 * ``from_spec(spec)`` / ``to_spec()`` — build from / serialise to a frozen
   :class:`~repro.blocks.specs.BlockSpec` (``to_spec()`` is fully resolved:
   re-building from it reproduces the block bit-for-bit);
 * ``evaluate(values)`` — end-to-end real-valued evaluation: encode, run the
   circuit model, decode.  Stochastic parameters (BSL, seed, input scale)
-  come from the spec, never from per-call arguments — the uniform
-  replacement for the historical per-family ``evaluate`` signature drift;
+  are constructor arguments (spec fields), never per-call arguments;
 * ``reference(values)`` — the mathematical function the block approximates;
 * ``process(stream)`` — the stream-level datapath, for block families that
   expose one (``supports_stream_process``);
@@ -17,14 +16,16 @@ exposed through one lifecycle, whatever its internal calling convention:
   flow.
 
 Blocks also declare their input/output encodings (``"thermometer"``,
-``"bipolar"``, ``"unipolar"``, ``"value"``) — the registry renders these in
-``python -m repro blocks`` and uses the registry metadata to regenerate the
-Table I capability matrix.
+``"bipolar"``, ``"unipolar"``, ``"value"``) — the registry sets these, with
+the family name and spec class, when it loads the class, renders them in
+``python -m repro blocks`` and regenerates the Table I capability matrix
+from its metadata.
 """
 
 from __future__ import annotations
 
 import abc
+import dataclasses
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, Type
 
 import numpy as np
@@ -44,7 +45,7 @@ class StreamProcessingUnsupported(NotImplementedError):
 class NonlinearBlock(abc.ABC):
     """Abstract base of every registered circuit block family."""
 
-    #: Registry family name; set on each concrete adapter.
+    #: Registry family name; the registry sets it when it loads the class.
     family: ClassVar[str] = ""
     #: Spec dataclass this block family is built from.
     spec_cls: ClassVar[Type[BlockSpec]] = BlockSpec
@@ -59,18 +60,30 @@ class NonlinearBlock(abc.ABC):
     # -------------------------------------------------------------- lifecycle
     @classmethod
     def from_spec(cls, spec: BlockSpec, **build_options: Any) -> "NonlinearBlock":
-        """Build a block from its spec.
+        """Build a block from its spec: ``cls(**spec fields, **build_options)``.
 
-        ``build_options`` carries non-serialisable build inputs (e.g.
-        ``calibration_samples``); everything they influence must land in the
-        resolved spec so ``from_spec(block.to_spec())`` reproduces the block
-        without them.
+        A family's constructor takes its spec's fields as keyword
+        arguments.  ``build_options`` carries non-serialisable build inputs
+        (e.g. ``calibration_samples``); everything they influence must land
+        in the resolved spec so ``from_spec(block.to_spec())`` reproduces the
+        block without them.
         """
-        if not isinstance(spec, cls.spec_cls):
-            raise TypeError(
-                f"{cls.__name__} builds from {cls.spec_cls.__name__}, got {type(spec).__name__}"
-            )
-        return cls(spec, **build_options)
+        cls._check_spec(spec)
+        fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+        return cls(**fields, **build_options)
+
+    @classmethod
+    def _check_spec(cls, spec: BlockSpec) -> None:
+        """Raise ``TypeError`` unless ``spec`` belongs to this class's family.
+
+        Checked through the registry rather than ``cls.spec_cls``, which is
+        unset on a class imported directly before the registry loads it.
+        """
+        from repro.blocks.registry import get  # the registry imports this module
+
+        family_cls = get(spec.family).load() if isinstance(spec, BlockSpec) else None
+        if family_cls is None or not issubclass(cls, family_cls):
+            raise TypeError(f"{cls.__name__} builds from its own family's spec, got {type(spec).__name__}")
 
     @abc.abstractmethod
     def to_spec(self) -> BlockSpec:

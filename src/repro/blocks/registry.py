@@ -7,13 +7,15 @@ from keyword parameters (or a ready :class:`~repro.blocks.specs.BlockSpec`),
 regenerates the paper's Table I from per-entry metadata instead of a
 hand-maintained list.
 
-Builtin entries are declared *lazily* — each holds the dotted path of its
-adapter class in :mod:`repro.blocks.families` and only imports it on first
-``build``/``load``.  That keeps ``import repro.blocks`` free of any
-dependency on :mod:`repro.core` / :mod:`repro.sc`, which is what breaks the
-historical ``repro.core`` ↔ ``repro.eval_pipeline`` import cycle: the eval
-pipeline imports the registry at module level and resolves circuit
-implementations only at run time.
+Builtin entries are declared *lazily* — each holds the dotted path of the
+class that computes its family (in :mod:`repro.core` or :mod:`repro.sc`)
+and only imports it on first ``build``/``load``, which also sets the
+class's registry metadata (``family``, ``spec_cls``, encodings).  That
+keeps ``import repro.blocks`` free of any dependency on :mod:`repro.core` /
+:mod:`repro.sc`, which is what breaks the historical ``repro.core`` ↔
+``repro.eval_pipeline`` import cycle: the eval pipeline imports the
+registry at module level and resolves circuit implementations only at run
+time.
 
 New families register with the :func:`register_block` decorator::
 
@@ -95,18 +97,25 @@ class BlockEntry:
     input_encoding: str = "value"
     output_encoding: str = "value"
     capability: Optional[CapabilityInfo] = None
-    #: "module:ClassName" for lazily imported builtin adapters.
+    #: "module:ClassName" of the class computing the family, imported on demand.
     loader: Optional[str] = None
-    #: Resolved adapter class (filled on first load, or at registration).
+    #: Resolved class (filled on first load, or at registration).
     block_cls: Optional[Type[NonlinearBlock]] = field(default=None, repr=False)
 
     def load(self) -> Type[NonlinearBlock]:
-        """Resolve (importing on demand) the adapter class of this family."""
+        """Resolve (importing on demand) the class of this family."""
         if self.block_cls is None:
-            assert self.loader is not None, f"entry {self.name} has no loader"
             module_name, _, attr = self.loader.partition(":")
-            self.block_cls = getattr(import_module(module_name), attr)
+            self.bind(getattr(import_module(module_name), attr))
         return self.block_cls
+
+    def bind(self, cls: Type[NonlinearBlock]) -> None:
+        """Make ``cls`` this family's class and give it the entry's metadata."""
+        cls.family = self.name
+        cls.spec_cls = self.spec_cls
+        cls.input_encoding = self.input_encoding
+        cls.output_encoding = self.output_encoding
+        self.block_cls = cls
 
 
 _REGISTRY: Dict[str, BlockEntry] = {}
@@ -133,16 +142,12 @@ def register_block(
     def register(cls: Type[NonlinearBlock]) -> Type[NonlinearBlock]:
         if name in _REGISTRY and not replace:
             existing = _REGISTRY[name]
-            # Re-registration of the same builtin adapter (module re-import)
-            # is harmless; anything else is a real collision.
+            # Re-registration of the same class (module re-import) is
+            # harmless; anything else is a real collision.
             if existing.loader != f"{cls.__module__}:{cls.__name__}":
                 raise ValueError(f"block family {name!r} is already registered")
-        cls.family = name
-        cls.spec_cls = spec
-        cls.input_encoding = input_encoding
-        cls.output_encoding = output_encoding
         doc_first_line = next(iter((cls.__doc__ or "").strip().splitlines()), "")
-        _REGISTRY[name] = BlockEntry(
+        entry = _REGISTRY[name] = BlockEntry(
             name=name,
             spec_cls=spec,
             function=function,
@@ -152,8 +157,8 @@ def register_block(
             output_encoding=output_encoding,
             capability=capability,
             loader=f"{cls.__module__}:{cls.__name__}",
-            block_cls=cls,
         )
+        entry.bind(cls)
         return cls
 
     return register
@@ -192,7 +197,7 @@ def build(
 
     Either pass a ready ``spec`` or keyword spec fields (not both).
     Non-spec build options (currently ``calibration_samples`` for the
-    calibrated SI/Bernstein families) are forwarded to ``from_spec``.
+    calibrated ``gelu/si`` family) are forwarded to ``from_spec``.
     """
     entry = get(name)
     build_options = {}
@@ -257,10 +262,8 @@ def capability_matrix() -> List[ScDesignCapability]:
 
 
 # ---------------------------------------------------------------------------
-# Builtin families (adapters in repro.blocks.families, imported on demand)
+# Builtin families (implementation classes, imported on demand)
 # ---------------------------------------------------------------------------
-
-_FAMILIES = "repro.blocks.families"
 
 _builtin(
     BlockEntry(
@@ -279,7 +282,7 @@ _builtin(
             implementation_method="BSN",
             order=6,
         ),
-        loader=f"{_FAMILIES}:IterativeSoftmaxBlock",
+        loader="repro.core.softmax_circuit:IterativeSoftmaxCircuit",
     )
 )
 _builtin(
@@ -299,7 +302,7 @@ _builtin(
             implementation_method="FSM, binary units",
             order=3,
         ),
-        loader=f"{_FAMILIES}:FsmSoftmaxBlock",
+        loader="repro.core.baselines:FsmSoftmaxBaseline",
     )
 )
 _builtin(
@@ -319,7 +322,7 @@ _builtin(
             implementation_method="Gate-Assisted SI",
             order=5,
         ),
-        loader=f"{_FAMILIES}:SIGeluBlock",
+        loader="repro.core.gelu_si:GeluSIBlock",
     )
 )
 _builtin(
@@ -331,7 +334,7 @@ _builtin(
         description="the Fig. 4(b) worked example: 8-bit input, ternary output",
         input_encoding="thermometer",
         output_encoding="thermometer",
-        loader=f"{_FAMILIES}:TernarySIGeluBlock",
+        loader="repro.core.gelu_si:TernaryGeluBlock",
     )
 )
 _builtin(
@@ -354,7 +357,7 @@ _builtin(
             implementation_method="SI",
             order=4,
         ),
-        loader=f"{_FAMILIES}:NaiveSIGeluBlock",
+        loader="repro.sc.selective_interconnect:NaiveSIGeluBlock",
     )
 )
 _builtin(
@@ -366,7 +369,7 @@ _builtin(
         description="FSM GELU baseline (saturates at zero on the negative range, Fig. 2a)",
         input_encoding="bipolar",
         output_encoding="bipolar",
-        loader=f"{_FAMILIES}:FsmGeluBlock",
+        loader="repro.sc.fsm:FsmGeluUnit",
     )
 )
 _builtin(
@@ -378,7 +381,7 @@ _builtin(
         description="ReSC-style Bernstein-polynomial GELU of [18] (Table III / Fig. 7)",
         input_encoding="unipolar",
         output_encoding="unipolar",
-        loader=f"{_FAMILIES}:BernsteinGeluBlock",
+        loader="repro.sc.bernstein:BernsteinGeluUnit",
     )
 )
 _builtin(
@@ -398,7 +401,7 @@ _builtin(
             implementation_method="FSM",
             order=1,
         ),
-        loader=f"{_FAMILIES}:FsmTanhBlock",
+        loader="repro.sc.fsm:FsmTanhUnit",
     )
 )
 _builtin(
@@ -418,6 +421,6 @@ _builtin(
             implementation_method="FSM",
             order=2,
         ),
-        loader=f"{_FAMILIES}:FsmReluBlock",
+        loader="repro.sc.fsm:FsmReluUnit",
     )
 )

@@ -17,7 +17,8 @@ The contract, enforced for every family by the hypothesis round-trip tests:
 * ``block.to_spec()`` of a block built from a spec is *fully resolved*: any
   ``None`` field a builder fills in (calibrated scales, derived lengths)
   comes back as its concrete value, so re-building from ``to_spec()``
-  reproduces the block bit-for-bit.
+  reproduces the block bit-for-bit (``make api-check`` compares the
+  rebuilt block's outputs with the original's for every family).
 
 :class:`SoftmaxCircuitConfig` — historically defined in
 :mod:`repro.core.softmax_circuit` and still re-exported from there — now
@@ -38,7 +39,6 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "BlockSpec",
     "SoftmaxCircuitConfig",
-    "IterativeSoftmaxSpec",
     "FsmSoftmaxSpec",
     "GeluSISpec",
     "TernaryGeluSpec",
@@ -238,11 +238,6 @@ class SoftmaxCircuitConfig(BlockSpec):
     def describe(self) -> str:
         """Short form used by the benches: ``[By, s1, s2, k]`` as in Table VI."""
         return f"[{self.by}, {self.s1}, {self.s2}, {self.iterations}]"
-
-
-#: Preferred name for new code; the historical name stays the class name so
-#: reprs, pickles and cache keys are unchanged.
-IterativeSoftmaxSpec = SoftmaxCircuitConfig
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@
   algorithm (Algorithm 1) and its exact gradient,
 * :mod:`repro.core.softmax_circuit` — the SC circuit executing it on
   thermometer bitstreams (Fig. 5, Table II, Table IV),
-* :mod:`repro.core.baselines` — the FSM softmax baseline and the Table I
-  capability matrix,
+* :mod:`repro.core.baselines` — the FSM softmax baseline,
 * :mod:`repro.core.dse` — design-space exploration and Pareto fronts
   (Fig. 8),
 * :mod:`repro.core.accelerator` — the end-to-end accelerator area model
@@ -22,7 +21,7 @@ from repro.core.accelerator import (
     ViTArchitecture,
     recommend_configuration,
 )
-from repro.core.baselines import FsmSoftmaxBaseline, ScDesignCapability, capability_matrix
+from repro.core.baselines import FsmSoftmaxBaseline
 from repro.core.dse import DesignPoint, SoftmaxDesignSpace
 from repro.core.gelu_si import (
     GateAssistedSIBlock,
@@ -43,8 +42,6 @@ __all__ = [
     "ViTArchitecture",
     "recommend_configuration",
     "FsmSoftmaxBaseline",
-    "ScDesignCapability",
-    "capability_matrix",
     "DesignPoint",
     "SoftmaxDesignSpace",
     "GateAssistedSIBlock",

@@ -1,32 +1,25 @@
-"""Baseline SC designs the paper compares ASCEND against.
+"""The softmax baseline the paper compares ASCEND against (Table IV).
 
-Two things live here:
-
-* :class:`FsmSoftmaxBaseline` — the FSM + binary-unit softmax architecture of
-  Hu et al. (the paper's reference [17]), used in Table IV.  Each input is
-  exponentiated with a stochastic FSM unit, the resulting probabilities are
-  estimated by counting over the bitstream (which is where the random error
-  comes from), and the normalisation is done with binary adders and a
-  divider.  The design's area is independent of the BSL while its delay and
-  error scale with it, which is exactly the trade-off visible in Table IV.
-
-* the **capability matrix** of Table I — a small registry recording which
-  model family, encoding format, nonlinear functions and implementation
-  method each published design supports, regenerated by
-  ``benchmarks/bench_table1_capability_matrix.py``.
+:class:`FsmSoftmaxBaseline` is the FSM + binary-unit softmax architecture
+of Hu et al. (the paper's reference [17]) and the ``softmax/fsm`` registry
+family.  Each input is exponentiated with a stochastic FSM unit, the
+resulting probabilities are estimated by counting over the bitstream (which
+is where the random error comes from), and the normalisation is done with
+binary adders and a divider.  The design's area is independent of the BSL
+while its delay and error scale with it, which is exactly the trade-off
+visible in Table IV.
 
 The GELU baselines (FSM, Bernstein polynomial, naive SI) are general
-nonlinear units and live in :mod:`repro.sc`; this module only adds the
-softmax-specific composite.
+nonlinear units and live in :mod:`repro.sc`; the Table I capability matrix
+is generated from registry metadata (:func:`repro.blocks.capability_matrix`).
 """
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.blocks.registry import ScDesignCapability  # noqa: F401  (re-export)
+from repro.blocks.protocol import NonlinearBlock
+from repro.blocks.specs import FsmSoftmaxSpec
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.nn.functional_math import softmax_exact
 from repro.sc.bitstream import StochasticStream
@@ -35,7 +28,7 @@ from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
 
 
-class FsmSoftmaxBaseline:
+class FsmSoftmaxBaseline(NonlinearBlock):
     """FSM-based softmax (reference [17] of the paper).
 
     Functional model: each logit is shifted so the row maximum is zero (the
@@ -46,6 +39,9 @@ class FsmSoftmaxBaseline:
     binomial counting noise with variance ``p (1 - p) / L`` plus the FSM's
     own approximation error — the reason Table IV shows the design's MAE
     barely improving from 128 to 1024 bits.
+
+    The counting noise comes from one generator seeded at construction, so
+    successive :meth:`evaluate` calls draw fresh noise.
     """
 
     #: Gain of the stochastic exponentiation FSM (Brown & Card's sexp unit
@@ -59,7 +55,7 @@ class FsmSoftmaxBaseline:
         m: int,
         bitstream_length: int,
         num_states: int = 32,
-        seed: SeedLike = None,
+        seed: SeedLike = 0,
         bit_level: bool = False,
     ) -> None:
         check_positive_int(m, "m")
@@ -68,8 +64,18 @@ class FsmSoftmaxBaseline:
         self.m = m
         self.bitstream_length = bitstream_length
         self.num_states = num_states
+        self.seed = seed
         self.bit_level = bool(bit_level)
         self._rng = as_generator(seed)
+
+    def to_spec(self) -> FsmSoftmaxSpec:
+        return FsmSoftmaxSpec(
+            m=self.m,
+            bitstream_length=self.bitstream_length,
+            num_states=self.num_states,
+            seed=self.seed,
+            bit_level=self.bit_level,
+        )
 
     def _counted_fraction(self, probs: np.ndarray) -> np.ndarray:
         """Fraction of 1s a binary counter reads off an L-bit stream.
@@ -123,9 +129,9 @@ class FsmSoftmaxBaseline:
         peak = np.where(peak <= 0, 1.0, peak)
         return np.clip(estimates / peak, 0.0, 1.0)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Run the baseline on a batch of logit rows of shape ``(..., m)``."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(values, dtype=float)
         if x.shape[-1] != self.m:
             raise ValueError(f"expected rows of length {self.m}, got {x.shape[-1]}")
         # The logits arrive as stochastic bitstreams; the binary units of the
@@ -139,13 +145,8 @@ class FsmSoftmaxBaseline:
         estimates = self._fsm_exponential_estimate(shifted)
         return self._saturating_normalise(estimates)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
-    def mean_absolute_error(self, x: np.ndarray) -> float:
-        """MAE against the exact softmax on a batch of rows."""
-        x = np.asarray(x, dtype=float)
-        return float(np.mean(np.abs(self.forward(x) - softmax_exact(x, axis=-1))))
+    def reference(self, values: np.ndarray) -> np.ndarray:
+        return softmax_exact(np.asarray(values, dtype=float), axis=-1)
 
     # -------------------------------------------------------------- hardware
     def build_hardware(self) -> HardwareModule:
@@ -197,20 +198,3 @@ class FsmSoftmaxBaseline:
                 "num_states": self.num_states,
             },
         )
-
-
-# ---------------------------------------------------------------------------
-# Table I: capability matrix of published SC designs
-# ---------------------------------------------------------------------------
-#
-# Historically a hand-maintained list; the rows are now generated from the
-# per-family capability metadata of the :mod:`repro.blocks` registry, so a
-# newly registered design family lands in Table I without touching this
-# module.  ``ScDesignCapability`` is re-exported from its new home.
-
-
-def capability_matrix() -> List[ScDesignCapability]:
-    """The rows of Table I, ASCEND last (from the block registry)."""
-    from repro.blocks.registry import capability_matrix as registry_capability_matrix
-
-    return registry_capability_matrix()

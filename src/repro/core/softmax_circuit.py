@@ -37,7 +37,8 @@ element and per site, so it steps every element.
 
 The structural model (:meth:`IterativeSoftmaxCircuit.build_hardware`)
 instantiates the same pieces through the :mod:`repro.hw` cost model; the
-design space of Table II / Fig. 8 is swept by :mod:`repro.core.dse`.
+design space of Table II / Fig. 8 is swept by :mod:`repro.core.dse`.  The
+class is the ``softmax/iterative`` registry family.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
+from repro.blocks.protocol import NonlinearBlock
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.nn.functional_math import softmax_exact
 from repro.sc.arithmetic import thermometer_multiplier_hardware
@@ -60,7 +62,7 @@ if TYPE_CHECKING:
 __all__ = ["IterativeSoftmaxCircuit"]
 
 
-class IterativeSoftmaxCircuit:
+class IterativeSoftmaxCircuit(NonlinearBlock):
     """Functional + structural model of the ASCEND softmax block."""
 
     def __init__(self, config: SoftmaxCircuitConfig) -> None:
@@ -86,6 +88,14 @@ class IterativeSoftmaxCircuit:
         init_level = max(1, int(round((1.0 / config.m) / config.alpha_y)))
         self._y0_count = min(init_level, config.by // 2) + config.by // 2
         self._tables: Dict[Tuple[int, int], np.ndarray] = {}
+
+    @classmethod
+    def from_spec(cls, spec: SoftmaxCircuitConfig) -> "IterativeSoftmaxCircuit":
+        cls._check_spec(spec)
+        return cls(spec)
+
+    def to_spec(self) -> SoftmaxCircuitConfig:
+        return self.config
 
     # -------------------------------------------------------------- simulate
     def forward(self, x: np.ndarray, faults=None) -> np.ndarray:
@@ -202,13 +212,12 @@ class IterativeSoftmaxCircuit:
         self._tables[(lo, hi)] = table
         return table
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
+    def evaluate(self, values: np.ndarray) -> np.ndarray:
+        """The fault-free :meth:`forward`."""
+        return self.forward(values)
 
-    def mean_absolute_error(self, x: np.ndarray) -> float:
-        """MAE of the circuit against the exact softmax on a batch of rows."""
-        x = np.asarray(x, dtype=float)
-        return float(np.mean(np.abs(self.forward(x) - softmax_exact(x, axis=-1))))
+    def reference(self, values: np.ndarray) -> np.ndarray:
+        return softmax_exact(np.asarray(values, dtype=float), axis=-1)
 
     # -------------------------------------------------------------- hardware
     def build_compute_unit(self) -> HardwareModule:

@@ -146,9 +146,8 @@ class ScViTEvalPipeline:
         # Circuit implementations come through the block registry — this
         # module never imports repro.core, which is what keeps the layering
         # acyclic (repro.core.codesign imports this module at module level).
-        # The handles kept here are the registry adapters themselves; every
-        # attribute used below (forward/config, evaluate/process and the
-        # declared stream formats) is part of their public surface.
+        # The handles kept here are the family classes the registry builds
+        # (IterativeSoftmaxCircuit, GeluSIBlock).
         self.softmax_circuit = build_block("softmax/iterative", spec=config)
         self.gelu_block = None
         if gelu_output_bsl is not None:

@@ -18,6 +18,7 @@ the same thing here:
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -74,13 +75,14 @@ def gelu_input_vectors(
 
 
 def _pooled_trace_values(
-    model, images: np.ndarray, values_of, limit: Optional[int], limit_name: str, seed: SeedLike, caller: str
+    model, images: np.ndarray, field: str, flatten, limit: Optional[int], limit_name: str, seed: SeedLike, caller: str
 ) -> np.ndarray:
-    """One traced forward's per-layer arrays, pooled, shuffled and cut to ``limit`` rows.
+    """One traced forward's per-layer ``field`` arrays, pooled, shuffled and cut to ``limit`` rows.
 
-    ``values_of(trace)`` picks and flattens the arrays.  ``limit`` and the
-    model's eval mode are checked before the forward runs, which records no
-    autograd graph.
+    The trace fills only ``field`` (its other fields are ``None``), and
+    ``flatten`` reshapes each layer's array.  ``limit`` and the model's eval
+    mode are checked before the forward runs, which records no autograd
+    graph.
     """
     from repro.nn.autograd import Tensor, no_grad
     from repro.nn.vit import ModelTrace
@@ -88,10 +90,10 @@ def _pooled_trace_values(
     if limit is not None:
         check_positive_int(limit, limit_name)
     check_eval_mode(model, caller)
-    trace = ModelTrace()
+    trace = ModelTrace(**{f.name: [] if f.name == field else None for f in fields(ModelTrace)})
     with no_grad():
         model(Tensor(np.asarray(images, dtype=float)), trace=trace)
-    pooled = np.concatenate(values_of(trace), axis=0)
+    pooled = np.concatenate([flatten(values) for values in getattr(trace, field)], axis=0)
     return pooled[as_generator(seed).permutation(pooled.shape[0])[:limit]]
 
 
@@ -111,7 +113,8 @@ def collect_softmax_inputs(
     return _pooled_trace_values(
         model,
         images,
-        lambda trace: [logits.reshape(-1, logits.shape[-1]) for logits in trace.attention_logits],
+        "attention_logits",
+        lambda logits: logits.reshape(-1, logits.shape[-1]),
         limit=max_rows,
         limit_name="max_rows",
         seed=seed,
@@ -129,7 +132,8 @@ def collect_gelu_inputs(
     return _pooled_trace_values(
         model,
         images,
-        lambda trace: [hidden.reshape(-1) for hidden in trace.gelu_inputs],
+        "gelu_inputs",
+        lambda hidden: hidden.reshape(-1),
         limit=max_samples,
         limit_name="max_samples",
         seed=seed,

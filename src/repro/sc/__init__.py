@@ -48,8 +48,8 @@ from repro.sc.arithmetic import (
 from repro.sc.rescaling import RescalingBlock, align_scales, rescale
 from repro.sc.sorting_network import BitonicSortingNetwork
 from repro.sc.fsm import FsmNonlinearUnit, FsmGeluUnit, FsmTanhUnit, FsmReluUnit
-from repro.sc.bernstein import BernsteinPolynomialUnit, fit_bernstein_coefficients
-from repro.sc.selective_interconnect import NaiveSelectiveInterconnect
+from repro.sc.bernstein import BernsteinGeluUnit, BernsteinPolynomialUnit, fit_bernstein_coefficients
+from repro.sc.selective_interconnect import NaiveSelectiveInterconnect, NaiveSIGeluBlock
 
 __all__ = [
     "StochasticStream",
@@ -81,6 +81,8 @@ __all__ = [
     "FsmTanhUnit",
     "FsmReluUnit",
     "BernsteinPolynomialUnit",
+    "BernsteinGeluUnit",
     "fit_bernstein_coefficients",
     "NaiveSelectiveInterconnect",
+    "NaiveSIGeluBlock",
 ]

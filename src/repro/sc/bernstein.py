@@ -16,7 +16,8 @@ trick in the SC literature.
 The baseline's weaknesses, per Section III-A of the paper: the approximation
 error falls only slowly with the number of terms, the random fluctuation
 falls only as ``1/sqrt(BSL)``, and every term costs another stochastic
-number generator.
+number generator.  :class:`BernsteinGeluUnit` is the GELU instance, the
+``gelu/bernstein`` registry family.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import comb
 
+from repro.blocks.protocol import NonlinearBlock
+from repro.blocks.specs import BernsteinGeluSpec
 from repro.hw.netlist import ComponentInventory, HardwareModule
+from repro.nn.functional_math import gelu_exact
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -95,6 +99,9 @@ class BernsteinPolynomialUnit:
         Optional operand samples used to weight the coefficient fit towards
         the distribution the unit will actually see (the counterpart of the
         SI blocks' output-scale calibration).
+    bitstream_length, seed:
+        The stream length of :meth:`evaluate` and :meth:`build_hardware`,
+        and the seed every :meth:`evaluate` call draws its streams from.
     """
 
     def __init__(
@@ -104,8 +111,11 @@ class BernsteinPolynomialUnit:
         input_range: float = 4.0,
         output_range: Optional[tuple] = None,
         calibration_samples: Optional[np.ndarray] = None,
+        bitstream_length: int = 1024,
+        seed: SeedLike = 0,
     ) -> None:
         check_positive_int(num_terms, "num_terms")
+        check_positive_int(bitstream_length, "bitstream_length")
         if num_terms < 2:
             raise ValueError("a Bernstein unit needs at least 2 terms")
         if input_range <= 0:
@@ -114,6 +124,8 @@ class BernsteinPolynomialUnit:
         self.num_terms = num_terms
         self.degree = num_terms - 1
         self.input_range = float(input_range)
+        self.bitstream_length = bitstream_length
+        self.seed = seed
 
         xs = np.linspace(-self.input_range, self.input_range, 1024)
         ys = np.asarray(target(xs), dtype=float)
@@ -163,8 +175,12 @@ class BernsteinPolynomialUnit:
         values = np.asarray(values, dtype=float)
         return float(np.mean(np.abs(self.polynomial(values) - self.target(values))))
 
+    def reference(self, values: np.ndarray) -> np.ndarray:
+        """The target function the unit approximates."""
+        return self.target(np.asarray(values, dtype=float))
+
     # ------------------------------------------------------------ stochastic
-    def evaluate(self, values: np.ndarray, bitstream_length: int, seed: SeedLike = None) -> np.ndarray:
+    def evaluate(self, values: np.ndarray) -> np.ndarray:
         """Stochastic evaluation with the ReSC counting architecture.
 
         Every cycle, ``degree`` independent Bernoulli copies of the input
@@ -178,16 +194,10 @@ class BernsteinPolynomialUnit:
            realisations differ from earlier versions (the distribution of
            the outputs is unchanged — only the per-seed sample moves).
 
-        The per-call ``bitstream_length``/``seed`` arguments are the
-        implementation-level signature: the ``gelu/bernstein`` registry
-        adapter calls it with its spec's values.  Code outside
-        :mod:`repro.blocks` should build the unit through the registry —
-        ``repro.blocks.build("gelu/bernstein", num_terms=t,
-        bitstream_length=L, seed=s)`` — where ``evaluate(values)`` is
-        uniform across families.
+        Every call draws from a generator seeded from ``seed``.
         """
-        check_positive_int(bitstream_length, "bitstream_length")
-        rng = as_generator(seed)
+        bitstream_length = self.bitstream_length
+        rng = as_generator(self.seed)
         values = np.asarray(values, dtype=float)
         u = self._x_to_u(values)
         flat_u = u.reshape(-1)
@@ -207,10 +217,10 @@ class BernsteinPolynomialUnit:
         return self._v_to_y(v).reshape(values.shape)
 
     # -------------------------------------------------------------- hardware
-    def build_hardware(self, bitstream_length: int, lfsr_width: int = 8) -> HardwareModule:
-        """Structural model of the ReSC unit at a given bitstream length.
+    def build_hardware(self) -> HardwareModule:
+        """Structural model of the ReSC unit at its bitstream length.
 
-        One shared LFSR, ``degree`` comparators for the independent input
+        One shared 8-bit LFSR, ``degree`` comparators for the independent input
         copies, ``num_terms`` comparators for the coefficient streams, an
         adder counting the input bits, a coefficient-selection MUX tree and
         pipeline registers.  The datapath has no cycle-to-cycle recurrence,
@@ -219,7 +229,8 @@ class BernsteinPolynomialUnit:
         cycles because the output probability is only defined over the whole
         stream.
         """
-        check_positive_int(bitstream_length, "bitstream_length")
+        bitstream_length = self.bitstream_length
+        lfsr_width = 8
         adder_cells = max(1, int(np.ceil(np.log2(self.num_terms))))
         inventory = ComponentInventory(
             {
@@ -243,4 +254,23 @@ class BernsteinPolynomialUnit:
                 "input_range": self.input_range,
                 "bitstream_length": bitstream_length,
             },
+        )
+
+
+class BernsteinGeluUnit(BernsteinPolynomialUnit, NonlinearBlock):
+    """ReSC-style Bernstein-polynomial GELU of [18] (Table III / Fig. 7)."""
+
+    def __init__(
+        self, num_terms: int = 4, input_range: float = 3.0, bitstream_length: int = 1024, seed: SeedLike = 0
+    ) -> None:
+        super().__init__(
+            gelu_exact, num_terms=num_terms, input_range=input_range, bitstream_length=bitstream_length, seed=seed
+        )
+
+    def to_spec(self) -> BernsteinGeluSpec:
+        return BernsteinGeluSpec(
+            num_terms=self.num_terms,
+            input_range=self.input_range,
+            bitstream_length=self.bitstream_length,
+            seed=self.seed,
         )

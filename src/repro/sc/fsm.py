@@ -16,7 +16,9 @@ These designs have the two weaknesses Section III-A describes:
   input range, which is a *systematic* error no BSL can remove (Fig. 2a).
 
 The implementations here are functional bit-level simulations plus the
-structural hardware description used by the cost model.
+structural hardware description used by the cost model.  The tanh, ReLU
+and GELU units are the ``tanh/fsm``, ``relu/fsm`` and ``gelu/fsm`` registry
+families.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.blocks.protocol import NonlinearBlock
+from repro.blocks.specs import FsmGeluSpec, FsmReluSpec, FsmTanhSpec
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.sc.bitstream import StochasticStream
 from repro.sc.packed import PackedBitPlane, _NATIVE_LITTLE_ENDIAN, _kernels
@@ -87,7 +91,15 @@ class FsmNonlinearUnit:
         per-cycle Python loop entirely.  The built-in tanh/ReLU/GELU units
         opt in; arbitrary user rules keep the exact cycle-by-cycle calling
         convention.
+    bitstream_length, seed, input_scale:
+        The stochastic parameters of :meth:`evaluate` (stream length, the
+        seed every call encodes with, and the real value of a full-scale
+        bipolar input); :meth:`build_hardware` is priced at
+        ``bitstream_length``.
     """
+
+    #: :meth:`process` is the stream datapath (read by the block protocol).
+    supports_stream_process = True
 
     def __init__(
         self,
@@ -95,14 +107,21 @@ class FsmNonlinearUnit:
         output_rule: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
         name: str = "fsm_unit",
         vectorized_rule: bool = False,
+        bitstream_length: int = 256,
+        seed: SeedLike = 0,
+        input_scale: float = 1.0,
     ) -> None:
         check_positive_int(num_states, "num_states")
         if num_states < 2:
             raise ValueError("an FSM unit needs at least 2 states")
+        check_positive_int(bitstream_length, "bitstream_length")
         self.num_states = num_states
         self.output_rule = output_rule
         self.name = name
         self.vectorized_rule = bool(vectorized_rule)
+        self.bitstream_length = bitstream_length
+        self.seed = seed
+        self.input_scale = input_scale
         #: Period (in cycles) of the output rule's dependence on ``cycle``,
         #: or ``None`` when unknown.  Built-in units declare theirs; when the
         #: period divides 8 the whole forward pass can run on byte-granular
@@ -199,45 +218,39 @@ class FsmNonlinearUnit:
         # rules keep the constructor's check (the seed behaviour).
         return StochasticStream(bits=out, encoding="bipolar", validate=not self.vectorized_rule)
 
-    def evaluate(
-        self,
-        values: np.ndarray,
-        bitstream_length: int,
-        seed: SeedLike = None,
-        input_scale: float = 1.0,
-    ) -> np.ndarray:
+    def evaluate(self, values: np.ndarray) -> np.ndarray:
         """End-to-end: encode values, run the FSM, decode the outputs.
 
         ``input_scale`` maps real values into the bipolar range: the encoded
         stream represents ``value / input_scale`` and the decoded output is
         multiplied back, mirroring how scaling factors bracket an SC unit.
-
-        The per-call ``bitstream_length``/``seed``/``input_scale``
-        arguments are the implementation-level signature: the
-        ``gelu/fsm``, ``tanh/fsm`` and ``relu/fsm`` registry adapters call
-        it with their spec's values.  Code outside :mod:`repro.blocks`
-        should build the unit through the registry —
-        ``repro.blocks.build("gelu/fsm", bitstream_length=L, seed=s,
-        input_scale=a)`` — where ``evaluate(values)`` is uniform across
-        families.
+        Every call encodes with a generator seeded from ``seed``.
         """
-        check_positive_int(bitstream_length, "bitstream_length")
         values = np.asarray(values, dtype=float)
-        rng = as_generator(seed)
-        scaled = np.clip(values / input_scale, -1.0, 1.0)
-        stream = StochasticStream.encode(scaled, bitstream_length, encoding="bipolar", seed=rng)
+        rng = as_generator(self.seed)
+        scaled = np.clip(values / self.input_scale, -1.0, 1.0)
+        stream = StochasticStream.encode(scaled, self.bitstream_length, encoding="bipolar", seed=rng)
         out_stream = self.process(stream)
-        return out_stream.decode() * input_scale
+        return out_stream.decode() * self.input_scale
+
+    def _spec_fields(self) -> dict:
+        """The fields every FSM unit spec shares."""
+        return {
+            "num_states": self.num_states,
+            "bitstream_length": self.bitstream_length,
+            "seed": self.seed,
+            "input_scale": self.input_scale,
+        }
 
     # -------------------------------------------------------------- hardware
-    def build_hardware(self, bitstream_length: int, lfsr_width: int = 8) -> HardwareModule:
-        """Counter bits + output logic + the SNG that feeds the unit.
+    def build_hardware(self) -> HardwareModule:
+        """Counter bits + output logic + the 8-bit-LFSR SNG that feeds the unit.
 
         The counter update is a cycle-to-cycle recurrence, so the design
         cannot be pipelined across cycles; producing one result takes
         ``bitstream_length`` clock periods of the counter's critical path.
         """
-        check_positive_int(bitstream_length, "bitstream_length")
+        bitstream_length = self.bitstream_length
         counter_bits = max(1, int(np.ceil(np.log2(self.num_states))))
         inventory = ComponentInventory(
             {
@@ -248,7 +261,7 @@ class FsmNonlinearUnit:
                 "DFF": 1,
             }
         )
-        sng = StochasticNumberGenerator(length=bitstream_length, encoding="bipolar", lfsr_width=lfsr_width)
+        sng = StochasticNumberGenerator(length=bitstream_length, encoding="bipolar", lfsr_width=8)
         return HardwareModule(
             name=f"{self.name}_L{bitstream_length}",
             inventory=inventory,
@@ -263,29 +276,42 @@ class FsmNonlinearUnit:
         )
 
 
-class FsmTanhUnit(FsmNonlinearUnit):
+class FsmTanhUnit(FsmNonlinearUnit, NonlinearBlock):
     """The classic stanh FSM: output 1 when the counter is in the upper half.
 
     Approximates ``tanh(num_states / 2 * x)`` on bipolar inputs.
     """
 
-    def __init__(self, num_states: int = 8) -> None:
+    def __init__(
+        self, num_states: int = 8, bitstream_length: int = 256, seed: SeedLike = 0, input_scale: float = 1.0
+    ) -> None:
         half = num_states // 2
 
         def rule(state, in_bit, cycle):
             # Broadcasts over a whole (..., L) trajectory or a single cycle.
             return (state >= half).astype(np.int8)
 
-        super().__init__(num_states=num_states, output_rule=rule, name="fsm_tanh", vectorized_rule=True)
+        super().__init__(
+            num_states=num_states,
+            output_rule=rule,
+            name="fsm_tanh",
+            vectorized_rule=True,
+            bitstream_length=bitstream_length,
+            seed=seed,
+            input_scale=input_scale,
+        )
         self.cycle_period = 1  # the rule ignores the cycle index entirely
 
-    def reference(self, values: np.ndarray, input_scale: float = 1.0) -> np.ndarray:
+    def to_spec(self) -> FsmTanhSpec:
+        return FsmTanhSpec(**self._spec_fields())
+
+    def reference(self, values: np.ndarray) -> np.ndarray:
         """The mathematical function the unit approximates."""
-        x = np.asarray(values, dtype=float) / input_scale
-        return np.tanh(self.num_states / 2.0 * x) * input_scale
+        x = np.asarray(values, dtype=float) / self.input_scale
+        return np.tanh(self.num_states / 2.0 * x) * self.input_scale
 
 
-class FsmReluUnit(FsmNonlinearUnit):
+class FsmReluUnit(FsmNonlinearUnit, NonlinearBlock):
     """FSM-based ReLU (the SC-DCNN / HEIF style design).
 
     While the counter estimates the sign of the running input, the output
@@ -293,7 +319,9 @@ class FsmReluUnit(FsmNonlinearUnit):
     pattern (value 0 in bipolar coding) in the negative region.
     """
 
-    def __init__(self, num_states: int = 16) -> None:
+    def __init__(
+        self, num_states: int = 16, bitstream_length: int = 256, seed: SeedLike = 0, input_scale: float = 1.0
+    ) -> None:
         half = num_states // 2
 
         def rule(state, in_bit, cycle):
@@ -303,16 +331,27 @@ class FsmReluUnit(FsmNonlinearUnit):
             zero_bit = np.asarray(cycle) % 2
             return np.where(positive, in_bit, zero_bit).astype(np.int8)
 
-        super().__init__(num_states=num_states, output_rule=rule, name="fsm_relu", vectorized_rule=True)
+        super().__init__(
+            num_states=num_states,
+            output_rule=rule,
+            name="fsm_relu",
+            vectorized_rule=True,
+            bitstream_length=bitstream_length,
+            seed=seed,
+            input_scale=input_scale,
+        )
         self.cycle_period = 2  # only the 0/1 alternation depends on the cycle
 
+    def to_spec(self) -> FsmReluSpec:
+        return FsmReluSpec(**self._spec_fields())
+
     @staticmethod
-    def reference(values: np.ndarray, input_scale: float = 1.0) -> np.ndarray:
+    def reference(values: np.ndarray) -> np.ndarray:
         """The mathematical function the unit approximates (ReLU)."""
         return np.maximum(np.asarray(values, dtype=float), 0.0)
 
 
-class FsmGeluUnit(FsmNonlinearUnit):
+class FsmGeluUnit(FsmNonlinearUnit, NonlinearBlock):
     """FSM baseline for GELU.
 
     No published FSM design computes GELU exactly; the closest achievable
@@ -323,9 +362,9 @@ class FsmGeluUnit(FsmNonlinearUnit):
     negative inputs — the systematic error ASCEND's gate-assisted SI removes.
     """
 
-    def __init__(self, num_states: int = 16) -> None:
-        self._gate_states = num_states
-
+    def __init__(
+        self, num_states: int = 16, bitstream_length: int = 256, seed: SeedLike = 0, input_scale: float = 4.0
+    ) -> None:
         def rule(state, in_bit, cycle):
             # The gate opens gradually across the upper half of the counter
             # range, emulating the sigmoid factor of GELU; cycling through
@@ -337,11 +376,22 @@ class FsmGeluUnit(FsmNonlinearUnit):
             zero_bit = cycle % 2
             return np.where(gate, in_bit, zero_bit).astype(np.int8)
 
-        super().__init__(num_states=num_states, output_rule=rule, name="fsm_gelu", vectorized_rule=True)
+        super().__init__(
+            num_states=num_states,
+            output_rule=rule,
+            name="fsm_gelu",
+            vectorized_rule=True,
+            bitstream_length=bitstream_length,
+            seed=seed,
+            input_scale=input_scale,
+        )
         # The threshold ramp repeats every num_states // 2 cycles and the
         # 0/1 alternation every 2; the fused byte path engages only when
         # this combined period divides 8 (true for the default 16 states).
         self.cycle_period = int(np.lcm(num_states // 2, 2))
+
+    def to_spec(self) -> FsmGeluSpec:
+        return FsmGeluSpec(**self._spec_fields())
 
     @staticmethod
     def reference(values: np.ndarray) -> np.ndarray:

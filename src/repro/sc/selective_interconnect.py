@@ -10,17 +10,21 @@ naive SI is restricted to monotonic (non-decreasing) functions.
 
 For GELU — which dips below zero before rising — the best a naive SI block
 can do is the monotone envelope of the target, which is exactly the error
-visible in Fig. 2(c) of the paper.  ASCEND's gate-assisted SI
+visible in Fig. 2(c) of the paper (:class:`NaiveSIGeluBlock`, the
+``gelu/naive-si`` registry family).  ASCEND's gate-assisted SI
 (:mod:`repro.core.gelu_si`) removes that restriction with a few extra gates.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
+from repro.blocks.protocol import NonlinearBlock
+from repro.blocks.specs import NaiveSIGeluSpec
 from repro.hw.netlist import ComponentInventory, HardwareModule
+from repro.nn.functional_math import gelu_exact
 from repro.sc.bitstream import ThermometerStream
 from repro.utils.validation import check_positive_int
 
@@ -47,6 +51,9 @@ class NaiveSelectiveInterconnect:
     output_length, output_scale:
         Thermometer format of the output stream.
     """
+
+    #: :meth:`process` is the stream datapath (read by the block protocol).
+    supports_stream_process = True
 
     def __init__(
         self,
@@ -95,6 +102,10 @@ class NaiveSelectiveInterconnect:
         stream = ThermometerStream.encode(values, self.input_length, self.input_scale)
         return self.process(stream).decode()
 
+    def reference(self, values: np.ndarray) -> np.ndarray:
+        """The target function the block approximates."""
+        return self.target(np.asarray(values, dtype=float))
+
     def transition_count(self) -> int:
         """Number of output transitions across the input range.
 
@@ -139,4 +150,42 @@ class NaiveSelectiveInterconnect:
                 "output_scale": self.output_scale,
                 "transitions": self.transition_count(),
             },
+        )
+
+
+class NaiveSIGeluBlock(NaiveSelectiveInterconnect, NonlinearBlock):
+    """Selection-only SI GELU — the monotone envelope of Fig. 2(c).
+
+    Omitted formats resolve to the Fig. 2 protocol: a ``32x`` input
+    expansion, an input grid covering ``[-8, 8]`` and an output step of
+    ``1.2 / output_length``.
+    """
+
+    def __init__(
+        self,
+        output_length: int = 8,
+        input_length: Optional[int] = None,
+        input_scale: Optional[float] = None,
+        output_scale: Optional[float] = None,
+    ) -> None:
+        if input_length is None:
+            input_length = 32 * output_length
+        if input_scale is None:
+            input_scale = 8.0 / input_length
+        if output_scale is None:
+            output_scale = 1.2 / output_length
+        super().__init__(
+            gelu_exact,
+            input_length=input_length,
+            input_scale=input_scale,
+            output_length=output_length,
+            output_scale=output_scale,
+        )
+
+    def to_spec(self) -> NaiveSIGeluSpec:
+        return NaiveSIGeluSpec(
+            output_length=self.output_length,
+            input_length=self.input_length,
+            input_scale=self.input_scale,
+            output_scale=self.output_scale,
         )

@@ -24,6 +24,20 @@ EXPECTED_FAMILIES = {
 }
 
 
+def _run_fresh(code: str):
+    """Run ``code`` in a new interpreter with this checkout's ``src`` on the path."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import repro
+
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
 class TestCatalog:
     def test_every_family_registered(self):
         assert set(blocks.names()) >= EXPECTED_FAMILIES
@@ -50,7 +64,7 @@ class TestCatalog:
             assert isinstance(block, NonlinearBlock)
             assert block.family == name
 
-    def test_adapter_classes_carry_registry_metadata(self):
+    def test_loaded_classes_carry_registry_metadata(self):
         for name in blocks.names():
             entry = blocks.get(name)
             cls = entry.load()
@@ -63,24 +77,13 @@ class TestCatalog:
 class TestLazyLoading:
     def test_import_blocks_does_not_import_circuit_layers(self):
         """The registry indirection is what breaks the core <-> eval cycle."""
-        import os
-        import subprocess
-        from pathlib import Path
-
-        import repro
-
-        src_dir = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         code = (
             "import sys; import repro.blocks; "
             "bad = [m for m in sys.modules if m.startswith(('repro.core', 'repro.sc', "
-            "'repro.eval_pipeline', 'repro.blocks.families'))]; "
+            "'repro.eval_pipeline'))]; "
             "assert not bad, bad; print('lazy ok')"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
+        result = _run_fresh(code)
         assert result.returncode == 0, result.stderr
         assert "lazy ok" in result.stdout
 
@@ -93,6 +96,17 @@ class TestBuild:
     def test_wrong_spec_type_rejected(self):
         with pytest.raises(TypeError, match="builds from"):
             blocks.build("softmax/iterative", spec=FsmTanhSpec())
+
+    def test_directly_imported_class_rejects_another_familys_spec(self):
+        """The spec check holds before the registry has loaded the class."""
+        code = (
+            "from repro.blocks.specs import NaiveSIGeluSpec; from repro.core.gelu_si import GeluSIBlock\n"
+            "try:\n    GeluSIBlock.from_spec(NaiveSIGeluSpec())\n"
+            "except TypeError:\n    print('rejected')"
+        )
+        result = _run_fresh(code)
+        assert result.returncode == 0, result.stderr
+        assert "rejected" in result.stdout
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(TypeError):
@@ -131,17 +145,17 @@ class TestRegisterBlock:
                 description="test-only identity block",
             )
             class IdentityBlock(NonlinearBlock):
-                def __init__(self, spec):
-                    self._spec = spec
+                def __init__(self, gain=1.0):
+                    self.gain = gain
 
                 def to_spec(self):
-                    return self._spec
+                    return IdentitySpec(gain=self.gain)
 
                 def evaluate(self, values):
-                    return np.asarray(values, dtype=float) * self._spec.gain
+                    return np.asarray(values, dtype=float) * self.gain
 
                 def reference(self, values):
-                    return np.asarray(values, dtype=float) * self._spec.gain
+                    return np.asarray(values, dtype=float) * self.gain
 
                 def build_hardware(self):
                     from repro.hw.netlist import ComponentInventory, HardwareModule
@@ -180,8 +194,8 @@ class TestRegisterBlock:
 
         try:
             namespace = {
-                "__init__": lambda self, spec: setattr(self, "_spec", spec),
-                "to_spec": lambda self: self._spec,
+                "__init__": lambda self: None,
+                "to_spec": lambda self: BareSpec(),
                 "evaluate": lambda self, values: np.asarray(values, dtype=float),
                 "reference": lambda self, values: np.asarray(values, dtype=float),
                 "build_hardware": lambda self: None,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repro.core.baselines import FsmSoftmaxBaseline, ScDesignCapability, capability_matrix
+from repro.blocks import ScDesignCapability, capability_matrix
+from repro.core.baselines import FsmSoftmaxBaseline
 from repro.hw.synthesis import synthesize
 from repro.nn.functional_math import softmax_exact
 
@@ -9,7 +10,7 @@ from repro.nn.functional_math import softmax_exact
 class TestFsmSoftmaxBaseline:
     def test_output_shape_and_range(self, logit_rows):
         baseline = FsmSoftmaxBaseline(m=64, bitstream_length=256, seed=0)
-        out = baseline(logit_rows[:8])
+        out = baseline.evaluate(logit_rows[:8])
         assert out.shape == (8, 64)
         assert np.all(out >= 0)
         assert np.all(out <= 1.0 + 1e-9)
@@ -17,12 +18,12 @@ class TestFsmSoftmaxBaseline:
     def test_rows_do_not_sum_to_one(self, logit_rows):
         """The saturating normalisation only preserves order, not the values."""
         baseline = FsmSoftmaxBaseline(m=64, bitstream_length=512, seed=1)
-        sums = baseline(logit_rows[:16]).sum(axis=-1)
+        sums = baseline.evaluate(logit_rows[:16]).sum(axis=-1)
         assert np.all(sums > 1.5)  # clearly not a probability distribution
 
     def test_relative_order_roughly_preserved(self, logit_rows):
         baseline = FsmSoftmaxBaseline(m=64, bitstream_length=1024, seed=2)
-        out = baseline(logit_rows)
+        out = baseline.evaluate(logit_rows)
         exact = softmax_exact(logit_rows, axis=-1)
         agreement = np.mean(np.argmax(out, axis=-1) == np.argmax(exact, axis=-1))
         assert agreement > 0.6
@@ -38,7 +39,7 @@ class TestFsmSoftmaxBaseline:
 
     def test_wrong_row_length_rejected(self):
         with pytest.raises(ValueError):
-            FsmSoftmaxBaseline(m=64, bitstream_length=128)(np.zeros((2, 32)))
+            FsmSoftmaxBaseline(m=64, bitstream_length=128).evaluate(np.zeros((2, 32)))
 
     def test_area_independent_of_bsl(self):
         a128 = synthesize(FsmSoftmaxBaseline(64, 128).build_hardware()).area_um2

@@ -741,7 +741,7 @@ class TestBitFlipFaultModel:
 
         from repro.blocks import build
 
-        block = build("gelu/si", output_length=8).block
+        block = build("gelu/si", output_length=8)
         table, length, out_length = block.table, block.input_length, block.output_length
         samples = 20_000
 

@@ -53,6 +53,24 @@ class TestVectors:
             collect_gelu_inputs(frozen_vit, tiny_images, max_samples=0)
         assert not calls
 
+    @pytest.mark.parametrize(
+        "collect,field",
+        [(collect_softmax_inputs, "attention_logits"), (collect_gelu_inputs, "gelu_inputs")],
+    )
+    def test_collectors_trace_only_the_field_they_read(self, frozen_vit, tiny_images, monkeypatch, collect, field):
+        received = []
+        forward = frozen_vit.forward
+
+        def spy(images, trace=None, **kwargs):
+            received.append({name: getattr(trace, name) for name in vars(trace)})
+            return forward(images, trace=trace, **kwargs)
+
+        monkeypatch.setattr(frozen_vit, "forward", spy)
+        collect(frozen_vit, tiny_images)
+        (fields,) = received
+        assert set(fields) == {"attention_logits", "gelu_inputs", "block_outputs"}
+        assert {name for name, value in fields.items() if value is not None} == {field}
+
 
 class TestErrorReport:
     def test_fields(self):

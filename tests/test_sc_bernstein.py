@@ -64,17 +64,18 @@ class TestBernsteinUnit:
         assert err6 <= err4 + 1e-9
 
     def test_stochastic_error_decreases_with_bsl(self):
-        unit = BernsteinPolynomialUnit(gelu_exact, num_terms=5, input_range=3.0)
         x = np.linspace(-2, 2, 64)
-        reference = unit.polynomial(x)
-        short = np.mean(np.abs(unit.evaluate(x, 64, seed=0) - reference))
-        long = np.mean(np.abs(unit.evaluate(x, 4096, seed=0) - reference))
+        short_unit = BernsteinPolynomialUnit(gelu_exact, num_terms=5, input_range=3.0, bitstream_length=64, seed=0)
+        long_unit = BernsteinPolynomialUnit(gelu_exact, num_terms=5, input_range=3.0, bitstream_length=4096, seed=0)
+        reference = short_unit.polynomial(x)
+        short = np.mean(np.abs(short_unit.evaluate(x) - reference))
+        long = np.mean(np.abs(long_unit.evaluate(x) - reference))
         assert long < short
 
     def test_evaluate_tracks_target_roughly(self):
-        unit = BernsteinPolynomialUnit(sigmoid_exact, num_terms=6, input_range=4.0)
+        unit = BernsteinPolynomialUnit(sigmoid_exact, num_terms=6, input_range=4.0, bitstream_length=4096, seed=1)
         x = np.array([-3.0, 0.0, 3.0])
-        out = unit.evaluate(x, 4096, seed=1)
+        out = unit.evaluate(x)
         assert out[0] < out[1] < out[2]
 
     def test_too_few_terms_rejected(self):
@@ -88,16 +89,17 @@ class TestBernsteinUnit:
 
 class TestBernsteinHardware:
     def test_cycles_equal_bsl(self):
-        unit = BernsteinPolynomialUnit(gelu_exact, num_terms=4)
-        assert unit.build_hardware(1024).cycles == 1024
+        unit = BernsteinPolynomialUnit(gelu_exact, num_terms=4, bitstream_length=512)
+        assert unit.build_hardware().cycles == 512
 
     def test_area_grows_with_terms(self):
-        a4 = BernsteinPolynomialUnit(gelu_exact, 4).build_hardware(128).area_um2()
-        a6 = BernsteinPolynomialUnit(gelu_exact, 6).build_hardware(128).area_um2()
+        a4 = BernsteinPolynomialUnit(gelu_exact, 4, bitstream_length=128).build_hardware().area_um2()
+        a6 = BernsteinPolynomialUnit(gelu_exact, 6, bitstream_length=128).build_hardware().area_um2()
         assert a6 > a4
 
     def test_adp_grows_with_bsl(self):
         from repro.hw.synthesis import synthesize
 
-        unit = BernsteinPolynomialUnit(gelu_exact, 4)
-        assert synthesize(unit.build_hardware(1024)).adp > synthesize(unit.build_hardware(128)).adp
+        long = BernsteinPolynomialUnit(gelu_exact, 4, bitstream_length=1024).build_hardware()
+        short = BernsteinPolynomialUnit(gelu_exact, 4, bitstream_length=128).build_hardware()
+        assert synthesize(long).adp > synthesize(short).adp

@@ -27,69 +27,68 @@ class TestFsmNonlinearUnit:
 
 class TestFsmTanh:
     def test_approximates_tanh_with_long_stream(self):
-        unit = FsmTanhUnit(num_states=8)
+        unit = FsmTanhUnit(num_states=8, bitstream_length=4096, seed=0)
         values = np.array([-0.6, -0.2, 0.0, 0.2, 0.6])
-        out = unit.evaluate(values, bitstream_length=4096, seed=0)
+        out = unit.evaluate(values)
         reference = unit.reference(values)
         assert np.mean(np.abs(out - reference)) < 0.15
 
     def test_monotone_on_average(self):
-        unit = FsmTanhUnit(num_states=8)
+        unit = FsmTanhUnit(num_states=8, bitstream_length=8192, seed=1)
         values = np.linspace(-0.8, 0.8, 9)
-        out = unit.evaluate(values, bitstream_length=8192, seed=1)
+        out = unit.evaluate(values)
         assert np.corrcoef(out, values)[0, 1] > 0.95
 
     def test_error_shrinks_with_bitstream_length(self):
-        unit = FsmTanhUnit(num_states=8)
         values = np.linspace(-0.5, 0.5, 21)
-        reference = unit.reference(values)
-        short = np.mean(np.abs(unit.evaluate(values, 32, seed=2) - reference))
-        long = np.mean(np.abs(unit.evaluate(values, 4096, seed=2) - reference))
+        reference = FsmTanhUnit(num_states=8).reference(values)
+        short = np.mean(np.abs(FsmTanhUnit(num_states=8, bitstream_length=32, seed=2).evaluate(values) - reference))
+        long = np.mean(np.abs(FsmTanhUnit(num_states=8, bitstream_length=4096, seed=2).evaluate(values) - reference))
         assert long < short
 
 
 class TestFsmRelu:
     def test_positive_region_follows_input(self):
-        unit = FsmReluUnit()
+        unit = FsmReluUnit(bitstream_length=8192, seed=0)
         values = np.array([0.3, 0.6])
-        out = unit.evaluate(values, bitstream_length=8192, seed=0)
+        out = unit.evaluate(values)
         assert np.allclose(out, values, atol=0.12)
 
     def test_negative_region_saturates_near_zero(self):
-        unit = FsmReluUnit()
-        out = unit.evaluate(np.array([-0.6, -0.3]), bitstream_length=8192, seed=0)
+        unit = FsmReluUnit(bitstream_length=8192, seed=0)
+        out = unit.evaluate(np.array([-0.6, -0.3]))
         assert np.all(np.abs(out) < 0.15)
 
 
 class TestFsmGelu:
     def test_systematic_error_in_negative_range(self):
         """Fig. 2(a): the FSM design cannot reproduce GELU's negative dip."""
-        unit = FsmGeluUnit()
+        unit = FsmGeluUnit(bitstream_length=8192, seed=0, input_scale=4.0)
         x = np.array([-1.0, -0.5])
-        out = unit.evaluate(x, bitstream_length=8192, seed=0, input_scale=4.0)
+        out = unit.evaluate(x)
         reference = gelu_exact(x)
         # The dip is negative, the FSM output is pinned around zero.
         assert np.all(reference < -0.1)
         assert np.all(out > reference + 0.05)
 
     def test_random_fluctuation_decreases_with_bsl(self):
-        unit = FsmGeluUnit()
         x = np.full(64, 0.5)
-        short = unit.evaluate(x, bitstream_length=64, seed=3, input_scale=4.0)
-        long = unit.evaluate(x, bitstream_length=2048, seed=3, input_scale=4.0)
+        short = FsmGeluUnit(bitstream_length=64, seed=3, input_scale=4.0).evaluate(x)
+        long = FsmGeluUnit(bitstream_length=2048, seed=3, input_scale=4.0).evaluate(x)
         assert np.std(long) < np.std(short)
 
 
 class TestFsmHardware:
     def test_cycles_equal_bitstream_length(self):
-        module = FsmTanhUnit(num_states=16).build_hardware(bitstream_length=256)
+        module = FsmTanhUnit(num_states=16, bitstream_length=256).build_hardware()
         assert module.cycles == 256
 
     def test_counter_bits_scale_with_states(self):
-        small = FsmTanhUnit(num_states=8).build_hardware(64).total_inventory().count("COUNTER_BIT")
-        large = FsmTanhUnit(num_states=64).build_hardware(64).total_inventory().count("COUNTER_BIT")
+        small = FsmTanhUnit(num_states=8, bitstream_length=64).build_hardware().total_inventory().count("COUNTER_BIT")
+        large = FsmTanhUnit(num_states=64, bitstream_length=64).build_hardware().total_inventory().count("COUNTER_BIT")
         assert large > small
 
     def test_area_independent_of_bsl(self):
-        unit = FsmTanhUnit(num_states=16)
-        assert unit.build_hardware(128).area_um2() == pytest.approx(unit.build_hardware(1024).area_um2())
+        short = FsmTanhUnit(num_states=16, bitstream_length=128).build_hardware()
+        long = FsmTanhUnit(num_states=16, bitstream_length=1024).build_hardware()
+        assert short.area_um2() == pytest.approx(long.area_um2())

@@ -11,8 +11,11 @@ Two gates, both cheap enough for every push:
 1. **Registry integrity** — every family in the :mod:`repro.blocks`
    registry is imported, built from its all-defaults spec, and its resolved
    spec is round-tripped through JSON (``to_json`` -> ``spec_from_json`` ->
-   rebuild -> ``to_spec`` fixed point).  A block family that stops
-   building, or whose spec stops serialising exactly, fails here.
+   rebuild -> ``to_spec`` fixed point); the rebuilt block's ``evaluate``
+   output must equal the original's, bit for bit, on a fixed seeded input.
+   A block family that stops building, whose spec stops serialising
+   exactly, or whose spec no longer captures everything its outputs depend
+   on, fails here.
 
 2. **Export snapshot** — the ``__all__`` of every public ``repro.*``
    package is diffed against ``tools/api_surface.txt``.  Removing or
@@ -51,7 +54,9 @@ SNAPSHOT = Path(__file__).resolve().parent / "api_surface.txt"
 
 
 def check_registry() -> list:
-    """Build + JSON-round-trip every registered block family."""
+    """Build + JSON-round-trip every registered block family; rebuilds evaluate identically."""
+    import numpy as np
+
     import repro.blocks as blocks
 
     failures = []
@@ -67,7 +72,13 @@ def check_registry() -> list:
             if rebuilt.to_spec() != resolved:
                 failures.append(f"{name}: resolved spec is not a rebuild fixed point")
                 continue
-            print(f"ok {name}: builds, spec round-trips ({type(block).__name__})")
+            # Softmax families take (rows, m); every other family takes values.
+            shape = (8, resolved.m) if blocks.get(name).function == "softmax" else (64,)
+            values = np.random.default_rng(0).normal(size=shape)
+            if not np.array_equal(rebuilt.evaluate(values), block.evaluate(values)):
+                failures.append(f"{name}: the block rebuilt from its spec evaluates differently")
+                continue
+            print(f"ok {name}: builds, spec round-trips, rebuild evaluates identically ({type(block).__name__})")
         except Exception as exc:  # noqa: BLE001 - report, don't crash the sweep
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
     return failures

@@ -1,4 +1,4 @@
-"""Training-pipeline ablations (DESIGN.md section 5).
+"""Training-pipeline ablations.
 
 Two design choices of the Section V recipe are ablated on the shared trained
 pipeline setup (kept deliberately small — these are directional checks, not

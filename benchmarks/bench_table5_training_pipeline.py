@@ -5,7 +5,7 @@ BN-ViT (direct one-shot W2-A2-R16 quantisation with KD), then the ASCEND
 pipeline: + progressive quantisation, + approximate softmax (no fine-tune),
 + approximate-softmax-aware fine-tuning.
 
-Substitutions relative to the paper (documented in DESIGN.md): CIFAR-10/100
+Substitutions relative to the paper: CIFAR-10/100
 are replaced by the synthetic 10-/100-class datasets and the compact ViT is
 scaled down so the numpy substrate can train it in minutes; stage lengths
 are scaled accordingly.  The claims checked are therefore the *relative*
@@ -110,7 +110,7 @@ def test_table5_training_pipeline(benchmark):
         # Progressive quantisation produces a usable low-precision model:
         # well above chance and competitive with direct quantisation (the
         # paper's 30-point collapse of the direct baseline does not reproduce
-        # on the synthetic substitute; see EXPERIMENTS.md).
+        # on the synthetic substitute).
         assert acc["BN-ViT + progressive quant"] > 2 * chance
         assert acc["BN-ViT + progressive quant"] >= acc["Baseline low-precision BN-ViT"] - 12.0
         # Approximate-softmax-aware fine-tuning does not lose accuracy

@@ -2,13 +2,13 @@
 
 Every bench regenerates one table or figure of the paper: it prints rows
 shaped like the paper's artefact (so the output can be compared side by side
-with EXPERIMENTS.md) and stores a JSON copy under ``benchmarks/results/``.
+with the paper) and stores a JSON copy under ``benchmarks/results/``.
 
 Scale knobs: the training-based benches (Table V, Table VI, the training
 ablations) read ``REPRO_BENCH_SCALE`` from the environment:
 
 * ``small``  — quick smoke versions (a couple of minutes in total),
-* ``default`` — the sizes used for the numbers recorded in EXPERIMENTS.md,
+* ``default`` — the sizes used for the numbers recorded in ``benchmarks/results/``,
 * ``full``   — closer to the paper's training budget (slow; hours).
 """
 

@@ -40,8 +40,9 @@ The package mirrors the structure of the paper (DATE 2024):
   structured logging (``python -m repro trace``; off by default and
   provably inert — see ``docs/observability.md``).
 
-See ``DESIGN.md`` for the system inventory and the per-experiment index, and
-``EXPERIMENTS.md`` for measured-vs-paper results.
+See ``docs/`` for each subsystem's design notes and ``benchmarks/`` for the
+scripts that regenerate the paper's tables and figures (their recorded
+results are under ``benchmarks/results/``).
 """
 
 __version__ = "1.0.0"

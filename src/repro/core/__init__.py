@@ -2,9 +2,9 @@
 
 * :mod:`repro.core.gelu_si` — gate-assisted selective interconnect GELU
   (Section IV-A, Fig. 2/4, Table III, Fig. 7),
-* :mod:`repro.core.softmax_iterative` — the iterative approximate softmax
-  algorithm (Algorithm 1) and its exact gradient,
-* :mod:`repro.core.softmax_circuit` — the SC circuit executing it on
+* :mod:`repro.core.softmax_circuit` — the SC circuit executing the iterative
+  approximate softmax (Algorithm 1; its float recurrence is
+  :func:`repro.nn.functional_math.iterative_softmax_reference`) on
   thermometer bitstreams (Fig. 5, Table II, Table IV),
 * :mod:`repro.core.baselines` — the FSM softmax baseline,
 * :mod:`repro.core.dse` — design-space exploration and Pareto fronts
@@ -31,7 +31,6 @@ from repro.core.gelu_si import (
 )
 from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, calibrate_alpha_y, sc_vit_softmax
 from repro.core.softmax_circuit import IterativeSoftmaxCircuit
-from repro.core.softmax_iterative import IterativeSoftmax, IterativeSoftmaxResult
 from repro.core.codesign import CodesignDriver, CodesignReport
 
 __all__ = [
@@ -53,6 +52,4 @@ __all__ = [
     "calibrate_alpha_x",
     "calibrate_alpha_y",
     "sc_vit_softmax",
-    "IterativeSoftmax",
-    "IterativeSoftmaxResult",
 ]

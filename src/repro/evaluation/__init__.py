@@ -1,4 +1,4 @@
-"""Evaluation harness: test vectors, error metrics, Pareto analysis, reports.
+"""Evaluation harness: test vectors, Pareto analysis, reports.
 
 The paper's methodology (Section VI-A) is: collect the input vectors of each
 nonlinear function from the ViT layers, sample test vectors from the overall
@@ -8,7 +8,6 @@ synthesis numbers.  This package reproduces that methodology:
 * :mod:`repro.evaluation.vectors` — test-vector generation, either from a
   trained ViT of this library or from parametric distributions fit to what
   compact ViTs produce,
-* :mod:`repro.evaluation.error` — error metrics and a small report record,
 * :mod:`repro.evaluation.pareto` — Pareto-front extraction for the design
   space exploration of Fig. 8,
 * :mod:`repro.evaluation.reporting` — plain-text table formatting used by the
@@ -16,8 +15,7 @@ synthesis numbers.  This package reproduces that methodology:
   tables.
 """
 
-from repro.evaluation.error import ErrorReport, compare_against_reference
-from repro.evaluation.pareto import pareto_front, pareto_front_points
+from repro.evaluation.pareto import pareto_front
 from repro.evaluation.reporting import format_markdown_table, format_table, save_json_report
 from repro.evaluation.vectors import (
     attention_logit_vectors,
@@ -27,10 +25,7 @@ from repro.evaluation.vectors import (
 )
 
 __all__ = [
-    "ErrorReport",
-    "compare_against_reference",
     "pareto_front",
-    "pareto_front_points",
     "format_table",
     "format_markdown_table",
     "save_json_report",

@@ -7,7 +7,7 @@ least as good on both axes and strictly better on one.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -36,14 +36,3 @@ def pareto_front(costs: Sequence[float], errors: Sequence[float]) -> np.ndarray:
             mask[i] = False
     return mask
 
-
-def pareto_front_points(
-    costs: Sequence[float], errors: Sequence[float]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (indices, costs, errors) of the Pareto front sorted by cost."""
-    mask = pareto_front(costs, errors)
-    indices = np.nonzero(mask)[0]
-    costs = np.asarray(costs, dtype=float)[indices]
-    errors = np.asarray(errors, dtype=float)[indices]
-    order = np.argsort(costs)
-    return indices[order], costs[order], errors[order]

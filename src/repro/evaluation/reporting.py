@@ -2,7 +2,7 @@
 
 Every bench prints rows shaped like the paper's tables; these helpers keep
 the formatting in one place so the output of ``pytest benchmarks/`` is easy
-to diff against ``EXPERIMENTS.md``.
+to diff against the recorded results under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def format_markdown_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Format a GitHub-flavoured Markdown table (used to update EXPERIMENTS.md)."""
+    """Format a GitHub-flavoured Markdown table."""
     str_rows = [[_stringify(cell) for cell in row] for row in rows]
     headers = [str(h) for h in headers]
     lines = [

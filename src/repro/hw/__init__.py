@@ -2,16 +2,14 @@
 
 The paper evaluates its circuits by writing RTL and synthesising it with
 Synopsys Design Compiler on a TSMC 28 nm library.  Neither tool is available
-here, so this package provides the substitute described in ``DESIGN.md``:
+here, so this package provides an analytical substitute:
 
 * :mod:`repro.hw.cells` — a 28 nm-like standard-cell library (per-cell area
   and delay),
 * :mod:`repro.hw.netlist` — structural descriptions of circuit blocks as
   hierarchical component inventories with an explicit critical path,
 * :mod:`repro.hw.synthesis` — an analytical "synthesis" step that turns a
-  structural description into area / delay / ADP numbers,
-* :mod:`repro.hw.metrics` — hardware and accuracy metrics (ADP, MAE, energy
-  proxies).
+  structural description into area / delay / ADP numbers.
 
 The SC blocks in :mod:`repro.sc` and :mod:`repro.core` each expose a
 ``build_hardware()`` constructor returning a :class:`~repro.hw.netlist.HardwareModule`,
@@ -23,12 +21,6 @@ flow.
 from repro.hw.cells import CellLibrary, StandardCell, tsmc28_like_library
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.hw.synthesis import SynthesisReport, synthesize
-from repro.hw.metrics import (
-    area_delay_product,
-    energy_proxy,
-    mean_absolute_error,
-    root_mean_squared_error,
-)
 
 __all__ = [
     "CellLibrary",
@@ -38,8 +30,4 @@ __all__ = [
     "HardwareModule",
     "SynthesisReport",
     "synthesize",
-    "area_delay_product",
-    "energy_proxy",
-    "mean_absolute_error",
-    "root_mean_squared_error",
 ]

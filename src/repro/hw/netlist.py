@@ -20,13 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.hw.cells import CellLibrary, default_library
 from repro.utils.validation import check_positive_int
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 class ComponentInventory:
@@ -180,43 +177,7 @@ class HardwareModule:
             return max(own, child)
         return own + child
 
-    def latency_ns(self, library: Optional[CellLibrary] = None, min_clock_ns: float = 0.0) -> float:
-        """Time to produce one result.
-
-        ``cycles`` clock periods, where the clock period is the longest
-        combinational delay (bounded below by ``min_clock_ns`` so callers can
-        model an externally imposed system clock).
-        """
-        period = max(self.combinational_delay_ns(library), min_clock_ns)
-        return self.cycles * period
-
     # ------------------------------------------------------------- structure
-    def hierarchy_graph(self) -> nx.DiGraph:
-        """Return the module hierarchy as a directed graph.
-
-        Nodes are module names annotated with instance counts and own area;
-        edges point from parent to child.  Used by reporting and by tests
-        that check the hierarchy is acyclic (a module cannot contain itself).
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph()
-
-        def visit(module: "HardwareModule") -> None:
-            if module.name not in graph:
-                graph.add_node(module.name, cycles=module.cycles)
-            for child, count in module.submodules:
-                visit(child)
-                graph.add_edge(module.name, child.name, count=count)
-
-        visit(self)
-        if not nx.is_directed_acyclic_graph(graph):
-            raise ValueError(f"module hierarchy of {self.name!r} contains a cycle")
-        return graph
-
-    def flattened_cell_count(self) -> int:
-        """Total standard-cell instances in the flattened design."""
-        return self.total_inventory().total_instances()
 
     def describe(self) -> str:
         """One-line human readable summary used in benchmark output."""

@@ -58,12 +58,6 @@ class SynthesisReport:
     cell_breakdown: Dict[str, int] = field(default_factory=dict)
     metadata: Dict[str, object] = field(default_factory=dict)
 
-    def scaled_area(self, factor: float) -> float:
-        """Convenience for 'k instances of this block' area queries."""
-        if factor < 0:
-            raise ValueError("factor must be non-negative")
-        return self.area_um2 * factor
-
 
 def synthesize(
     module: HardwareModule,

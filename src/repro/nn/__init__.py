@@ -34,7 +34,7 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.vit import CompactVisionTransformer, ModelTrace, ViTConfig, build_bn_vit, build_vanilla_vit
+from repro.nn.vit import CompactVisionTransformer, ModelTrace, ViTConfig
 from repro.nn.quantization import (
     LsqQuantizer,
     PrecisionScheme,
@@ -64,8 +64,6 @@ __all__ = [
     "CompactVisionTransformer",
     "ViTConfig",
     "ModelTrace",
-    "build_vanilla_vit",
-    "build_bn_vit",
     "LsqQuantizer",
     "PrecisionScheme",
     "PROGRESSIVE_SCHEDULE",

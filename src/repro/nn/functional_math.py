@@ -18,12 +18,6 @@ def gelu_exact(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def gelu_tanh_approximation(x: np.ndarray) -> np.ndarray:
-    """The tanh-based GELU approximation used by many accelerators."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
-
-
 def softmax_exact(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
     x = np.asarray(x, dtype=float)
@@ -76,11 +70,3 @@ def iterative_softmax_reference(x: np.ndarray, iterations: int, axis: int = -1) 
         total = z.sum(axis=-1, keepdims=True)
         y = y + (z - y * total) / iterations
     return np.moveaxis(y, -1, axis)
-
-
-def layer_norm_exact(x: np.ndarray, eps: float = 1e-5, axis: int = -1) -> np.ndarray:
-    """Layer normalisation without affine parameters."""
-    x = np.asarray(x, dtype=float)
-    mean = x.mean(axis=axis, keepdims=True)
-    var = x.var(axis=axis, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps)

@@ -27,12 +27,6 @@ from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive_int
 
 
-def bsl_to_levels(bsl: int) -> int:
-    """Number of representable levels of an ``bsl``-bit thermometer stream."""
-    check_positive_int(bsl, "bsl")
-    return bsl + 1
-
-
 @dataclass(frozen=True)
 class PrecisionScheme:
     """A W/A/R bitstream-length assignment, e.g. W2-A2-R16.
@@ -158,11 +152,6 @@ class LsqQuantizer(Module):
                 step._accumulate(np.sum(grad * ds) * grad_scale)
 
         return Tensor.custom(out_data, (x, step), backward)
-
-    def quantize_levels(self, values: np.ndarray) -> np.ndarray:
-        """Integer levels in ``[qn, qp]`` (what the SC hardware actually stores)."""
-        s = float(self.step.data)
-        return np.clip(np.round(np.asarray(values, dtype=float) / s), self.qn, self.qp).astype(np.int64)
 
 
 class QuantizedLinear(Module):

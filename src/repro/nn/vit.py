@@ -260,15 +260,3 @@ class CompactVisionTransformer(Module):
     def apply_precision(self, scheme: PrecisionScheme) -> None:
         """Configure every quantised layer of the model for ``scheme``."""
         apply_precision_scheme(self, scheme)
-
-
-def build_vanilla_vit(config: Optional[ViTConfig] = None) -> CompactVisionTransformer:
-    """The FP LN-ViT baseline (first row of Table V)."""
-    config = config or ViTConfig()
-    return CompactVisionTransformer(config.with_updates(norm="ln", softmax_mode="exact"))
-
-
-def build_bn_vit(config: Optional[ViTConfig] = None) -> CompactVisionTransformer:
-    """The SC-friendly BN-ViT (LayerNorm replaced by BatchNorm, Section V)."""
-    config = config or ViTConfig()
-    return CompactVisionTransformer(config.with_updates(norm="bn"))

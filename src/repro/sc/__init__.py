@@ -28,17 +28,14 @@ from repro.sc.packed import PackedBitPlane
 from repro.sc.encodings import (
     bipolar_decode,
     bipolar_encode,
-    thermometer_levels,
     unipolar_decode,
     unipolar_encode,
 )
 from repro.sc.sng import LinearFeedbackShiftRegister, StochasticNumberGenerator
 from repro.sc.arithmetic import (
     bsn_add,
-    divide_by_constant,
     draw_select_planes,
     fused_multiply_decode,
-    negate,
     thermometer_add,
     thermometer_multiply,
     unipolar_multiply,
@@ -59,14 +56,11 @@ __all__ = [
     "unipolar_decode",
     "bipolar_encode",
     "bipolar_decode",
-    "thermometer_levels",
     "LinearFeedbackShiftRegister",
     "StochasticNumberGenerator",
     "thermometer_multiply",
     "thermometer_add",
     "bsn_add",
-    "divide_by_constant",
-    "negate",
     "unipolar_multiply",
     "bipolar_multiply",
     "mux_scaled_add",

@@ -194,27 +194,6 @@ def bsn_add(streams: Sequence[ThermometerStream]) -> ThermometerStream:
     return result
 
 
-def negate(stream: ThermometerStream) -> ThermometerStream:
-    """Negate a thermometer value (bitwise NOT + reverse in hardware)."""
-    return ThermometerStream(
-        counts=stream.length - stream.counts,
-        length=stream.length,
-        scale=stream.scale,
-        validate=False,
-    )
-
-
-def divide_by_constant(stream: ThermometerStream, k: float) -> ThermometerStream:
-    """Divide by a constant by shrinking the scaling factor — zero hardware.
-
-    This is the trick that lets the iterative softmax avoid real dividers:
-    the ``/k`` in Algorithm 1 line 4 touches only the scale, not the bits.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return ThermometerStream(counts=stream.counts, length=stream.length, scale=stream.scale / k, validate=False)
-
-
 # --------------------------------------------------------------------------
 # Hardware builders
 # --------------------------------------------------------------------------
@@ -248,22 +227,4 @@ def thermometer_multiplier_hardware(
         cycles=1,
         submodules=[(bsn, 1)],
         metadata={"length_a": length_a, "length_b": length_b, "out_length": out_width},
-    )
-
-
-def bsn_adder_hardware(total_width: int, name: str = "bsn_add") -> HardwareModule:
-    """Structural model of a BSN adder over ``total_width`` concatenated bits."""
-    check_positive_int(total_width, "total_width")
-    return BitonicSortingNetwork(total_width).build_hardware(name=name)
-
-
-def stochastic_multiplier_hardware(encoding: str = "unipolar") -> HardwareModule:
-    """Single-gate stochastic multiplier (AND for unipolar, XNOR for bipolar)."""
-    cell = "AND2" if encoding == "unipolar" else "XNOR2"
-    return HardwareModule(
-        name=f"sc_mul_{encoding}",
-        inventory=ComponentInventory({cell: 1}),
-        critical_path=(cell,),
-        cycles=1,
-        metadata={"encoding": encoding},
     )

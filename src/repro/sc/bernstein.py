@@ -34,6 +34,11 @@ from repro.nn.functional_math import gelu_exact
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
 
+# Values per chunk of :meth:`BernsteinPolynomialUnit.evaluate`'s draws, which
+# bounds its memory: one chunk of 1024-bit streams at 6 terms is 2.6 MB of
+# uniforms, whatever the number of values.
+_VALUES_PER_CHUNK = 64
+
 
 def bernstein_basis(u: np.ndarray, degree: int) -> np.ndarray:
     """Matrix of Bernstein basis polynomials ``B_{k,degree}(u)``.
@@ -170,11 +175,6 @@ class BernsteinPolynomialUnit:
         v = basis @ self.coefficients
         return self._v_to_y(v).reshape(np.shape(values))
 
-    def approximation_error(self, values: np.ndarray) -> float:
-        """Mean absolute error of the polynomial itself (no stochastic noise)."""
-        values = np.asarray(values, dtype=float)
-        return float(np.mean(np.abs(self.polynomial(values) - self.target(values))))
-
     def reference(self, values: np.ndarray) -> np.ndarray:
         """The target function the unit approximates."""
         return self.target(np.asarray(values, dtype=float))
@@ -199,21 +199,25 @@ class BernsteinPolynomialUnit:
         bitstream_length = self.bitstream_length
         rng = as_generator(self.seed)
         values = np.asarray(values, dtype=float)
-        u = self._x_to_u(values)
-        flat_u = u.reshape(-1)
+        flat_u = self._x_to_u(values).reshape(-1)
+        chunks = range(0, flat_u.size, _VALUES_PER_CHUNK)
 
-        # degree independent input streams per value: (n_values, degree, L)
-        draws = rng.random((flat_u.size, self.degree, bitstream_length))
-        input_bits = draws < flat_u[:, None, None]
-        select = input_bits.sum(axis=1)  # in [0, degree]
+        # degree independent input streams per value, drawn a chunk of values
+        # at a time in the generator's (n_values, degree, L) order.
+        select = np.empty((flat_u.size, bitstream_length), dtype=np.min_scalar_type(self.degree))
+        for start in chunks:
+            u = flat_u[start : start + _VALUES_PER_CHUNK]
+            draws = rng.random((u.size, self.degree, bitstream_length))
+            select[start : start + u.size] = (draws < u[:, None, None]).sum(axis=1)  # in [0, degree]
 
         # Only the selected coefficient's stochastic bit reaches the output
         # each cycle, so one uniform draw per output bit compared against the
         # selected coefficient suffices — the num_terms unselected coefficient
         # streams of the hardware never need to be materialised.
-        coeff_draws = rng.random((flat_u.size, bitstream_length))
-        out_bits = coeff_draws < self.coefficients[select]
-        v = out_bits.mean(axis=1)
+        v = np.empty(flat_u.size)
+        for start in chunks:
+            chosen = self.coefficients[select[start : start + _VALUES_PER_CHUNK]]
+            v[start : start + chosen.shape[0]] = (rng.random(chosen.shape) < chosen).mean(axis=1)
         return self._v_to_y(v).reshape(values.shape)
 
     # -------------------------------------------------------------- hardware

@@ -227,11 +227,6 @@ class ThermometerStream:
         return self.counts.shape
 
     @property
-    def max_abs_value(self) -> float:
-        """Largest magnitude representable: ``scale * length / 2``."""
-        return self.scale * self.length / 2.0
-
-    @property
     def resolution(self) -> float:
         """Value difference between adjacent levels (= scale)."""
         return self.scale
@@ -281,13 +276,6 @@ class ThermometerStream:
     def with_counts(self, counts: np.ndarray) -> "ThermometerStream":
         """New stream sharing length/scale but holding different counts."""
         return ThermometerStream(counts, self.length, self.scale)
-
-    def quantization_error(self, reference: np.ndarray) -> np.ndarray:
-        """Elementwise error of this stream against reference real values."""
-        reference = np.asarray(reference, dtype=float)
-        if reference.shape != self.shape:
-            raise ValueError("reference shape must match the stream shape")
-        return self.decode() - reference
 
     def compatible_with(self, other: "ThermometerStream", rtol: float = 1e-9) -> bool:
         """True when two streams share scale (requirement for BSN addition)."""

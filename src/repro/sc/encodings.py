@@ -46,20 +46,6 @@ def bipolar_decode(probabilities: np.ndarray) -> np.ndarray:
     return 2.0 * np.asarray(probabilities, dtype=float) - 1.0
 
 
-def thermometer_levels(length: int, scale: float) -> np.ndarray:
-    """All representable values of an L-bit thermometer stream with ``scale``.
-
-    An L-bit stream represents L + 1 levels
-    ``scale * (-L/2), ..., scale * (L/2)`` — the coding-efficiency fact
-    behind the paper's Section III-C efficiency discussion.
-    """
-    check_positive_int(length, "length")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    counts = np.arange(length + 1)
-    return scale * (counts - length / 2.0)
-
-
 def thermometer_encode_counts(values: np.ndarray, length: int, scale: float) -> np.ndarray:
     """Quantise real values to thermometer one-counts.
 

@@ -62,21 +62,6 @@ def rescale(stream: ThermometerStream, rate: int, phase: Optional[int] = None) -
     )
 
 
-def rescale_to_length(stream: ThermometerStream, target_length: int) -> ThermometerStream:
-    """Sub-sample ``stream`` down to ``target_length`` bits.
-
-    The stream length must be an integer multiple of the target.
-    """
-    check_positive_int(target_length, "target_length")
-    if stream.length == target_length:
-        return stream.copy()
-    if stream.length % target_length != 0:
-        raise ValueError(
-            f"target length {target_length} does not divide stream length {stream.length}"
-        )
-    return rescale(stream, stream.length // target_length)
-
-
 def align_scales(a: ThermometerStream, b: ThermometerStream) -> tuple:
     """Re-scale the finer-grained of two streams so both share a scale.
 

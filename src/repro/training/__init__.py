@@ -1,7 +1,7 @@
 """Training substrate: datasets, trainer, distillation and the ASCEND pipeline.
 
 * :mod:`repro.training.datasets` — synthetic CIFAR-like image-classification
-  datasets (the offline stand-in for CIFAR-10/100, see DESIGN.md),
+  datasets (the offline stand-in for CIFAR-10/100),
 * :mod:`repro.training.trainer` — a plain mini-batch training loop with
   evaluation, used by every stage,
 * :mod:`repro.training.distillation` — the knowledge-distillation objective

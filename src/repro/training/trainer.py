@@ -46,14 +46,6 @@ class TrainingHistory:
     train_accuracy: List[float] = field(default_factory=list)
     test_accuracy: List[float] = field(default_factory=list)
 
-    @property
-    def best_test_accuracy(self) -> float:
-        return max(self.test_accuracy) if self.test_accuracy else float("nan")
-
-    @property
-    def final_test_accuracy(self) -> float:
-        return self.test_accuracy[-1] if self.test_accuracy else float("nan")
-
 
 def evaluate_accuracy(model: Module, split: DatasetSplit, batch_size: int = 256) -> float:
     """Top-1 accuracy of ``model`` on a dataset split (in percent)."""

@@ -6,29 +6,17 @@ argument validation helpers, the JSON codec every spec file shares
 not belong to any specific subsystem.
 """
 
-from repro.utils.rng import RngMixin, as_generator, spawn_generator
-from repro.utils.validation import (
-    check_in_choices,
-    check_positive_int,
-    check_power_of_two,
-    check_probability,
-    check_unit_interval_array,
-)
-from repro.utils.numeric import clamp, is_power_of_two, round_half_away_from_zero
+from repro.utils.rng import as_generator
+from repro.utils.validation import check_in_choices, check_positive_int
+from repro.utils.numeric import clamp, round_half_away_from_zero
 from repro.utils.specs import Spec, load_file
 
 __all__ = [
-    "RngMixin",
     "Spec",
     "as_generator",
-    "spawn_generator",
     "check_in_choices",
     "check_positive_int",
-    "check_power_of_two",
-    "check_probability",
-    "check_unit_interval_array",
     "clamp",
-    "is_power_of_two",
     "load_file",
     "round_half_away_from_zero",
 ]

@@ -12,11 +12,6 @@ def clamp(values, lo: float, hi: float):
     return np.clip(values, lo, hi)
 
 
-def is_power_of_two(value: int) -> bool:
-    """True when ``value`` is a positive integer power of two."""
-    return isinstance(value, (int, np.integer)) and value > 0 and (value & (value - 1)) == 0
-
-
 def round_half_away_from_zero(values):
     """Round to nearest integer with ties going away from zero.
 

@@ -9,7 +9,7 @@ fixes the whole pipeline.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -26,33 +26,3 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_generator(rng: np.random.Generator) -> np.random.Generator:
-    """Derive an independent child generator from ``rng``.
-
-    Used when a component needs its own stream (e.g. each stochastic number
-    generator in a parallel SC circuit) without perturbing the parent's
-    sequence.
-    """
-    seed = int(rng.integers(0, 2**63 - 1))
-    return np.random.default_rng(seed)
-
-
-class RngMixin:
-    """Mixin giving a class a lazily created, seedable ``self.rng``."""
-
-    def __init__(self, seed: SeedLike = None) -> None:
-        self._rng: Optional[np.random.Generator] = None
-        self._seed: SeedLike = seed
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = as_generator(self._seed)
-        return self._rng
-
-    def reseed(self, seed: SeedLike) -> None:
-        """Reset the internal generator to a fresh one built from ``seed``."""
-        self._seed = seed
-        self._rng = None

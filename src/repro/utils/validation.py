@@ -27,33 +27,6 @@ def check_eval_mode(model, name: str) -> None:
         raise ValueError(f"{name} needs a model in eval mode; call model.eval() first")
 
 
-def check_power_of_two(value: int, name: str) -> int:
-    """Return ``value`` if it is a positive power of two, else raise."""
-    value = check_positive_int(value, name)
-    if value & (value - 1) != 0:
-        raise ValueError(f"{name} must be a power of two, got {value}")
-    return value
-
-
-def check_probability(value: float, name: str) -> float:
-    """Return ``value`` if it lies in the closed interval [0, 1]."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
-def check_unit_interval_array(values: np.ndarray, name: str) -> np.ndarray:
-    """Return ``values`` as an array after checking every entry is in [0, 1]."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError(
-            f"all entries of {name} must lie in [0, 1], "
-            f"got range [{arr.min()}, {arr.max()}]"
-        )
-    return arr
-
-
 def check_binary_array(values: np.ndarray, name: str) -> np.ndarray:
     """Return ``values`` after checking every entry is exactly 0 or 1.
 

@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from repro.blocks.specs import SoftmaxCircuitConfig
-from repro.eval_pipeline import sc_vit_alpha_x
+from repro.eval_pipeline import ScViTEvalPipeline, sc_vit_alpha_x
 from repro.evaluation.vectors import attention_logit_vectors, gelu_input_vectors
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
+from repro.serve import ReplicaFactory
 from repro.training.datasets import SyntheticImageDataset
+
+# The serving tests' pipeline settings over the ``stack`` fixture.
+GELU_BSL = 4
+FAULT_SEED = 11
+NUM_IMAGES = 10  # the test split of ``stack``
 
 
 @pytest.fixture
@@ -85,3 +91,24 @@ def stack():
     softmax = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=sc_vit_alpha_x(model, train.images[:4]),
                                    by=8, alpha_y=0.03, s1=16, s2=4)
     return model, test, softmax
+
+
+@pytest.fixture(scope="module")
+def offline_predictions(stack):
+    """Per-image (batch_size=1) offline predictions of ``stack`` per fault rate."""
+    model, test, softmax = stack
+    predictions = {}
+    for flip_prob in (0.0, 0.05):
+        pipeline = ScViTEvalPipeline(
+            model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
+        )
+        predictions[flip_prob] = pipeline.evaluate(test, batch_size=1).predictions
+    return predictions
+
+
+def replica_factory(stack, flip_prob=0.0):
+    """The replica factory whose pipelines ``offline_predictions`` reproduces."""
+    model, _, softmax = stack
+    return ReplicaFactory(
+        model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
+    )

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.evaluation.error import compare_against_reference
-from repro.evaluation.pareto import pareto_front, pareto_front_points
+from repro.evaluation.pareto import pareto_front
 from repro.evaluation.reporting import format_markdown_table, format_table, save_json_report
 from repro.evaluation.vectors import (
     attention_logit_vectors,
@@ -72,19 +71,6 @@ class TestVectors:
         assert {name for name, value in fields.items() if value is not None} == {field}
 
 
-class TestErrorReport:
-    def test_fields(self):
-        report = compare_against_reference(np.array([1.0, 2.0, 3.0]), np.array([1.1, 1.9, 3.0]))
-        assert report.mae == pytest.approx(0.2 / 3)
-        assert report.max_error == pytest.approx(0.1)
-        assert report.num_samples == 3
-        assert set(report.as_dict()) == {"mae", "rmse", "max_error", "bias", "num_samples"}
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            compare_against_reference(np.zeros(3), np.zeros(4))
-
-
 class TestPareto:
     def test_simple_front(self):
         costs = [1.0, 2.0, 3.0]
@@ -101,10 +87,10 @@ class TestPareto:
         rng = np.random.default_rng(0)
         costs = rng.uniform(1, 10, 50)
         errors = rng.uniform(0.01, 1.0, 50)
-        idx, front_costs, front_errors = pareto_front_points(costs, errors)
-        assert np.all(np.diff(front_costs) >= 0)
+        mask = pareto_front(costs, errors)
+        order = np.argsort(costs[mask])
         # along a Pareto front sorted by increasing cost, error must not increase
-        assert np.all(np.diff(front_errors) <= 1e-12)
+        assert np.all(np.diff(errors[mask][order]) <= 1e-12)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):

@@ -72,30 +72,21 @@ class TestHardwareModule:
         parent = HardwareModule(name="p", critical_path=("DFF",), submodules=[(leaf, 1)], pipelined=True)
         assert parent.combinational_delay_ns(lib) == pytest.approx(4 * lib.cell("AND2").delay_ns)
 
-    def test_latency_multiplies_cycles(self):
-        lib = tsmc28_like_library()
-        module = self._leaf(cycles=10, path=("AND2",))
-        assert module.latency_ns(lib) == pytest.approx(10 * lib.cell("AND2").delay_ns)
-
-    def test_latency_respects_min_clock(self):
-        module = self._leaf(cycles=100, path=("AND2",))
-        assert module.latency_ns(min_clock_ns=1.0) == pytest.approx(100.0)
-
     def test_invalid_cycles_rejected(self):
         with pytest.raises((ValueError, TypeError)):
             HardwareModule(name="x", cycles=0)
 
-    def test_hierarchy_graph_nodes_and_edges(self):
-        leaf = self._leaf()
-        parent = HardwareModule(name="parent", submodules=[(leaf, 2)])
-        graph = parent.hierarchy_graph()
-        assert set(graph.nodes) == {"parent", "leaf"}
-        assert graph.edges["parent", "leaf"]["count"] == 2
-
     def test_flattened_cell_count(self):
         leaf = self._leaf(cells={"AND2": 5})
         parent = HardwareModule(name="p", inventory=ComponentInventory({"DFF": 1}), submodules=[(leaf, 2)])
-        assert parent.flattened_cell_count() == 1 + 10
+        assert parent.total_inventory().total_instances() == 1 + 10
+
+    def test_leakage_includes_submodules(self):
+        lib = tsmc28_like_library()
+        leaf = self._leaf(cells={"AND2": 5})
+        parent = HardwareModule(name="p", inventory=ComponentInventory({"DFF": 1}), submodules=[(leaf, 2)])
+        expected = lib.cell("DFF").leakage_nw + 10 * lib.cell("AND2").leakage_nw
+        assert parent.leakage_nw(lib) == pytest.approx(expected)
 
     def test_describe_includes_metadata(self):
         module = HardwareModule(name="block", metadata={"width": 8})

@@ -45,8 +45,20 @@ class TestSynthesize:
         report = synthesize(simple_module)
         assert report.cell_breakdown == {"FULL_ADDER": 8, "DFF": 8}
 
-    def test_scaled_area_helper(self, simple_module):
-        report = synthesize(simple_module)
-        assert report.scaled_area(3) == pytest.approx(3 * report.area_um2)
-        with pytest.raises(ValueError):
-            report.scaled_area(-1)
+    @pytest.mark.parametrize("cycles", [1, 16, 256])
+    @pytest.mark.parametrize("min_clock_ns", [0.0, 0.05, 5.0])
+    def test_delay_is_cycles_times_clamped_path_delay(self, cycles, min_clock_ns):
+        lib = tsmc28_like_library()
+        module = HardwareModule(
+            name="m", inventory=ComponentInventory({"FULL_ADDER": 2}), critical_path=("FULL_ADDER",), cycles=cycles
+        )
+        report = synthesize(module, lib, min_clock_ns=min_clock_ns)
+        period = max(module.combinational_delay_ns(lib), min_clock_ns)
+        assert report.clock_period_ns == pytest.approx(period)
+        assert report.delay_ns == pytest.approx(cycles * period)
+        assert report.cycles == cycles
+
+    def test_leakage_sums_the_flattened_cells(self, simple_module):
+        lib = tsmc28_like_library()
+        expected = 8 * lib.cell("FULL_ADDER").leakage_nw + 8 * lib.cell("DFF").leakage_nw
+        assert synthesize(simple_module, lib).leakage_nw == pytest.approx(expected)

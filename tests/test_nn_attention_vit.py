@@ -5,7 +5,7 @@ from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.quantization import PrecisionScheme
 from repro.nn.functional import numerical_gradient
-from repro.nn.vit import CompactVisionTransformer, EncoderBlock, MlpBlock, ModelTrace, ViTConfig, build_bn_vit, build_vanilla_vit
+from repro.nn.vit import CompactVisionTransformer, EncoderBlock, MlpBlock, ModelTrace, ViTConfig
 
 
 class TestMultiHeadSelfAttention:
@@ -198,8 +198,3 @@ class TestCompactVisionTransformer:
         a = CompactVisionTransformer(tiny_vit_config)(Tensor(train.images[:2])).data
         b = CompactVisionTransformer(tiny_vit_config)(Tensor(train.images[:2])).data
         assert np.allclose(a, b)
-
-    def test_builders(self):
-        config = ViTConfig(image_size=8, patch_size=4, embed_dim=16, num_layers=1, num_heads=2)
-        assert build_vanilla_vit(config).config.norm == "ln"
-        assert build_bn_vit(config).config.norm == "bn"

@@ -7,13 +7,14 @@ from repro.nn.functional import numerical_gradient
 from repro.nn.layers import BatchNorm
 from repro.nn.functional_math import (
     gelu_exact,
-    gelu_tanh_approximation,
     iterative_softmax_reference,
-    layer_norm_exact,
     log_softmax_exact,
     sigmoid_exact,
     softmax_exact,
 )
+
+# The iteration counts of the softmax-design ablation (Algorithm 1's k).
+ITERATIONS = (1, 2, 3, 4, 6, 8)
 
 
 class TestFunctionalMath:
@@ -22,10 +23,6 @@ class TestFunctionalMath:
         assert gelu_exact(np.array([10.0]))[0] == pytest.approx(10.0, abs=1e-6)
         assert gelu_exact(np.array([-10.0]))[0] == pytest.approx(0.0, abs=1e-6)
         assert gelu_exact(np.array([-1.0]))[0] == pytest.approx(-0.15865, abs=1e-4)
-
-    def test_gelu_tanh_close_to_exact(self):
-        x = np.linspace(-4, 4, 101)
-        assert np.max(np.abs(gelu_tanh_approximation(x) - gelu_exact(x))) < 0.005
 
     def test_softmax_rows_sum_to_one(self):
         x = np.random.default_rng(0).normal(size=(5, 7))
@@ -43,17 +40,41 @@ class TestFunctionalMath:
         out = sigmoid_exact(np.array([-1000.0, 1000.0]))
         assert out[0] == pytest.approx(0.0) and out[1] == pytest.approx(1.0)
 
-    def test_iterative_softmax_reference_converges(self):
-        x = np.random.default_rng(3).normal(size=(8, 16))
-        err2 = np.abs(iterative_softmax_reference(x, 2) - softmax_exact(x)).mean()
-        err16 = np.abs(iterative_softmax_reference(x, 16) - softmax_exact(x)).mean()
-        assert err16 < err2
+    @pytest.mark.parametrize("fewer, more", list(zip(ITERATIONS, ITERATIONS[1:] + (16,))))
+    def test_iterative_softmax_reference_converges(self, logit_rows, fewer, more):
+        exact = softmax_exact(logit_rows)
+        err_fewer = np.abs(iterative_softmax_reference(logit_rows, fewer) - exact).mean()
+        err_more = np.abs(iterative_softmax_reference(logit_rows, more) - exact).mean()
+        assert err_more < err_fewer
 
-    def test_layer_norm_zero_mean_unit_var(self):
-        x = np.random.default_rng(4).normal(2.0, 3.0, size=(6, 10))
-        out = layer_norm_exact(x)
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-        assert np.allclose(out.var(axis=-1), 1.0, atol=1e-3)
+    @pytest.mark.parametrize("iterations", ITERATIONS)
+    def test_iterative_softmax_reference_maps_uniform_to_uniform(self, iterations):
+        assert np.allclose(iterative_softmax_reference(np.zeros((2, 8)), iterations), 1.0 / 8)
+
+    @pytest.mark.parametrize("iterations", ITERATIONS)
+    def test_iterative_softmax_reference_is_shift_invariant(self, logit_rows, iterations):
+        # z - y * sum(z) cancels a constant added to every logit, as it does in the exact softmax.
+        approx = iterative_softmax_reference(logit_rows, iterations)
+        for shift in (-5.0, 3.0):
+            assert np.allclose(iterative_softmax_reference(logit_rows + shift, iterations), approx, atol=1e-12)
+
+    @pytest.mark.parametrize("iterations", ITERATIONS)
+    def test_iterative_softmax_reference_axis_argument(self, iterations):
+        x = np.random.default_rng(1).normal(size=(8, 5))
+        assert np.allclose(
+            iterative_softmax_reference(x, iterations, axis=0), iterative_softmax_reference(x.T, iterations).T
+        )
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_iterative_softmax_reference_rejects_zero_iterations(self, iterations):
+        with pytest.raises(ValueError):
+            iterative_softmax_reference(np.zeros((1, 4)), iterations)
+
+    def test_iterative_softmax_reference_accuracy_at_k3(self, logit_rows):
+        approx = iterative_softmax_reference(logit_rows, 3)
+        exact = softmax_exact(logit_rows)
+        assert np.mean(np.abs(approx - exact)) < 0.02
+        assert np.mean(np.argmax(approx, axis=-1) == np.argmax(exact, axis=-1)) > 0.9
 
 
 class TestDifferentiableOps:
@@ -87,16 +108,35 @@ class TestDifferentiableOps:
         numeric = numerical_gradient(lambda v: (F.log_softmax(Tensor(v)) * 0.3).sum().item(), x0.copy())
         assert np.allclose(x.grad, numeric, atol=1e-6)
 
-    def test_iterative_softmax_matches_numpy_reference(self):
+    @pytest.mark.parametrize("iterations", ITERATIONS)
+    def test_iterative_softmax_matches_numpy_reference(self, iterations):
         x = np.random.default_rng(3).normal(size=(4, 8))
-        out = F.iterative_softmax(Tensor(x), iterations=3).data
-        assert np.allclose(out, iterative_softmax_reference(x, 3))
+        out = F.iterative_softmax(Tensor(x), iterations=iterations).data
+        assert np.allclose(out, iterative_softmax_reference(x, iterations))
 
-    def test_iterative_softmax_gradient_flows(self):
-        x = Tensor(np.random.default_rng(4).normal(size=(2, 6)), requires_grad=True)
-        F.iterative_softmax(x, iterations=2).sum().backward()
-        assert x.grad is not None
-        assert x.grad.shape == (2, 6)
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_iterative_softmax_axis_matches_numpy_reference(self, axis):
+        x = np.random.default_rng(5).normal(size=(3, 4, 5))
+        out = F.iterative_softmax(Tensor(x), iterations=3, axis=axis).data
+        assert np.allclose(out, iterative_softmax_reference(x, 3, axis=axis))
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_iterative_softmax_rejects_non_positive_iterations(self, iterations):
+        with pytest.raises(ValueError):
+            F.iterative_softmax(Tensor(np.zeros((1, 4))), iterations=iterations)
+
+    @pytest.mark.parametrize("iterations", ITERATIONS)
+    def test_iterative_softmax_gradient_flows(self, iterations):
+        # The gradient of the recurrence itself, which the approximate-softmax-aware fine-tune trains through.
+        rng = np.random.default_rng(4)
+        x0 = rng.normal(size=(2, 6))
+        grad_out = rng.normal(size=(2, 6))
+        x = Tensor(x0, requires_grad=True)
+        (F.iterative_softmax(x, iterations=iterations) * grad_out).sum().backward()
+        numeric = numerical_gradient(
+            lambda v: (F.iterative_softmax(Tensor(v), iterations=iterations) * grad_out).sum().item(), x0.copy()
+        )
+        assert np.allclose(x.grad, numeric, atol=1e-6)
 
     def test_layer_norm_affine(self):
         x = Tensor(np.random.default_rng(5).normal(size=(3, 8)))

@@ -11,7 +11,6 @@ from repro.nn.quantization import (
     QuantizedLinear,
     ResidualQuantizer,
     apply_precision_scheme,
-    bsl_to_levels,
 )
 
 
@@ -37,10 +36,6 @@ class TestPrecisionScheme:
     def test_progressive_schedule_matches_fig6(self):
         described = [s.describe() for s in PROGRESSIVE_SCHEDULE]
         assert described == ["FP", "W16-A16-R16", "W16-A2-R16", "W2-A2-R16"]
-
-    def test_bsl_to_levels(self):
-        assert bsl_to_levels(2) == 3
-        assert bsl_to_levels(16) == 17
 
 
 class TestLsqQuantizer:
@@ -87,12 +82,6 @@ class TestLsqQuantizer:
         quantizer(x).sum().backward()
         assert quantizer.step.grad is not None
         assert quantizer.step.grad.shape == ()
-
-    def test_quantize_levels_integers(self):
-        quantizer = LsqQuantizer(bsl=2)
-        quantizer.initialise_from(np.array([1.0]))
-        levels = quantizer.quantize_levels(np.array([-5.0, 0.0, 5.0]))
-        assert levels.min() >= -1 and levels.max() <= 1
 
     def test_odd_bsl_rejected(self):
         with pytest.raises(ValueError):

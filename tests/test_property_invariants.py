@@ -18,10 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.gelu_si import GateAssistedSIBlock
-from repro.core.softmax_iterative import IterativeSoftmax
 from repro.evaluation.pareto import pareto_front
 from repro.nn.autograd import Tensor
-from repro.nn.functional_math import gelu_exact
+from repro.nn.functional_math import gelu_exact, iterative_softmax_reference
 from repro.nn.quantization import LsqQuantizer
 from repro.sc.arithmetic import thermometer_add, thermometer_multiply
 from repro.sc.bitstream import ThermometerStream
@@ -104,7 +103,7 @@ class TestIterativeSoftmaxInvariants:
     def test_simplex_sum_preserved(self, k, m):
         rng = np.random.default_rng(k * 31 + m)
         x = rng.normal(0, 2.0, size=(3, m))
-        out = IterativeSoftmax(iterations=k).forward(x)
+        out = iterative_softmax_reference(x, k)
         assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-9)
 
     @given(st.integers(1, 6))
@@ -113,8 +112,7 @@ class TestIterativeSoftmaxInvariants:
         rng = np.random.default_rng(k)
         x = rng.normal(size=(1, 8))
         perm = rng.permutation(8)
-        block = IterativeSoftmax(iterations=k)
-        assert np.allclose(block.forward(x[:, perm]), block.forward(x)[:, perm])
+        assert np.allclose(iterative_softmax_reference(x[:, perm], k), iterative_softmax_reference(x, k)[:, perm])
 
 
 class TestParetoInvariants:

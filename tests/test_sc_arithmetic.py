@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 from repro.sc.arithmetic import (
     bipolar_multiply,
     bsn_add,
-    bsn_adder_hardware,
-    divide_by_constant,
     mux_scaled_add,
-    negate,
-    stochastic_multiplier_hardware,
     thermometer_add,
     thermometer_multiplier_hardware,
     thermometer_multiply,
@@ -110,36 +106,8 @@ class TestThermometerAdd:
         assert abs(total.decode()[0] - sum(values)) <= len(values) * 0.125 / 2 + 1e-9
 
 
-class TestNegateAndDivide:
-    def test_negate(self):
-        a = thermo([0.75, -0.25], 8, 0.25)
-        assert np.allclose(negate(a).decode(), [-0.75, 0.25])
-
-    def test_negate_is_involution(self):
-        a = thermo([0.5, -1.0, 0.0], 8, 0.25)
-        assert np.array_equal(negate(negate(a)).counts, a.counts)
-
-    def test_divide_by_constant_changes_scale_only(self):
-        a = thermo([1.0], 8, 0.25)
-        divided = divide_by_constant(a, 4)
-        assert np.array_equal(divided.counts, a.counts)
-        assert divided.decode()[0] == pytest.approx(0.25)
-
-    def test_divide_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            divide_by_constant(thermo([0.0], 4, 1.0), 0)
-
-
 class TestHardwareBuilders:
     def test_multiplier_area_scales_with_operand_lengths(self):
         small = thermometer_multiplier_hardware(2, 2).area_um2()
         large = thermometer_multiplier_hardware(8, 8).area_um2()
         assert large > 4 * small
-
-    def test_bsn_adder_hardware_width(self):
-        module = bsn_adder_hardware(32)
-        assert module.metadata["width"] == 32
-
-    def test_stochastic_multiplier_is_one_gate(self):
-        assert stochastic_multiplier_hardware("unipolar").total_inventory().total_instances() == 1
-        assert stochastic_multiplier_hardware("bipolar").total_inventory().count("XNOR2") == 1

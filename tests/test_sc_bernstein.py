@@ -59,8 +59,8 @@ class TestBernsteinUnit:
 
     def test_more_terms_reduce_approximation_error(self):
         x = np.linspace(-3, 3, 400)
-        err4 = BernsteinPolynomialUnit(gelu_exact, 4, 3.0).approximation_error(x)
-        err6 = BernsteinPolynomialUnit(gelu_exact, 6, 3.0).approximation_error(x)
+        err4 = np.mean(np.abs(BernsteinPolynomialUnit(gelu_exact, 4, 3.0).polynomial(x) - gelu_exact(x)))
+        err6 = np.mean(np.abs(BernsteinPolynomialUnit(gelu_exact, 6, 3.0).polynomial(x) - gelu_exact(x)))
         assert err6 <= err4 + 1e-9
 
     def test_stochastic_error_decreases_with_bsl(self):
@@ -77,6 +77,18 @@ class TestBernsteinUnit:
         x = np.array([-3.0, 0.0, 3.0])
         out = unit.evaluate(x)
         assert out[0] < out[1] < out[2]
+
+    @pytest.mark.parametrize("num_terms", [4, 6])
+    @pytest.mark.parametrize("shape", [(1,), (63,), (64,), (65,), (129,), (5, 27)], ids=lambda s: "x".join(map(str, s)))
+    def test_chunked_draws_match_drawing_everything_at_once(self, num_terms, shape):
+        # evaluate draws 64 values at a time; these shapes straddle the chunk boundary.
+        unit = BernsteinPolynomialUnit(gelu_exact, num_terms=num_terms, input_range=3.0, bitstream_length=96, seed=3)
+        x = np.random.default_rng(2).normal(size=shape)
+        rng = np.random.default_rng(3)
+        u = unit._x_to_u(x).reshape(-1)
+        select = (rng.random((u.size, unit.degree, 96)) < u[:, None, None]).sum(axis=1)
+        v = (rng.random((u.size, 96)) < unit.coefficients[select]).mean(axis=1)
+        assert np.array_equal(unit.evaluate(x), unit._v_to_y(v).reshape(shape))
 
     def test_too_few_terms_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from repro.sc.encodings import (
     thermometer_bits_from_count,
     thermometer_decode_counts,
     thermometer_encode_counts,
-    thermometer_levels,
     unipolar_decode,
     unipolar_encode,
 )
@@ -44,28 +43,10 @@ class TestUnipolarBipolar:
             bipolar_encode([-1.5])
 
 
-class TestThermometerLevels:
-    def test_level_count(self):
-        assert thermometer_levels(8, 0.5).size == 9
-
-    def test_levels_symmetric(self):
-        levels = thermometer_levels(8, 0.5)
-        assert levels[0] == pytest.approx(-levels[-1])
-        assert 0.0 in levels
-
-    def test_level_spacing_is_scale(self):
-        levels = thermometer_levels(16, 0.25)
-        assert np.allclose(np.diff(levels), 0.25)
-
-    def test_invalid_scale(self):
-        with pytest.raises(ValueError):
-            thermometer_levels(8, 0.0)
-
-
 class TestThermometerCounts:
     def test_roundtrip_on_grid(self):
         length, scale = 16, 0.5
-        values = thermometer_levels(length, scale)
+        values = scale * (np.arange(length + 1) - length / 2)
         counts = thermometer_encode_counts(values, length, scale)
         decoded = thermometer_decode_counts(counts, length, scale)
         assert np.allclose(decoded, values)

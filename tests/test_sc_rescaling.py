@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sc.bitstream import ThermometerStream
-from repro.sc.rescaling import RescalingBlock, align_scales, rescale, rescale_to_length, subsampled_count
+from repro.sc.rescaling import RescalingBlock, align_scales, rescale, subsampled_count
 
 
 class TestSubsampledCount:
@@ -48,11 +48,6 @@ class TestRescale:
         stream = ThermometerStream.encode(np.array([0.0]), 10, 0.1)
         with pytest.raises(ValueError):
             rescale(stream, 3)
-
-    def test_rescale_to_length(self):
-        stream = ThermometerStream.encode(np.array([0.5]), 32, 0.125)
-        out = rescale_to_length(stream, 8)
-        assert out.length == 8
 
     @given(
         count=st.integers(0, 64),

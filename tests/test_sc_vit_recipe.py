@@ -3,8 +3,9 @@
 The softmax recipe is checked against configs written out field by field;
 an eval argv and a deployment spec with equal model and circuit fields must
 build pipelines with equal fingerprints and identical predictions.  The
-recipe's calibration records no autograd graph, and importing the eval and
-serve entry points loads neither ``scipy.optimize`` nor ``networkx``.
+recipe's calibration records no autograd graph, the Bernstein baseline draws
+its streams in bounded chunks, and importing the eval and serve entry points
+loads neither ``scipy.optimize`` nor ``networkx``.
 """
 
 import numpy as np
@@ -229,29 +230,41 @@ def test_graph_free_calibration_vectors_equal_a_graph_recording_forward(source, 
     assert is_grad_enabled()
 
 
-def test_calibration_records_no_autograd_graph(paper_scale):
-    """Without the graph the paper-scale calibration peaks at ~12.2 MB; a graph-recording forward needs ~93 MB."""
+def _traced_peak_mb(call):
+    """Peak traced allocation of ``call()`` above what was live before it, in MB."""
     import tracemalloc
 
-    from repro.eval_pipeline import sc_vit_alpha_x
-
-    model, images = paper_scale
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
-        sc_vit_alpha_x(model, images)
-        peak_mb = (tracemalloc.get_traced_memory()[1] - baseline) / 1e6
+        call()
+        return (tracemalloc.get_traced_memory()[1] - baseline) / 1e6
     finally:
         if started:
             tracemalloc.stop()
-    assert peak_mb < 18.0
+
+
+def test_calibration_records_no_autograd_graph(paper_scale):
+    """Without the graph the paper-scale calibration peaks at ~12.2 MB; a graph-recording forward needs ~93 MB."""
+    from repro.eval_pipeline import sc_vit_alpha_x
+
+    model, images = paper_scale
+    assert _traced_peak_mb(lambda: sc_vit_alpha_x(model, images)) < 18.0
+
+
+def test_bernstein_evaluate_draws_in_chunks(gelu_samples):
+    """2,000 values at 1024-bit streams peak at ~7.3 MB; drawing every uniform at once took 143 MB."""
+    from repro.sc.bernstein import BernsteinGeluUnit
+
+    unit = BernsteinGeluUnit(num_terms=6)
+    assert _traced_peak_mb(lambda: unit.evaluate(gelu_samples)) <= 20.0
 
 
 def test_eval_and_serve_imports_leave_scipy_optimize_and_networkx_unloaded():
-    """Loading them costs every process ~35 MB of RSS; only the Bernstein fit and the hierarchy graph use them."""
+    """Loading them costs every process ~35 MB of RSS; only the Bernstein fit uses ``scipy.optimize``."""
     import os
     import subprocess
     import sys

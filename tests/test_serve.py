@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import NUM_IMAGES, replica_factory
 
 from repro.eval_pipeline import BitFlipFaultModel, ScViTEvalPipeline
 from repro.nn import autograd
@@ -28,7 +29,6 @@ from repro.serve import (
     InferenceService,
     PipelineEngine,
     PredictionCache,
-    ReplicaFactory,
     RequestTimeout,
     ServeSpec,
     ServiceClosed,
@@ -42,33 +42,9 @@ from repro.serve.batcher import SHUTDOWN
 from repro.serve.transport import handle_message, serve_http
 from repro.training.datasets import SyntheticImageDataset
 
-GELU_BSL = 4
-FAULT_SEED = 11
-NUM_IMAGES = 10  # the test split of the ``stack`` fixture (tests/conftest.py)
-
-
-@pytest.fixture(scope="module")
-def offline_predictions(stack):
-    """Per-image (batch_size=1) offline predictions per fault rate."""
-    model, test, softmax = stack
-    predictions = {}
-    for flip_prob in (0.0, 0.05):
-        pipeline = ScViTEvalPipeline(
-            model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
-        )
-        predictions[flip_prob] = pipeline.evaluate(test, batch_size=1).predictions
-    return predictions
-
-
-def _factory(stack, flip_prob=0.0):
-    model, _, softmax = stack
-    return ReplicaFactory(
-        model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
-    )
-
 
 def _engine(stack, flip_prob=0.0, workers=1):
-    return PipelineEngine(_factory(stack, flip_prob), workers=workers)
+    return PipelineEngine(replica_factory(stack, flip_prob), workers=workers)
 
 
 class StubEngine:
@@ -107,43 +83,56 @@ class StubEngine:
 
 class TestServedBitIdentity:
     @pytest.mark.parametrize("flip_prob", [0.0, 0.05])
-    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data())
+    @pytest.mark.parametrize(
+        "family, examples",
+        [pytest.param("thread", 6, id="thread"), pytest.param("process", 3, marks=pytest.mark.slow, id="process")],
+    )
     def test_any_arrival_pattern_matches_offline(
-        self, stack, offline_predictions, flip_prob, data
+        self, stack, offline_predictions, family, examples, flip_prob
     ):
-        """Randomised order/stagger/batching never changes a prediction."""
+        """Randomised order/stagger/batching never changes a prediction, in
+        worker threads or across 2 shard processes."""
         _, test, _ = stack
-        order = data.draw(st.permutations(list(range(NUM_IMAGES))))
-        stagger = data.draw(
-            st.lists(st.integers(0, 3), min_size=NUM_IMAGES, max_size=NUM_IMAGES)
-        )
-        max_batch = data.draw(st.integers(1, NUM_IMAGES))
-        max_wait_ms = data.draw(st.sampled_from([0.0, 1.0, 5.0]))
-        workers = data.draw(st.integers(1, 2))
-        use_cache = data.draw(st.booleans())
 
-        async def session():
-            service = InferenceService(
-                _engine(stack, flip_prob=flip_prob, workers=workers),
-                max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
-                cache=PredictionCache() if use_cache else None,
+        @settings(max_examples=examples, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(data=st.data())
+        def check(data):
+            order = data.draw(st.permutations(list(range(NUM_IMAGES))))
+            stagger = data.draw(
+                st.lists(st.integers(0, 3), min_size=NUM_IMAGES, max_size=NUM_IMAGES)
             )
-            async with service:
-                async def submit(position, image_index):
-                    await asyncio.sleep(0.0005 * stagger[position])
-                    result = await service.submit(test.images[image_index], index=image_index)
-                    return image_index, result.prediction
+            max_batch = data.draw(st.integers(1, NUM_IMAGES))
+            max_wait_ms = data.draw(st.sampled_from([0.0, 1.0, 5.0]))
+            use_cache = data.draw(st.booleans())
+            factory = replica_factory(stack, flip_prob)
+            if family == "thread":
+                engine = PipelineEngine(factory, workers=data.draw(st.integers(1, 2)))
+            else:
+                engine = ShardedProcessEngine(factory, shards=2)
 
-                pairs = await asyncio.gather(
-                    *[submit(position, index) for position, index in enumerate(order)]
+            async def session():
+                service = InferenceService(
+                    engine,
+                    max_batch=max_batch,
+                    max_wait_ms=max_wait_ms,
+                    cache=PredictionCache() if use_cache else None,
                 )
-            return dict(pairs)
+                async with service:
+                    async def submit(position, image_index):
+                        await asyncio.sleep(0.0005 * stagger[position])
+                        result = await service.submit(test.images[image_index], index=image_index)
+                        return image_index, result.prediction
 
-        by_index = asyncio.run(session())
-        served = np.array([by_index[i] for i in range(NUM_IMAGES)], dtype=np.int64)
-        assert np.array_equal(served, offline_predictions[flip_prob])
+                    pairs = await asyncio.gather(
+                        *[submit(position, index) for position, index in enumerate(order)]
+                    )
+                return dict(pairs)
+
+            by_index = asyncio.run(session())
+            served = np.array([by_index[i] for i in range(NUM_IMAGES)], dtype=np.int64)
+            assert np.array_equal(served, offline_predictions[flip_prob])
+
+        check()
 
     def test_sequential_submissions_match_offline(self, stack, offline_predictions):
         """The degenerate pattern — one request at a time — also matches."""
@@ -600,6 +589,22 @@ class TestServiceStats:
         assert snapshot["requests"]["queue_depth"] == 2
         assert snapshot["requests"]["in_flight"] == 1
 
+    def test_percentiles_with_zero_and_one_sample(self):
+        stats = ServiceStats()
+        assert stats.snapshot()["latency"] == {"p50_ms": None, "p95_ms": None, "p99_ms": None}
+        stats.record_completed(12.5)
+        assert stats.snapshot()["latency"] == {"p50_ms": 12.5, "p95_ms": 12.5, "p99_ms": 12.5}
+
+    def test_batch_histogram_boundaries_and_mean(self):
+        stats = ServiceStats()
+        for size in (1, 1, 4, 8):
+            stats.record_batch(size)
+        snapshot = stats.snapshot()["batching"]
+        assert snapshot["batches"] == 4
+        assert snapshot["batched_images"] == 14
+        assert snapshot["mean_batch_size"] == pytest.approx(3.5)
+        assert snapshot["histogram"] == {"1": 2, "4": 1, "8": 1}
+
     def test_latency_reservoir_is_bounded(self):
         stats = ServiceStats(max_samples=10)
         for latency in range(100):
@@ -607,6 +612,9 @@ class TestServiceStats:
         snapshot = stats.snapshot()
         # Only the most recent 10 samples (90..99) remain.
         assert snapshot["latency"]["p50_ms"] == pytest.approx(94.5)
+        assert snapshot["latency"]["p99_ms"] == pytest.approx(98.91)
+        with pytest.raises(ValueError):
+            ServiceStats(max_samples=0)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +660,7 @@ class TestPipelineEngine:
         from repro.fabric.engine import FabricEngine
 
         _, test, _ = stack
-        factory = _factory(stack, flip_prob=0.05)
+        factory = replica_factory(stack, flip_prob=0.05)
         engine = {
             "thread": lambda: PipelineEngine(factory, workers=2),
             "process": lambda: ShardedProcessEngine(factory, shards=1),
@@ -692,7 +700,7 @@ class TestPipelineEngine:
         """Four threads run many faulted batches on one pipeline over the factory's own model;
         every image's prediction equals its offline per-image one, whichever batch ran it."""
         _, test, _ = stack
-        factory = _factory(stack, flip_prob=0.05)
+        factory = replica_factory(stack, flip_prob=0.05)
         assert factory().model is factory.model
         rng = np.random.default_rng(0)
         batches = [rng.permutation(NUM_IMAGES)[: rng.integers(1, NUM_IMAGES + 1)] for _ in range(64)]

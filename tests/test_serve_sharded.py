@@ -1,9 +1,10 @@
 """Tests of the sharded multi-process serving tier (:mod:`repro.serve.sharded`).
 
-The load-bearing property extends PR 5's batching invariant across the
-process boundary: for *any* arrival pattern — and any interleaving of
-worker deaths — predictions served by a :class:`ShardedProcessEngine` are
-bit-identical to offline per-image evaluation.  Around it: the pickled
+The load-bearing property extends the batching invariant across the
+process boundary: under any interleaving of worker deaths, predictions
+served by a :class:`ShardedProcessEngine` are bit-identical to offline
+per-image evaluation (the arrival-pattern half, for every engine family, is
+``test_serve.py::TestServedBitIdentity``).  Around it: the pickled
 frame wire format, malformed replies treated as shard deaths, per-shard
 image/batch counters, the :class:`EngineProtocol` seam, queue-depth
 autoscaling, the no-retry contract for deterministic worker errors, and
@@ -23,44 +24,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import NUM_IMAGES, replica_factory
 
-from repro.eval_pipeline import ScViTEvalPipeline
 from repro.serve import (
     EngineProtocol,
     InferenceService,
     PipelineEngine,
-    PredictionCache,
-    ReplicaFactory,
     ShardedProcessEngine,
 )
 from repro.serve.sharded import _Shard, _ShardDied, pack_frame, unpack_frame
 
-GELU_BSL = 4
-FAULT_SEED = 11
-NUM_IMAGES = 10  # the test split of the ``stack`` fixture (tests/conftest.py)
-
-
-@pytest.fixture(scope="module")
-def offline_predictions(stack):
-    model, test, softmax = stack
-    predictions = {}
-    for flip_prob in (0.0, 0.05):
-        pipeline = ScViTEvalPipeline(
-            model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
-        )
-        predictions[flip_prob] = pipeline.evaluate(test, batch_size=1).predictions
-    return predictions
-
-
-def _factory(stack, flip_prob=0.0):
-    model, _, softmax = stack
-    return ReplicaFactory(
-        model, softmax, gelu_output_bsl=GELU_BSL, flip_prob=flip_prob, fault_seed=FAULT_SEED,
-    )
-
 
 def _sharded_engine(stack, flip_prob=0.0, shards=2, **kwargs):
-    return ShardedProcessEngine(_factory(stack, flip_prob), shards=shards, **kwargs)
+    return ShardedProcessEngine(replica_factory(stack, flip_prob), shards=shards, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +192,7 @@ class TestMalformedReplies:
 
 class TestEngineProtocol:
     def test_both_engine_families_satisfy_the_protocol(self, stack):
-        thread = PipelineEngine(_factory(stack), workers=1)
+        thread = PipelineEngine(replica_factory(stack), workers=1)
         process = _stub_engine(shards=1)
         assert isinstance(thread, EngineProtocol)
         assert isinstance(process, EngineProtocol)
@@ -229,49 +205,6 @@ class TestEngineProtocol:
         # Same weights + circuit + fault settings => same fingerprint: the
         # cross-shard (and cross-restart) cache-validity contract.
         assert first.version == second.version
-
-
-# ---------------------------------------------------------------------------
-# Bit-identity across the process boundary
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.slow
-class TestShardedBitIdentity:
-    @pytest.mark.parametrize("flip_prob", [0.0, 0.05])
-    @settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data())
-    def test_any_arrival_pattern_matches_offline(
-        self, stack, offline_predictions, flip_prob, data
-    ):
-        """Random order/stagger across 2 shards never changes a prediction."""
-        _, test, _ = stack
-        order = data.draw(st.permutations(list(range(NUM_IMAGES))))
-        stagger = data.draw(
-            st.lists(st.integers(0, 3), min_size=NUM_IMAGES, max_size=NUM_IMAGES)
-        )
-        engine = _sharded_engine(stack, flip_prob=flip_prob, shards=2)
-        service = InferenceService(
-            engine, max_batch=4, max_wait_ms=2.0,
-            cache=PredictionCache(),
-        )
-
-        async def session():
-            async with service:
-                async def submit(position, image_index):
-                    await asyncio.sleep(0.0005 * stagger[position])
-                    result = await service.submit(test.images[image_index], index=image_index)
-                    return image_index, result.prediction
-
-                pairs = await asyncio.gather(
-                    *[submit(position, image_index) for position, image_index in enumerate(order)]
-                )
-                return dict(pairs)
-
-        served = asyncio.run(session())
-        expected = offline_predictions[flip_prob]
-        for image_index in range(NUM_IMAGES):
-            assert served[image_index] == expected[image_index]
 
 
 @pytest.mark.slow

@@ -20,7 +20,6 @@ Three layers of contract:
 import asyncio
 import io
 import json
-import math
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ import pytest
 from repro import telemetry
 from repro.telemetry import (
     Counter,
-    Gauge,
     KernelProfiler,
     MetricsRegistry,
     Tracer,
@@ -495,47 +493,6 @@ class TestInertness:
 
 
 # --------------------------------------------------------------------------
-# ServiceStats edge cases (satellite)
-# --------------------------------------------------------------------------
-class TestServiceStatsEdgeCases:
-    def _make(self, clock=None):
-        from repro.serve.stats import ServiceStats
-
-        return ServiceStats(clock=clock if clock is not None else FakeClock())
-
-    def test_percentiles_with_zero_and_one_sample(self):
-        stats = self._make()
-        snap = stats.snapshot()
-        assert snap["latency"] == {"p50_ms": None, "p95_ms": None, "p99_ms": None}
-        stats.record_completed(12.5)
-        snap = stats.snapshot()
-        assert snap["latency"]["p50_ms"] == pytest.approx(12.5)
-        assert snap["latency"]["p95_ms"] == pytest.approx(12.5)
-        assert snap["latency"]["p99_ms"] == pytest.approx(12.5)
-
-    def test_batch_histogram_boundaries_and_mean(self):
-        stats = self._make()
-        for size in (1, 1, 4, 8):
-            stats.record_batch(size)
-        snap = stats.snapshot()["batching"]
-        assert snap["batches"] == 4
-        assert snap["batched_images"] == 14
-        assert snap["mean_batch_size"] == pytest.approx(3.5)
-        assert snap["histogram"] == {"1": 2, "4": 1, "8": 1}
-
-    def test_latency_reservoir_is_bounded(self):
-        from repro.serve.stats import ServiceStats
-
-        stats = ServiceStats(max_samples=4, clock=FakeClock())
-        for value in (100.0, 100.0, 1.0, 1.0, 1.0, 1.0):
-            stats.record_completed(value)
-        # Only the 4 most recent samples remain: the old 100s aged out.
-        assert stats.snapshot()["latency"]["p99_ms"] == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            ServiceStats(max_samples=0)
-
-
-# --------------------------------------------------------------------------
 # /metrics rendering over a live service
 # --------------------------------------------------------------------------
 def _parse_prometheus(text: str) -> dict:
@@ -551,9 +508,7 @@ def _parse_prometheus(text: str) -> dict:
 
 
 class TestMetricsEndpoint:
-    def test_render_metrics_serves_cache_counters(self):
-        from repro.blocks.specs import SoftmaxCircuitConfig
-        from repro.nn.vit import CompactVisionTransformer, ViTConfig
+    def test_render_metrics_serves_cache_counters(self, stack):
         from repro.serve import (
             InferenceService,
             PipelineEngine,
@@ -561,17 +516,9 @@ class TestMetricsEndpoint:
             ReplicaFactory,
             render_metrics,
         )
-        from repro.training.datasets import SyntheticImageDataset
 
         telemetry.enable()
-        model = CompactVisionTransformer(
-            ViTConfig(image_size=8, patch_size=4, num_classes=4, embed_dim=16,
-                      num_layers=1, num_heads=2, norm="bn", seed=3)
-        ).eval()
-        dataset = SyntheticImageDataset(num_classes=4, image_size=8, seed=5)
-        _, test = dataset.splits(train_size=4, test_size=4)
-        softmax = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0,
-                                       by=8, alpha_y=0.03, s1=16, s2=4)
+        model, test, softmax = stack
 
         async def session() -> str:
             engine = PipelineEngine(ReplicaFactory(model, softmax, flip_prob=0.05), workers=1)
@@ -592,20 +539,13 @@ class TestMetricsEndpoint:
         assert samples["repro_service_requests_completed"] == 5.0
         assert "# TYPE repro_service_requests_completed gauge" in text
 
-    def test_http_transport_routes_get_metrics(self):
+    def test_http_transport_routes_get_metrics(self, stack):
         import urllib.request
 
-        from repro.blocks.specs import SoftmaxCircuitConfig
-        from repro.nn.vit import CompactVisionTransformer, ViTConfig
         from repro.serve import InferenceService, PipelineEngine, ReplicaFactory
         from repro.serve.transport import serve_http
 
-        model = CompactVisionTransformer(
-            ViTConfig(image_size=8, patch_size=4, num_classes=4, embed_dim=16,
-                      num_layers=1, num_heads=2, norm="bn", seed=3)
-        ).eval()
-        softmax = SoftmaxCircuitConfig(m=64, iterations=2, bx=4, alpha_x=1.0,
-                                       by=8, alpha_y=0.03, s1=16, s2=4)
+        model, _, softmax = stack
 
         async def session():
             engine = PipelineEngine(ReplicaFactory(model, softmax), workers=1)

@@ -30,7 +30,7 @@ class TestTrainer:
         history = trainer.fit()
         assert len(history.train_loss) == 2
         assert history.train_loss[-1] < history.train_loss[0] + 0.1
-        assert history.final_test_accuracy >= chance - 15.0  # sanity, not a benchmark
+        assert history.test_accuracy[-1] >= chance - 15.0  # sanity, not a benchmark
 
     def test_loss_decreases_on_average(self, tiny_vit_config, tiny_dataset, fast_config):
         train, test = tiny_dataset
@@ -38,11 +38,6 @@ class TestTrainer:
         trainer = Trainer(model, train, test, TrainingConfig(epochs=4, batch_size=32, learning_rate=2e-3))
         history = trainer.fit()
         assert history.train_loss[-1] < history.train_loss[0]
-
-    def test_history_properties(self, tiny_vit, tiny_dataset, fast_config):
-        train, test = tiny_dataset
-        history = Trainer(tiny_vit, train, test, fast_config).fit()
-        assert history.best_test_accuracy >= history.test_accuracy[0] - 1e-9
 
     def test_custom_loss_fn_contract(self, tiny_vit, tiny_dataset, fast_config):
         train, test = tiny_dataset

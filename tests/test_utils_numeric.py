@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.numeric import clamp, is_power_of_two, round_half_away_from_zero
+from repro.utils.numeric import clamp, round_half_away_from_zero
 
 
 class TestClamp:
@@ -17,14 +17,6 @@ class TestClamp:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             clamp(1, 2, 1)
-
-
-class TestIsPowerOfTwo:
-    def test_true_cases(self):
-        assert all(is_power_of_two(v) for v in (1, 2, 8, 4096))
-
-    def test_false_cases(self):
-        assert not any(is_power_of_two(v) for v in (0, -2, 3, 12, 2.0))
 
 
 class TestRoundHalfAwayFromZero:

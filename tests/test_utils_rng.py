@@ -1,6 +1,6 @@
 import numpy as np
 
-from repro.utils.rng import RngMixin, as_generator, spawn_generator
+from repro.utils.rng import as_generator
 
 
 class TestAsGenerator:
@@ -18,33 +18,3 @@ class TestAsGenerator:
 
     def test_none_returns_generator(self):
         assert isinstance(as_generator(None), np.random.Generator)
-
-
-class TestSpawnGenerator:
-    def test_child_is_independent_object(self):
-        parent = as_generator(0)
-        child = spawn_generator(parent)
-        assert child is not parent
-
-    def test_spawning_is_deterministic_given_parent_state(self):
-        child_a = spawn_generator(as_generator(0))
-        child_b = spawn_generator(as_generator(0))
-        assert np.array_equal(child_a.random(4), child_b.random(4))
-
-
-class TestRngMixin:
-    def test_lazy_creation_and_determinism(self):
-        class Thing(RngMixin):
-            pass
-
-        a, b = Thing(seed=9), Thing(seed=9)
-        assert np.array_equal(a.rng.random(3), b.rng.random(3))
-
-    def test_reseed_resets_stream(self):
-        class Thing(RngMixin):
-            pass
-
-        thing = Thing(seed=1)
-        first = thing.rng.random(3)
-        thing.reseed(1)
-        assert np.array_equal(thing.rng.random(3), first)

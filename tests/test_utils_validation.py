@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.validation import (
-    check_in_choices,
-    check_positive_int,
-    check_power_of_two,
-    check_probability,
-    check_unit_interval_array,
-)
+from repro.utils.validation import check_binary_array, check_eval_mode, check_in_choices, check_positive_int
 
 
 class TestCheckPositiveInt:
@@ -28,41 +22,6 @@ class TestCheckPositiveInt:
             check_positive_int(bad, "x")
 
 
-class TestCheckPowerOfTwo:
-    @pytest.mark.parametrize("good", [1, 2, 4, 64, 1024])
-    def test_accepts_powers(self, good):
-        assert check_power_of_two(good, "x") == good
-
-    @pytest.mark.parametrize("bad", [3, 6, 12, 100])
-    def test_rejects_non_powers(self, bad):
-        with pytest.raises(ValueError):
-            check_power_of_two(bad, "x")
-
-
-class TestCheckProbability:
-    @pytest.mark.parametrize("good", [0.0, 0.5, 1.0])
-    def test_accepts_unit_interval(self, good):
-        assert check_probability(good, "p") == good
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0])
-    def test_rejects_outside(self, bad):
-        with pytest.raises(ValueError):
-            check_probability(bad, "p")
-
-
-class TestCheckUnitIntervalArray:
-    def test_accepts_valid_array(self):
-        arr = check_unit_interval_array([0.0, 0.3, 1.0], "a")
-        assert arr.dtype == float
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            check_unit_interval_array([0.0, 1.5], "a")
-
-    def test_empty_array_is_fine(self):
-        assert check_unit_interval_array([], "a").size == 0
-
-
 class TestCheckInChoices:
     def test_accepts_member(self):
         assert check_in_choices("a", ("a", "b"), "x") == "a"
@@ -70,3 +29,47 @@ class TestCheckInChoices:
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
             check_in_choices("c", ("a", "b"), "x")
+
+
+class TestCheckBinaryArray:
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([True, False, True]),
+            np.array([0, 1, 1], dtype=np.uint8),
+            np.array([[1, 0], [0, 1]], dtype=np.int64),
+            np.array([0.0, 1.0, 1.0]),
+            np.array([], dtype=float),
+        ],
+        ids=["bool", "uint8", "int64-2d", "float", "empty"],
+    )
+    def test_accepts_zeros_and_ones(self, bits):
+        assert check_binary_array(bits, "bits") is bits
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0, 2, 1]),
+            np.array([-1, 0, 1], dtype=np.int8),
+            np.array([0.0, 0.5, 1.0]),
+            np.array([0.0, np.nan, 1.0]),
+            np.array([1.0 + 1e-9, 0.0]),
+        ],
+        ids=["two", "negative", "fraction", "nan", "just-above-one"],
+    )
+    def test_rejects_other_values(self, bad):
+        with pytest.raises(ValueError):
+            check_binary_array(bad, "bits")
+
+
+class TestCheckEvalMode:
+    class _Model:
+        def __init__(self, training):
+            self.training = training
+
+    def test_accepts_eval_mode(self):
+        check_eval_mode(self._Model(training=False), "caller")
+
+    def test_rejects_training_mode(self):
+        with pytest.raises(ValueError, match="eval mode"):
+            check_eval_mode(self._Model(training=True), "caller")

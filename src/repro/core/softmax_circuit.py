@@ -32,8 +32,9 @@ Without faults, a row's outputs depend only on each element's x count and
 the row's x-count histogram: elements with equal x counts start from the
 same y count and see the same row sums, so they share every state.  The
 fault-free forward therefore steps one state per (row, x level) and
-gathers the outputs back to elements; the faulted forward draws per
-element and per site, so it steps every element.
+gathers the outputs back to elements.  The faulted forward steps every
+element; it draws each stream length's sparse sites up front, as one walk,
+and applies each site in place, reading counts only at the flipped elements.
 
 The structural model (:meth:`IterativeSoftmaxCircuit.build_hardware`)
 instantiates the same pieces through the :mod:`repro.hw` cost model; the
@@ -78,6 +79,7 @@ class IterativeSoftmaxCircuit(NonlinearBlock):
         y_counts = np.arange(config.by + 1)
         y_levels = y_counts - config.by // 2
         self._z_levels = np.outer(x_levels, y_levels).ravel()
+        self._z_floats = self._z_levels.astype(float)  # a faulted row sum is one BLAS mat-vec
         self._decoded = np.tile(
             thermometer_decode_counts(y_counts, config.by, config.alpha_y), config.bx + 1
         )
@@ -105,13 +107,14 @@ class IterativeSoftmaxCircuit(NonlinearBlock):
         and contains the decoded circuit outputs.
 
         ``faults``, an armed :class:`~repro.eval_pipeline.faults.BitFlipFaultModel`
-        (or anything with its ``perturb_counts(counts, length)``), flips bits
-        at every thermometer-stream interface of the dataflow, in order:
-        ``"x"`` (the encoded input), ``"y0"`` (the constant initial
-        estimate) and ``"y<i>"`` (the re-encoded output of iteration ``i``).
-        ``None`` (the default) keeps the exact fault-free numerics.  Returned
-        counts must keep their shape and lie in ``[0, length]``; anything
-        else raises ``ValueError`` naming the site.
+        (or anything with its ``sparse_flips(shape, length, sites)`` and
+        ``perturb_counts(counts, length)``), flips bits at every
+        thermometer-stream interface of the dataflow, in order: ``"x"`` (the
+        encoded input), ``"y0"`` (the constant initial estimate) and
+        ``"y<i>"`` (the re-encoded output of iteration ``i``).  ``None`` (the
+        default) keeps the exact fault-free numerics.  Flips outside the
+        counts, or counts leaving ``[0, length]`` or their shape, raise
+        ``ValueError`` naming the site.
         """
         cfg = self.config
         x = np.asarray(x, dtype=float)
@@ -121,7 +124,7 @@ class IterativeSoftmaxCircuit(NonlinearBlock):
         x_counts = thermometer_encode_counts(x, cfg.bx, cfg.alpha_x)
         if faults is None:
             return self._forward_levels(x_counts)
-        return self._forward_elements(_perturbed(faults, "x", x_counts, cfg.bx), faults)
+        return self._forward_elements(x_counts, faults)
 
     def _forward_levels(self, x_counts: np.ndarray) -> np.ndarray:
         """Fault-free Algorithm 1, run once per (row, x level) group.
@@ -138,28 +141,30 @@ class IterativeSoftmaxCircuit(NonlinearBlock):
         state = np.arange(cfg.bx + 1)[:, None] * (cfg.by + 1) + self._y0_count  # broadcasts over rows
         for _ in range(cfg.iterations):
             # BSN (1): the one cross-element quantity, summed per level.
-            state = self._step(state, (hist * self._z_levels.take(state)).sum(axis=0))
+            table, offsets = self._step((hist * self._z_levels.take(state)).sum(axis=0))
+            state = table.take(offsets + state)
         return self._decoded.take(state).take(groups).reshape(x_counts.shape)
 
     def _forward_elements(self, x_counts: np.ndarray, faults) -> np.ndarray:
-        """Algorithm 1 element by element, with the fault sites between steps."""
+        """Algorithm 1 element by element, fault sites between steps (float64 row sums are exact: ``< m·Bx·By``)."""
         cfg = self.config
-        y_counts = np.full(x_counts.shape, self._y0_count, dtype=np.int64)
-        x_base = x_counts * (cfg.by + 1)  # the x part of the state; iterations keep it
-        state = x_base + _perturbed(faults, "y0", y_counts, cfg.by)
+        shape, y_sites = x_counts.shape, cfg.iterations + 1
+        [x_flips] = faults.sparse_flips(shape, cfg.bx, 1) or [None]
+        x_base = _faulted(faults, "x", x_counts, cfg.bx, x_flips) * (cfg.by + 1)  # iterations keep it
+        y_flips = faults.sparse_flips(shape, cfg.by, y_sites) or [None] * y_sites
+        state = _faulted(faults, "y0", x_base + self._y0_count, cfg.by, y_flips[0], x_base)
         for iteration in range(cfg.iterations):
-            state = self._step(state, self._z_levels.take(state).sum(axis=-1, keepdims=True))
-            state -= x_base
-            state = x_base + _perturbed(faults, f"y{iteration + 1}", state, cfg.by)
+            table, offsets = self._step(self._z_floats.take(state).reshape(-1, cfg.m) @ np.ones(cfg.m))
+            state = table.take(np.repeat(offsets, cfg.m) + state.reshape(-1)).reshape(shape)
+            state = _faulted(faults, f"y{iteration + 1}", state, cfg.by, y_flips[iteration + 1], x_base)
         return self._decoded.take(state)
 
-    def _step(self, state: np.ndarray, sum_levels: np.ndarray) -> np.ndarray:
-        """One iteration from the rows' z-level sums: s1 sub-sampling, then the table."""
+    def _step(self, sum_levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One iteration's next-state table and each row's offset into it, from the rows' z-level sums."""
         cfg = self.config
         sum_sub_levels = np.rint(sum_levels / cfg.s1).astype(np.int64)
         lo, hi = (int(sum_sub_levels.min()), int(sum_sub_levels.max())) if sum_sub_levels.size else (0, 0)
-        table = self._next_state_table(lo, hi)
-        return table.take((sum_sub_levels - lo) * self._states_per_sum + state)
+        return self._next_state_table(lo, hi), (sum_sub_levels - lo) * self._states_per_sum
 
     def _next_state_table(self, lo: int, hi: int) -> np.ndarray:
         """Next combined state for every ``(sum_sub, x_count, y_count)``.
@@ -290,15 +295,25 @@ class IterativeSoftmaxCircuit(NonlinearBlock):
         )
 
 
-def _perturbed(faults, site: str, counts: np.ndarray, length: int) -> np.ndarray:
-    """``faults.perturb_counts`` at ``site``, checked before it enters the state.
+def _faulted(faults, site: str, state: np.ndarray, length: int, flips, base=0) -> np.ndarray:
+    """``state`` with its counts ``state - base`` faulted at ``site``, in place by drawn ``flips`` if any.
 
     The combined state packs x and y counts into one index, so an
     out-of-range count would silently alias another entry; it fails here.
     """
-    out = np.asarray(faults.perturb_counts(counts, length))
-    if out.shape != counts.shape or not counts_in_range(out, length):
-        raise ValueError(
-            f"faults at site {site!r} must return counts of shape {counts.shape} in [0, {length}]"
-        )
-    return out
+    error = ValueError(f"faults at site {site!r} must keep the counts' shape {state.shape} and range [0, {length}]")
+    if flips is None:
+        out = np.asarray(faults.perturb_counts(state - base, length))
+        if out.shape != state.shape or not counts_in_range(out, length):
+            raise error
+        return base + out
+    (elements, bits), flat = flips, state.reshape(-1)
+    in_range = counts_in_range(elements, flat.size - 1) and counts_in_range(bits, length - 1)
+    if elements.shape != bits.shape or not in_range:
+        raise error
+    before = flat.take(elements)
+    counts = before % (length + 1)  # a combined state's y count, a plain count itself
+    np.add.at(flat, elements, np.where(bits < counts, -1, 1))  # unbuffered: one element may flip twice
+    if not counts_in_range(flat.take(elements) - (before - counts), length):
+        raise error
+    return state

@@ -11,7 +11,8 @@ A site samples that law exactly by one of two branches, chosen from
 * **sparse** (``L·p <= 1``): walk the site's ``n·L`` bit positions per image
   by geometric skips, so the work follows the expected number of flips,
   and move each flipped bit's element count by -1 (a one flipped) or +1 (a
-  zero flipped);
+  zero flipped).  The positions do not depend on the counts, so
+  :meth:`~BitFlipFaultModel.sparse_flips` walks several sites at once;
 * **dense** (``L·p > 1``): one uniform per element, inverted through a
   memoised per-``(L, p)`` CDF.  One lookup in an answer-or--1 guide resolves
   almost every draw; a bisection within the guide bucket does the rest.
@@ -43,7 +44,7 @@ from __future__ import annotations
 import copy
 import math
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +64,7 @@ _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 # ``(cdf, guide, answer)``: an inversion table of a row-stochastic matrix.
 Tables = Tuple[np.ndarray, np.ndarray, np.ndarray]
+Flips = Tuple[np.ndarray, np.ndarray]  # ``(elements, bits)``: flat element indices, bit positions in them
 
 
 def net_flip_pmf(length: int, flip_prob: float) -> np.ndarray:
@@ -177,31 +179,35 @@ def _walk(words: np.ndarray, flip_prob: float, end: int) -> np.ndarray:
     return positions
 
 
-def _sparse_flips(counts: np.ndarray, length: int, flip_prob: float, keys: np.ndarray) -> np.ndarray:
-    """Post-fault ``counts`` (one row per image, one key per row) by walking each image's bit positions."""
-    images, per_image = counts.shape
+def _sparse_flips(keys: np.ndarray, per_image: int, length: int, flip_prob: float) -> List[Flips]:
+    """Each site's flipped ``(element, bit)`` pairs, walking its images' bit positions (``keys``: one per site, image).
+
+    A site's ``elements`` index its ``images × per_image`` counts, in increasing order.
+    """
+    sites, images = keys.shape
+    keys = keys.reshape(-1)
     end = per_image * length  # bit positions per image
     mean = end * flip_prob
     window = max(1, math.ceil(mean + _WINDOW_SIGMAS * math.sqrt(mean) + _WINDOW_SLACK))
-    first = np.arange(0, images * end, end)  # each image's first bit over the whole site
+    first = np.arange(keys.size) * end  # each walk's first bit over all the sites
     positions = _walk(counter_words(keys, 0, window), flip_prob, end)
-    bits = [(positions + first[:, None])[positions < end]]
+    chunks = [(positions + first[:, None])[positions < end]]
     todo = np.flatnonzero(positions[:, -1] < end)
     last, start = positions[todo, -1], window
     while todo.size:
         # Walks that have not passed the end read their images' next counters.
         more = _walk(counter_words(keys[todo], start, start + window), flip_prob, end)
         more += last[:, None] + 1
-        bits.append((more + first[todo, None])[more < end])
+        chunks.append((more + first[todo, None])[more < end])
         last, start = more[:, -1], start + window
         todo, last = todo[last < end], last[last < end]
-    bits = np.concatenate(bits)
+    # Continued walks append their bits after every first window: sort them back into site order.
+    bits = np.sort(np.concatenate(chunks)) if len(chunks) > 1 else chunks[0]
     elements = bits // length
     bits -= elements * length  # bit within its element's stream
-    out = counts.astype(np.int64).reshape(-1)
-    moves = np.where(bits < out.take(elements), -1, 1)  # a one flipped off, or a zero on
-    np.add.at(out, elements, moves)  # unbuffered: two bits of one element may both flip
-    return out.reshape(counts.shape)
+    size = images * per_image
+    cuts = np.searchsorted(elements, np.arange(sites + 1) * size).tolist()
+    return [(elements[a:b] - site * size, bits[a:b]) for site, a, b in zip(range(sites), cuts, cuts[1:])]
 
 
 class BitFlipFaultModel:
@@ -230,6 +236,25 @@ class BitFlipFaultModel:
         armed._site = 0
         return armed
 
+    def sparse_flips(self, shape: Tuple[int, ...], length: int, sites: int) -> Optional[List[Flips]]:
+        """The flips of the next ``sites`` sites of ``shape``-shaped counts, drawn as one walk.
+
+        A flipped bit below the site's pre-fault count moves it by -1, any other by +1.
+        ``None`` (dense sites, or faults off): perturb each through :meth:`perturb_counts`.
+        """
+        if not self.enabled or length * self.flip_prob > 1.0:
+            return None
+        return _sparse_flips(self._site_keys(shape[0], sites), math.prod(shape[1:]), length, self.flip_prob)
+
+    def _site_keys(self, images: int, sites: int) -> np.ndarray:
+        """``(sites, images)`` keys of the next ``sites`` sites; advances the site counter."""
+        if self._keys is None:
+            raise RuntimeError("perturb streams through armed(image_indices), not the unarmed model")
+        if images != len(self._keys):
+            raise ValueError(f"site {self._site + 1}: axis 0 is {images}, not the armed {len(self._keys)} images")
+        self._site += sites
+        return counter_words(self._keys, self._site - sites + 1, self._site + 1).T
+
     def perturb_counts(
         self, counts: np.ndarray, length: int, through: Optional[Tuple[np.ndarray, int]] = None
     ) -> np.ndarray:
@@ -239,25 +264,23 @@ class BitFlipFaultModel:
         ``table`` and faults the mapped stream too, sampled as one site of
         :func:`composed_kernel`; the result is post-fault output counts.
         """
-        self._site += 1
         if not self.enabled:
+            self._site += 1
             return counts if through is None else np.asarray(through[0]).take(counts)
-        if self._keys is None:
-            raise RuntimeError("perturb streams through armed(image_indices), not the unarmed model")
         counts = np.asarray(counts)
-        if counts.shape[0] != len(self._keys):
-            raise ValueError(f"site {self._site}: axis 0 is {counts.shape[0]}, not the armed {len(self._keys)} images")
+        keys = self._site_keys(counts.shape[0], 1)
         if not counts_in_range(counts, length):
             raise ValueError(f"counts must lie in [0, {length}]")
         if not counts.size:
             return counts.astype(np.int64)
-        keys = counter_words(self._keys, self._site, self._site + 1)[:, 0]
-        rows = counts.reshape(len(keys), -1)
         if through is not None:
             table, out_length = through
             tables = _tables(length, self.flip_prob, np.asarray(table, np.int64).tobytes(), out_length)
         elif length * self.flip_prob <= 1.0:
-            return _sparse_flips(rows, length, self.flip_prob, keys).reshape(counts.shape)
+            [(elements, bits)] = _sparse_flips(keys, counts.size // len(counts), length, self.flip_prob)
+            out = counts.astype(np.int64).reshape(-1)
+            np.add.at(out, elements, np.where(bits < out.take(elements), -1, 1))  # unbuffered: repeated elements
+            return out.reshape(counts.shape)
         else:
             tables = _tables(length, self.flip_prob)
-        return sample_rows(tables, counts, counter_words(keys, 0, rows.shape[1]))
+        return sample_rows(tables, counts, counter_words(keys[0], 0, counts.size // len(counts)))

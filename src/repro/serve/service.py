@@ -221,6 +221,8 @@ class InferenceService:
         # rejected / timeout / error) and the /stats ledger balances.
         image = self._check_image(image)
         index = int(index)
+        if not 0 <= index < 2**63:  # the fault draws key on an int64 index: one bad one would fail its batch
+            raise ValueError(f"index {index} lies outside [0, 2**63 - 1]")
         self.stats.record_submitted()
         span = (
             self._tracer.begin("service.request", cat="service", index=index, request_id=request_id)

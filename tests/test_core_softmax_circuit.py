@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,8 +8,11 @@ from hypothesis import strategies as st
 from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, calibrate_alpha_y
 from repro.core.dse import SoftmaxDesignSpace
 from repro.core.softmax_circuit import IterativeSoftmaxCircuit
+from repro.eval_pipeline import faults
+from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.hw.synthesis import synthesize
-from repro.sc.bitstream import ThermometerStream
+from repro.sc.bitstream import ThermometerStream, counts_in_range
+from repro.sc.encodings import thermometer_encode_counts
 from repro.utils.numeric import round_half_away_from_zero
 
 
@@ -24,21 +29,44 @@ def _encode(values, length, scale):
 
 
 class SiteFaults:
-    """A fake fault model: ``perturb_counts`` hands ``fn`` the dataflow site.
+    """A fake fault model at the dense seam: ``perturb_counts`` hands ``fn`` the dataflow site.
 
-    The circuit calls ``perturb_counts(counts, length)`` at ``x``, ``y0``,
-    ``y1``, ... in that order; ``fn(site, counts, length)`` returns the
-    counts that replace them.
+    It draws no sparse flips, so the circuit calls ``perturb_counts(counts,
+    length)`` at ``x``, ``y0``, ``y1``, ... in that order;
+    ``fn(site, counts, length)`` returns the counts that replace them.
     """
 
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
 
-    def perturb_counts(self, counts, length):
-        site = "x" if self.calls == 0 else f"y{self.calls - 1}"
+    def _site(self):
         self.calls += 1
-        return self.fn(site, counts, length)
+        return "x" if self.calls == 1 else f"y{self.calls - 2}"
+
+    def sparse_flips(self, shape, length, sites):
+        return None
+
+    def perturb_counts(self, counts, length):
+        return self.fn(self._site(), counts, length)
+
+
+class FlipFaults(SiteFaults):
+    """A fake fault model at the sparse seam: ``fn(site, shape, length)`` draws ``(elements, bits)``.
+
+    The circuit takes each stream length's sites up front through
+    ``sparse_flips``; ``perturb_counts`` applies the same draws to the
+    streams' bits, one site at a time, for :func:`reference_forward`.
+    """
+
+    def sparse_flips(self, shape, length, sites):
+        return [self.fn(self._site(), shape, length) for _ in range(sites)]
+
+    def perturb_counts(self, counts, length):
+        elements, bits = self.fn(self._site(), counts.shape, length)
+        stream = np.arange(length) < counts.reshape(-1, 1)  # thermometer bits: ones first
+        stream[elements, bits] ^= True  # the draws never repeat an (element, bit) pair
+        return stream.sum(axis=1).reshape(counts.shape)  # the next sorter keeps the popcount
 
 
 def _perturbed(faults, stream):
@@ -88,6 +116,24 @@ def jitter_faults(seed):
         return np.clip(counts + rng.integers(-1, 2, size=counts.shape), 0, length)
 
     return SiteFaults(jitter)
+
+
+def jitter_flips(seed):
+    """Deterministic fake sparse faults: a third of the elements flip one bit, a quarter of those a second."""
+    rng = np.random.default_rng(seed)
+
+    def jitter(site, shape, length):
+        elements = rng.permutation(np.flatnonzero(rng.random(shape) < 1 / 3))
+        bits = rng.integers(0, length, elements.size)
+        twice = elements.size // 4
+        second = (bits[:twice] + rng.integers(1, length, twice)) % length  # another bit of the same element
+        return np.concatenate([elements, elements[:twice]]), np.concatenate([bits, second])
+
+    return FlipFaults(jitter)
+
+
+def no_flips():
+    return FlipFaults(lambda site, shape, length: (np.zeros(0, np.intp), np.zeros(0, np.intp)))
 
 
 class TestConfig:
@@ -303,6 +349,7 @@ class TestPerLevelMatchesElementLoop:
         out = levels.forward(x)
         assert out.shape == np.shape(x)
         assert np.array_equal(out, elements.forward(x, faults=identity_faults()))
+        assert np.array_equal(out, elements.forward(x, faults=no_flips()))
         assert levels._tables.keys() == elements._tables.keys()
 
     @given(
@@ -353,30 +400,36 @@ class TestPerLevelMatchesElementLoop:
 
 
 class TestFaultSeam:
-    def test_sites_fire_in_dataflow_order(self, logit_rows):
+    """Both seams: dense sites through ``perturb_counts``, sparse ones drawn up front by ``sparse_flips``."""
+
+    @pytest.mark.parametrize("fake", [SiteFaults, FlipFaults])
+    def test_sites_fire_in_dataflow_order(self, fake, logit_rows):
         cfg = make_config(iterations=4)
         sites = []
 
-        def record(site, counts, length):
-            sites.append((site, length, counts.shape))
-            return counts
+        def record(site, counts_or_shape, length):
+            shape = np.shape(counts_or_shape) if fake is SiteFaults else counts_or_shape
+            sites.append((site, length, shape))
+            return counts_or_shape if fake is SiteFaults else (np.zeros(0, np.intp), np.zeros(0, np.intp))
 
-        IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], faults=SiteFaults(record))
+        IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], faults=fake(record))
         assert sites == [("x", cfg.bx, (4, 64))] + [
             (f"y{i}", cfg.by, (4, 64)) for i in range(cfg.iterations + 1)
         ]
 
-    def test_identity_faults_change_nothing(self, logit_rows):
+    @pytest.mark.parametrize("identity", [identity_faults, no_flips])
+    def test_identity_faults_change_nothing(self, identity, logit_rows):
         circuit = IterativeSoftmaxCircuit(make_config())
-        faulted = circuit.forward(logit_rows, faults=identity_faults())
+        faulted = circuit.forward(logit_rows, faults=identity())
         assert np.array_equal(faulted, circuit.forward(logit_rows))
 
+    @pytest.mark.parametrize("jitter", [jitter_faults, jitter_flips])
     @pytest.mark.parametrize("geometry", [(4, 8), (3, 4), (5, 2)])
-    def test_perturbing_faults_match_oracle(self, geometry, logit_rows):
+    def test_perturbing_faults_match_oracle(self, jitter, geometry, logit_rows):
         bx, by = geometry
         cfg = make_config(bx=bx, by=by, alpha_y=calibrate_alpha_y(by, 64), s1=7, s2=3)
-        out = IterativeSoftmaxCircuit(cfg).forward(logit_rows, faults=jitter_faults(5))
-        expected = reference_forward(cfg, logit_rows, faults=jitter_faults(5))
+        out = IterativeSoftmaxCircuit(cfg).forward(logit_rows, faults=jitter(5))
+        expected = reference_forward(cfg, logit_rows, faults=jitter(5))
         assert np.array_equal(out, expected)
         assert not np.array_equal(out, reference_forward(cfg, logit_rows))
 
@@ -401,6 +454,122 @@ class TestFaultSeam:
 
         with pytest.raises(ValueError, match=site):
             IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], faults=SiteFaults(corrupt))
+
+    @pytest.mark.parametrize("site", ["x", "y0", "y1", "y3"])
+    @pytest.mark.parametrize(
+        "bad", ["element_above", "element_below", "bit_above", "bit_below", "unpaired", "count_out_of_range"]
+    )
+    def test_malformed_flips_raise(self, site, bad, logit_rows):
+        cfg = make_config()
+
+        def corrupt(at, shape, length):
+            elements, bits = np.array([0, 5]), np.array([0, length - 1])
+            if at != site:
+                return elements, bits
+            if bad.startswith("element"):
+                elements[1] = np.prod(shape) if bad == "element_above" else -1
+            elif bad.startswith("bit"):
+                bits[1] = length if bad == "bit_above" else -1
+            elif bad == "unpaired":
+                bits = bits[:1]
+            else:
+                # One pair flipped L + 1 times moves its count by L + 1 one way.
+                elements, bits = np.zeros(length + 1, np.intp), np.full(length + 1, length - 1)
+            return elements, bits
+
+        with pytest.raises(ValueError, match=site):
+            IterativeSoftmaxCircuit(cfg).forward(logit_rows[:4], faults=FlipFaults(corrupt))
+
+
+def per_site_forward(circuit, x, faults):
+    """The faulted forward with one ``perturb_counts`` per site, in dataflow order.
+
+    This is the per-site loop the circuit ran before it drew each stream
+    length's sparse sites up front: the oracle of that path.
+    """
+    cfg = circuit.config
+    x_counts = faults.perturb_counts(thermometer_encode_counts(x, cfg.bx, cfg.alpha_x), cfg.bx)
+    x_base = x_counts * (cfg.by + 1)
+    state = x_base + faults.perturb_counts(np.full(x_counts.shape, circuit._y0_count, dtype=np.int64), cfg.by)
+    for _ in range(cfg.iterations):
+        table, offsets = circuit._step(circuit._z_levels.take(state).sum(axis=-1, keepdims=True))
+        state = x_base + faults.perturb_counts(table.take(offsets + state) - x_base, cfg.by)
+    return circuit._decoded.take(state)
+
+
+@contextlib.contextmanager
+def window_overflow(overflow):
+    """Optionally shrink the sparse walk's window so that walks read several windows."""
+    with pytest.MonkeyPatch.context() as patch:
+        if overflow:
+            patch.setattr(faults, "_WINDOW_SIGMAS", -3.0)
+            patch.setattr(faults, "_WINDOW_SLACK", 0)
+        yield
+
+
+class TestDrawnSitesMatchPerSiteLoop:
+    """Sites drawn up front and applied in place equal one ``perturb_counts`` per site."""
+
+    @given(
+        bx=st.sampled_from([2, 4, 8]),
+        by=st.sampled_from([2, 4, 8, 16]),
+        m=st.sampled_from([1, 3, 17]),
+        iterations=st.integers(1, 4),
+        # L·p <= 1 walks, L·p > 1 inverts: each value is sparse at some lengths and dense at others.
+        flip_prob=st.sampled_from([0.0, 0.01, 0.06, 0.125, 0.3, 1.0]),
+        images=st.sampled_from([0, 1, 3]),
+        overflow=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, bx, by, m, iterations, flip_prob, images, overflow, seed):
+        rng = np.random.default_rng(seed)
+        cfg = SoftmaxCircuitConfig(
+            m=m, iterations=iterations, bx=bx, alpha_x=calibrate_alpha_x(rng.normal(0.0, 1.0, size=(8, m)), bx),
+            by=by, alpha_y=calibrate_alpha_y(by, m), s1=1, s2=1,
+        )
+        assume(cfg.is_feasible())
+        x = rng.normal(0.0, 2.0, size=(images, 2, m))
+        model, indices = BitFlipFaultModel(flip_prob, seed=seed), rng.integers(0, 2**40, images)
+        with window_overflow(overflow):
+            out = IterativeSoftmaxCircuit(cfg).forward(x, faults=model.armed(indices))
+            expected = per_site_forward(IterativeSoftmaxCircuit(cfg), x, model.armed(indices))
+        assert np.array_equal(out, expected)
+
+    @given(
+        length=st.sampled_from([1, 2, 4, 8, 16]),
+        per_image=st.sampled_from([0, 1, 17, 100]),
+        images=st.sampled_from([0, 1, 3]),
+        sites=st.integers(1, 5),
+        mean_flips=st.sampled_from([0.01, 0.2, 1.0]),  # L·p
+        overflow=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_multi_site_walk_equals_site_by_site(self, length, per_image, images, sites, mean_flips, overflow, seed):
+        keys = faults.counter_words(np.arange(seed, seed + images, dtype=np.uint64), 1, sites + 1).T
+        with window_overflow(overflow):
+            joint = faults._sparse_flips(keys, per_image, length, mean_flips / length)
+            alone = [
+                faults._sparse_flips(keys[site : site + 1], per_image, length, mean_flips / length)
+                for site in range(sites)
+            ]
+        assert len(joint) == sites
+        for (elements, bits), [(one_elements, one_bits)] in zip(joint, alone):
+            assert np.array_equal(elements, one_elements) and np.array_equal(bits, one_bits)
+            assert np.all(np.diff(elements) >= 0) and counts_in_range(elements, images * per_image - 1)
+            assert counts_in_range(bits, length - 1)
+
+    def test_sparse_sites_skip_perturb_counts_and_dense_sites_use_it(self, logit_rows, monkeypatch):
+        calls = []
+        perturb = BitFlipFaultModel.perturb_counts
+        monkeypatch.setattr(BitFlipFaultModel, "perturb_counts", lambda *args: calls.append(args[2]) or perturb(*args))
+        cfg = make_config()  # Bx 4, By 8
+        for flip_prob, expected in [(0.01, []), (0.2, [cfg.by] * (cfg.iterations + 1)), (0.5, [cfg.bx] + [cfg.by] * 4)]:
+            calls.clear()
+            armed = BitFlipFaultModel(flip_prob, seed=1).armed([0, 1])
+            IterativeSoftmaxCircuit(cfg).forward(logit_rows[:2], faults=armed)
+            assert calls == expected, flip_prob
 
 
 class TestCircuitHardware:

@@ -201,10 +201,11 @@ class TestGoldenBitIdentity:
         both sides fault-free and report them bit-identical."""
         from repro.eval_pipeline.faults import BitFlipFaultModel
 
-        def broken(self, counts, length, through=None):
+        def broken(self, shape, length, sites):
             raise TypeError("broken fault seam")
 
-        monkeypatch.setattr(BitFlipFaultModel, "perturb_counts", broken)
+        # At flip 0.05 every site of the default softmax is sparse: drawn up front through this seam.
+        monkeypatch.setattr(BitFlipFaultModel, "sparse_flips", broken)
         spec = FabricRunSpec(
             fabric=FabricSpec(), schedule=(_small_softmax(),), rows=8,
             seed=11, flip_prob=0.05, fault_seed=3,

@@ -429,6 +429,31 @@ class TestServiceSemantics:
         assert stats.submitted == 7
         assert stats.completed == 7
 
+    @pytest.mark.parametrize("index", [2**63, -1])
+    def test_out_of_range_index_fails_alone(self, index, stack, offline_predictions):
+        """With faults on, an index the int64 fault keys cannot hold is rejected up
+        front; the seven requests it would have shared a micro-batch with still
+        complete, with their offline predictions."""
+        _, test, _ = stack
+
+        async def scenario():
+            service = InferenceService(_engine(stack, flip_prob=0.05), max_batch=8, max_wait_ms=20.0)
+            async with service:
+                outcomes = await asyncio.gather(
+                    *[service.submit(test.images[i], index=i) for i in range(7)],
+                    service.submit(test.images[7], index=index),
+                    return_exceptions=True,
+                )
+            return outcomes, service.stats
+
+        outcomes, stats = asyncio.run(scenario())
+        assert isinstance(outcomes[-1], ValueError)
+        assert "index" in str(outcomes[-1])
+        served = [outcome.prediction for outcome in outcomes[:-1]]
+        assert served == offline_predictions[0.05][:7].tolist()
+        assert stats.submitted == stats.completed == 7
+        assert stats.errors == 0
+
     def test_shape_rejected_requests_keep_stats_ledger_balanced(self):
         engine = StubEngine(image_shape=(2, 2))
 

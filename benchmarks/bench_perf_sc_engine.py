@@ -10,8 +10,8 @@ Times the packed fast paths against faithful re-implementations of the seed
 * FSM nonlinear-unit forward,
 * bitonic sorting-network bit sort.
 
-Each run measures the numpy kernel engine (:mod:`repro.sc.backends`) and
-writes its results to ``benchmarks/results/BENCH_sc_engine.json``.  Every
+Each run measures the packed numpy engine (:mod:`repro.sc.packed` and the
+blocks built on it) and writes its results to ``benchmarks/results/BENCH_sc_engine.json``.  Every
 benchmark has a speedup floor; ``python -m repro bench --check-floor`` (and
 the pytest entry) fails when a fresh run drops below them.  Host metadata
 (CPU count, numpy version) rides along so floor regressions are

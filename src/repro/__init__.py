@@ -36,9 +36,9 @@ The package mirrors the structure of the paper (DATE 2024):
   reconciliation (``python -m repro fabric``),
 * :mod:`repro.telemetry` — the unified observability plane: span tracing
   with cross-process context propagation (Chrome-trace/Perfetto export),
-  Prometheus-text metrics, per-kernel profiling at the SC kernel seam and
-  structured logging (``python -m repro trace``; off by default and
-  provably inert — see ``docs/observability.md``).
+  Prometheus-text metrics and structured logging (``python -m repro
+  trace``; off by default and provably inert — see
+  ``docs/observability.md``).
 
 See ``docs/`` for each subsystem's design notes and ``benchmarks/`` for the
 scripts that regenerate the paper's tables and figures (their recorded

@@ -15,9 +15,11 @@ This package provides everything below the ASCEND-specific blocks:
 * the three families of baseline nonlinear-function designs the paper
   compares against: FSM-based units, Bernstein-polynomial units and naive
   selective interconnect (:mod:`repro.sc.fsm`, :mod:`repro.sc.bernstein`,
-  :mod:`repro.sc.selective_interconnect`),
-* the packed engine's numpy kernels behind one observable seam
-  (:mod:`repro.sc.backends`).
+  :mod:`repro.sc.selective_interconnect`).
+
+The random-stream blocks run on packed bitplanes
+(:mod:`repro.sc.packed`): each gate is a word-wise numpy op of
+:class:`PackedBitPlane`, and each random plane is one seeded draw.
 
 Every functional block also knows how to describe itself structurally for
 the hardware cost model via a ``build_hardware()`` method.

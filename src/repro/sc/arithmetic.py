@@ -29,7 +29,7 @@ import numpy as np
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.sc.bitstream import StochasticStream, ThermometerStream
 from repro.sc.encodings import bipolar_decode, unipolar_decode
-from repro.sc.packed import PackedBitPlane, _kernels, tail_mask
+from repro.sc.packed import PackedBitPlane, popcount_words, select_plane, tail_mask
 from repro.sc.sorting_network import BitonicSortingNetwork
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
@@ -86,7 +86,7 @@ def mux_scaled_add(
         rng = as_generator(seed)
         # Same draw as the explicit-bit implementation (one integers(0, 2)
         # per cycle) so seeded results stay reproducible across versions.
-        select = _kernels().select_plane(a.value_shape, a.length, rng)
+        select = select_plane(a.value_shape, a.length, rng)
     else:
         if select.length != a.length:
             raise ValueError("select plane must match the operand length")
@@ -106,13 +106,13 @@ def draw_select_planes(
     Bit-identical to ``count`` sequential :func:`mux_scaled_add` draws from
     the same generator (the batched ``integers`` call consumes the uniform
     stream in the same C order), but generation is amortised across the
-    whole batch — one backend call instead of ``count``, which is where the
+    whole batch — one RNG call instead of ``count``, which is where the
     per-call overhead of `mux_scaled_add` lived.
     """
     check_positive_int(length, "length")
     check_positive_int(count, "count")
     rng = as_generator(seed)
-    batched = _kernels().select_plane((count,) + tuple(value_shape), length, rng)
+    batched = select_plane((count,) + tuple(value_shape), length, rng)
     return [PackedBitPlane(batched.words[i], length) for i in range(count)]
 
 
@@ -120,22 +120,21 @@ def fused_multiply_decode(a: StochasticStream, b: StochasticStream) -> np.ndarra
     """Multiply two streams and decode the product in one popcount pass.
 
     Equivalent to ``unipolar_multiply(a, b).decode()`` (or the bipolar
-    pair) but never materialises the product plane: the backend gates and
-    popcounts word-by-word, which halves memory traffic on the hottest
-    decode path of the eval pipeline.
+    pair) but popcounts the gated words directly, without wrapping them in
+    a :class:`PackedBitPlane` (whose constructor re-checks the tail).
     """
     if a.encoding != b.encoding:
         raise ValueError("streams must share an encoding")
     if a.length != b.length:
         raise ValueError("streams must have equal length")
-    op = "and" if a.encoding == "unipolar" else "xnor"
-    counts = _kernels().multiply_popcount(
-        a.packed.words, b.packed.words, op, tail_mask(a.length)
-    )
-    probs = counts / a.length
     if a.encoding == "unipolar":
-        return unipolar_decode(probs)
-    return bipolar_decode(probs)
+        prod = a.packed.words & b.packed.words
+        decode = unipolar_decode
+    else:
+        prod = ~(a.packed.words ^ b.packed.words)
+        prod[..., -1] &= tail_mask(a.length)
+        decode = bipolar_decode
+    return decode(popcount_words(prod).sum(axis=-1, dtype=np.int64) / a.length)
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.sc.encodings import (
     unipolar_decode,
     unipolar_encode,
 )
-from repro.sc.packed import PackedBitPlane
+from repro.sc.packed import PackedBitPlane, bernoulli_plane
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_binary_array, check_in_choices, check_positive_int
 
@@ -164,9 +164,7 @@ class StochasticStream:
         rng = as_generator(seed)
         values = np.asarray(values, dtype=float)
         probs = unipolar_encode(values) if encoding == "unipolar" else bipolar_encode(values)
-        from repro.sc.packed import _kernels
-
-        packed = _kernels().bernoulli_plane(values.shape, length, probs, rng)
+        packed = bernoulli_plane(values.shape, length, probs, rng)
         return cls(packed=packed, encoding=encoding)
 
     def probabilities(self) -> np.ndarray:

@@ -32,7 +32,7 @@ from repro.blocks.protocol import NonlinearBlock
 from repro.blocks.specs import FsmGeluSpec, FsmReluSpec, FsmTanhSpec
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.sc.bitstream import StochasticStream
-from repro.sc.packed import PackedBitPlane, _NATIVE_LITTLE_ENDIAN, _kernels
+from repro.sc.packed import PackedBitPlane, _NATIVE_LITTLE_ENDIAN
 from repro.sc.sng import StochasticNumberGenerator
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
@@ -69,6 +69,47 @@ def _fsm_scan_tables(num_states: int):
             current = np.clip(current + (2 * bit - 1), 0, num_states - 1)
         nxt[:, byte] = current
     return pre, nxt
+
+
+def _fsm_trajectory(
+    stream_bytes: np.ndarray, pre: np.ndarray, nxt: np.ndarray, initial_state: int
+) -> np.ndarray:
+    """Counter state before every cycle, shape ``(..., num_bytes, 8)``.
+
+    ``stream_bytes`` is the packed plane's byte view (8 stream bits per
+    byte, zero tail included); ``pre``/``nxt`` are the byte-granular
+    transition tables of the saturating counter (see
+    :func:`_fsm_scan_tables`).
+    """
+    num_bytes = stream_bytes.shape[-1]
+    state = np.full(stream_bytes.shape[:-1], initial_state, dtype=np.intp)
+    trajectory = np.empty(stream_bytes.shape[:-1] + (num_bytes, 8), dtype=np.uint8)
+    for t in range(num_bytes):
+        chunk = stream_bytes[..., t]
+        trajectory[..., t, :] = pre[state, chunk]
+        state = nxt[state, chunk].astype(np.intp)
+    return trajectory
+
+
+def _fsm_forward_bytes(
+    stream_bytes: np.ndarray, nxt: np.ndarray, outbyte: np.ndarray, initial_state: int
+) -> np.ndarray:
+    """Fused FSM forward: output *bytes* straight from the byte scan.
+
+    ``outbyte[s, b]`` packs the 8 output bits the unit emits while
+    consuming input byte ``b`` entered in state ``s`` (valid whenever the
+    output rule's cycle dependence has period dividing 8, which the
+    caller checks).  Skips materialising the per-cycle trajectory and the
+    rule evaluation over the whole stream.
+    """
+    num_bytes = stream_bytes.shape[-1]
+    state = np.full(stream_bytes.shape[:-1], initial_state, dtype=np.intp)
+    out = np.empty_like(stream_bytes)
+    for t in range(num_bytes):
+        chunk = stream_bytes[..., t]
+        out[..., t] = outbyte[state, chunk]
+        state = nxt[state, chunk].astype(np.intp)
+    return out
 
 
 class FsmNonlinearUnit:
@@ -151,9 +192,7 @@ class FsmNonlinearUnit:
         pre, nxt = tables
         stream_bytes = stream.packed.byte_view()
         num_bytes = stream_bytes.shape[-1]
-        trajectory = _kernels().fsm_trajectory(
-            stream_bytes, pre, nxt, initial_state, self.num_states
-        )
+        trajectory = _fsm_trajectory(stream_bytes, pre, nxt, initial_state)
         return trajectory.reshape(stream.value_shape + (num_bytes * 8,))[..., :length]
 
     def _outbyte_table(self) -> Optional[np.ndarray]:
@@ -195,9 +234,7 @@ class FsmNonlinearUnit:
             # (the constructor re-masks rule output on the zero-padded tail).
             pre, nxt = _fsm_scan_tables(self.num_states)
             stream_bytes = stream.packed.byte_view()
-            out_bytes = _kernels().fsm_forward_bytes(
-                stream_bytes, nxt, outbyte, initial_state, self.num_states
-            )
+            out_bytes = _fsm_forward_bytes(stream_bytes, nxt, outbyte, initial_state)
             words = np.ascontiguousarray(out_bytes).view(np.uint64)
             if not _NATIVE_LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts
                 words = words.byteswap()

@@ -56,18 +56,6 @@ def _words_for(length: int) -> int:
     return (length + WORD_BITS - 1) // WORD_BITS
 
 
-def _kernels():
-    """The kernel engine (see :mod:`repro.sc.backends`).
-
-    Imported lazily per call: the backends package imports this module for
-    :class:`PackedBitPlane`, and per-call resolution is what lets the
-    telemetry profiler wrap the kernels at any point.
-    """
-    from repro.sc.backends import active_backend
-
-    return active_backend()
-
-
 def tail_mask(length: int) -> np.uint64:
     """Mask of the valid bits in the last word of an ``length``-bit plane."""
     rem = length % WORD_BITS
@@ -195,7 +183,7 @@ class PackedBitPlane:
             raise ValueError("p must lie in [0, 1]")
         if p == 0.0:
             return cls.zeros(value_shape, length)
-        return _kernels().bernoulli_plane(tuple(value_shape), length, p, rng)
+        return bernoulli_plane(tuple(value_shape), length, p, rng)
 
     def to_bits(self, dtype=np.int8) -> np.ndarray:
         """Materialise the explicit bit array, shape ``value_shape + (length,)``."""
@@ -220,7 +208,7 @@ class PackedBitPlane:
     # ------------------------------------------------------------ decoding
     def popcount(self) -> np.ndarray:
         """Number of 1s per stream, shape ``value_shape`` (int64)."""
-        return _kernels().popcount_reduce(self.words)
+        return popcount_words(self.words).sum(axis=-1, dtype=np.int64)
 
     # ------------------------------------------------------------ gate ops
     def _check_mate(self, other: "PackedBitPlane") -> None:
@@ -229,24 +217,26 @@ class PackedBitPlane:
 
     def __and__(self, other: "PackedBitPlane") -> "PackedBitPlane":
         self._check_mate(other)
-        return PackedBitPlane(_kernels().and_words(self.words, other.words), self.length)
+        return PackedBitPlane(self.words & other.words, self.length)
 
     def __or__(self, other: "PackedBitPlane") -> "PackedBitPlane":
         self._check_mate(other)
-        return PackedBitPlane(_kernels().or_words(self.words, other.words), self.length)
+        return PackedBitPlane(self.words | other.words, self.length)
 
     def __xor__(self, other: "PackedBitPlane") -> "PackedBitPlane":
         self._check_mate(other)
-        return PackedBitPlane(_kernels().xor_words(self.words, other.words), self.length)
+        return PackedBitPlane(self.words ^ other.words, self.length)
 
     def __invert__(self) -> "PackedBitPlane":
-        words = _kernels().invert_words(self.words, tail_mask(self.length))
+        words = ~self.words
+        words[..., -1] &= tail_mask(self.length)
         return PackedBitPlane(words, self.length)
 
     def xnor(self, other: "PackedBitPlane") -> "PackedBitPlane":
         """Word-wise XNOR with the tail re-masked to zero."""
         self._check_mate(other)
-        words = _kernels().xnor_words(self.words, other.words, tail_mask(self.length))
+        words = ~(self.words ^ other.words)
+        words[..., -1] &= tail_mask(self.length)
         return PackedBitPlane(words, self.length)
 
     def mux(self, on_one: "PackedBitPlane", on_zero: "PackedBitPlane") -> "PackedBitPlane":
@@ -258,8 +248,38 @@ class PackedBitPlane:
         """
         self._check_mate(on_one)
         self._check_mate(on_zero)
-        words = _kernels().mux_words(self.words, on_one.words, on_zero.words)
+        words = (self.words & on_one.words) | (~self.words & on_zero.words)
         return PackedBitPlane(words, self.length)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PackedBitPlane(value_shape={self.value_shape}, length={self.length})"
+
+
+def bernoulli_plane(
+    value_shape: Tuple[int, ...], length: int, probs, rng: np.random.Generator
+) -> PackedBitPlane:
+    """Packed plane of Bernoulli draws: bit ``t`` of value ``v`` is
+    ``rng.random() < probs[v]``.
+
+    This is the canonical encode draw: one uniform per (value, cycle) in
+    C order, consumed from ``rng`` exactly as the explicit-bit
+    implementation always has, so seeded streams are reproducible across
+    versions.  ``probs`` is a scalar or an array of shape
+    ``value_shape``.
+    """
+    draws = rng.random(tuple(value_shape) + (length,))
+    p = np.asarray(probs, dtype=float)
+    bits = draws < (p[..., None] if p.ndim else p)
+    return PackedBitPlane.from_bits(bits)
+
+
+def select_plane(
+    value_shape: Tuple[int, ...], length: int, rng: np.random.Generator
+) -> PackedBitPlane:
+    """Packed fair-coin select plane for the MUX scaled adder.
+
+    The canonical draw is ``rng.integers(0, 2, size=value_shape + (L,))``
+    — kept verbatim so seeded ``mux_scaled_add`` results never move.
+    """
+    select = rng.integers(0, 2, size=tuple(value_shape) + (length,)).astype(np.uint8)
+    return PackedBitPlane.from_bits(select)

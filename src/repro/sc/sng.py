@@ -19,7 +19,7 @@ import numpy as np
 from repro.hw.netlist import ComponentInventory, HardwareModule
 from repro.sc.bitstream import StochasticStream
 from repro.sc.encodings import bipolar_encode, unipolar_encode
-from repro.sc.packed import PackedBitPlane
+from repro.sc.packed import PackedBitPlane, bernoulli_plane
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_in_choices, check_positive_int
 
@@ -237,9 +237,7 @@ class StochasticNumberGenerator:
         values = np.asarray(values, dtype=float)
         probs = self._probabilities(values)
         if self.mode == "ideal":
-            from repro.sc.packed import _kernels
-
-            packed = _kernels().bernoulli_plane(probs.shape, self.length, probs, self._rng)
+            packed = bernoulli_plane(probs.shape, self.length, probs, self._rng)
             return StochasticStream(packed=packed, encoding=self.encoding)
 
         # LFSR mode: every value in the batch shares the LFSR sequence, the

@@ -146,18 +146,16 @@ class BitonicSortingNetwork:
         if arr.shape[-1] != self.width:
             raise ValueError(f"expected last axis of size {self.width}, got {arr.shape[-1]}")
         check_binary_array(arr, "bits")
-        from repro.sc.packed import _kernels
-
         work = np.zeros(arr.shape[:-1] + (self.padded_width,), dtype=np.int8)
         work[..., : self.width] = arr
         # All pairs of a stage are independent, so each stage is two gathers
         # and two scatters.  For single-bit payloads: max = OR, min = AND;
         # the "hi" index keeps the larger value so 1s bubble to the front.
-        backend = _kernels()
         for hi, lo in _stage_indices(self.padded_width):
-            upper, lower = backend.bsn_stage(work[..., hi], work[..., lo])
-            work[..., hi] = upper
-            work[..., lo] = lower
+            a = work[..., hi]
+            b = work[..., lo]
+            work[..., hi] = a | b
+            work[..., lo] = a & b
         return work[..., : self.width]
 
     def sort_values(self, values: np.ndarray) -> np.ndarray:

@@ -117,15 +117,12 @@ class ScenarioRunner:
         """Execute the scenario; returns the JSON-able result payload."""
         # Spec-driven telemetry must be live before the deployment builds
         # (also covers the pre-built-deployment test seam, which skips
-        # build_deployment's own activation).
-        if self.spec.deployment.telemetry:
-            telemetry.enable()
-        else:
-            telemetry.activate()
-        workload = generate_workload(self.spec.workload, base_dir=self.base_dir)
-        images = self._image_pool()
-        result = asyncio.run(self._drive(workload, images))
-        self._export_trace()
+        # build_deployment's own enablement).
+        with telemetry.run_scope(force_on=self.spec.deployment.telemetry):
+            workload = generate_workload(self.spec.workload, base_dir=self.base_dir)
+            images = self._image_pool()
+            result = asyncio.run(self._drive(workload, images))
+            self._export_trace()
         return self._finalise(workload, images, result)
 
     def _export_trace(self) -> None:

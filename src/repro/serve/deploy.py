@@ -86,13 +86,9 @@ def build_deployment(spec: ServeSpec, code_version: Optional[str] = None) -> "De
     from repro import telemetry
 
     if spec.telemetry:
-        # Spec-driven enablement: force the plane on (and install the
-        # kernel-profiling hook) before the engine builds, so even
-        # construction-time kernel work is observed.
+        # Spec-driven enablement: force the plane on before the service
+        # and engine build, since they read it at construction.
         telemetry.enable()
-    else:
-        # Env-driven (`REPRO_TELEMETRY=1`) enablement still installs hooks.
-        telemetry.activate()
 
     factory = build_replica_factory(spec)
 

@@ -109,7 +109,7 @@ class ServeSpec(Spec):
     transport: str = "stdio"
     host: str = "127.0.0.1"
     port: int = 8765
-    # observability — spans + kernel profiling for this deployment.  Purely
+    # observability — request/batch/shard spans for this deployment.  Purely
     # observational: excluded from the engine fingerprint, request cache
     # keys and scenario cache identity (ScenarioTask strips it), so a spec
     # with telemetry on serves bit-identical predictions to one without.

@@ -1,4 +1,4 @@
-"""Unified observability plane: tracing, metrics, kernel profiling, logging.
+"""Unified observability plane: tracing, metrics, logging.
 
 The serving/scenario/fabric arc (PRs 5-9) built machinery with no way to
 see inside it.  This package is the instrumentation layer they share:
@@ -10,8 +10,6 @@ see inside it.  This package is the instrumentation layer they share:
 * :mod:`repro.telemetry.metrics` — labelled counters and gauges
   with Prometheus text exposition (``GET /metrics`` on the HTTP
   transport) and a JSON snapshot,
-* :mod:`repro.telemetry.profiling` — per-kernel x per-backend call/word/
-  wall-time profiling hooked into the :mod:`repro.sc.backends` seam,
 * :mod:`repro.telemetry.logging` — the one structured-logging config site
   behind ``repro --log-level`` / ``--log-json``,
 * :mod:`repro.telemetry.summary` — trace loading/summarising for
@@ -21,18 +19,18 @@ see inside it.  This package is the instrumentation layer they share:
 and switched on by the ``REPRO_TELEMETRY`` environment variable (``1`` /
 ``true`` / ``on``), the ``telemetry`` field of a
 :class:`~repro.serve.specs.ServeSpec` / scenario spec, or
-:func:`enable`.  When off, the kernel seam costs one ``is None`` check
-and the serve layers skip span creation behind one boolean.  On or off,
-telemetry is *provably inert*: predictions stay bit-identical, and no
-content-addressed cache key, engine fingerprint or spec identity
-incorporates telemetry state (``repro verify`` and the warm-cache re-run
-gate on exactly this).
+:func:`enable`.  When off, the serve layers skip span creation behind
+one boolean.  On or off, telemetry is *provably inert*: predictions stay
+bit-identical, and no content-addressed cache key, engine fingerprint or
+spec identity incorporates telemetry state (``repro verify`` and the
+warm-cache re-run gate on exactly this).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.telemetry.logging import StructuredLogger, configure_logging, get_logger
 from repro.telemetry.metrics import (
@@ -42,9 +40,6 @@ from repro.telemetry.metrics import (
     get_registry,
     publish_snapshot,
 )
-from repro.telemetry.profiling import KernelProfiler, get_profiler
-from repro.telemetry.profiling import install as _install_profiling
-from repro.telemetry.profiling import uninstall as _uninstall_profiling
 from repro.telemetry.summary import load_trace, summarize_trace
 from repro.telemetry.tracer import Span, Tracer, current_context, push_context
 
@@ -52,7 +47,6 @@ __all__ = [
     "TELEMETRY_ENV_VAR",
     "Counter",
     "Gauge",
-    "KernelProfiler",
     "MetricsRegistry",
     "Span",
     "StructuredLogger",
@@ -70,6 +64,7 @@ __all__ = [
     "publish_snapshot",
     "push_context",
     "reset",
+    "run_scope",
     "summarize_trace",
 ]
 
@@ -93,34 +88,19 @@ def enabled() -> bool:
 
 
 def enable() -> None:
-    """Force telemetry on and install the kernel-profiling hook."""
+    """Force telemetry on."""
     global _forced
     _forced = True
-    _install_profiling()
 
 
 def disable() -> None:
-    """Force telemetry off and remove the kernel-profiling hook.
+    """Force telemetry off.
 
-    Recorded spans/metrics/profiles are kept (use :func:`reset` to drop
-    them); only *collection* stops.
+    Recorded spans and metrics are kept (use :func:`reset` to drop them);
+    only *collection* stops.
     """
     global _forced
     _forced = False
-    _uninstall_profiling()
-
-
-def activate() -> bool:
-    """Install the kernel hook iff :func:`enabled`; returns that state.
-
-    The entry points (deploy, scenario runner) call this
-    so an env-var-enabled run profiles kernels without anyone having
-    called :func:`enable` explicitly.
-    """
-    if enabled():
-        _install_profiling()
-        return True
-    return False
 
 
 def get_tracer() -> Tracer:
@@ -131,12 +111,49 @@ def get_tracer() -> Tracer:
 def reset() -> None:
     """Return the plane to its pristine state (tests / between runs).
 
-    Clears the default tracer, registry and profiler, removes the kernel
-    hook, and reverts enablement to follow the environment variable.
+    Clears the default tracer and registry and reverts enablement to
+    follow the environment variable.
     """
     global _forced
     _forced = None
-    _uninstall_profiling()
     _default_tracer.clear()
     get_registry().clear()
-    get_profiler().clear()
+
+
+@contextmanager
+def run_scope(force_on: bool = False) -> Iterator[None]:
+    """One run's telemetry window (each scenario run is one).
+
+    On entry the default tracer and registry are emptied, so what the run
+    exports is its own; ``force_on`` forces the plane on.  On exit the
+    enablement found on entry is restored, so a spec that switched
+    telemetry on leaves later runs in the process untraced.
+    """
+    global _forced
+    found = _forced
+    _default_tracer.clear()
+    get_registry().clear()
+    if force_on:
+        _forced = True
+    try:
+        yield
+    finally:
+        _forced = found
+
+
+class _EmptyKernelProfile:
+    def clear(self) -> None:
+        pass
+
+    def table(self) -> List[Dict[str, Any]]:
+        return []
+
+
+def get_profiler() -> _EmptyKernelProfile:
+    """An always-empty kernel profile: ``clear()`` does nothing, ``table()`` is ``[]``.
+
+    It exists only because perfbench calls it for its ``sc.kernel.*`` rows
+    (which read 0: the eval and serve forwards run no packed SC kernel).
+    ROADMAP item 5 deletes it, with those rows, in the next benchmark change.
+    """
+    return _EmptyKernelProfile()

@@ -18,7 +18,6 @@ from repro.sc.arithmetic import (
     mux_scaled_add,
     unipolar_multiply,
 )
-from repro.sc.backends import NumpyBackend
 from repro.sc.bitstream import StochasticStream
 from repro.sc.fsm import FsmGeluUnit, FsmNonlinearUnit, FsmReluUnit, FsmTanhUnit
 from repro.sc.packed import HAVE_BITWISE_COUNT, PackedBitPlane
@@ -385,11 +384,16 @@ class TestPopcountLutFallback:
 
 
 def test_draw_select_planes_matches_sequential_draws():
+    """Batched selects equal ``count`` sequential ``mux_scaled_add`` draws.
+
+    A MUX of all-ones over all-zeros outputs its select plane bit for bit.
+    """
     planes = draw_select_planes((4, 6), 100, 3, seed=123)
-    kernels = NumpyBackend()
+    ones = StochasticStream(np.ones((4, 6, 100), np.int8))
+    zeros = StochasticStream(np.zeros((4, 6, 100), np.int8))
     rng = np.random.default_rng(123)
     for plane in planes:
-        expected = kernels.select_plane((4, 6), 100, rng)
+        expected = mux_scaled_add(ones, zeros, seed=rng).packed
         assert np.array_equal(plane.words, expected.words)
         assert isinstance(plane, PackedBitPlane)
 

@@ -549,6 +549,42 @@ class TestScenarioRunnerStubbed:
         assert result["requests"]["offered"] == 26
         assert result["ok"]
 
+    def test_each_run_exports_its_own_trace_and_restores_enablement(self, tmp_path, monkeypatch):
+        """Scenarios sharing a process: no run inherits another's spans,
+        metrics or spec-forced telemetry."""
+        from repro import telemetry
+
+        monkeypatch.delenv(telemetry.TELEMETRY_ENV_VAR, raising=False)
+        traced = ServeSpec(**TINY, flip_prob=0.05, telemetry=True)
+        try:
+            paths = []
+            for name in ("first", "second"):
+                runner = ScenarioRunner(
+                    _stub_scenario(name=name, deployment=traced),
+                    deployment=_StubDeployment(),
+                    offline_predict=_stub_oracle,
+                    trace_dir=tmp_path,
+                )
+                assert runner.run()["ok"]
+                paths.append(runner.last_trace_path)
+                assert not telemetry.enabled()
+                telemetry.get_registry().counter("leftover_total").inc()
+            for path in paths:
+                document = json.loads(path.read_text())
+                names = [event["name"] for event in document["traceEvents"]]
+                assert names.count("scenario.run") == 1, path
+                assert "leftover_total" not in document["otherData"]["metrics"]
+
+            untraced = ScenarioRunner(
+                _stub_scenario(name="third"), deployment=_StubDeployment(),
+                offline_predict=_stub_oracle, trace_dir=tmp_path,
+            )
+            assert untraced.run()["ok"]
+            assert untraced.last_trace_path is None
+            assert len(telemetry.get_tracer()) == 0
+        finally:
+            telemetry.reset()
+
     def test_max_inflight_must_be_positive(self):
         with pytest.raises(ValueError, match="max_inflight"):
             ScenarioRunner(_stub_scenario(), max_inflight=0)

@@ -3,18 +3,16 @@
 Three layers of contract:
 
 * **Unit** — tracer (ids, parentage, ingest, exports), metrics
-  (monotone counters, Prometheus rendering, snapshot publishing), kernel
-  profiling (proxy transparency, heaviest-first table), structured logging
-  and trace summarising.
-* **Inertness** — the load-bearing promise: telemetry off leaves the
-  backend seam untouched (``active_backend`` returns the raw instance),
-  the ``telemetry`` spec field never enters the scenario cache identity,
-  and predictions are bit-identical with tracing on vs off.
+  (monotone counters, Prometheus rendering, snapshot publishing), shard
+  span adoption, structured logging and trace summarising.
+* **Inertness** — the load-bearing promise: the ``telemetry`` spec
+  field never enters the scenario cache identity, and predictions are
+  bit-identical with tracing on vs off.
 * **End to end** (slow) — a real 2-shard process scenario with telemetry
   on emits a Perfetto-loadable trace containing the full
   service -> batcher -> shard-worker span chain plus a kill/recovery
   span, and ``render_metrics`` serves parseable Prometheus text with
-  cache counters and per-kernel timings.
+  cache counters.
 """
 
 import asyncio
@@ -27,7 +25,6 @@ import pytest
 from repro import telemetry
 from repro.telemetry import (
     Counter,
-    KernelProfiler,
     MetricsRegistry,
     Tracer,
     configure_logging,
@@ -38,7 +35,6 @@ from repro.telemetry import (
     push_context,
     summarize_trace,
 )
-from repro.telemetry.profiling import ProfiledBackend
 
 
 @pytest.fixture(autouse=True)
@@ -214,34 +210,11 @@ class TestMetrics:
 
 
 # --------------------------------------------------------------------------
-# Kernel profiling at the backend seam
+# Shard span adoption
 # --------------------------------------------------------------------------
-class TestKernelProfiling:
-    def test_profiled_backend_is_bit_transparent_and_records(self):
-        from repro.sc.backends import NumpyBackend
-
-        profiler = KernelProfiler()
-        backend = NumpyBackend()
-        proxy = profiler.wrap(backend)
-        assert profiler.wrap(proxy) is proxy  # idempotent
-        assert profiler.wrap(backend) is proxy  # cached per instance
-
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 2**63, size=(4, 8), dtype=np.int64).view(np.uint64)
-        b = rng.integers(0, 2**63, size=(4, 8), dtype=np.int64).view(np.uint64)
-        np.testing.assert_array_equal(proxy.and_words(a, b), backend.and_words(a, b))
-
-        (row,) = profiler.table()
-        assert row["backend"] == "numpy"
-        assert row["kernel"] == "and_words"
-        assert row["calls"] == 1
-        assert row["words"] == a.size + b.size
-        assert row["seconds"] >= 0.0
-        # Non-kernel attributes pass through untouched.
-        assert proxy.name == backend.name
-
-    def test_traced_dispatch_adopts_worker_spans_and_no_profile(self):
-        """A shard reply carries spans only; the parent profiler stays empty."""
+class TestShardTracing:
+    def test_traced_dispatch_adopts_worker_spans(self):
+        """A shard reply's spans join the parent's tracer beside its dispatch span."""
         from repro.serve.sharded import ShardedProcessEngine, _Shard, pack_frame, unpack_frame
 
         worker_span = {"name": "shard.predict", "ph": "X", "ts": 1, "dur": 2, "pid": 99, "args": {}}
@@ -277,32 +250,6 @@ class TestKernelProfiling:
         assert predictions.tolist() == [2, 0]
         names = [event["name"] for event in telemetry.get_tracer().events()]
         assert names.count("shard.predict") == 1 and names.count("shard.dispatch") == 1
-        assert telemetry.get_profiler().table() == []
-
-    def test_table_sorts_heaviest_first(self):
-        profiler = KernelProfiler()
-        profiler.record("numpy", "popcount_words", 0.125, 64)
-        profiler.record("numpy", "xor_words", 0.5, 10)
-        assert profiler.table(top=1)[0]["kernel"] == "xor_words"
-        assert profiler.table()[1] == {
-            "backend": "numpy", "kernel": "popcount_words", "calls": 1, "words": 64, "seconds": 0.125,
-        }
-
-    def test_backend_seam_is_untouched_when_off_and_wrapped_when_on(self):
-        from repro.sc import backends
-
-        raw = backends.active_backend()
-        assert not isinstance(raw, ProfiledBackend)
-        telemetry.enable()
-        try:
-            wrapped = backends.active_backend()
-            assert isinstance(wrapped, ProfiledBackend)
-            assert wrapped._backend is raw
-        finally:
-            telemetry.disable()
-        # Off again: the seam hands back the exact raw instance — the
-        # zero-overhead-off contract.
-        assert backends.active_backend() is raw
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +272,23 @@ class TestEnablement:
         telemetry.enable()
         assert telemetry.enabled()
         telemetry.reset()
+        assert not telemetry.enabled()
+
+    def test_run_scope_starts_empty_and_restores_the_enablement_it_found(self, monkeypatch):
+        monkeypatch.delenv(telemetry.TELEMETRY_ENV_VAR, raising=False)
+        telemetry.get_tracer().instant("before")
+        telemetry.get_registry().counter("before_total").inc()
+        assert len(telemetry.get_tracer()) == 1
+        with telemetry.run_scope(force_on=True):
+            assert telemetry.enabled()
+            assert len(telemetry.get_tracer()) == 0
+            assert telemetry.get_registry().snapshot() == {}
+        # Restored to "follow the environment", not forced off.
+        monkeypatch.setenv(telemetry.TELEMETRY_ENV_VAR, "1")
+        assert telemetry.enabled()
+        telemetry.disable()
+        with telemetry.run_scope():
+            assert not telemetry.enabled()
         assert not telemetry.enabled()
 
 

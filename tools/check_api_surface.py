@@ -36,7 +36,6 @@ PUBLIC_MODULES = [
     "repro.blocks",
     "repro.core",
     "repro.sc",
-    "repro.sc.backends",
     "repro.hw",
     "repro.nn",
     "repro.training",

@@ -20,7 +20,7 @@ resumes exactly like the other sweep benches.
 import numpy as np
 from conftest import bench_cache, bench_scale, bench_workers, emit
 
-from repro.eval_pipeline import EvalTask, eval_grid, run_eval_grid
+from repro.eval_pipeline import BitFlipFaultModel, EvalTask, eval_grid, run_eval_grid
 from repro.training.trainer import evaluate_accuracy
 
 #: Softmax output BSLs of the trajectory (the Table VI ``By`` axis).
@@ -74,6 +74,8 @@ def test_eval_accuracy_trajectory(benchmark, trained_pipeline_result):
             "exact_model_accuracy": round(float(exact_accuracy), 2),
             "by_grid": list(BY_GRID),
             "flip_probs": list(FLIP_PROBS),
+            # The faulted rows' draws; each is one realisation of one fault seed.
+            "fault_model_version": BitFlipFaultModel.VERSION,
             "stats": run_eval_grid.last_run_stats.summary(),
         },
     )

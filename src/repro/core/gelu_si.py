@@ -88,6 +88,9 @@ class GateAssistedSIBlock:
         # evaluation is one gather from it, with no decode pass per call.
         self.value_table = thermometer_decode_counts(self.table, output_length, output_scale)
         self.value_table.setflags(write=False)
+        # The decoded value of every output count, for faulted evaluations.
+        self.level_values = thermometer_decode_counts(np.arange(output_length + 1), output_length, output_scale)
+        self.level_values.setflags(write=False)
 
     # ----------------------------------------------------------------- table
     def _build_table(self) -> np.ndarray:
@@ -134,8 +137,7 @@ class GateAssistedSIBlock:
             return self.quantized_function(np.asarray(values, dtype=float))
         counts = thermometer_encode_counts(values, self.input_length, self.input_scale)
         counts = faults.perturb_counts(counts, self.input_length, through=(self.table, self.output_length))
-        levels = np.arange(self.output_length + 1)
-        return thermometer_decode_counts(levels, self.output_length, self.output_scale).take(counts)
+        return self.level_values.take(counts)
 
     def reference(self, values: np.ndarray) -> np.ndarray:
         """The target function the block approximates."""

@@ -155,7 +155,7 @@ class IterativeSoftmaxCircuit(NonlinearBlock):
         state = _faulted(faults, "y0", x_base + self._y0_count, cfg.by, y_flips[0], x_base)
         for iteration in range(cfg.iterations):
             table, offsets = self._step(self._z_floats.take(state).reshape(-1, cfg.m) @ np.ones(cfg.m))
-            state = table.take(np.repeat(offsets, cfg.m) + state.reshape(-1)).reshape(shape)
+            state = table.take(state.reshape(-1, cfg.m) + offsets[:, None]).reshape(shape)
             state = _faulted(faults, f"y{iteration + 1}", state, cfg.by, y_flips[iteration + 1], x_base)
         return self._decoded.take(state)
 
@@ -301,19 +301,23 @@ def _faulted(faults, site: str, state: np.ndarray, length: int, flips, base=0) -
     The combined state packs x and y counts into one index, so an
     out-of-range count would silently alias another entry; it fails here.
     """
-    error = ValueError(f"faults at site {site!r} must keep the counts' shape {state.shape} and range [0, {length}]")
     if flips is None:
         out = np.asarray(faults.perturb_counts(state - base, length))
         if out.shape != state.shape or not counts_in_range(out, length):
-            raise error
+            raise _site_error(site, state.shape, length)
         return base + out
     (elements, bits), flat = flips, state.reshape(-1)
     in_range = counts_in_range(elements, flat.size - 1) and counts_in_range(bits, length - 1)
     if elements.shape != bits.shape or not in_range:
-        raise error
-    before = flat.take(elements)
-    counts = before % (length + 1)  # a combined state's y count, a plain count itself
+        raise _site_error(site, state.shape, length)
+    base = np.take(base, elements) if np.ndim(base) else base  # the flipped elements' x part
+    counts = flat.take(elements) - base  # a combined state's y count, a plain count itself
     np.add.at(flat, elements, np.where(bits < counts, -1, 1))  # unbuffered: one element may flip twice
-    if not counts_in_range(flat.take(elements) - (before - counts), length):
-        raise error
+    if not counts_in_range(flat.take(elements) - base, length):
+        raise _site_error(site, state.shape, length)
     return state
+
+
+def _site_error(site: str, shape: Tuple[int, ...], length: int) -> ValueError:
+    """The error of a fault site that moved counts out of their shape or range (built only to raise)."""
+    return ValueError(f"faults at site {site!r} must keep the counts' shape {shape} and range [0, {length}]")

@@ -15,7 +15,8 @@ A site samples that law exactly by one of two branches, chosen from
   :meth:`~BitFlipFaultModel.sparse_flips` walks several sites at once;
 * **dense** (``L·p > 1``): one uniform per element, inverted through a
   memoised per-``(L, p)`` CDF.  One lookup in an answer-or--1 guide resolves
-  almost every draw; a bisection within the guide bucket does the rest.
+  almost every draw (its bucket is the uniform's top bits); a bisection
+  within the guide bucket does the rest.
 
 **Composed sites.**  The SI GELU maps input counts to output counts through
 a fixed table, so fault -> table -> fault is one Markov kernel
@@ -23,20 +24,26 @@ a fixed table, so fault -> table -> fault is one Markov kernel
 ``F`` the net-flip law), sampled as one site by the dense branch's inversion:
 ``perturb_counts(..., through=(table, L_out))``.
 
-**Uniforms** are counter-based: the ``j``-th draw of image ``i`` at the
-forward's ``s``-th site mixes ``seed -> i -> s -> j`` with SplitMix64 (each
-step mixes its parent key plus the counter times the golden gamma), a few
-``uint64`` numpy operations over the whole site.  No generator carries
-state, so an image's draws depend only on ``(seed, image index, site)``
-and batched == per-image holds by construction.  A sparse site reads a
-window of ``ceil(mu + 6·sqrt(mu) + 8)`` counters per image (``mu = n·L·p``)
-and a walk that has not passed the end reads the next window, so the
-window sizes the work, never the result.
+**Uniforms** are counter-based and 32 bits wide: word ``j`` of image ``i``
+at the forward's ``s``-th site mixes ``seed -> i -> s -> j`` with SplitMix64
+(each step mixes its parent key plus the counter times the golden gamma),
+a few ``uint64`` numpy operations over the whole site, and carries uniforms
+``2j`` (its low half) and ``2j + 1`` (its high half).  A uniform ``u`` in
+``[0, 2^32)`` is inverted as ``u · 2^-32`` (guide bucket: its top bits) and
+is one geometric skip ``floor(log((u + 1) · 2^-32) / log1p(-p))``, so each
+draw's law is exact to ``2^-32``.  No generator carries state, so an
+image's draws depend only on ``(seed, image index, site)`` and batched ==
+per-image holds by construction.  A sparse site reads a window of
+``ceil(mu + _WINDOW_SIGMAS·sqrt(mu) + _WINDOW_SLACK)`` uniforms per image
+(``mu = n·L·p``, rounded up to whole words) and a walk that has not passed
+the end reads the next window, so the window sizes the work, never the
+result.
 
-:attr:`~BitFlipFaultModel.VERSION` 4 is this sampler (version 3 drew from
-one generator per image and sampled the GELU's two sites apart; version 2
-inverted every element's draw; version 1 XORed per-bit masks: same law,
-other draws); it enters the cache identity of every faulted prediction.
+:attr:`~BitFlipFaultModel.VERSION` 5 is this sampler (version 4 drew one
+53-bit uniform per word; version 3 drew from one generator per image and
+sampled the GELU's two sites apart; version 2 inverted every element's
+draw; version 1 XORed per-bit masks: same law, other draws); it enters the
+cache identity of every faulted prediction.
 """
 
 from __future__ import annotations
@@ -53,9 +60,10 @@ from repro.sc.bitstream import counts_in_range
 __all__ = ["BitFlipFaultModel"]
 
 # A sparse site's per-image window of uniforms is ceil(mu + _WINDOW_SIGMAS *
-# sqrt(mu) + _WINDOW_SLACK) for mu expected flips: the walk rarely needs more.
-_WINDOW_SIGMAS = 6.0
-_WINDOW_SLACK = 8
+# sqrt(mu) + _WINDOW_SLACK) for mu expected flips, sized by timing the faulted
+# softmax: a few walks read a second window, which costs less than a wider first.
+_WINDOW_SIGMAS = 3.0
+_WINDOW_SLACK = 3
 
 # SplitMix64: the golden gamma that spaces counters, and the output function's multipliers.
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -111,19 +119,19 @@ def _tables(length: int, flip_prob: float, table: Optional[bytes] = None, out_le
     return cdf, guide, answer
 
 
-def sample_rows(tables: Tables, counts: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Outcomes of the rows ``counts`` selects, one ``uint64`` word each (``counts``' shape).
+def sample_rows(tables: Tables, counts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Outcomes of the rows ``counts`` selects, one ``uint32`` uniform each (``counts``' shape).
 
-    A word ``w`` is the uniform ``u = (w >> 11) · 2^-53``, inverted through the
-    row's CDF: its top ``log2 M`` bits are ``floor(u · M)``, the guide bucket,
-    and only draws whose bucket holds a CDF edge convert ``u`` to bisect.
+    A uniform ``u`` is inverted as ``u · 2^-32`` through the row's CDF: its
+    top ``log2 M`` bits are the guide bucket, and only draws whose bucket
+    holds a CDF edge convert ``u`` to bisect.
     """
     cdf, guide, answer = tables
     outcomes = cdf.shape[1]
     buckets = guide.shape[1] - 1
     rows = counts.reshape(-1).astype(np.intp, copy=False)
-    words = words.reshape(-1)
-    index = (words >> (65 - buckets.bit_length())).view(np.intp)
+    uniforms = uniforms.reshape(-1)
+    index = (uniforms >> (33 - buckets.bit_length())).astype(np.intp)
     index += rows * buckets
     picked = answer.take(index)
     todo = np.flatnonzero(picked < 0)
@@ -131,7 +139,7 @@ def sample_rows(tables: Tables, counts: np.ndarray, words: np.ndarray) -> np.nda
     if todo.size:
         # Bisect [guide[c, j], guide[c, j + 1]], the bucket's range of outcomes.
         rows = rows[todo]
-        u = (words[todo] >> 11).astype(np.float64) * 2.0**-53
+        u = uniforms[todo] * 2.0**-32
         index = index[todo] + rows  # from c * M + j to c * (M + 1) + j
         lo, hi = guide.take(index), guide.take(index + 1)
         rows *= outcomes
@@ -160,16 +168,25 @@ def counter_words(keys: np.ndarray, start: int, stop: int) -> np.ndarray:
     return _mix(keys[:, None] + np.arange(start, stop, dtype=np.uint64) * _GAMMA)
 
 
-def _walk(words: np.ndarray, flip_prob: float, end: int) -> np.ndarray:
+def counter_uniforms(keys: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """``uint32`` uniforms ``[start, stop)`` of each key (``start`` even).
+
+    Uniform ``2j`` is word ``j``'s low 32 bits and uniform ``2j + 1`` its high 32 bits.
+    """
+    words = counter_words(keys, start // 2, (stop + 1) // 2)
+    return words.astype("<u8", copy=False).view("<u4")[:, : stop - start]  # low half first on any host
+
+
+def _walk(uniforms: np.ndarray, flip_prob: float, end: int) -> np.ndarray:
     """Flipped bit positions (0-based, increasing along the last axis) of geometric skips.
 
-    Each word's uniform ``u = (w >> 11) · 2^-53`` is one skip:
-    ``floor(log1p(-u) / log1p(-p))`` unflipped bits, then a flipped one.
+    Each ``uint32`` uniform ``u`` is one skip:
+    ``floor(log((u + 1) · 2^-32) / log1p(-p))`` unflipped bits, then a flipped one.
     Positions at or past ``end`` are past the stream.
     """
-    skips = (words >> 11).view(np.int64).astype(np.float64)
-    skips *= -(2.0**-53)
-    np.log1p(skips, out=skips)
+    skips = uniforms * 2.0**-32
+    skips += 2.0**-32  # (u + 1) · 2^-32, exact in float64
+    np.log(skips, out=skips)
     skips /= math.log1p(-flip_prob) if flip_prob < 1.0 else -math.inf  # p = 1: every skip is 0
     np.minimum(skips, end, out=skips)  # keeps the cumulative sum far from overflow
     steps = skips.astype(np.int64)  # truncation is floor: skips >= 0
@@ -188,21 +205,23 @@ def _sparse_flips(keys: np.ndarray, per_image: int, length: int, flip_prob: floa
     keys = keys.reshape(-1)
     end = per_image * length  # bit positions per image
     mean = end * flip_prob
-    window = max(1, math.ceil(mean + _WINDOW_SIGMAS * math.sqrt(mean) + _WINDOW_SLACK))
+    window = 2 * max(1, math.ceil((mean + _WINDOW_SIGMAS * math.sqrt(mean) + _WINDOW_SLACK) / 2))  # whole words
     first = np.arange(keys.size) * end  # each walk's first bit over all the sites
-    positions = _walk(counter_words(keys, 0, window), flip_prob, end)
+    positions = _walk(counter_uniforms(keys, 0, window), flip_prob, end)
     chunks = [(positions + first[:, None])[positions < end]]
     todo = np.flatnonzero(positions[:, -1] < end)
     last, start = positions[todo, -1], window
     while todo.size:
         # Walks that have not passed the end read their images' next counters.
-        more = _walk(counter_words(keys[todo], start, start + window), flip_prob, end)
+        more = _walk(counter_uniforms(keys[todo], start, start + window), flip_prob, end)
         more += last[:, None] + 1
         chunks.append((more + first[todo, None])[more < end])
         last, start = more[:, -1], start + window
         todo, last = todo[last < end], last[last < end]
-    # Continued walks append their bits after every first window: sort them back into site order.
-    bits = np.sort(np.concatenate(chunks)) if len(chunks) > 1 else chunks[0]
+    bits = chunks[0]  # sorted: the walks in site order, each increasing
+    if len(chunks) > 1:  # sort only the continued walks' bits, then merge them into place
+        extra = np.sort(np.concatenate(chunks[1:]))
+        bits = np.insert(bits, np.searchsorted(bits, extra), extra)
     elements = bits // length
     bits -= elements * length  # bit within its element's stream
     size = images * per_image
@@ -213,7 +232,7 @@ def _sparse_flips(keys: np.ndarray, per_image: int, length: int, flip_prob: floa
 class BitFlipFaultModel:
     """Per-image bit flips at rate ``flip_prob``, seeded from ``seed``."""
 
-    VERSION = 4
+    VERSION = 5
 
     def __init__(self, flip_prob: float, seed: int = 0) -> None:
         if not 0.0 <= flip_prob <= 1.0:
@@ -283,4 +302,4 @@ class BitFlipFaultModel:
             return out.reshape(counts.shape)
         else:
             tables = _tables(length, self.flip_prob)
-        return sample_rows(tables, counts, counter_words(keys[0], 0, counts.size // len(counts)))
+        return sample_rows(tables, counts, counter_uniforms(keys[0], 0, counts.size // len(counts)))

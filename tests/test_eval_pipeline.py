@@ -6,11 +6,14 @@ produce bit-identical predictions, with and without fault injection.  On top of 
 contract, the ``EvalTask`` cache round-trip/resume behaviour, and the CLI.
 """
 
+import json
 import logging
+import math
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,13 @@ from repro.eval_pipeline import faults
 from repro.eval_pipeline.faults import net_flip_pmf, sample_rows
 from repro.nn import autograd
 from repro.nn.autograd import Tensor, batch_invariant_matmul, matmul_data, no_grad
-from repro.runner.cache import ResultCache
+from repro.runner.cache import ResultCache, array_digest
+
+# ``BitFlipFaultModel.VERSION`` -> digests of ``test_draws_are_pinned_to_the_version``'s
+# realised draws: (a multi-site ``sparse_flips``, a composed-GELU ``perturb_counts``).
+DRAW_DIGESTS = {5: ("222c9b82be4f7d38", "9dda9e6af82ae753")}
+
+ACC_RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "ACC_sc_vit.json"
 
 
 def make_softmax_config(by=8, s1=16, s2=4, k=2):
@@ -657,32 +666,87 @@ class TestBitFlipFaultModel:
                 assert np.array_equal(alone.perturb_counts(counts[:1], length)[0], joint[site][row])
 
     @pytest.mark.parametrize("length", [16, 64, 256])
-    def test_dense_branch_equals_the_version_2_inversion(self, length):
-        """The dense branch inverts each word's uniform ``(w >> 11) · 2^-53`` exactly as version 2 did."""
+    def test_dense_branch_inverts_each_32_bit_uniform(self, length):
+        """The dense branch's outcome is the number of CDF entries ``<= u · 2^-32``, element by element."""
 
-        def uniforms(words):
-            return (words >> 11).astype(np.float64) * 2.0**-53
+        def inversion(counts, uniforms):
+            cdf = np.minimum(np.cumsum(net_flip_pmf(length, flip_prob), axis=1), 1.0)
+            cdf[:, -1] = 1.0
+            u = uniforms.reshape(-1) * 2.0**-32
+            out = np.full(u.size, -1)
+            for count in range(length + 1):
+                rows = np.flatnonzero(counts.reshape(-1) == count)
+                out[rows] = np.searchsorted(cdf[count], u[rows], side="right")
+            return out.reshape(counts.shape)
 
         rng = np.random.default_rng(length)
         for flip_prob in (0.07, 0.3, 0.5):
             counts = rng.integers(0, length + 1, size=50_000)
-            words = rng.integers(0, 2**64, size=counts.size, dtype=np.uint64)
-            # Draws at 0 and on (or just past) CDF entries test the ``<=`` edges.
+            uniforms = rng.integers(0, 2**32, size=counts.size, dtype=np.uint32)
+            # Draws at 0, at the top, on guide bucket edges and just below or
+            # above CDF entries test the ``<=`` edges.
             cdf = np.cumsum(net_flip_pmf(length, flip_prob), axis=1)
-            words[: length + 1] = 0
-            for start, rounding in ((length + 1, np.floor), (2 * (length + 1), np.ceil)):
+            uniforms[: length + 1] = 0
+            uniforms[length + 1 : 2 * (length + 1)] = 2**32 - 1
+            uniforms[2 * (length + 1) : 3 * (length + 1)] = np.arange(length + 1) << 22
+            for start, rounding in ((3 * (length + 1), np.floor), (4 * (length + 1), np.ceil)):
                 edge = slice(start, start + length + 1)
-                level = rounding(np.minimum(cdf[counts[edge], length // 3], 0.999) * 2.0**53)
-                words[edge] = level.astype(np.uint64) << np.uint64(11)
-            expected = version_2_inversion(counts, length, flip_prob, uniforms(words))
-            assert np.array_equal(sample_rows(faults._tables(length, flip_prob), counts, words), expected)
+                uniforms[edge] = rounding(np.minimum(cdf[counts[edge], length // 3], 0.999) * 2.0**32)
+            drawn = sample_rows(faults._tables(length, flip_prob), counts, uniforms)
+            assert np.array_equal(drawn, inversion(counts, uniforms))
 
+            # A site reads word j of its key as uniforms 2j (low half) and 2j + 1 (high half).
             model = BitFlipFaultModel(flip_prob, seed=length)
             model = model.armed([5, 2])
-            site = counts[:2000].reshape(2, 1000)
+            site = counts[:1998].reshape(2, 999)
             keys = faults.counter_words(model._keys, 1, 2)[:, 0]  # site 1
-            expected = version_2_inversion(site, length, flip_prob, uniforms(faults.counter_words(keys, 0, 1000)))
-            assert np.array_equal(model.perturb_counts(site, length), expected)
+            words = faults.counter_words(keys, 0, 500)
+            halves = np.stack([words & np.uint64(2**32 - 1), words >> np.uint64(32)], axis=-1).astype(np.uint32)
+            assert np.array_equal(model.perturb_counts(site, length), inversion(site, halves.reshape(2, 1000)[:, :999]))
+
+    @pytest.mark.parametrize("flip_prob, narrow", [(0.003, False), (0.01, False), (0.125, False), (0.05, True)])
+    def test_sparse_walk_equals_a_scalar_skip_oracle(self, flip_prob, narrow, monkeypatch):
+        """Uniform ``t`` of a walk is ``floor(log((u + 1) · 2^-32) / log1p(-p))`` unflipped bits, then a flipped one.
+
+        ``narrow`` windows make most walks read several, merged into place.
+        """
+        if narrow:
+            monkeypatch.setattr(faults, "_WINDOW_SIGMAS", -3.0)
+            monkeypatch.setattr(faults, "_WINDOW_SLACK", 0)
+        images, per_image, length, sites = [3, 11, 2**40], 300, 8, 3
+        model = BitFlipFaultModel(flip_prob, seed=17)
+        keys = faults.counter_words(model.armed(images)._keys, 1, sites + 1)  # (images, sites)
+        drawn = model.armed(images).sparse_flips((len(images), 20, 15), length, sites)
+        end = per_image * length
+        for site in range(sites):
+            elements, bits = [], []
+            for image in range(len(images)):
+                words = faults.counter_words(keys[image, site : site + 1], 0, 1024)[0].tolist()
+                uniforms = iter(half for word in words for half in (word & 0xFFFFFFFF, word >> 32))
+                position = -1
+                while True:
+                    u = next(uniforms)
+                    position += math.floor(math.log((u + 1) * 2.0**-32) / math.log1p(-flip_prob)) + 1
+                    if position >= end:
+                        break
+                    elements.append(image * per_image + position // length)
+                    bits.append(position % length)
+            assert np.array_equal(drawn[site][0], elements) and np.array_equal(drawn[site][1], bits), site
+
+    def test_draws_are_pinned_to_the_version(self):
+        """Digests of realised draws: they move only with ``VERSION``, which every faulted cache key holds."""
+        from repro.blocks import build
+
+        model = BitFlipFaultModel(0.01, seed=2024).armed([0, 7, 2**40])
+        flips = model.sparse_flips((3, 4, 17, 17), 8, 4)
+        sparse = array_digest(*[array for site in flips for array in site])
+        block = build("gelu/si", output_length=8)
+        counts = np.tile(np.arange(block.input_length + 1), (3, 2))
+        composed = model.perturb_counts(counts, block.input_length, through=(block.table, block.output_length))
+        assert BitFlipFaultModel.VERSION in DRAW_DIGESTS, "record this VERSION's draw digests"
+        assert (sparse, array_digest(composed)) == DRAW_DIGESTS[BitFlipFaultModel.VERSION], (
+            "fault draws moved: bump `BitFlipFaultModel.VERSION`"
+        )
 
     def test_counter_words_are_uniform_per_output_bit(self):
         """Every bit of the mixed words, over images, sites and positions, is a fair coin."""
@@ -787,30 +851,9 @@ class TestBitFlipFaultModel:
         assert not np.array_equal(reference, block.evaluate(values))
         assert np.array_equal(run(batch_size), reference)
 
-
-def version_2_inversion(counts, length, flip_prob, uniforms):
-    """The VERSION 2 sampler, verbatim: CDF + guide table, bisection in every bucket with an edge."""
-    cdf = np.minimum(np.cumsum(net_flip_pmf(length, flip_prob), axis=1), 1.0)
-    cdf[:, -1] = 1.0
-    buckets = 1 << max(10, int(length).bit_length())
-    edges = np.ceil(cdf * buckets).astype(np.intp) + np.arange(length + 1)[:, None] * (buckets + 1)
-    guide = np.bincount(edges.ravel(), minlength=(length + 1) * (buckets + 1))
-    guide = np.cumsum(guide.reshape(length + 1, buckets + 1), axis=1)
-    rows = counts.reshape(-1).astype(np.intp, copy=False)
-    u = uniforms.reshape(-1)
-    start = (u * buckets).astype(np.intp)
-    start += rows * (buckets + 1)
-    lo = guide.take(start)
-    start += 1
-    hi = guide.take(start)
-    todo = np.flatnonzero(lo < hi)
-    while todo.size:
-        mid = (lo[todo] + hi[todo]) >> 1
-        below = cdf.take(rows[todo] * (length + 1) + mid) <= u[todo]
-        lo[todo[below]] = mid[below] + 1
-        hi[todo[~below]] = mid[~below]
-        todo = todo[lo[todo] < hi[todo]]
-    return lo.reshape(counts.shape)
+    def test_committed_accuracy_trajectory_names_this_fault_model(self):
+        """``ACC_sc_vit.json``'s faulted rows were drawn by the fault model this tree runs."""
+        assert json.loads(ACC_RESULTS.read_text())["fault_model_version"] == BitFlipFaultModel.VERSION
 
 
 class TestEvalTask:

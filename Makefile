@@ -41,17 +41,16 @@ serve-smoke:
 ## Scenario gate: the CI smoke scenarios on both engine families (every
 ## assertion — bit-identity, SLOs, recovery — must pass).
 scenario-smoke:
-	$(REPRO) scenario examples/specs/scenario_poisson_slo.json examples/specs/scenario_flashcrowd_kill.json examples/specs/scenario_burst_cacheloss.json --engine thread --cache-dir .repro-cache
-	$(REPRO) scenario examples/specs/scenario_poisson_slo.json examples/specs/scenario_flashcrowd_kill.json examples/specs/scenario_burst_cacheloss.json --engine process --cache-dir .repro-cache
+	$(REPRO) scenario examples/specs/scenario_poisson_slo.json examples/specs/scenario_flashcrowd_kill.json examples/specs/scenario_burst_cacheloss.json --engine thread
+	$(REPRO) scenario examples/specs/scenario_poisson_slo.json examples/specs/scenario_flashcrowd_kill.json examples/specs/scenario_burst_cacheloss.json --engine process
 
 ## Fabric gate: place-and-route + execute the example fabric specs with
 ## every slot bit-identical to the golden blocks path, then the dead-tile
 ## scenario.  Partial-reconfig write counts and the Table VI
 ## reconciliation are tier-1 tests (tests/test_fabric.py).
 fabric-smoke:
-	$(REPRO) fabric examples/specs/fabric_design_4x4.json examples/specs/fabric_run_smoke.json --cache-dir .repro-cache
-	$(REPRO) fabric examples/specs/fabric_run_smoke.json --cache-dir .repro-cache
-	$(REPRO) scenario examples/specs/scenario_fabric_deadtile.json --cache-dir .repro-cache
+	$(REPRO) fabric examples/specs/fabric_design_4x4.json examples/specs/fabric_run_smoke.json
+	$(REPRO) scenario examples/specs/scenario_fabric_deadtile.json
 
 ## Lint (ruff config lives in pyproject.toml).  Falls back to a syntax
 ## check when ruff is not installed locally; CI always installs ruff.
@@ -72,14 +71,11 @@ api-check:
 api-snapshot:
 	PYTHONPATH=src python tools/check_api_surface.py --update
 
-## Orchestrator smoke: `repro verify` self-checks + a reduced parallel DSE sweep (CI).
+## Sweep smoke: `repro verify` self-checks + a reduced DSE sweep (CI).
 smoke:
 	$(REPRO) verify
-	$(REPRO) dse --max-designs 32 --workers 2 --rows 16 --cache-dir .repro-cache
-	$(REPRO) dse --max-designs 32 --workers 2 --rows 16 --cache-dir .repro-cache
+	$(REPRO) dse --max-designs 32 --rows 16
 
-## Eval-pipeline smoke: the acceptance loop — cold run, then a warm run that
-## must be served entirely from cache, with the per-image bit-identity check.
+## Eval-pipeline smoke: the accuracy grid with the per-image bit-identity check.
 eval-smoke:
-	$(REPRO) eval --max-images 64 --workers 2 --cache-dir .repro-cache --verify-batched
-	$(REPRO) eval --max-images 64 --workers 2 --cache-dir .repro-cache --verify-batched
+	$(REPRO) eval --max-images 64 --verify-batched

@@ -12,13 +12,12 @@ to the perf baselines:
 * **noise tolerance** — the same grid runs again with the bit-flip
   fault-injection knob enabled, measuring SC's graceful degradation.
 
-All rows run through :class:`repro.eval_pipeline.EvalTask` on the sweep
-runner, so ``REPRO_BENCH_WORKERS`` parallelises and ``REPRO_BENCH_CACHE``
-resumes exactly like the other sweep benches.
+All rows run through :func:`repro.eval_pipeline.run_eval_grid`, one
+:class:`repro.eval_pipeline.EvalTask` evaluation per config.
 """
 
 import numpy as np
-from conftest import bench_cache, bench_scale, bench_workers, emit
+from conftest import bench_scale, emit
 
 from repro.eval_pipeline import BitFlipFaultModel, EvalTask, eval_grid, run_eval_grid
 from repro.training.trainer import evaluate_accuracy
@@ -50,10 +49,7 @@ def test_eval_accuracy_trajectory(benchmark, trained_pipeline_result):
     )
     configs = eval_grid(by_grid=BY_GRID, flip_probs=FLIP_PROBS, splits=split_names)
 
-    def run():
-        return run_eval_grid(task, configs, workers=bench_workers(), cache=bench_cache())
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_eval_grid, args=(task, configs), rounds=1, iterations=1)
 
     exact_accuracy = evaluate_accuracy(model, test.subset(max_images))
     rows = [
@@ -76,7 +72,7 @@ def test_eval_accuracy_trajectory(benchmark, trained_pipeline_result):
             "flip_probs": list(FLIP_PROBS),
             # The faulted rows' draws; each is one realisation of one fault seed.
             "fault_model_version": BitFlipFaultModel.VERSION,
-            "stats": run_eval_grid.last_run_stats.summary(),
+            "scale": scale,
         },
     )
 

@@ -9,23 +9,17 @@ barely improves (the approximation error floor dominates); our ADP grows
 with the output BSL while the MAE keeps falling, and the 8-bit point sits
 below every Bernstein point on both axes simultaneously.
 
-The sweep runs through :mod:`repro.runner` (the same task the CLI's
-``gelu-sweep`` subcommand drives): ``REPRO_BENCH_WORKERS=N`` shards it
-across processes, ``REPRO_BENCH_CACHE=dir`` reuses stored results; the
-default is the serial in-process path with byte-identical output.
+The rows come from :func:`repro.evaluation.sweeps.fig7_gelu_rows`, the
+sweep the CLI's ``gelu-sweep`` subcommand runs.
 """
 
-from conftest import bench_cache, bench_workers, emit
+from conftest import emit
 
-from repro.runner.tasks import fig7_gelu_rows
-
-
-def _fig7_series(samples):
-    return fig7_gelu_rows(samples, workers=bench_workers(), cache=bench_cache())
+from repro.evaluation.sweeps import fig7_gelu_rows
 
 
 def test_fig7_gelu_sweep(benchmark, gelu_test_vectors):
-    rows = benchmark(_fig7_series, gelu_test_vectors)
+    rows = benchmark(fig7_gelu_rows, gelu_test_vectors)
     emit("fig7_gelu_sweep", ["Series", "BSL", "ADP (um2*ns)", "MAE"], rows)
 
     bernstein = [r for r in rows if "Bern" in r[0]]

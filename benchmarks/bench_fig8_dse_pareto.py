@@ -11,13 +11,10 @@ spans of both axes.  Checked shape: the grid size matches (2916), the front
 contains on the order of ten designs, and moving along the front trades at
 least one order of magnitude of ADP against a clearly lower MAE.
 
-Set ``REPRO_BENCH_SCALE=small`` to sweep a reduced grid when iterating,
-``REPRO_BENCH_WORKERS=N`` to shard the sweep across N processes (0 = all
-CPUs; results are bit-identical to the serial path) and
-``REPRO_BENCH_CACHE=dir`` to resume interrupted sweeps from a result cache.
+Set ``REPRO_BENCH_SCALE=small`` to sweep a reduced grid when iterating.
 """
 
-from conftest import bench_cache, bench_scale, bench_workers, emit
+from conftest import bench_scale, emit
 
 from repro.core.dse import SoftmaxDesignSpace
 
@@ -35,7 +32,7 @@ def _explore(bx, logits, scale):
         )
     else:
         space = SoftmaxDesignSpace(bx=bx, test_vectors=logits[:100])
-    points = space.explore(workers=bench_workers(), cache=bench_cache())
+    points = space.explore()
     pareto = space.pareto_points(points)
     return space, points, pareto
 

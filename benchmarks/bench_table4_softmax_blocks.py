@@ -11,24 +11,17 @@ Claims checked: our MAE falls monotonically with By, the By = 8 block cuts
 both MAE and ADP against the 1024-bit FSM design, and the FSM design's MAE
 stays roughly flat while its ADP grows linearly with the BSL.
 
-The rows are produced by :class:`repro.runner.tasks.Table4Task` through the
-sweep runner (shared with ``python -m repro tables``):
-``REPRO_BENCH_WORKERS=N`` parallelises the six rows,
-``REPRO_BENCH_CACHE=dir`` reuses stored results; the default serial path is
-byte-identical to the historical bench.
+The rows come from :func:`repro.evaluation.sweeps.table4_rows`, the sweep
+``python -m repro tables`` runs.
 """
 
-from conftest import bench_cache, bench_workers, emit
+from conftest import emit
 
-from repro.runner.tasks import table4_rows
-
-
-def _table4_rows(logits):
-    return table4_rows(logits, workers=bench_workers(), cache=bench_cache())
+from repro.evaluation.sweeps import table4_rows
 
 
 def test_table4_softmax_blocks(benchmark, softmax_test_vectors):
-    rows = benchmark(_table4_rows, softmax_test_vectors)
+    rows = benchmark(table4_rows, softmax_test_vectors)
     emit("table4_softmax_blocks", ["Design", "Area (um2)", "Delay (ns)", "ADP (um2*ns)", "MAE"], rows)
 
     fsm = rows[:3]

@@ -19,7 +19,7 @@ exactly why the intermediate configuration is the recommended one.
 """
 
 import numpy as np
-from conftest import bench_cache, bench_scale, bench_workers, emit
+from conftest import bench_scale, emit
 
 from repro.blocks import sc_vit_softmax
 from repro.core.accelerator import AcceleratorConfig, AscendAccelerator, ViTArchitecture, recommend_configuration
@@ -33,14 +33,13 @@ def test_table6_accelerator(benchmark, trained_pipeline_result):
     result = trained_pipeline_result["result"]
     test = trained_pipeline_result["test"]
     model = result.final_model
-    max_images = {"small": 64, "default": 256, "full": len(test)}[bench_scale()]
+    scale = bench_scale()
+    max_images = {"small": 64, "default": 256, "full": len(test)}[scale]
 
     def run():
-        # Accuracy is a bit-accurate SC-ViT evaluation per configuration
-        # through the sweep runner; the cache keys digest the trained
-        # weights, so results survive across bench runs but never alias
-        # across retrainings.  The area columns come from the hardware
-        # model, a few milliseconds per configuration.
+        # Accuracy is a bit-accurate SC-ViT evaluation per configuration;
+        # the area columns come from the hardware model, a few
+        # milliseconds per configuration.
         task = EvalTask(
             model=model,
             splits={"test": (test.images, test.labels)},
@@ -48,7 +47,7 @@ def test_table6_accelerator(benchmark, trained_pipeline_result):
             max_images=max_images,
         )
         configs = [{"split": "test", "by": by, "s1": s1, "s2": s2, "k": k} for by, s1, s2, k in CONFIGURATIONS]
-        outcomes = run_eval_grid(task, configs, workers=bench_workers(), cache=bench_cache())
+        outcomes = run_eval_grid(task, configs)
 
         rows = []
         accel_configs = []
@@ -75,7 +74,7 @@ def test_table6_accelerator(benchmark, trained_pipeline_result):
         "table6_accelerator",
         ["[By, s1, s2, k]", "Softmax area (um2)", "Accelerator area (um2)", "Softmax share (%)", "Accuracy (%)"],
         rows,
-        extra={"recommended_index": recommended, "recommended_config": rows[recommended][0]},
+        extra={"recommended_index": recommended, "recommended_config": rows[recommended][0], "scale": scale},
     )
 
     softmax_areas = [row[1] for row in rows]

@@ -29,32 +29,6 @@ def bench_scale() -> str:
     return scale
 
 
-def bench_workers() -> int:
-    """Worker processes for the sweep-based benches (REPRO_BENCH_WORKERS).
-
-    Defaults to 1 — the serial in-process path, byte-identical to the
-    historical bench behaviour.  Any other value shards the sweep across
-    processes through :class:`repro.runner.ParallelSweepRunner` (0 = all
-    CPUs); results are bit-identical either way.
-    """
-    return int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-
-
-def bench_cache():
-    """Optional on-disk result cache for the sweep benches (REPRO_BENCH_CACHE).
-
-    Unset by default so benches keep timing real evaluations.  Point it at
-    a directory to resume interrupted full-grid sweeps or share results
-    with ``python -m repro`` runs.
-    """
-    path = os.environ.get("REPRO_BENCH_CACHE")
-    if not path:
-        return None
-    from repro.runner.cache import ResultCache
-
-    return ResultCache(path)
-
-
 def emit(name: str, headers, rows, extra=None) -> None:
     """Print a table and persist it as JSON under benchmarks/results/."""
     print(f"\n=== {name} ===")

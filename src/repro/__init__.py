@@ -17,15 +17,14 @@ The package mirrors the structure of the paper (DATE 2024):
 * :mod:`repro.nn` — a numpy autograd + ViT + LSQ quantisation substrate,
 * :mod:`repro.training` — datasets, trainer, knowledge distillation and the
   two-stage training pipeline,
-* :mod:`repro.evaluation` — test vectors, error metrics, Pareto analysis and
-  report formatting,
-* :mod:`repro.runner` — sweep orchestration: the parallel sweep executor,
-  the content-addressed on-disk result cache and the per-experiment sweep
-  tasks behind the ``python -m repro`` CLI,
+* :mod:`repro.evaluation` — test vectors, error metrics, Pareto analysis,
+  the Fig. 7 / Table IV sweeps and report formatting,
+* :mod:`repro.runner` — kept only to re-export ``array_digest`` (now in
+  :mod:`repro.utils.digests`) for the benchmark harness,
 * :mod:`repro.eval_pipeline` — the batched end-to-end SC-ViT evaluation
   subsystem: streaming whole-split evaluation with chunk-invariant
-  numerics, packed-bitplane fault injection and the ``EvalTask`` sweep
-  registration (``python -m repro eval``),
+  numerics, packed-bitplane fault injection and the ``EvalTask`` accuracy
+  grids (``python -m repro eval``),
 * :mod:`repro.serve` — the async dynamic-batching inference service:
   bounded request queue, micro-batcher, worker-pool engine, per-request
   result cache and stdio/HTTP transports (``python -m repro serve``),

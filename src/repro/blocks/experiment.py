@@ -8,13 +8,13 @@ grid, and runner options::
       "description": "reduced Fig. 8 DSE slice",
       "task": "dse",
       "params": {"grid": "tiny", "max_designs": 32, "rows": 16, "bx": [4]},
-      "runner": {"workers": 2, "cache_dir": ".repro-cache"}
+      "runner": {"out": "dse-smoke.json"}
     }
 
 ``python -m repro run spec.json`` executes it through exactly the same code
 path as the equivalent hand-typed subcommand (``python -m repro dse
---grid tiny --max-designs 32 ...``), so a spec run and a CLI run share
-sweep-cache entries byte for byte — sweeps and evals are data, not code.
+--grid tiny --max-designs 32 ...``), so a spec run and a CLI run produce
+the same rows — sweeps and evals are data, not code.
 
 * ``task`` — one of the sweep subcommands: ``dse``, ``gelu-sweep``,
   ``tables``, ``eval``.
@@ -25,9 +25,9 @@ sweep-cache entries byte for byte — sweeps and evals are data, not code.
   axes enumerate ``softmax/iterative`` specs, ``gelu_bsl`` selects the
   ``gelu/si`` spec, and ``dse``'s ``grid`` preset names the
   :class:`~repro.blocks.specs.SoftmaxCircuitConfig` grid.
-* ``runner`` — shared sweep options (``workers``, ``cache_dir``,
-  ``no_cache``, ``out``, ``quiet``); kept separate from ``params`` so the
-  experiment's identity and its execution knobs don't mix.
+* ``runner`` — shared output options (``out``, ``quiet``); kept separate
+  from ``params`` so the experiment's identity and its execution knobs
+  don't mix.
 
 Keys are validated against the CLI parser up front, so a typo in a spec
 file fails with the list of known options instead of an argparse usage
@@ -74,7 +74,7 @@ class ExperimentSpec(Spec):
         """The equivalent CLI invocation, e.g. ``["dse", "--rows", "16"]``.
 
         ``overrides`` (same key convention) replace runner entries — this is
-        how ``repro run --workers 8 spec.json`` retargets a spec without
+        how ``repro run --out other.json spec.json`` retargets a spec without
         editing the file.
         """
         merged = dict(self.params)

@@ -1,13 +1,11 @@
 """Unified reproduction CLI — ``python -m repro <subcommand>``.
 
-Every paper artifact is reachable from one entry point, driven through the
-sweep orchestrator (:mod:`repro.runner`), so any sweep can be parallelised
-(``--workers N``), resumed (``--cache-dir``), and reproduced byte-for-byte
-against the serial path (``--workers 1``):
+Every paper artifact is reachable from one entry point; each sweep runs
+serially in grid order, with the same code the ``benchmarks/`` scripts use:
 
 * ``dse``        — the Fig. 8 softmax design-space exploration + Pareto front,
 * ``gelu-sweep`` — the Fig. 7 GELU BSL/degree sweep,
-* ``tables``     — the table benches (currently Table IV),
+* ``tables``     — the Table IV softmax block rows,
 * ``eval``       — batched end-to-end SC-ViT dataset evaluation (accuracy vs
   BSL / fault-rate grids through :mod:`repro.eval_pipeline`),
 * ``serve``      — the async dynamic-batching inference service
@@ -28,7 +26,7 @@ against the serial path (``--workers 1``):
   (:mod:`repro.fabric`): place-and-route a block schedule onto a tile
   grid, compile the configured routing graph and execute it on the packed
   SC engine, cross-checked bit-for-bit against the golden block path
-  (``fabric/design`` summaries, ``fabric/run`` cached executions),
+  (``fabric/design`` summaries, ``fabric/run`` executions),
 * ``blocks``     — list the registered circuit-block families
   (:mod:`repro.blocks`), their encodings, parameter schemas, hardware
   cost and fabric mappability, or regenerate the Table I capability
@@ -39,18 +37,17 @@ against the serial path (``--workers 1``):
   (:mod:`repro.telemetry`): span stats by name and by process and instant
   events from a Chrome-trace/Perfetto JSON or JSONL export,
 * ``verify``     — self-checks, each verdict taken from a path the repo
-  already gates on: DSE parallel == serial and cache round-trip, eval
-  batched == per-image (the ``eval --verify-batched`` path), served ==
-  offline through a flash-crowd shard-kill scenario on the thread and
-  process engines, and fabric == golden blocks path, each fault-free and
-  under bit flips.
+  already gates on: eval batched == per-image (the ``eval
+  --verify-batched`` path), served == offline through a flash-crowd
+  shard-kill scenario on the thread and process engines, and fabric ==
+  golden blocks path, each fault-free and under bit flips.
 
 Global ``--log-level``/``--log-json`` configure the structured ``repro``
 logger (:mod:`repro.telemetry.logging`) — all diagnostic chatter goes to
 stderr through it, stdout stays reserved for results and transports.
 
 Test vectors default to the same sizes/seeds the ``benchmarks/`` scripts
-use, so CLI runs and bench runs share cache entries.
+use, so CLI runs and bench runs produce the same rows.
 """
 
 from __future__ import annotations
@@ -63,9 +60,6 @@ from pathlib import Path
 from typing import Any, List, Optional, Sequence
 
 __all__ = ["main", "build_parser"]
-
-#: Default on-disk cache location (relative to the working directory).
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: DSE grid presets.  ``full`` is the paper's 2916-design grid; ``small``
 #: matches the reduced grid of the Fig. 8 bench; ``tiny`` is an 8-design
@@ -95,28 +89,8 @@ DSE_GRIDS = {
 
 
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (1 = serial in-process fallback, 0 = all CPUs)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
     parser.add_argument("--out", type=Path, default=None, help="write results as JSON to this path")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-
-
-def _make_cache(args: argparse.Namespace) -> Optional[Any]:
-    if args.no_cache:
-        return None
-    from repro.runner.cache import ResultCache
-
-    return ResultCache(args.cache_dir)
 
 
 def _make_reporter(args: argparse.Namespace, label: str) -> Any:
@@ -141,18 +115,6 @@ def _write_json(out: Optional[Path], payload: dict) -> None:
     print(f"wrote {out}")
 
 
-def _print_cache_counters(cache: Optional[Any]) -> None:
-    """One result-cache accounting line (hits/misses/stores) per command."""
-    counters = getattr(cache, "counters", None)
-    if not callable(counters):
-        return
-    c = counters()
-    print(
-        f"result cache: {c['hits']} hits, {c['misses']} misses, "
-        f"{c['stores']} stores"
-    )
-
-
 # ---------------------------------------------------------------------------
 # dse — Fig. 8 design-space exploration
 # ---------------------------------------------------------------------------
@@ -163,7 +125,7 @@ def _bench_logits(rows: int, m: int, seed: int):
 
     ``attention_logit_vectors`` is not prefix-stable across sizes, and the
     Fig. 8 / Table IV benches evaluate on ``vectors(200)[:rows]``: slicing
-    the same way is what makes CLI and bench runs share cache entries.
+    the same way is what makes CLI and bench runs produce the same rows.
     """
     from repro.evaluation.vectors import attention_logit_vectors
 
@@ -173,7 +135,6 @@ def _bench_logits(rows: int, m: int, seed: int):
 def cmd_dse(args: argparse.Namespace) -> int:
     from repro.core.dse import SoftmaxDesignSpace
 
-    cache = _make_cache(args)
     logits = _bench_logits(args.rows, args.m, args.vectors_seed)
     grid_kwargs = DSE_GRIDS[args.grid]
 
@@ -183,13 +144,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
     for bx in args.bx:
         space = SoftmaxDesignSpace(bx=bx, test_vectors=logits, **grid_kwargs)
         reporter = _make_reporter(args, f"dse Bx={bx}")
-        points = space.explore(
-            max_designs=args.max_designs,
-            workers=args.workers,
-            cache=cache,
-            reporter=reporter,
-        )
-        stats = space.last_run_stats
+        points = space.explore(max_designs=args.max_designs, reporter=reporter)
         pareto = space.pareto_points(points)
         feasible = [p for p in points if p.feasible]
         summary_rows.append(
@@ -199,8 +154,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 len(points),
                 len(feasible),
                 len(pareto),
-                stats.evaluated,
-                stats.cache_hits,
             )
         )
         for point in pareto:
@@ -209,16 +162,13 @@ def cmd_dse(args: argparse.Namespace) -> int:
             "grid_size": space.grid_size(),
             "explored": len(points),
             "feasible": len(feasible),
-            "evaluated": stats.evaluated,
-            "cache_hits": stats.cache_hits,
-            "workers": stats.workers,
-            "seconds": stats.seconds,
+            "seconds": reporter.elapsed_seconds,
             "pareto": [list(point.as_row()) for point in pareto],
         }
 
     _print_table(
         "dse summary",
-        ["Space", "Grid size", "Explored", "Feasible", "Pareto", "Evaluated", "Cache hits"],
+        ["Space", "Grid size", "Explored", "Feasible", "Pareto"],
         summary_rows,
     )
     if pareto_rows:
@@ -227,7 +177,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
             ["Space", "By", "s1", "s2", "k", "Area (um2)", "Delay (ns)", "ADP", "MAE"],
             pareto_rows,
         )
-    _print_cache_counters(cache)
     _write_json(args.out, payload)
     return 0
 
@@ -238,49 +187,29 @@ def cmd_dse(args: argparse.Namespace) -> int:
 
 
 def cmd_gelu_sweep(args: argparse.Namespace) -> int:
+    from repro.evaluation.sweeps import fig7_gelu_rows
     from repro.evaluation.vectors import gelu_input_vectors
-    from repro.runner.tasks import fig7_gelu_rows
 
     samples = gelu_input_vectors(args.samples, seed=args.vectors_seed)
-    cache = _make_cache(args)
-    rows = fig7_gelu_rows(
-        samples,
-        workers=args.workers,
-        cache=cache,
-        reporter=_make_reporter(args, "gelu-sweep"),
-    )
-    stats = fig7_gelu_rows.last_run_stats
+    rows = fig7_gelu_rows(samples, reporter=_make_reporter(args, "gelu-sweep"))
     headers = ["Series", "BSL", "ADP (um2*ns)", "MAE"]
     _print_table("fig7 gelu sweep", headers, rows)
-    print(f"[{stats.summary()}]")
-    _print_cache_counters(cache)
     _write_json(args.out, {"headers": headers, "rows": [list(r) for r in rows]})
     return 0
 
 
 # ---------------------------------------------------------------------------
-# tables — the table benches
+# tables — Table IV
 # ---------------------------------------------------------------------------
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    from repro.runner.tasks import table4_rows
+    from repro.evaluation.sweeps import table4_rows
 
-    if args.table != "table4":  # future-proofing; argparse already restricts
-        raise SystemExit(f"unknown table {args.table!r}")
     logits = _bench_logits(args.rows, 64, args.vectors_seed)
-    cache = _make_cache(args)
-    rows = table4_rows(
-        logits,
-        workers=args.workers,
-        cache=cache,
-        reporter=_make_reporter(args, "table4"),
-    )
-    stats = table4_rows.last_run_stats
+    rows = table4_rows(logits, reporter=_make_reporter(args, "table4"))
     headers = ["Design", "Area (um2)", "Delay (ns)", "ADP (um2*ns)", "MAE"]
     _print_table("table4 softmax blocks", headers, rows)
-    print(f"[{stats.summary()}]")
-    _print_cache_counters(cache)
     _write_json(args.out, {"headers": headers, "rows": [list(r) for r in rows]})
     return 0
 
@@ -324,9 +253,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     task, configs = _eval_task(args)
     reporter = _make_reporter(args, "eval")
-    cache = _make_cache(args)
-    results = run_eval_grid(task, configs, workers=args.workers, cache=cache, reporter=reporter)
-    stats = run_eval_grid.last_run_stats
+    results = run_eval_grid(task, configs, reporter=reporter)
 
     headers = ["Split", "[By, s1, s2, k]", "GELU BSL", "Flip prob", "Accuracy (%)", "Images"]
     rows = [
@@ -341,18 +268,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for config, result in zip(configs, results)
     ]
     _print_table("eval accuracy grid", headers, rows)
-    print(f"[{stats.summary()}]")
-    print(f"re-evaluations: {stats.evaluated} ({stats.cache_hits} served from cache)")
-    _print_cache_counters(cache)
     # Wall-clock throughput over the whole grid, from the reporter's timer
-    # (the same span the progress line covered).  Cache hits count images
-    # too: serving a split from cache is the throughput the user got.
+    # (the same span the progress line covered).
     total_images = sum(result.num_images for result in results)
     elapsed = reporter.elapsed_seconds
     throughput = total_images / elapsed if elapsed > 0 else float("inf")
     print(
         f"throughput: {throughput:.1f} images/s "
-        f"({total_images} images across {stats.total} configs in {elapsed:.2f}s wall-clock)"
+        f"({total_images} images across {len(configs)} configs in {elapsed:.2f}s wall-clock)"
     )
 
     failures = _verify_batched(task, configs, results) if args.verify_batched else []
@@ -366,11 +289,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "headers": headers,
             "rows": [list(r) for r in rows],
             "stats": {
-                "total": stats.total,
-                "evaluated": stats.evaluated,
-                "cache_hits": stats.cache_hits,
-                "workers": stats.workers,
-                "seconds": stats.seconds,
+                "total": len(configs),
                 "total_images": total_images,
                 "wall_seconds": elapsed,
                 "throughput_img_per_s": None if elapsed <= 0 else throughput,
@@ -470,11 +389,7 @@ def _run_entry(payload: Any, parser: argparse.ArgumentParser, overrides: dict, p
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.utils.specs import load_file
 
-    overrides = {
-        key: value
-        for key, value in (("workers", args.workers), ("cache_dir", args.cache_dir), ("out", args.out))
-        if value is not None
-    }
+    overrides = {} if args.out is None else {"out": args.out}
     if args.quiet:
         overrides["quiet"] = True
 
@@ -511,36 +426,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_cached_spec(task: Any, kind: str, path: Path, spec: Any, cache: Any, args: argparse.Namespace):
-    """One spec through a serial sweep runner; returns ``(result, stats)``.
-
-    A scenario drives a whole (often multi-process) service and a fabric
-    run a full place-and-route + compile + execute cycle, so each runs
-    serially; the runner still provides the shared content-addressed cache
-    and its hit accounting.
-    """
-    from repro.runner.runner import ParallelSweepRunner
-
-    label = spec.name or Path(path).stem
-    print(f"== {kind} {label} ({path}) ==")
+def _print_spec_header(kind: str, path: Path, spec: Any) -> None:
+    print(f"== {kind} {spec.name or Path(path).stem} ({path}) ==")
     if spec.description:
         print(spec.description)
-    runner = ParallelSweepRunner(task, workers=1, cache=cache, reporter=_make_reporter(args, f"{kind} {label}"))
-    return runner.run([spec.to_dict()])[0], runner.stats
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.runner.tasks import ScenarioTask
-    from repro.scenarios import ScenarioSpec
+    from repro.scenarios import ScenarioRunner, ScenarioSpec
 
     specs = []
     try:
         for path in args.spec:
             spec = ScenarioSpec.from_file(path)
             if args.engine is not None and args.engine != spec.deployment.engine:
-                # An explicit engine override is a different deployment and
-                # therefore a different cache identity — exactly right: the
-                # CI matrix runs the same scenario file per engine family.
+                # The CI matrix runs the same scenario file per engine family.
                 spec = spec.with_updates(
                     deployment=spec.deployment.with_updates(engine=args.engine)
                 )
@@ -548,36 +448,23 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit(str(exc)) from exc
 
-    cache = _make_cache(args)
     trace_dir = None if args.trace_dir is None else str(args.trace_dir)
     results = []
-    evaluated = cache_hits = 0
     exit_code = 0
     for path, spec in zip(args.spec, specs):
-        task = ScenarioTask(base_dir=str(Path(path).parent), trace_dir=trace_dir)
-        result, stats = _run_cached_spec(task, "scenario", path, spec, cache, args)
-        evaluated += stats.evaluated
-        cache_hits += stats.cache_hits
+        _print_spec_header("scenario", path, spec)
+        result = ScenarioRunner(spec, base_dir=str(Path(path).parent), trace_dir=trace_dir).run()
         results.append(result)
-        _print_scenario_result(result, cached=stats.cache_hits > 0)
+        _print_scenario_result(result)
         if trace_dir is not None:
-            # The exported trace is a side artifact (never part of the
-            # cached payload); a cached result produces no new trace.
             stem = (spec.name or "scenario").replace("/", "_")
             trace_path = Path(trace_dir) / f"{stem}.trace.json"
             if trace_path.exists():
                 print(f"trace: {trace_path}")
         if not result["ok"]:
             exit_code = 1
-    _print_cache_counters(cache)
     _write_scenario_job_summary(results)
-    _write_json(
-        args.out,
-        {
-            "scenarios": results,
-            "stats": {"evaluated": evaluated, "cache_hits": cache_hits},
-        },
-    )
+    _write_json(args.out, {"scenarios": results})
     return exit_code
 
 
@@ -598,15 +485,14 @@ def _assertion_rows(result: dict, fail: str = "FAIL") -> List[tuple]:
     ]
 
 
-def _print_scenario_result(result: dict, cached: bool = False) -> None:
+def _print_scenario_result(result: dict) -> None:
     requests = result["requests"]
     latency = result["latency"]
-    source = " (cached result)" if cached else ""
     print(
         f"{result['workload']['arrival']} x{result['workload']['requests']}: "
         f"{requests['completed']} completed, {requests['rejected']} rejected, "
         f"{requests['timeouts']} timeouts, {requests['errors']} errors in "
-        f"{result['elapsed_s']:.2f}s ({result['throughput_per_s']:.1f} req/s){source}"
+        f"{result['elapsed_s']:.2f}s ({result['throughput_per_s']:.1f} req/s)"
     )
     if latency["p99_ms"] is not None:
         print(
@@ -690,8 +576,7 @@ def _write_scenario_job_summary(results: Sequence[dict]) -> None:
 
 
 def cmd_fabric(args: argparse.Namespace) -> int:
-    from repro.fabric import FabricRunSpec, FabricSpec, mappable_families
-    from repro.runner.tasks import FabricTask
+    from repro.fabric import FabricRunSpec, FabricSpec, mappable_families, run_fabric
     from repro.utils.specs import load_file
 
     def decode(payload: Any) -> Any:
@@ -715,9 +600,7 @@ def cmd_fabric(args: argparse.Namespace) -> int:
 
     for path, design in designs:
         families = sorted(name for name, ok in mappable_families(design).items() if ok)
-        print(f"== fabric design {design.name or Path(path).stem} ({path}) ==")
-        if design.description:
-            print(design.description)
+        _print_spec_header("fabric design", path, design)
         print(
             f"grid {design.rows}x{design.cols} ({design.mem_cols} memory column(s), "
             f"{len(design.pe_tiles)} PE tiles), word {design.word_bits} bits, "
@@ -733,31 +616,24 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             }
         )
 
-    cache = _make_cache(args) if runs else None
-    evaluated = cache_hits = 0
     for path, spec in runs:
-        result, stats = _run_cached_spec(FabricTask(), "fabric run", path, spec, cache, args)
-        evaluated += stats.evaluated
-        cache_hits += stats.cache_hits
-        _print_fabric_result(result, cached=stats.cache_hits > 0)
+        _print_spec_header("fabric run", path, spec)
+        result = run_fabric(spec)
+        _print_fabric_result(result)
         out_payload["runs"].append(result)
         if not result["bit_identical"]:
             exit_code = 1
-    if runs:
-        out_payload["stats"] = {"evaluated": evaluated, "cache_hits": cache_hits}
-        _print_cache_counters(cache)
     _write_json(args.out, out_payload)
     return exit_code
 
 
-def _print_fabric_result(result: dict, cached: bool = False) -> None:
-    source = " (cached result)" if cached else ""
+def _print_fabric_result(result: dict) -> None:
     bitstream = result["bitstream"]
     timings = result["timings_ms"]
     print(
         f"grid {result['grid']}: {len(result['slots'])} slot(s), "
         f"{bitstream['writes']} config writes ({bitstream['bytes']} bytes, "
-        f"digest {bitstream['digest'][:12]}...){source}"
+        f"digest {bitstream['digest'][:12]}...)"
     )
     print(
         f"timings: place+route {timings['place_route']:.2f} ms, "
@@ -814,7 +690,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if spec.checkpoint is not None:
         log.info("checkpoint_loaded", path=spec.checkpoint)
     service = deployment.service
-    cache = deployment.cache
 
     async def run() -> None:
         async with service:
@@ -828,7 +703,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 max_batch=spec.max_batch,
                 max_wait_ms=spec.max_wait_ms,
                 queue=spec.max_queue,
-                cache="off" if cache is None else spec.cache_dir,
+                cache=spec.cache,
                 telemetry=spec.telemetry,
             )
             if spec.transport == "http":
@@ -1171,64 +1046,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     Each verdict comes from a path the repo already gates on elsewhere, so
     verify adds no checking logic of its own.
     """
-    failures = (
-        _verify_dse(args.workers)
-        + _verify_eval(args.workers)
-        + _verify_scenarios()
-        + _verify_fabric()
-    )
+    failures = _verify_eval() + _verify_scenarios() + _verify_fabric()
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     return 1 if failures else 0
 
 
-def _verify_dse(workers: int) -> List[str]:
-    """A tiny DSE grid: parallel == serial, and a warm re-run is all cache hits."""
-    import math
-    import tempfile
-
-    from repro.core.dse import SoftmaxDesignSpace
-    from repro.evaluation.vectors import attention_logit_vectors
-    from repro.runner.cache import ResultCache
-
-    def points_equal(a, b) -> bool:
-        if a.config != b.config or a.feasible != b.feasible:
-            return False
-        for fld in ("area_um2", "delay_ns", "adp", "mae"):
-            x, y = getattr(a, fld), getattr(b, fld)
-            if not (x == y or (math.isnan(x) and math.isnan(y))):
-                return False
-        return True
-
-    logits = attention_logit_vectors(16, 64, seed=11)
-    space = SoftmaxDesignSpace(bx=4, test_vectors=logits, **DSE_GRIDS["tiny"])
-    failures = []
-    serial = space.explore()
-    parallel = space.explore(workers=workers)
-    if all(points_equal(a, b) for a, b in zip(serial, parallel)) and len(serial) == len(parallel):
-        print(f"PASS parallel == serial ({len(serial)} designs, {workers} workers)")
-    else:
-        failures.append("parallel != serial")
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = ResultCache(tmp)
-        space.explore(workers=workers, cache=cache)
-        first = space.last_run_stats
-        cached = space.explore(workers=workers, cache=cache)
-        second = space.last_run_stats
-        if second.evaluated == 0 and second.cache_hits == first.total:
-            print(f"PASS cache round-trip ({second.cache_hits} hits, 0 re-evaluations)")
-        else:
-            failures.append(
-                f"cache round-trip: {second.evaluated} re-evaluations, {second.cache_hits} hits"
-            )
-        if all(points_equal(a, b) for a, b in zip(serial, cached)):
-            print("PASS cached results identical to serial")
-        else:
-            failures.append("cached results differ from serial")
-    return failures
-
-
-def _verify_eval(workers: int) -> List[str]:
+def _verify_eval() -> List[str]:
     """``repro eval --verify-batched`` on a tiny grid, fault-free and faulted."""
     from repro.eval_pipeline import run_eval_grid
 
@@ -1238,7 +1062,7 @@ def _verify_eval(workers: int) -> List[str]:
          "--flip-probs", "0", "0.05", "--fault-seed", "11"]
     )
     task, configs = _eval_task(args)
-    return _verify_batched(task, configs, run_eval_grid(task, configs, workers=workers))
+    return _verify_batched(task, configs, run_eval_grid(task, configs))
 
 
 def _verify_scenarios() -> List[str]:
@@ -1256,7 +1080,7 @@ def _verify_scenarios() -> List[str]:
 
     deployment = ServeSpec(
         train_size=8, layers=1, embed_dim=8, heads=2, calibration_images=2,
-        by=4, s1=8, s2=4, k=2, workers=2, max_batch=4, cache_dir=None,
+        by=4, s1=8, s2=4, k=2, workers=2, max_batch=4,
     )
     requests = 128
     base = ScenarioSpec(
@@ -1328,7 +1152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="reproduce the paper's artifacts through the sweep orchestrator",
+        description="reproduce the paper's artifacts",
     )
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}"
@@ -1355,7 +1179,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=100,
         help="test-vector rows, sliced from the bench's 200-row set so CLI and "
-        "bench runs share cache entries (bench default: 100)",
+        "bench runs produce the same rows (bench default: 100)",
     )
     p_dse.add_argument("--m", type=int, default=64, help="softmax vector length")
     p_dse.add_argument("--vectors-seed", type=int, default=2024, help="test-vector seed")
@@ -1368,8 +1192,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_options(p_gelu)
     p_gelu.set_defaults(func=cmd_gelu_sweep)
 
-    p_tables = sub.add_parser("tables", help="regenerate a paper table")
-    p_tables.add_argument("--table", choices=["table4"], default="table4")
+    p_tables = sub.add_parser("tables", help="regenerate Table IV (softmax block rows)")
     p_tables.add_argument("--rows", type=int, default=200, help="logit rows (bench default: 200)")
     p_tables.add_argument("--vectors-seed", type=int, default=2024, help="test-vector seed")
     _add_sweep_options(p_tables)
@@ -1402,20 +1225,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute declarative experiment spec files (JSON)")
     p_run.add_argument("spec", nargs="+", type=Path, help="experiment spec file(s); see examples/specs/")
-    p_run.add_argument("--workers", type=int, default=None, help="override the specs' worker count")
-    p_run.add_argument("--cache-dir", default=None, help="override the specs' cache directory")
     p_run.add_argument("--out", type=Path, default=None, help="override the specs' JSON output path")
     p_run.add_argument("--quiet", action="store_true", help="suppress progress output")
     p_run.set_defaults(func=cmd_run)
 
     p_scenario = sub.add_parser("scenario", help="declarative resilience scenarios over the serving tier")
     p_scenario.add_argument("spec", nargs="+", type=Path, help="scenario spec file(s) (serve/scenario JSON); see examples/specs/scenario_*.json")
-    p_scenario.add_argument("--engine", choices=["thread", "process", "fabric"], default=None, help="override the scenarios' engine family (a different engine is a different deployment and cache identity; the CI matrix runs each scenario per family)")
-    p_scenario.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help=f"scenario-result cache directory (default: {DEFAULT_CACHE_DIR})")
-    p_scenario.add_argument("--no-cache", action="store_true", help="disable the result cache (always drive the service fresh)")
+    p_scenario.add_argument("--engine", choices=["thread", "process", "fabric"], default=None, help="override the scenarios' engine family (the CI matrix runs each scenario per family)")
     p_scenario.add_argument("--out", type=Path, default=None, help="write all scenario results as JSON to this path")
     p_scenario.add_argument("--trace-dir", type=Path, default=None, help="export telemetry traces here (Chrome-trace JSON + JSONL per scenario; needs the deployment's telemetry field or REPRO_TELEMETRY=1)")
-    p_scenario.add_argument("--quiet", action="store_true", help="suppress progress output")
     p_scenario.set_defaults(func=cmd_scenario)
 
     p_serve = sub.add_parser("serve", help="async dynamic-batching inference service")
@@ -1424,10 +1242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fabric = sub.add_parser("fabric", help="bitstream-configurable accelerator-fabric simulator")
     p_fabric.add_argument("spec", nargs="+", type=Path, help="fabric spec file(s): fabric/design (summary) or fabric/run (place-and-route + execute) JSON; see examples/specs/fabric_*.json")
-    p_fabric.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR, help=f"fabric-run result cache directory (default: {DEFAULT_CACHE_DIR})")
-    p_fabric.add_argument("--no-cache", action="store_true", help="disable the result cache (always re-execute)")
     p_fabric.add_argument("--out", type=Path, default=None, help="write all design summaries and run results as JSON to this path")
-    p_fabric.add_argument("--quiet", action="store_true", help="suppress progress output")
     p_fabric.set_defaults(func=cmd_fabric)
 
     p_blocks = sub.add_parser("blocks", help="list the registered circuit-block families")
@@ -1449,8 +1264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", type=Path, default=None, help="write the summaries as JSON to this path")
     p_trace.set_defaults(func=cmd_trace)
 
-    p_verify = sub.add_parser("verify", help="self-checks: DSE, eval, served-under-kill and fabric bit-identity")
-    p_verify.add_argument("--workers", type=int, default=2, help="worker processes for the DSE and eval checks")
+    p_verify = sub.add_parser("verify", help="self-checks: eval, served-under-kill and fabric bit-identity")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -75,12 +75,8 @@ def evaluate_design(
 ) -> DesignPoint:
     """Evaluate one configuration: MAE on ``test_vectors`` + synthesis cost.
 
-    This is the unit of work the sweep orchestrator shards across worker
-    processes; it is a module-level function (not a method) so it pickles
-    cleanly and depends only on its arguments.  The evaluation is fully
-    deterministic — the circuit emulation quantises on fixed grids and uses
-    no RNG — which is what makes parallel sweeps bit-for-bit identical to
-    serial ones.
+    The evaluation is fully deterministic: the circuit emulation quantises
+    on fixed grids and uses no RNG.
     """
     if not config.is_feasible():
         return DesignPoint(config=config, feasible=False)
@@ -139,9 +135,6 @@ class SoftmaxDesignSpace:
         self.s2_choices = tuple(s2_choices)
         self.alpha_y_multipliers = tuple(alpha_y_multipliers)
         self.alpha_x = calibrate_alpha_x(self.test_vectors, bx)
-        #: Accounting of the most recent :meth:`explore` call (a
-        #: :class:`repro.runner.runner.RunStats`); ``None`` before the first.
-        self.last_run_stats: Optional[Any] = None
 
     # ------------------------------------------------------------ enumeration
     def grid_size(self) -> int:
@@ -161,8 +154,7 @@ class SoftmaxDesignSpace:
         ``by_choices`` → ``iteration_choices`` → ``s1_choices`` →
         ``s2_choices`` → ``alpha_y_multipliers``, each iterated in its
         declared sequence order (the last axis varies fastest).  Truncated
-        explorations (``max_designs``) and sweep sharding both rely on this
-        order being deterministic.
+        explorations (``max_designs``) rely on this order being deterministic.
         """
         for by, k, s1, s2, mult in product(
             self.by_choices,
@@ -187,15 +179,8 @@ class SoftmaxDesignSpace:
         """Evaluate one configuration (MAE on the test vectors + synthesis)."""
         return evaluate_design(config, self.test_vectors, self.library)
 
-    def explore(
-        self,
-        max_designs: Optional[int] = None,
-        *,
-        workers: int = 1,
-        cache: Optional[Any] = None,
-        reporter: Optional[Any] = None,
-    ) -> List[DesignPoint]:
-        """Evaluate the whole grid (or its first ``max_designs`` entries).
+    def explore(self, max_designs: Optional[int] = None, *, reporter: Optional[Any] = None) -> List[DesignPoint]:
+        """Evaluate the whole grid (or its first ``max_designs`` entries), in grid order.
 
         Infeasible grid points are returned with ``feasible=False`` so the
         bench can report the full design-space size the way the paper does.
@@ -204,57 +189,14 @@ class SoftmaxDesignSpace:
         grid is enumerated in the nested order documented by
         :meth:`enumerate_configs` (``by`` → ``iterations`` → ``s1`` → ``s2``
         → ``alpha_y`` multiplier, each in its declared sequence order) and
-        exactly the first ``max_designs`` entries are evaluated.  The
-        truncation happens *before* any sharding, so the selected subset —
-        and the order of the returned points — is identical for every
-        ``workers`` count and cache state.
-
-        Parameters
-        ----------
-        workers:
-            Process count for the sweep; ``1`` (the default) keeps the
-            historical serial in-process path, ``None``/``0`` uses every
-            CPU.  Parallel runs return bit-identical results in the same
-            grid order (the evaluation is deterministic and seeds derive
-            from grid indices, not shards).
-        cache:
-            Optional :class:`repro.runner.cache.ResultCache`; previously
-            evaluated configurations are served from disk and fresh results
-            are stored, so interrupted or repeated explorations resume
-            instead of recomputing.
-        reporter:
-            Optional progress sink (see
-            :class:`repro.evaluation.reporting.ProgressReporter`).
+        exactly the first ``max_designs`` entries are evaluated.
+        ``reporter`` is an optional
+        :class:`repro.evaluation.reporting.ProgressReporter`.
         """
         if max_designs is not None and max_designs < 0:
             max_designs = 0
         configs = list(islice(self.enumerate_configs(), max_designs))
-        if workers == 1 and cache is None and reporter is None:
-            import time
-
-            from repro.runner.runner import RunStats
-
-            start = time.perf_counter()
-            points = [self.evaluate(config) for config in configs]
-            self.last_run_stats = RunStats(
-                total=len(configs),
-                evaluated=len(configs),
-                workers=1,
-                seconds=time.perf_counter() - start,
-            )
-            return points
-        from repro.runner.runner import ParallelSweepRunner
-        from repro.runner.tasks import SoftmaxDesignTask
-
-        runner = ParallelSweepRunner(
-            SoftmaxDesignTask(test_vectors=self.test_vectors, library=self.library),
-            workers=workers,
-            cache=cache,
-            reporter=reporter,
-        )
-        points = runner.run(configs)
-        self.last_run_stats = runner.stats
-        return points
+        return [self.evaluate(config) for config in (configs if reporter is None else reporter.track(configs))]
 
     # ----------------------------------------------------------------- pareto
     @staticmethod

@@ -12,10 +12,9 @@ makes that claim a first-class, reproducible experiment:
   deterministic per-image bit-flip injection on every thermometer-stream
   interface, sampled as net count changes (SC noise-tolerance knob).
 * :mod:`repro.eval_pipeline.tasks` — :func:`build_sc_vit` and
-  :func:`sc_vit_alpha_x`, the one SC-ViT model and calibration recipe, and :class:`EvalTask`, the
-  :class:`~repro.runner.runner.SweepTask` registration that gives accuracy
-  grids multiprocessing workers, the content-addressed result cache and
-  crash-resume, plus the canonical :func:`eval_grid` builder.
+  :func:`sc_vit_alpha_x`, the one SC-ViT model and calibration recipe,
+  :class:`EvalTask`, one whole-split evaluation per config, the canonical
+  :func:`eval_grid` builder and :func:`run_eval_grid`, its serial sweep.
 
 Entry points: ``python -m repro eval`` (CLI) and
 ``benchmarks/bench_eval_accuracy.py`` (the ACC_sc_vit.json trajectory).

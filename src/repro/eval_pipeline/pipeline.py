@@ -28,9 +28,8 @@ served prediction run through it:
   results as they are computed, so callers can stream a split through
   constant memory; :meth:`evaluate` is the accumulate-to-accuracy wrapper.
 
-:class:`repro.eval_pipeline.tasks.EvalTask` registers this pipeline with the
-sweep runner, which is where dataset-level grids pick up multiprocessing,
-the result cache and crash-resume.
+:class:`repro.eval_pipeline.tasks.EvalTask` builds this pipeline per config
+of a dataset-level accuracy grid.
 """
 
 from __future__ import annotations

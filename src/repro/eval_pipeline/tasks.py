@@ -1,4 +1,4 @@
-"""The SC-ViT recipe and its sweep-task registration (`EvalTask`).
+"""The SC-ViT recipe and its accuracy grids (`EvalTask`).
 
 :func:`build_sc_vit` builds the frozen model every SC-ViT evaluation and
 deployment runs, :func:`sc_vit_alpha_x` calibrates it, and
@@ -6,21 +6,15 @@ deployment runs, :func:`sc_vit_alpha_x` calibrates it, and
 softmax circuit; ``repro eval``, Table VI and serving all use the three.
 
 Dataset-level accuracy grids — accuracy vs output BSL, accuracy vs softmax
-design, accuracy vs bit-flip rate, per split — are sweeps like any other, so
-they run through :class:`~repro.runner.runner.ParallelSweepRunner`: worker
-processes evaluate whole-split configurations in parallel, results land in
-the content-addressed :class:`~repro.runner.cache.ResultCache` (predictions
-ride the NPZ sidecar), and an interrupted grid resumes from every finished
-configuration.
+design, accuracy vs bit-flip rate, per split — run through
+:func:`run_eval_grid`: one whole-split :meth:`EvalTask.evaluate` per config,
+in grid order.
 
 Determinism contract: an :class:`EvalTask` evaluation is a pure function of
-the task's inputs (weights, splits, calibration images) and the config dict.
-The fault seed therefore lives *in the config* (``fault_seed``) rather than
-being derived from the grid index — a cached result must not alias when the
-same config appears at a different grid position — and ``batch_size`` is
-deliberately absent from the cache key because the pipeline's results are
-bit-identical for every chunking (see
-:func:`repro.nn.autograd.batch_invariant_matmul`).
+the task's inputs (weights, splits, calibration images) and the config dict;
+the fault seed lives *in the config* (``fault_seed``), and ``batch_size``
+never changes a result because the pipeline is bit-identical for every
+chunking (see :func:`repro.nn.autograd.batch_invariant_matmul`).
 """
 
 from __future__ import annotations
@@ -30,12 +24,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.blocks.specs import SoftmaxCircuitConfig, calibrate_alpha_x, sc_vit_softmax
-from repro.eval_pipeline.faults import BitFlipFaultModel
+from repro.blocks.specs import calibrate_alpha_x, sc_vit_softmax
 from repro.eval_pipeline.pipeline import EvalResult, ScViTEvalPipeline
-from repro.nn.autograd import _matmul_formulation
-from repro.runner.cache import array_digest, weights_digest
-from repro.runner.runner import ParallelSweepRunner, SweepTask
 
 __all__ = ["EvalTask", "build_sc_vit", "eval_grid", "run_eval_grid", "sc_vit_alpha_x"]
 
@@ -87,15 +77,13 @@ def sc_vit_alpha_x(model: Any, images: np.ndarray, bx: int = 4) -> float:
 
 
 @dataclass
-class EvalTask(SweepTask):
+class EvalTask:
     """Evaluate one end-to-end configuration on one dataset split.
 
     The task carries what every configuration shares — the trained model,
     the named splits, the calibration images; each config dict selects
     ``{"split", "by", "s1", "s2", "k", "gelu_bsl", "flip_prob",
-    "fault_seed"}``.  The cache version digests the model weights and every
-    split, so retraining or regenerating data invalidates stale accuracies
-    automatically.
+    "fault_seed"}``.
     """
 
     model: Any
@@ -103,42 +91,15 @@ class EvalTask(SweepTask):
     calibration_images: np.ndarray
     max_images: Optional[int] = None
     batch_size: int = 32
-    _weights_digest: str = field(default="", repr=False)
     _alpha_x: Optional[float] = field(default=None, repr=False)
-
-    name = "eval-pipeline"
 
     def __post_init__(self) -> None:
         if not self.splits:
             raise ValueError("EvalTask needs at least one dataset split")
-        if not self._weights_digest:
-            self._weights_digest = weights_digest(self.model)
 
-    # ------------------------------------------------------------- cache keys
-    def config_key(self, config: Dict[str, Any]) -> Dict[str, Any]:
-        key = dict(config)
-        key["max_images"] = self.max_images
-        return key
-
-    def version(self) -> str:
-        split_digests = ";".join(
-            f"{name}:{array_digest(images, labels)}"
-            for name, (images, labels) in sorted(self.splits.items())
-        )
-        # ``m:64`` is sc_vit_softmax's row length, kept so stored keys still match;
-        # ``calib:eval`` retires results scored after a training-mode calibration.
-        return (
-            f"weights:{self._weights_digest};"
-            f"splits:{split_digests};"
-            f"calibration:{array_digest(self.calibration_images)};m:64;calib:eval;"
-            f"fault_model:{BitFlipFaultModel.VERSION};"
-            f"matmul:{_matmul_formulation()}"
-        )
-
-    # -------------------------------------------------------------- evaluation
     def pipeline(self, config: Dict[str, Any]) -> ScViTEvalPipeline:
         """The pipeline ``config`` evaluates: its ``[By, s1, s2, k]`` circuit, GELU and faults."""
-        if self._alpha_x is None:  # calibrated once per task/worker
+        if self._alpha_x is None:  # calibrated once per task
             self._alpha_x = sc_vit_alpha_x(self.model, self.calibration_images)
         by, s1, s2, k = (int(config[key]) for key in ("by", "s1", "s2", "k"))
         gelu_bsl = config.get("gelu_bsl")
@@ -151,10 +112,8 @@ class EvalTask(SweepTask):
             batch_size=self.batch_size,
         )
 
-    def evaluate(self, config: Dict[str, Any], seed: int) -> EvalResult:
-        # Deterministic by design: the fault seed comes from the config (so
-        # cache entries never alias across grid orders); the runner's
-        # per-index seed is unused.
+    def evaluate(self, config: Dict[str, Any]) -> EvalResult:
+        """One whole-split evaluation of ``config``."""
         split_name = str(config["split"])
         if split_name not in self.splits:
             raise KeyError(f"unknown split {split_name!r}; task has {sorted(self.splits)}")
@@ -163,38 +122,6 @@ class EvalTask(SweepTask):
         images, labels = self.splits[split_name]
         split = DatasetSplit(images=images, labels=labels)
         return self.pipeline(config).evaluate(split, max_images=self.max_images, split_name=split_name)
-
-    # ------------------------------------------------------------- round-trip
-    def encode(self, result: EvalResult) -> Dict[str, Any]:
-        from dataclasses import asdict
-
-        return {
-            "accuracy": result.accuracy,
-            "num_images": result.num_images,
-            "correct": result.correct,
-            "softmax_config": asdict(result.softmax_config),
-            "gelu_output_bsl": result.gelu_output_bsl,
-            "flip_prob": result.flip_prob,
-            "split": result.split,
-        }
-
-    def result_arrays(self, result: EvalResult) -> Optional[dict]:
-        return {"predictions": np.asarray(result.predictions, dtype=np.int64)}
-
-    def decode(self, payload: Dict[str, Any], arrays: Optional[dict] = None) -> EvalResult:
-        predictions = np.empty(0, dtype=np.int64)
-        if arrays and "predictions" in arrays:
-            predictions = np.asarray(arrays["predictions"], dtype=np.int64)
-        return EvalResult(
-            accuracy=float(payload["accuracy"]),
-            num_images=int(payload["num_images"]),
-            correct=int(payload["correct"]),
-            predictions=predictions,
-            softmax_config=SoftmaxCircuitConfig(**payload["softmax_config"]),
-            gelu_output_bsl=None if payload["gelu_output_bsl"] is None else int(payload["gelu_output_bsl"]),
-            flip_prob=float(payload["flip_prob"]),
-            split=str(payload["split"]),
-        )
 
 
 def eval_grid(
@@ -234,12 +161,8 @@ def eval_grid(
 def run_eval_grid(
     task: EvalTask,
     configs: Sequence[Dict[str, Any]],
-    workers: int = 1,
-    cache: Optional[Any] = None,
     reporter: Optional[Any] = None,
 ) -> List[EvalResult]:
-    """Evaluate a config grid through the sweep runner (stats on the function)."""
-    runner = ParallelSweepRunner(task, workers=workers, cache=cache, reporter=reporter)
-    results = runner.run(list(configs))
-    run_eval_grid.last_run_stats = runner.stats
-    return results
+    """Evaluate a config grid in grid order (``reporter``: a :class:`ProgressReporter`)."""
+    configs = list(configs)
+    return [task.evaluate(config) for config in (configs if reporter is None else reporter.track(configs))]

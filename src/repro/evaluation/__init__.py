@@ -10,6 +10,8 @@ synthesis numbers.  This package reproduces that methodology:
   compact ViTs produce,
 * :mod:`repro.evaluation.pareto` — Pareto-front extraction for the design
   space exploration of Fig. 8,
+* :mod:`repro.evaluation.sweeps` — the Fig. 7 GELU and Table IV softmax
+  row sweeps shared by the CLI and the benches,
 * :mod:`repro.evaluation.reporting` — plain-text table formatting used by the
   benchmark harness so every bench prints rows shaped like the paper's
   tables.

@@ -11,7 +11,9 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, List, Mapping, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, TypeVar, Union
+
+T = TypeVar("T")
 
 
 def _stringify(value) -> str:
@@ -92,8 +94,9 @@ def save_json_report(path: Union[str, Path], payload: Mapping) -> Path:
 class ProgressReporter:
     """Incremental progress line for long sweeps.
 
-    The sweep runner calls ``start(total)``, then ``update(done, total,
-    cached=...)`` per completed config, then ``finish(summary)``.  On a TTY
+    A sweep iterates its configs through :meth:`track`, which calls
+    ``start(total)``, then ``update(done, total)`` per completed config,
+    then ``finish(summary)``.  On a TTY
     the line rewrites in place (carriage return); on a pipe/CI log it prints
     a line roughly every 10% so logs stay readable.  ``quiet=True`` turns
     the reporter into a no-op sink, which keeps call-sites branch-free.
@@ -138,18 +141,25 @@ class ProgressReporter:
         self._finished_at = None
         self._emit(f"{self.label}: 0/{total}")
 
-    def update(self, done: int, total: int, cached: int = 0) -> None:
-        suffix = f" ({cached} cached)" if cached else ""
+    def update(self, done: int, total: int) -> None:
         if self._is_tty:
-            self._emit(f"{self.label}: {done}/{total}{suffix}")
+            self._emit(f"{self.label}: {done}/{total}")
             return
         decile = (10 * done) // max(1, total)
         if decile > self._last_decile or done == total:
             self._last_decile = decile
-            self._emit(f"{self.label}: {done}/{total}{suffix}")
+            self._emit(f"{self.label}: {done}/{total}")
 
     def finish(self, summary: str = "") -> None:
         if self._started_at is not None and self._finished_at is None:
             self._finished_at = time.monotonic()
         text = f"{self.label}: done" + (f" — {summary}" if summary else "")
         self._emit(text, final=True)
+
+    def track(self, configs: Sequence[T]) -> Iterator[T]:
+        """Yield ``configs`` in order, reporting each as done when the next is asked for."""
+        self.start(len(configs))
+        for done, config in enumerate(configs, 1):
+            yield config
+            self.update(done, len(configs))
+        self.finish(f"{len(configs)} configs")

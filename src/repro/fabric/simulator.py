@@ -363,7 +363,7 @@ def mappable_families(fabric: Optional[FabricSpec] = None) -> Dict[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Golden cross-check execution (the `repro fabric` / FabricTask payload).
+# Golden cross-check execution (the `repro fabric` payload).
 # ---------------------------------------------------------------------------
 
 
@@ -403,13 +403,12 @@ def _evaluate_block(block: Any, values: np.ndarray, flip_prob: float, fault_seed
 def run_fabric(spec: FabricRunSpec) -> Dict[str, Any]:
     """Place, route, configure, compile and execute one fabric workload.
 
-    The returned payload is JSON-able (the :class:`FabricTask` cache
-    contract): compile timings, the bitstream digest and write counts, the
+    The returned payload is JSON-able: compile timings, the bitstream digest and write counts, the
     per-slot output digests, the resource/cost summary, and the outcome of
     the golden cross-check (every slot's fabric output compared
     bit-for-bit against ``blocks.build(...)`` on the same vectors).
     """
-    from repro.runner.cache import array_digest
+    from repro.utils.digests import array_digest
 
     fabric = Fabric(spec.fabric)
     t0 = time.perf_counter()

@@ -21,8 +21,7 @@ runs at construction, so a zero-width grid, a fractional ``rows`` or an
 unknown schedule family fails when the spec is *built*, not mid-compile.
 
 ``repro run`` sniffs both ``kind`` tags and routes the files through the
-``repro fabric`` subcommand, which shares the content-addressed sweep
-cache — a fabric run is a cacheable artifact exactly like a DSE row.
+``repro fabric`` subcommand.
 """
 
 from __future__ import annotations

@@ -1,43 +1,13 @@
-"""Sweep orchestration: parallel execution, disk-backed caching, repro CLI.
+"""Compatibility home of :func:`array_digest` (now :mod:`repro.utils.digests`).
 
-The paper's headline experiments are embarrassingly parallel sweeps over
-config grids; this package turns them from serial single-process loops into
-shardable, resumable, cacheable runs:
-
-* :mod:`repro.runner.runner` — :class:`ParallelSweepRunner`, a
-  multiprocessing-backed executor with deterministic per-index seeding and
-  grid-order result assembly,
-* :mod:`repro.runner.cache` — :class:`ResultCache`, a content-addressed
-  on-disk store keyed by config + code-version fingerprint (JSON payloads,
-  NPZ sidecars for arrays),
-* :mod:`repro.runner.tasks` — the per-experiment
-  :class:`~repro.runner.runner.SweepTask` implementations shared by the
-  ``benchmarks/`` scripts and the ``python -m repro`` CLI.
-
-See ``docs/orchestration.md`` for the design.
+The paper's sweeps run serially in grid order where they are defined
+(:mod:`repro.core.dse`, :mod:`repro.evaluation.sweeps`,
+:mod:`repro.eval_pipeline`), so this package no longer holds a sweep
+runner or a result cache.  It stays only because the benchmark harness
+under ``perfbench/`` imports ``array_digest`` from here and is edited only
+together with the benchmark it defines.
 """
 
-from repro.runner.cache import (
-    CachedResult,
-    ResultCache,
-    array_digest,
-    cache_key,
-    canonical_json,
-    code_fingerprint,
-    default_code_version,
-)
-from repro.runner.runner import ParallelSweepRunner, RunStats, SweepTask, derive_seed
+from repro.utils.digests import array_digest
 
-__all__ = [
-    "CachedResult",
-    "ResultCache",
-    "array_digest",
-    "cache_key",
-    "canonical_json",
-    "code_fingerprint",
-    "default_code_version",
-    "ParallelSweepRunner",
-    "RunStats",
-    "SweepTask",
-    "derive_seed",
-]
+__all__ = ["array_digest"]

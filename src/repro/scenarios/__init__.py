@@ -17,7 +17,8 @@ A scenario is a frozen, JSON-round-trippable spec (``{"kind":
 deployment through the public ``InferenceService``/``EngineProtocol``
 seam and returns a JSON result payload with a per-phase
 ``ServiceStats`` timeline.  ``repro run`` sniffs scenario files like
-deployments and routes them through the content-addressed sweep cache.
+deployments and routes them through ``repro scenario``, which drives a
+fresh deployment on every run.
 """
 
 from repro.scenarios.assertions import (

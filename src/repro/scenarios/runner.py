@@ -89,8 +89,7 @@ class ScenarioRunner:
         Directory trace exports land in when telemetry is on (via the
         deployment's ``telemetry`` field or ``REPRO_TELEMETRY``); ``None``
         skips export.  The trace is a side artifact: it never enters the
-        result payload, so cached scenario results stay byte-identical
-        with telemetry on or off.
+        result payload.
     """
 
     def __init__(
@@ -365,7 +364,7 @@ class ScenarioRunner:
             elif event.action == "cache_loss":
                 if deployment.cache is not None:
                     entry["dropped_entries"] = len(deployment.cache)
-                    deployment.cache.clear(drop_backing=True)
+                    deployment.cache.clear()
                 else:
                     entry["dropped_entries"] = 0
             elif event.action == "flip_storm":

@@ -27,7 +27,7 @@ four nested sections:
   (Poisson, heavy-tail Pareto, flash-crowd, diurnal sawtooth) generated
   deterministically from a seed, or a recorded trace replay,
 * ``events`` — :class:`EventSpec` entries: the timed degradation schedule
-  (shard kills, cache-disk loss, ``flip_prob`` storm windows,
+  (shard kills, prediction-cache loss, ``flip_prob`` storm windows,
   queue-saturation bursts), positioned by request-ordinal fraction so the
   same schedule scales with the workload size,
 * ``assertions`` — :class:`AssertionSpec` entries from the catalog in
@@ -35,8 +35,7 @@ four nested sections:
   ceilings, recovery deadlines, autoscale-flapping bounds).
 
 ``repro run`` sniffs the ``kind`` tag and routes scenario files through
-``repro scenario``, which shares the content-addressed sweep cache — a
-scenario result is a cacheable artifact exactly like a DSE row.
+``repro scenario``.
 """
 
 from __future__ import annotations
@@ -132,8 +131,8 @@ class EventSpec(Spec):
       and rebuild the shared pipeline (thread engine); ``slot`` targets a specific
       shard, null kills the busiest.  ``every_frac`` repeats the kill
       periodically (soak scenarios).
-    * ``cache_loss`` — simulated cache-disk loss: the prediction cache
-      forgets everything and detaches its disk backing.
+    * ``cache_loss`` — simulated cache loss: the service's in-memory
+      prediction cache forgets every entry.
     * ``flip_storm`` — from ``at_frac`` until ``until_frac``, submitted
       requests carry fault indices offset by ``index_offset``, selecting a
       fresh per-request bit-flip noise realisation through the engine's

@@ -35,7 +35,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.runner.cache import array_digest
+from repro.utils.digests import array_digest
 from repro.scenarios.specs import WorkloadSpec
 
 __all__ = ["TRACE_KIND", "Workload", "generate_workload", "load_trace", "save_trace", "workload_digest"]

@@ -29,8 +29,7 @@ tier) dispatched to any worker *process* with the same guarantee.
   message, worker-death re-dispatch and queue-depth replica scaling.
 * :mod:`repro.serve.cache` — :class:`PredictionCache`: idempotent
   per-request result reuse in the service (one cache whatever the
-  engine), content-addressed with the sweep cache's fingerprint scheme
-  (:func:`repro.runner.cache.cache_key`).
+  engine), content-addressed by image digest and engine fingerprint.
 * :mod:`repro.serve.stats` — :class:`ServiceStats`: throughput,
   p50/p95/p99 latency, batch-size histogram, cache hit rate, kept once
   per service.

@@ -9,7 +9,7 @@ is what serves.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.serve.engine import PipelineEngine, ReplicaFactory
 from repro.serve.service import InferenceService
@@ -71,7 +71,7 @@ def build_replica_factory(spec: ServeSpec) -> ReplicaFactory:
     )
 
 
-def build_deployment(spec: ServeSpec, code_version: Optional[str] = None) -> "Deployment":
+def build_deployment(spec: ServeSpec) -> "Deployment":
     """Everything between a :class:`ServeSpec` and a startable service.
 
     Builds the replica recipe (:func:`build_replica_factory`), resolves
@@ -110,10 +110,9 @@ def build_deployment(spec: ServeSpec, code_version: Optional[str] = None) -> "De
 
     cache = None
     if spec.cache:
-        from repro.runner.cache import ResultCache
         from repro.serve.cache import PredictionCache
 
-        cache = PredictionCache(backing=ResultCache(spec.cache_dir) if spec.cache_dir else None)
+        cache = PredictionCache()
 
     service = InferenceService(
         engine,
@@ -122,6 +121,5 @@ def build_deployment(spec: ServeSpec, code_version: Optional[str] = None) -> "De
         max_queue=spec.max_queue,
         request_timeout_s=spec.timeout_s,
         cache=cache,
-        code_version=code_version,
     )
     return Deployment(spec, service, engine, cache)

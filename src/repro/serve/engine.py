@@ -33,7 +33,7 @@ import numpy as np
 from repro.eval_pipeline.faults import BitFlipFaultModel
 from repro.eval_pipeline.pipeline import ScViTEvalPipeline
 from repro.nn.autograd import _matmul_formulation, batch_invariant_matmul, no_grad
-from repro.runner.cache import array_digest, canonical_json, weights_digest
+from repro.utils.digests import array_digest, canonical_json, weights_digest
 
 __all__ = [
     "EngineProtocol",

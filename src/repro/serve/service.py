@@ -3,8 +3,8 @@
 :class:`InferenceService` is the orchestration layer between transports and
 the compute engine.  One request's life:
 
-1. :meth:`submit` fingerprints the image (same content-addressing scheme as
-   the sweep cache) and returns instantly on a cache hit; an identical
+1. :meth:`submit` fingerprints the image (:func:`~repro.serve.cache.request_fingerprint`)
+   and returns instantly on a cache hit; an identical
    request already *in flight* coalesces onto its queue entry instead of
    being computed twice.
 2. Otherwise the request enters the bounded queue.  A full queue rejects
@@ -118,9 +118,6 @@ class InferenceService:
     cache:
         Optional :class:`~repro.serve.cache.PredictionCache`; ``None``
         disables result reuse (every request computes).
-    code_version:
-        Source-fingerprint component of request keys; defaults to the
-        package fingerprint used by the sweep cache.
     """
 
     def __init__(
@@ -131,7 +128,6 @@ class InferenceService:
         max_queue: int = 256,
         request_timeout_s: float = 30.0,
         cache: Optional[PredictionCache] = None,
-        code_version: Optional[str] = None,
     ) -> None:
         if max_queue <= 0:
             raise ValueError("max_queue must be positive")
@@ -143,7 +139,6 @@ class InferenceService:
         self.max_queue = int(max_queue)
         self.request_timeout_s = float(request_timeout_s)
         self.cache = cache
-        self._code_version = code_version
         self.stats = ServiceStats()
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[DynamicBatcher] = None
@@ -161,10 +156,6 @@ class InferenceService:
         """Start the engine and the batch loop; idempotent."""
         if self._started:
             return
-        if self._code_version is None:
-            from repro.runner.cache import default_code_version
-
-            self._code_version = default_code_version()
         # Enablement is read at start (not construction) so a deploy/scenario
         # entry point that flips telemetry on still covers this service.
         self._trace_on = telemetry.enabled()
@@ -238,7 +229,6 @@ class InferenceService:
                 image,
                 self.engine.version,
                 image_index=index if faults_on else None,
-                code_version=self._code_version or "",
             )
             hit = self.cache.get(key)
             if hit is not None:

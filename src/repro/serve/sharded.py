@@ -207,8 +207,8 @@ class _Shard:
 # The engine
 # --------------------------------------------------------------------------
 
-#: Worker start method: ``fork`` where available (the :mod:`repro.runner`
-#: policy), since replicas ship pickled either way.
+#: Worker start method: ``fork`` where available (cheap, shares the
+#: already-imported library), since replicas ship pickled either way.
 START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 #: Seconds the workers get to answer the ready handshake.
 START_TIMEOUT_S = 120.0

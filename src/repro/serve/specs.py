@@ -64,10 +64,9 @@ class ServeSpec(Spec):
       autoscaling of the process engine above its baseline shard count.
     * service — micro-batcher and backpressure knobs
       (:class:`~repro.serve.service.InferenceService`).
-    * cache — prediction-cache policy: one
-      :class:`~repro.serve.cache.PredictionCache` in the service, optionally
-      written through to ``cache_dir`` (null keeps it in memory), for every
-      engine family.
+    * cache — prediction-cache policy: one in-memory
+      :class:`~repro.serve.cache.PredictionCache` in the service, for every
+      engine family, or none.
     * transport — stdio JSON-lines or localhost HTTP.
     """
 
@@ -104,15 +103,14 @@ class ServeSpec(Spec):
     timeout_s: float = 30.0
     # cache
     cache: bool = True
-    cache_dir: Optional[str] = ".repro-cache"
     # transport
     transport: str = "stdio"
     host: str = "127.0.0.1"
     port: int = 8765
     # observability — request/batch/shard spans for this deployment.  Purely
-    # observational: excluded from the engine fingerprint, request cache
-    # keys and scenario cache identity (ScenarioTask strips it), so a spec
-    # with telemetry on serves bit-identical predictions to one without.
+    # observational: excluded from the engine fingerprint and request cache
+    # keys, so a spec with telemetry on serves bit-identical predictions to
+    # one without.
     telemetry: bool = False
 
     kind = SPEC_KIND

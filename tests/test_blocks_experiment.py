@@ -33,7 +33,7 @@ class TestExperimentSpec:
 
     def test_params_runner_overlap_rejected(self):
         with pytest.raises(ValueError, match="both params and runner"):
-            ExperimentSpec(task="dse", params={"workers": 1}, runner={"workers": 2})
+            ExperimentSpec(task="dse", params={"out": "a.json"}, runner={"out": "b.json"})
 
     def test_to_argv_formatting(self):
         spec = ExperimentSpec(
@@ -45,7 +45,7 @@ class TestExperimentSpec:
                 "gelu_bsl": None,
                 "quiet": False,
             },
-            runner={"workers": 2},
+            runner={"out": "grid.json"},
         )
         argv = spec.to_argv()
         assert argv[0] == "eval"
@@ -53,13 +53,13 @@ class TestExperimentSpec:
         assert "--verify-batched" in argv  # True -> bare flag
         assert "--gelu-bsl" not in argv  # None -> omitted
         assert "--quiet" not in argv  # False -> omitted
-        assert argv[argv.index("--workers") + 1] == "2"
+        assert argv[argv.index("--out") + 1] == "grid.json"
 
     def test_overrides_replace_runner_options(self):
-        spec = ExperimentSpec(task="dse", runner={"workers": 2, "cache_dir": "a"})
-        argv = spec.to_argv({"workers": 8})
-        assert argv[argv.index("--workers") + 1] == "8"
-        assert argv[argv.index("--cache-dir") + 1] == "a"
+        spec = ExperimentSpec(task="dse", runner={"out": "a.json", "quiet": True})
+        argv = spec.to_argv({"out": "b.json"})
+        assert argv[argv.index("--out") + 1] == "b.json"
+        assert "--quiet" in argv
 
     def test_validate_options_catches_typos(self):
         parser = build_parser()
@@ -106,8 +106,8 @@ class TestExperimentSpec:
 
 @pytest.mark.slow
 class TestRunSubcommand:
-    def test_run_reproduces_the_direct_cli_through_the_cache(self, tmp_path, monkeypatch, capsys):
-        """Acceptance loop: spec run == direct CLI run, byte-identical via cache."""
+    def test_run_reproduces_the_direct_cli(self, tmp_path, monkeypatch, capsys):
+        """Acceptance loop: a spec run and the direct CLI run write the same front."""
         monkeypatch.chdir(tmp_path)
         spec_path = tmp_path / "dse_tiny.json"
         spec_path.write_text(
@@ -116,29 +116,29 @@ class TestRunSubcommand:
                     "name": "dse-tiny",
                     "task": "dse",
                     "params": {"grid": "tiny", "max_designs": 8, "rows": 8, "bx": [4]},
-                    "runner": {"workers": 1, "cache_dir": str(tmp_path / "cache"), "quiet": True},
+                    "runner": {"quiet": True},
                 }
             )
         )
-        assert main(["run", str(spec_path), "--out", str(tmp_path / "cold.json")]) == 0
-        assert main(["run", str(spec_path), "--out", str(tmp_path / "warm.json")]) == 0
-        cold = json.loads((tmp_path / "cold.json").read_text())
-        warm = json.loads((tmp_path / "warm.json").read_text())
-        space = warm["spaces"]["4"]
-        assert space["evaluated"] == 0, "warm spec run must be served from cache"
-        assert space["cache_hits"] == space["explored"]
-        assert cold["spaces"]["4"]["pareto"] == space["pareto"]
-
-        # The hand-typed equivalent shares the same cache entries.
+        assert main(["run", str(spec_path), "--out", str(tmp_path / "spec.json")]) == 0
         direct = [
             "dse", "--grid", "tiny", "--max-designs", "8", "--rows", "8", "--bx", "4",
-            "--workers", "1", "--cache-dir", str(tmp_path / "cache"), "--quiet",
-            "--out", str(tmp_path / "direct.json"),
+            "--quiet", "--out", str(tmp_path / "direct.json"),
         ]
         assert main(direct) == 0
-        direct_payload = json.loads((tmp_path / "direct.json").read_text())
-        assert direct_payload["spaces"]["4"]["evaluated"] == 0
-        assert direct_payload["spaces"]["4"]["pareto"] == space["pareto"]
+        via_spec = json.loads((tmp_path / "spec.json").read_text())["spaces"]["4"]
+        via_cli = json.loads((tmp_path / "direct.json").read_text())["spaces"]["4"]
+        assert via_spec["explored"] == via_cli["explored"] == 8
+        assert via_spec["pareto"] == via_cli["pareto"]
+
+    @pytest.mark.parametrize("field, value", [("workers", 2), ("cache_dir", ".repro-cache")])
+    def test_run_rejects_a_removed_runner_field(self, field, value, tmp_path):
+        """Sweeps run serially and uncached: a spec still asking for a worker
+        pool or a cache directory fails before anything runs, naming the field."""
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps({"task": "dse", "params": {"grid": "tiny"}, "runner": {field: value}}))
+        with pytest.raises(SystemExit, match=f"unknown option\\(s\\) \\['{field}'\\]"):
+            main(["run", str(path)])
 
     def test_run_rejects_bad_spec_before_executing_anything(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -172,17 +172,15 @@ class TestRunKindTable:
         tagged = {
             "serve/deployment": (ServeSpec(), [], ["serve", "--spec", "{path}"]),
             "serve/scenario": (
-                ScenarioSpec(), ["--cache-dir", "c", "--quiet"],
-                ["scenario", "{path}", "--cache-dir", "c", "--quiet"],
+                ScenarioSpec(), ["--out", "o.json"], ["scenario", "{path}", "--out", "o.json"],
             ),
             "fabric/design": (
-                FabricSpec(), ["--cache-dir", "c", "--quiet"],
-                ["fabric", "{path}", "--cache-dir", "c", "--quiet"],
+                FabricSpec(), ["--out", "o.json"], ["fabric", "{path}", "--out", "o.json"],
             ),
             "fabric/run": (
                 FabricRunSpec(schedule=(blocks.default_spec("gelu/bernstein"),)),
-                ["--cache-dir", "c", "--quiet"],
-                ["fabric", "{path}", "--cache-dir", "c", "--quiet"],
+                ["--out", "o.json"],
+                ["fabric", "{path}", "--out", "o.json"],
             ),
         }
         assert sorted(cli.RUN_SPEC_KINDS) == sorted(tagged)
@@ -200,11 +198,11 @@ class TestRunKindTable:
     @pytest.mark.parametrize(
         "example, flags, rejected",
         [
-            ("fabric_run_smoke.json", ["--workers", "3"], "--workers"),
-            ("fabric_design_4x4.json", ["--workers", "3"], "--workers"),
-            ("scenario_poisson_slo.json", ["--workers", "3", "--quiet"], "--workers"),
-            ("serve_thread_dev.json", ["--cache-dir", "c"], "--cache-dir"),
-            ("serve_thread_dev.json", ["--workers", "2", "--out", "o.json"], "--workers, --out"),
+            ("fabric_run_smoke.json", ["--quiet"], "--quiet"),
+            ("fabric_design_4x4.json", ["--quiet"], "--quiet"),
+            ("scenario_poisson_slo.json", ["--quiet"], "--quiet"),
+            ("serve_thread_dev.json", ["--quiet"], "--quiet"),
+            ("serve_thread_dev.json", ["--out", "o.json", "--quiet"], "--out, --quiet"),
         ],
     )
     def test_tagged_spec_rejects_overrides_its_subcommand_ignores(

@@ -1,3 +1,7 @@
+import io
+import math
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,9 @@ from repro.core.dse import (
     DEFAULT_S2_CHOICES,
     DesignPoint,
     SoftmaxDesignSpace,
+    evaluate_design,
 )
+from repro.evaluation.reporting import ProgressReporter
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +82,50 @@ class TestEvaluation:
         point = small_space.evaluate(next(small_space.enumerate_configs()))
         row = point.as_row()
         assert row[0] == point.config.by and row[3] == point.config.iterations
+
+
+def assert_points_identical(a, b):
+    """Bit-for-bit DesignPoint equality (NaN-aware for infeasible points)."""
+    assert len(a) == len(b)
+    for left, right in zip(a, b):
+        assert left.config == right.config
+        assert left.feasible == right.feasible
+        for field in ("area_um2", "delay_ns", "adp", "mae"):
+            x, y = getattr(left, field), getattr(right, field)
+            assert x == y or (math.isnan(x) and math.isnan(y)), (field, x, y)
+
+
+class TestExploreOrder:
+    """``explore`` evaluates in grid order; ``max_designs`` truncates to a grid prefix."""
+
+    def test_explore_preserves_grid_order(self, small_space):
+        configs = list(small_space.enumerate_configs())
+        assert [p.config for p in small_space.explore()] == configs
+
+    def test_explore_matches_evaluate_design(self, small_space):
+        config = next(small_space.enumerate_configs())
+        direct = evaluate_design(config, small_space.test_vectors)
+        assert_points_identical([direct], small_space.explore(max_designs=1))
+
+    def test_explore_reports_progress_per_design(self, small_space):
+        sink = io.StringIO()
+        small_space.explore(max_designs=3, reporter=ProgressReporter("dse", stream=sink))
+        assert sink.getvalue().splitlines() == ["dse: 0/3", "dse: 1/3", "dse: 2/3", "dse: 3/3", "dse: done — 3 configs"]
+
+    def test_truncation_is_grid_prefix(self, small_space):
+        expected = list(islice(small_space.enumerate_configs(), 5))
+        points = small_space.explore(max_designs=5)
+        assert [p.config for p in points] == expected
+
+    def test_truncated_points_match_full_prefix(self, small_space):
+        full = small_space.explore()
+        prefix = small_space.explore(max_designs=3)
+        assert_points_identical(full[:3], prefix)
+
+    def test_edge_counts(self, small_space):
+        assert small_space.explore(max_designs=0) == []
+        assert small_space.explore(max_designs=-1) == []
+        assert len(small_space.explore(max_designs=10**6)) == small_space.grid_size()
 
 
 class TestPareto:

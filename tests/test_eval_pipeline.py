@@ -3,7 +3,7 @@
 The load-bearing property is *chunk invariance*: evaluating a split in
 batches of any size — including 1, the serial per-image path — must
 produce bit-identical predictions, with and without fault injection.  On top of that: the fault model's determinism
-contract, the ``EvalTask`` cache round-trip/resume behaviour, and the CLI.
+contract, the ``EvalTask`` grids, and the CLI.
 """
 
 import json
@@ -33,7 +33,7 @@ from repro.eval_pipeline import faults
 from repro.eval_pipeline.faults import net_flip_pmf, sample_rows
 from repro.nn import autograd
 from repro.nn.autograd import Tensor, batch_invariant_matmul, matmul_data, no_grad
-from repro.runner.cache import ResultCache, array_digest
+from repro.utils.digests import array_digest
 
 # ``BitFlipFaultModel.VERSION`` -> digests of ``test_draws_are_pinned_to_the_version``'s
 # realised draws: (a multi-site ``sparse_flips``, a composed-GELU ``perturb_counts``).
@@ -734,7 +734,7 @@ class TestBitFlipFaultModel:
             assert np.array_equal(drawn[site][0], elements) and np.array_equal(drawn[site][1], bits), site
 
     def test_draws_are_pinned_to_the_version(self):
-        """Digests of realised draws: they move only with ``VERSION``, which every faulted cache key holds."""
+        """Digests of realised draws: they move only with ``VERSION``, which every faulted engine fingerprint holds."""
         from repro.blocks import build
 
         model = BitFlipFaultModel(0.01, seed=2024).armed([0, 7, 2**40])
@@ -872,30 +872,31 @@ class TestEvalTask:
         kwargs.update(overrides)
         return EvalTask(**kwargs)
 
-    def test_grid_runs_and_round_trips(self, eval_setup):
+    def test_grid_runs_in_grid_order(self, eval_setup):
         task = self.make_task(eval_setup)
         configs = eval_grid(by_grid=(8,), flip_probs=(0.0, 0.1), splits=("test", "train"))
-        results = run_eval_grid(task, configs, workers=1)
+        results = run_eval_grid(task, configs)
         assert len(results) == 4
         for config, result in zip(configs, results):
             assert result.split == config["split"]
             assert result.flip_prob == config["flip_prob"]
             assert result.num_images == 8
             assert len(result.predictions) == 8
-            # encode/decode must be lossless through JSON (the cache path)
-            import json
 
-            payload = json.loads(json.dumps(task.encode(result)))
-            arrays = task.result_arrays(result)
-            restored = task.decode(payload, arrays)
-            assert restored.accuracy == result.accuracy
-            assert restored.softmax_config == result.softmax_config
-            assert np.array_equal(restored.predictions, result.predictions)
+    def test_grid_reports_progress_per_config(self, eval_setup):
+        import io
+
+        from repro.evaluation.reporting import ProgressReporter
+
+        sink = io.StringIO()
+        configs = eval_grid(by_grid=(4, 8), splits=("test",))
+        run_eval_grid(self.make_task(eval_setup), configs, reporter=ProgressReporter("eval", stream=sink))
+        assert sink.getvalue().splitlines() == ["eval: 0/2", "eval: 1/2", "eval: 2/2", "eval: done — 2 configs"]
 
     def test_task_results_match_direct_pipeline(self, eval_setup):
         task = self.make_task(eval_setup)
         config = eval_grid(by_grid=(8,), splits=("test",))[0]
-        [result] = run_eval_grid(task, [config], workers=1)
+        [result] = run_eval_grid(task, [config])
         pipeline = ScViTEvalPipeline(
             eval_setup["model"],
             sc_vit_softmax(config["by"], config["s1"], config["s2"], config["k"], alpha_x=eval_setup["alpha_x"]),
@@ -904,61 +905,11 @@ class TestEvalTask:
         assert np.array_equal(result.predictions, direct.predictions)
         assert result.accuracy == direct.accuracy
 
-    def test_warm_cache_serves_everything(self, eval_setup, tmp_path):
-        task = self.make_task(eval_setup)
-        configs = eval_grid(by_grid=(4, 8), splits=("test",))
-        cache = ResultCache(tmp_path)
-        cold = run_eval_grid(task, configs, workers=1, cache=cache)
-        cold_stats = run_eval_grid.last_run_stats
-        warm = run_eval_grid(task, configs, workers=1, cache=cache)
-        warm_stats = run_eval_grid.last_run_stats
-        assert cold_stats.evaluated == 2 and cold_stats.cache_hits == 0
-        assert warm_stats.evaluated == 0 and warm_stats.cache_hits == 2
-        for a, b in zip(cold, warm):
-            assert a.accuracy == b.accuracy
-            assert np.array_equal(a.predictions, b.predictions)
-
-    def test_interrupted_grid_resumes_only_missing_configs(self, eval_setup, tmp_path):
-        task = self.make_task(eval_setup)
-        configs = eval_grid(by_grid=(4, 8, 16), splits=("test",))
-        cache = ResultCache(tmp_path)
-        run_eval_grid(task, configs, workers=1, cache=cache)
-        # Simulate a crash that lost one stored result.
-        version = task.version()
-        lost = cache.key(task.name, task.config_key(configs[1]), version)
-        cache._json_path(lost).unlink()
-        resumed = run_eval_grid(task, configs, workers=1, cache=cache)
-        stats = run_eval_grid.last_run_stats
-        assert stats.evaluated == 1 and stats.cache_hits == 2
-        assert [r.softmax_config.by for r in resumed] == [4, 8, 16]
-
-    def test_cache_key_separates_splits_and_fault_rates(self, eval_setup, tmp_path):
-        task = self.make_task(eval_setup)
-        cache = ResultCache(tmp_path)
-        version = task.version()
-        keys = {
-            cache.key(task.name, task.config_key(config), version)
-            for config in eval_grid(by_grid=(8,), flip_probs=(0.0, 0.1), splits=("test", "train"))
-        }
-        assert len(keys) == 4
-
-    def test_version_changes_with_weights(self, eval_setup, monkeypatch):
-        task = self.make_task(eval_setup)
-        retrained = self.make_task(eval_setup, _weights_digest="deadbeef")
-        assert task.version() != retrained.version()
-        version = task.version()
-        monkeypatch.setattr(BitFlipFaultModel, "VERSION", BitFlipFaultModel.VERSION - 1)
-        assert task.version() != version  # so does a fault-sampler version bump
-        monkeypatch.setattr(autograd, "_FORMULATION", "stacked")
-        stacked = task.version()
-        monkeypatch.setattr(autograd, "_FORMULATION", "einsum")
-        assert task.version() != stacked  # and the batch-invariant matmul formulation
-
     def test_unknown_split_raises(self, eval_setup):
         task = self.make_task(eval_setup)
         config = eval_grid(by_grid=(8,), splits=("validation",))[0]
         with pytest.raises(KeyError):
-            task.evaluate(config, seed=0)
+            task.evaluate(config)
 
 
 class TestEvalCli:
@@ -967,7 +918,8 @@ class TestEvalCli:
 
         return main(argv)
 
-    def test_eval_smoke_warm_cache_and_bit_identity(self, tmp_path, capsys):
+    def test_eval_smoke_bit_identity_and_repeatable_rows(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         base = [
             "eval",
             "--max-images", "12",
@@ -977,7 +929,6 @@ class TestEvalCli:
             "--embed-dim", "16",
             "--heads", "2",
             "--by-grid", "4", "8",
-            "--cache-dir", str(tmp_path / "cache"),
             "--out", str(tmp_path / "eval.json"),
             "--verify-batched",
             "--quiet",
@@ -989,10 +940,9 @@ class TestEvalCli:
         import json
 
         first = json.loads((tmp_path / "eval.json").read_text())
-        assert first["stats"]["evaluated"] == 2
+        assert first["stats"]["total"] == 2 and first["stats"]["total_images"] == 24
 
         assert self.run_cli(base) == 0
         second = json.loads((tmp_path / "eval.json").read_text())
-        assert second["stats"]["evaluated"] == 0
-        assert second["stats"]["cache_hits"] == 2
         assert second["rows"] == first["rows"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["eval.json"]  # nothing but the output

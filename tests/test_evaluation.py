@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.evaluation.pareto import pareto_front
 from repro.evaluation.reporting import format_markdown_table, format_table, save_json_report
+from repro.evaluation.sweeps import fig7_gelu_configs, fig7_gelu_row, table4_circuit, table4_configs, table4_row
 from repro.evaluation.vectors import (
     attention_logit_vectors,
     collect_gelu_inputs,
@@ -132,3 +133,26 @@ class TestReporting:
         loaded = json.loads(path.read_text())
         assert loaded["array"] == [0, 1, 2]
         assert loaded["nested"]["v"] == 2
+
+
+class TestSweepGrids:
+    def test_fig7_grid_order_is_historical(self):
+        configs = fig7_gelu_configs()
+        assert len(configs) == 12
+        assert configs[0] == {"kind": "bernstein", "terms": 4, "bsl": 128}
+        assert configs[8] == {"kind": "bernstein", "terms": 6, "bsl": 1024}
+        assert configs[-1] == {"kind": "si", "bsl": 8}
+
+    def test_table4_grid_order_is_historical(self):
+        configs = table4_configs()
+        assert [c["kind"] for c in configs] == ["fsm"] * 3 + ["ours"] * 3
+
+    def test_table4_circuit_reads_the_recipe_parameters(self):
+        c = table4_circuit(4, alpha_x=1.5)
+        assert (c.m, c.bx, c.s1, c.s2, c.iterations, c.alpha_x) == (64, 4, 32, 8, 3, 1.5)
+
+    def test_unknown_config_kinds_rejected(self):
+        with pytest.raises(ValueError, match="unknown GELU sweep config kind"):
+            fig7_gelu_row({"kind": "fsm", "bsl": 8}, np.zeros(4))
+        with pytest.raises(ValueError, match="unknown Table IV config kind"):
+            table4_row({"kind": "si", "bsl": 8}, np.zeros((1, 64)), alpha_x=2.0)

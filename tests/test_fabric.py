@@ -332,27 +332,9 @@ class TestConfigurationSemantics:
 
 
 # --------------------------------------------------------------------------
-# Integration: sweep-cache round-trip, Table VI, CLI kind routing
+# Integration: Table VI, CLI kind routing, the dead-tile scenario
 # --------------------------------------------------------------------------
 class TestIntegration:
-    def test_fabric_task_round_trips_through_the_cache(self, tmp_path):
-        from repro.runner.cache import ResultCache
-        from repro.runner.runner import ParallelSweepRunner
-        from repro.runner.tasks import FabricTask
-
-        spec = FabricRunSpec(
-            name="cache-rt", fabric=FabricSpec(), schedule=(_small_softmax(),), rows=4
-        )
-        cache = ResultCache(tmp_path)
-        runner = ParallelSweepRunner(FabricTask(), workers=1, cache=cache)
-        cold = runner.run([spec.to_dict()])[0]
-        assert runner.stats.evaluated == 1
-        runner = ParallelSweepRunner(FabricTask(), workers=1, cache=cache)
-        warm = runner.run([spec.to_dict()])[0]
-        assert runner.stats.evaluated == 0 and runner.stats.cache_hits == 1
-        assert warm["slots"] == cold["slots"]
-        assert warm["bitstream"]["digest"] == cold["bitstream"]["digest"]
-
     def test_table6_reconciliation(self):
         report = reconcile_table6()
         assert report["reconciles"], report
@@ -384,11 +366,10 @@ class TestIntegration:
 
     @pytest.mark.slow
     def test_dead_tile_scenario_recovers_via_replacement(self):
-        from repro.runner.tasks import ScenarioTask
-        from repro.scenarios import ScenarioSpec
+        from repro.scenarios import ScenarioRunner, ScenarioSpec
 
         spec = ScenarioSpec.from_file(EXAMPLES_SPECS / "scenario_fabric_deadtile.json")
-        result = ScenarioTask().evaluate(spec.to_dict(), seed=0)
+        result = ScenarioRunner(spec, base_dir=str(EXAMPLES_SPECS)).run()
         assert result["ok"], result["assertions"]
         assert result["deaths"] >= 1
         assert result["replacements"] >= 1

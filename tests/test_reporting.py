@@ -3,8 +3,7 @@
 The reporter sits on every sweep's hot path (runner, CLI, benches) and its
 wall-clock timer now feeds user-facing throughput lines, so its contract —
 tick/finish output, zero-item edge case, TTY vs pipe behaviour, elapsed
-timing — is pinned here.  (The decile-throttling and quiet-mode behaviours
-have their own tests in ``test_runner.py``.)
+timing, the decile throttling and quiet mode — is pinned here.
 """
 
 import io
@@ -24,12 +23,12 @@ class TestProgressReporterOutput:
         reporter = ProgressReporter("sweep", stream=sink)
         reporter.start(2)
         reporter.update(1, 2)
-        reporter.update(2, 2, cached=1)
+        reporter.update(2, 2)
         reporter.finish("2 configs")
         lines = sink.getvalue().splitlines()
         assert lines[0] == "sweep: 0/2"
         assert "sweep: 1/2" in lines
-        assert "sweep: 2/2 (1 cached)" in lines
+        assert "sweep: 2/2" in lines
         assert lines[-1] == "sweep: done — 2 configs"
 
     def test_finish_without_summary(self):
@@ -40,7 +39,7 @@ class TestProgressReporterOutput:
         assert sink.getvalue().splitlines()[-1] == "job: done"
 
     def test_zero_items_start_then_finish(self):
-        """An empty sweep (all-cached or empty grid) must not divide or crash."""
+        """An empty sweep (empty grid) must not divide or crash."""
         sink = io.StringIO()
         reporter = ProgressReporter("empty", stream=sink)
         reporter.start(0)
@@ -94,3 +93,29 @@ class TestProgressReporterTiming:
         time.sleep(0.01)
         reporter.finish()
         assert reporter.elapsed_seconds >= 0.01
+
+
+class TestProgressReporterThrottling:
+    def test_non_tty_prints_deciles_only(self):
+        sink = io.StringIO()
+        reporter = ProgressReporter("sweep", stream=sink)
+        reporter.start(100)
+        for done in range(1, 101):
+            reporter.update(done, 100)
+        reporter.finish("ok")
+        lines = sink.getvalue().splitlines()
+        assert len(lines) <= 15  # ~1 line per decile, not per update
+        assert any("100/100" in line for line in lines)
+
+    def test_quiet_swallows_everything(self):
+        reporter = ProgressReporter("sweep", quiet=True)
+        reporter.start(10)
+        reporter.update(5, 10)
+        reporter.finish()  # must not touch stderr or raise
+
+    def test_track_yields_in_order_and_reports_each_completion(self):
+        sink = io.StringIO()
+        reporter = ProgressReporter("grid", stream=sink)
+        assert [config * 2 for config in reporter.track([1, 2, 3])] == [2, 4, 6]
+        lines = sink.getvalue().splitlines()
+        assert lines == ["grid: 0/3", "grid: 1/3", "grid: 2/3", "grid: 3/3", "grid: done — 3 configs"]

@@ -20,7 +20,7 @@ import repro.sc.fsm as fsm
 import repro.sc.packed as packed
 from repro.blocks.specs import SoftmaxCircuitConfig
 from repro.eval_pipeline import ScViTEvalPipeline
-from repro.runner.cache import array_digest
+from repro.utils.digests import array_digest
 from repro.sc.arithmetic import draw_select_planes, fused_multiply_decode, mux_scaled_add
 from repro.sc.bitstream import StochasticStream
 from repro.sc.encodings import bipolar_decode, unipolar_decode

@@ -14,8 +14,7 @@ import pytest
 from repro.blocks.specs import SoftmaxCircuitConfig, sc_vit_softmax
 from repro.cli import _eval_task, build_parser
 from repro.eval_pipeline import run_eval_grid
-from repro.runner.cache import weights_digest
-from repro.runner.tasks import Table4Task
+from repro.utils.digests import weights_digest
 from repro.serve import ServeSpec, build_replica_factory
 from repro.serve.engine import pipeline_fingerprint
 
@@ -38,11 +37,6 @@ from repro.serve.engine import pipeline_fingerprint
 def test_softmax_recipe_matches_written_out_config(circuit, expected):
     assert sc_vit_softmax(*circuit) == expected
     assert sc_vit_softmax(*circuit, alpha_x=0.75) == expected.with_updates(alpha_x=0.75)
-
-
-def test_table4_version_reads_the_recipe_parameters():
-    logits = np.zeros((2, 64))
-    assert Table4Task(logits=logits, alpha_x=1.5).version().endswith(";params:(64, 4, 32, 8, 3, 1.5)")
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +63,7 @@ def test_eval_argv_and_serve_spec_build_the_same_pipeline(checkpoint):
     ]
     task, [config] = _eval_task(build_parser().parse_args(argv))
     offline = task.pipeline(config)
-    served = build_replica_factory(ServeSpec(checkpoint=str(checkpoint), cache_dir=None, **model, **circuit))()
+    served = build_replica_factory(ServeSpec(checkpoint=str(checkpoint), **model, **circuit))()
 
     assert weights_digest(served.model) == weights_digest(offline.model)
     assert served.softmax_circuit.config == offline.softmax_circuit.config
@@ -87,7 +81,7 @@ def test_eval_argv_and_serve_spec_build_the_same_pipeline(checkpoint):
 # ---------------------------------------------------------------------------
 
 FROZEN_SPEC = ServeSpec(train_size=16, layers=1, embed_dim=8, heads=2, calibration_images=4,
-                        by=8, s1=16, s2=4, k=2, cache_dir=None)
+                        by=8, s1=16, s2=4, k=2)
 TABLE6_STYLE = [{"split": "test", "by": by, "s1": s1, "s2": s2, "k": k}
                 for by, s1, s2, k in ((4, 128, 2, 2), (8, 32, 8, 3), (16, 128, 16, 4))]
 

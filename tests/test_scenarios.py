@@ -194,6 +194,16 @@ class TestSpecValidation:
                 {"kind": SCENARIO_KIND, "params": {"deployment": {"backend": None}}}
             )
 
+    def test_removed_deployment_cache_dir_fails_at_load(self, tmp_path):
+        """A scenario file still giving its deployment a cache directory
+        fails when it is loaded, naming the section and the field."""
+        payload = json.loads((EXAMPLES_SPECS / "scenario_poisson_slo.json").read_text())
+        payload["params"]["deployment"]["cache_dir"] = ".repro-cache"
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{path}: unknown deployment params: cache_dir$"):
+            ScenarioSpec.from_file(path)
+
 
 # --------------------------------------------------------------------------
 # Shipped example files are canonical
@@ -368,13 +378,13 @@ class _StubEngine:
 class _StubCache:
     def __init__(self, entries=5):
         self.entries = entries
-        self.cleared_with = None
+        self.cleared = False
 
     def __len__(self):
         return self.entries
 
-    def clear(self, drop_backing=False):
-        self.cleared_with = drop_backing
+    def clear(self):
+        self.cleared = True
         self.entries = 0
 
 
@@ -511,12 +521,12 @@ class TestScenarioRunnerStubbed:
         assert result["deaths"] == 3
         assert result["ok"]
 
-    def test_cache_loss_drops_backing(self):
+    def test_cache_loss_clears_the_cache(self):
         cache = _StubCache(entries=7)
         deployment = _StubDeployment(cache=cache)
         spec = _stub_scenario(events=(EventSpec(action="cache_loss", at_frac=0.5),))
         result = _run_stub(spec, deployment)
-        assert cache.cleared_with is True
+        assert cache.cleared
         event = [e for e in result["events"] if e["action"] == "cache_loss"][0]
         assert event["dropped_entries"] == 7
 
@@ -630,13 +640,12 @@ class TestThreadEngineChaosHook:
 # --------------------------------------------------------------------------
 @pytest.mark.slow
 class TestScenarioEndToEnd:
-    def _spec(self, tmp_path, **workload_overrides) -> ScenarioSpec:
+    def _spec(self, **workload_overrides) -> ScenarioSpec:
         workload = dict(arrival="poisson", requests=24, rate=600.0, image_pool=8)
         workload.update(workload_overrides)
         return ScenarioSpec(
             name="e2e",
-            deployment=ServeSpec(**TINY, flip_prob=0.05,
-                                 cache_dir=str(tmp_path / "cache")),
+            deployment=ServeSpec(**TINY, flip_prob=0.05),
             workload=WorkloadSpec(**workload),
             events=(
                 EventSpec(action="kill_shard", at_frac=0.5),
@@ -651,8 +660,8 @@ class TestScenarioEndToEnd:
             ),
         )
 
-    def test_thread_deployment_survives_kill_and_stays_bit_identical(self, tmp_path):
-        result = ScenarioRunner(self._spec(tmp_path)).run()
+    def test_thread_deployment_survives_kill_and_stays_bit_identical(self):
+        result = ScenarioRunner(self._spec()).run()
         assert result["ok"], result["assertions"]
         assert result["requests"]["bit_mismatches"] == 0
         assert result["deaths"] == 1
@@ -663,7 +672,7 @@ class TestScenarioEndToEnd:
             WorkloadSpec(arrival="poisson", requests=24, rate=600.0, image_pool=8)
         )
         save_trace(tmp_path / "trace.json", recorded)
-        spec = self._spec(tmp_path, arrival="trace", trace_path="trace.json")
+        spec = self._spec(arrival="trace", trace_path="trace.json")
         result = ScenarioRunner(spec, base_dir=tmp_path).run()
         assert result["ok"], result["assertions"]
         assert result["workload"]["digest"] == workload_digest(recorded)
@@ -671,13 +680,17 @@ class TestScenarioEndToEnd:
 
 @pytest.mark.slow
 class TestCliIntegration:
-    def test_run_sniffs_scenario_files_and_caches_results(self, tmp_path, capsys):
+    def test_run_sniffs_scenario_files_and_starts_cold_every_run(self, tmp_path, monkeypatch, capsys):
+        """A served scenario drives the service on every run: a second run
+        serves nothing the first run left behind, and no run writes a file
+        besides its output."""
         from repro.cli import main
 
+        # 12 distinct pool images: every request reaches the engine on a cold run.
         spec = ScenarioSpec(
             name="cli-smoke",
-            deployment=ServeSpec(**TINY, cache=False),
-            workload=WorkloadSpec(requests=12, rate=600.0, image_pool=4),
+            deployment=ServeSpec(**TINY),
+            workload=WorkloadSpec(requests=12, rate=600.0, image_pool=32),
             assertions=(
                 AssertionSpec(check="bit_identity"),
                 AssertionSpec(check="completed_min", value=12),
@@ -686,19 +699,16 @@ class TestCliIntegration:
         path = tmp_path / "scenario.json"
         path.write_text(spec.to_json(indent=2) + "\n")
         out_path = tmp_path / "result.json"
-        argv = ["run", str(path), "--cache-dir", str(tmp_path / "sweep-cache"),
-                "--out", str(out_path)]
-        assert main(argv) == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["stats"]["evaluated"] == 1
-        assert payload["scenarios"][0]["ok"]
-        # Warm re-run: the content-addressed sweep cache serves the result.
+        monkeypatch.chdir(tmp_path)
+        cached = []
+        for _ in range(2):
+            assert main(["run", str(path), "--out", str(out_path)]) == 0
+            [result] = json.loads(out_path.read_text())["scenarios"]
+            assert result["ok"], result["assertions"]
+            cached.append(result["requests"]["cached"])
+        assert cached == [0, 0]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["result.json", "scenario.json"]
         capsys.readouterr()
-        assert main(argv) == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["stats"]["evaluated"] == 0
-        assert payload["stats"]["cache_hits"] == 1
-        assert "(cached result)" in capsys.readouterr().out
 
     def test_run_rejects_unknown_kinds_with_a_clear_error(self, tmp_path):
         from repro.cli import main
@@ -724,6 +734,5 @@ class TestCliIntegration:
         )
         path = tmp_path / "doomed.json"
         path.write_text(spec.to_json(indent=2) + "\n")
-        code = main(["scenario", str(path), "--engine", "thread",
-                     "--cache-dir", str(tmp_path / "cache"), "--quiet"])
+        code = main(["scenario", str(path), "--engine", "thread"])
         assert code == 1

@@ -23,7 +23,6 @@ from conftest import NUM_IMAGES, replica_factory
 from repro.eval_pipeline import BitFlipFaultModel, ScViTEvalPipeline
 from repro.nn import autograd
 from repro.nn.vit import CompactVisionTransformer, ViTConfig
-from repro.runner.cache import ResultCache
 from repro.serve import (
     DynamicBatcher,
     InferenceService,
@@ -518,7 +517,6 @@ class TestPredictionCache:
         assert request_fingerprint(image_b, "v1") != base
         assert request_fingerprint(image_a, "v2") != base
         assert request_fingerprint(image_a, "v1", image_index=3) != base
-        assert request_fingerprint(image_a, "v1", code_version="c") != base
 
     def test_lru_eviction(self):
         cache = PredictionCache(max_entries=2)
@@ -530,12 +528,11 @@ class TestPredictionCache:
         assert cache.get("a") == 1
         assert cache.get("c") == 3
 
-    def test_disk_backing_survives_process_restart(self, tmp_path):
-        backing = ResultCache(tmp_path, code_version="pin")
-        key = request_fingerprint(np.ones((2, 2)), "v1")
-        PredictionCache(backing=backing).put(key, 7)
-        fresh = PredictionCache(backing=ResultCache(tmp_path, code_version="pin"))
-        assert fresh.get(key) == 7
+    def test_clear_forgets_every_entry(self):
+        cache = PredictionCache()
+        cache.put("a", 1)
+        cache.clear()
+        assert len(cache) == 0 and "a" not in cache and cache.get("a") is None
 
     def test_cached_second_pass_is_all_hits(self, stack, offline_predictions):
         _, test, _ = stack
@@ -698,7 +695,7 @@ class TestPipelineEngine:
         cache = PredictionCache()
 
         async def scenario():
-            async with InferenceService(engine, max_wait_ms=0.0, cache=cache, code_version="") as service:
+            async with InferenceService(engine, max_wait_ms=0.0, cache=cache) as service:
                 await service.submit(test.images[0], index=3)
 
         asyncio.run(scenario())
@@ -918,7 +915,6 @@ class TestServeCli:
         spec_path.write_text(
             ServeSpec(
                 embed_dim=16, heads=2, train_size=8, calibration_images=4, max_wait_ms=1.0,
-                cache_dir=str(tmp_path / "cache"),
             ).to_json()
         )
         exit_code = main(["serve", "--spec", str(spec_path)])
@@ -1001,7 +997,6 @@ class TestServeCli:
         spec_path.write_text(
             ServeSpec(
                 embed_dim=16, heads=2, train_size=8, calibration_images=4,
-                cache_dir=str(tmp_path / "cache"),
             ).to_json()
         )
         completed = subprocess.run(

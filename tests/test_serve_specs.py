@@ -87,6 +87,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown serve spec params: backend"):
             ServeSpec.from_dict({"kind": SPEC_KIND, "params": {"backend": None}})
 
+    def test_removed_cache_dir_fails_at_load(self, tmp_path):
+        """The prediction cache lives in memory: a file still naming a cache
+        directory fails when it is loaded, naming the field."""
+        path = tmp_path / "deployment.json"
+        path.write_text(json.dumps({"kind": SPEC_KIND, "params": {"cache_dir": ".repro-cache"}}))
+        with pytest.raises(ValueError, match=f"^{path}: unknown serve spec params: cache_dir$"):
+            ServeSpec.from_file(path)
+
     def test_sniff_distinguishes_spec_kinds(self):
         assert ServeSpec.sniff({"kind": SPEC_KIND, "params": {}})
         assert not ServeSpec.sniff({"task": "dse", "params": {}})
@@ -121,18 +129,16 @@ class TestBuildDeployment:
         assert deployment.cache is None
         assert deployment.to_spec() is spec  # byte-exact round trip for free
 
-    def test_process_spec_builds_sharded_engine_and_cache(self, tmp_path):
+    def test_process_spec_builds_sharded_engine_and_cache(self):
         from repro.serve.cache import PredictionCache
 
-        spec = ServeSpec(**TINY, engine="process", workers=2, max_shards=3,
-                         cache_dir=str(tmp_path / "cache"))
+        spec = ServeSpec(**TINY, engine="process", workers=2, max_shards=3)
         deployment = build_deployment(spec)
         assert isinstance(deployment.engine, ShardedProcessEngine)
         assert deployment.engine.min_shards == 2
         assert deployment.engine.max_shards == 3
         # One service-side cache, as for every engine family.
         assert type(deployment.cache) is PredictionCache
-        assert deployment.cache.backing is not None
 
     def test_deployment_serves_end_to_end(self):
         spec = ServeSpec(**TINY, engine="process", workers=2, cache=False)
@@ -150,6 +156,22 @@ class TestBuildDeployment:
         predictions = asyncio.run(session())
         assert len(predictions) == 6
         assert all(isinstance(p, int) for p in predictions)
+
+    def test_default_cache_serves_repeats_from_memory_and_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        deployment = build_deployment(ServeSpec(**TINY))
+        image = np.random.default_rng(0).normal(size=(16, 16, 3))
+
+        async def session():
+            async with deployment:
+                first = await deployment.service.submit(image)
+                second = await deployment.service.submit(image)
+                return first, second
+
+        first, second = asyncio.run(session())
+        assert not first.cached and second.cached
+        assert second.prediction == first.prediction
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.slow

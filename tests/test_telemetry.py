@@ -383,7 +383,7 @@ class TestTraceSummary:
 
 
 # --------------------------------------------------------------------------
-# Inertness: specs, cache identity, predictions
+# Inertness: specs, predictions
 # --------------------------------------------------------------------------
 class TestInertness:
     def test_serve_spec_telemetry_field_round_trips_and_validates(self):
@@ -394,31 +394,6 @@ class TestInertness:
         assert ServeSpec.from_json(spec.to_json()) == spec
         with pytest.raises(ValueError, match="telemetry"):
             ServeSpec(telemetry="yes")
-
-    def test_scenario_cache_identity_ignores_telemetry(self):
-        from repro.runner.tasks import ScenarioTask
-        from repro.scenarios import ScenarioSpec
-        from repro.serve.specs import ServeSpec
-
-        task = ScenarioTask()
-        off = ScenarioSpec(name="same", deployment=ServeSpec(telemetry=False)).to_dict()
-        on = ScenarioSpec(name="same", deployment=ServeSpec(telemetry=True)).to_dict()
-        assert off != on  # the spec itself does serialize the field...
-        assert task.config_key(off) == task.config_key(on)  # ...the identity strips it
-        # Everything else still differentiates.
-        other = ScenarioSpec(name="other", deployment=ServeSpec(telemetry=True)).to_dict()
-        assert task.config_key(on) != task.config_key(other)
-
-    def test_result_cache_counters_are_observational(self, tmp_path):
-        from repro.runner.cache import ResultCache, cache_key
-
-        cache = ResultCache(tmp_path)
-        digest = cache_key("t", {"config": 1})
-        assert cache.load(digest) is None
-        cache.store(digest, {"x": 1})
-        hit = cache.load(digest)
-        assert hit is not None and hit.payload == {"x": 1}
-        assert cache.counters() == {"hits": 1, "misses": 1, "stores": 1}
 
     def test_predictions_bit_identical_with_telemetry_on_vs_off(self):
         from repro.blocks.specs import SoftmaxCircuitConfig
